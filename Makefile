@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nommap test-scandebug verify verify-quick bench bench-smoke bench-pack bench-kernels serve-smoke dist-smoke chaos-smoke clean
+.PHONY: all build test test-nommap test-scandebug verify verify-quick bench bench-smoke bench-pack bench-kernels bench-repo-test serve-smoke dist-smoke chaos-smoke clean
 
 all: build
 
@@ -65,6 +65,15 @@ bench-kernels:
 	$(GO) test -run 'TestBenchJSONKernelComputeAcceptance|TestBenchJSONZeroCopyAcceptance' -v .
 	grep -q '"multisearch_fast_vs_old"' BENCH.json
 	grep -q '"fused_scan_vs_raw_read"' BENCH.json
+
+# bench-repo-test runs the repository benchmark harness's own tests
+# (BENCHMARK.json schema, the statistics and verdict arithmetic, a quick
+# pass that must emit every declared metric, a corrupted pack that must
+# fail the oracle).
+# benchmark/ is a separate module (repro/benchmark, `replace repro => ../`),
+# so neither `go test ./...` nor `make verify` at the root sees it.
+bench-repo-test:
+	cd benchmark && $(GO) test ./...
 
 # serve-smoke boots the resident corpus service against freshly packed
 # shards on an ephemeral port, exercises grep/measure/manifest/metrics

@@ -130,8 +130,9 @@ func main() {
 			defer closer.Close()
 		}
 	} else if *dir != "" {
-		// Unpacked corpora are memory-mapped per file, so -dir scans take
-		// the same zero-copy windowing as mapped packs.
+		// Unpacked corpora carry raw views (shared slabs for small files,
+		// mappings for large ones), so -dir scans take the same
+		// borrowed-window path as mapped packs.
 		var closer interface{ Close() error }
 		fs, closer, err = vfs.ImportDirMappedCtx(ctx, *dir)
 		if err == nil {

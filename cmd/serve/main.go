@@ -67,8 +67,9 @@ func main() {
 			defer closer.Close()
 		}
 	case *dir != "":
-		// Per-file mappings give -dir corpora the same zero-copy scan
-		// path as mapped packs; hold them for the server's lifetime.
+		// Raw views (shared slabs for small files, mappings for large
+		// ones) give -dir corpora the same borrowed-window scan path as
+		// mapped packs; hold them for the server's lifetime.
 		var closer interface{ Close() error }
 		fs, closer, err = vfs.ImportDirMappedCtx(ctx, *dir)
 		if err == nil {

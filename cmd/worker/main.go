@@ -72,7 +72,8 @@ func main() {
 			defer closer.Close()
 		}
 	case *dir != "":
-		// Map each file so assigned-shard scans run zero-copy, exactly
+		// Raw views on every file (slab-loaded or mapped, by size) so
+		// assigned-shard scans take the borrowed-window path, exactly
 		// like the mapped-pack path above.
 		var closer interface{ Close() error }
 		fs, closer, err = vfs.ImportDirMappedCtx(ctx, *dir)

@@ -24,3 +24,30 @@ func unmapFile([]byte) error { return nil }
 
 // adviseSequential is a no-op without a mapping to advise on.
 func adviseSequential([]byte) error { return nil }
+
+// loadFile is LoadFile through *os.File: the same open, stat, read to
+// EOF, close sequence and the same slab, without the raw descriptor
+// calls only unix has. Large files take mapFile's heap fallback.
+func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	if !info.Mode().IsRegular() {
+		return nil, nil, errNotRegular(path)
+	}
+	if info.Size() > SmallFileLimit {
+		m, err := mapOpened(f, path, info.Size())
+		if err != nil {
+			return nil, nil, err
+		}
+		return m.data, m, nil
+	}
+	data, err := slab.read(f, info.Size(), path)
+	return data, nil, err
+}

@@ -3,6 +3,7 @@
 package packstore
 
 import (
+	"io"
 	"os"
 	"syscall"
 )
@@ -44,4 +45,69 @@ func adviseSequential(data []byte) error {
 		return nil
 	}
 	return syscall.Madvise(data, syscall.MADV_SEQUENTIAL)
+}
+
+// loadFile is LoadFile over raw descriptors: the small-file route is
+// exactly open, fstat, read to EOF, close — no *os.File, no finalizer, no
+// FileInfo, no attempt to register a regular file with the poller — which
+// keeps the per-file fixed cost of a many-small-files import down to the
+// system calls it cannot avoid. Only a file large enough to map is
+// wrapped in an *os.File, for mapFile.
+func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
+	var fd int
+	err := ignoringEINTR(func() (err error) {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		return err
+	})
+	if err != nil {
+		return nil, nil, &os.PathError{Op: "open", Path: path, Err: err}
+	}
+	var st syscall.Stat_t
+	if err := ignoringEINTR(func() error { return syscall.Fstat(fd, &st) }); err != nil {
+		syscall.Close(fd)
+		return nil, nil, &os.PathError{Op: "stat", Path: path, Err: err}
+	}
+	if uint32(st.Mode)&syscall.S_IFMT != syscall.S_IFREG {
+		syscall.Close(fd)
+		return nil, nil, errNotRegular(path)
+	}
+	if st.Size > SmallFileLimit {
+		f := os.NewFile(uintptr(fd), path)
+		defer f.Close()
+		m, err := mapOpened(f, path, st.Size)
+		if err != nil {
+			return nil, nil, err
+		}
+		return m.data, m, nil
+	}
+	data, err := slab.read(fdReader(fd), st.Size, path)
+	syscall.Close(fd)
+	return data, nil, err
+}
+
+// fdReader is io.Reader over a raw descriptor.
+type fdReader int
+
+func (fd fdReader) Read(p []byte) (n int, err error) {
+	err = ignoringEINTR(func() (err error) {
+		n, err = syscall.Read(int(fd), p)
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	if n == 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// ignoringEINTR retries a system call interrupted by a signal, as the os
+// package does around the same calls.
+func ignoringEINTR(fn func() error) error {
+	for {
+		if err := fn(); err != syscall.EINTR {
+			return err
+		}
+	}
 }

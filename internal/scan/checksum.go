@@ -97,7 +97,7 @@ func (c *Checksum) End() {
 }
 
 // Merge implements Kernel: it appends the other kernel's completed files
-// — one for an engine-forked instance, a whole shard's worth for a
+// — one chunk for an engine-forked instance, a whole shard's worth for a
 // restored one — preserving input order, and drains the other so a
 // recycled instance starts empty.
 func (c *Checksum) Merge(other Kernel) {
@@ -114,7 +114,13 @@ const checksumTag = 'C'
 
 // Snapshot implements StateCodec: the accumulated per-file sums.
 func (c *Checksum) Snapshot() ([]byte, error) {
+	// tag, count, then per file: name length + name, size, sum.
+	size := 1 + 8 + 24*len(c.sums)
+	for i := range c.sums {
+		size += len(c.sums[i].Name)
+	}
 	var e StateEncoder
+	e.Grow(size)
 	e.Tag(checksumTag)
 	e.Int(len(c.sums))
 	for _, s := range c.sums {

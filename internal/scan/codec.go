@@ -2,6 +2,7 @@ package scan
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/errs"
 )
@@ -63,6 +64,12 @@ func RestoreKernel(k Kernel, state []byte) error {
 type StateEncoder struct {
 	buf []byte
 }
+
+// Grow reserves room for n more bytes, so a Snapshot that knows its
+// size up front (a fixed width per file plus the names) encodes into one
+// allocation instead of append-doubling its way there. Purely a capacity
+// hint: the encoded bytes are the same with or without it.
+func (e *StateEncoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Tag writes the kernel's one-byte type tag; by convention the first
 // write of every snapshot.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -159,6 +160,134 @@ func TestFoldedMultiSearcherMatchesFoldedSearcher(t *testing.T) {
 		}
 		if want := s.CountBytes(text); got[i] != want {
 			t.Errorf("pattern %q: folded count %d, want %d", p, got[i], want)
+		}
+	}
+}
+
+// chunkCorpus builds n sources of seeded-random sizes — about one in
+// eight empty — with one source of bigSize bytes in the middle (0 for
+// none). Odd sources carry a raw view, so both delivery paths meet
+// inside one chunk.
+func chunkCorpus(t *testing.T, seed int64, n, bigSize int) []vfs.File {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	text := bytes.Repeat([]byte("the quick brown fox. they said it's fine! an and anan aaaa?\ncafé — errors error.\n"), 64)
+	files := make([]vfs.File, n)
+	for i := range files {
+		size := rng.Intn(3000)
+		if rng.Intn(8) == 0 {
+			size = 0
+		}
+		if i == n/2 && bigSize > 0 {
+			size = bigSize
+		}
+		// A random phase, so files start and end mid-token and mid-rune.
+		data := make([]byte, 0, size)
+		for off := rng.Intn(len(text)); len(data) < size; off = 0 {
+			data = append(data, text[off:min(len(text), off+size-len(data))]...)
+		}
+		files[i] = vfs.BytesFile(fmt.Sprintf("file-%05d", i), data)
+		if i%2 == 1 {
+			files[i] = files[i].WithRawBytes(data)
+		}
+	}
+	return files
+}
+
+// TestChunkedMergeBitIdenticalAtAnyWorkerCount is the chunk-boundary
+// differential. Run groups sources into chunks whose boundaries move
+// with the worker count; the production kernel trio must not be able to
+// tell: every accumulated field and every Snapshot byte equals the
+// Workers: 1 run, down to 3-byte blocks, over corpora that put empty
+// files, an oversized source and a lone source on the boundaries.
+func TestChunkedMergeBitIdenticalAtAnyWorkerCount(t *testing.T) {
+	tagger := textproc.NewTagger()
+	ms, err := textproc.NewMultiSearcher(diffPatterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		sums    []scan.FileSum
+		matches []textproc.FilePatternCount
+		totals  []int64
+		stats   []textproc.FileStats
+		total   textproc.TextStats
+		lines   int64
+		cplx    []workload.FileComplexity
+		states  [][]byte
+	}
+	run := func(srcs []scan.Source, workers, block int) result {
+		ck := scan.NewChecksum()
+		mk := textproc.NewMatchKernel(ms)
+		sc := workload.NewStatsComplexityKernel(tagger)
+		kernels := []scan.Kernel{ck, mk, sc}
+		if err := scan.Run(context.Background(), srcs, scan.Options{Workers: workers, BlockSize: block}, kernels...); err != nil {
+			t.Fatalf("workers=%d block=%d: %v", workers, block, err)
+		}
+		r := result{
+			sums: ck.Sums(), matches: mk.Files(), totals: mk.Totals(),
+			stats: sc.StatsFiles(), total: sc.Total(), lines: sc.Lines(), cplx: sc.Files(),
+		}
+		for _, k := range kernels {
+			st, err := scan.SnapshotKernel(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.states = append(r.states, st)
+		}
+		return r
+	}
+
+	corpora := []struct {
+		name  string
+		files []vfs.File
+	}{
+		{"random-with-oversized", chunkCorpus(t, 1, 240, 120_000)},
+		{"random-small-only", chunkCorpus(t, 2, 300, 0)},
+		{"single-source", chunkCorpus(t, 3, 1, 70_000)},
+	}
+	for _, c := range corpora {
+		srcs := vfs.Sources(c.files)
+		// The corpus must exercise what its name says at some worker
+		// count: multi-source chunks, and a multi-source corpus's
+		// oversized source alone in its chunk.
+		if len(srcs) > 1 {
+			b := scan.ChunkBounds(srcs, 2)
+			grouped, alone := false, c.name != "random-with-oversized"
+			for i := 1; i < len(b); i++ {
+				grouped = grouped || b[i]-b[i-1] > 1
+				alone = alone || (b[i-1] == len(srcs)/2 && b[i] == b[i-1]+1)
+			}
+			if !grouped || !alone {
+				t.Fatalf("%s: chunk bounds %v do not exercise grouping (%v) and a lone oversized source (%v)", c.name, b, grouped, alone)
+			}
+		}
+		for _, block := range []int{3, 4096} {
+			want := run(srcs, 1, block)
+			if len(want.sums) != len(srcs) {
+				t.Fatalf("%s: reference run saw %d files, want %d", c.name, len(want.sums), len(srcs))
+			}
+			for _, workers := range []int{2, 8} {
+				got := run(srcs, workers, block)
+				tag := fmt.Sprintf("%s workers=%d block=%d", c.name, workers, block)
+				if !reflect.DeepEqual(got.sums, want.sums) {
+					t.Errorf("%s: checksums differ from Workers: 1", tag)
+				}
+				if !reflect.DeepEqual(got.matches, want.matches) || !reflect.DeepEqual(got.totals, want.totals) {
+					t.Errorf("%s: match counts differ from Workers: 1", tag)
+				}
+				if !reflect.DeepEqual(got.stats, want.stats) || got.total != want.total || got.lines != want.lines {
+					t.Errorf("%s: text stats differ from Workers: 1", tag)
+				}
+				if !reflect.DeepEqual(got.cplx, want.cplx) {
+					t.Errorf("%s: complexities differ from Workers: 1", tag)
+				}
+				for i := range want.states {
+					if !bytes.Equal(got.states[i], want.states[i]) {
+						t.Errorf("%s: kernel %d snapshot differs from Workers: 1", tag, i)
+					}
+				}
+			}
 		}
 	}
 }

@@ -111,6 +111,22 @@ func Conformance(t *testing.T, proto scan.Kernel, contents [][]byte) {
 		}
 	}
 
+	// Snapshot knows its size from the file count and the names and
+	// reserves it, so sixteen times the files cost no more allocations —
+	// append-doubling would add four. (A ratio, not a count: the race
+	// build moves the encoder itself to the heap.)
+	one := accumulate(t, proto, contents, 0, len(contents), BlockSizes[0])
+	many := proto.Fork()
+	for r := 0; r < 16; r++ {
+		many.Merge(accumulate(t, proto, contents, 0, len(contents), BlockSizes[0]))
+	}
+	allocsOne := testing.AllocsPerRun(10, func() { snapshot(t, one) })
+	allocsMany := testing.AllocsPerRun(10, func() { snapshot(t, many) })
+	if allocsMany > allocsOne {
+		t.Errorf("%T: Snapshot allocations grow with the file count (%.0f for %d files, %.0f for %d): reserve the encoded size up front",
+			proto, allocsOne, len(contents), allocsMany, 16*len(contents))
+	}
+
 	// Round trip: Restore must rebuild the exact accumulation.
 	restored := proto.Fork()
 	if err := scan.RestoreKernel(restored, want); err != nil {

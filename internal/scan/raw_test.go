@@ -167,12 +167,20 @@ func TestRawErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestInt64ArenaCopy pins the arena's contract: rows are exact,
+// capacity-clamped copies that never alias each other — including across
+// a slab boundary — and the slabs are actually shared, so the allocation
+// count follows total elements, not rows.
 func TestInt64ArenaCopy(t *testing.T) {
-	a := NewInt64Arena(8)
-	rows := make([][]int64, 0, 20)
-	for i := 0; i < 20; i++ {
+	var a Int64Arena
+	// Three-element rows do not divide the slab evenly, so some row
+	// straddles the point where the arena must start a fresh slab.
+	const rowsN = 2*DefaultArenaSize/3 + 20
+	rows := make([][]int64, 0, rowsN)
+	for i := 0; i < rowsN; i++ {
 		src := []int64{int64(i), int64(i * 2), int64(i * 3)}
 		rows = append(rows, a.Copy(src))
+		src[0] = -1 // the arena must have copied, not retained
 	}
 	for i, row := range rows {
 		want := []int64{int64(i), int64(i * 2), int64(i * 3)}
@@ -194,11 +202,25 @@ func TestInt64ArenaCopy(t *testing.T) {
 		t.Fatal("Copy(nil) should return nil")
 	}
 	// Oversized rows get a dedicated slab rather than failing.
-	big := make([]int64, 100)
-	big[99] = 7
+	big := make([]int64, DefaultArenaSize+100)
+	big[len(big)-1] = 7
 	got := a.Copy(big)
-	if len(got) != 100 || got[99] != 7 {
-		t.Fatalf("oversized copy = len %d last %d", len(got), got[99])
+	if len(got) != len(big) || got[len(big)-1] != 7 {
+		t.Fatalf("oversized copy = len %d last %d", len(got), got[len(got)-1])
+	}
+
+	// The arena's one job: 4 096 eight-element rows are 32 768 elements,
+	// eight slabs' worth. One allocation per row (the regression this
+	// guards) would read 4 096.
+	row := make([]int64, 8)
+	allocs := testing.AllocsPerRun(5, func() {
+		var a Int64Arena
+		for i := 0; i < 4096; i++ {
+			a.Copy(row)
+		}
+	})
+	if allocs > 9 {
+		t.Fatalf("4096 copies of an 8-element row allocated %.0f times, want <= 9 slabs", allocs)
 	}
 }
 

@@ -11,9 +11,13 @@
 //
 //   - every file is scanned by exactly one worker into a private kernel set
 //     (forked from the registered prototypes, recycled through a free list),
-//   - per-file kernel state is merged into the prototypes strictly in input
-//     order (a merge frontier advances as files complete, regardless of
-//     which worker finished them first), and
+//     which accumulates one contiguous chunk of the input in input order,
+//   - each chunk's kernel state is merged into the prototypes strictly in
+//     input order (a merge frontier advances as chunks complete, regardless
+//     of which worker finished them first), and every kernel's Merge is an
+//     in-order append plus associative integer folds, so where the chunk
+//     boundaries fall — they move with the worker count — cannot show in
+//     the result, and
 //   - dispatch, fast-fail and cancellation semantics are par.Pool's:
 //     the reported error is the one from the lowest failing index, and
 //     Ctx cancellation maps to the typed errs sentinels.
@@ -94,9 +98,9 @@ type Source struct {
 // instance — End folds the completed file into the instance's own
 // accumulation — then hands that instance to the registered prototype's
 // Merge, always in input order. Merge folds the other kernel's entire
-// accumulation (one file for an engine-forked instance, a whole shard's
-// worth for one restored via StateCodec) and drains it, so recycled
-// instances start empty.
+// accumulation (one chunk of files for an engine-forked instance, a whole
+// shard's worth for one restored via StateCodec) and drains it, so
+// recycled instances start empty.
 //
 // Block receives a window of the file's bytes, valid only for the
 // duration of the call; kernels MUST NOT retain it (not even until End).
@@ -134,11 +138,60 @@ type Options struct {
 	BlockSize int
 }
 
+// maxChunkBytes caps a merge-frontier chunk's declared bytes, and
+// chunksPerWorker is how many chunks each worker should get to claim
+// when the corpus is small enough for the cap not to bind: enough that a
+// slow chunk cannot leave a peer idle for long, few enough that the
+// per-chunk costs (a kernel-set claim, a slot, one Merge per kernel) stay
+// far below the per-file costs they replace. The cap also bounds what a
+// parked chunk holds behind the frontier.
+const (
+	maxChunkBytes   = 1 << 20
+	chunksPerWorker = 8
+)
+
+// chunkBounds partitions srcs into contiguous chunks and returns their
+// boundaries: chunk c is srcs[b[c]:b[c+1]]. The target size is the
+// corpus's declared bytes spread over chunksPerWorker chunks per worker,
+// capped at maxChunkBytes; a chunk closes before the source that would
+// take it past the target, so a source at or over the target is a chunk
+// of its own and large unit files dispatch one by one. The boundaries
+// depend on the worker count, the results do not: chunks only group
+// consecutive sources, and Run merges them in input order.
+func chunkBounds(srcs []Source, workers int) []int {
+	var total int64
+	for i := range srcs {
+		total += srcs[i].Size
+	}
+	target := min(total/int64(workers*chunksPerWorker), maxChunkBytes)
+	bounds := []int{0}
+	var bytes int64
+	for i := range srcs {
+		if i > bounds[len(bounds)-1] && bytes+srcs[i].Size > target {
+			bounds = append(bounds, i)
+			bytes = 0
+		}
+		bytes += srcs[i].Size
+	}
+	if len(srcs) > 0 {
+		bounds = append(bounds, len(srcs))
+	}
+	return bounds
+}
+
 // Run scans every source exactly once, feeding all kernels per block, and
-// merges per-file results into the kernel prototypes in input order. On
-// error (lowest failing index, per the par contract) or cancellation the
+// merges the results into the kernel prototypes in input order. On error
+// (lowest failing index, per the par contract) or cancellation the
 // prototypes hold an unspecified prefix of the results and must be
 // discarded. Completed runs are bit-identical at any worker count.
+//
+// Workers claim contiguous chunks of sources (chunkBounds), not single
+// files: a whole chunk is scanned into one forked kernel set — End folds
+// each file into the set's own accumulation — and the set is parked,
+// merged and recycled once per chunk. A corpus of small files therefore
+// pays one set claim, one lock round trip and one Merge per kernel per
+// chunk instead of per file, while a corpus of large unit files, each a
+// chunk of its own, dispatches exactly file by file.
 func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) error {
 	if len(kernels) == 0 {
 		return errs.Invalid("scan: no kernels registered")
@@ -148,12 +201,16 @@ func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) er
 		blockSize = DefaultBlockSize
 	}
 	pool := par.New(opts.Workers)
-	n := len(srcs)
+	bounds := chunkBounds(srcs, pool.Workers())
+	n := len(bounds) - 1
 
-	// Pooled per-file scratch: block buffers and forked kernel sets. The
-	// free list is bounded by the worker count plus the merge frontier's
-	// straggler window, so a million-file scan allocates a handful of sets,
-	// not one per file.
+	// Pooled scratch: block buffers and forked kernel sets. A set is
+	// forked only when the free list is empty, and every claimed set is
+	// either merged and recycled or parked in its chunk's slot behind the
+	// merge frontier, so a run forks at most one set per chunk — the
+	// worst case, reached when the first chunk stalls while its peers
+	// scan every other one — and a couple per worker when chunks complete
+	// roughly in order. Never one per file.
 	bufs := sync.Pool{New: func() any {
 		b := make([]byte, blockSize)
 		return &b
@@ -179,27 +236,35 @@ func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) er
 		return set
 	}
 
-	return pool.ForEachCtx(ctx, n, func(i int) error {
+	return pool.ForEachCtx(ctx, n, func(c int) error {
 		set := fork()
-		var err error
-		if srcs[i].Raw != nil {
-			// Zero-copy path: borrowed windows, no pool traffic.
-			err = scanRaw(srcs[i], set, blockSize)
-		} else {
-			bp := bufs.Get().(*[]byte)
-			err = scanOne(srcs[i], set, *bp)
-			poison(*bp)
-			bufs.Put(bp)
+		for i := bounds[c]; i < bounds[c+1]; i++ {
+			// Cancellation latency stays one file, not one chunk.
+			if err := errs.FromContext(ctx); err != nil {
+				return err
+			}
+			var err error
+			if srcs[i].Raw != nil {
+				// Zero-copy path: borrowed windows, no pool traffic.
+				err = scanRaw(srcs[i], set, blockSize)
+			} else {
+				bp := bufs.Get().(*[]byte)
+				err = scanOne(srcs[i], set, *bp)
+				poison(*bp)
+				bufs.Put(bp)
+			}
+			if err != nil {
+				// The set holds the chunk's earlier files; it is dropped,
+				// not recycled, and the run's results are void anyway.
+				return err
+			}
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if err != nil {
-			free = append(free, set) // Begin resets; safe to recycle
-			return err
-		}
-		slots[i] = set
-		// Advance the merge frontier: every contiguously-completed file is
-		// folded into the prototypes in input order and its set recycled.
+		slots[c] = set
+		// Advance the merge frontier: every contiguously-completed chunk
+		// is folded into the prototypes in input order and its set
+		// recycled.
 		for frontier < n && slots[frontier] != nil {
 			done := slots[frontier]
 			slots[frontier] = nil

@@ -317,7 +317,14 @@ func decodeTextStats(d *scan.StateDecoder) TextStats {
 // Snapshot implements scan.StateCodec: the accumulated per-file stats,
 // totals and line count.
 func (k *StatsKernel) Snapshot() ([]byte, error) {
+	// tag, count, per file: name length + name, five stats, lines;
+	// then the totals' five stats and lines.
+	size := 1 + 8 + 56*len(k.files) + 48
+	for i := range k.files {
+		size += len(k.files[i].Name)
+	}
 	var e scan.StateEncoder
+	e.Grow(size)
 	e.Tag(statsKernelTag)
 	e.Int(len(k.files))
 	for _, f := range k.files {
@@ -462,9 +469,16 @@ const matchKernelTag = 'M'
 // of a transfer must build their kernels over the same patterns, and
 // Restore rejects a payload whose pattern count disagrees.
 func (k *MatchKernel) Snapshot() ([]byte, error) {
-	var e scan.StateEncoder
-	e.Tag(matchKernelTag)
 	np := k.ms.NumPatterns()
+	// tag, pattern count, file count, per file: name length + name,
+	// bytes, one count per pattern; then the per-pattern totals.
+	size := 1 + 8 + 8 + (16+8*np)*len(k.files) + 8*np
+	for i := range k.files {
+		size += len(k.files[i].Name)
+	}
+	var e scan.StateEncoder
+	e.Grow(size)
+	e.Tag(matchKernelTag)
 	e.Int(np)
 	e.Int(len(k.files))
 	for _, f := range k.files {

@@ -3,12 +3,17 @@ package vfs
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/errs"
+	"repro/internal/packstore"
 	"repro/internal/scan"
 )
 
@@ -37,11 +42,43 @@ func dirTestTree(t *testing.T, files int) string {
 	return dir
 }
 
+// mixedSizeTree writes a corpus that straddles the import's delivery
+// split: files just under, at and over packstore.SmallFileLimit (slab,
+// slab, mapped), an empty file, and small files on either side so a
+// mapped file sits between slab neighbours in walk order.
+func mixedSizeTree(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	line := []byte("the quick brown fox — héllo. they said it's fine!\n")
+	for i, size := range []int{700, packstore.SmallFileLimit - 1, 0, packstore.SmallFileLimit, 1300, packstore.SmallFileLimit + 1, 3 * packstore.SmallFileLimit, 900} {
+		content := bytes.Repeat(line, size/len(line)+1)[:size]
+		sub := filepath.Join(dir, fmt.Sprintf("d%d", i%3))
+		if err := os.MkdirAll(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(sub, fmt.Sprintf("f%d-%d.txt", i, size)), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// testTrees are the corpora every mapped-import equivalence test runs
+// over: many tiny files in nested directories, and the mixed-size tree.
+func testTrees(t *testing.T, files int) map[string]string {
+	return map[string]string{"small": dirTestTree(t, files), "mixed": mixedSizeTree(t)}
+}
+
 // TestImportDirMappedMatchesImportDir: the mapped import exposes the same
 // corpus as the streaming import — same names, sizes and bytes — plus a
 // raw view per file.
 func TestImportDirMappedMatchesImportDir(t *testing.T) {
-	dir := dirTestTree(t, 17)
+	for name, dir := range testTrees(t, 17) {
+		t.Run(name, func(t *testing.T) { testImportDirMappedMatchesImportDir(t, dir) })
+	}
+}
+
+func testImportDirMappedMatchesImportDir(t *testing.T, dir string) {
 	plain, err := ImportDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +134,12 @@ func TestImportDirMappedMatchesImportDir(t *testing.T) {
 // to the same scan over the streaming import, at workers 1, 2 and 8 down
 // to 3-byte blocks.
 func TestMappedDirScanBitIdenticalToStreamingScan(t *testing.T) {
-	dir := dirTestTree(t, 23)
+	for name, dir := range testTrees(t, 23) {
+		t.Run(name, func(t *testing.T) { testMappedDirScanBitIdenticalToStreamingScan(t, dir) })
+	}
+}
+
+func testMappedDirScanBitIdenticalToStreamingScan(t *testing.T, dir string) {
 	plain, err := ImportDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -163,13 +205,102 @@ func TestImportDirMappedScanOpensNoFiles(t *testing.T) {
 }
 
 // TestImportDirMappedCancelled: a pre-cancelled context aborts the import
-// with the typed error and releases any mappings made so far.
+// with the typed error.
 func TestImportDirMappedCancelled(t *testing.T) {
 	dir := dirTestTree(t, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ImportDirMappedCtx(ctx, dir); err == nil {
-		t.Fatal("cancelled mapped dir import succeeded")
+	if _, _, err := ImportDirMappedCtx(ctx, dir); !errors.Is(err, errs.ErrCancelled) {
+		t.Fatalf("cancelled mapped dir import returned %v, want ErrCancelled", err)
+	}
+}
+
+// countdownCtx reports cancellation from its n-th Err call on: a
+// deterministic way to cancel an import between two particular files.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// liveMappings counts this process's memory mappings of files under dir.
+func liveMappings(t *testing.T, dir string) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps to count mappings in: %v", err)
+	}
+	return strings.Count(string(maps), dir)
+}
+
+// TestImportDirMappedCancelMidImportReleasesMappings: an import cancelled
+// after it has already mapped large files must unmap them before it
+// returns — the caller gets no closer to do it with.
+func TestImportDirMappedCancelMidImportReleasesMappings(t *testing.T) {
+	dir := t.TempDir()
+	big := bytes.Repeat([]byte("x"), 2*packstore.SmallFileLimit)
+	const files = 6
+	for i := 0; i < files; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("big%d", i)), big, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A completed import holds one mapping per large file (none on the
+	// no-mmap build) and its closer releases them all.
+	_, closer, err := ImportDirMapped(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := liveMappings(t, dir); got != files && got != 0 {
+		t.Fatalf("completed import holds %d mappings of %d large files", got, files)
+	} else if got == 0 && packstore.MmapSupported {
+		t.Fatalf("completed import of %d large files holds no mappings on an mmap build", files)
+	}
+	if err := closer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := liveMappings(t, dir); got != 0 {
+		t.Fatalf("%d mappings survive the import's closer", got)
+	}
+
+	// Cancel a few files in (the fan-out spends one check of its own):
+	// several files are mapped by then, the rest never will be.
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(4)
+	fs, closer, err := ImportDirMappedCtx(ctx, dir)
+	if !errors.Is(err, errs.ErrCancelled) || fs != nil || closer != nil {
+		t.Fatalf("mid-import cancellation returned (%v, %v, %v), want a bare ErrCancelled", fs, closer, err)
+	}
+	if got := liveMappings(t, dir); got != 0 {
+		t.Fatalf("cancelled import leaked %d mappings", got)
+	}
+}
+
+// TestImportDirMappedSizeDriftIsCorrupt: a small file whose content is
+// not the size its fstat reported fails the import with ErrCorrupt
+// instead of yielding a short or stale view. procfs supplies such a file
+// deterministically — regular, stat size 0, non-empty when read — which
+// is exactly what a file appended to between the fstat and the read
+// looks like. (Truncation, the other direction, is pinned on the reader
+// itself in packstore's TestFileSlabDetectsSizeDrift.)
+func TestImportDirMappedSizeDriftIsCorrupt(t *testing.T) {
+	const grower = "/proc/self/cmdline"
+	if info, err := os.Stat(grower); err != nil || !info.Mode().IsRegular() || info.Size() != 0 {
+		t.Skipf("%s is not a zero-stat regular file here", grower)
+	}
+	dir := dirTestTree(t, 4)
+	if err := os.Symlink(grower, filepath.Join(dir, "grower.txt")); err != nil {
+		t.Skipf("cannot symlink: %v", err)
+	}
+	_, _, err := ImportDirMapped(dir)
+	if !errors.Is(err, errs.ErrCorrupt) {
+		t.Fatalf("import over a file that outgrew its stat returned %v, want ErrCorrupt", err)
 	}
 }
 

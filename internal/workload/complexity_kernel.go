@@ -92,7 +92,13 @@ const complexityKernelTag = 'X'
 // Snapshot implements scan.StateCodec: the accumulated per-file
 // complexities. The tagger's lexicon is configuration, not state.
 func (k *ComplexityKernel) Snapshot() ([]byte, error) {
+	// tag, count, then per file: name length + name, complexity.
+	size := 1 + 8 + 16*len(k.files)
+	for i := range k.files {
+		size += len(k.files[i].Name)
+	}
 	var e scan.StateEncoder
+	e.Grow(size)
 	e.Tag(complexityKernelTag)
 	e.Int(len(k.files))
 	for _, f := range k.files {

@@ -149,7 +149,18 @@ func decodeTextStats(d *scan.StateDecoder) textproc.TextStats {
 // Snapshot implements scan.StateCodec: both accumulations plus the stats
 // totals. The tagger's lexicon is configuration, not state.
 func (k *StatsComplexityKernel) Snapshot() ([]byte, error) {
+	// tag; count and per file: name length + name, five stats, lines;
+	// the totals' five stats and lines; count and per file: name length
+	// + name, complexity.
+	size := 1 + 8 + 56*len(k.statFiles) + 48 + 8 + 16*len(k.cxFiles)
+	for i := range k.statFiles {
+		size += len(k.statFiles[i].Name)
+	}
+	for i := range k.cxFiles {
+		size += len(k.cxFiles[i].Name)
+	}
 	var e scan.StateEncoder
+	e.Grow(size)
 	e.Tag(fusedKernelTag)
 	e.Int(len(k.statFiles))
 	for _, f := range k.statFiles {

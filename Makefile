@@ -1,10 +1,11 @@
 # Developer entry points. `make verify` is the gate CI and pre-commit run;
-# `make bench` regenerates BENCH.json; `make bench-smoke` just proves every
-# benchmark still executes.
+# `make bench-smoke` proves every `go test` benchmark still executes. The
+# benchmark that judges PRs is benchmark/ (BENCHMARK.json, run with
+# `bash benchmark/run.sh`).
 
 GO ?= go
 
-.PHONY: all build test test-nommap test-scandebug verify verify-quick bench bench-smoke bench-pack bench-kernels bench-repo-test serve-smoke dist-smoke chaos-smoke clean
+.PHONY: all build test test-nommap test-scandebug verify verify-quick bench-smoke bench-pack bench-repo-test serve-smoke dist-smoke chaos-smoke clean
 
 all: build
 
@@ -26,10 +27,11 @@ test-nommap:
 test-scandebug:
 	$(GO) test -tags scandebug ./internal/scan ./internal/vfs
 
-# verify is the tier-1 gate: vet clean and the full suite race-clean.
-# The ./... wildcard covers every package, including internal/packstore's
-# shared-handle concurrency and recovery tests.
+# verify is the tier-1 gate: gofmt and vet clean, and the full suite
+# race-clean. The ./... wildcard covers every package, including
+# internal/packstore's shared-handle concurrency and recovery tests.
 verify:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
@@ -39,32 +41,15 @@ verify-quick:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# bench regenerates BENCH.json, the committed record of the acceptance
-# numbers (indexed packers vs linear references, tokenizer allocations,
-# parallel checksum/grep fan-outs, the fused scan vs separate passes).
-# cmd/bench also writes a timestamped BENCH_<yyyymmdd>.json snapshot next
-# to it, so the perf trajectory accumulates across PRs; commit both.
-bench:
-	$(GO) run ./cmd/bench -out BENCH.json
-
 # bench-smoke runs every benchmark exactly once — an execution check, not a
 # measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # bench-pack measures just the packstore paths (write, verify, O(1) random
-# access) without rewriting BENCH.json.
+# access).
 bench-pack:
 	$(GO) test -run '^$$' -bench Pack ./internal/packstore
-
-# bench-kernels regenerates BENCH.json and asserts the kernel-compute
-# acceptance ratios recorded in it (reworked multisearch vs the frozen
-# reference walk, fused scan vs raw read) via the committed-number tests.
-bench-kernels:
-	$(GO) run ./cmd/bench -out BENCH.json
-	$(GO) test -run 'TestBenchJSONKernelComputeAcceptance|TestBenchJSONZeroCopyAcceptance' -v .
-	grep -q '"multisearch_fast_vs_old"' BENCH.json
-	grep -q '"fused_scan_vs_raw_read"' BENCH.json
 
 # bench-repo-test runs the repository benchmark harness's own tests
 # (BENCHMARK.json schema, the statistics and verdict arithmetic, a quick

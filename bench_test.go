@@ -8,6 +8,7 @@ package repro
 // numbers (who wins, by what factor).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -259,24 +260,6 @@ func BenchmarkTokenize100kB(b *testing.B) {
 	}
 }
 
-func BenchmarkParallelGrepFS(b *testing.B) {
-	fs, err := corpus.GenerateWithContentEager(corpus.Text400K(0.0005), 9, 0) // 200 files
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := textproc.NewSearcher("xyzzyplugh")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(fs.TotalSize())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ParallelGrepFS(fs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBuildManifest(b *testing.B) {
 	fs, err := corpus.GenerateWithContentEager(corpus.Text400K(0.0005), 10, 0)
 	if err != nil {
@@ -285,7 +268,7 @@ func BenchmarkBuildManifest(b *testing.B) {
 	b.SetBytes(fs.TotalSize())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vfs.BuildManifest(fs); err != nil {
+		if _, err := vfs.BuildManifestCtx(context.Background(), fs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -553,8 +536,8 @@ func BenchmarkRetrievalSegmentation(b *testing.B) {
 
 // --- Per-kernel compute: one kernel, one 1 MB block, no engine. ---
 // These are the hot-loop throughput numbers the kernel-compute rework is
-// held to; cmd/bench records the same cycle in BENCH.json's kernels
-// section.
+// held to; benchmark/probes.go measures the same cycle over each
+// workload's own bytes.
 
 func benchKernelPerMB(b *testing.B, mk func() scan.Kernel) {
 	b.Helper()
@@ -589,20 +572,5 @@ func BenchmarkKernelStatsPerMB(b *testing.B) {
 
 func BenchmarkKernelComplexityPerMB(b *testing.B) {
 	tagger := textproc.NewTagger()
-	benchKernelPerMB(b, func() scan.Kernel { return workload.NewComplexityKernel(tagger) })
-}
-
-// Checksum throughput over the reshaping invariant check.
-func BenchmarkCombinedChecksum(b *testing.B) {
-	fs, err := corpus.GenerateWithContent(corpus.Text400K(0.0005), 8) // 200 files
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(fs.TotalSize())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vfs.CombinedChecksum(fs); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchKernelPerMB(b, func() scan.Kernel { return textproc.NewAnalyzerKernel(tagger) })
 }

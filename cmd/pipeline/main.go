@@ -16,8 +16,9 @@
 //	pipeline -packs ./packed -measure -measure-only -worker-addrs 127.0.0.1:9101,127.0.0.1:9102
 //
 // -grep and -measure share one fused scan: every file is opened and
-// streamed exactly once, feeding the checksum, multi-pattern match,
-// text-stats and (for -app pos) POS-complexity kernels per block.
+// streamed exactly once, feeding the checksum, multi-pattern match and
+// analyzer (text stats; for -app pos also POS complexity) kernels per
+// block.
 //
 // -workers N distributes that scan over N in-process workers through the
 // coordinator–worker engine; -worker-addrs sends the tasks to remote

@@ -1,6 +1,5 @@
 package binpack
 
-
 // Index structures behind the O(n log n) packers. FirstFit needs "the
 // first open bin with at least `size` residual capacity"; SubsetSumFirstFit
 // needs "the largest not-yet-packed item that still fits". Both queries are

@@ -13,9 +13,7 @@ import (
 // Measurement is the artefact of one fused scan over a content-backed
 // corpus: checksums, text statistics, optional multi-pattern match counts
 // and optional per-file POS complexity — all from exactly one open and
-// one streaming read of every file. This replaces the measure/verify
-// pattern of separate CombinedChecksum + ParallelGrep + ComplexityOf
-// passes, each of which re-read the whole corpus.
+// one streaming read of every file.
 type Measurement struct {
 	Files int
 	Bytes int64
@@ -63,27 +61,22 @@ type MeasureOptions struct {
 	Patterns []string
 	// FoldCase makes the pattern match ASCII case-insensitive.
 	FoldCase bool
-	// Complexity adds the POS-complexity kernel, producing the per-file
-	// profile RunProfileCtx consumes.
+	// Complexity gives the analyzer kernel a lexicon, producing the
+	// per-file POS-complexity profile RunProfileCtx consumes.
 	Complexity bool
 	// Tagger optionally supplies a prebuilt tagger for the complexity
-	// kernel; nil means build one on demand.
+	// measurement; nil means build one on demand.
 	Tagger *textproc.Tagger
 }
 
-// Measure runs one fused scan over every file of the corpus.
-func Measure(corpusFS *vfs.FS, opts MeasureOptions) (*Measurement, error) {
-	return MeasureCtx(context.Background(), corpusFS, opts)
-}
-
-// MeasureCtx is Measure with cancellation. The scan reads pack-backed
-// corpora shard-sequentially; results are bit-identical at any worker
-// count. Errors carry the "measure" stage and the usual typed sentinels.
-// Corpora imported with vfs.ImportPackMapped automatically take the
-// zero-copy scan path: their sources carry raw views, so the kernels read
-// borrowed windows of the mapping.
+// MeasureCtx runs one fused scan over every file of the corpus. The scan
+// reads pack-backed corpora shard-sequentially; results are bit-identical
+// at any worker count. Errors carry the "measure" stage and the usual
+// typed sentinels. Corpora imported with vfs.ImportPackMappedCtx
+// automatically take the zero-copy scan path: their sources carry raw
+// views, so the kernels read borrowed windows of the mapping.
 func MeasureCtx(ctx context.Context, corpusFS *vfs.FS, opts MeasureOptions) (*Measurement, error) {
-	return MeasurePlanCtx(ctx, scan.NewPlan(vfs.Sources(corpusFS.List()), scan.PlanOptions{}), opts)
+	return MeasureSourcesCtx(ctx, scan.SequentialOrder(vfs.Sources(corpusFS.List())), opts)
 }
 
 // MeasureKernels is the assembled kernel set of one fused measurement:
@@ -93,9 +86,8 @@ func MeasureCtx(ctx context.Context, corpusFS *vfs.FS, opts MeasureOptions) (*Me
 // the same constructor, which is what makes their snapshots compatible.
 type MeasureKernels struct {
 	Checksum *scan.Checksum
-	Stats    *textproc.StatsKernel           // nil when Complexity is requested
-	Fused    *workload.StatsComplexityKernel // nil unless Complexity is requested
-	Match    *textproc.MatchKernel           // nil without patterns
+	Analyzer *textproc.StatsKernel // carries a tagger iff Complexity is requested
+	Match    *textproc.MatchKernel // nil without patterns
 
 	// List holds the kernels in registration order — the order snapshots
 	// travel in and the order Merge folds them.
@@ -103,28 +95,18 @@ type MeasureKernels struct {
 }
 
 // NewMeasureKernels assembles the kernel set MeasureOptions selects:
-// always the per-file checksum; the fused stats+complexity kernel when
-// complexity is requested (one shared StreamAnalyzer pass), else the
-// plain stats kernel; and the multi-pattern match kernel when patterns
-// are given.
+// always the per-file checksum and the analyzer kernel — with a lexicon
+// when complexity is requested — and the multi-pattern match kernel when
+// patterns are given.
 func NewMeasureKernels(opts MeasureOptions) (*MeasureKernels, error) {
-	mk := &MeasureKernels{Checksum: scan.NewChecksum()}
-	mk.List = []scan.Kernel{mk.Checksum}
-
-	// With complexity requested, one fused kernel computes stats and
-	// complexity from a single shared StreamAnalyzer pass; running the
-	// separate kernels side by side would tokenise every block twice.
+	var tagger *textproc.Tagger
 	if opts.Complexity {
-		tagger := opts.Tagger
-		if tagger == nil {
+		if tagger = opts.Tagger; tagger == nil {
 			tagger = textproc.NewTagger()
 		}
-		mk.Fused = workload.NewStatsComplexityKernel(tagger)
-		mk.List = append(mk.List, mk.Fused)
-	} else {
-		mk.Stats = textproc.NewStatsKernel()
-		mk.List = append(mk.List, mk.Stats)
 	}
+	mk := &MeasureKernels{Checksum: scan.NewChecksum(), Analyzer: textproc.NewAnalyzerKernel(tagger)}
+	mk.List = []scan.Kernel{mk.Checksum, mk.Analyzer}
 
 	if len(opts.Patterns) > 0 {
 		var ms *textproc.MultiSearcher
@@ -144,24 +126,33 @@ func NewMeasureKernels(opts MeasureOptions) (*MeasureKernels, error) {
 }
 
 // Measurement assembles the result artefact from the kernels'
-// accumulated state after a completed scan.
+// accumulated state after a completed scan. Per-file complexity is
+// derived here, from each file's (Stats, Unknown), rather than carried in
+// kernel state: the kernel and its wire format hold only integers and the
+// one mean, and the derivation is a pure function of them, so it gives
+// the same bits wherever the state was accumulated.
 func (mk *MeasureKernels) Measurement() *Measurement {
-	m := &Measurement{Sums: mk.Checksum.Sums()}
+	m := &Measurement{
+		Sums:      mk.Checksum.Sums(),
+		Stats:     mk.Analyzer.Total(),
+		Lines:     mk.Analyzer.Lines(),
+		FileStats: mk.Analyzer.Files(),
+	}
 	m.Files = len(m.Sums)
 	m.Manifest = make(vfs.Manifest, m.Files)
-	if mk.Fused != nil {
-		m.Stats = mk.Fused.Total()
-		m.Lines = mk.Fused.Lines()
-		m.FileStats = mk.Fused.StatsFiles()
-		m.Complexity = mk.Fused.Map()
-	} else {
-		m.Stats = mk.Stats.Total()
-		m.Lines = mk.Stats.Lines()
-		m.FileStats = mk.Stats.Files()
-	}
 	for _, s := range m.Sums {
 		m.Bytes += s.Size
 		m.Manifest[s.Name] = vfs.ManifestEntry{Size: s.Size, Checksum: s.Sum}
+	}
+	if mk.Analyzer.Tagger() != nil {
+		m.Complexity = make(map[string]float64, len(m.FileStats))
+		for _, f := range m.FileStats {
+			oov := 0.0
+			if f.Stats.Words > 0 {
+				oov = float64(f.Unknown) / float64(f.Stats.Words)
+			}
+			m.Complexity[f.Name] = workload.ComplexityFromStats(f.Stats, oov)
+		}
 	}
 	if mk.Match != nil {
 		m.Patterns = mk.Match.Searcher().Patterns()
@@ -172,11 +163,11 @@ func (mk *MeasureKernels) Measurement() *Measurement {
 	return m
 }
 
-// MeasureSourcesCtx is the source-level Measure: it runs the fused
-// measurement over an explicit, already-ordered source list. MeasureCtx
-// is a thin wrapper; callers that build sources themselves (pre-sliced
-// corpora, hand-picked shard subsets, benchmark baselines) use this
-// directly rather than materialising a throwaway FS.
+// MeasureSourcesCtx runs the fused measurement over an explicit,
+// already-ordered source list: one kernel assembly, one scan.Run. Every
+// other Measure form is a thin wrapper; callers that build sources
+// themselves (the resident server, pre-sliced corpora, hand-picked shard
+// subsets) use this directly rather than materialising a throwaway FS.
 func MeasureSourcesCtx(ctx context.Context, srcs []scan.Source, opts MeasureOptions) (*Measurement, error) {
 	mk, err := NewMeasureKernels(opts)
 	if err != nil {
@@ -188,19 +179,12 @@ func MeasureSourcesCtx(ctx context.Context, srcs []scan.Source, opts MeasureOpti
 	return mk.Measurement(), nil
 }
 
-// MeasurePlanCtx runs the fused measurement over a prepared scan plan —
-// all tasks, in order, via scan.Execute. It is the single-node twin of
-// the distributed engine's Measure: same plan type, same kernel
-// assembly, bit-identical results.
+// MeasurePlanCtx runs the fused measurement over a prepared scan plan.
+// Executing a plan's full task list is scan.Run over its Sources, so this
+// is the single-node twin of the distributed engine's Measure: same plan
+// type, same kernel assembly, bit-identical results.
 func MeasurePlanCtx(ctx context.Context, p *scan.Plan, opts MeasureOptions) (*Measurement, error) {
-	mk, err := NewMeasureKernels(opts)
-	if err != nil {
-		return nil, errs.Stage("measure", err)
-	}
-	if err := scan.Execute(ctx, p, p.Tasks, scan.Options{Workers: opts.Workers}, mk.List...); err != nil {
-		return nil, errs.Stage("measure", err)
-	}
-	return mk.Measurement(), nil
+	return MeasureSourcesCtx(ctx, p.Sources, opts)
 }
 
 // RunMeasured executes the pipeline over a content-backed corpus whose

@@ -27,7 +27,7 @@ func measureCorpus(t *testing.T, n int) *vfs.FS {
 
 func TestMeasureMatchesSeparatePasses(t *testing.T) {
 	fs := measureCorpus(t, 20)
-	m, err := Measure(fs, MeasureOptions{
+	m, err := MeasureCtx(context.Background(), fs, MeasureOptions{
 		Patterns:   []string{"error", "the"},
 		Complexity: true,
 	})
@@ -39,7 +39,7 @@ func TestMeasureMatchesSeparatePasses(t *testing.T) {
 	}
 
 	// Manifest equals the dedicated builder's.
-	wantManifest, err := vfs.BuildManifest(fs)
+	wantManifest, err := vfs.BuildManifestCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/corpus"
@@ -9,10 +10,10 @@ import (
 
 // TestReshapePackRoundTrip pins the full durable-store chain: a corpus
 // reshaped into unit files, exported as pack shards and re-imported must
-// be bit-identical to the in-memory reshape — same CombinedChecksum,
-// same per-unit manifest — and no byte may be lost (the packer reorders
-// files across units, so the corpus-wide fold is pinned on the merged FS
-// and its round-trip, while total volume pins against the original).
+// be bit-identical to the in-memory reshape — same per-unit manifest —
+// and no byte may be lost (the packer reorders files across units, so
+// content is pinned on the merged FS and its round-trip, while total
+// volume pins against the original).
 func TestReshapePackRoundTrip(t *testing.T) {
 	fs, err := corpus.GenerateWithContent(corpus.Text400K(0.0004), 7)
 	if err != nil {
@@ -29,11 +30,7 @@ func TestReshapePackRoundTrip(t *testing.T) {
 	if merged.TotalSize() != fs.TotalSize() {
 		t.Fatalf("reshape changed total volume: %d != %d", merged.TotalSize(), fs.TotalSize())
 	}
-	reshaped, err := vfs.CombinedChecksum(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifest, err := vfs.BuildManifest(merged)
+	manifest, err := vfs.BuildManifestCtx(context.Background(), merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +43,7 @@ func TestReshapePackRoundTrip(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no pack shards written")
 	}
-	imported, closer, err := vfs.ImportPack(dir)
+	imported, closer, err := vfs.ImportPackCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,13 +51,6 @@ func TestReshapePackRoundTrip(t *testing.T) {
 
 	if imported.Len() != merged.Len() {
 		t.Fatalf("imported %d unit files, want %d", imported.Len(), merged.Len())
-	}
-	roundTripped, err := vfs.CombinedChecksum(imported)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if roundTripped != reshaped {
-		t.Fatalf("pack round-trip changed corpus bytes: %x != %x", roundTripped, reshaped)
 	}
 	if err := manifest.Verify(imported); err != nil {
 		t.Fatalf("per-unit manifest verify over pack import: %v", err)

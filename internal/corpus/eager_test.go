@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/vfs"
@@ -48,15 +49,15 @@ func TestEagerMatchesLazy(t *testing.T) {
 	}
 }
 
-// TestEagerHTMLChecksum covers the HTML branch via the corpus-wide
-// checksum, which is the invariant the reshaping layers rely on.
+// TestEagerHTMLChecksum covers the HTML branch via the corpus manifest:
+// every eager file has the lazy file's size and checksum.
 func TestEagerHTMLChecksum(t *testing.T) {
 	spec := HTML18Mil(0.000002) // 36 files
 	lazy, err := GenerateWithContent(spec, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := vfs.CombinedChecksum(lazy)
+	want, err := vfs.BuildManifestCtx(context.Background(), lazy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +65,7 @@ func TestEagerHTMLChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := vfs.CombinedChecksum(eager)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("eager checksum %x != lazy %x", got, want)
+	if err := want.Verify(eager); err != nil {
+		t.Errorf("eager corpus differs from lazy: %v", err)
 	}
 }

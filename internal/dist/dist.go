@@ -40,8 +40,8 @@ type Spec struct {
 	Patterns []string `json:"patterns,omitempty"`
 	// FoldCase makes the pattern match ASCII case-insensitive.
 	FoldCase bool `json:"fold_case,omitempty"`
-	// Complexity swaps the stats kernel for the fused stats+complexity
-	// kernel.
+	// Complexity gives the analyzer kernel a lexicon (per-file POS
+	// complexity).
 	Complexity bool `json:"complexity,omitempty"`
 }
 

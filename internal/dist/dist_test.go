@@ -110,7 +110,7 @@ func localWorkers(t *testing.T, p *scan.Plan, spec Spec, n int) []Worker {
 
 // TestMeasureBitIdentical pins the acceptance contract: the distributed
 // measurement equals the single-node fused scan bit for bit at worker
-// counts 1, 2 and 4, with and without the complexity kernel.
+// counts 1, 2 and 4, with and without complexity.
 func TestMeasureBitIdentical(t *testing.T) {
 	specs := map[string]Spec{
 		"stats":           {Patterns: []string{"error", "the"}},

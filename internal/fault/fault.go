@@ -12,7 +12,7 @@
 // injected read errors surface as errs.ErrUnavailable (retryable), torn
 // reads violate declared sizes (the scan's ErrCorrupt), and bit flips
 // are only detectable under checksum-verified imports
-// (vfs.ImportPackVerified) — which is exactly the point: the chaos
+// (vfs.ImportPackVerifiedCtx) — which is exactly the point: the chaos
 // suite proves the resilience layer retries what is transient, refuses
 // what is corrupt, and never silently returns different bytes.
 package fault

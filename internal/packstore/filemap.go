@@ -16,7 +16,7 @@ import (
 // and the fallback has already read everything.
 //
 // This is the unpacked-corpus sibling of the pack Reader's MemberBytes:
-// vfs.ImportDirMapped holds one FileMapping per corpus file too large
+// vfs.ImportDirMappedCtx holds one FileMapping per corpus file too large
 // for a slab, so -dir corpora take the same zero-copy scan path as
 // mapped packs.
 type FileMapping struct {

@@ -94,8 +94,8 @@ func (r *Reader) Lookup(name string) ([]byte, error) {
 }
 
 // AdviseSequential hints the OS that the mapping will be read front to
-// back (madvise(MADV_SEQUENTIAL) on the mmap path, a no-op on the
-// fallback), which is how full-shard fused scans walk it. Best effort:
+// back (madvise(MADV_SEQUENTIAL) on linux mappings, a no-op elsewhere),
+// which is how full-shard fused scans walk it. Best effort:
 // an unsupported advice is not an error worth failing a scan for, so
 // callers may ignore the return.
 func (r *Reader) AdviseSequential() error {

@@ -22,9 +22,6 @@ func mapFile(f *os.File, size int64) ([]byte, bool, error) {
 // unmapFile is a no-op: heap buffers are garbage-collected.
 func unmapFile([]byte) error { return nil }
 
-// adviseSequential is a no-op without a mapping to advise on.
-func adviseSequential([]byte) error { return nil }
-
 // loadFile is LoadFile through *os.File: the same open, stat, read to
 // EOF, close sequence and the same slab, without the raw descriptor
 // calls only unix has. Large files take mapFile's heap fallback.

@@ -38,15 +38,6 @@ func unmapFile(data []byte) error {
 	return syscall.Munmap(data)
 }
 
-// adviseSequential hints read-ahead for a front-to-back scan of the
-// mapping.
-func adviseSequential(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	return syscall.Madvise(data, syscall.MADV_SEQUENTIAL)
-}
-
 // loadFile is LoadFile over raw descriptors: the small-file route is
 // exactly open, fstat, read to EOF, close — no *os.File, no finalizer, no
 // FileInfo, no attempt to register a regular file with the poller — which

@@ -3,8 +3,7 @@ package scan
 // FNV-64a, inlined: the same function hash/fnv computes, but folded in a
 // tight loop over each block with the running state in a register instead
 // of behind an interface call per write. Per-file sums here are
-// bit-identical to vfs.Checksum; the combined fold is bit-identical to
-// hashing the concatenation of all files in input order.
+// bit-identical to vfs.Checksum.
 const (
 	fnvOffset64 = 0xcbf29ce484222325
 	fnvPrime64  = 0x100000001b3
@@ -48,10 +47,10 @@ type FileSum struct {
 }
 
 // FingerprintSums folds every file's (name, size, checksum) into one
-// FNV-64a corpus identity, in input order. Unlike the order-sequential
-// Combined fold it is computable from the parallel per-file sums, so it
-// is the corpus fingerprint the resident server and the distributed scan
-// both report — equal fingerprints mean byte-identical manifests.
+// FNV-64a corpus identity, in input order. It is computable from the
+// parallel per-file sums, so it is the corpus fingerprint the resident
+// server and the distributed scan both report — equal fingerprints mean
+// byte-identical manifests.
 func FingerprintSums(sums []FileSum) uint64 {
 	h := uint64(fnvOffset64)
 	var buf [16]byte
@@ -135,7 +134,7 @@ func (c *Checksum) Snapshot() ([]byte, error) {
 func (c *Checksum) Restore(state []byte) error {
 	d := NewStateDecoder(state)
 	d.Tag(checksumTag)
-	n := d.Len()
+	n := d.Len(24) // name length, size, sum
 	sums := make([]FileSum, 0, n)
 	for i := 0; i < n; i++ {
 		sums = append(sums, FileSum{Name: d.Str(), Size: d.I64(), Sum: d.U64()})
@@ -144,65 +143,5 @@ func (c *Checksum) Restore(state []byte) error {
 		return err
 	}
 	c.sums = sums
-	return nil
-}
-
-// Combined is the order-sequential corpus checksum kernel: one FNV-64a
-// state folded across every file's bytes in delivery order, equal to
-// hashing the concatenation of all inputs. Because the fold order defines
-// the value, Combined is only meaningful under RunOrdered; it cannot
-// participate in out-of-order merges, and Merge panics to make that
-// misuse loud. Its portable state is the running fold itself, so an
-// ordered scan can pause, cross a process boundary, and resume — but it
-// cannot be distributed across concurrent workers.
-type Combined struct {
-	h uint64
-}
-
-// NewCombined returns a combined-checksum kernel seeded with the FNV
-// offset basis, so an empty corpus hashes to the canonical empty sum.
-func NewCombined() *Combined { return &Combined{h: fnvOffset64} }
-
-// Fork implements Kernel. A fork restarts from the offset basis; it does
-// not share the parent's running state.
-func (c *Combined) Fork() Kernel { return NewCombined() }
-
-// Begin implements Kernel: a no-op — the running state spans files.
-func (c *Combined) Begin(Source) {}
-
-// Block implements Kernel.
-func (c *Combined) Block(p []byte) { c.h = fnvFold(c.h, p) }
-
-// End implements Kernel: a no-op — the running state spans files.
-func (c *Combined) End() {}
-
-// Merge implements Kernel. FNV states are not mergeable across files, so
-// Combined refuses: use RunOrdered, which never merges.
-func (c *Combined) Merge(Kernel) {
-	panic("scan: Combined checksum cannot merge; run it under RunOrdered")
-}
-
-// Sum returns the running combined checksum.
-func (c *Combined) Sum() uint64 { return c.h }
-
-const combinedTag = 'O'
-
-// Snapshot implements StateCodec: the running fold.
-func (c *Combined) Snapshot() ([]byte, error) {
-	var e StateEncoder
-	e.Tag(combinedTag)
-	e.U64(c.h)
-	return e.Bytes(), nil
-}
-
-// Restore implements StateCodec.
-func (c *Combined) Restore(state []byte) error {
-	d := NewStateDecoder(state)
-	d.Tag(combinedTag)
-	h := d.U64()
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	c.h = h
 	return nil
 }

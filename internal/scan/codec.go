@@ -176,16 +176,17 @@ func (d *StateDecoder) Str() string {
 	return s
 }
 
-// Len reads a count and fails when it is implausible for the remaining
-// payload (every counted element costs at least one byte), so a corrupt
-// length cannot drive a multi-gigabyte allocation before the per-element
-// reads fail.
-func (d *StateDecoder) Len() int {
+// Len reads a count of elements that each encode to at least minBytes
+// and fails when that many cannot fit the remaining payload, so what a
+// Restore reserves for its elements is bounded by the size of the state
+// it was handed — a corrupt or hostile count cannot drive an allocation
+// many times the payload before the per-element reads fail.
+func (d *StateDecoder) Len(minBytes int) int {
 	n := d.U64()
 	if d.err != nil {
 		return 0
 	}
-	if n > uint64(len(d.buf)-d.off) {
+	if n > uint64(len(d.buf)-d.off)/uint64(minBytes) {
 		d.fail(errs.Corrupt("scan: kernel state count %d overruns payload", n))
 		return 0
 	}

@@ -13,12 +13,3 @@ import (
 func TestChecksumConformance(t *testing.T) {
 	kerneltest.Conformance(t, scan.NewChecksum(), nil)
 }
-
-// TestCombinedConformance pins the resumable (ordered) contract for the
-// whole-corpus rolling checksum: pause/resume at any file boundary via
-// Snapshot→Restore matches the uninterrupted run. Combined is
-// order-sequential — resumable across a process boundary, not
-// distributable — so the ordered harness applies.
-func TestCombinedConformance(t *testing.T) {
-	kerneltest.ConformanceOrdered(t, scan.NewCombined(), nil)
-}

@@ -8,7 +8,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/scan"
+	"repro/internal/scan/kerneltest"
 	"repro/internal/textproc"
 	"repro/internal/vfs"
 	"repro/internal/workload"
@@ -21,8 +23,9 @@ var diffPatterns = []string{"the", "they", "an", "and", "aa", "error"}
 
 // diffCorpus builds deterministic text files exercising every tokenizer
 // edge the streaming kernels must reproduce: sentence punctuation,
-// multi-byte runes (word and punctuation), apostrophes, pattern matches
-// placed to straddle small block boundaries, and empty files.
+// multi-byte runes (word and punctuation), apostrophes, out-of-vocabulary
+// words in every case mix the lexicon lookup folds, pattern matches placed
+// to straddle small block boundaries, and empty files.
 func diffCorpus(t *testing.T, n int) *vfs.FS {
 	t.Helper()
 	pieces := []string{
@@ -33,6 +36,7 @@ func diffCorpus(t *testing.T, n int) *vfs.FS {
 		"errors error erroneous\n",
 		"12 o'clock... ",
 		"é ",
+		"Zzyzzx glorptal Frobnak unknownia! Déjà 北京 flurmish? ",
 	}
 	fs := vfs.NewFS()
 	for i := 0; i < n; i++ {
@@ -50,11 +54,14 @@ func diffCorpus(t *testing.T, n int) *vfs.FS {
 }
 
 // TestFusedScanMatchesReferenceImplementations is the acceptance
-// differential: one fused run of all four kernels must be byte-identical
-// to the per-kernel reference implementations (vfs.Checksum,
-// textproc.Analyze, per-pattern Searcher counts, workload.ComplexityOf)
-// at workers 1, 2 and 8 — including with a tiny block size that forces
-// every token, match and rune to straddle block boundaries.
+// differential: one fused run of the measurement's kernel assembly must
+// be bit-identical to the per-kernel reference implementations
+// (vfs.Checksum, textproc.Analyze, per-pattern Searcher counts,
+// workload.ComplexityOf) at workers 1, 2 and 8 and every conformance
+// block size — down to one byte, where every token, match and rune
+// straddles a block boundary. A statistics-only analyzer kernel rides
+// along: without a lexicon it must report the same statistics and no
+// unknown words.
 func TestFusedScanMatchesReferenceImplementations(t *testing.T) {
 	fs := diffCorpus(t, 30)
 	files := fs.List()
@@ -99,42 +106,42 @@ func TestFusedScanMatchesReferenceImplementations(t *testing.T) {
 		}
 	}
 
-	ms, err := textproc.NewMultiSearcher(diffPatterns)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{1, 2, 8} {
-		for _, block := range []int{3, 64, 0} {
-			ck := scan.NewChecksum()
-			st := textproc.NewStatsKernel()
-			mk := textproc.NewMatchKernel(ms)
-			cx := workload.NewComplexityKernel(tagger)
-			err := scan.Run(context.Background(), vfs.Sources(files),
-				scan.Options{Workers: workers, BlockSize: block}, ck, st, mk, cx)
+		for _, block := range kerneltest.BlockSizes {
+			mk, err := core.NewMeasureKernels(core.MeasureOptions{Patterns: diffPatterns, Complexity: true, Tagger: tagger})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain := textproc.NewStatsKernel()
+			err = scan.Run(context.Background(), vfs.Sources(files),
+				scan.Options{Workers: workers, BlockSize: block}, append(mk.List, plain)...)
 			if err != nil {
 				t.Fatalf("workers=%d block=%d: %v", workers, block, err)
 			}
-			sums, stats, matches, cplx := ck.Sums(), st.Files(), mk.Files(), cx.Files()
+			m := mk.Measurement()
 			for i, f := range files {
 				tag := fmt.Sprintf("workers=%d block=%d file=%s", workers, block, f.Name)
-				if sums[i].Name != f.Name || stats[i].Name != f.Name ||
-					matches[i].Name != f.Name || cplx[i].Name != f.Name {
+				if m.Sums[i].Name != f.Name || m.FileStats[i].Name != f.Name ||
+					m.PatternFiles[i].Name != f.Name || plain.Files()[i].Name != f.Name {
 					t.Fatalf("%s: kernel merge order diverged from input order", tag)
 				}
-				if sums[i].Sum != refs[i].sum {
-					t.Errorf("%s: checksum %x, want %x", tag, sums[i].Sum, refs[i].sum)
+				if m.Sums[i].Sum != refs[i].sum {
+					t.Errorf("%s: checksum %x, want %x", tag, m.Sums[i].Sum, refs[i].sum)
 				}
-				if stats[i].Stats != refs[i].stats {
-					t.Errorf("%s: stats %+v, want %+v", tag, stats[i].Stats, refs[i].stats)
+				if m.FileStats[i].Stats != refs[i].stats {
+					t.Errorf("%s: stats %+v, want %+v", tag, m.FileStats[i].Stats, refs[i].stats)
 				}
-				if stats[i].Lines != refs[i].lines {
-					t.Errorf("%s: lines %d, want %d", tag, stats[i].Lines, refs[i].lines)
+				if m.FileStats[i].Lines != refs[i].lines {
+					t.Errorf("%s: lines %d, want %d", tag, m.FileStats[i].Lines, refs[i].lines)
 				}
-				if !reflect.DeepEqual(matches[i].Counts, refs[i].counts) {
-					t.Errorf("%s: counts %v, want %v", tag, matches[i].Counts, refs[i].counts)
+				if !reflect.DeepEqual(m.PatternFiles[i].Counts, refs[i].counts) {
+					t.Errorf("%s: counts %v, want %v", tag, m.PatternFiles[i].Counts, refs[i].counts)
 				}
-				if cplx[i].Complexity != refs[i].complexity {
-					t.Errorf("%s: complexity %v, want %v", tag, cplx[i].Complexity, refs[i].complexity)
+				if got := m.Complexity[f.Name]; got != refs[i].complexity {
+					t.Errorf("%s: complexity %v, want %v", tag, got, refs[i].complexity)
+				}
+				if want := (textproc.FileStats{Name: f.Name, Stats: refs[i].stats, Lines: refs[i].lines}); plain.Files()[i] != want {
+					t.Errorf("%s: lexicon-less kernel has %+v, want %+v", tag, plain.Files()[i], want)
 				}
 			}
 			if t.Failed() {
@@ -213,20 +220,19 @@ func TestChunkedMergeBitIdenticalAtAnyWorkerCount(t *testing.T) {
 		stats   []textproc.FileStats
 		total   textproc.TextStats
 		lines   int64
-		cplx    []workload.FileComplexity
 		states  [][]byte
 	}
 	run := func(srcs []scan.Source, workers, block int) result {
 		ck := scan.NewChecksum()
 		mk := textproc.NewMatchKernel(ms)
-		sc := workload.NewStatsComplexityKernel(tagger)
+		sc := textproc.NewAnalyzerKernel(tagger)
 		kernels := []scan.Kernel{ck, mk, sc}
 		if err := scan.Run(context.Background(), srcs, scan.Options{Workers: workers, BlockSize: block}, kernels...); err != nil {
 			t.Fatalf("workers=%d block=%d: %v", workers, block, err)
 		}
 		r := result{
 			sums: ck.Sums(), matches: mk.Files(), totals: mk.Totals(),
-			stats: sc.StatsFiles(), total: sc.Total(), lines: sc.Lines(), cplx: sc.Files(),
+			stats: sc.Files(), total: sc.Total(), lines: sc.Lines(),
 		}
 		for _, k := range kernels {
 			st, err := scan.SnapshotKernel(k)
@@ -278,9 +284,6 @@ func TestChunkedMergeBitIdenticalAtAnyWorkerCount(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.stats, want.stats) || got.total != want.total || got.lines != want.lines {
 					t.Errorf("%s: text stats differ from Workers: 1", tag)
-				}
-				if !reflect.DeepEqual(got.cplx, want.cplx) {
-					t.Errorf("%s: complexities differ from Workers: 1", tag)
 				}
 				for i := range want.states {
 					if !bytes.Equal(got.states[i], want.states[i]) {

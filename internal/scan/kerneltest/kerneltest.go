@@ -9,10 +9,13 @@ package kerneltest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/errs"
 	"repro/internal/scan"
 )
 
@@ -89,6 +92,8 @@ func snapshot(t *testing.T, k scan.Kernel) []byte {
 //   - block-size independence: the accumulated snapshot is bit-identical
 //     at every BlockSizes entry;
 //   - Snapshot→Restore→Snapshot is bit-identical;
+//   - an element count the payload cannot hold is ErrCorrupt, and Restore
+//     allocates less than twice the payload finding that out;
 //   - Merge drains the other kernel back to empty;
 //   - process-boundary fold: scanning a prefix and a suffix separately,
 //     snapshotting the suffix kernel, restoring it into a fresh fork and
@@ -146,8 +151,34 @@ func Conformance(t *testing.T, proto scan.Kernel, contents [][]byte) {
 		}
 	}
 
-	// Merge drains: after folding, the other kernel snapshots empty.
+	// A count that the payload cannot hold must fail before Restore
+	// reserves room for it: states arrive from remote workers and
+	// journals. The count is the first field in which an empty and a
+	// non-empty state differ; here it claims one element per remaining
+	// byte, and every element encodes to more than one.
 	empty := snapshot(t, proto.Fork())
+	at := 1
+	for at+8 <= len(empty) && bytes.Equal(empty[at:at+8], want[at:at+8]) {
+		at += 8
+	}
+	const pad = 1 << 20
+	var count scan.StateEncoder
+	count.Int(pad)
+	hostile := append(bytes.Clone(empty[:at]), count.Bytes()...)
+	hostile = append(hostile, make([]byte, pad)...)
+	target := proto.Fork()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := scan.RestoreKernel(target, hostile)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errs.ErrCorrupt) {
+		t.Errorf("%T: restoring a count of %d over %d bytes returned %v, want ErrCorrupt", proto, pad, pad, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(hostile)) {
+		t.Errorf("%T: restoring a %d-byte state with a hostile count allocated %d bytes", proto, len(hostile), got)
+	}
+
+	// Merge drains: after folding, the other kernel snapshots empty.
 	for _, bs := range BlockSizes {
 		root := proto.Fork()
 		other := accumulate(t, proto, contents, 0, len(contents), bs)
@@ -176,59 +207,6 @@ func Conformance(t *testing.T, proto scan.Kernel, contents [][]byte) {
 				t.Errorf("%T: boundary fold at split %d block size %d differs from in-process scan", proto, split, bs)
 			}
 		}
-	}
-}
-
-// ConformanceOrdered pins the portable-state contract for an
-// order-sequential kernel (scan.Combined): one instance fed every file
-// in order, with a Snapshot→Restore pause/resume spliced in at every
-// file boundary, must match the uninterrupted run at every block size.
-// Such kernels are resumable across a process boundary but not
-// distributable — Merge is out of contract and not exercised.
-func ConformanceOrdered(t *testing.T, proto scan.Kernel, contents [][]byte) {
-	t.Helper()
-	if _, ok := proto.(scan.StateCodec); !ok {
-		t.Fatalf("kernel %T does not implement scan.StateCodec", proto)
-	}
-	if contents == nil {
-		contents = SampleContents()
-	}
-	srcs := sources(contents)
-
-	run := func(blockSize, pause int) []byte {
-		k := proto.Fork()
-		for i := range contents {
-			if i == pause {
-				carried := snapshot(t, k)
-				k = proto.Fork()
-				if err := scan.RestoreKernel(k, carried); err != nil {
-					t.Fatalf("%T: resume at file %d: %v", proto, i, err)
-				}
-			}
-			feed(k, srcs[i], contents[i], blockSize)
-		}
-		return snapshot(t, k)
-	}
-
-	want := run(BlockSizes[0], -1)
-	for _, bs := range BlockSizes {
-		if got := run(bs, -1); !bytes.Equal(got, want) {
-			t.Errorf("%T: ordered snapshot at block size %d differs", proto, bs)
-		}
-		for pause := 0; pause <= len(contents); pause++ {
-			if got := run(bs, pause); !bytes.Equal(got, want) {
-				t.Errorf("%T: pause/resume at file %d block size %d differs", proto, pause, bs)
-			}
-		}
-	}
-
-	// Round-trip sanity on the final state too.
-	restored := proto.Fork()
-	if err := scan.RestoreKernel(restored, want); err != nil {
-		t.Fatalf("%T: restore: %v", proto, err)
-	}
-	if got := snapshot(t, restored); !bytes.Equal(got, want) {
-		t.Errorf("%T: snapshot(restore(snapshot)) differs", proto)
 	}
 }
 

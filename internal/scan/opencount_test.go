@@ -9,7 +9,6 @@ import (
 	"repro/internal/scan"
 	"repro/internal/textproc"
 	"repro/internal/vfs"
-	"repro/internal/workload"
 )
 
 // countingSources wraps each source's Open so the test can prove the
@@ -45,7 +44,7 @@ func fourKernels(t *testing.T) []scan.Kernel {
 		scan.NewChecksum(),
 		textproc.NewStatsKernel(),
 		textproc.NewMatchKernel(ms),
-		workload.NewComplexityKernel(textproc.NewTagger()),
+		textproc.NewAnalyzerKernel(textproc.NewTagger()),
 	}
 }
 
@@ -75,7 +74,7 @@ func TestFusedRunOverPackedCorpusOpensEachMemberOnce(t *testing.T) {
 	if len(paths) < 2 {
 		t.Fatalf("want >= 2 shards for this test, got %d", len(paths))
 	}
-	packed, closer, err := vfs.ImportPack(paths...)
+	packed, closer, err := vfs.ImportPackCtx(context.Background(), paths...)
 	if err != nil {
 		t.Fatal(err)
 	}

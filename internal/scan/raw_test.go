@@ -108,33 +108,6 @@ func TestRawMatchesStreaming(t *testing.T) {
 	}
 }
 
-// TestRunOrderedRawMatchesStreaming pins the ordered fold: a combined
-// checksum over raw sources equals the same fold over streaming sources,
-// at every worker count.
-func TestRunOrderedRawMatchesStreaming(t *testing.T) {
-	streaming, raw := rawCorpus(40)
-	var want uint64
-	for _, workers := range []int{1, 2, 8} {
-		opts := Options{Workers: workers, BlockSize: 512}
-		sc := NewCombined()
-		if err := RunOrdered(context.Background(), streaming, opts, sc); err != nil {
-			t.Fatalf("workers=%d streaming: %v", workers, err)
-		}
-		rc := NewCombined()
-		if err := RunOrdered(context.Background(), raw, opts, rc); err != nil {
-			t.Fatalf("workers=%d raw: %v", workers, err)
-		}
-		if sc.Sum() != rc.Sum() {
-			t.Fatalf("workers=%d: streaming sum %#x != raw sum %#x", workers, sc.Sum(), rc.Sum())
-		}
-		if workers == 1 {
-			want = sc.Sum()
-		} else if sc.Sum() != want {
-			t.Fatalf("workers=%d: sum %#x differs from workers=1 sum %#x", workers, sc.Sum(), want)
-		}
-	}
-}
-
 // TestRawSizeMismatchIsCorrupt: a Raw source whose bytes disagree with
 // the declared size is reported as corruption, same as the streaming
 // path.
@@ -146,10 +119,6 @@ func TestRawSizeMismatchIsCorrupt(t *testing.T) {
 	err := Run(context.Background(), srcs, Options{Workers: 1}, NewChecksum())
 	if !errors.Is(err, errs.ErrCorrupt) {
 		t.Fatalf("size-lying raw source returned %v, want ErrCorrupt", err)
-	}
-	err = RunOrdered(context.Background(), srcs, Options{Workers: 1}, NewCombined())
-	if !errors.Is(err, errs.ErrCorrupt) {
-		t.Fatalf("ordered size-lying raw source returned %v, want ErrCorrupt", err)
 	}
 }
 

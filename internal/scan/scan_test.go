@@ -74,32 +74,6 @@ func TestRunChecksumMatchesReferenceAtAnyWorkerCount(t *testing.T) {
 	}
 }
 
-func TestRunOrderedCombinedEqualsConcatHash(t *testing.T) {
-	srcs, payloads := testCorpus(25)
-	var concat []byte
-	for _, p := range payloads {
-		concat = append(concat, p...)
-	}
-	want := refSum(concat)
-	for _, workers := range []int{1, 2, 8} {
-		c := NewCombined()
-		if err := RunOrdered(context.Background(), srcs, Options{Workers: workers}, c); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if c.Sum() != want {
-			t.Fatalf("workers=%d: combined %x, want %x", workers, c.Sum(), want)
-		}
-	}
-	// Empty corpus hashes to the canonical empty sum.
-	c := NewCombined()
-	if err := RunOrdered(context.Background(), nil, Options{}, c); err != nil {
-		t.Fatal(err)
-	}
-	if c.Sum() != refSum(nil) {
-		t.Fatalf("empty corpus combined %x, want offset basis", c.Sum())
-	}
-}
-
 func TestRunValidatesDeclaredSize(t *testing.T) {
 	short := Source{
 		Name:    "short",
@@ -116,10 +90,6 @@ func TestRunValidatesDeclaredSize(t *testing.T) {
 		if !errors.Is(err, errs.ErrCorrupt) {
 			t.Fatalf("%s: Run returned %v, want ErrCorrupt", src.Name, err)
 		}
-		err = RunOrdered(context.Background(), []Source{src}, Options{}, NewCombined())
-		if !errors.Is(err, errs.ErrCorrupt) {
-			t.Fatalf("%s: RunOrdered returned %v, want ErrCorrupt", src.Name, err)
-		}
 	}
 }
 
@@ -127,9 +97,6 @@ func TestRunRequiresKernelsAndContent(t *testing.T) {
 	srcs, _ := testCorpus(3)
 	if err := Run(context.Background(), srcs, Options{}); !errors.Is(err, errs.ErrInvalid) {
 		t.Fatalf("no kernels: %v, want ErrInvalid", err)
-	}
-	if err := RunOrdered(context.Background(), srcs, Options{}); !errors.Is(err, errs.ErrInvalid) {
-		t.Fatalf("no kernels (ordered): %v, want ErrInvalid", err)
 	}
 	meta := Source{Name: "meta", Size: 5}
 	if err := Run(context.Background(), []Source{meta}, Options{}, NewChecksum()); !errors.Is(err, errs.ErrInvalid) {
@@ -146,9 +113,6 @@ func TestRunCancellation(t *testing.T) {
 		if !errors.Is(err, errs.ErrCancelled) {
 			t.Fatalf("workers=%d: %v, want ErrCancelled", workers, err)
 		}
-	}
-	if err := RunOrdered(cancelled, srcs, Options{}, NewCombined()); !errors.Is(err, errs.ErrCancelled) {
-		t.Fatalf("ordered: %v, want ErrCancelled", err)
 	}
 }
 

@@ -32,7 +32,7 @@ func mappedPackServer(t *testing.T, cfg Config) (*Server, *httptest.Server, []sc
 	if _, err := genFS.ExportPack(dir, vfs.PackOptions{ShardSize: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
-	mappedFS, closer, err := vfs.ImportPackMapped(dir)
+	mappedFS, closer, err := vfs.ImportPackMappedCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}

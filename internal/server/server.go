@@ -3,7 +3,7 @@
 // scanning runs at hardware speed; the one-shot CLI commands re-pay
 // process startup, pack opening and page-cache warm-up on every
 // measurement. This server opens the pack shards once (memory-mapped, via
-// vfs.ImportPackMapped upstream of New), keeps the mappings hot, and
+// vfs.ImportPackMappedCtx upstream of New), keeps the mappings hot, and
 // multiplexes concurrent requests onto the same fused scan engine the CLI
 // uses — so results are bit-identical to the one-shot path by the scan
 // determinism contract, and the shared ReaderAt/mapped views become a real
@@ -79,7 +79,7 @@ type Server struct {
 	// scan itself faults the mappings into the page cache. fingerprint is
 	// an FNV-64a fold over the manifest's (name, size, checksum) rows in
 	// input order — one corpus identity derived from the parallel per-file
-	// sums (scan.Combined would force a serial ordered pass).
+	// sums.
 	manifest    []ManifestEntry
 	fingerprint uint64
 	stats       textproc.TextStats
@@ -104,8 +104,8 @@ type ManifestEntry struct {
 }
 
 // New builds a server over the sources, running the startup warm scan
-// (per-file checksums, combined checksum, corpus text statistics) under
-// ctx. The scan doubles as page-cache warm-up for mapped packs.
+// (per-file checksums, corpus text statistics) under ctx. The scan
+// doubles as page-cache warm-up for mapped packs.
 func New(ctx context.Context, srcs []scan.Source, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
@@ -126,22 +126,25 @@ func New(ctx context.Context, srcs []scan.Source, cfg Config) (*Server, error) {
 	}
 	s.shards = len(shards)
 
-	ck := scan.NewChecksum()
-	st := textproc.NewStatsKernel()
-	if err := scan.Run(ctx, srcs, scan.Options{Workers: cfg.ScanWorkers}, ck, st); err != nil {
+	// The warm scan runs the kernel assembly every measurement uses.
+	mk, err := core.NewMeasureKernels(core.MeasureOptions{})
+	if err != nil {
+		return nil, errs.Stage("serve-warmup", err)
+	}
+	if err := scan.Run(ctx, srcs, scan.Options{Workers: cfg.ScanWorkers}, mk.List...); err != nil {
 		return nil, errs.Stage("serve-warmup", err)
 	}
 	s.manifest = make([]ManifestEntry, 0, len(srcs))
-	for _, sum := range ck.Sums() {
+	for _, sum := range mk.Checksum.Sums() {
 		s.manifest = append(s.manifest, ManifestEntry{
 			Name:     sum.Name,
 			Size:     sum.Size,
 			Checksum: fmt.Sprintf("%016x", sum.Sum),
 		})
 	}
-	s.fingerprint = scan.FingerprintSums(ck.Sums())
-	s.stats = st.Total()
-	s.lines = st.Lines()
+	s.fingerprint = scan.FingerprintSums(mk.Checksum.Sums())
+	s.stats = mk.Analyzer.Total()
+	s.lines = mk.Analyzer.Lines()
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/grep", s.handleGrep)

@@ -179,7 +179,7 @@ func TestManifestStatsVerifyHealthz(t *testing.T) {
 		t.Errorf("manifest = %d files %d bytes %d entries, corpus has %d/%d",
 			man.Files, man.TotalBytes, len(man.Entries), fs.Len(), fs.TotalSize())
 	}
-	wantMan, err := vfs.BuildManifest(fs)
+	wantMan, err := vfs.BuildManifestCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,11 @@ package textproc
 
 // Class bits for Classes / classTable.
 const (
-	ClassSpace uint8 = 1 << iota // ' ', '\n', '\t', '\r'
-	ClassWord                    // letter, digit or apostrophe: a token-continuing byte
-	ClassLetter                  // 'a'-'z', 'A'-'Z'
-	ClassDigit                   // '0'-'9'
-	ClassUpper                   // 'A'-'Z' (fold target differs from the byte itself)
+	ClassSpace  uint8 = 1 << iota // ' ', '\n', '\t', '\r'
+	ClassWord                     // letter, digit or apostrophe: a token-continuing byte
+	ClassLetter                   // 'a'-'z', 'A'-'Z'
+	ClassDigit                    // '0'-'9'
+	ClassUpper                    // 'A'-'Z' (fold target differs from the byte itself)
 )
 
 var classTable = buildClassTable()

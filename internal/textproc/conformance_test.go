@@ -1,16 +1,51 @@
 package textproc_test
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/errs"
 	"repro/internal/scan/kerneltest"
 	"repro/internal/textproc"
 )
 
 // TestStatsKernelConformance pins the portable-state contract for the
-// text-statistics kernel.
+// analyzer kernel, with and without a lexicon.
 func TestStatsKernelConformance(t *testing.T) {
-	kerneltest.Conformance(t, textproc.NewStatsKernel(), nil)
+	t.Run("stats", func(t *testing.T) {
+		kerneltest.Conformance(t, textproc.NewStatsKernel(), nil)
+	})
+	t.Run("lexicon", func(t *testing.T) {
+		kerneltest.Conformance(t, textproc.NewAnalyzerKernel(textproc.NewTagger()), nil)
+	})
+}
+
+// TestStatsKernelRejectsForeignStates: a state written by one of the
+// kernels this one replaced (tags 'S', 'F' and 'X'), or by a kernel
+// configured the other way round about the lexicon, is ErrInvalid — it
+// must never be parsed as if the layouts agreed.
+func TestStatsKernelRejectsForeignStates(t *testing.T) {
+	plain, lexicon := textproc.NewStatsKernel(), textproc.NewAnalyzerKernel(textproc.NewTagger())
+	plainState, err := plain.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lexiconState, err := lexicon.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []byte{'S', 'F', 'X'} {
+		old := append([]byte{tag}, plainState[1:]...)
+		if err := textproc.NewStatsKernel().Restore(old); !errors.Is(err, errs.ErrInvalid) {
+			t.Errorf("state tagged %q restored with %v, want ErrInvalid", tag, err)
+		}
+	}
+	if err := lexicon.Restore(plainState); !errors.Is(err, errs.ErrInvalid) {
+		t.Errorf("lexicon-less state into a lexicon kernel: %v, want ErrInvalid", err)
+	}
+	if err := plain.Restore(lexiconState); !errors.Is(err, errs.ErrInvalid) {
+		t.Errorf("lexicon state into a lexicon-less kernel: %v, want ErrInvalid", err)
+	}
 }
 
 // TestMatchKernelConformance pins the portable-state contract for the

@@ -118,11 +118,10 @@ func matchAt(hay, pat []byte) bool {
 // than len(pattern)-1 bytes across reads, so that carry suffices.
 const grepBufSize = 64 * 1024
 
-// windowPool recycles streaming windows across CountReader calls (and
-// across the concurrent workers of ParallelGrep): a grep over a million
-// small files would otherwise allocate a fresh 64 kB window per file. The
-// pooled size covers the regexp carry; rare oversize literal patterns fall
-// back to a dedicated allocation.
+// windowPool recycles streaming windows across CountReader calls: a grep
+// over a million small files would otherwise allocate a fresh 64 kB
+// window per file. The pooled size covers the regexp carry; rare oversize
+// literal patterns fall back to a dedicated allocation.
 var windowPool = sync.Pool{
 	New: func() any {
 		buf := make([]byte, grepBufSize+4096)

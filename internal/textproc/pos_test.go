@@ -2,6 +2,7 @@ package textproc
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -221,4 +222,32 @@ func TestTaggerLexiconLoaded(t *testing.T) {
 	if _, known := tg.candidates("zzzzgarbage"); known {
 		t.Error("nonsense word reported as known")
 	}
+}
+
+// Run with -race: a shared Tagger must be safe for concurrent use — the
+// scan engine's forks all tag and test membership against one instance.
+func TestTaggerConcurrentUse(t *testing.T) {
+	tg := NewTagger()
+	text := corpus.NewGenerator(corpus.NewsStyle(), 100).Text(20000)
+	_, want := tg.TagText(text)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, res := tg.TagText(text); res.Words != want.Words || res.Unknown != want.Unknown {
+				t.Errorf("concurrent TagText: %d words / %d unknown, want %d / %d", res.Words, res.Unknown, want.Words, want.Unknown)
+			}
+			unknown := 0
+			for _, tok := range Tokenize(text) {
+				if !tok.Punct && !tg.KnownWord([]byte(tok.Text)) {
+					unknown++
+				}
+			}
+			if unknown != want.Unknown {
+				t.Errorf("concurrent KnownWord: %d unknown, want %d", unknown, want.Unknown)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -16,9 +16,9 @@ import (
 // bytes of an open rune chunk); completed bytes are never re-buffered.
 //
 // An optional word callback observes every non-punctuation token as it
-// completes (word bytes are valid only during the call). That is how the
-// POS-complexity kernel counts out-of-vocabulary words in the same single
-// pass, without re-tokenising.
+// completes (word bytes are valid only during the call). That is how
+// StatsKernel counts out-of-vocabulary words in the same single pass,
+// without re-tokenising.
 type StreamAnalyzer struct {
 	onWord func(word []byte)
 
@@ -211,33 +211,77 @@ func (a *StreamAnalyzer) closeSentence() {
 	a.tokensInSent = 0
 }
 
-// FileStats is one scanned file's text measurements.
+// FileStats is one scanned file's text measurements. Unknown counts the
+// file's out-of-vocabulary words; it stays zero unless the kernel carries
+// a tagger.
 type FileStats struct {
-	Name  string
-	Stats TextStats
-	Lines int64
+	Name    string
+	Stats   TextStats
+	Lines   int64
+	Unknown int
 }
 
-// StatsKernel is the token/sentence/line statistics scan kernel. After a
-// run it holds per-file stats in input order plus corpus totals.
+// StatsKernel is the analyzer scan kernel, the one type that drives a
+// StreamAnalyzer under the scan engine: token/sentence/line statistics
+// per file and corpus-wide, and — when it carries a tagger — each file's
+// out-of-vocabulary word count from the same pass, through the analyzer's
+// word callback and the tagger's lexicon-membership test. TagText's
+// Unknown/Words ratio is exactly lexicon membership counted over
+// non-punctuation tokens, so no tagging is needed; callers derive the POS
+// complexity from (Stats, Unknown) when they assemble results.
+//
+// Block-retention contract: the kernel never keeps a reference into the
+// delivered block — the analyzer carries only its bounded in-flight token,
+// KnownWord folds through a stack buffer and the memo copies the words it
+// keeps — so it is safe on the zero-copy scan path.
 type StatsKernel struct {
 	an   StreamAnalyzer
 	name string
+
+	// Set together, or not at all: the lexicon, the fork's private memo of
+	// its membership answers (see wordMemo), and the open file's count.
+	tagger  *Tagger
+	memo    *wordMemo
+	unknown int
 
 	files []FileStats
 	total TextStats
 	lines int64
 }
 
-// NewStatsKernel returns a stats kernel prototype.
-func NewStatsKernel() *StatsKernel { return &StatsKernel{} }
+// NewStatsKernel returns a statistics-only analyzer kernel prototype.
+func NewStatsKernel() *StatsKernel { return NewAnalyzerKernel(nil) }
 
-// Fork implements scan.Kernel.
-func (k *StatsKernel) Fork() scan.Kernel { return &StatsKernel{} }
+// NewAnalyzerKernel returns an analyzer kernel prototype that also counts
+// out-of-vocabulary words against the tagger's lexicon; a nil tagger
+// means statistics only.
+func NewAnalyzerKernel(t *Tagger) *StatsKernel {
+	k := &StatsKernel{tagger: t}
+	if t != nil {
+		k.memo = new(wordMemo)
+		k.an.onWord = k.countWord
+	}
+	return k
+}
+
+func (k *StatsKernel) countWord(word []byte) {
+	if !k.memo.known(k.tagger, word) {
+		k.unknown++
+	}
+}
+
+// Tagger returns the tagger whose lexicon the kernel counts against, or
+// nil for a statistics-only kernel.
+func (k *StatsKernel) Tagger() *Tagger { return k.tagger }
+
+// Fork implements scan.Kernel: forks share the tagger (read-only lexicon)
+// but nothing else.
+func (k *StatsKernel) Fork() scan.Kernel { return NewAnalyzerKernel(k.tagger) }
 
 // Begin implements scan.Kernel.
 func (k *StatsKernel) Begin(src scan.Source) {
 	k.an.Reset()
+	k.unknown = 0
 	k.name = src.Name
 }
 
@@ -248,7 +292,13 @@ func (k *StatsKernel) Block(p []byte) { k.an.Block(p) }
 // kernel's own accumulation and folded into its totals.
 func (k *StatsKernel) End() {
 	st, lines := k.an.Finish()
-	k.files = append(k.files, FileStats{Name: k.name, Stats: st, Lines: lines})
+	k.files = append(k.files, FileStats{Name: k.name, Stats: st, Lines: lines, Unknown: k.unknown})
+	k.fold(st, lines)
+}
+
+// fold adds one file's statistics — or another kernel's totals, the
+// operations are the same — to the corpus totals.
+func (k *StatsKernel) fold(st TextStats, lines int64) {
 	k.total.Tokens += st.Tokens
 	k.total.Words += st.Words
 	k.total.Sentences += st.Sentences
@@ -265,13 +315,7 @@ func (k *StatsKernel) End() {
 func (k *StatsKernel) Merge(other scan.Kernel) {
 	o := other.(*StatsKernel)
 	k.files = append(k.files, o.files...)
-	k.total.Tokens += o.total.Tokens
-	k.total.Words += o.total.Words
-	k.total.Sentences += o.total.Sentences
-	if o.total.MaxSentence > k.total.MaxSentence {
-		k.total.MaxSentence = o.total.MaxSentence
-	}
-	k.lines += o.lines
+	k.fold(o.total, o.lines)
 	o.files = o.files[:0]
 	o.total = TextStats{}
 	o.lines = 0
@@ -294,7 +338,12 @@ func (k *StatsKernel) Total() TextStats {
 // Lines returns the corpus-wide newline count.
 func (k *StatsKernel) Lines() int64 { return k.lines }
 
-const statsKernelTag = 'S'
+const (
+	analyzerKernelTag = 'A'
+	// fileStatsMinBytes is the least one per-file record encodes to: the
+	// name's length prefix, five stats, lines and unknown.
+	fileStatsMinBytes = 64
+)
 
 func encodeTextStats(e *scan.StateEncoder, st TextStats) {
 	e.Int(st.Tokens)
@@ -314,23 +363,36 @@ func decodeTextStats(d *scan.StateDecoder) TextStats {
 	}
 }
 
-// Snapshot implements scan.StateCodec: the accumulated per-file stats,
-// totals and line count.
+// lexiconFlag is what the state records about the kernel's configuration:
+// whether its Unknown counts were taken against a lexicon.
+func (k *StatsKernel) lexiconFlag() int {
+	if k.tagger != nil {
+		return 1
+	}
+	return 0
+}
+
+// Snapshot implements scan.StateCodec: the accumulated per-file records,
+// totals and line count. The lexicon itself is configuration, not state —
+// both sides of a transfer must build their kernels from the same spec,
+// and Restore rejects a payload whose lexicon flag disagrees.
 func (k *StatsKernel) Snapshot() ([]byte, error) {
-	// tag, count, per file: name length + name, five stats, lines;
-	// then the totals' five stats and lines.
-	size := 1 + 8 + 56*len(k.files) + 48
+	// tag, lexicon flag, count, per file: name length + name, five stats,
+	// lines, unknown; then the totals' five stats and lines.
+	size := 1 + 8 + 8 + fileStatsMinBytes*len(k.files) + 48
 	for i := range k.files {
 		size += len(k.files[i].Name)
 	}
 	var e scan.StateEncoder
 	e.Grow(size)
-	e.Tag(statsKernelTag)
+	e.Tag(analyzerKernelTag)
+	e.Int(k.lexiconFlag())
 	e.Int(len(k.files))
 	for _, f := range k.files {
 		e.Str(f.Name)
 		encodeTextStats(&e, f.Stats)
 		e.I64(f.Lines)
+		e.Int(f.Unknown)
 	}
 	encodeTextStats(&e, k.total)
 	e.I64(k.lines)
@@ -340,11 +402,15 @@ func (k *StatsKernel) Snapshot() ([]byte, error) {
 // Restore implements scan.StateCodec.
 func (k *StatsKernel) Restore(state []byte) error {
 	d := scan.NewStateDecoder(state)
-	d.Tag(statsKernelTag)
-	n := d.Len()
+	d.Tag(analyzerKernelTag)
+	lex := d.Int()
+	if d.Err() == nil && lex != k.lexiconFlag() {
+		return errs.Invalid("textproc: analyzer kernel state has lexicon flag %d, kernel has %d", lex, k.lexiconFlag())
+	}
+	n := d.Len(fileStatsMinBytes)
 	files := make([]FileStats, 0, n)
 	for i := 0; i < n; i++ {
-		files = append(files, FileStats{Name: d.Str(), Stats: decodeTextStats(d), Lines: d.I64()})
+		files = append(files, FileStats{Name: d.Str(), Stats: decodeTextStats(d), Lines: d.I64(), Unknown: d.Int()})
 	}
 	total := decodeTextStats(d)
 	lines := d.I64()
@@ -504,7 +570,7 @@ func (k *MatchKernel) Restore(state []byte) error {
 	if d.Err() == nil && np != k.ms.NumPatterns() {
 		return errs.Invalid("textproc: match kernel state has %d patterns, searcher has %d", np, k.ms.NumPatterns())
 	}
-	n := d.Len()
+	n := d.Len(16 + 8*np) // name length, bytes, one count per pattern
 	files := make([]FilePatternCount, 0, n)
 	var arena scan.Int64Arena
 	row := make([]int64, np)

@@ -1,10 +1,6 @@
-package workload
+package textproc
 
-import (
-	"bytes"
-
-	"repro/internal/textproc"
-)
+import "bytes"
 
 const (
 	wordMemoSize   = 1024 // power of two, ~18 kB per fork
@@ -22,7 +18,7 @@ type wordMemoEntry struct {
 // tokens — so most KnownWord calls (a byte pre-scan plus a map probe)
 // collapse into a hash, one length check and a ≤16-byte compare.
 // Membership is a pure function of the word's bytes, so the memo cannot
-// change any answer; it is embedded per-kernel (not on the shared
+// change any answer; it belongs to one kernel fork (not to the shared
 // read-only Tagger) so concurrent forks never share mutable state. Each
 // entry copies the word's bytes: the looked-up slice borrows the scanned
 // block (possibly a memory mapping) and must not be retained.
@@ -32,7 +28,7 @@ type wordMemo struct {
 
 // known answers lexicon membership for word through the memo, consulting
 // the tagger on a miss.
-func (m *wordMemo) known(t *textproc.Tagger, word []byte) bool {
+func (m *wordMemo) known(t *Tagger, word []byte) bool {
 	if len(word) > wordMemoMaxLen {
 		return t.KnownWord(word)
 	}

@@ -30,7 +30,7 @@ func cancelCorpus(n int) *FS {
 // over the same FS is byte-identical to a never-cancelled one.
 func TestBuildManifestCtxCancellation(t *testing.T) {
 	fs := cancelCorpus(64)
-	want, err := BuildManifest(fs)
+	want, err := BuildManifestCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,23 +57,6 @@ func TestBuildManifestCtxCancellation(t *testing.T) {
 	}
 }
 
-func TestCombinedChecksumCtxCancellation(t *testing.T) {
-	fs := cancelCorpus(32)
-	want, err := CombinedChecksum(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := CombinedChecksumCtx(cancelled, fs); !errors.Is(err, errs.ErrCancelled) {
-		t.Fatalf("cancelled combined checksum returned %v", err)
-	}
-	got, err := CombinedChecksumCtx(context.Background(), fs)
-	if err != nil || got != want {
-		t.Fatalf("post-cancel rerun: (%x, %v), want %x", got, err, want)
-	}
-}
-
 func TestExportPackCtxCancellation(t *testing.T) {
 	fs := cancelCorpus(16)
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -92,13 +75,12 @@ func TestExportPackCtxCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	want, err := CombinedChecksum(fs)
+	want, err := BuildManifestCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CombinedChecksum(back)
-	if err != nil || got != want {
-		t.Fatalf("pack round-trip after cancelled attempt: (%x, %v), want %x", got, err, want)
+	if err := want.Verify(back); err != nil {
+		t.Fatalf("pack round-trip after cancelled attempt: %v", err)
 	}
 }
 
@@ -115,7 +97,7 @@ func TestVfsErrNotFoundIsTyped(t *testing.T) {
 
 func TestManifestVerifyReportsCorrupt(t *testing.T) {
 	fs := cancelCorpus(4)
-	m, err := BuildManifest(fs)
+	m, err := BuildManifestCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,8 @@ import (
 // verification and fully deterministic.
 //
 // The corpus-wide operations here are thin wrappers over the fused scan
-// engine: BuildManifest and Manifest.Verify run a checksum-only scan.Run
-// (pooled block buffers and recycled kernel sets replace the per-file
-// hasher/window allocations the old loop paid), and CombinedChecksum is a
-// combined-checksum kernel under scan.RunOrdered (the fold order defines
-// the value, so it keeps List order with windowed content prefetch).
+// engine: BuildManifestCtx and Manifest.VerifyCtx run a checksum-only
+// scan.Run, each file opened and streamed exactly once.
 
 // copyBufPool recycles the streaming window used by single-file Checksum;
 // without it every io.Copy allocated a fresh 32 kB buffer.
@@ -80,30 +77,19 @@ func checksumScan(ctx context.Context, files []File, workers int) ([]scan.FileSu
 	return ck.Sums(), nil
 }
 
-// BuildManifest checksums every content-backed file of the file system via
-// a checksum-only fused scan over all CPUs. Each file's checksum depends
-// only on its own bytes, so the manifest is identical at any worker count.
-func BuildManifest(fs *FS) (Manifest, error) {
-	return BuildManifestWorkersCtx(context.Background(), fs, 0)
-}
-
-// BuildManifestCtx is BuildManifest with cancellation: checksum dispatch
-// stops once ctx is done and the call returns a typed cancellation error
-// (errors.Is against errs.ErrCancelled / errs.ErrDeadline).
+// BuildManifestCtx checksums every content-backed file of the file system
+// via a checksum-only fused scan over all CPUs. Each file's checksum
+// depends only on its own bytes, so the manifest is identical at any
+// worker count. Checksum dispatch stops once ctx is done and the call
+// returns a typed cancellation error (errors.Is against errs.ErrCancelled
+// / errs.ErrDeadline).
 func BuildManifestCtx(ctx context.Context, fs *FS) (Manifest, error) {
 	return BuildManifestWorkersCtx(ctx, fs, 0)
 }
 
-// BuildManifestWorkers is BuildManifest with an explicit worker count
-// (0 or negative means GOMAXPROCS); workers=1 is the serial reference.
-func BuildManifestWorkers(fs *FS, workers int) (Manifest, error) {
-	return BuildManifestWorkersCtx(context.Background(), fs, workers)
-}
-
-// BuildManifestWorkersCtx is the cancellable, worker-bounded manifest
-// builder all the other forms delegate to. A run that completes without
-// cancellation is bit-identical to the non-ctx variants at any worker
-// count.
+// BuildManifestWorkersCtx is BuildManifestCtx with an explicit worker
+// count (0 or negative means GOMAXPROCS); workers=1 is the serial
+// reference.
 func BuildManifestWorkersCtx(ctx context.Context, fs *FS, workers int) (Manifest, error) {
 	files := fs.List()
 	sums, err := checksumScan(ctx, files, workers)
@@ -167,32 +153,4 @@ func (m Manifest) VerifyCtx(ctx context.Context, fs *FS) error {
 		}
 	}
 	return nil
-}
-
-// CombinedChecksum hashes the concatenation of all files in List order —
-// the whole-corpus identity. Two file systems holding the same bytes in
-// the same order (regardless of file boundaries) produce the same value,
-// which is exactly the reshaping invariant: merging files moves boundaries
-// but never bytes.
-//
-// The hash itself is inherently sequential (each byte folds into the
-// running state), so this cannot be a per-file parallel scan; it is a
-// combined-checksum kernel under scan.RunOrdered, which prefetches a
-// window of upcoming files concurrently while earlier bytes fold in List
-// order. The resulting value is bit-identical to the fully serial fold.
-func CombinedChecksum(fs *FS) (uint64, error) {
-	return CombinedChecksumCtx(context.Background(), fs)
-}
-
-// CombinedChecksumCtx is CombinedChecksum with cancellation: the context
-// is checked between prefetch windows (and inside the read-ahead fan-out),
-// so an abort lands within one window of work. A run that completes is
-// bit-identical to the non-ctx form.
-func CombinedChecksumCtx(ctx context.Context, fs *FS) (uint64, error) {
-	ck := scan.NewCombined()
-	// List order, not SequentialOrder: the fold order defines the value.
-	if err := scan.RunOrdered(ctx, Sources(fs.List()), scan.Options{}, ck); err != nil {
-		return 0, err
-	}
-	return ck.Sum(), nil
 }

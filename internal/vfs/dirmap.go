@@ -14,7 +14,12 @@ import (
 	"repro/internal/par"
 )
 
-// ImportDirMapped loads every regular file under dir — the same corpus
+// importChunkFiles is how many directory entries one import task loads:
+// enough to amortise the task's claim and its share of a slab, few enough
+// that a corpus of a few thousand files still spreads over every worker.
+const importChunkFiles = 256
+
+// ImportDirMappedCtx loads every regular file under dir — the same corpus
 // ImportDir builds — with a zero-copy raw view on every file alongside
 // its streaming content source. Scans over the returned FS take the
 // engine's borrowed-window path: no per-file opens during the scan, no
@@ -46,19 +51,9 @@ import (
 // streaming readers obtained from the FS are invalid after it runs, for
 // slab-backed files too (their streaming readers fail as loudly as the
 // mapped ones). Callers that need bytes past that point must copy them
-// first.
-func ImportDirMapped(dir string) (*FS, io.Closer, error) {
-	return ImportDirMappedCtx(context.Background(), dir)
-}
-
-// importChunkFiles is how many directory entries one import task loads:
-// enough to amortise the task's claim and its share of a slab, few enough
-// that a corpus of a few thousand files still spreads over every worker.
-const importChunkFiles = 256
-
-// ImportDirMappedCtx is ImportDirMapped with cancellation, checked
-// between files; on abort every mapping made so far is released before
-// the typed cancellation error is returned.
+// first. Cancellation is checked between files; on abort every mapping
+// made so far is released before the typed cancellation error is
+// returned.
 func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error) {
 	// Walk first, load second: the walk order defines the corpus exactly
 	// as ImportDir does (both visit each directory in lexical order), and

@@ -83,7 +83,7 @@ func testImportDirMappedMatchesImportDir(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, closer, err := ImportDirMapped(dir)
+	mapped, closer, err := ImportDirMappedCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func testMappedDirScanBitIdenticalToStreamingScan(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, closer, err := ImportDirMapped(dir)
+	mapped, closer, err := ImportDirMappedCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func testMappedDirScanBitIdenticalToStreamingScan(t *testing.T, dir string) {
 // every file arrives through its raw view.
 func TestImportDirMappedScanOpensNoFiles(t *testing.T) {
 	dir := dirTestTree(t, 12)
-	mapped, closer, err := ImportDirMapped(dir)
+	mapped, closer, err := ImportDirMappedCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestImportDirMappedCancelMidImportReleasesMappings(t *testing.T) {
 	}
 	// A completed import holds one mapping per large file (none on the
 	// no-mmap build) and its closer releases them all.
-	_, closer, err := ImportDirMapped(dir)
+	_, closer, err := ImportDirMappedCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestImportDirMappedSizeDriftIsCorrupt(t *testing.T) {
 	if err := os.Symlink(grower, filepath.Join(dir, "grower.txt")); err != nil {
 		t.Skipf("cannot symlink: %v", err)
 	}
-	_, _, err := ImportDirMapped(dir)
+	_, _, err := ImportDirMappedCtx(context.Background(), dir)
 	if !errors.Is(err, errs.ErrCorrupt) {
 		t.Fatalf("import over a file that outgrew its stat returned %v, want ErrCorrupt", err)
 	}
@@ -309,7 +309,7 @@ func TestImportDirMappedSizeDriftIsCorrupt(t *testing.T) {
 // both the mmap and fallback builds.
 func TestImportDirMappedCloseInvalidatesStreaming(t *testing.T) {
 	dir := dirTestTree(t, 6)
-	mapped, closer, err := ImportDirMapped(dir)
+	mapped, closer, err := ImportDirMappedCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,9 @@ func (o *PackOptions) fillDefaults() {
 }
 
 // ExportPack writes every content-backed file into pack shards under
-// dir, in List order, and returns the shard paths. Like CombinedChecksum
-// the expensive part — materialising content — runs ahead concurrently
-// in a bounded window while members are appended strictly in order, so
+// dir, in List order, and returns the shard paths. The expensive part —
+// materialising content — runs ahead concurrently in a bounded window
+// while members are appended strictly in order, so
 // the shards are byte-reproducible: the same FS always produces the same
 // pack files.
 func (fs *FS) ExportPack(dir string, opts PackOptions) ([]string, error) {
@@ -130,37 +130,27 @@ func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (
 	return sw.Paths(), nil
 }
 
-// ImportPack opens pack files — given directly or discovered as "*.pack"
-// under directory arguments — into an FS whose files read straight out
-// of the packs via shared handles: no per-member descriptors, O(1)
-// random access to any member. The returned closer releases the pack
-// handles; files obtained from the FS fail after it is closed.
-func ImportPack(sources ...string) (*FS, io.Closer, error) {
-	return ImportPackCtx(context.Background(), sources...)
-}
-
-// ImportPackCtx is ImportPack with cancellation, checked between pack
-// discovery and between member registrations; on abort any packs opened
-// so far are closed before the typed cancellation error is returned.
+// ImportPackCtx opens pack files — given directly or discovered as
+// "*.pack" under directory arguments — into an FS whose files read
+// straight out of the packs via shared handles: no per-member
+// descriptors, O(1) random access to any member. The returned closer
+// releases the pack handles; files obtained from the FS fail after it is
+// closed. Cancellation is checked between pack discovery and between
+// member registrations; on abort any packs opened so far are closed
+// before the typed cancellation error is returned.
 func ImportPackCtx(ctx context.Context, sources ...string) (*FS, io.Closer, error) {
 	return importPackCtx(ctx, false, sources...)
 }
 
-// ImportPackVerified is ImportPack with end-to-end read verification:
-// every member reader folds the payload through FNV-64a as it streams
-// and fails the read with ErrCorrupt — stage "verify", file = member
-// name — if the bytes do not match the checksum the pack index recorded
-// at export. The cost is one extra hash pass over whatever is actually
-// read; unread members cost nothing. This is the `-verify-reads` mode:
-// on-disk corruption (a flipped bit, a torn write) surfaces as a loud
-// typed failure at the first scan that touches it, instead of silently
-// skewing results.
-func ImportPackVerified(sources ...string) (*FS, io.Closer, error) {
-	return ImportPackVerifiedCtx(context.Background(), sources...)
-}
-
-// ImportPackVerifiedCtx is ImportPackVerified with cancellation,
-// checked at the same points as ImportPackCtx.
+// ImportPackVerifiedCtx is ImportPackCtx with end-to-end read
+// verification: every member reader folds the payload through FNV-64a as
+// it streams and fails the read with ErrCorrupt — stage "verify", file =
+// member name — if the bytes do not match the checksum the pack index
+// recorded at export. The cost is one extra hash pass over whatever is
+// actually read; unread members cost nothing. This is the
+// `-verify-reads` mode: on-disk corruption (a flipped bit, a torn write)
+// surfaces as a loud typed failure at the first scan that touches it,
+// instead of silently skewing results.
 func ImportPackVerifiedCtx(ctx context.Context, sources ...string) (*FS, io.Closer, error) {
 	return importPackCtx(ctx, true, sources...)
 }

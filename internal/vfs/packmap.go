@@ -9,24 +9,19 @@ import (
 	"repro/internal/packstore"
 )
 
-// ImportPackMapped opens pack files — given directly or discovered as
-// "*.pack" under directory arguments, exactly like ImportPack — through
-// memory-mapped readers, so every imported file carries a zero-copy raw
-// view of its bytes alongside the streaming content source. Scans over
-// the returned FS take the engine's borrowed-window path: no per-file
-// opens, no block-buffer copies, the kernels read straight out of the
-// page cache.
+// ImportPackMappedCtx opens pack files — given directly or discovered as
+// "*.pack" under directory arguments, exactly like ImportPackCtx —
+// through memory-mapped readers, so every imported file carries a
+// zero-copy raw view of its bytes alongside the streaming content source.
+// Scans over the returned FS take the engine's borrowed-window path: no
+// per-file opens, no block-buffer copies, the kernels read straight out
+// of the page cache.
 //
 // The returned closer unmaps every shard; all raw views (and streaming
 // readers) obtained from the FS are invalid after it runs. Callers that
-// need bytes past that point must copy them first.
-func ImportPackMapped(sources ...string) (*FS, io.Closer, error) {
-	return ImportPackMappedCtx(context.Background(), sources...)
-}
-
-// ImportPackMappedCtx is ImportPackMapped with cancellation, checked
-// between pack opens and member registrations; on abort every mapping
-// made so far is released before the typed cancellation error is
+// need bytes past that point must copy them first. Cancellation is
+// checked between pack opens and member registrations; on abort every
+// mapping made so far is released before the typed cancellation error is
 // returned.
 func ImportPackMappedCtx(ctx context.Context, sources ...string) (*FS, io.Closer, error) {
 	paths, err := resolvePackPaths(ctx, sources...)

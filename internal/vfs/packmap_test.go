@@ -19,12 +19,12 @@ func TestImportPackMappedMatchesImportPack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain, plainCloser, err := ImportPack(dir)
+	plain, plainCloser, err := ImportPackCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plainCloser.Close()
-	mapped, mappedCloser, err := ImportPackMapped(dir)
+	mapped, mappedCloser, err := ImportPackMappedCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +81,12 @@ func TestMappedScanBitIdenticalToCopyingScan(t *testing.T) {
 	if _, err := fs.ExportPack(dir, PackOptions{Prefix: "t", ShardSize: 32 * 1024}); err != nil {
 		t.Fatal(err)
 	}
-	plain, plainCloser, err := ImportPack(dir)
+	plain, plainCloser, err := ImportPackCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plainCloser.Close()
-	mapped, mappedCloser, err := ImportPackMapped(dir)
+	mapped, mappedCloser, err := ImportPackMappedCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestImportPackMappedCloseInvalidatesStreaming(t *testing.T) {
 	if _, err := fs.ExportPack(dir, PackOptions{Prefix: "t"}); err != nil {
 		t.Fatal(err)
 	}
-	mapped, closer, err := ImportPackMapped(dir)
+	mapped, closer, err := ImportPackMappedCtx(context.Background(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}

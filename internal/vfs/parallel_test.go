@@ -1,17 +1,15 @@
 package vfs
 
 import (
+	"context"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
 // contentFS builds a file system of deterministic pseudo-random content
-// files, including empty files and one above the CombinedChecksum prefetch
-// cap so the streaming fold path is exercised.
+// files, including empty files and one several scan blocks long.
 func contentFS(t *testing.T, n int) *FS {
 	t.Helper()
 	fs := NewFS()
@@ -37,12 +35,12 @@ func contentFS(t *testing.T, n int) *FS {
 
 func TestBuildManifestWorkerCountInvariant(t *testing.T) {
 	fs := contentFS(t, 120)
-	serial, err := BuildManifestWorkers(fs, 1)
+	serial, err := BuildManifestWorkersCtx(context.Background(), fs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 16} {
-		m, err := BuildManifestWorkers(fs, workers)
+		m, err := BuildManifestWorkersCtx(context.Background(), fs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -52,39 +50,6 @@ func TestBuildManifestWorkerCountInvariant(t *testing.T) {
 	}
 	if err := serial.Verify(fs); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCombinedChecksumMatchesSerialFold(t *testing.T) {
-	fs := contentFS(t, 120)
-	// Reference: the plain sequential fold the windowed version replaces.
-	h := fnv.New64a()
-	for _, f := range fs.List() {
-		r, err := f.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.Copy(h, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := h.Sum64()
-	got, err := CombinedChecksum(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("combined checksum %x != serial fold %x", got, want)
-	}
-}
-
-func TestCombinedChecksumMetadataOnlyFails(t *testing.T) {
-	fs := NewFS()
-	if err := fs.Add(NewFile("meta.bin", 10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CombinedChecksum(fs); err == nil {
-		t.Error("expected error for metadata-only file")
 	}
 }
 

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -47,7 +48,7 @@ func TestImportExportImportRoundTrip(t *testing.T) {
 	if fs1.Len() != len(files) {
 		t.Fatalf("imported %d files, want %d", fs1.Len(), len(files))
 	}
-	manifest, err := BuildManifest(fs1)
+	manifest, err := BuildManifestCtx(context.Background(), fs1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +81,6 @@ func TestImportExportImportRoundTrip(t *testing.T) {
 	if err := manifest.Verify(fs2); err != nil {
 		t.Fatalf("manifest verify over re-import: %v", err)
 	}
-	c1, err := CombinedChecksum(fs1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := CombinedChecksum(fs2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatalf("combined checksum changed across round-trip: %x != %x", c1, c2)
-	}
 }
 
 func TestManifestVerifyDetectsOnDiskCorruption(t *testing.T) {
@@ -100,7 +90,7 @@ func TestManifestVerifyDetectsOnDiskCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := BuildManifest(fs1)
+	manifest, err := BuildManifestCtx(context.Background(), fs1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +170,8 @@ func TestReadPathsDoNotLeakDescriptors(t *testing.T) {
 	}
 	before := openFDs(t)
 
-	// Every disk-touching read path: ReadAll, Checksum, BuildManifest,
-	// CombinedChecksum, Concat streaming.
+	// Every disk-touching read path: ReadAll, Checksum, BuildManifestCtx,
+	// Concat streaming.
 	for _, f := range fs.List() {
 		if _, err := f.ReadAll(); err != nil {
 			t.Fatal(err)
@@ -190,10 +180,7 @@ func TestReadPathsDoNotLeakDescriptors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := BuildManifest(fs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CombinedChecksum(fs); err != nil {
+	if _, err := BuildManifestCtx(context.Background(), fs); err != nil {
 		t.Fatal(err)
 	}
 	merged := Concat("unit", fs.List())

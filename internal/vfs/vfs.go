@@ -106,7 +106,7 @@ func (f File) Locality() (shard string, offset int64) { return f.shard, f.shardO
 // WithRawBytes returns a copy of the file annotated with a borrowed
 // zero-copy view of its complete content. data must hold exactly Size
 // bytes and must stay valid and immutable for as long as the file is
-// scanned — ImportPackMapped sets this to a window of the shard mapping,
+// scanned — ImportPackMappedCtx sets this to a window of the shard mapping,
 // valid until the import's closer runs. Scans given a raw view skip the
 // streaming Open path entirely.
 func (f File) WithRawBytes(data []byte) File {

@@ -8,17 +8,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestComplexityKernelConformance pins the portable-state contract for
-// the per-file complexity kernel: the POS histogram and OOV rate are
-// computed per file before transfer, so the carried state is pure
-// accumulation and folds bit-identically.
-func TestComplexityKernelConformance(t *testing.T) {
-	kerneltest.Conformance(t, workload.NewComplexityKernel(textproc.NewTagger()), nil)
-}
-
 // TestStatsComplexityKernelConformance pins the portable-state contract
-// for the fused stats+complexity kernel — the production configuration
-// of the distributed scan.
+// on what the constructor the frozen benchmark harness names returns: the
+// analyzer kernel with a lexicon, the production configuration of the
+// distributed scan.
 func TestStatsComplexityKernelConformance(t *testing.T) {
 	kerneltest.Conformance(t, workload.NewStatsComplexityKernel(textproc.NewTagger()), nil)
 }

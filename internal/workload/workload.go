@@ -336,6 +336,13 @@ func ComplexityOf(text []byte, tagger *textproc.Tagger) float64 {
 	return ComplexityFromStats(st, oov)
 }
 
+// NewStatsComplexityKernel returns the analyzer kernel over the tagger's
+// lexicon. It exists for benchmark/probes.go, which names it; everything
+// else calls textproc.NewAnalyzerKernel.
+func NewStatsComplexityKernel(t *textproc.Tagger) *textproc.StatsKernel {
+	return textproc.NewAnalyzerKernel(t)
+}
+
 // parThreshold is the item count above which Estimate fans the per-item
 // cost sum out across CPUs; below it the pool overhead exceeds the win.
 const parThreshold = 2048

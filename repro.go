@@ -30,6 +30,9 @@
 package repro
 
 import (
+	"context"
+	"io"
+
 	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -71,7 +74,9 @@ type (
 )
 
 // Measure runs one fused scan over every file of a content-backed corpus.
-var Measure = core.Measure
+func Measure(corpusFS *FS, opts MeasureOptions) (*Measurement, error) {
+	return core.MeasureCtx(context.Background(), corpusFS, opts)
+}
 
 // MeasureCtx is Measure with cancellation.
 var MeasureCtx = core.MeasureCtx
@@ -98,13 +103,17 @@ var ImportDir = vfs.ImportDir
 
 // ImportPack opens pack shards into a virtual file system whose files
 // stream through shared per-shard handles.
-var ImportPack = vfs.ImportPack
+func ImportPack(sources ...string) (*FS, io.Closer, error) {
+	return vfs.ImportPackCtx(context.Background(), sources...)
+}
 
 // ImportPackMapped opens pack shards memory-mapped: every imported file
 // carries a zero-copy view of its bytes, so fused scans read borrowed
 // windows of the mapping instead of copying through block buffers. The
 // returned closer unmaps the shards and invalidates all views.
-var ImportPackMapped = vfs.ImportPackMapped
+func ImportPackMapped(sources ...string) (*FS, io.Closer, error) {
+	return vfs.ImportPackMappedCtx(context.Background(), sources...)
+}
 
 // HTML18Mil returns the HTML news-corpus spec at the given scale
 // (1.0 = the paper's 18 million files).

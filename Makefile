@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nommap test-scandebug verify verify-quick bench-smoke bench-pack bench-repo-test serve-smoke dist-smoke chaos-smoke clean
+.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-pack bench-repo-test serve-smoke dist-smoke chaos-smoke clean
 
 all: build
 
@@ -40,6 +40,17 @@ verify:
 verify-quick:
 	$(GO) build ./...
 	$(GO) test ./...
+
+# fuzz-smoke gives each fuzz target the scan kernels' correctness rests on
+# a short budget of fresh inputs: the analyzer against Analyze, Tokenize
+# and TagText at window-straddling block sizes, the lexicon key set
+# against the map, both searcher engines against the reference walk. The
+# committed seeds already run under plain `go test`. (go test takes one
+# -fuzz target per run.)
+fuzz-smoke:
+	for target in FuzzStreamAnalyzerBlockSplit FuzzKnownWord FuzzMultiSearcherBlockSplit; do \
+		$(GO) test ./internal/textproc -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s || exit 1; \
+	done
 
 # bench-smoke runs every benchmark exactly once — an execution check, not a
 # measurement.

@@ -19,6 +19,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/provision"
 	"repro/internal/scan"
+	"repro/internal/scan/kerneltest"
 	"repro/internal/stats"
 	"repro/internal/textproc"
 	"repro/internal/vfs"
@@ -537,20 +538,33 @@ func BenchmarkRetrievalSegmentation(b *testing.B) {
 // --- Per-kernel compute: one kernel, one 1 MB block, no engine. ---
 // These are the hot-loop throughput numbers the kernel-compute rework is
 // held to; benchmark/probes.go measures the same cycle over each
-// workload's own bytes.
+// workload's own bytes. Every kernel runs over three shapes of the same
+// text: "plain" as the generator emits it (lowercase, newline-free ASCII
+// with only ',' and '.'), which is all the repository benchmark scans;
+// "wrapped" through kerneltest.Prose (72-column lines, tab-indented
+// paragraphs, capitalised sentences, an 'é' every 8 KB or so); and
+// "accented", the same with an 'é' every 40 bytes or so — a tokenizer can
+// be fast on the first and slow on the others.
 
 func benchKernelPerMB(b *testing.B, mk func() scan.Kernel) {
 	b.Helper()
-	text := corpus.NewGenerator(corpus.NewsStyle(), 6).Text(1 << 20)
-	src := scan.Source{Name: "kernel-1mb", Size: int64(len(text))}
-	k := mk()
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Begin(src)
-		k.Block(text)
-		k.End()
+	plain := corpus.NewGenerator(corpus.NewsStyle(), 6).Text(1 << 20)
+	for _, shape := range []struct {
+		name string
+		text []byte
+	}{{"plain", plain}, {"wrapped", kerneltest.Prose(plain, 1000)}, {"accented", kerneltest.Prose(plain, 4)}} {
+		b.Run(shape.name, func(b *testing.B) {
+			src := scan.Source{Name: "kernel-1mb", Size: int64(len(shape.text))}
+			k := mk()
+			b.SetBytes(int64(len(shape.text)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Begin(src)
+				k.Block(shape.text)
+				k.End()
+			}
+		})
 	}
 }
 

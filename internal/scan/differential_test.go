@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/scan"
 	"repro/internal/scan/kerneltest"
 	"repro/internal/textproc"
@@ -64,6 +65,17 @@ func diffCorpus(t *testing.T, n int) *vfs.FS {
 // unknown words.
 func TestFusedScanMatchesReferenceImplementations(t *testing.T) {
 	fs := diffCorpus(t, 30)
+	// The pieces above make files of a hundred bytes or so; the analyzer's
+	// window loop wants longer stretches, in every shape of text the
+	// kernel microbenchmarks run over.
+	plain := corpus.NewGenerator(corpus.NewsStyle(), 19).Text(24_000)
+	for name, data := range map[string][]byte{
+		"prose-plain": plain[:9_000], "prose-wrapped": kerneltest.Prose(plain, 1000), "prose-accented": kerneltest.Prose(plain[9_000:], 4),
+	} {
+		if err := fs.Add(vfs.BytesFile(name, data)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	files := fs.List()
 	tagger := textproc.NewTagger()
 

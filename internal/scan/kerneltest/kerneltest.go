@@ -22,9 +22,11 @@ import (
 // BlockSizes are the streaming windows conformance runs at: one byte at
 // a time (every state transition crosses a Block boundary), tiny prime
 // windows that misalign multi-byte tokens and the kernels' word-at-a-time
-// fast paths, the page-ish window, and one larger than any sample file
-// (the whole file in one Block call).
-var BlockSizes = []int{1, 3, 7, 4096, 1 << 20}
+// fast paths, a prime just past the analyzer's 64-byte stride (every
+// block ends inside one of its windows, too short for a second), the
+// page-ish window, and one larger than any sample file (the whole file in
+// one Block call).
+var BlockSizes = []int{1, 3, 7, 67, 4096, 1 << 20}
 
 // SampleContents returns a corpus exercising the usual hazards: an empty
 // file, boundary-straddling tokens, multi-byte runes, sentence
@@ -38,6 +40,50 @@ func SampleContents() [][]byte {
 		[]byte("naïve café résumé — “curly” quotes and …ellipsis… 日本語のテキスト"),
 		bytes.Repeat([]byte("the error rate is 0.07 per file. Sentences vary! Do they? Yes.\n"), 200),
 	}
+}
+
+// Prose reshapes the corpus generator's text — lowercase, newline-free
+// ASCII whose only punctuation is ',' and '.' — into what written text
+// looks like to a tokenizer, deterministically: lines wrapped at 72
+// columns, every eighth one indented with a tab as a paragraph's first,
+// sentence starts capitalised, and every accentEvery-th 'e' an 'é' — 1000
+// for English with the odd loanword, 4 for the one accented letter per 40
+// bytes or so of French.
+func Prose(text []byte, accentEvery int) []byte {
+	out := make([]byte, 0, len(text)+len(text)/64)
+	lineStart, lastSpace, lines, es := 0, -1, 0, 0
+	capital := true
+	for _, c := range text {
+		switch {
+		case c == '.' || c == '!' || c == '?':
+			capital = true
+		case capital && c >= 'a' && c <= 'z':
+			c -= 'a' - 'A'
+			capital = false
+		}
+		if c == ' ' {
+			lastSpace = len(out)
+		}
+		if c == 'e' {
+			es++
+		}
+		if c == 'e' && es%accentEvery == 0 {
+			out = append(out, "é"...)
+			lineStart++ // two bytes, one column
+		} else {
+			out = append(out, c)
+		}
+		if len(out)-lineStart > 72 && lastSpace >= lineStart {
+			out[lastSpace] = '\n'
+			lineStart = lastSpace + 1
+			if lines++; lines%8 == 0 {
+				out = append(out, 0)
+				copy(out[lineStart+1:], out[lineStart:])
+				out[lineStart] = '\t'
+			}
+		}
+	}
+	return out
 }
 
 func sources(contents [][]byte) []scan.Source {

@@ -70,3 +70,32 @@ func TestClassesAreDisjointWhereExpected(t *testing.T) {
 		}
 	}
 }
+
+// TestSWARMasksMatchClassTable: over every ASCII byte in every lane, next
+// to neighbours from the other classes, the window loop's eight-at-a-time
+// masks say exactly what the per-byte tables say.
+func TestSWARMasksMatchClassTable(t *testing.T) {
+	for _, fill := range []byte{0x00, ' ', 'a', 'Z', '9', '\'', '\n', '.', 0x7f} {
+		for b := 0; b < 0x80; b++ {
+			for lane := uint(0); lane < 8; lane++ {
+				x := uint64(fill)*swarOnes&^(0xff<<(8*lane)) | uint64(b)<<(8*lane)
+				var wantWord, wantSpace uint64
+				for k := uint(0); k < 8; k++ {
+					c := byte(x >> (8 * k))
+					if isWordByte(c) {
+						wantWord |= 1 << k
+					}
+					if isSpaceByte(c) {
+						wantSpace |= 1 << k
+					}
+				}
+				if got := movemask8(wordMask8(x)); got != wantWord {
+					t.Fatalf("word bits of %016x: %08b, want %08b", x, got, wantWord)
+				}
+				if got := movemask8(spaceMask8(x)); got != wantSpace {
+					t.Fatalf("space bits of %016x: %08b, want %08b", x, got, wantSpace)
+				}
+			}
+		}
+	}
+}

@@ -2,7 +2,10 @@ package textproc
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"repro/internal/scan"
 )
 
 // fuzzSearcherSets covers both engines and both folding modes: a small
@@ -96,49 +99,146 @@ func equalInt64s(a, b []int64) bool {
 	return true
 }
 
-// FuzzStreamAnalyzerBlockSplit pins block-split invariance for the fused
-// stats/complexity analyzer: stats, line count and the emitted word
-// sequence are identical whether the input arrives whole or in blocks of
-// any size — every word-run, chunk and sentence carry must survive the
-// boundary.
-func FuzzStreamAnalyzerBlockSplit(f *testing.F) {
-	f.Add([]byte("The quick brown fox. It jumps!\nhéllo wörld's end"), byte(3))
-	f.Add([]byte("a"), byte(1))
-	f.Add([]byte("\xc3\xa9\xc3\xa9 abc\xc3"), byte(2))
-	f.Add(bytes.Repeat([]byte("word "), 30), byte(7))
-	f.Add([]byte("...!?\n\n  \t"), byte(4))
-	f.Fuzz(func(t *testing.T, data []byte, bsRaw byte) {
-		bs := 1 + int(bsRaw)%13
-		feed := func(blocks bool) (TextStats, int64, string) {
-			var words bytes.Buffer
-			a := NewStreamAnalyzer(func(w []byte) {
-				words.Write(w)
-				words.WriteByte(0)
-			})
-			if blocks {
-				for i := 0; i < len(data); i += bs {
-					end := i + bs
-					if end > len(data) {
-						end = len(data)
-					}
-					a.Block(data[i:end])
-				}
-			} else {
-				a.Block(data)
+// windowHazards are what the window loop must not trip over: every kind
+// of whitespace and control byte, case, digits, apostrophes, sentence-end
+// runs, UTF-8 of every length, and punctuation with a continuation byte
+// right after it — one chunk to the tokenizer, so a window that ends on
+// the punctuation must leave it to the byte loop.
+var windowHazards = []string{
+	",\x80", ".\xa0", "!\xbf\x80", "\x00\x80",
+	"\n", "\t", "\r", "\x0b", "\x00", "London", "THE", "1984", "don't", "'''",
+	"é", "日", "\U0001F600", "\x80", "...!?", ". ", "!\n\n?",
+}
+
+var windowFiller = []byte("the people of the city said that a good year is a long time to wait for it ")
+
+// fill appends filler prose to seed until it is n bytes long.
+func fill(seed []byte, n int) []byte {
+	for len(seed) < n {
+		seed = append(seed, windowFiller[len(seed)%len(windowFiller)])
+	}
+	return seed
+}
+
+// hazardAt is prose with one hazard at byte off and the windows the loop
+// needs after it. The stream is pure ASCII up to the hazard, so fed whole
+// its windows sit at multiples of windowBytes and off picks the hazard's
+// place in one: first byte, lane boundary (7, 8), last byte (63).
+func hazardAt(hazard string, off int) []byte {
+	seed := append(fill(nil, off), hazard...)
+	return fill(seed, len(seed)+2*windowBytes+lexKeyMax)
+}
+
+// windowSeed is a fuzz seed with every hazard, one per window at the given
+// offset into it. (A hazard with a byte >= 0x80 sends the stream through
+// the byte loop and the windows after it start wherever that stops;
+// TestStreamAnalyzerWindowHazards places each hazard exactly.)
+func windowSeed(off int) []byte {
+	var seed []byte
+	for w, h := range windowHazards {
+		seed = append(fill(seed, w*windowBytes+off), h...)
+	}
+	return fill(seed, len(seed)+windowBytes+lexKeyMax)
+}
+
+// analyzerOracleDiff holds the analyzer to its oracles over data fed in
+// blocks of each given size: statistics equal Analyze, lines equal the
+// newline count, the emitted words equal Tokenize's non-punctuation
+// tokens, and the kernel's lexicon count equals TagText's Unknown. It
+// returns the first difference, or "".
+func analyzerOracleDiff(tagger *Tagger, data []byte, blockSizes ...int) string {
+	want := Analyze(data)
+	wantLines := int64(bytes.Count(data, []byte("\n")))
+	var wantWords bytes.Buffer
+	for _, tok := range Tokenize(data) {
+		if !tok.Punct {
+			wantWords.WriteString(tok.Text)
+			wantWords.WriteByte(0)
+		}
+	}
+	_, tagged := tagger.TagText(data)
+	wantFile := FileStats{Name: "fuzz", Stats: want, Lines: wantLines, Unknown: tagged.Unknown}
+	for _, bs := range blockSizes {
+		var words bytes.Buffer
+		a := NewStreamAnalyzer(func(w []byte) {
+			words.Write(w)
+			words.WriteByte(0)
+		})
+		k := NewAnalyzerKernel(tagger)
+		k.Begin(scan.Source{Name: "fuzz", Size: int64(len(data))})
+		for i := 0; i < len(data); i += bs {
+			a.Block(data[i:min(i+bs, len(data))])
+			k.Block(data[i:min(i+bs, len(data))])
+		}
+		k.End()
+		if st, lines := a.Finish(); st != want || lines != wantLines {
+			return fmt.Sprintf("block size %d: callback analyzer has %+v and %d lines, Analyze %+v and %d", bs, st, lines, want, wantLines)
+		}
+		if words.String() != wantWords.String() {
+			return fmt.Sprintf("block size %d: words %q, Tokenize %q", bs, words.String(), wantWords.String())
+		}
+		if got := k.Files()[0]; got != wantFile {
+			return fmt.Sprintf("block size %d: lexicon kernel has %+v, want %+v", bs, got, wantFile)
+		}
+	}
+	return ""
+}
+
+// TestStreamAnalyzerWindowHazards puts every hazard at every offset of the
+// window loop's first two windows and the margin after them, fed whole and
+// in blocks that end inside a window.
+func TestStreamAnalyzerWindowHazards(t *testing.T) {
+	tagger := NewTagger()
+	for _, h := range windowHazards {
+		for off := 0; off <= 2*windowBytes+lexKeyMax; off++ {
+			data := hazardAt(h, off)
+			if diff := analyzerOracleDiff(tagger, data, len(data), 67, 81, 150); diff != "" {
+				t.Errorf("%q at offset %d: %s", h, off, diff)
 			}
-			st, lines := a.Finish()
-			return st, lines, words.String()
 		}
-		wantSt, wantLines, wantWords := feed(false)
-		gotSt, gotLines, gotWords := feed(true)
-		if gotSt != wantSt {
-			t.Fatalf("block size %d: stats %+v, contiguous %+v", bs, gotSt, wantSt)
+	}
+}
+
+// FuzzStreamAnalyzerBlockSplit pins the analyzer to its oracles on
+// arbitrary bytes at block sizes that straddle the window loop's 64-byte
+// stride and its margin — every word-run, chunk, sentence and window
+// hand-over must survive the boundary.
+func FuzzStreamAnalyzerBlockSplit(f *testing.F) {
+	f.Add([]byte("The quick brown fox. It jumps!\nhéllo wörld's end"), uint16(3))
+	f.Add([]byte("a"), uint16(1))
+	f.Add([]byte("\xc3\xa9\xc3\xa9 abc\xc3"), uint16(2))
+	f.Add(bytes.Repeat([]byte("word "), 30), uint16(7))
+	f.Add([]byte("...!?\n\n  \t"), uint16(4))
+	for _, off := range []int{0, 7, 8, 63} {
+		f.Add(windowSeed(off), uint16(66+off))
+		for _, h := range windowHazards[:2] {
+			f.Add(hazardAt(h, off), uint16(299))
+			f.Add(hazardAt(h, windowBytes+off), uint16(299))
 		}
-		if gotLines != wantLines {
-			t.Fatalf("block size %d: lines %d, contiguous %d", bs, gotLines, wantLines)
+	}
+	f.Add(bytes.Repeat([]byte("Supercalifragilistic"), 20), uint16(150))
+	// Dense with bytes >= 0x80: the window loop keeps coming back
+	// empty-handed and the byte loop's stints double.
+	f.Add(bytes.Repeat([]byte("the café of the naïve people said that 日本 is far. "), 60), uint16(299))
+	tagger := NewTagger()
+	f.Fuzz(func(t *testing.T, data []byte, bsRaw uint16) {
+		if diff := analyzerOracleDiff(tagger, data, 63, 64, 65, 79, 80, 81, 1+int(bsRaw)%300, len(data)+1); diff != "" {
+			t.Fatal(diff)
 		}
-		if gotWords != wantWords {
-			t.Fatalf("block size %d: words %q, contiguous %q", bs, gotWords, wantWords)
+	})
+}
+
+// FuzzKnownWord pins the frozen key set to the lexicon map on arbitrary
+// bytes: NULs, non-ASCII, over-long words and all.
+func FuzzKnownWord(f *testing.F) {
+	for _, w := range []string{"the", "The", "london", "London", "international", "internationally", "\u212aNOW" /* Kelvin sign: ToLower gives "know" */, "the\x00", "", "don't", "é", "Él"} {
+		f.Add([]byte(w))
+	}
+	tagger := NewTagger()
+	f.Fuzz(func(t *testing.T, word []byte) {
+		_, want := tagger.lex[lowerWord(string(word))]
+		if got := tagger.KnownWord(word); got != want {
+			t.Fatalf("KnownWord(%q) = %v, the map says %v", word, got, want)
 		}
 	})
 }

@@ -26,6 +26,8 @@ type TaggedToken struct {
 // no shared state.
 type Tagger struct {
 	lex map[string][]lexicon.Tag
+	// set is lex's key set frozen for the scan path's membership tests.
+	set *lexSet
 	// trans[prev][cur] is the log-ish score of tag cur following prev.
 	trans map[lexicon.Tag]map[lexicon.Tag]float64
 }
@@ -35,6 +37,7 @@ type Tagger struct {
 // mirroring the model-load cost that motivates the paper's batch wrapper.
 func NewTagger() *Tagger {
 	t := &Tagger{lex: lexicon.Entries(), trans: make(map[lexicon.Tag]map[lexicon.Tag]float64)}
+	t.set = newLexSet(t.lex)
 	set := func(prev, cur lexicon.Tag, w float64) {
 		m, ok := t.trans[prev]
 		if !ok {
@@ -111,35 +114,18 @@ func lowerWord(word string) string {
 // KnownWord reports whether a word (raw token bytes) is in the lexicon —
 // the same membership test tagInto uses to count a token as Unknown, so
 // single-pass kernels can compute out-of-vocabulary rates identical to
-// TagText without tagging. Allocation-free for tokenizer-produced words:
-// the compiler elides the string conversion for map lookups, and ASCII
-// uppercase is folded through a stack buffer.
+// TagText without tagging. A word made of word bytes — every token the
+// tokenizer cuts from ASCII text — is answered by the frozen key set the
+// analyzer's window loop probes, without allocating; anything else (a
+// multi-byte rune chunk) takes the exact map lookup tagInto does.
 func (t *Tagger) KnownWord(word []byte) bool {
-	upper, wide := false, false
 	for _, c := range word {
-		if isUpperByte(c) {
-			upper = true
-		} else if c >= 0x80 {
-			wide = true
+		if !isWordByte(c) {
+			_, ok := t.lex[lowerWord(string(word))]
+			return ok
 		}
 	}
-	if !upper {
-		_, ok := t.lex[string(word)]
-		return ok
-	}
-	if wide || len(word) > 64 {
-		// Mixed ASCII-uppercase and multi-byte runes: defer to the exact
-		// lowerWord (Unicode-aware) path tagInto takes.
-		_, ok := t.lex[lowerWord(string(word))]
-		return ok
-	}
-	var buf [64]byte
-	b := buf[:len(word)]
-	for i, c := range word {
-		b[i] = foldTable[c]
-	}
-	_, ok := t.lex[string(b)]
-	return ok
+	return t.set.hasWord(word)
 }
 
 // GuessTag assigns a tag to an out-of-vocabulary word from surface clues:

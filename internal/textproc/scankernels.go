@@ -1,6 +1,9 @@
 package textproc
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"unicode"
 	"unicode/utf8"
 
@@ -12,24 +15,28 @@ import (
 // in arbitrary blocks, producing exactly what Analyze returns on the
 // concatenated bytes — the differential tests pin this bit-for-bit. The
 // cross-block carry is bounded: the in-flight token only (an open word's
-// bytes when a word callback is registered, or at most the first four
+// first lexKeyMax+1 bytes when a lexicon is set, or at most the first four
 // bytes of an open rune chunk); completed bytes are never re-buffered.
 //
-// An optional word callback observes every non-punctuation token as it
-// completes (word bytes are valid only during the call). That is how
-// StatsKernel counts out-of-vocabulary words in the same single pass,
-// without re-tokenising.
+// With a lexicon set the analyzer also counts the words that are not in
+// it — every non-punctuation token, exactly TagText's Unknown — in the
+// same pass. The word callback is the tests' view of the same tokens
+// (word bytes are valid only during the call); it alone carries an open
+// word's bytes without bound.
 type StreamAnalyzer struct {
 	onWord func(word []byte)
+	tagger *Tagger
 
-	st    TextStats
-	lines int64
+	st      TextStats
+	lines   int64
+	unknown int
 
 	sentWords    int // words in the current (open) sentence
 	tokensInSent int // tokens in the current (open) sentence
 
 	inWord  bool
-	wordBuf []byte // open word's bytes carried across blocks (callback mode only)
+	wordBuf []byte              // open word's bytes carried across blocks
+	carry   [lexKeyMax + 1]byte // wordBuf's storage in lexicon mode: one byte past the longest key says "too long"
 
 	inChunk  bool
 	chunkLen int     // total bytes in the open rune chunk (may exceed 4)
@@ -43,10 +50,11 @@ func NewStreamAnalyzer(onWord func(word []byte)) *StreamAnalyzer {
 }
 
 // Reset clears all accumulation so the analyzer can take a new stream.
-// The word callback and carry buffer capacity are retained.
+// The word consumer and carry buffer capacity are retained.
 func (a *StreamAnalyzer) Reset() {
 	a.st = TextStats{}
 	a.lines = 0
+	a.unknown = 0
 	a.sentWords = 0
 	a.tokensInSent = 0
 	a.inWord = false
@@ -60,79 +68,191 @@ func (a *StreamAnalyzer) Reset() {
 // and any other byte starts a chunk that absorbs following UTF-8
 // continuation bytes.
 //
-// The loop is structured for per-byte cost (DESIGN.md §12): cross-block
-// carries (an open chunk or word) can only be live for the first bytes of
-// a block, so they are resolved once up front instead of being tested on
-// every byte; the main loop then dispatches on the fused streamClass
-// table (one load, one jump) and word runs advance eight bytes at a time
-// through the SWAR scanner. The differential and conformance tests pin
-// the result bit-identical to Analyze at every block split.
+// Cross-block carries (an open chunk or word) can only be live for the
+// first bytes of a block, so they are resolved once up front. After that
+// the block alternates between two loops that hand over at token
+// boundaries: windows, which takes every 64-byte stretch of pure ASCII
+// with lexKeyMax readable bytes after it, the first of them ASCII, and the
+// per-byte streamClass loop, which takes the rest — a carried word's
+// continuation, a stretch with a byte >= 0x80 (only it knows rune chunks),
+// the block's tail. The differential, conformance and fuzz tests pin the
+// result bit-identical to Analyze at every block split.
 func (a *StreamAnalyzer) Block(p []byte) {
 	i, n := 0, len(p)
-	// An open rune chunk carried from the previous block absorbs any
-	// leading continuation bytes, then closes on the first byte that
-	// isn't one.
 	if a.inChunk {
-		for {
-			if i == n {
-				return
-			}
-			if p[i]&0xC0 != 0x80 {
-				break
-			}
-			if a.chunkLen < len(a.chunkBuf) {
-				a.chunkBuf[a.chunkLen] = p[i]
-			}
-			a.chunkLen++
-			i++
+		if i = a.chunkTail(p, 0); a.inChunk {
+			return
 		}
-		a.finishChunk()
 	}
 	// A word carried from the previous block either continues into this
-	// block (the main loop's word case extends it via wordBuf) or ends
+	// block (the byte loop's word case extends it via wordBuf) or ends
 	// right here with all its bytes already carried.
 	if a.inWord && i < n && !isWordByte(p[i]) {
 		a.endWord(nil)
 	}
-	for i < n {
-		c := p[i]
-		switch streamClass[c] {
-		case scWord:
-			start := i
-			i = wordRunEnd(p, i+1)
-			a.inWord = true
-			if i == n {
-				// Word still open at the block edge: carry its bytes (only
-				// needed when a callback wants them).
-				if a.onWord != nil {
-					a.wordBuf = append(a.wordBuf, p[start:]...)
-				}
-				return
+	// The byte loop takes one window's worth of bytes, then the window loop
+	// gets another look — twice as many each time it comes back empty-handed,
+	// so that text dense with bytes >= 0x80 does not pay for a
+	// classification it discards every 64 bytes; one window's worth again
+	// once it does not. Past 4 KiB a discarded look is 0.2 % of the byte
+	// loop's time and a longer stint would only keep ASCII from the window
+	// loop. A token that starts before lim is finished past it.
+	for stint := windowBytes; i < n; stint = min(2*stint, 64*windowBytes) {
+		if !a.inWord {
+			if next := a.windows(p, i); next > i {
+				i, stint = next, windowBytes
 			}
-			a.endWord(p[start:i])
-		case scSpace:
-			i++
-		case scNewline:
-			a.lines++
-			i++
-		default: // scOther: a rune chunk, absorbing continuation bytes inline
-			a.chunkBuf[0] = c
-			a.chunkLen = 1
-			i++
-			for i < n && p[i]&0xC0 == 0x80 {
-				if a.chunkLen < len(a.chunkBuf) {
-					a.chunkBuf[a.chunkLen] = p[i]
+		}
+		for lim := min(i+stint, n); i < lim; {
+			c := p[i]
+			switch streamClass[c] {
+			case scWord:
+				start := i
+				i = wordRunEnd(p, i+1)
+				if a.inWord = i == n; a.inWord {
+					a.carryWord(p[start:])
+				} else {
+					a.endWord(p[start:i])
 				}
-				a.chunkLen++
+			case scSpace:
 				i++
+			case scNewline:
+				a.lines++
+				i++
+			default: // scOther: a rune chunk
+				a.chunkBuf[0] = c
+				a.chunkLen = 1
+				i = a.chunkTail(p, i+1)
 			}
-			if i == n {
-				a.inChunk = true
-				return
-			}
-			a.finishChunk()
 		}
 	}
+}
+
+// chunkTail absorbs the open rune chunk's continuation bytes from p[i:]
+// and returns the index after them; the chunk closes there unless the
+// block ends first.
+func (a *StreamAnalyzer) chunkTail(p []byte, i int) int {
+	for ; i < len(p) && p[i]&0xC0 == 0x80; i++ {
+		if a.chunkLen < len(a.chunkBuf) {
+			a.chunkBuf[a.chunkLen] = p[i]
+		}
+		a.chunkLen++
+	}
+	if a.inChunk = i == len(p); !a.inChunk {
+		a.finishChunk()
+	}
+	return i
+}
+
+const windowBytes = 64
+
+// windows consumes p from the token boundary i in fixed 64-byte windows
+// and returns where the byte loop must take over: the first window it
+// cannot handle (a byte >= 0x80 in it or right after it, or too close to
+// the block's end), backed up to the start of the word still open there,
+// which it has not counted.
+//
+// Each window is classified by eight independent SWAR loads into two
+// bitmaps, one bit per byte — word bytes and whitespace — and the tokens
+// are read off those: a word ends where the word bits fall, so the
+// window's words are a popcount; every byte in neither map is a one-byte
+// token (punctuation, a control byte), a few per hundred bytes of prose,
+// and only those are visited one by one. The stride is fixed, so no
+// window's loads wait on the previous window's results. Newlines are
+// counted over the whole stretch at the end.
+func (a *StreamAnalyzer) windows(p []byte, i int) int {
+	from := i
+	open := i         // start of the word-byte run that reaches the window's base
+	prev := uint64(0) // 1 iff that run is not empty
+	words := 0        // completed words not yet folded into the counters
+	for ; i+windowBytes+lexKeyMax <= len(p); i += windowBytes {
+		var w, sp uint64
+		// The byte after counts: were it a continuation byte, a chunk that
+		// the window's last byte opens would absorb it.
+		any := uint64(p[i+windowBytes])
+		for l := uint(0); l < windowBytes; l += 8 {
+			x := binary.LittleEndian.Uint64(p[i+int(l):])
+			any |= x
+			w |= movemask8(wordMask8(x)) << l
+			sp |= movemask8(spaceMask8(x)) << l
+		}
+		if any&swarHigh != 0 {
+			break
+		}
+		other := ^(w | sp)
+		ends := ^w & (w<<1 | prev)
+		for ; other != 0; other &= other - 1 {
+			j := bits.TrailingZeros64(other)
+			before := uint64(2)<<j - 1 // a word that ends at byte j closed before it
+			words += bits.OnesCount64(ends & before)
+			ends &^= before
+			a.st.Tokens++
+			a.tokensInSent++
+			if ch := p[i+j]; ch == '.' || ch == '!' || ch == '?' {
+				a.addWords(words)
+				words = 0
+				a.closeSentence()
+			}
+		}
+		words += bits.OnesCount64(ends)
+		if a.tagger != nil || a.onWord != nil {
+			a.windowWords(p, i, w, prev, open)
+		}
+		if run := bits.LeadingZeros64(^w); run < windowBytes {
+			open = i + windowBytes - run
+		}
+		prev = w >> 63
+	}
+	a.addWords(words)
+	// The open word that [open, i) may hold has no newline in it.
+	a.lines += int64(bytes.Count(p[from:i], []byte{'\n'}))
+	return open
+}
+
+// windowWords hands the consumer every word that ends inside the window
+// at p[i:], whose word bytes are w; the first of them started at open, in
+// an earlier window, when prev is set. lexKeyMax bytes are readable from
+// any word's start: windows leaves that margin.
+func (a *StreamAnalyzer) windowWords(p []byte, i int, w, prev uint64, open int) {
+	starts, ends := w&^(w<<1|prev), ^w&(w<<1|prev)
+	if prev != 0 && ends != 0 {
+		a.emit(p[open : i+bits.TrailingZeros64(ends)])
+		ends &= ends - 1
+	}
+	// What is left pairs up in order: every end with a start in this window.
+	unknown := 0
+	win := (*[windowBytes + lexKeyMax]byte)(p[i:])
+	for ; ends != 0; starts, ends = starts&(starts-1), ends&(ends-1) {
+		s := bits.TrailingZeros64(starts)
+		switch n := bits.TrailingZeros64(ends) - s; {
+		case a.onWord != nil:
+			a.onWord(win[s : s+n])
+		case n > lexKeyMax || !a.tagger.set.has(lexKey(binary.LittleEndian.Uint64(win[s:]), binary.LittleEndian.Uint64(win[s+8:]), n)):
+			unknown++
+		}
+	}
+	a.unknown += unknown
+}
+
+// emit hands the consumer a completed word that the window loop's
+// packed lookup could not take: a rune chunk, a word that crossed a block
+// or window boundary, one the byte loop cut.
+func (a *StreamAnalyzer) emit(word []byte) {
+	switch {
+	case a.onWord != nil:
+		a.onWord(word)
+	case a.tagger != nil && !a.tagger.KnownWord(word):
+		a.unknown++
+	}
+}
+
+// addWords counts n completed word tokens; the four counters move
+// together for a word.
+func (a *StreamAnalyzer) addWords(n int) {
+	a.st.Tokens += n
+	a.st.Words += n
+	a.tokensInSent += n
+	a.sentWords += n
 }
 
 // Finish closes any in-flight token and the trailing sentence fragment,
@@ -154,23 +274,34 @@ func (a *StreamAnalyzer) Finish() (TextStats, int64) {
 	return a.st, a.lines
 }
 
-// endWord completes the open word token; tail holds the word's bytes from
-// the current block (nil when they are all in wordBuf).
-func (a *StreamAnalyzer) endWord(tail []byte) {
-	a.st.Tokens++
-	a.tokensInSent++
-	a.st.Words++
-	a.sentWords++
-	if a.onWord != nil {
-		word := tail
-		if len(a.wordBuf) > 0 {
-			a.wordBuf = append(a.wordBuf, tail...)
-			word = a.wordBuf
+// carryWord keeps an open word's bytes at the block's edge. The lexicon
+// needs no more than one byte past its longest key — a longer word is
+// unknown whatever follows — so only the test callback's carry grows.
+func (a *StreamAnalyzer) carryWord(tail []byte) {
+	if a.onWord == nil {
+		if a.tagger == nil {
+			return
 		}
-		a.onWord(word)
-		a.wordBuf = a.wordBuf[:0]
+		if a.wordBuf == nil {
+			a.wordBuf = a.carry[:0]
+		}
+		tail = tail[:min(len(tail), len(a.carry)-len(a.wordBuf))]
 	}
+	a.wordBuf = append(a.wordBuf, tail...)
+}
+
+// endWord completes the byte loop's open word token; tail holds the
+// word's bytes from the current block, after whatever wordBuf carried.
+func (a *StreamAnalyzer) endWord(tail []byte) {
+	a.addWords(1)
 	a.inWord = false
+	word := tail
+	if len(a.wordBuf) > 0 {
+		a.carryWord(tail)
+		word = a.wordBuf
+	}
+	a.emit(word)
+	a.wordBuf = a.wordBuf[:0]
 }
 
 // finishChunk classifies the completed rune chunk exactly as Tokenize
@@ -192,9 +323,7 @@ func (a *StreamAnalyzer) finishChunk() {
 	case word:
 		a.st.Words++
 		a.sentWords++
-		if a.onWord != nil {
-			a.onWord(a.chunkBuf[:a.chunkLen])
-		}
+		a.emit(a.chunkBuf[:a.chunkLen])
 	case a.chunkLen == 1 && (a.chunkBuf[0] == '.' || a.chunkBuf[0] == '!' || a.chunkBuf[0] == '?'):
 		a.closeSentence()
 	}
@@ -224,25 +353,19 @@ type FileStats struct {
 // StatsKernel is the analyzer scan kernel, the one type that drives a
 // StreamAnalyzer under the scan engine: token/sentence/line statistics
 // per file and corpus-wide, and — when it carries a tagger — each file's
-// out-of-vocabulary word count from the same pass, through the analyzer's
-// word callback and the tagger's lexicon-membership test. TagText's
-// Unknown/Words ratio is exactly lexicon membership counted over
-// non-punctuation tokens, so no tagging is needed; callers derive the POS
-// complexity from (Stats, Unknown) when they assemble results.
+// out-of-vocabulary word count from the same pass, by the tagger's
+// lexicon-membership test. TagText's Unknown/Words ratio is exactly
+// lexicon membership counted over non-punctuation tokens, so no tagging is
+// needed; callers derive the POS complexity from (Stats, Unknown) when
+// they assemble results.
 //
 // Block-retention contract: the kernel never keeps a reference into the
-// delivered block — the analyzer carries only its bounded in-flight token,
-// KnownWord folds through a stack buffer and the memo copies the words it
-// keeps — so it is safe on the zero-copy scan path.
+// delivered block — the analyzer carries only its bounded in-flight token
+// and the lexicon's key set is probed with values loaded from the block —
+// so it is safe on the zero-copy scan path.
 type StatsKernel struct {
 	an   StreamAnalyzer
 	name string
-
-	// Set together, or not at all: the lexicon, the fork's private memo of
-	// its membership answers (see wordMemo), and the open file's count.
-	tagger  *Tagger
-	memo    *wordMemo
-	unknown int
 
 	files []FileStats
 	total TextStats
@@ -256,32 +379,20 @@ func NewStatsKernel() *StatsKernel { return NewAnalyzerKernel(nil) }
 // out-of-vocabulary words against the tagger's lexicon; a nil tagger
 // means statistics only.
 func NewAnalyzerKernel(t *Tagger) *StatsKernel {
-	k := &StatsKernel{tagger: t}
-	if t != nil {
-		k.memo = new(wordMemo)
-		k.an.onWord = k.countWord
-	}
-	return k
-}
-
-func (k *StatsKernel) countWord(word []byte) {
-	if !k.memo.known(k.tagger, word) {
-		k.unknown++
-	}
+	return &StatsKernel{an: StreamAnalyzer{tagger: t}}
 }
 
 // Tagger returns the tagger whose lexicon the kernel counts against, or
 // nil for a statistics-only kernel.
-func (k *StatsKernel) Tagger() *Tagger { return k.tagger }
+func (k *StatsKernel) Tagger() *Tagger { return k.an.tagger }
 
 // Fork implements scan.Kernel: forks share the tagger (read-only lexicon)
 // but nothing else.
-func (k *StatsKernel) Fork() scan.Kernel { return NewAnalyzerKernel(k.tagger) }
+func (k *StatsKernel) Fork() scan.Kernel { return NewAnalyzerKernel(k.an.tagger) }
 
 // Begin implements scan.Kernel.
 func (k *StatsKernel) Begin(src scan.Source) {
 	k.an.Reset()
-	k.unknown = 0
 	k.name = src.Name
 }
 
@@ -292,7 +403,7 @@ func (k *StatsKernel) Block(p []byte) { k.an.Block(p) }
 // kernel's own accumulation and folded into its totals.
 func (k *StatsKernel) End() {
 	st, lines := k.an.Finish()
-	k.files = append(k.files, FileStats{Name: k.name, Stats: st, Lines: lines, Unknown: k.unknown})
+	k.files = append(k.files, FileStats{Name: k.name, Stats: st, Lines: lines, Unknown: k.an.unknown})
 	k.fold(st, lines)
 }
 
@@ -366,7 +477,7 @@ func decodeTextStats(d *scan.StateDecoder) TextStats {
 // lexiconFlag is what the state records about the kernel's configuration:
 // whether its Unknown counts were taken against a lexicon.
 func (k *StatsKernel) lexiconFlag() int {
-	if k.tagger != nil {
+	if k.an.tagger != nil {
 		return 1
 	}
 	return 0

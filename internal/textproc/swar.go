@@ -5,55 +5,64 @@ import (
 	"math/bits"
 )
 
-// Word-at-a-time (SWAR) scanning for the streaming analyzer's hottest
-// loop: finding the end of a [a-zA-Z0-9'] word run. Eight bytes are
-// classified per iteration with pure ALU ops — no per-byte table loads,
-// no branches inside the window.
+// Word-at-a-time (SWAR) byte classification for the streaming analyzer's
+// window loop: eight bytes are classified per uint64 with pure ALU ops —
+// no per-byte table loads, no branches — and each class mask is compressed
+// to eight bits so a 64-byte window becomes two 64-bit bitmaps.
 //
-// All of the range tricks below are only valid when every byte in the
-// word is ASCII (< 0x80): the per-lane additions in ge8 then cannot carry
-// into the next lane (max 0x7F + 0x80 = 0xFF). Windows containing a high
-// byte fall back to the per-byte table loop, which stops at that byte
-// anyway (no byte >= 0x80 is a word byte).
+// The range test: for a byte b < 0x80 and a bound c <= 0x80, b + (0x80 - c)
+// has its high bit set iff b >= c, and cannot carry into the next lane
+// (max 0x7F + 0x80 = 0xFF) — so one add tests all eight lanes, and
+// "lo <= b < hi" is the high bit of (x + ge(lo)) &^ (x + ge(hi)). That
+// holds only when every byte in the word is ASCII: a window containing a
+// high byte computes garbage here and is discarded — it goes through the
+// per-byte loop.
 
 const (
 	swarOnes uint64 = 0x0101010101010101
 	swarHigh uint64 = 0x8080808080808080
+	swarGE   uint64 = 0x80 * swarOnes // x + (swarGE - c*swarOnes): a lane's high bit is set iff its byte >= c
 )
-
-// ge8 returns a mask with the high bit of each lane set iff that lane's
-// byte is >= c. Valid for ASCII lanes and c <= 0x80 only.
-func ge8(x uint64, c byte) uint64 {
-	return (x + (0x80-uint64(c))*swarOnes) & swarHigh
-}
 
 // wordMask8 returns a mask with the high bit of each lane set iff that
 // lane's byte is a word byte ([a-zA-Z0-9']). ASCII lanes only.
 func wordMask8(x uint64) uint64 {
-	y := x | 0x2020202020202020 // lowercase the letters; digits/apostrophe unaffected
-	letter := ge8(y, 'a') &^ ge8(y, 'z'+1)
-	digit := ge8(x, '0') &^ ge8(x, '9'+1)
-	apos := ge8(x, '\'') &^ ge8(x, '\''+1)
-	return letter | digit | apos
+	y := x | 0x20*swarOnes // lowercase the letters
+	return ((y+(swarGE-'a'*swarOnes))&^(y+(swarGE-('z'+1)*swarOnes)) |
+		(x+(swarGE-'0'*swarOnes))&^(x+(swarGE-('9'+1)*swarOnes)) |
+		(x+(swarGE-'\''*swarOnes))&^(x+(swarGE-('\''+1)*swarOnes))) & swarHigh
+}
+
+// spaceMask8 is wordMask8 for the tokenizer's whitespace: '\t' and '\n'
+// (adjacent), '\r' and ' '. ASCII lanes only.
+func spaceMask8(x uint64) uint64 {
+	return ((x+(swarGE-'\t'*swarOnes))&^(x+(swarGE-('\n'+1)*swarOnes)) |
+		(x+(swarGE-'\r'*swarOnes))&^(x+(swarGE-('\r'+1)*swarOnes)) |
+		(x+(swarGE-' '*swarOnes))&^(x+(swarGE-(' '+1)*swarOnes))) & swarHigh
 }
 
 // wordRunEnd returns the index of the first non-word byte at or after i,
-// or len(p) if the run reaches the end. Equivalent to advancing while
-// isWordByte(p[i]), eight bytes per step on plain ASCII text.
+// or len(p) if the run reaches the end: the byte loop's way through a
+// word, eight bytes per step while they are ASCII.
 func wordRunEnd(p []byte, i int) int {
-	n := len(p)
-	for n-i >= 8 {
+	for ; len(p)-i >= 8; i += 8 {
 		x := binary.LittleEndian.Uint64(p[i:])
 		if x&swarHigh != 0 {
-			break // high byte in the window: the table loop stops at it
+			break // no byte >= 0x80 is a word byte: the loop below stops at it
 		}
 		if m := wordMask8(x); m != swarHigh {
 			return i + bits.TrailingZeros64(^m&swarHigh)>>3
 		}
-		i += 8
 	}
-	for i < n && isWordByte(p[i]) {
+	for i < len(p) && isWordByte(p[i]) {
 		i++
 	}
 	return i
+}
+
+// movemask8 compresses a lane mask (high bit of each lane, as the masks
+// above return) to eight bits, lane k to bit k: the multiply sums shifted
+// copies so that every lane's bit lands in the top byte.
+func movemask8(m uint64) uint64 {
+	return (m >> 7) * 0x0102040810204080 >> 56
 }

@@ -41,15 +41,20 @@ verify-quick:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# fuzz-smoke gives each fuzz target the scan kernels' correctness rests on
-# a short budget of fresh inputs: the analyzer against Analyze, Tokenize
+# fuzz-smoke gives each fuzz target that decodes or scans outside bytes a
+# short budget of fresh inputs: the analyzer against Analyze, Tokenize
 # and TagText at window-straddling block sizes, the lexicon key set
-# against the map, both searcher engines against the reference walk. The
-# committed seeds already run under plain `go test`. (go test takes one
-# -fuzz target per run.)
+# against the map, both searcher engines against the reference walk, and
+# the record codec's two readers (a worker's answer, journal replay)
+# against hostile frames. The committed seeds already run under plain
+# `go test`. (go test takes one package and one -fuzz target per run.)
 fuzz-smoke:
-	for target in FuzzStreamAnalyzerBlockSplit FuzzKnownWord FuzzMultiSearcherBlockSplit; do \
-		$(GO) test ./internal/textproc -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s || exit 1; \
+	for target in \
+		./internal/textproc:FuzzStreamAnalyzerBlockSplit \
+		./internal/textproc:FuzzKnownWord \
+		./internal/textproc:FuzzMultiSearcherBlockSplit \
+		./internal/dist:FuzzRecord; do \
+		$(GO) test "$${target%%:*}" -run '^$$' -fuzz "^$${target##*:}\$$" -fuzztime 10s || exit 1; \
 	done
 
 # bench-smoke runs every benchmark exactly once — an execution check, not a

@@ -354,6 +354,10 @@ func distMeasure(ctx context.Context, plan *scan.Plan, spec dist.Spec, fleet []d
 	if rep.Resumed > 0 {
 		fmt.Printf("  resumed %d task(s) from checkpoint\n", rep.Resumed)
 	}
+	if rep.MaxAttempt > 0 {
+		fmt.Printf("  %.0f ms wall; successful task attempts took median %.1f ms, max %.1f ms\n",
+			1e3*rep.Wall.Seconds(), 1e3*rep.MedianAttempt.Seconds(), 1e3*rep.MaxAttempt.Seconds())
+	}
 	for _, s := range rep.Workers {
 		line := fmt.Sprintf("  worker %s: %d started, %d won, %d stolen", s.Name, s.Started, s.Won, s.Stolen)
 		if s.Retries > 0 {
@@ -361,6 +365,11 @@ func distMeasure(ctx context.Context, plan *scan.Plan, spec dist.Spec, fleet []d
 		}
 		if s.Quarantined > 0 {
 			line += fmt.Sprintf(", quarantined %d time(s)", s.Quarantined)
+		}
+		mb := float64(s.Bytes) / 1e6
+		line += fmt.Sprintf(", busy %.0f ms, %.1f MB", 1e3*s.Busy.Seconds(), mb)
+		if s.Busy > 0 {
+			line += fmt.Sprintf(", %.0f MB/s", mb/s.Busy.Seconds())
 		}
 		if s.Dead {
 			line += " (died; tasks re-dispatched)"

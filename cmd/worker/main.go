@@ -2,9 +2,13 @@
 // local view of the corpus (memory-mapped pack shards, a directory, or a
 // synthetic spec), derives the shared scan plan, and answers a
 // coordinator's POST /v1/scan requests by executing one plan task at a
-// time and returning serialized kernel states. The coordinator (pipeline
-// -worker-addrs) verifies plan agreement by fingerprint before any work
-// lands, so a worker pointed at the wrong corpus refuses loudly.
+// time and returning its kernel states as one checksummed binary record
+// (application/octet-stream; DESIGN.md §10 has the layout). The
+// coordinator (pipeline -worker-addrs) verifies plan agreement by
+// fingerprint before any work lands, so a worker pointed at the wrong
+// corpus refuses loudly, and a coordinator that gives up on a request —
+// the task was finished elsewhere first — closes the connection, which
+// stops the scan behind it.
 //
 // Usage:
 //
@@ -132,7 +136,9 @@ func main() {
 		ws.SetFault(inj.TaskKill(wname))
 		fmt.Printf("worker %s: fault injection armed: %s\n", wname, *faultSpec)
 	}
-	httpSrv := &http.Server{Handler: ws.Handler()}
+	// Request bodies are capped by the handler; the header timeout keeps
+	// a peer that connects and says nothing from holding a connection.
+	httpSrv := &http.Server{Handler: ws.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	fmt.Printf("worker %s: listening on http://%s (%d files, %d bytes, %d tasks, plan %016x)\n",
 		wname, ln.Addr(), fs.Len(), fs.TotalSize(), len(plan.Tasks), plan.Fingerprint())
 

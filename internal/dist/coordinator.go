@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -128,6 +129,11 @@ type WorkerStats struct {
 	// ended while it was benched) and left the run for good; any task it
 	// was running was re-dispatched.
 	Dead bool
+	// Busy is the time the worker spent inside Scan, winning attempts
+	// and losing ones alike.
+	Busy time.Duration
+	// Bytes totals the plan bytes of the tasks the worker won.
+	Bytes int64
 }
 
 // SkippedTask is one entry of a degraded run's manifest: a task the
@@ -160,6 +166,11 @@ type Report struct {
 	// Resumed counts tasks whose states were loaded from the journal
 	// instead of scanned.
 	Resumed int
+	// Wall is how long the run took, dispatch to last fold.
+	Wall time.Duration
+	// MedianAttempt and MaxAttempt describe the successful attempts,
+	// claim to answer — the steal policy's yardstick.
+	MedianAttempt, MaxAttempt time.Duration
 }
 
 // Degraded reports whether the run skipped any tasks — the result is a
@@ -198,6 +209,9 @@ type coordinator struct {
 
 	// cancelled is set when the run context ends; loops drain out.
 	cancelled bool
+
+	// took holds every successful attempt's duration, sorted.
+	took []time.Duration
 }
 
 type taskState struct {
@@ -206,7 +220,17 @@ type taskState struct {
 	done     bool
 	skipped  bool     // done by abandonment (AllowPartial), nothing to fold
 	states   [][]byte // winning result, nil once folded
+
+	started time.Time            // when the task last went from idle to running
+	cancels []context.CancelFunc // stop its attempts; finish calls them
 }
+
+// stealAfter is how many times the run's median successful attempt a
+// task must have been running before an idle worker duplicates it. At
+// 2× a healthy fleet starts every task once (dist-packed: 13 attempts
+// for 13 tasks, where stealing the moment the queue emptied made it 14
+// on every run), and a true straggler is picked up one median late.
+const stealAfter = 2
 
 func (c *coordinator) finished() bool {
 	return c.done == len(c.tasks) || c.fatalErr != nil || c.cancelled
@@ -221,23 +245,37 @@ func (c *coordinator) fail(task int, err error) {
 
 // pick chooses the worker's next task under mu: the lowest-index task
 // nobody is running (fresh, or requeued after a failed attempt), else —
-// work stealing — the lowest-index unfinished task still within its
-// attempt budget, speculating against a possibly-slow owner. The first
-// completed attempt wins; the loser's result is discarded.
-func (c *coordinator) pick() (task int, steal, ok bool) {
+// work stealing — the lowest-index running task, still within its
+// attempt budget, that has become a straggler: in flight for more than
+// stealAfter × the median successful attempt (any running task while
+// nothing has completed yet: no yardstick, and a one-task plan on two
+// workers must stay live). The first completed attempt wins and cancels
+// the rest. With no straggler yet, wait is how long until there is one.
+func (c *coordinator) pick(now time.Time) (task int, steal, ok bool, wait time.Duration) {
 	for i := range c.tasks {
 		t := &c.tasks[i]
 		if !t.done && t.running == 0 && t.attempts < c.maxAttempts {
-			return i, false, true
+			return i, false, true, 0
 		}
+	}
+	var allowance time.Duration
+	if n := len(c.took); n > 0 {
+		allowance = stealAfter * c.took[n/2]
 	}
 	for i := range c.tasks {
 		t := &c.tasks[i]
-		if !t.done && t.attempts < c.maxAttempts {
-			return i, true, true
+		if t.done || t.attempts >= c.maxAttempts {
+			continue
+		}
+		left := allowance - now.Sub(t.started)
+		if left <= 0 {
+			return i, true, true, 0
+		}
+		if wait == 0 || left < wait {
+			wait = left
 		}
 	}
-	return 0, false, false
+	return 0, false, false, wait
 }
 
 // anyRunning reports whether some attempt is still in flight.
@@ -281,6 +319,18 @@ func (c *coordinator) advanceFrontier() {
 	}
 }
 
+// finish marks t done under mu and cancels whatever attempts on it are
+// still in flight — over HTTP that closes the connection, which stops
+// the daemon's scan at its next per-file check.
+func (c *coordinator) finish(t *taskState) {
+	t.done = true
+	c.done++
+	for _, cancel := range t.cancels {
+		cancel()
+	}
+	t.cancels = nil
+}
+
 // complete records a winning result for task under mu: journal first
 // (durability before visibility), then fold. Late duplicate wins (a
 // steal losing the race) are discarded by the caller's done check.
@@ -292,9 +342,8 @@ func (c *coordinator) complete(task int, states [][]byte) {
 			return
 		}
 	}
-	t.done = true
+	c.finish(t)
 	t.states = states
-	c.done++
 	c.advanceFrontier()
 }
 
@@ -303,9 +352,8 @@ func (c *coordinator) complete(task int, states [][]byte) {
 func (c *coordinator) skip(task int, plan *scan.Plan, cause error) {
 	t := &c.tasks[task]
 	pt := plan.Tasks[task]
-	t.done = true
+	c.finish(t)
 	t.skipped = true
-	c.done++
 	c.rep.Skipped = append(c.rep.Skipped, SkippedTask{
 		Task:   task,
 		Shard:  pt.Shard,
@@ -314,6 +362,20 @@ func (c *coordinator) skip(task int, plan *scan.Plan, cause error) {
 		Reason: cause.Error(),
 	})
 	c.advanceFrontier()
+}
+
+// sleep waits on the cond under mu until something completes or fails —
+// or, when wait > 0, until the running task it was computed for has
+// become a straggler.
+func (c *coordinator) sleep(wait time.Duration) {
+	if wait > 0 {
+		defer time.AfterFunc(wait, func() {
+			c.mu.Lock()
+			c.cond.Broadcast()
+			c.mu.Unlock()
+		}).Stop()
+	}
+	c.cond.Wait()
 }
 
 // mixSeed decorrelates the per-worker jitter streams from one base seed.
@@ -369,6 +431,10 @@ func (c *coordinator) probe(ctx context.Context, w Worker, h HealthOptions) bool
 // with cancellation mapped through the errs sentinels per the scan
 // determinism contract.
 //
+// Every attempt runs under its own child of ctx, which the attempt that
+// completes the task first cancels: Run returns when the work is done,
+// not when the slowest copy of it is.
+//
 // Resilience: a retryably-failing Scan (errs.IsRetryable) is retried on
 // the same worker under Options.Retry and the shared budget; a worker
 // whose failures trip Options.Health is quarantined, probed, and
@@ -376,6 +442,7 @@ func (c *coordinator) probe(ctx context.Context, w Worker, h HealthOptions) bool
 // task; completed tasks are journaled (Options.Journal) and journaled
 // tasks are folded without rescanning.
 func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts Options, protos ...scan.Kernel) (*Report, error) {
+	begin := time.Now()
 	rep := &Report{Workers: make([]WorkerStats, len(workers))}
 	for i, w := range workers {
 		rep.Workers[i] = WorkerStats{Name: w.Name()}
@@ -461,7 +528,8 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 						return
 					}
 					var ok bool
-					if task, steal, ok = c.pick(); ok {
+					var wait time.Duration
+					if task, steal, ok, wait = c.pick(time.Now()); ok {
 						break
 					}
 					if !c.anyRunning() {
@@ -478,9 +546,15 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 						c.mu.Unlock()
 						return
 					}
-					c.cond.Wait()
+					c.sleep(wait)
 				}
 				t := &c.tasks[task]
+				claimed := time.Now()
+				if t.running == 0 {
+					t.started = claimed
+				}
+				actx, cancel := context.WithCancel(ctx)
+				t.cancels = append(t.cancels, cancel)
 				t.running++
 				t.attempts++
 				st.Started++
@@ -497,27 +571,43 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 					BlockSize:   opts.BlockSize,
 				}
 				var resp *ScanResponse
-				retries, err := retry.Do(ctx, policy, budget, func(ctx context.Context) error {
+				var busy time.Duration
+				retries, err := retry.Do(actx, policy, budget, func(ctx context.Context) error {
 					var serr error
+					t0 := time.Now()
 					resp, serr = w.Scan(ctx, req)
+					busy += time.Since(t0)
 					return serr
 				})
+				// A loser is an attempt a winner cancelled: its own context
+				// is dead (read before the release below) and the error is
+				// that echoing back. A worker that failed by itself is not
+				// one, even if the task was finished elsewhere meanwhile.
+				lost := err != nil && actx.Err() != nil && errs.IsCancellation(err)
+				cancel()
+				took := time.Since(claimed)
 
 				quarantine := false
 				c.mu.Lock()
 				t.running--
 				st.Retries += retries
 				rep.Retries += retries
+				st.Busy += busy
 				switch {
 				case err != nil && ctx.Err() != nil:
 					// The run is being cancelled; the error is just that
 					// cancellation echoing back.
 					c.cancelled = true
+				case lost:
+					// Not a win, and not a failure the health gate hears of.
 				case err == nil:
 					consecFails = 0
+					at, _ := slices.BinarySearch(c.took, took)
+					c.took = slices.Insert(c.took, at, took)
 					if !t.done {
 						c.complete(task, resp.States)
 						st.Won++
+						st.Bytes += plan.Tasks[task].Bytes
 					}
 				case errs.IsRetryable(err):
 					// Transient even after in-place retries. The decrement
@@ -562,6 +652,10 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sort.Slice(rep.Skipped, func(i, j int) bool { return rep.Skipped[i].Task < rep.Skipped[j].Task })
+	rep.Wall = time.Since(begin)
+	if n := len(c.took); n > 0 {
+		rep.MedianAttempt, rep.MaxAttempt = c.took[n/2], c.took[n-1]
+	}
 	switch {
 	case c.fatalErr != nil:
 		return rep, c.fatalErr

@@ -20,12 +20,13 @@
 //
 // The coordinator dispatches one task per worker round trip, keeps a
 // merge frontier that folds results strictly in task order as they
-// arrive, lets idle workers steal (speculatively re-run) tasks still in
-// flight elsewhere, and re-dispatches the tasks of workers that die
-// (transport failure or errs.ErrUnavailable). Workers are either
-// in-process (Local — tests, and the -workers N single-machine mode) or
-// remote over thin HTTP/JSON (HTTPWorker ↔ WorkerServer on the
-// internal/server plumbing).
+// arrive, lets idle workers steal (speculatively re-run) a task that has
+// become a straggler — cancelling whichever copy loses — and
+// re-dispatches the tasks of workers that fail (transport failure or
+// errs.ErrUnavailable). Workers are either in-process (Local — tests,
+// and the -workers N single-machine mode) or remote over HTTP
+// (HTTPWorker ↔ WorkerServer on the internal/server plumbing: a JSON
+// request out, one checksummed binary record of kernel states back).
 package dist
 
 import "repro/internal/core"

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -136,6 +137,25 @@ func TestMeasureBitIdentical(t *testing.T) {
 					}
 					if rep.Degraded() || rep.Resumed != 0 {
 						t.Errorf("clean run reported degraded=%v resumed=%d", rep.Degraded(), rep.Resumed)
+					}
+					// The report accounts for the run's time and bytes.
+					var wonBytes, planBytes int64
+					for _, s := range rep.Workers {
+						wonBytes += s.Bytes
+						// (A started attempt may never reach Scan: a steal
+						// cancelled before its first try is busy for 0.)
+						if (s.Won > 0 && s.Busy <= 0) || (s.Started == 0 && s.Busy != 0) || s.Busy > rep.Wall {
+							t.Errorf("worker %q: busy %v over %d attempts (%d won) in a %v run", s.Name, s.Busy, s.Started, s.Won, rep.Wall)
+						}
+					}
+					for _, task := range p.Tasks {
+						planBytes += task.Bytes
+					}
+					if wonBytes != planBytes {
+						t.Errorf("workers won %d bytes, plan has %d", wonBytes, planBytes)
+					}
+					if rep.MedianAttempt <= 0 || rep.MedianAttempt > rep.MaxAttempt || rep.MaxAttempt > rep.Wall {
+						t.Errorf("attempts median %v max %v in a %v run", rep.MedianAttempt, rep.MaxAttempt, rep.Wall)
 					}
 				})
 			}
@@ -320,11 +340,14 @@ func (w *countingWorker) Scan(ctx context.Context, req *ScanRequest) (*ScanRespo
 
 // TestStealFromSlowWorker blocks the slow worker inside whichever task
 // it claims first while the fast worker finishes everything else; the
-// fast worker must then steal the held task so the run completes —
-// bit-identical — without waiting for the straggler, whose late result
-// is discarded. The release only opens once the fast worker has
-// completed every task (including the stolen one), so the choreography
-// is deterministic.
+// fast worker must then steal the held task so the run completes
+// bit-identical. The straggler here ignores its context: the test holds
+// it until the fast worker has completed every task (including the
+// stolen one) and only then lets it go, which is what lets Run return —
+// a worker that does not honour cancellation is waited for. What the
+// test pins is the steal and the discarded late result;
+// TestRunDoesNotWaitForStraggler pins that a straggler which does
+// honour cancellation is not waited for.
 func TestStealFromSlowWorker(t *testing.T) {
 	spec := Spec{Patterns: []string{"the"}}
 	p := testPlan(t, 24)
@@ -359,5 +382,123 @@ func TestStealFromSlowWorker(t *testing.T) {
 	}
 	if stats[1].Won != len(p.Tasks) {
 		t.Errorf("fast worker won %d of %d tasks", stats[1].Won, len(p.Tasks))
+	}
+}
+
+// TestRunDoesNotWaitForStraggler is speculation winning: the slow
+// worker blocks inside its first task until its context is cancelled and
+// nothing in the test ever releases it, so the run can only end if the
+// fast worker's steal cancels the copy it beat. The slow worker lost a
+// race, it did not fail: the health gate must not hear about it.
+func TestRunDoesNotWaitForStraggler(t *testing.T) {
+	spec := Spec{Patterns: []string{"the"}}
+	p := testPlan(t, 24)
+	want := singleNode(t, p, spec)
+
+	claimed := make(chan struct{})
+	slow, err := NewLocal("slow", p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var claimOnce sync.Once
+	slow.fault = func(ctx context.Context, task int) error {
+		claimOnce.Do(func() { close(claimed) })
+		<-ctx.Done()
+		return errs.FromContext(ctx)
+	}
+	fastLocal, err := NewLocal("fast", p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := &gatedWorker{Local: fastLocal, gate: claimed}
+
+	// The deadline is the failure mode, not part of the choreography: a
+	// run that waits for its straggler ends here with ErrDeadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	m, rep, err := Measure(ctx, p, spec, []Worker{slow, fast}, Options{})
+	if err != nil {
+		t.Fatalf("run waited for the straggler: %v", err)
+	}
+	sameMeasurement(t, m, want)
+	slowStats, fastStats := rep.Workers[0], rep.Workers[1]
+	if fastStats.Stolen < 1 || fastStats.Won != len(p.Tasks) {
+		t.Errorf("fast worker stole %d and won %d of %d tasks", fastStats.Stolen, fastStats.Won, len(p.Tasks))
+	}
+	if slowStats.Quarantined != 0 || slowStats.Dead {
+		t.Errorf("losing a race counted against the slow worker's health: %+v", slowStats)
+	}
+}
+
+// timedWorker records how long each of its Scan calls ran, losers
+// included — the test's own view of whether a task was a straggler.
+type timedWorker struct {
+	*Local
+	mu   sync.Mutex
+	took []time.Duration
+}
+
+func (w *timedWorker) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse, error) {
+	t0 := time.Now()
+	resp, err := w.Local.Scan(ctx, req)
+	w.mu.Lock()
+	w.took = append(w.took, time.Since(t0))
+	w.mu.Unlock()
+	return resp, err
+}
+
+// TestHealthyFleetDoesNotDuplicate pins the other half of the steal
+// policy: two equal workers start every task exactly once. The moment
+// that matters is the end of the run, when one worker is idle while the
+// other still holds the last task — one such moment per round. Every
+// task sleeps 5 ms, so a steal is only right if the machine hiccuped and
+// some attempt really ran long; the test times the Scans itself, excuses
+// a round where one ran 1.5× the median (the policy asks for 2×), and
+// fails a steal it cannot excuse — which at a coordinator that steals
+// the moment the queue is empty is every round.
+func TestHealthyFleetDoesNotDuplicate(t *testing.T) {
+	spec := Spec{}
+	p := testPlan(t, 48)
+	if len(p.Tasks) < 12 {
+		t.Fatalf("want ≥12 tasks, got %d", len(p.Tasks))
+	}
+	const rounds = 8
+	excused := 0
+	for round := 0; round < rounds; round++ {
+		var took []time.Duration
+		ws := localWorkers(t, p, spec, 2)
+		for i, w := range ws {
+			w.(*Local).SetFault(func(ctx context.Context, task int) error {
+				time.Sleep(5 * time.Millisecond)
+				return nil
+			})
+			ws[i] = &timedWorker{Local: w.(*Local)}
+		}
+		_, rep, err := Measure(context.Background(), p, spec, ws, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		started, stolen := 0, 0
+		for i, s := range rep.Workers {
+			started += s.Started
+			stolen += s.Stolen
+			took = append(took, ws[i].(*timedWorker).took...)
+		}
+		if started == len(p.Tasks) && stolen == 0 {
+			continue
+		}
+		// Two views of "ran long": the Scans as timed here, and the
+		// coordinator's claim-to-answer attempts, which also see a worker
+		// goroutine that was descheduled between claiming and scanning.
+		slices.Sort(took)
+		median, longest := took[len(took)/2], took[len(took)-1]
+		if 2*longest < 3*median && 2*rep.MaxAttempt < 3*rep.MedianAttempt {
+			t.Fatalf("round %d: %d attempts (%d stolen) for %d tasks, yet the longest Scan ran %v against a median of %v (attempts: %v against %v): %+v",
+				round, started, stolen, len(p.Tasks), longest, median, rep.MaxAttempt, rep.MedianAttempt, rep.Workers)
+		}
+		excused++
+	}
+	if excused > rounds/2 {
+		t.Skipf("machine too noisy to tell: a Scan overran 1.5× the median in %d of %d rounds", excused, rounds)
 	}
 }

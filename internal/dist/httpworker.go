@@ -17,11 +17,13 @@ import (
 )
 
 // HTTPWorker is the coordinator-side client for a remote worker daemon:
-// one POST /v1/scan per task, JSON both ways. Any transport failure —
-// connection refused, reset mid-response, the process killed — maps onto
-// ErrUnavailable, which is precisely the coordinator's re-dispatch
-// signal: a vanished worker is indistinguishable from one that answered
-// 503, and both mean "give the task to someone else".
+// one POST /v1/scan per task — a small JSON request out, one binary
+// record (record.go) back. Any transport failure — connection refused,
+// reset mid-response, the process killed — and any answer that is not
+// exactly one intact record for the task asked maps onto ErrUnavailable,
+// which is precisely the coordinator's re-dispatch signal: a vanished
+// worker is indistinguishable from one that answered 503, and both mean
+// "give the task to someone else".
 type HTTPWorker struct {
 	name string
 	base string
@@ -86,17 +88,35 @@ func (w *HTTPWorker) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse,
 	if resp.StatusCode != http.StatusOK {
 		return nil, w.statusError(resp)
 	}
-	var sr ScanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	// One buffer, which the returned states alias. A declared length
+	// reserves at most firstChunk; past that it grows as bytes arrive.
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(resp.ContentLength, 0), firstChunk)) + bytes.MinRead)
+	// A response that dies mid-body or fails its frame checks is the
+	// worker dying mid-answer — a re-dispatch; none of it reaches Restore.
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		if ctx.Err() != nil {
 			return nil, errs.FromContext(ctx)
 		}
-		// A response that dies mid-body is the worker dying, not data
-		// corruption — still a re-dispatch.
 		return nil, errs.Unavailable("dist: worker %q: truncated response: %v", w.name, err)
 	}
-	return &sr, nil
+	task, states, n, err := parseRecord(buf.Bytes())
+	switch {
+	case err != nil:
+		return nil, errs.Unavailable("dist: worker %q: bad response: %v", w.name, err)
+	case n != buf.Len():
+		return nil, errs.Unavailable("dist: worker %q: bad response: %d bytes after the record", w.name, buf.Len()-n)
+	case task != req.Task:
+		return nil, errs.Unavailable("dist: worker %q: answered task %d, asked for %d", w.name, task, req.Task)
+	}
+	return &ScanResponse{Task: task, States: states}, nil
 }
+
+// firstChunk caps what a declared Content-Length may reserve before any
+// of it has arrived. dist-packed's record is 213 KB per task (2 772 155
+// state bytes over 13 tasks): 1 MiB takes one 4× that in a single exact
+// allocation, and a hostile "Content-Length: 4 GB" costs 1 MiB.
+const firstChunk = 1 << 20
 
 // statusError maps a non-200 answer back onto the taxonomy — the inverse
 // of errs.HTTPStatus, so a sentinel crossing the wire comes back as
@@ -154,7 +174,8 @@ func retryAfterOf(resp *http.Response) time.Duration {
 // lexicons) is cached per spec — coordinators send one spec per run, so
 // steady state is build-once.
 //
-//	POST /v1/scan  execute one plan task, return serialized kernel states
+//	POST /v1/scan  execute one plan task; 200 is application/octet-stream,
+//	               exactly one record (record.go) of its kernel states
 //	GET  /healthz  liveness
 //
 // Errors leave through server.WriteError, so the status codes are
@@ -216,10 +237,19 @@ func (s *WorkerServer) localFor(spec Spec) (*Local, error) {
 	return s.local, nil
 }
 
+// maxRequestBytes bounds a /v1/scan request body: a real one is ~150
+// bytes plus the spec's patterns.
+const maxRequestBytes = 1 << 20
+
 func (s *WorkerServer) handleScan(w http.ResponseWriter, r *http.Request) {
 	var req ScanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err := dec.Decode(&req); err != nil {
 		server.WriteError(w, errs.Invalid("dist: bad scan request: %v", err))
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		server.WriteError(w, errs.Invalid("dist: bad scan request: data after the JSON value"))
 		return
 	}
 	l, err := s.localFor(req.Spec)
@@ -232,7 +262,10 @@ func (s *WorkerServer) handleScan(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, errs.Categorize(err))
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, resp)
+	body := appendRecord(nil, resp.Task, resp.States)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body) // the coordinator is the only victim of a failed write
 }
 
 // WorkerHealth is the worker daemon's /healthz document.

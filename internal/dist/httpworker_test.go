@@ -1,16 +1,20 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/errs"
 	"repro/internal/retry"
+	"repro/internal/server"
 )
 
 // TestHTTPWorkersBitIdentical runs the distributed measurement over real
@@ -261,5 +265,45 @@ func TestHTTPWorkerPlanMismatch(t *testing.T) {
 	_, _, err := Measure(context.Background(), p, spec, []Worker{NewHTTPWorker("stale", ts.URL)}, Options{})
 	if !errors.Is(err, errs.ErrInvalid) {
 		t.Fatalf("err = %v, want ErrInvalid", err)
+	}
+}
+
+// TestScanRequestIsBounded pins the daemon's request side: a body over
+// the cap, or with anything after its one JSON value, is answered 400
+// in the error envelope (ErrInvalid on the coordinator) before any
+// kernel set is built for it; trailing whitespace is not "anything".
+func TestScanRequestIsBounded(t *testing.T) {
+	p := testPlan(t, 12)
+	ts := httptest.NewServer(NewWorkerServer("w", p).Handler())
+	defer ts.Close()
+	valid := mustJSON(t, &ScanRequest{PlanFP: p.Fingerprint(), Task: 0})
+	huge := mustJSON(t, &ScanRequest{PlanFP: p.Fingerprint(), Spec: Spec{Patterns: []string{strings.Repeat("a", maxRequestBytes)}}})
+	for name, tc := range map[string]struct {
+		body   []byte
+		status int
+	}{
+		"valid":               {valid, http.StatusOK},
+		"trailing-whitespace": {append(append([]byte(nil), valid...), " \n"...), http.StatusOK},
+		"oversized":           {huge, http.StatusBadRequest},
+		"second-value":        {append(append([]byte(nil), valid...), valid...), http.StatusBadRequest},
+		"trailing-garbage":    {append(append([]byte(nil), valid...), '!'), http.StatusBadRequest},
+	} {
+		t.Run(name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/scan", "application/json", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.status)
+			}
+			if tc.status == http.StatusOK {
+				return
+			}
+			var eb server.ErrorBody
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Status != tc.status || eb.Error == "" {
+				t.Errorf("error envelope %+v (decode: %v)", eb, err)
+			}
+		})
 	}
 }

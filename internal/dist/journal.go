@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,20 +21,21 @@ import (
 // Fork→Restore→Merge path and its output is bit-identical to an
 // uninterrupted run.
 //
-// Format (all integers little-endian, checksums FNV-64a):
+// Format (all integers little-endian):
 //
-//	header:  magic "RJRNLv1\n" | plan fingerprint u64 | spec length u32 |
-//	         spec JSON | header checksum u64 (over fingerprint + spec)
-//	record:  "JREC" | task u32 | state count u32 |
-//	         per state: length u32 | bytes | record checksum u64
-//	         (over everything after the record magic)
+//	header:  magic "RJRNLv2\n" | plan fingerprint u64 | spec length u32 |
+//	         spec JSON | FNV-64a u64 (over fingerprint + spec)
+//	records: one record.go frame per completed task — the same bytes a
+//	         worker answers /v1/scan with
 //
 // The header pins the journal to one (plan, spec): resuming against a
 // different corpus or kernel set refuses with ErrInvalid instead of
 // folding foreign states. Like packstore's Recover, loading tolerates a
 // torn tail — a record cut short by the crash that made the journal
 // useful is dropped and the file truncated to the last complete record —
-// but corruption *before* the tail is a loud ErrCorrupt.
+// but corruption *before* the tail is a loud ErrCorrupt. A journal is a
+// per-run checkpoint, so the format carries no compatibility: a file of
+// an older version is refused, not migrated.
 type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -42,8 +45,11 @@ type Journal struct {
 	closed   bool
 }
 
-const journalMagic = "RJRNLv1\n"
-const journalRecMagic = "JREC"
+const journalMagic = "RJRNLv2\n"
+
+// journalMagicV1 is the pre-CRC format (FNV-64a record trailers), named
+// only so that opening one says what it is.
+const journalMagicV1 = "RJRNLv1\n"
 
 // fnv64a over b, continuing from h (offset basis for a fresh sum).
 func journalFold(h uint64, b []byte) uint64 {
@@ -55,28 +61,6 @@ func journalFold(h uint64, b []byte) uint64 {
 
 const journalFNVOffset = 14695981039346656037
 
-func journalU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func journalU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func journalReadU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func journalReadU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
 // journalHeader builds the serialized header for (planFP, spec).
 func journalHeader(planFP uint64, spec Spec) ([]byte, error) {
 	specJSON, err := json.Marshal(spec)
@@ -85,17 +69,11 @@ func journalHeader(planFP uint64, spec Spec) ([]byte, error) {
 	}
 	buf := make([]byte, 0, len(journalMagic)+8+4+len(specJSON)+8)
 	buf = append(buf, journalMagic...)
-	var u [8]byte
-	journalU64(u[:], planFP)
-	buf = append(buf, u[:]...)
-	var l [4]byte
-	journalU32(l[:], uint32(len(specJSON)))
-	buf = append(buf, l[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, planFP)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(specJSON)))
 	buf = append(buf, specJSON...)
-	sum := journalFold(journalFold(journalFNVOffset, u[:]), specJSON)
-	journalU64(u[:], sum)
-	buf = append(buf, u[:]...)
-	return buf, nil
+	sum := journalFold(journalFold(journalFNVOffset, buf[len(journalMagic):len(journalMagic)+8]), specJSON)
+	return binary.LittleEndian.AppendUint64(buf, sum), nil
 }
 
 // CreateJournal starts a fresh checkpoint at path for (planFP, spec),
@@ -140,7 +118,10 @@ func OpenJournal(path string, planFP uint64, spec Spec) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(journalMagic) || string(raw[:len(journalMagic)]) != journalMagic {
+	if bytes.HasPrefix(raw, []byte(journalMagicV1)) {
+		return nil, errs.Invalid("dist: journal %s is format v1 (FNV record trailers); this build reads and writes v2 — start the run over without -resume", path)
+	}
+	if !bytes.HasPrefix(raw, []byte(journalMagic)) {
 		return nil, errs.Corrupt("dist: journal %s: bad magic", path)
 	}
 	hdr, err := parseJournalHeader(path, raw)
@@ -177,13 +158,13 @@ func parseJournalHeader(path string, raw []byte) ([]byte, error) {
 	if len(raw) < off+8+4 {
 		return nil, errs.Corrupt("dist: journal %s: truncated header", path)
 	}
-	specLen := int(journalReadU32(raw[off+8:]))
+	specLen := int(binary.LittleEndian.Uint32(raw[off+8:]))
 	end := off + 8 + 4 + specLen + 8
 	if specLen > len(raw) || end > len(raw) {
 		return nil, errs.Corrupt("dist: journal %s: truncated header", path)
 	}
 	sum := journalFold(journalFold(journalFNVOffset, raw[off:off+8]), raw[off+12:off+12+specLen])
-	if journalReadU64(raw[end-8:]) != sum {
+	if binary.LittleEndian.Uint64(raw[end-8:]) != sum {
 		return nil, errs.Corrupt("dist: journal %s: header checksum mismatch", path)
 	}
 	return raw[:end], nil
@@ -191,54 +172,23 @@ func parseJournalHeader(path string, raw []byte) ([]byte, error) {
 
 // parseJournalRecords walks the record region. A clean cut at the tail
 // (crash mid-append) stops the walk; a checksum mismatch on a complete
-// record is corruption and fails the load. Duplicate task records keep
-// the first occurrence — it is the one an interrupted run's frontier
-// may already have folded.
+// record is corruption and fails the load — unless it is the last
+// record, which is a garbled tail and dropped like a torn one.
+// Duplicate task records keep the first occurrence — it is the one an
+// interrupted run's frontier may already have folded. The returned
+// states alias raw.
 func parseJournalRecords(path string, raw []byte, start int) (map[int][][]byte, int, error) {
 	resumed := map[int][][]byte{}
 	off := start
 	for off < len(raw) {
-		recStart := off
-		if len(raw)-off < len(journalRecMagic)+4+4 {
-			return resumed, recStart, nil // torn tail
+		task, states, n, err := parseRecord(raw[off:])
+		switch {
+		case err == errRecordTorn, err == errRecordSum && off+n == len(raw):
+			return resumed, off, nil
+		case err != nil:
+			return nil, 0, errs.Corrupt("dist: journal %s: %v at offset %d", path, err, off)
 		}
-		if string(raw[off:off+len(journalRecMagic)]) != journalRecMagic {
-			return nil, 0, errs.Corrupt("dist: journal %s: bad record magic at offset %d", path, off)
-		}
-		off += len(journalRecMagic)
-		body := off
-		task := int(journalReadU32(raw[off:]))
-		nstates := int(journalReadU32(raw[off+4:]))
-		off += 8
-		states := make([][]byte, 0, nstates)
-		torn := false
-		for s := 0; s < nstates; s++ {
-			if len(raw)-off < 4 {
-				torn = true
-				break
-			}
-			n := int(journalReadU32(raw[off:]))
-			off += 4
-			if len(raw)-off < n {
-				torn = true
-				break
-			}
-			states = append(states, append([]byte(nil), raw[off:off+n]...))
-			off += n
-		}
-		if torn || len(raw)-off < 8 {
-			return resumed, recStart, nil // torn tail
-		}
-		sum := journalFold(journalFNVOffset, raw[body:off])
-		if journalReadU64(raw[off:]) != sum {
-			// A bad checksum on the *last* record is a torn/garbled tail —
-			// drop it. Anywhere else it is mid-file corruption.
-			if off+8 == len(raw) {
-				return resumed, recStart, nil
-			}
-			return nil, 0, errs.Corrupt("dist: journal %s: record checksum mismatch at offset %d", path, recStart)
-		}
-		off += 8
+		off += n
 		if _, dup := resumed[task]; !dup {
 			resumed[task] = states
 		}
@@ -272,25 +222,7 @@ func (j *Journal) Path() string { return j.path }
 // a failed append fails the run (a checkpoint that silently loses
 // entries is worse than none).
 func (j *Journal) Append(task int, states [][]byte) error {
-	size := len(journalRecMagic) + 4 + 4 + 8
-	for _, s := range states {
-		size += 4 + len(s)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, journalRecMagic...)
-	var u [8]byte
-	journalU32(u[:4], uint32(task))
-	buf = append(buf, u[:4]...)
-	journalU32(u[:4], uint32(len(states)))
-	buf = append(buf, u[:4]...)
-	for _, s := range states {
-		journalU32(u[:4], uint32(len(s)))
-		buf = append(buf, u[:4]...)
-		buf = append(buf, s...)
-	}
-	sum := journalFold(journalFNVOffset, buf[len(journalRecMagic):])
-	journalU64(u[:], sum)
-	buf = append(buf, u[:]...)
+	buf := appendRecord(nil, task, states)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/errs"
@@ -112,9 +113,9 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Task 1's record: magic(4) + task(4) + nstates(4) + len(4) +
-	// "also keep"(9) + checksum(8) = 33 bytes, the file's tail.
-	garbled := append([]byte(nil), whole[len(whole)-33:]...)
-	if string(garbled[:4]) != journalRecMagic {
+	// "also keep"(9) + checksum(4) = 29 bytes, the file's tail.
+	garbled := append([]byte(nil), whole[len(whole)-29:]...)
+	if string(garbled[:4]) != recordMagic {
 		t.Fatalf("test arithmetic off: tail does not start at a record")
 	}
 	garbled[18] ^= 0x01 // flip a state byte: complete record, wrong checksum
@@ -175,7 +176,7 @@ func TestJournalMidFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a byte inside record 0's state bytes.
-	raw[len(hdr)+len(journalRecMagic)+8+4+3] ^= 0x01
+	raw[len(hdr)+len(recordMagic)+8+4+3] ^= 0x01
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -255,4 +256,34 @@ func TestJournalMissingFileStartsFresh(t *testing.T) {
 	if err := j.Append(0, [][]byte{[]byte("s")}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestJournalV1IsRefused pins the version bump: a checkpoint written
+// before the record trailer became CRC-32C is refused on resume with an
+// error that says which format it is — not misread as corruption — and
+// starting over replaces it.
+func TestJournalV1IsRefused(t *testing.T) {
+	path := journalPath(t)
+	spec := Spec{}
+	hdr, err := journalHeader(7, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte("RJRNLv1\n"), hdr[len(journalMagic):]...)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenJournal(path, 7, spec)
+	if !errors.Is(err, errs.ErrInvalid) || !strings.Contains(err.Error(), "format v1") {
+		t.Fatalf("err = %v, want ErrInvalid naming format v1", err)
+	}
+	j, err := CreateJournal(path, 7, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if j, err = OpenJournal(path, 7, spec); err != nil {
+		t.Fatalf("reopening the replaced journal: %v", err)
+	}
+	j.Close()
 }

@@ -28,17 +28,21 @@ type ScanRequest struct {
 }
 
 // ScanResponse carries one completed task's kernel states: one snapshot
-// per kernel, in registration (spec) order. JSON transports the byte
-// strings as base64.
+// per kernel, in registration (spec) order. It crosses the wire as one
+// record (record.go); States from an HTTPWorker alias the response
+// buffer.
 type ScanResponse struct {
-	Task   int      `json:"task"`
-	States [][]byte `json:"states"`
+	Task   int
+	States [][]byte
 }
 
 // Worker executes plan tasks. Scan is synchronous — one task in, its
 // kernel states out — and must be safe for concurrent calls: the
 // coordinator never sends a worker more than one task at a time, but a
-// stolen task's original owner may still be running it.
+// stolen task's original owner may still be running it. Scan must
+// return promptly once its context is cancelled: that is how the
+// coordinator stops the losing copy of a stolen task, and Run waits for
+// it.
 //
 // Error taxonomy: ErrUnavailable (or a transport failure, which
 // HTTPWorker maps onto it) means the worker is gone and its tasks

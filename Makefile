@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-pack bench-repo-test serve-smoke dist-smoke chaos-smoke clean
+.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-pack bench-repo-test chaos-smoke clean
 
 all: build
 
@@ -29,7 +29,9 @@ test-scandebug:
 
 # verify is the tier-1 gate: gofmt and vet clean, and the full suite
 # race-clean. The ./... wildcard covers every package, including
-# internal/packstore's shared-handle concurrency and recovery tests.
+# internal/packstore's shared-handle concurrency and recovery tests and
+# the root package's TestCommandsEndToEnd, which builds the commands and
+# drives serve, pipeline and two worker daemons as child processes.
 verify:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
@@ -75,19 +77,6 @@ bench-pack:
 # so neither `go test ./...` nor `make verify` at the root sees it.
 bench-repo-test:
 	cd benchmark && $(GO) test ./...
-
-# serve-smoke boots the resident corpus service against freshly packed
-# shards on an ephemeral port, exercises grep/measure/manifest/metrics
-# over HTTP, and asserts a graceful SIGTERM drain with exit code 130.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-# dist-smoke measures freshly packed shards three ways — single-node,
-# in-process -workers 2, and two cmd/worker daemons over HTTP — and
-# asserts a bit-identical measurement fingerprint across all three plus
-# a graceful SIGTERM drain with exit code 130.
-dist-smoke:
-	./scripts/dist_smoke.sh
 
 # chaos-smoke runs the resilience layer under a seeded, replayable fault
 # schedule with race-enabled binaries: bit-identical fingerprints under

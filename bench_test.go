@@ -262,7 +262,7 @@ func BenchmarkTokenize100kB(b *testing.B) {
 }
 
 func BenchmarkBuildManifest(b *testing.B) {
-	fs, err := corpus.GenerateWithContentEager(corpus.Text400K(0.0005), 10, 0)
+	fs, err := corpus.GenerateWithContentEagerCtx(context.Background(), corpus.Text400K(0.0005), 10, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -39,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/retry"
 	"repro/internal/scan"
 	"repro/internal/vfs"
@@ -50,13 +49,9 @@ func main() {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	var (
+		src      = cli.CorpusFlags(flag.CommandLine, 0.002)
 		appName  = flag.String("app", "grep", "application: grep or pos")
-		specName = flag.String("spec", "text", "synthetic corpus: html or text (ignored with -dir)")
-		scale    = flag.Float64("scale", 0.002, "synthetic corpus scale")
-		dir      = flag.String("dir", "", "use a real directory instead of a synthetic corpus")
-		packs    = flag.String("packs", "", "use a packed corpus: comma-separated pack files and/or directories of *.pack shards")
 		deadline = flag.Float64("deadline", 3600, "deadline in seconds")
-		seed     = flag.Int64("seed", 2011, "random seed")
 		fit      = flag.String("fit", "r2", "model selection: r2, cv or weighted")
 		execute  = flag.Bool("execute", true, "execute the plan on the simulated cloud")
 		grepPats = flag.String("grep", "", "comma-separated literal patterns: count matches during the fused measurement scan")
@@ -67,18 +62,13 @@ func main() {
 		onlyM    = flag.Bool("measure-only", false, "stop after the measurement scan (skip probing/planning/execution)")
 		taskB    = flag.Int64("task-bytes", 0, "task chunking cap for shard-less sources (0 = default; must match remote workers)")
 
-		faultSpec  = flag.String("fault", "", "seeded fault-injection spec, comma-separated key=value (e.g. seed=7,readerr=0.05,kill=0.1); see internal/fault")
-		verifyR    = flag.Bool("verify-reads", false, "verify pack member checksums on every read (requires -packs); on-disk corruption fails loudly instead of skewing results")
 		checkpoint = flag.String("checkpoint", "", "journal completed measurement tasks to this file (crash-safe checkpoint)")
 		resume     = flag.Bool("resume", false, "resume from an existing -checkpoint journal, skipping tasks it already holds")
 		allowPart  = flag.Bool("allow-partial", false, "degrade instead of failing when a task's data is corrupt: skip it and print a degraded-results manifest")
 		maxAtt     = flag.Int("max-attempts", 0, "dispatch attempts per measurement task before the run fails (0 = default)")
 	)
+	src.FaultFlags(flag.CommandLine)
 	flag.Parse()
-	if *verifyR && *packs == "" {
-		fmt.Fprintln(os.Stderr, "pipeline: -verify-reads needs a packed corpus (-packs)")
-		os.Exit(2)
-	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "pipeline: -resume needs -checkpoint")
 		os.Exit(2)
@@ -112,75 +102,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	var fs *vfs.FS
-	var err error
-	if *packs != "" {
-		var closer interface{ Close() error }
-		if *verifyR {
-			// Verified reads hash every member against the pack index as it
-			// streams; that rules out the zero-copy raw windows, so this
-			// import stays on plain section readers.
-			fs, closer, err = vfs.ImportPackVerifiedCtx(ctx, strings.Split(*packs, ",")...)
-		} else {
-			// Packed corpora are memory-mapped: scans take the zero-copy
-			// path, reading borrowed windows of each shard mapping. Keep the
-			// mappings alive for the run.
-			fs, closer, err = vfs.ImportPackMappedCtx(ctx, strings.Split(*packs, ",")...)
-		}
-		if err == nil {
-			defer closer.Close()
-		}
-	} else if *dir != "" {
-		// Unpacked corpora carry raw views (shared slabs for small files,
-		// mappings for large ones), so -dir scans take the same
-		// borrowed-window path as mapped packs.
-		var closer interface{ Close() error }
-		fs, closer, err = vfs.ImportDirMappedCtx(ctx, *dir)
-		if err == nil {
-			defer closer.Close()
-		}
-	} else {
-		var spec corpus.Spec
-		switch *specName {
-		case "html":
-			spec = corpus.HTML18Mil(*scale)
-		case "text":
-			spec = corpus.Text400K(*scale)
-		default:
-			fmt.Fprintf(os.Stderr, "pipeline: unknown spec %q (html or text)\n", *specName)
-			os.Exit(2)
-		}
+	// A one-shot run generates synthetic bytes on demand, so the corpus
+	// never resides in memory at once, and only when the fused scan will
+	// read them.
+	fs, closer, inj, err := src.Open(ctx, func(_ context.Context, spec corpus.Spec, seed int64) (*vfs.FS, error) {
 		if *grepPats != "" || *measure {
-			// The fused scan needs real bytes; generate them lazily so the
-			// corpus still never resides in memory at once.
-			fs, err = corpus.GenerateWithContent(spec, *seed)
-		} else {
-			fs, err = corpus.Generate(spec, *seed)
+			return corpus.GenerateWithContent(spec, seed)
 		}
-	}
+		return corpus.Generate(spec, seed)
+	})
 	if err != nil {
 		fatal(err)
 	}
+	defer closer.Close()
 	fmt.Printf("corpus: %d files, %d bytes\n", fs.Len(), fs.TotalSize())
-
-	// Seeded fault injection wraps the corpus before the plan is built;
-	// WrapFS preserves names, sizes and locality so the plan fingerprint —
-	// and therefore the measurement — is identical to a clean run.
-	var inj *fault.Injector
-	if *faultSpec != "" {
-		cfg, ferr := fault.ParseSpec(*faultSpec)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		if cfg.Enabled() {
-			if inj, err = fault.New(cfg); err != nil {
-				fatal(err)
-			}
-			if fs, err = inj.WrapFS(fs); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("fault injection armed: %s\n", *faultSpec)
-		}
+	if inj != nil {
+		fmt.Printf("fault injection armed: %s\n", src.FaultSpec())
 	}
 
 	// One fused scan serves every requested measurement: checksums, text
@@ -188,10 +125,6 @@ func main() {
 	// same single read of each file (packed corpora shard-sequentially).
 	var complexity map[string]float64
 	if *grepPats != "" || *measure {
-		if *wAddrs == "" && !contentBacked(fs) {
-			fmt.Fprintln(os.Stderr, "pipeline: -grep/-measure need corpus bytes; use -dir or -packs (or a content-backed spec)")
-			os.Exit(2)
-		}
 		spec := dist.Spec{FoldCase: *foldCase, Complexity: *measure && *appName == "pos"}
 		if *grepPats != "" {
 			spec.Patterns = strings.Split(*grepPats, ",")
@@ -201,7 +134,7 @@ func main() {
 		opts := dist.Options{
 			MaxAttempts:  *maxAtt,
 			AllowPartial: *allowPart,
-			Retry:        retry.Policy{Seed: *seed},
+			Retry:        retry.Policy{Seed: src.Seed()},
 		}
 		if *checkpoint != "" {
 			var j *dist.Journal
@@ -226,9 +159,9 @@ func main() {
 			// fingerprint preflight catches any divergence. An armed
 			// injector perturbs the HTTP transport, not the remote daemons
 			// (give those their own -fault).
-			var hc *http.Client
+			hc := &http.Client{}
 			if inj != nil {
-				hc = &http.Client{Transport: inj.Transport(nil)}
+				hc.Transport = inj.Transport(nil)
 			}
 			var fleet []dist.Worker
 			for _, a := range strings.Split(*wAddrs, ",") {
@@ -236,11 +169,7 @@ func main() {
 				if !strings.Contains(a, "://") {
 					a = "http://" + a
 				}
-				if hc != nil {
-					fleet = append(fleet, dist.NewHTTPWorkerClient(a, a, hc))
-				} else {
-					fleet = append(fleet, dist.NewHTTPWorker(a, a))
-				}
+				fleet = append(fleet, dist.NewHTTPWorkerClient(a, a, hc))
 			}
 			m, err = distMeasure(ctx, plan, spec, fleet, opts)
 		case *workers > 0:
@@ -297,7 +226,7 @@ func main() {
 		fmt.Printf("note: base unit %d bytes is large relative to the corpus; the unit-size sweep will be coarse\n", s0)
 	}
 	p, err := core.New(core.Config{
-		Seed:            *seed,
+		Seed:            src.Seed(),
 		App:             app,
 		DeadlineSeconds: *deadline,
 		InitialVolume:   initial,
@@ -389,17 +318,6 @@ func distMeasure(ctx context.Context, plan *scan.Plan, spec dist.Spec, fleet []d
 		}
 	}
 	return m, err
-}
-
-// contentBacked reports whether every corpus file carries real bytes —
-// the precondition for a fused measurement scan.
-func contentBacked(fs *vfs.FS) bool {
-	for _, f := range fs.List() {
-		if !f.HasContent() {
-			return false
-		}
-	}
-	return true
 }
 
 // pickS0 chooses a base probe unit comfortably above the largest file, as

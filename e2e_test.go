@@ -1,0 +1,235 @@
+package repro
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"repro/internal/cli"
+	"repro/internal/server"
+)
+
+// daemon is one built command running as a child process: its address
+// from the "listening on" line, and everything it wrote to stderr.
+type daemon struct {
+	cmd    *exec.Cmd
+	addr   string
+	stderr bytes.Buffer
+}
+
+var listeningRE = regexp.MustCompile(`listening on http://([0-9.:]+)`)
+
+// startDaemon starts bin and waits, on its stdout pipe, for the line that
+// says where it listens.
+func startDaemon(t *testing.T, bin string, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{cmd: exec.Command(bin, args...)}
+	d.cmd.Stderr = &d.stderr
+	stdout, err := d.cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.cmd.Process.Kill() })
+	addr := make(chan string, 1)
+	go func() {
+		defer close(addr)
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			if m := listeningRE.FindStringSubmatch(sc.Text()); m != nil {
+				addr <- m[1]
+				io.Copy(io.Discard, stdout)
+				return
+			}
+		}
+	}()
+	select {
+	case a, ok := <-addr:
+		if !ok {
+			d.cmd.Wait()
+			t.Fatalf("%s exited before listening:\n%s", filepath.Base(bin), d.stderr.String())
+		}
+		d.addr = a
+	case <-time.After(60 * time.Second):
+		t.Fatalf("%s never reported its address:\n%s", filepath.Base(bin), d.stderr.String())
+	}
+	return d
+}
+
+// terminate sends SIGTERM and requires the repository's signal contract:
+// a drain line on stderr and exit code 130.
+func (d *daemon) terminate(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	err := d.cmd.Wait()
+	if code := d.cmd.ProcessState.ExitCode(); code != cli.ExitCodeCancelled {
+		t.Errorf("%s exited %d (%v) after SIGTERM, want %d:\n%s", filepath.Base(d.cmd.Path), code, err, cli.ExitCodeCancelled, d.stderr.String())
+	}
+	if !strings.Contains(d.stderr.String(), ": drained") {
+		t.Errorf("%s: no drain line:\n%s", filepath.Base(d.cmd.Path), d.stderr.String())
+	}
+}
+
+// call sends one request and decodes a 200 answer into out.
+func call(t *testing.T, method, url, body string, out any) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("%s %s: status %d: %s", method, url, resp.StatusCode, b)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+}
+
+var (
+	fingerprintRE = regexp.MustCompile(`(?m)^measurement fingerprint: ([0-9a-f]{16}) \(plan [0-9a-f]{16}, (\d+) files, (\d+) tasks\)`)
+	patternRE     = regexp.MustCompile(`(?m)^  pattern "(\w+)": (\d+) matches`)
+)
+
+// measured is what one `pipeline -measure-only` run printed.
+type measured struct {
+	fingerprint  string
+	files, tasks int
+	totals       []int64 // per -grep pattern, in flag order
+	out          string
+}
+
+func runPipeline(t *testing.T, bin string, args ...string) measured {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("pipeline %v: %v\n%s", args, err, out)
+	}
+	m := measured{out: string(out)}
+	fp := fingerprintRE.FindStringSubmatch(m.out)
+	if fp == nil {
+		t.Fatalf("pipeline %v printed no fingerprint:\n%s", args, out)
+	}
+	m.fingerprint = fp[1]
+	m.files, _ = strconv.Atoi(fp[2])
+	m.tasks, _ = strconv.Atoi(fp[3])
+	for _, p := range patternRE.FindAllStringSubmatch(m.out, -1) {
+		n, _ := strconv.ParseInt(p[2], 10, 64)
+		m.totals = append(m.totals, n)
+	}
+	return m
+}
+
+// TestCommandsEndToEnd drives the built commands the way an operator
+// would: generate and pack a corpus; serve it and read every endpoint's
+// typed answer; measure it single-node, on two in-process workers and on
+// two worker daemons over HTTP, which must agree bit for bit with each
+// other and with what the resident server counts; then SIGTERM each
+// daemon and require the drain line and exit code 130.
+func TestCommandsEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs five binaries")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain on PATH to build the commands with")
+	}
+	work := t.TempDir()
+	bin := filepath.Join(work, "bin") + string(filepath.Separator)
+	if err := os.Mkdir(bin, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	build := exec.Command(goBin, "build", "-o", bin, "./cmd/corpusgen", "./cmd/reshape", "./cmd/pipeline", "./cmd/serve", "./cmd/worker")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	run := func(name string, args ...string) {
+		t.Helper()
+		if out, err := exec.Command(bin+name, args...).CombinedOutput(); err != nil {
+			t.Fatalf("%s %v: %v\n%s", name, args, err, out)
+		}
+	}
+	corpusDir, packs := filepath.Join(work, "corpus"), filepath.Join(work, "packs")
+	run("corpusgen", "-spec", "text", "-scale", "0.0005", "-out", corpusDir)
+	// Small units and shards, so the plan has several tasks to hand out.
+	run("reshape", "-in", corpusDir, "-pack", "-out", packs, "-unit", "16384", "-shard", "32768")
+
+	flags := []string{"-packs", packs, "-measure", "-measure-only", "-grep", "the,and"}
+	local := runPipeline(t, bin+"pipeline", flags...)
+	if local.files == 0 || local.tasks < 3 || len(local.totals) != 2 || local.totals[0] == 0 {
+		t.Fatalf("single-node run measured nothing worth comparing:\n%s", local.out)
+	}
+
+	// The resident server over the same shards.
+	srv := startDaemon(t, bin+"serve", "-packs", packs, "-addr", "127.0.0.1:0")
+	base := "http://" + srv.addr
+	var grep server.GrepResponse
+	call(t, "POST", base+"/v1/grep", `{"patterns":["the","and"]}`, &grep)
+	if grep.Files != local.files || !reflect.DeepEqual(grep.Totals, local.totals) || grep.Matches != local.totals[0]+local.totals[1] {
+		t.Errorf("serve grep = %d files, totals %v, matches %d; pipeline counted %d files, %v", grep.Files, grep.Totals, grep.Matches, local.files, local.totals)
+	}
+	var meas server.MeasureResponse
+	call(t, "POST", base+"/v1/measure", `{"complexity":true,"patterns":["the","and"]}`, &meas)
+	if meas.Files != local.files || meas.Tokens == 0 || meas.ComplexityMean <= 0 || !reflect.DeepEqual(meas.Totals, local.totals) {
+		t.Errorf("serve measure = %+v; pipeline counted %d files, %v", meas, local.files, local.totals)
+	}
+	var manifest server.ManifestResponse
+	call(t, "GET", base+"/v1/manifest", "", &manifest)
+	if manifest.Files != local.files || len(manifest.Entries) != local.files || len(manifest.Fingerprint) != 16 || manifest.Shards < 2 {
+		t.Errorf("serve manifest: %d files, %d entries, %d shards, fingerprint %q", manifest.Files, len(manifest.Entries), manifest.Shards, manifest.Fingerprint)
+	}
+	var stats server.StatsResponse
+	call(t, "GET", base+"/v1/stats", "", &stats)
+	if stats.Tokens != meas.Tokens || stats.Lines != meas.Lines {
+		t.Errorf("serve stats %+v disagree with measure %+v", stats, meas)
+	}
+	var snap server.Snapshot
+	call(t, "GET", base+"/metrics", "", &snap)
+	if snap.Endpoints["grep"].Requests != 1 || snap.Endpoints["measure"].Requests != 1 || snap.QueueDepth != 0 {
+		t.Errorf("serve metrics after one grep and one measure: %+v", snap)
+	}
+	srv.terminate(t)
+	if want := "serve: drained (2 requests served, 0 cancelled, 0 refused)"; !strings.Contains(srv.stderr.String(), want) {
+		t.Errorf("serve drain summary: want %q in\n%s", want, srv.stderr.String())
+	}
+
+	// The same measurement through the coordinator, in process and over HTTP.
+	inproc := runPipeline(t, bin+"pipeline", append(flags, "-workers", "2")...)
+	w0 := startDaemon(t, bin+"worker", "-packs", packs, "-addr", "127.0.0.1:0", "-name", "w0")
+	w1 := startDaemon(t, bin+"worker", "-packs", packs, "-addr", "127.0.0.1:0", "-name", "w1")
+	fleet := runPipeline(t, bin+"pipeline", append(flags, "-worker-addrs", w0.addr+","+w1.addr)...)
+	for name, m := range map[string]measured{"-workers 2": inproc, "two HTTP workers": fleet} {
+		if m.fingerprint != local.fingerprint || m.tasks != local.tasks || !reflect.DeepEqual(m.totals, local.totals) {
+			t.Errorf("%s: fingerprint %s, %d tasks, totals %v; single-node %s, %d, %v\n%s",
+				name, m.fingerprint, m.tasks, m.totals, local.fingerprint, local.tasks, local.totals, m.out)
+		}
+	}
+	for _, w := range []*daemon{w0, w1} {
+		if !strings.Contains(fleet.out, fmt.Sprintf("worker http://%s: ", w.addr)) {
+			t.Errorf("no tally line for the worker at %s:\n%s", w.addr, fleet.out)
+		}
+		w.terminate(t)
+	}
+}

@@ -1,7 +1,8 @@
-// Package cli holds the small pieces shared by every command: a root
-// context cancelled on SIGINT/SIGTERM, and a fatal-error printer that
-// turns the typed cancellation errors from internal/errs into a one-line
-// "cancelled after stage X" diagnostic instead of a raw error dump.
+// Package cli holds the pieces shared by the commands: a root context
+// cancelled on SIGINT/SIGTERM, a fatal-error printer that turns the typed
+// cancellation errors from internal/errs into a one-line "cancelled after
+// stage X" diagnostic instead of a raw error dump, the one corpus opener
+// (corpus.go) and the one HTTP daemon loop (daemon.go).
 package cli
 
 import (
@@ -36,9 +37,14 @@ func SignalContext() (context.Context, context.CancelFunc) {
 // Fatal prints the error prefixed with the program name and exits
 // non-zero. Cancellations (interrupt or deadline) render as a single
 // line naming the last stage reached — "cancelled after stage X" — with
-// exit code 130 (the shell convention for SIGINT); everything else
-// prints the full error chain and exits 1.
+// exit code 130 (the shell convention for SIGINT); a flag combination
+// Corpus.Open refuses exits 2; everything else prints the full error
+// chain and exits 1.
 func Fatal(prog string, err error) {
+	if ue := usageError(""); errors.As(err, &ue) {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		os.Exit(2)
+	}
 	if errs.IsCancellation(err) {
 		kind := "cancelled"
 		if errors.Is(err, errs.ErrDeadline) {

@@ -207,17 +207,12 @@ func (p *Pipeline) RunCtx(ctx context.Context, corpusFS *vfs.FS) (*Result, error
 	return p.run(ctx, corpusFS, nil)
 }
 
-// RunProfile executes the pipeline over a heterogeneous-complexity corpus:
-// probe measurements and plan predictions carry each file's complexity, so
-// the calibration honestly reflects what the workload will cost (§5.2's
-// closing observation). The profile's complexity map keys must match the
-// corpus file names.
-func (p *Pipeline) RunProfile(profile *corpus.Profile) (*Result, error) {
-	return p.RunProfileCtx(context.Background(), profile)
-}
-
-// RunProfileCtx is RunProfile with cancellation and the same armed
-// deadline as RunCtx.
+// RunProfileCtx executes the pipeline over a heterogeneous-complexity
+// corpus: probe measurements and plan predictions carry each file's
+// complexity, so the calibration honestly reflects what the workload will
+// cost (§5.2's closing observation). The profile's complexity map keys
+// must match the corpus file names. Cancellation and the armed deadline
+// are RunCtx's.
 func (p *Pipeline) RunProfileCtx(ctx context.Context, profile *corpus.Profile) (*Result, error) {
 	if profile == nil || profile.FS == nil {
 		return nil, errs.Invalid("core: nil profile")

@@ -187,16 +187,11 @@ func MeasurePlanCtx(ctx context.Context, p *scan.Plan, opts MeasureOptions) (*Me
 	return MeasureSourcesCtx(ctx, p.Sources, opts)
 }
 
-// RunMeasured executes the pipeline over a content-backed corpus whose
-// complexity profile is derived from its real bytes by one fused scan.
-func (p *Pipeline) RunMeasured(corpusFS *vfs.FS) (*Result, *Measurement, error) {
-	return p.RunMeasuredCtx(context.Background(), corpusFS)
-}
-
-// RunMeasuredCtx measures the corpus (checksums, stats, per-file POS
-// complexity — one read of every file) and then runs the pipeline as
-// RunProfileCtx would with the measured profile. The measurement is
-// returned alongside the plan so callers can report or verify it.
+// RunMeasuredCtx measures a content-backed corpus (checksums, stats,
+// per-file POS complexity — one read of every file) and then runs the
+// pipeline as RunProfileCtx would with the measured profile. The
+// measurement is returned alongside the plan so callers can report or
+// verify it.
 func (p *Pipeline) RunMeasuredCtx(ctx context.Context, corpusFS *vfs.FS) (*Result, *Measurement, error) {
 	m, err := MeasureCtx(ctx, corpusFS, MeasureOptions{Complexity: true})
 	if err != nil {

@@ -51,7 +51,7 @@ func TestMeasureMatchesSeparatePasses(t *testing.T) {
 			t.Fatalf("manifest[%s] = %+v, want %+v", name, m.Manifest[name], want)
 		}
 	}
-	if err := m.Manifest.Verify(fs); err != nil {
+	if err := m.Manifest.VerifyCtx(context.Background(), fs); err != nil {
 		t.Fatalf("measured manifest does not verify its own corpus: %v", err)
 	}
 
@@ -147,7 +147,7 @@ func TestRunMeasuredFeedsComplexityProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, m, err := p.RunMeasured(fs)
+	res, m, err := p.RunMeasuredCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}

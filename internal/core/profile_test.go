@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/binpack"
@@ -35,11 +36,11 @@ func TestRunProfileComplexityRaisesSlope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resFlat, err := profiledPipeline(t).RunProfile(flat)
+	resFlat, err := profiledPipeline(t).RunProfileCtx(context.Background(), flat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resDense, err := profiledPipeline(t).RunProfile(dense)
+	resDense, err := profiledPipeline(t).RunProfileCtx(context.Background(), dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestRunProfileExecuteUsesMeanComplexity(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := profiledPipeline(t)
-	res, err := p.RunProfile(profile)
+	res, err := p.RunProfileCtx(context.Background(), profile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +86,10 @@ func TestRunProfileExecuteUsesMeanComplexity(t *testing.T) {
 
 func TestRunProfileValidation(t *testing.T) {
 	p := profiledPipeline(t)
-	if _, err := p.RunProfile(nil); err == nil {
+	if _, err := p.RunProfileCtx(context.Background(), nil); err == nil {
 		t.Error("expected error for nil profile")
 	}
-	if _, err := p.RunProfile(&corpus.Profile{}); err == nil {
+	if _, err := p.RunProfileCtx(context.Background(), &corpus.Profile{}); err == nil {
 		t.Error("expected error for profile without corpus")
 	}
 }

@@ -36,7 +36,7 @@ func TestReshapePackRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	paths, err := merged.ExportPack(dir, vfs.PackOptions{Prefix: "unit", ShardSize: 2_000_000})
+	paths, err := merged.ExportPackCtx(context.Background(), dir, vfs.PackOptions{Prefix: "unit", ShardSize: 2_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReshapePackRoundTrip(t *testing.T) {
 	if imported.Len() != merged.Len() {
 		t.Fatalf("imported %d unit files, want %d", imported.Len(), merged.Len())
 	}
-	if err := manifest.Verify(imported); err != nil {
+	if err := manifest.VerifyCtx(context.Background(), imported); err != nil {
 		t.Fatalf("per-unit manifest verify over pack import: %v", err)
 	}
 }

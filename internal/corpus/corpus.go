@@ -156,7 +156,7 @@ func GenerateWithContent(spec Spec, seed int64) (*vfs.FS, error) {
 	return fs, nil
 }
 
-// GenerateWithContentEager is GenerateWithContent with the file bytes
+// GenerateWithContentEagerCtx is GenerateWithContent with the file bytes
 // materialised up front, in parallel (workers <= 0 means all CPUs). Sizes
 // are still sampled from the single sequential corpus RNG stream — that
 // order is part of the corpus identity — but each file's content generator
@@ -164,15 +164,9 @@ func GenerateWithContent(spec Spec, seed int64) (*vfs.FS, error) {
 // per-file byte generation fans out across the pool and the resulting
 // corpus is byte-identical to the lazy form at any worker count. Intended
 // for benchmark and experiment corpora that will be read many times:
-// repeated opens become memory reads instead of regeneration.
-func GenerateWithContentEager(spec Spec, seed int64, workers int) (*vfs.FS, error) {
-	return GenerateWithContentEagerCtx(context.Background(), spec, seed, workers)
-}
-
-// GenerateWithContentEagerCtx is GenerateWithContentEager with
-// cancellation: per-file materialisation stops once ctx is done and the
-// call returns a typed cancellation error. A run that completes is
-// byte-identical to the non-ctx form at any worker count.
+// repeated opens become memory reads instead of regeneration. Per-file
+// materialisation stops once ctx is done and the call returns a typed
+// cancellation error.
 func GenerateWithContentEagerCtx(ctx context.Context, spec Spec, seed int64, workers int) (*vfs.FS, error) {
 	names := make([]string, spec.NumFiles)
 	sizes := make([]int64, spec.NumFiles)

@@ -20,7 +20,7 @@ func TestEagerMatchesLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 0, 7} {
-		eager, err := GenerateWithContentEager(spec, seed, workers)
+		eager, err := GenerateWithContentEagerCtx(context.Background(), spec, seed, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -61,11 +61,11 @@ func TestEagerHTMLChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager, err := GenerateWithContentEager(spec, 5, 0)
+	eager, err := GenerateWithContentEagerCtx(context.Background(), spec, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := want.Verify(eager); err != nil {
+	if err := want.VerifyCtx(context.Background(), eager); err != nil {
 		t.Errorf("eager corpus differs from lazy: %v", err)
 	}
 }

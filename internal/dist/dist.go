@@ -25,7 +25,7 @@
 // re-dispatches the tasks of workers that fail (transport failure or
 // errs.ErrUnavailable). Workers are either in-process (Local — tests,
 // and the -workers N single-machine mode) or remote over HTTP
-// (HTTPWorker ↔ WorkerServer on the internal/server plumbing: a JSON
+// (HTTPWorker ↔ WorkerServer over the errs HTTP edge: a JSON
 // request out, one checksummed binary record of kernel states back).
 package dist
 

@@ -9,11 +9,9 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/errs"
 	"repro/internal/scan"
-	"repro/internal/server"
 )
 
 // HTTPWorker is the coordinator-side client for a remote worker daemon:
@@ -86,7 +84,7 @@ func (w *HTTPWorker) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse,
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, w.statusError(resp)
+		return nil, fmt.Errorf("dist: worker %q: %w", w.name, errs.FromHTTPResponse(resp))
 	}
 	// One buffer, which the returned states alias. A declared length
 	// reserves at most firstChunk; past that it grows as bytes arrive.
@@ -118,56 +116,6 @@ func (w *HTTPWorker) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse,
 // allocation, and a hostile "Content-Length: 4 GB" costs 1 MiB.
 const firstChunk = 1 << 20
 
-// statusError maps a non-200 answer back onto the taxonomy — the inverse
-// of errs.HTTPStatus, so a sentinel crossing the wire comes back as
-// itself: 503 re-dispatches, 400 is a protocol bug, and a 500-class scan
-// failure stays fatal exactly as it would be in-process. 429 and 503 are
-// both "come back later" (ErrUnavailable), and when the server says how
-// long — the Retry-After header — the hint rides along so the retry
-// layer waits at least that long instead of hammering an overloaded or
-// draining worker.
-func (w *HTTPWorker) statusError(resp *http.Response) error {
-	msg := "(no body)"
-	if b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<10)); err == nil && len(b) > 0 {
-		var eb server.ErrorBody
-		if json.Unmarshal(b, &eb) == nil && eb.Error != "" {
-			msg = eb.Error
-		} else {
-			msg = string(bytes.TrimSpace(b))
-		}
-	}
-	switch resp.StatusCode {
-	case 400:
-		return errs.Invalid("dist: worker %q: %s", w.name, msg)
-	case 404:
-		return errs.NotFound("dist: worker %q: %s", w.name, msg)
-	case 429, 503:
-		err := errs.Unavailable("dist: worker %q: status %d: %s", w.name, resp.StatusCode, msg)
-		return errs.RetryAfter(err, retryAfterOf(resp))
-	case 499:
-		return fmt.Errorf("dist: worker %q: %s: %w", w.name, msg, errs.ErrCancelled)
-	case 504:
-		return fmt.Errorf("dist: worker %q: %s: %w", w.name, msg, errs.ErrDeadline)
-	default:
-		return fmt.Errorf("dist: worker %q: status %d: %s", w.name, resp.StatusCode, msg)
-	}
-}
-
-// retryAfterOf parses the response's Retry-After header (delta-seconds
-// form). 0 when absent or unparseable — errs.RetryAfter treats that as
-// "no hint".
-func retryAfterOf(resp *http.Response) time.Duration {
-	s := resp.Header.Get("Retry-After")
-	if s == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(s)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
 // WorkerServer is the daemon half: it owns a plan over its local corpus
 // view and answers POST /v1/scan by executing the requested task through
 // an in-process Local worker. The Local (and its amortised automata and
@@ -178,9 +126,8 @@ func retryAfterOf(resp *http.Response) time.Duration {
 //	               exactly one record (record.go) of its kernel states
 //	GET  /healthz  liveness
 //
-// Errors leave through server.WriteError, so the status codes are
-// exactly errs.HTTPStatus's table and HTTPWorker's statusError inverts
-// them faithfully.
+// Errors leave through errs.WriteError and HTTPWorker reads them back
+// with errs.FromHTTPResponse, so a sentinel crosses the wire as itself.
 type WorkerServer struct {
 	name string
 	plan *scan.Plan
@@ -237,29 +184,20 @@ func (s *WorkerServer) localFor(spec Spec) (*Local, error) {
 	return s.local, nil
 }
 
-// maxRequestBytes bounds a /v1/scan request body: a real one is ~150
-// bytes plus the spec's patterns.
-const maxRequestBytes = 1 << 20
-
 func (s *WorkerServer) handleScan(w http.ResponseWriter, r *http.Request) {
 	var req ScanRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
-		server.WriteError(w, errs.Invalid("dist: bad scan request: %v", err))
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		server.WriteError(w, errs.Invalid("dist: bad scan request: data after the JSON value"))
+	if err := errs.DecodeJSON(w, r, &req); err != nil {
+		errs.WriteError(w, err)
 		return
 	}
 	l, err := s.localFor(req.Spec)
 	if err != nil {
-		server.WriteError(w, err)
+		errs.WriteError(w, err)
 		return
 	}
 	resp, err := l.Scan(r.Context(), &req)
 	if err != nil {
-		server.WriteError(w, errs.Categorize(err))
+		errs.WriteError(w, errs.Categorize(err))
 		return
 	}
 	body := appendRecord(nil, resp.Task, resp.States)
@@ -278,7 +216,7 @@ type WorkerHealth struct {
 }
 
 func (s *WorkerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, &WorkerHealth{
+	errs.WriteJSON(w, http.StatusOK, &WorkerHealth{
 		Status: "ok",
 		Name:   s.name,
 		Files:  len(s.plan.Sources),

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/retry"
-	"repro/internal/server"
 )
 
 // TestHTTPWorkersBitIdentical runs the distributed measurement over real
@@ -277,7 +276,7 @@ func TestScanRequestIsBounded(t *testing.T) {
 	ts := httptest.NewServer(NewWorkerServer("w", p).Handler())
 	defer ts.Close()
 	valid := mustJSON(t, &ScanRequest{PlanFP: p.Fingerprint(), Task: 0})
-	huge := mustJSON(t, &ScanRequest{PlanFP: p.Fingerprint(), Spec: Spec{Patterns: []string{strings.Repeat("a", maxRequestBytes)}}})
+	huge := mustJSON(t, &ScanRequest{PlanFP: p.Fingerprint(), Spec: Spec{Patterns: []string{strings.Repeat("a", errs.MaxRequestBytes)}}})
 	for name, tc := range map[string]struct {
 		body   []byte
 		status int
@@ -300,7 +299,7 @@ func TestScanRequestIsBounded(t *testing.T) {
 			if tc.status == http.StatusOK {
 				return
 			}
-			var eb server.ErrorBody
+			var eb errs.ErrorBody
 			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Status != tc.status || eb.Error == "" {
 				t.Errorf("error envelope %+v (decode: %v)", eb, err)
 			}

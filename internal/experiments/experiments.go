@@ -148,34 +148,24 @@ func Lookup(id string) (Driver, bool) {
 	return nil, false
 }
 
-// RunAll executes every experiment concurrently and returns the reports in
-// registry order. Drivers are independent by construction — each builds its
-// own seeded cloud and corpus from cfg, sharing only read-only state — so
-// the reports are identical to a serial run at any worker count. The error
-// contract also matches the serial loop: on failure, the reports for the
-// registry prefix before the first (by registry order) failing driver are
-// returned alongside its error.
-func RunAll(cfg Config) ([]*Report, error) {
-	return RunAllWorkersCtx(context.Background(), cfg, 0)
-}
-
-// RunAllCtx is RunAll with cancellation: no new driver starts once ctx
-// is done, and the call returns the typed cancellation error.
+// RunAllCtx executes every experiment concurrently and returns the
+// reports in registry order. Drivers are independent by construction —
+// each builds its own seeded cloud and corpus from cfg, sharing only
+// read-only state — so the reports are identical to a serial run at any
+// worker count. The error contract also matches the serial loop: on
+// failure, the reports for the registry prefix before the first (by
+// registry order) failing driver are returned alongside its error. No new
+// driver starts once ctx is done, and the call returns the typed
+// cancellation error.
 func RunAllCtx(ctx context.Context, cfg Config) ([]*Report, error) {
 	return RunAllWorkersCtx(ctx, cfg, 0)
 }
 
-// RunAllWorkers is RunAll with an explicit worker count (0 or negative
-// means GOMAXPROCS); workers=1 is the serial reference.
-func RunAllWorkers(cfg Config, workers int) ([]*Report, error) {
-	return RunAllWorkersCtx(context.Background(), cfg, workers)
-}
-
-// RunAllWorkersCtx is the cancellable, worker-bounded form the other
-// variants delegate to. Driver failures keep the serial error contract
-// (first failure in registry order, with the completed prefix); a
-// cancellation with no driver failure returns the fan-out's typed
-// cancellation error and no reports.
+// RunAllWorkersCtx is RunAllCtx with an explicit worker count (0 or
+// negative means GOMAXPROCS); workers=1 is the serial reference. Driver
+// failures keep the serial error contract (first failure in registry
+// order, with the completed prefix); a cancellation with no driver
+// failure returns the fan-out's typed cancellation error and no reports.
 func RunAllWorkersCtx(ctx context.Context, cfg Config, workers int) ([]*Report, error) {
 	reps := make([]*Report, len(Registry))
 	errs := make([]error, len(Registry))

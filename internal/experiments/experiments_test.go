@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -295,7 +296,7 @@ func TestRunAllProducesEveryReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RunAll is the slow full sweep")
 	}
-	reports, err := RunAll(Config{})
+	reports, err := RunAllCtx(context.Background(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestRunAllProducesEveryReport(t *testing.T) {
 	// The concurrent sweep must be indistinguishable from the serial one:
 	// every driver builds its own seeded world, so the reports — tables,
 	// notes and scalar values alike — are bit-identical at any worker count.
-	serial, err := RunAllWorkers(Config{}, 1)
+	serial, err := RunAllWorkersCtx(context.Background(), Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,9 @@
 package fault
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -508,10 +510,10 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // synthesized builds a fake error response in the repository's JSON
-// envelope (server.ErrorBody shape, duplicated here so fault does not
-// depend on internal/server).
+// envelope, indented as errs.WriteJSON writes it.
 func synthesized(req *http.Request, code int, status, msg string, retryAfterS int) *http.Response {
-	body := fmt.Sprintf("{\n  \"error\": %q,\n  \"status\": %d\n}\n", msg, code)
+	body, _ := json.MarshalIndent(errs.ErrorBody{Error: msg, Status: code}, "", "  ") // a struct of string and int cannot fail
+	body = append(body, '\n')
 	h := http.Header{}
 	h.Set("Content-Type", "application/json")
 	h.Set("Retry-After", strconv.Itoa(retryAfterS))
@@ -522,7 +524,7 @@ func synthesized(req *http.Request, code int, status, msg string, retryAfterS in
 		ProtoMajor:    1,
 		ProtoMinor:    1,
 		Header:        h,
-		Body:          io.NopCloser(strings.NewReader(body)),
+		Body:          io.NopCloser(bytes.NewReader(body)),
 		ContentLength: int64(len(body)),
 		Request:       req,
 	}

@@ -3,12 +3,14 @@ package fault
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -276,6 +278,23 @@ func TestTransport503And429(t *testing.T) {
 		resp.Body.Close()
 		if !bytes.Contains(body, []byte("injected")) {
 			t.Fatalf("body %q lacks the injected marker", body)
+		}
+		// The body is the shared envelope, byte for byte what a daemon's
+		// errs.WriteJSON would send, and the client-side inverse reads it
+		// back as "come back in two seconds".
+		var eb errs.ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Status != tc.code || !strings.Contains(eb.Error, "injected") {
+			t.Fatalf("envelope %+v (decode: %v)", eb, err)
+		}
+		rec := httptest.NewRecorder()
+		errs.WriteJSON(rec, tc.code, eb)
+		if !bytes.Equal(rec.Body.Bytes(), body) || int64(len(body)) != resp.ContentLength {
+			t.Fatalf("body %q (Content-Length %d), errs.WriteJSON writes %q", body, resp.ContentLength, rec.Body.Bytes())
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+		err = errs.FromHTTPResponse(resp)
+		if d, ok := errs.RetryAfterHint(err); !errors.Is(err, errs.ErrUnavailable) || !ok || d != 2*time.Second {
+			t.Fatalf("inverse = %v (hint %v, %v), want ErrUnavailable after 2s", err, d, ok)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package packstore
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -62,7 +63,7 @@ func BenchmarkPackVerify512(b *testing.B) {
 	b.SetBytes(p.DataSize())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.Verify(0); err != nil {
+		if err := p.VerifyCtx(context.Background(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -110,7 +110,7 @@ func TestShardWriterAppendCtx(t *testing.T) {
 	if p.Len() != 1 {
 		t.Fatalf("shard holds %d members, want 1", p.Len())
 	}
-	if err := p.Verify(0); err != nil {
+	if err := p.VerifyCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 }

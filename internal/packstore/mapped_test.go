@@ -7,6 +7,7 @@ package packstore
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -96,7 +97,7 @@ func TestReaderMatchesSectionReader(t *testing.T) {
 			t.Errorf("member %q: SectionReader bytes differ from MemberBytes view", m.Name)
 		}
 	}
-	if err := r.Pack().Verify(0); err != nil {
+	if err := r.Pack().VerifyCtx(context.Background(), 0); err != nil {
 		t.Fatalf("Verify through the mapping: %v", err)
 	}
 }

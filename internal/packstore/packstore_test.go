@@ -2,6 +2,7 @@ package packstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -95,7 +96,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("members not sorted: %q >= %q", ms[i-1].Name, ms[i].Name)
 		}
 	}
-	if err := p.Verify(0); err != nil {
+	if err := p.VerifyCtx(context.Background(), 0); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 }
@@ -165,7 +166,7 @@ func TestEmptyPack(t *testing.T) {
 	if p.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", p.Len())
 	}
-	if err := p.Verify(0); err != nil {
+	if err := p.VerifyCtx(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -204,7 +205,7 @@ func TestCorruptPayloadCaughtByVerify(t *testing.T) {
 	}
 	defer p2.Close()
 	for _, workers := range []int{1, 2, 8} {
-		err := p2.Verify(workers)
+		err := p2.VerifyCtx(context.Background(), workers)
 		if err == nil {
 			t.Fatalf("Verify(%d) missed a flipped payload byte", workers)
 		}
@@ -234,7 +235,7 @@ func TestCorruptIndexCaughtByOpen(t *testing.T) {
 		t.Fatal("Open accepted a pack with a corrupt index")
 	}
 	// Recover falls back to the record scan and salvages everything.
-	p, err := Recover(path)
+	p, err := RecoverCtx(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestShardWriter(t *testing.T) {
 		t.Fatalf("set data size %d, want %d", set.DataSize(), total)
 	}
 	for _, workers := range []int{1, 3, 8} {
-		if err := set.Verify(workers); err != nil {
+		if err := set.VerifyCtx(context.Background(), workers); err != nil {
 			t.Fatalf("Verify(%d): %v", workers, err)
 		}
 	}

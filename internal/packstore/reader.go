@@ -147,17 +147,13 @@ func newPack(path string, ra io.ReaderAt, closer io.Closer, size int64, members 
 	}, nil
 }
 
-// Recover opens a pack leniently: if the footer and index are intact it
-// behaves exactly like Open; otherwise it rescans the record region and
+// RecoverCtx opens a pack leniently: if the footer and index are intact
+// it behaves exactly like Open; otherwise it rescans the record region and
 // salvages every complete member, checksums included — the durable-store
 // guarantee that a crash mid-append loses at most the member being
-// written. A pack recovered from a damaged tail reports Truncated().
-func Recover(path string) (*Pack, error) {
-	return RecoverCtx(context.Background(), path)
-}
-
-// RecoverCtx is Recover with cancellation, threaded through the salvage
-// verification passes (the expensive part of recovery on a large pack).
+// written. A pack recovered from a damaged tail reports Truncated(). ctx
+// is threaded through the salvage verification passes (the expensive part
+// of recovery on a large pack).
 func RecoverCtx(ctx context.Context, path string) (*Pack, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -356,16 +352,11 @@ func (p *Pack) verifyMember(m Member) error {
 	return nil
 }
 
-// Verify checksums every member's payload against the index, fanning the
-// FNV streams out over the pool (workers <= 0 means GOMAXPROCS). The
+// VerifyCtx checksums every member's payload against the index, fanning
+// the FNV streams out over the pool (workers <= 0 means GOMAXPROCS). The
 // reported error is the one from the first member in name order, so the
-// outcome is identical at any worker count.
-func (p *Pack) Verify(workers int) error {
-	return p.VerifyCtx(context.Background(), workers)
-}
-
-// VerifyCtx is Verify with cancellation: member dispatch stops once ctx
-// is done and the call returns a typed cancellation error. A corruption
+// outcome is identical at any worker count. Member dispatch stops once ctx
+// is done and the call returns a typed cancellation error; a corruption
 // found before the abort still wins (task errors take precedence).
 func (p *Pack) VerifyCtx(ctx context.Context, workers int) error {
 	return par.New(workers).ForEachCtx(ctx, len(p.members), func(i int) error {

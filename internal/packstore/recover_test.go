@@ -2,6 +2,7 @@ package packstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -78,7 +79,7 @@ func TestRecoverTruncatedTail(t *testing.T) {
 			if _, err := Open(cut); err == nil && tc.cut < fileSize {
 				t.Fatal("strict Open accepted a truncated pack")
 			}
-			r, err := Recover(cut)
+			r, err := RecoverCtx(context.Background(), cut)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +104,7 @@ func TestRecoverTruncatedTail(t *testing.T) {
 					t.Fatalf("salvaged member %q bytes differ", m.name)
 				}
 			}
-			if err := r.Verify(0); err != nil {
+			if err := r.VerifyCtx(context.Background(), 0); err != nil {
 				t.Fatalf("Verify over salvage: %v", err)
 			}
 		})
@@ -128,7 +129,7 @@ func sizeOfLast(t *testing.T, path, name string) int64 {
 func TestRecoverIntactPackMatchesOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.pack")
 	writePack(t, path, testMembers(8))
-	p, err := Recover(path)
+	p, err := RecoverCtx(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestRecoverRejectsNonTailCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data[:info.Size()-10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Recover(path)
+	_, err = RecoverCtx(context.Background(), path)
 	if err == nil {
 		t.Fatal("Recover accepted corruption in the middle of the pack")
 	}
@@ -225,7 +226,7 @@ func TestRecoverCorruptRecordBody(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = Recover(path)
+	_, err = RecoverCtx(context.Background(), path)
 	if err == nil {
 		t.Fatal("Recover salvaged a pack with a corrupt interior record body")
 	}
@@ -244,14 +245,14 @@ func TestRecoverEmptyAndGarbage(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(empty); err == nil {
+	if _, err := RecoverCtx(context.Background(), empty); err == nil {
 		t.Error("Recover accepted an empty file")
 	}
 	garbage := filepath.Join(dir, "garbage.pack")
 	if err := os.WriteFile(garbage, []byte("this is not a pack at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(garbage); err == nil {
+	if _, err := RecoverCtx(context.Background(), garbage); err == nil {
 		t.Error("Recover accepted a non-pack file")
 	}
 	// Header only: a pack that crashed before its first complete record
@@ -260,7 +261,7 @@ func TestRecoverEmptyAndGarbage(t *testing.T) {
 	if err := os.WriteFile(headerOnly, []byte(headerMagic), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, err := Recover(headerOnly)
+	p, err := RecoverCtx(context.Background(), headerOnly)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,17 +173,12 @@ func (s *Set) DataSize() int64 {
 	return n
 }
 
-// Verify checksums every member of every pack on one pool, so a set of
+// VerifyCtx checksums every member of every pack on one pool, so a set of
 // many small shards still saturates the machine. Errors are reported for
 // the first failing member in (pack, name) order, independent of worker
-// count.
-func (s *Set) Verify(workers int) error {
-	return s.VerifyCtx(context.Background(), workers)
-}
-
-// VerifyCtx is Verify with cancellation: the flattened (pack, member)
-// dispatch stops once ctx is done and the call returns a typed
-// cancellation error; a corruption found before the abort still wins.
+// count. The flattened (pack, member) dispatch stops once ctx is done and
+// the call returns a typed cancellation error; a corruption found before
+// the abort still wins.
 func (s *Set) VerifyCtx(ctx context.Context, workers int) error {
 	type slot struct {
 		p *Pack

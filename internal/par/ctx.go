@@ -45,9 +45,9 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(i int) error) erro
 	return p.forEach(ctx, n, fn)
 }
 
-// MapCtx is Map with cancellation, built on ForEachCtx: results come back
-// in index order, a successful run is bit-identical to Map, and a
-// cancelled run returns *CancelledError with the results discarded.
+// MapCtx runs fn over [0, n) on the pool and returns the results in index
+// order. On error the first (lowest-index) error is returned and the
+// results are discarded; a cancelled run returns *CancelledError.
 func MapCtx[T any](ctx context.Context, p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := p.forEach(ctx, n, func(i int) error {
@@ -62,12 +62,4 @@ func MapCtx[T any](ctx context.Context, p *Pool, n int, fn func(i int) (T, error
 		return nil, err
 	}
 	return out, nil
-}
-
-// SumChunksCtx is SumChunks with cancellation: chunk dispatch stops once
-// ctx is done, and the cancelled call returns *CancelledError. Successful
-// runs remain bit-identical to SumChunks at any worker count (integer
-// partials summed in fixed range order).
-func (p *Pool) SumChunksCtx(ctx context.Context, n int, chunk func(lo, hi int) (int64, error)) (int64, error) {
-	return p.sumChunks(ctx, n, chunk)
 }

@@ -152,7 +152,7 @@ func TestMapCtxSuccessAndCancel(t *testing.T) {
 
 func TestSumChunksCtxSuccessAndCancel(t *testing.T) {
 	n := 10_001
-	want, err := New(1).SumChunks(n, func(lo, hi int) (int64, error) {
+	want, err := New(1).SumChunksCtx(context.Background(), n, func(lo, hi int) (int64, error) {
 		var s int64
 		for i := lo; i < hi; i++ {
 			s += int64(i)

@@ -7,9 +7,9 @@
 // Determinism contract: a fan-out over n tasks produces bit-identical
 // results at any worker count, including 1, because
 //
-//   - each task writes only to its own pre-allocated slot (ForEach/Map),
+//   - each task writes only to its own pre-allocated slot (ForEach/MapCtx),
 //   - errors are reported by lowest task index, not completion order,
-//   - reductions (SumChunks) combine integer partials in fixed chunk
+//   - reductions (SumChunksCtx) combine integer partials in fixed chunk
 //     order, and integer addition is associative, and
 //   - tasks that need randomness derive a private seed from their index
 //     (see stats.SeedFor) instead of sharing a sequential stream.
@@ -146,35 +146,14 @@ func (p *Pool) forEach(ctx context.Context, n int, fn func(i int) error) error {
 	return nil
 }
 
-// Map runs fn over [0, n) on the pool and returns the results in index
-// order. On error the first (lowest-index) error is returned and the
-// results are discarded.
-func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := p.ForEach(n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SumChunks splits [0, n) into one contiguous range per worker, computes
-// chunk(lo, hi) for each range concurrently, and returns the sum of the
-// partials in range order. Because the partials are integers, the result
-// is bit-identical to a serial accumulation at any worker count. The
-// returned error is the one from the lowest-index failing range.
-func (p *Pool) SumChunks(n int, chunk func(lo, hi int) (int64, error)) (int64, error) {
-	return p.sumChunks(nil, n, chunk)
-}
-
-func (p *Pool) sumChunks(ctx context.Context, n int, chunk func(lo, hi int) (int64, error)) (int64, error) {
+// SumChunksCtx splits [0, n) into one contiguous range per worker,
+// computes chunk(lo, hi) for each range concurrently, and returns the sum
+// of the partials in range order. Because the partials are integers, the
+// result is bit-identical to a serial accumulation at any worker count.
+// The returned error is the one from the lowest-index failing range.
+// Chunk dispatch stops once ctx is done, and the cancelled call returns
+// *CancelledError.
+func (p *Pool) SumChunksCtx(ctx context.Context, n int, chunk func(lo, hi int) (int64, error)) (int64, error) {
 	if n <= 0 {
 		return 0, nil
 	}
@@ -183,10 +162,8 @@ func (p *Pool) sumChunks(ctx context.Context, n int, chunk func(lo, hi int) (int
 		w = n
 	}
 	if w <= 1 {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return 0, &CancelledError{Err: cerr}
-			}
+		if cerr := ctx.Err(); cerr != nil {
+			return 0, &CancelledError{Err: cerr}
 		}
 		return chunk(0, n)
 	}

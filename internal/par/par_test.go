@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -54,7 +55,7 @@ func TestForEachEmpty(t *testing.T) {
 
 func TestMapOrdersResults(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
-		out, err := Map(New(workers), 50, func(i int) (string, error) {
+		out, err := MapCtx(context.Background(), New(workers), 50, func(i int) (string, error) {
 			return fmt.Sprintf("task-%02d", i), nil
 		})
 		if err != nil {
@@ -70,7 +71,7 @@ func TestMapOrdersResults(t *testing.T) {
 
 func TestMapError(t *testing.T) {
 	boom := errors.New("boom")
-	out, err := Map(New(4), 10, func(i int) (int, error) {
+	out, err := MapCtx(context.Background(), New(4), 10, func(i int) (int, error) {
 		if i == 3 {
 			return 0, boom
 		}
@@ -85,7 +86,7 @@ func TestSumChunksDeterministic(t *testing.T) {
 	n := 10_001
 	sum := func(workers int) int64 {
 		t.Helper()
-		got, err := New(workers).SumChunks(n, func(lo, hi int) (int64, error) {
+		got, err := New(workers).SumChunksCtx(context.Background(), n, func(lo, hi int) (int64, error) {
 			var s int64
 			for i := lo; i < hi; i++ {
 				s += int64(i)*3 + 1
@@ -107,7 +108,7 @@ func TestSumChunksDeterministic(t *testing.T) {
 
 func TestSumChunksError(t *testing.T) {
 	boom := errors.New("bad chunk")
-	_, err := New(4).SumChunks(1000, func(lo, hi int) (int64, error) {
+	_, err := New(4).SumChunksCtx(context.Background(), 1000, func(lo, hi int) (int64, error) {
 		if lo <= 500 && 500 < hi {
 			return 0, boom
 		}

@@ -213,14 +213,9 @@ func (h *Harness) MeasureProbeCtx(ctx context.Context, volume, unitSize int64, i
 	}, nil
 }
 
-// MeasureSet measures the original probe and every reshaped probe of a
-// set, in ascending unit order.
-func (h *Harness) MeasureSet(set *Set) ([]Measurement, error) {
-	return h.MeasureSetCtx(context.Background(), set)
-}
-
-// MeasureSetCtx is MeasureSet with cancellation, threaded through each
-// probe's measurement loop.
+// MeasureSetCtx measures the original probe and every reshaped probe of a
+// set, in ascending unit order; ctx is threaded through each probe's
+// measurement loop.
 func (h *Harness) MeasureSetCtx(ctx context.Context, set *Set) ([]Measurement, error) {
 	out := make([]Measurement, 0, len(set.ByUnit)+1)
 	m, err := h.MeasureProbeCtx(ctx, set.Volume, 0, set.Original)
@@ -277,14 +272,10 @@ type Result struct {
 	Stable bool
 }
 
-// Run escalates volume until the probe set is stable or MaxVolume is hit.
-func (p *Protocol) Run(files []binpack.Item) (*Result, error) {
-	return p.RunCtx(context.Background(), files)
-}
-
-// RunCtx is Run with cancellation: the context is checked before each
-// escalation (and between the repeats inside each probe), so an abort
-// lands within one measurement of the cancel.
+// RunCtx escalates volume until the probe set is stable or MaxVolume is
+// hit. The context is checked before each escalation (and between the
+// repeats inside each probe), so an abort lands within one measurement of
+// the cancel.
 func (p *Protocol) RunCtx(ctx context.Context, files []binpack.Item) (*Result, error) {
 	if p.InitialVolume <= 0 || p.Growth < 2 || p.MaxVolume < p.InitialVolume {
 		return nil, errs.Invalid("probe: invalid protocol config %+v", p)

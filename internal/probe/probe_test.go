@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -123,7 +124,7 @@ func TestMeasureSetCoversAllUnits(t *testing.T) {
 	}
 	c, in := qualified(t, 3)
 	h := NewHarness(c, in, workload.NewPOS(), workload.Local{})
-	ms, err := h.MeasureSet(set)
+	ms, err := h.MeasureSetCtx(context.Background(), set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestProtocolEscalatesUntilStable(t *testing.T) {
 		S0:            50_000,
 		Multiples:     []int{10},
 	}
-	res, err := p.Run(items)
+	res, err := p.RunCtx(context.Background(), items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestProtocolEscalatesUntilStable(t *testing.T) {
 
 func TestProtocolValidation(t *testing.T) {
 	p := &Protocol{InitialVolume: 0}
-	if _, err := p.Run(nil); err == nil {
+	if _, err := p.RunCtx(context.Background(), nil); err == nil {
 		t.Error("expected error for invalid config")
 	}
 }
@@ -261,11 +262,11 @@ func TestFig5SpikesAreRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := h.MeasureSet(set)
+	first, err := h.MeasureSetCtx(context.Background(), set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := h.MeasureSet(set)
+	second, err := h.MeasureSetCtx(context.Background(), set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestFusedRunOverPackedCorpusOpensEachMemberOnce(t *testing.T) {
 	fs := diffCorpus(t, 24)
 	dir := t.TempDir()
 	// Two shards so the sequential order spans multiple containers.
-	paths, err := fs.ExportPack(dir, vfs.PackOptions{ShardSize: 512})
+	paths, err := fs.ExportPackCtx(context.Background(), dir, vfs.PackOptions{ShardSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,12 @@ import (
 // stays alive for the test's duration.
 func mappedPackServer(t *testing.T, cfg Config) (*Server, *httptest.Server, []scan.Source) {
 	t.Helper()
-	genFS, err := corpus.GenerateWithContentEager(corpus.Text400K(0.0002), 7, 0)
+	genFS, err := corpus.GenerateWithContentEagerCtx(context.Background(), corpus.Text400K(0.0002), 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := genFS.ExportPack(dir, vfs.PackOptions{ShardSize: 1 << 20}); err != nil {
+	if _, err := genFS.ExportPackCtx(context.Background(), dir, vfs.PackOptions{ShardSize: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	mappedFS, closer, err := vfs.ImportPackMappedCtx(context.Background(), dir)

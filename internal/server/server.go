@@ -30,9 +30,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -180,66 +178,75 @@ func (s *Server) HardStop() { s.hardCancel() }
 
 // --- request plumbing ---------------------------------------------------
 
-// ErrorBody is the JSON error envelope every service in the repository
-// answers failures with — the resident corpus server and the distributed
-// scan workers share it, so one client-side decoder reads both.
-type ErrorBody struct {
-	Error  string `json:"error"`
-	Stage  string `json:"stage,omitempty"`
-	Status int    `json:"status"`
-}
+// What one request may ask for, whatever the operator's flags say. A body
+// is bounded by errs.MaxRequestBytes; these bound what a body that fits
+// can still cost: the automaton is ~2 KiB of transition table per pattern
+// byte and is built before admission, and a timeout in milliseconds
+// overflows time.Duration long before it overflows int64.
+const (
+	maxPatterns     = 10_000
+	maxPatternBytes = 16 << 10
+	maxTimeout      = time.Hour
+)
 
-// WriteJSON writes v as an indented JSON response with the given status.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client is the only victim of a failed write
-}
-
-// WriteError writes err as an ErrorBody, with the status errs.HTTPStatus
-// assigns its taxonomy category.
-func WriteError(w http.ResponseWriter, err error) {
-	status := errs.HTTPStatus(err)
-	WriteJSON(w, status, ErrorBody{Error: err.Error(), Stage: errs.StageOf(err), Status: status})
+// checkPatterns refuses a pattern list over the caps before any automaton
+// is built from it.
+func checkPatterns(patterns []string) error {
+	if len(patterns) > maxPatterns {
+		return errs.Invalid("%d patterns, limit %d", len(patterns), maxPatterns)
+	}
+	total := 0
+	for _, p := range patterns {
+		if total += len(p); total > maxPatternBytes {
+			return errs.Invalid("patterns exceed %d bytes in total", maxPatternBytes)
+		}
+	}
+	return nil
 }
 
 // timeoutOf resolves a request's deadline: the body's timeout_ms when
-// positive, else the X-Timeout-Ms header, else the server default.
-func (s *Server) timeoutOf(r *http.Request, bodyMS int64) time.Duration {
-	if bodyMS > 0 {
-		return time.Duration(bodyMS) * time.Millisecond
+// positive, else the X-Timeout-Ms header, else the server default. A
+// requested timeout past maxTimeout is refused, not clamped.
+func (s *Server) timeoutOf(r *http.Request, bodyMS int64) (time.Duration, error) {
+	ms := bodyMS
+	if ms <= 0 {
+		ms, _ = strconv.ParseInt(r.Header.Get("X-Timeout-Ms"), 10, 64)
 	}
-	if h := r.Header.Get("X-Timeout-Ms"); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			return time.Duration(ms) * time.Millisecond
-		}
+	switch {
+	case ms <= 0:
+		return s.cfg.DefaultTimeout, nil
+	case ms > maxTimeout.Milliseconds():
+		return 0, errs.Invalid("timeout %d ms, limit %d", ms, maxTimeout.Milliseconds())
 	}
-	return s.cfg.DefaultTimeout
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // runScan is the shared scan-request wrapper: admission, per-request
 // context (client disconnect + timeout + server hard-stop), in-flight
 // gauges, latency observation and error mapping. fn runs with a slot held.
-func (s *Server) runScan(w http.ResponseWriter, r *http.Request, endpoint string, timeout time.Duration, fn func(ctx context.Context) (any, error)) {
+func (s *Server) runScan(w http.ResponseWriter, r *http.Request, endpoint string, timeoutMS int64, fn func(ctx context.Context) (any, error)) {
+	timeout, err := s.timeoutOf(r, timeoutMS)
+	if err != nil {
+		errs.WriteError(w, errs.Stage(endpoint, err))
+		return
+	}
 	ep := s.met.endpoints[endpoint]
 	if err := s.adm.acquire(r.Context()); err != nil {
 		switch err {
 		case ErrOverloaded:
 			s.met.rejected.Add(1)
 			w.Header().Set("Retry-After", "1")
-			WriteJSON(w, http.StatusTooManyRequests, ErrorBody{Error: err.Error(), Status: http.StatusTooManyRequests})
+			errs.WriteJSON(w, http.StatusTooManyRequests, errs.ErrorBody{Error: err.Error(), Status: http.StatusTooManyRequests})
 		case ErrDraining:
 			s.met.drained.Add(1)
 			// A draining server is gone for good shortly; the hint tells
 			// retrying clients to try a replica rather than spin here.
 			w.Header().Set("Retry-After", "1")
-			WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: err.Error(), Status: http.StatusServiceUnavailable})
+			errs.WriteJSON(w, http.StatusServiceUnavailable, errs.ErrorBody{Error: err.Error(), Status: http.StatusServiceUnavailable})
 		default:
 			// The client vanished while queued; status is a formality.
 			ep.cancels.Add(1)
-			WriteError(w, err)
+			errs.WriteError(w, err)
 		}
 		return
 	}
@@ -261,7 +268,6 @@ func (s *Server) runScan(w http.ResponseWriter, r *http.Request, endpoint string
 	s.met.inFlightBytes.Add(s.bytes)
 	start := time.Now()
 	var res any
-	err := error(nil)
 	if s.cfg.gate != nil {
 		err = s.cfg.gate(ctx)
 	}
@@ -281,19 +287,10 @@ func (s *Server) runScan(w http.ResponseWriter, r *http.Request, endpoint string
 		} else {
 			ep.errors.Add(1)
 		}
-		WriteError(w, err)
+		errs.WriteError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, res)
-}
-
-// decodeBody decodes a JSON request body into v. An empty body is allowed
-// (all request fields are optional); anything undecodable is ErrInvalid.
-func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil && err != io.EOF {
-		return errs.Invalid("bad request body: %v", err)
-	}
-	return nil
+	errs.WriteJSON(w, http.StatusOK, res)
 }
 
 // --- endpoints ----------------------------------------------------------
@@ -326,12 +323,16 @@ type GrepResponse struct {
 
 func (s *Server) handleGrep(w http.ResponseWriter, r *http.Request) {
 	var req GrepRequest
-	if err := decodeBody(r, &req); err != nil {
-		WriteError(w, err)
+	if err := errs.DecodeJSON(w, r, &req); err != nil {
+		errs.WriteError(w, err)
 		return
 	}
 	if len(req.Patterns) == 0 {
-		WriteError(w, errs.Stage("grep", errs.Invalid("no patterns")))
+		errs.WriteError(w, errs.Stage("grep", errs.Invalid("no patterns")))
+		return
+	}
+	if err := checkPatterns(req.Patterns); err != nil {
+		errs.WriteError(w, errs.Stage("grep", err))
 		return
 	}
 	var ms *textproc.MultiSearcher
@@ -342,10 +343,10 @@ func (s *Server) handleGrep(w http.ResponseWriter, r *http.Request) {
 		ms, err = textproc.NewMultiSearcher(req.Patterns)
 	}
 	if err != nil {
-		WriteError(w, errs.Stage("grep", errs.Invalid("%v", err)))
+		errs.WriteError(w, errs.Stage("grep", errs.Invalid("%v", err)))
 		return
 	}
-	s.runScan(w, r, "grep", s.timeoutOf(r, req.TimeoutMS), func(ctx context.Context) (any, error) {
+	s.runScan(w, r, "grep", req.TimeoutMS, func(ctx context.Context) (any, error) {
 		mk := textproc.NewMatchKernel(ms)
 		start := time.Now()
 		if err := scan.Run(ctx, s.srcs, scan.Options{Workers: s.cfg.ScanWorkers}, mk); err != nil {
@@ -396,11 +397,15 @@ type MeasureResponse struct {
 
 func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	var req MeasureRequest
-	if err := decodeBody(r, &req); err != nil {
-		WriteError(w, err)
+	if err := errs.DecodeJSON(w, r, &req); err != nil {
+		errs.WriteError(w, err)
 		return
 	}
-	s.runScan(w, r, "measure", s.timeoutOf(r, req.TimeoutMS), func(ctx context.Context) (any, error) {
+	if err := checkPatterns(req.Patterns); err != nil {
+		errs.WriteError(w, errs.Stage("measure", err))
+		return
+	}
+	s.runScan(w, r, "measure", req.TimeoutMS, func(ctx context.Context) (any, error) {
 		start := time.Now()
 		m, err := core.MeasureSourcesCtx(ctx, s.srcs, core.MeasureOptions{
 			Workers:    s.cfg.ScanWorkers,
@@ -460,11 +465,11 @@ type VerifyResponse struct {
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	var req VerifyRequest
-	if err := decodeBody(r, &req); err != nil {
-		WriteError(w, err)
+	if err := errs.DecodeJSON(w, r, &req); err != nil {
+		errs.WriteError(w, err)
 		return
 	}
-	s.runScan(w, r, "verify", s.timeoutOf(r, req.TimeoutMS), func(ctx context.Context) (any, error) {
+	s.runScan(w, r, "verify", req.TimeoutMS, func(ctx context.Context) (any, error) {
 		ck := scan.NewChecksum()
 		start := time.Now()
 		if err := scan.Run(ctx, s.srcs, scan.Options{Workers: s.cfg.ScanWorkers}, ck); err != nil {
@@ -504,7 +509,7 @@ type ManifestResponse struct {
 }
 
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, &ManifestResponse{
+	errs.WriteJSON(w, http.StatusOK, &ManifestResponse{
 		Files:       s.files,
 		TotalBytes:  s.bytes,
 		Shards:      s.shards,
@@ -526,7 +531,7 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, &StatsResponse{
+	errs.WriteJSON(w, http.StatusOK, &StatsResponse{
 		Files:        s.files,
 		Bytes:        s.bytes,
 		Tokens:       s.stats.Tokens,
@@ -560,9 +565,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	WriteJSON(w, status, resp)
+	errs.WriteJSON(w, status, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.met.Snapshot())
+	errs.WriteJSON(w, http.StatusOK, s.met.Snapshot())
 }

@@ -267,7 +267,7 @@ func TestStatusMapping(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Errorf("no patterns: status %d: %s", resp.StatusCode, data)
 	}
-	var eb ErrorBody
+	var eb errs.ErrorBody
 	if err := json.Unmarshal(data, &eb); err != nil || eb.Stage != "grep" || eb.Status != 400 {
 		t.Errorf("no-patterns envelope = %+v (err %v), want stage grep status 400", eb, err)
 	}
@@ -307,6 +307,65 @@ func TestStatusMapping(t *testing.T) {
 	resp, data = postJSON(t, ts.URL+"/v1/grep", GrepRequest{Patterns: []string{"the"}, TimeoutMS: 20})
 	if resp.StatusCode != 504 {
 		t.Errorf("expired timeout: status %d: %s, want 504", resp.StatusCode, data)
+	}
+
+	// What a client may not make the server do: each is refused with 400 in
+	// the shared envelope before an automaton is built or a slot is taken.
+	manyPatterns := make([]string, maxPatterns+1)
+	for i := range manyPatterns {
+		manyPatterns[i] = "a"
+	}
+	mustJSON := func(v any) string {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	for name, tc := range map[string]struct{ path, body, header string }{
+		"oversized-body":     {path: "/v1/verify", body: `{"timeout_ms": 1` + strings.Repeat(" ", errs.MaxRequestBytes) + `}`},
+		"too-many-patterns":  {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: manyPatterns})},
+		"measure-patterns":   {path: "/v1/measure", body: mustJSON(MeasureRequest{Patterns: manyPatterns})},
+		"pattern-bytes":      {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: []string{strings.Repeat("a", maxPatternBytes+1)}})},
+		"2MiB-pattern":       {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: []string{strings.Repeat("a", 2<<20)}})},
+		"timeout-ceiling":    {path: "/v1/verify", body: mustJSON(VerifyRequest{TimeoutMS: maxTimeout.Milliseconds() + 1})},
+		"timeout-overflow":   {path: "/v1/verify", body: `{"timeout_ms": 9223372036854775807}`},
+		"header-ceiling":     {path: "/v1/verify", body: `{}`, header: "99999999999999999999"},
+		"second-value":       {path: "/v1/verify", body: `{}{}`},
+		"trailing-garbage":   {path: "/v1/grep", body: `{"patterns":["the"]}!`},
+		"unbalanced-literal": {path: "/v1/measure", body: `{"patterns":["the"]`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			req, err := http.NewRequest("POST", ts.URL+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.header != "" {
+				req.Header.Set("X-Timeout-Ms", tc.header)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var eb errs.ErrorBody
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || resp.StatusCode != 400 || eb.Status != 400 || eb.Error == "" {
+				t.Errorf("status %d, envelope %+v (decode: %v), want 400", resp.StatusCode, eb, err)
+			}
+		})
+	}
+	// The caps are inclusive, and whitespace after the value is not data.
+	resp, data = postJSON(t, ts.URL+"/v1/grep", GrepRequest{Patterns: manyPatterns[:maxPatterns]})
+	if resp.StatusCode != 200 {
+		t.Errorf("%d patterns: status %d: %s", maxPatterns, resp.StatusCode, data)
+	}
+	r5, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader("{} \n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r5.Body.Close()
+	if r5.StatusCode != 200 {
+		t.Errorf("trailing whitespace: status %d, want 200", r5.StatusCode)
 	}
 }
 

@@ -79,7 +79,7 @@ func TestExportPackCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := want.Verify(back); err != nil {
+	if err := want.VerifyCtx(context.Background(), back); err != nil {
 		t.Fatalf("pack round-trip after cancelled attempt: %v", err)
 	}
 }
@@ -104,7 +104,7 @@ func TestManifestVerifyReportsCorrupt(t *testing.T) {
 	e := m["file-0002"]
 	e.Checksum ^= 1
 	m["file-0002"] = e
-	err = m.Verify(fs)
+	err = m.VerifyCtx(context.Background(), fs)
 	if !errors.Is(err, errs.ErrCorrupt) {
 		t.Fatalf("errors.Is(%v, ErrCorrupt) = false", err)
 	}

@@ -103,17 +103,12 @@ func BuildManifestWorkersCtx(ctx context.Context, fs *FS, workers int) (Manifest
 	return m, nil
 }
 
-// Verify checks the file system against the manifest: every manifest entry
-// must exist with matching size and checksum, and the file system must not
-// contain extra files. The first violation (in name order) is returned as
-// an error. Content is checksummed by a fused scan — one open and one
-// streaming read per file, shard-sequential for packed corpora.
-func (m Manifest) Verify(fs *FS) error {
-	return m.VerifyCtx(context.Background(), fs)
-}
-
-// VerifyCtx is Verify with cancellation, following the usual typed-error
-// contract.
+// VerifyCtx checks the file system against the manifest: every manifest
+// entry must exist with matching size and checksum, and the file system
+// must not contain extra files. The first violation (in name order) is
+// returned as an error. Content is checksummed by a fused scan — one open
+// and one streaming read per file, shard-sequential for packed corpora.
+// Cancellation follows the usual typed-error contract.
 func (m Manifest) VerifyCtx(ctx context.Context, fs *FS) error {
 	if fs.Len() != len(m) {
 		return errs.Corrupt("vfs: manifest has %d entries, file system %d files", len(m), fs.Len())

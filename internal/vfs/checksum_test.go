@@ -41,14 +41,14 @@ func TestManifestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Verify(fs); err != nil {
+	if err := m.VerifyCtx(context.Background(), fs); err != nil {
 		t.Fatalf("self-verify failed: %v", err)
 	}
 
 	// Missing file.
 	fs2 := NewFS()
 	_ = fs2.Add(BytesFile("x", []byte("one")))
-	if err := m.Verify(fs2); err == nil {
+	if err := m.VerifyCtx(context.Background(), fs2); err == nil {
 		t.Error("expected error for missing file")
 	}
 	// Extra file.
@@ -56,21 +56,21 @@ func TestManifestVerify(t *testing.T) {
 	_ = fs3.Add(BytesFile("x", []byte("one")))
 	_ = fs3.Add(BytesFile("y", []byte("two")))
 	_ = fs3.Add(BytesFile("z", []byte("three")))
-	if err := m.Verify(fs3); err == nil {
+	if err := m.VerifyCtx(context.Background(), fs3); err == nil {
 		t.Error("expected error for extra file")
 	}
 	// Corrupted content (same size).
 	fs4 := NewFS()
 	_ = fs4.Add(BytesFile("x", []byte("one")))
 	_ = fs4.Add(BytesFile("y", []byte("tWo")))
-	if err := m.Verify(fs4); err == nil {
+	if err := m.VerifyCtx(context.Background(), fs4); err == nil {
 		t.Error("expected error for corrupted content")
 	}
 	// Wrong size.
 	fs5 := NewFS()
 	_ = fs5.Add(BytesFile("x", []byte("one")))
 	_ = fs5.Add(BytesFile("y", []byte("twooo")))
-	if err := m.Verify(fs5); err == nil {
+	if err := m.VerifyCtx(context.Background(), fs5); err == nil {
 		t.Error("expected error for wrong size")
 	}
 }

@@ -18,7 +18,7 @@ import (
 // costs a handful of opens however many members there are, and every
 // member stays individually checksummed and randomly accessible.
 
-// PackOptions configures ExportPack.
+// PackOptions configures ExportPackCtx.
 type PackOptions struct {
 	// Prefix names the shard files "<Prefix>-<seq>.pack". Default "corpus".
 	Prefix string
@@ -41,21 +41,15 @@ func (o *PackOptions) fillDefaults() {
 	}
 }
 
-// ExportPack writes every content-backed file into pack shards under
+// ExportPackCtx writes every content-backed file into pack shards under
 // dir, in List order, and returns the shard paths. The expensive part —
 // materialising content — runs ahead concurrently in a bounded window
 // while members are appended strictly in order, so
 // the shards are byte-reproducible: the same FS always produces the same
-// pack files.
-func (fs *FS) ExportPack(dir string, opts PackOptions) ([]string, error) {
-	return fs.ExportPackCtx(context.Background(), dir, opts)
-}
-
-// ExportPackCtx is ExportPack with cancellation: the context is checked
-// between prefetch windows and before each member append, so an abort
-// lands within one window of work and the partial shards on disk remain
-// well-formed up to the last completed append. Completed runs are
-// byte-identical to ExportPack.
+// pack files. The context is checked between prefetch windows and before
+// each member append, so an abort lands within one window of work and the
+// partial shards on disk remain well-formed up to the last completed
+// append.
 func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) ([]string, error) {
 	opts.fillDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -136,10 +130,10 @@ func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (
 // descriptors, O(1) random access to any member. The returned closer
 // releases the pack handles; files obtained from the FS fail after it is
 // closed. Cancellation is checked between pack discovery and between
-// member registrations; on abort any packs opened so far are closed
-// before the typed cancellation error is returned.
+// pack opens; on abort any packs opened so far are closed before the
+// typed cancellation error is returned.
 func ImportPackCtx(ctx context.Context, sources ...string) (*FS, io.Closer, error) {
-	return importPackCtx(ctx, false, sources...)
+	return importPacks(ctx, packPlain, sources)
 }
 
 // ImportPackVerifiedCtx is ImportPackCtx with end-to-end read
@@ -152,43 +146,100 @@ func ImportPackCtx(ctx context.Context, sources ...string) (*FS, io.Closer, erro
 // surfaces as a loud typed failure at the first scan that touches it,
 // instead of silently skewing results.
 func ImportPackVerifiedCtx(ctx context.Context, sources ...string) (*FS, io.Closer, error) {
-	return importPackCtx(ctx, true, sources...)
+	return importPacks(ctx, packVerified, sources)
 }
 
-func importPackCtx(ctx context.Context, verified bool, sources ...string) (*FS, io.Closer, error) {
+// ImportPackMappedCtx is ImportPackCtx through memory-mapped readers, so
+// every imported file carries a zero-copy raw view of its bytes alongside
+// the streaming content source. Scans over the returned FS take the
+// engine's borrowed-window path: no per-file opens, no block-buffer
+// copies, the kernels read straight out of the page cache.
+//
+// The returned closer unmaps every shard; all raw views (and streaming
+// readers) obtained from the FS are invalid after it runs. Callers that
+// need bytes past that point must copy them first.
+func ImportPackMappedCtx(ctx context.Context, sources ...string) (*FS, io.Closer, error) {
+	return importPacks(ctx, packMapped, sources)
+}
+
+// packMode is how importPacks opens a shard and what each member's File
+// is given to read through.
+type packMode int
+
+const (
+	packPlain    packMode = iota // shared handle, section readers
+	packVerified                 // section readers behind a verifyReader
+	packMapped                   // mapping, raw member windows
+)
+
+// importPacks is the one pack import: resolve the sources, open each
+// shard the way mode says, register its members in index order. On any
+// failure every shard opened so far is closed again.
+func importPacks(ctx context.Context, mode packMode, sources []string) (*FS, io.Closer, error) {
 	paths, err := resolvePackPaths(ctx, sources...)
 	if err != nil {
 		return nil, nil, err
 	}
-	set, err := packstore.OpenSet(paths...)
-	if err != nil {
+	var opened closers
+	fail := func(err error) (*FS, io.Closer, error) {
+		opened.Close()
 		return nil, nil, err
 	}
 	fs := NewFS()
-	for _, p := range set.Packs() {
-		p := p
+	for _, path := range paths {
 		if cerr := errs.FromContext(ctx); cerr != nil {
-			set.Close()
-			return nil, nil, cerr
+			return fail(cerr)
 		}
-		for _, m := range p.Members() {
-			m := m
-			// Locality (shard path + member offset) lets fused scans read
-			// each pack front to back instead of seeking per member.
+		var p *packstore.Pack
+		var mapped *packstore.Reader
+		if mode == packMapped {
+			if mapped, err = packstore.OpenReader(path); err != nil {
+				return fail(err)
+			}
+			opened = append(opened, mapped)
+			// Scans walk each shard front to back; tell the OS so readahead
+			// stays aggressive. Best effort by contract.
+			_ = mapped.AdviseSequential()
+			p = mapped.Pack()
+		} else {
+			if p, err = packstore.Open(path); err != nil {
+				return fail(err)
+			}
+			opened = append(opened, p)
+		}
+		for i, m := range p.Members() {
 			open := func() io.Reader { return p.SectionReader(m) }
-			if verified {
+			if mode == packVerified {
 				open = func() io.Reader {
 					return &verifyReader{r: p.SectionReader(m), name: m.Name, size: m.Size, want: m.Checksum, h: fnv.New64a()}
 				}
 			}
+			// Locality (shard path + member offset) lets fused scans read
+			// each pack front to back instead of seeking per member.
 			f := NewContentFile(m.Name, m.Size, open).WithLocality(p.Path(), m.Offset)
+			if mapped != nil {
+				f = f.WithRawBytes(mapped.MemberBytes(i))
+			}
 			if err := fs.Add(f); err != nil {
-				set.Close()
-				return nil, nil, fmt.Errorf("vfs: import pack %s: %w", p.Path(), err)
+				return fail(fmt.Errorf("vfs: import pack %s: %w", p.Path(), err))
 			}
 		}
 	}
-	return fs, set, nil
+	return fs, opened, nil
+}
+
+// closers closes a group of open shards as one unit, keeping the first
+// error.
+type closers []io.Closer
+
+func (cs closers) Close() error {
+	var first error
+	for _, c := range cs {
+		if err := c.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // verifyReader streams a pack member while folding its FNV-64a sum,

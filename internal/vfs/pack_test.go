@@ -39,7 +39,7 @@ func TestExportImportPackRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	paths, err := fs.ExportPack(dir, PackOptions{Prefix: "t", ShardSize: 16 * 1024})
+	paths, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{Prefix: "t", ShardSize: 16 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestExportImportPackRoundTrip(t *testing.T) {
 	if in.Len() != fs.Len() {
 		t.Fatalf("imported %d files, want %d", in.Len(), fs.Len())
 	}
-	if err := wantManifest.Verify(in); err != nil {
+	if err := wantManifest.VerifyCtx(context.Background(), in); err != nil {
 		t.Fatalf("manifest over pack import: %v", err)
 	}
 	// Byte equality file by file.
@@ -88,7 +88,7 @@ func TestExportImportPackRoundTrip(t *testing.T) {
 func TestImportPackVerified(t *testing.T) {
 	fs := packTestFS(t, 40)
 	dir := t.TempDir()
-	if _, err := fs.ExportPack(dir, PackOptions{Prefix: "v", ShardSize: 16 * 1024}); err != nil {
+	if _, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{Prefix: "v", ShardSize: 16 * 1024}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,7 +194,7 @@ func TestExportPackDeterministicAcrossWorkers(t *testing.T) {
 	var reference map[string][]byte
 	for _, workers := range []int{1, 2, 8} {
 		dir := t.TempDir()
-		paths, err := fs.ExportPack(dir, PackOptions{Prefix: "d", ShardSize: 8 * 1024, Workers: workers})
+		paths, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{Prefix: "d", ShardSize: 8 * 1024, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,11 +224,11 @@ func TestExportPackDeterministicAcrossWorkers(t *testing.T) {
 func TestExportPackTwiceIsByteIdentical(t *testing.T) {
 	fs := packTestFS(t, 30)
 	dirA, dirB := t.TempDir(), t.TempDir()
-	pathsA, err := fs.ExportPack(dirA, PackOptions{ShardSize: 8 * 1024})
+	pathsA, err := fs.ExportPackCtx(context.Background(), dirA, PackOptions{ShardSize: 8 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pathsB, err := fs.ExportPack(dirB, PackOptions{ShardSize: 8 * 1024})
+	pathsB, err := fs.ExportPackCtx(context.Background(), dirB, PackOptions{ShardSize: 8 * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestExportPackTwiceIsByteIdentical(t *testing.T) {
 func TestImportPackExplicitFiles(t *testing.T) {
 	fs := packTestFS(t, 10)
 	dir := t.TempDir()
-	paths, err := fs.ExportPack(dir, PackOptions{})
+	paths, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestImportPackEmptyDir(t *testing.T) {
 }
 
 func TestExportPackEmptyFS(t *testing.T) {
-	paths, err := NewFS().ExportPack(t.TempDir(), PackOptions{})
+	paths, err := NewFS().ExportPackCtx(context.Background(), t.TempDir(), PackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestExportPackEmptyFS(t *testing.T) {
 func TestImportPackReadAfterCloseFails(t *testing.T) {
 	fs := packTestFS(t, 5)
 	dir := t.TempDir()
-	if _, err := fs.ExportPack(dir, PackOptions{}); err != nil {
+	if _, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	in, closer, err := ImportPackCtx(context.Background(), dir)

@@ -15,7 +15,7 @@ import (
 func TestImportPackMappedMatchesImportPack(t *testing.T) {
 	fs := packTestFS(t, 60)
 	dir := t.TempDir()
-	if _, err := fs.ExportPack(dir, PackOptions{Prefix: "t", ShardSize: 16 * 1024}); err != nil {
+	if _, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{Prefix: "t", ShardSize: 16 * 1024}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,7 +78,7 @@ func TestImportPackMappedMatchesImportPack(t *testing.T) {
 func TestMappedScanBitIdenticalToCopyingScan(t *testing.T) {
 	fs := packTestFS(t, 80)
 	dir := t.TempDir()
-	if _, err := fs.ExportPack(dir, PackOptions{Prefix: "t", ShardSize: 32 * 1024}); err != nil {
+	if _, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{Prefix: "t", ShardSize: 32 * 1024}); err != nil {
 		t.Fatal(err)
 	}
 	plain, plainCloser, err := ImportPackCtx(context.Background(), dir)
@@ -121,7 +121,7 @@ func TestMappedScanBitIdenticalToCopyingScan(t *testing.T) {
 func TestImportPackMappedCancelled(t *testing.T) {
 	fs := packTestFS(t, 10)
 	dir := t.TempDir()
-	if _, err := fs.ExportPack(dir, PackOptions{Prefix: "t"}); err != nil {
+	if _, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{Prefix: "t"}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -138,7 +138,7 @@ func TestImportPackMappedCancelled(t *testing.T) {
 func TestImportPackMappedCloseInvalidatesStreaming(t *testing.T) {
 	fs := packTestFS(t, 6)
 	dir := t.TempDir()
-	if _, err := fs.ExportPack(dir, PackOptions{Prefix: "t"}); err != nil {
+	if _, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{Prefix: "t"}); err != nil {
 		t.Fatal(err)
 	}
 	mapped, closer, err := ImportPackMappedCtx(context.Background(), dir)

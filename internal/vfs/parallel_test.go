@@ -48,7 +48,7 @@ func TestBuildManifestWorkerCountInvariant(t *testing.T) {
 			t.Errorf("workers=%d: manifest differs from serial", workers)
 		}
 	}
-	if err := serial.Verify(fs); err != nil {
+	if err := serial.VerifyCtx(context.Background(), fs); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -54,7 +54,7 @@ func TestImportExportImportRoundTrip(t *testing.T) {
 	}
 
 	out := t.TempDir()
-	if err := fs1.Export(out); err != nil {
+	if err := fs1.ExportCtx(context.Background(), out); err != nil {
 		t.Fatal(err)
 	}
 	fs2, err := ImportDir(out)
@@ -78,7 +78,7 @@ func TestImportExportImportRoundTrip(t *testing.T) {
 	}
 	// Manifest built over the first import must verify the second — the
 	// real-directory counterpart of the in-memory reshaping invariant.
-	if err := manifest.Verify(fs2); err != nil {
+	if err := manifest.VerifyCtx(context.Background(), fs2); err != nil {
 		t.Fatalf("manifest verify over re-import: %v", err)
 	}
 }
@@ -108,7 +108,7 @@ func TestManifestVerifyDetectsOnDiskCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := manifest.Verify(fs2); err == nil {
+	if err := manifest.VerifyCtx(context.Background(), fs2); err == nil {
 		t.Fatal("manifest missed a flipped byte on disk")
 	}
 }
@@ -122,7 +122,7 @@ func TestExportRejectsPathTraversal(t *testing.T) {
 			}
 			parent := t.TempDir()
 			out := filepath.Join(parent, "out")
-			if err := fs.Export(out); err == nil {
+			if err := fs.ExportCtx(context.Background(), out); err == nil {
 				t.Fatalf("Export accepted traversal name %q", name)
 			}
 			// Nothing may have been written outside the output directory.
@@ -139,7 +139,7 @@ func TestExportAllowsDotDotInFileName(t *testing.T) {
 	if err := fs.Add(BytesFile("notes..old.txt", []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Export(t.TempDir()); err != nil {
+	if err := fs.ExportCtx(context.Background(), t.TempDir()); err != nil {
 		t.Fatalf("Export rejected a benign name: %v", err)
 	}
 }

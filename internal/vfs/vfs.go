@@ -416,19 +416,14 @@ func (fs *FS) Sizes() []int64 {
 	return sizes
 }
 
-// Export writes every content-backed file under dir on the real file
+// ExportCtx writes every content-backed file under dir on the real file
 // system, creating parent directories as needed. Metadata-only files cause
 // an error: exporting would silently lose data otherwise. Files are
 // materialised and written concurrently (content sources are independent by
 // the Opener contract); on failure the reported error is the one from the
-// first file in List order, matching the serial behaviour.
-func (fs *FS) Export(dir string) error {
-	return fs.ExportCtx(context.Background(), dir)
-}
-
-// ExportCtx is Export with cancellation: no new files are written once
-// ctx is done (files already being written complete), and the call
-// returns a typed cancellation error.
+// first file in List order, matching the serial behaviour. No new files
+// are written once ctx is done (files already being written complete),
+// and the call returns a typed cancellation error.
 func (fs *FS) ExportCtx(ctx context.Context, dir string) error {
 	files := fs.List()
 	return par.Default().ForEachCtx(ctx, len(files), func(i int) error {

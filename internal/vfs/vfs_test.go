@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -178,7 +179,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := fs.Export(dir); err != nil {
+	if err := fs.ExportCtx(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ImportDir(dir)
@@ -206,7 +207,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 func TestExportMetadataOnlyFails(t *testing.T) {
 	fs := NewFS()
 	_ = fs.Add(NewFile("meta", 10))
-	if err := fs.Export(t.TempDir()); err == nil {
+	if err := fs.ExportCtx(context.Background(), t.TempDir()); err == nil {
 		t.Error("expected error exporting metadata-only file")
 	}
 }

@@ -399,15 +399,10 @@ func EstimateCtx(ctx context.Context, in *cloudsim.Instance, app App, items []It
 	return setup + work, nil
 }
 
-// Run executes an application over unit files on an instance, consuming
-// virtual time on the cloud's clock, and returns the measured elapsed
-// duration.
-func Run(c *cloudsim.Cloud, in *cloudsim.Instance, app App, items []Item, st Storage, datasetKey string) (time.Duration, error) {
-	return RunCtx(context.Background(), c, in, app, items, st, datasetKey)
-}
-
-// RunCtx is Run with cancellation: a run aborted by ctx returns the
-// typed cancellation error without advancing the virtual clock.
+// RunCtx executes an application over unit files on an instance,
+// consuming virtual time on the cloud's clock, and returns the measured
+// elapsed duration. A run aborted by ctx returns the typed cancellation
+// error without advancing the virtual clock.
 func RunCtx(ctx context.Context, c *cloudsim.Cloud, in *cloudsim.Instance, app App, items []Item, st Storage, datasetKey string) (time.Duration, error) {
 	elapsed, err := EstimateCtx(ctx, in, app, items, st, datasetKey)
 	if err != nil {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -189,7 +190,7 @@ func TestComplexityDublinersVsAgnesGrey(t *testing.T) {
 func TestRunAdvancesClockAndReturnsElapsed(t *testing.T) {
 	c, in := goodInstance(t, 5)
 	before := c.Clock().Now()
-	elapsed, err := Run(c, in, NewGrep(), Items([]int64{1000000, 2000000}), Local{}, "d")
+	elapsed, err := RunCtx(context.Background(), c, in, NewGrep(), Items([]int64{1000000, 2000000}), Local{}, "d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +225,11 @@ func TestRunOnEBSUsesPlacement(t *testing.T) {
 		t.Skip("no contrasting placements in key sample")
 	}
 	items := Items([]int64{500_000_000})
-	fast, err := Run(c, in, NewGrep(), items, vol, fastKey)
+	fast, err := RunCtx(context.Background(), c, in, NewGrep(), items, vol, fastKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Run(c, in, NewGrep(), items, vol, slowKey)
+	slow, err := RunCtx(context.Background(), c, in, NewGrep(), items, vol, slowKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +241,11 @@ func TestRunOnEBSUsesPlacement(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	c := cloudsim.New(7)
 	in, _ := c.Launch(cloudsim.Small, "us-east-1a")
-	if _, err := Run(c, in, NewGrep(), nil, nil, "d"); err == nil {
+	if _, err := RunCtx(context.Background(), c, in, NewGrep(), nil, nil, "d"); err == nil {
 		t.Error("expected error on pending instance")
 	}
 	c.WaitUntilRunning(in)
-	if _, err := Run(c, in, NewGrep(), []Item{{Size: -1}}, nil, "d"); err == nil {
+	if _, err := RunCtx(context.Background(), c, in, NewGrep(), []Item{{Size: -1}}, nil, "d"); err == nil {
 		t.Error("expected error for negative size")
 	}
 }
@@ -260,7 +261,7 @@ func TestMeasurementInstabilityShrinksWithVolume(t *testing.T) {
 			for i := range items {
 				items[i] = NewItem(unit)
 			}
-			d, err := Run(c, in, NewGrep(), items, Local{}, "d")
+			d, err := RunCtx(context.Background(), c, in, NewGrep(), items, Local{}, "d")
 			if err != nil {
 				t.Fatal(err)
 			}

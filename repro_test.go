@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 )
 
@@ -114,7 +115,7 @@ func TestFacadeProfilePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.RunProfile(profile)
+	res, err := p.RunProfileCtx(context.Background(), profile)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,9 @@ test-scandebug:
 # verify is the tier-1 gate: gofmt and vet clean, and the full suite
 # race-clean. The ./... wildcard covers every package, including
 # internal/packstore's shared-handle concurrency and recovery tests and
-# the root package's TestCommandsEndToEnd, which builds the commands and
-# drives serve, pipeline and two worker daemons as child processes.
+# the root package's TestCommandsEndToEnd and TestChaosEndToEnd, which
+# build the commands (with -race, because the test binary has it) and
+# drive serve, pipeline and worker daemons as child processes.
 verify:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
@@ -46,10 +47,11 @@ verify-quick:
 # fuzz-smoke gives each fuzz target that decodes or scans outside bytes a
 # short budget of fresh inputs: the analyzer against Analyze, Tokenize
 # and TagText at window-straddling block sizes, the lexicon key set
-# against the map, both searcher engines against the reference walk, and
-# the record codec's two readers (a worker's answer, journal replay)
-# against hostile frames. The committed seeds already run under plain
-# `go test`. (go test takes one package and one -fuzz target per run.)
+# against the map, both searcher engines against the reference walk in
+# multisearch_ref_test.go, and the record codec's two readers (a worker's
+# answer, journal replay) against hostile frames. The committed seeds
+# already run under plain `go test`. (go test takes one package and one
+# -fuzz target per run.)
 fuzz-smoke:
 	for target in \
 		./internal/textproc:FuzzStreamAnalyzerBlockSplit \
@@ -78,14 +80,15 @@ bench-pack:
 bench-repo-test:
 	cd benchmark && $(GO) test ./...
 
-# chaos-smoke runs the resilience layer under a seeded, replayable fault
-# schedule with race-enabled binaries: bit-identical fingerprints under
-# injected read faults/kills/latency at 1/2/4 workers, identical replay
-# of the schedule, an HTTP fleet surviving a dead peer, crash → resume
-# from the checkpoint journal, and deterministic degraded results from a
-# corrupted shard under -allow-partial.
+# chaos-smoke is TestChaosEndToEnd on race-built commands: bit-identical
+# fingerprints under a seeded, replayable schedule of injected read
+# faults, kills and latency at 1/2/4 workers, identical replay of the
+# schedule, an HTTP fleet surviving a dead peer, crash → resume from the
+# checkpoint journal, and deterministic degraded results from a
+# corrupted shard under -allow-partial. Plain `go test ./...` runs the
+# same test without the detector; `make verify` runs it with.
 chaos-smoke:
-	./scripts/chaos_smoke.sh
+	$(GO) test -race -count=1 -run TestChaosEndToEnd .
 
 clean:
 	$(GO) clean ./...

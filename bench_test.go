@@ -154,19 +154,6 @@ func BenchmarkFirstFit10k(b *testing.B) {
 	}
 }
 
-// BenchmarkFirstFitLinear10k is the O(n·bins) reference scan the indexed
-// FirstFit replaced; kept as the speedup baseline.
-func BenchmarkFirstFitLinear10k(b *testing.B) {
-	items := benchItems(10_000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := binpack.FirstFitLinear(items, 1_000_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFirstFitDecreasing10k(b *testing.B) {
 	items := benchItems(10_000, 1)
 	b.ResetTimer()
@@ -183,19 +170,6 @@ func BenchmarkSubsetSumFirstFit10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := binpack.SubsetSumFirstFit(items, 1_000_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSubsetSumFirstFitLinear10k is the quadratic reference for the
-// indexed subset-sum packer.
-func BenchmarkSubsetSumFirstFitLinear10k(b *testing.B) {
-	items := benchItems(10_000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := binpack.SubsetSumFirstFitLinear(items, 1_000_000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -399,11 +373,11 @@ func BenchmarkAblationQualification(b *testing.B) {
 	}
 	var missLottery, missQualified float64
 	for i := 0; i < b.N; i++ {
-		lot, err := provision.Execute(NewCloud(int64(i)), plan, provision.ExecuteOptions{App: workload.NewPOS()})
+		lot, err := provision.ExecuteCtx(context.Background(), NewCloud(int64(i)), plan, provision.ExecuteOptions{App: workload.NewPOS()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		qual, err := provision.Execute(NewCloud(int64(i)), plan, provision.ExecuteOptions{App: workload.NewPOS(), Qualify: true})
+		qual, err := provision.ExecuteCtx(context.Background(), NewCloud(int64(i)), plan, provision.ExecuteOptions{App: workload.NewPOS(), Qualify: true})
 		if err != nil {
 			b.Fatal(err)
 		}

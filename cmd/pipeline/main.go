@@ -73,6 +73,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pipeline: -resume needs -checkpoint")
 		os.Exit(2)
 	}
+	if *workers > 0 && *wAddrs != "" {
+		fmt.Fprintln(os.Stderr, "pipeline: -workers and -worker-addrs are two different fleets; give one")
+		os.Exit(2)
+	}
 	// Checkpointing, resume and degradation live in the coordinator; give
 	// them a coordinator even when no explicit fleet was requested.
 	if (*checkpoint != "" || *allowPart) && *workers == 0 && *wAddrs == "" {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -123,7 +125,16 @@ type measured struct {
 
 func runPipeline(t *testing.T, bin string, args ...string) measured {
 	t.Helper()
-	out, err := exec.Command(bin, args...).CombinedOutput()
+	return runPipelineEnv(t, nil, bin, args...)
+}
+
+// runPipelineEnv is runPipeline with extra NAME=value pairs in the
+// child's environment.
+func runPipelineEnv(t *testing.T, env []string, bin string, args ...string) measured {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), env...)
+	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("pipeline %v: %v\n%s", args, err, out)
 	}
@@ -142,6 +153,81 @@ func runPipeline(t *testing.T, bin string, args ...string) measured {
 	return m
 }
 
+// failPipeline runs pipeline with arguments it must refuse or die on,
+// requires exactly the exit code want (so a race report's 66 or a signal
+// never passes for the expected failure) and returns what it printed.
+func failPipeline(t *testing.T, bin string, want int, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != want {
+		t.Fatalf("pipeline %v: %v, want exit code %d\n%s", args, err, want, out)
+	}
+	return string(out)
+}
+
+// commands is the one build of cmd/... every end-to-end test in this
+// package shares; TestMain removes it.
+var commands struct {
+	once sync.Once
+	dir  string // ends in a path separator
+	err  error
+}
+
+// commandBins builds corpusgen, reshape, pipeline, serve and worker once
+// per test binary and returns the directory prefix to run them from. The
+// build carries -race exactly when this test binary does, so `go test
+// ./...` stays quick and `make verify` keeps the detector on in the
+// children too.
+func commandBins(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the commands as child processes")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain on PATH to build the commands with")
+	}
+	commands.once.Do(func() {
+		dir, err := os.MkdirTemp("", "repro-commands-")
+		if err != nil {
+			commands.err = err
+			return
+		}
+		commands.dir = dir + string(filepath.Separator)
+		args := []string{"build"}
+		if raceEnabled {
+			args = append(args, "-race")
+		}
+		args = append(args, "-o", commands.dir,
+			"./cmd/corpusgen", "./cmd/reshape", "./cmd/pipeline", "./cmd/serve", "./cmd/worker")
+		if out, err := exec.Command(goBin, args...).CombinedOutput(); err != nil {
+			commands.err = fmt.Errorf("go %v: %v\n%s", args, err, out)
+		}
+	})
+	if commands.err != nil {
+		t.Fatal(commands.err)
+	}
+	return commands.dir
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if commands.dir != "" {
+		os.RemoveAll(commands.dir)
+	}
+	os.Exit(code)
+}
+
+// runCommand runs one built command to completion and fails the test
+// with its output if it exits non-zero.
+func runCommand(t *testing.T, bin string, args ...string) {
+	t.Helper()
+	if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
+	}
+}
+
 // TestCommandsEndToEnd drives the built commands the way an operator
 // would: generate and pack a corpus; serve it and read every endpoint's
 // typed answer; measure it single-node, on two in-process workers and on
@@ -149,32 +235,12 @@ func runPipeline(t *testing.T, bin string, args ...string) measured {
 // other and with what the resident server counts; then SIGTERM each
 // daemon and require the drain line and exit code 130.
 func TestCommandsEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs five binaries")
-	}
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("no go toolchain on PATH to build the commands with")
-	}
+	bin := commandBins(t)
 	work := t.TempDir()
-	bin := filepath.Join(work, "bin") + string(filepath.Separator)
-	if err := os.Mkdir(bin, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	build := exec.Command(goBin, "build", "-o", bin, "./cmd/corpusgen", "./cmd/reshape", "./cmd/pipeline", "./cmd/serve", "./cmd/worker")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	run := func(name string, args ...string) {
-		t.Helper()
-		if out, err := exec.Command(bin+name, args...).CombinedOutput(); err != nil {
-			t.Fatalf("%s %v: %v\n%s", name, args, err, out)
-		}
-	}
 	corpusDir, packs := filepath.Join(work, "corpus"), filepath.Join(work, "packs")
-	run("corpusgen", "-spec", "text", "-scale", "0.0005", "-out", corpusDir)
+	runCommand(t, bin+"corpusgen", "-spec", "text", "-scale", "0.0005", "-out", corpusDir)
 	// Small units and shards, so the plan has several tasks to hand out.
-	run("reshape", "-in", corpusDir, "-pack", "-out", packs, "-unit", "16384", "-shard", "32768")
+	runCommand(t, bin+"reshape", "-in", corpusDir, "-pack", "-out", packs, "-unit", "16384", "-shard", "32768")
 
 	flags := []string{"-packs", packs, "-measure", "-measure-only", "-grep", "the,and"}
 	local := runPipeline(t, bin+"pipeline", flags...)
@@ -213,6 +279,11 @@ func TestCommandsEndToEnd(t *testing.T) {
 	srv.terminate(t)
 	if want := "serve: drained (2 requests served, 0 cancelled, 0 refused)"; !strings.Contains(srv.stderr.String(), want) {
 		t.Errorf("serve drain summary: want %q in\n%s", want, srv.stderr.String())
+	}
+
+	// Two fleets at once is a usage error, not a silent choice of one.
+	if out := failPipeline(t, bin+"pipeline", 2, append(flags, "-workers", "2", "-worker-addrs", "127.0.0.1:1")...); !strings.Contains(out, "-workers and -worker-addrs") {
+		t.Errorf("refusal of -workers with -worker-addrs does not name the pair:\n%s", out)
 	}
 
 	// The same measurement through the coordinator, in process and over HTTP.

@@ -3,11 +3,13 @@
 // model is fitted from probes (the paper's Eq. (1)), the data is laid out
 // over EBS volumes for a one-hour deadline, and the run is executed on the
 // simulated cloud. A content-backed sample additionally runs the *real*
-// streaming search engine to verify that reshaping never changes grep's
-// answer.
+// grep — the fused scan behind repro.MeasureCtx, the entry point the
+// repository benchmark measures — before and after reshaping to verify
+// that reshaping never changes grep's answer.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,6 +24,7 @@ import (
 
 func main() {
 	const seed = 2011
+	ctx := context.Background()
 
 	// --- Part 1: real bytes — reshaping does not change grep output. ---
 	sample, err := repro.GenerateCorpusWithContent(repro.HTML18Mil(0.00001), seed) // 180 files
@@ -32,15 +35,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	search, err := repro.NewSearcher("government")
+	grep := repro.MeasureOptions{Patterns: []string{"government"}}
+	before, err := repro.MeasureCtx(ctx, sample, grep)
 	if err != nil {
 		log.Fatal(err)
 	}
-	before, err := search.GrepFS(sample)
-	if err != nil {
-		log.Fatal(err)
-	}
-	after, err := search.GrepFS(merged)
+	after, err := repro.MeasureCtx(ctx, merged, grep)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func main() {
 
 	// --- Part 2: simulator — calibrate, plan the EBS layout, execute. ---
 	cloud := cloudsim.New(seed)
-	inst, attempts, err := cloud.AcquireQualified(cloudsim.Small, "us-east-1a", 50)
+	inst, attempts, err := cloud.AcquireQualifiedCtx(ctx, cloudsim.Small, "us-east-1a", 50)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 		for i := range items {
 			items[i] = binpack.Item{ID: fmt.Sprintf("u-%d-%d", volume, i), Size: 100_000_000}
 		}
-		m, err := harness.MeasureProbe(volume, 100_000_000, workload.Items(sizesOf(items)))
+		m, err := harness.MeasureProbeCtx(ctx, volume, 100_000_000, workload.Items(sizesOf(items)))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func main() {
 		log.Fatal(err)
 	}
 	predicted := model.Predict(100_000_000_000)
-	outcome, err := provision.Execute(cloud, plan, provision.ExecuteOptions{
+	outcome, err := provision.ExecuteCtx(ctx, cloud, plan, provision.ExecuteOptions{
 		App:     workload.NewGrep(),
 		Uniform: true,
 	})

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -23,6 +24,8 @@ import (
 const seed = 2011
 
 func main() {
+	ctx := context.Background()
+
 	// Calibrate model (3) on a nominal instance (§4 protocol, condensed).
 	cloud := cloudsim.New(seed)
 	inst, err := cloud.LaunchNominal(cloudsim.Small, "us-east-1a")
@@ -37,7 +40,7 @@ func main() {
 	dist := corpus.Text400K(1).Sizes
 	for _, volume := range []int64{1_000_000, 5_000_000, 20_000_000} {
 		items := sample(dist, volume, fmt.Sprintf("cal-%d", volume))
-		m, err := harness.MeasureProbe(volume, 0, items)
+		m, err := harness.MeasureProbeCtx(ctx, volume, 0, items)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -94,7 +97,7 @@ func main() {
 			log.Fatal(err)
 		}
 		execCloud := cloudsim.New(stats.SeedFor(seed, sc.name))
-		out, err := provision.Execute(execCloud, plan, provision.ExecuteOptions{
+		out, err := provision.ExecuteCtx(ctx, execCloud, plan, provision.ExecuteOptions{
 			App:     workload.NewPOS(),
 			Uniform: true,
 		})

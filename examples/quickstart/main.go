@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A small text corpus: ~800 files, ≈1.7 MB (0.2% of the paper's set).
 	corpus, err := repro.GenerateCorpus(repro.Text400K(0.002), 42)
 	if err != nil {
@@ -32,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	result, err := pipeline.Run(corpus)
+	result, err := pipeline.RunCtx(ctx, corpus)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +52,7 @@ func main() {
 	fmt.Printf("plan: %d instances, %.0f instance-hours, est. $%.3f\n",
 		result.Plan.Instances, result.Plan.InstanceHours(), result.Plan.EstimatedCost)
 
-	outcome, err := pipeline.Execute(result)
+	outcome, err := pipeline.ExecuteCtx(ctx, result)
 	if err != nil {
 		log.Fatal(err)
 	}

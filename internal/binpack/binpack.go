@@ -9,10 +9,7 @@
 // a dedicated oversized bin rather than an error.
 package binpack
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Item is an unsplittable unit of data to pack, typically one input file.
 type Item struct {
@@ -103,7 +100,7 @@ func buildBins(metas []binMeta, capacity int64, n int, binAt []int32, itemAt fun
 // is an O(log bins) query — and the frontier bin itself (where the vast
 // majority of items land when items are much smaller than the capacity) is
 // kept outside the tree for an O(1) fast path. The output is identical
-// bin-for-bin to the O(n·bins) reference FirstFitLinear.
+// bin-for-bin to the O(n·bins) linear scan kept in linear_test.go.
 func FirstFit(items []Item, capacity int64) ([]*Bin, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("binpack: capacity must be positive, got %d", capacity)
@@ -158,36 +155,6 @@ func FirstFit(items []Item, capacity int64) ([]*Bin, error) {
 	return buildBins(metas, capacity, n, binAt, func(i int) Item { return items[i] }), nil
 }
 
-// FirstFitLinear is the O(n·bins) reference implementation of FirstFit —
-// a plain scan over open bins per item. Kept for differential tests and
-// the indexed-vs-naive benchmarks.
-func FirstFitLinear(items []Item, capacity int64) ([]*Bin, error) {
-	if err := validate(items, capacity); err != nil {
-		return nil, err
-	}
-	var bins []*Bin
-	for _, it := range items {
-		if it.Size > capacity {
-			bins = append(bins, &Bin{Capacity: capacity, Items: []Item{it}, Used: it.Size, Oversized: true})
-			continue
-		}
-		placed := false
-		for _, b := range bins {
-			if !b.Oversized && b.Free() >= it.Size {
-				b.add(it)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			nb := &Bin{Capacity: capacity}
-			nb.add(it)
-			bins = append(bins, nb)
-		}
-	}
-	return bins, nil
-}
-
 // FirstFitDecreasing sorts items by decreasing size (stable, so equal-size
 // items keep their relative order) before running FirstFit. It packs tighter
 // but, as the paper notes, concentrates large files in the early bins.
@@ -206,8 +173,8 @@ func FirstFitDecreasing(items []Item, capacity int64) ([]*Bin, error) {
 // that fits" is equivalent to repeatedly taking the first remaining item
 // whose size is at most the bin's residual capacity — found here by binary
 // search plus a next-unused skip pointer, O(log n) per placement instead of
-// the O(n)-per-bin rescan of the reference SubsetSumFirstFitLinear. The
-// output is identical bin-for-bin.
+// the O(n)-per-bin rescan of the reference in linear_test.go. The output
+// is identical bin-for-bin.
 func SubsetSumFirstFit(items []Item, capacity int64) ([]*Bin, error) {
 	if err := validate(items, capacity); err != nil {
 		return nil, err
@@ -256,49 +223,6 @@ func SubsetSumFirstFit(items []Item, capacity int64) ([]*Bin, error) {
 	// Within a bin, items appear in scan order (decreasing size), exactly as
 	// the linear reference appends them.
 	return buildBins(metas, capacity, n, binAt, func(p int) Item { return items[order[p].idx] }), nil
-}
-
-// SubsetSumFirstFitLinear is the O(n·bins) reference implementation of
-// SubsetSumFirstFit — a full rescan of the remaining items per bin. Kept
-// for differential tests and the indexed-vs-naive benchmarks.
-func SubsetSumFirstFitLinear(items []Item, capacity int64) ([]*Bin, error) {
-	if err := validate(items, capacity); err != nil {
-		return nil, err
-	}
-	order := make([]int, len(items))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return items[order[a]].Size > items[order[b]].Size })
-	used := make([]bool, len(items))
-	remaining := len(items)
-
-	var bins []*Bin
-	for remaining > 0 {
-		b := &Bin{Capacity: capacity}
-		for _, idx := range order {
-			if used[idx] {
-				continue
-			}
-			it := items[idx]
-			if it.Size > capacity {
-				// Oversized items are emitted as their own bins immediately.
-				bins = append(bins, &Bin{Capacity: capacity, Items: []Item{it}, Used: it.Size, Oversized: true})
-				used[idx] = true
-				remaining--
-				continue
-			}
-			if b.Free() >= it.Size {
-				b.add(it)
-				used[idx] = true
-				remaining--
-			}
-		}
-		if len(b.Items) > 0 {
-			bins = append(bins, b)
-		}
-	}
-	return bins, nil
 }
 
 // LeastLoaded distributes items across exactly n bins, always placing the

@@ -5,8 +5,8 @@ package binpack
 // needs "the largest not-yet-packed item that still fits". Both queries are
 // answered in O(log n) — a max segment tree over bin residuals for the
 // former, a binary search plus a next-unused skip pointer for the latter —
-// replacing the O(n·bins) linear scans (kept as FirstFitLinear /
-// SubsetSumFirstFitLinear for differential tests and benchmarks).
+// replacing the O(n·bins) linear scans, which live on as the oracles in
+// linear_test.go.
 
 // binIndex is a max segment tree over per-bin residual capacities, in bin
 // creation order. Closed slots (oversized bins, not-yet-opened positions)

@@ -109,8 +109,9 @@ func TestCorpusOpen(t *testing.T) {
 				t.Errorf("synthetic saw %q (want %q), armed %v (want %v)", sawSpec, tc.synth, armed, tc.armed)
 			}
 			f := fs.List()[0]
-			if shard, _ := f.Locality(); f.HasRaw() != tc.raw || (shard != "") != tc.shards {
-				t.Errorf("first file: raw %v (want %v), shard %q (want one: %v)", f.HasRaw(), tc.raw, shard, tc.shards)
+			_, rawErr := f.Bytes() // errors exactly when the file carries no zero-copy view
+			if shard, _ := f.Locality(); (rawErr == nil) != tc.raw || (shard != "") != tc.shards {
+				t.Errorf("first file: raw %v (want %v), shard %q (want one: %v)", rawErr == nil, tc.raw, shard, tc.shards)
 			}
 			if tc.synth == "" && !tc.armed {
 				if err := want.VerifyCtx(context.Background(), fs); err != nil {

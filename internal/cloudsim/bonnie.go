@@ -44,17 +44,12 @@ func (c *Cloud) RunBonnie(in *Instance) (BonnieResult, error) {
 	return BonnieResult{BlockReadMBps: read, BlockWriteMBps: write, Elapsed: elapsed}, nil
 }
 
-// AcquireQualified implements the paper's acquisition loop: request an
+// AcquireQualifiedCtx implements the paper's acquisition loop: request an
 // instance, wait for it to run, benchmark it twice (the repeat confirms
 // stability), and terminate-and-retry until one passes both runs with
 // consistent numbers. maxAttempts bounds the loop. It returns the
-// qualified instance and the number of instances tried.
-func (c *Cloud) AcquireQualified(t InstanceType, zone string, maxAttempts int) (*Instance, int, error) {
-	return c.AcquireQualifiedCtx(context.Background(), t, zone, maxAttempts)
-}
-
-// AcquireQualifiedCtx is AcquireQualified with cancellation, checked
-// before each launch attempt: an abort mid-loop returns the typed
+// qualified instance and the number of instances tried. The context is
+// checked before each launch attempt: an abort mid-loop returns the typed
 // cancellation error without leaking a running instance (the instance
 // from the previous failed attempt was already terminated).
 func (c *Cloud) AcquireQualifiedCtx(ctx context.Context, t InstanceType, zone string, maxAttempts int) (*Instance, int, error) {

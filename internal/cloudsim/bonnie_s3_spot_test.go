@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -34,7 +35,7 @@ func TestRunBonnieRequiresRunning(t *testing.T) {
 
 func TestAcquireQualified(t *testing.T) {
 	c := New(10)
-	in, attempts, err := c.AcquireQualified(Small, "us-east-1a", 50)
+	in, attempts, err := c.AcquireQualifiedCtx(context.Background(), Small, "us-east-1a", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestAcquireQualified(t *testing.T) {
 func TestAcquireQualifiedEventuallySucceedsAcrossSeeds(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		c := New(seed)
-		if _, _, err := c.AcquireQualified(Small, "us-east-1a", 100); err != nil {
+		if _, _, err := c.AcquireQualifiedCtx(context.Background(), Small, "us-east-1a", 100); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}

@@ -72,7 +72,7 @@ func TestPipelineCancelledContextAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	pB, _ := cancelPipeline(t)
-	resB, err := pB.Run(fs)
+	resB, err := pB.RunCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPipelineExecuteCtxCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := cancelPipeline(t)
-	res, err := p.Run(fs)
+	res, err := p.RunCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}

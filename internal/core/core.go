@@ -191,12 +191,8 @@ func ItemsFromFS(fs *vfs.FS) []binpack.Item {
 	return items
 }
 
-// Run executes the full pipeline over a uniform-complexity corpus.
-func (p *Pipeline) Run(corpusFS *vfs.FS) (*Result, error) {
-	return p.RunCtx(context.Background(), corpusFS)
-}
-
-// RunCtx is Run with cancellation and a deadline. When
+// RunCtx executes the full pipeline over a uniform-complexity corpus,
+// with cancellation and a deadline. When
 // Config.DeadlineSeconds is set, it also arms a real wall-clock
 // context.WithTimeout over the whole run: a pipeline that cannot even
 // finish its measurement phase inside the user deadline D has no plan
@@ -359,14 +355,9 @@ func (p *Pipeline) run(ctx context.Context, corpusFS *vfs.FS, complexity map[str
 	return res, nil
 }
 
-// Execute runs the result's plan on the pipeline's cloud (stage 7).
+// ExecuteCtx runs the result's plan on the pipeline's cloud (stage 7).
 // Profiled runs execute at the corpus's size-weighted mean complexity.
-func (p *Pipeline) Execute(res *Result) (*provision.Outcome, error) {
-	return p.ExecuteCtx(context.Background(), res)
-}
-
-// ExecuteCtx is Execute with cancellation, threaded through the per-bin
-// launch/estimate loop.
+// Cancellation is threaded through the per-bin launch/estimate loop.
 func (p *Pipeline) ExecuteCtx(ctx context.Context, res *Result) (*provision.Outcome, error) {
 	if res == nil || res.Plan == nil {
 		return nil, errs.Invalid("core: no plan to execute")
@@ -379,11 +370,7 @@ func (p *Pipeline) ExecuteCtx(ctx context.Context, res *Result) (*provision.Outc
 		if res.ReshapedBins != nil {
 			source = res.ReshapedBins
 		}
-		var flat []binpack.Item
-		for _, b := range source {
-			flat = append(flat, b.Items...)
-		}
-		complexity = res.MeanComplexity(flat)
+		complexity = res.MeanComplexity(binpack.Flatten(source))
 	}
 	return provision.ExecuteCtx(ctx, p.Cloud, res.Plan, provision.ExecuteOptions{
 		App:        p.Config.App,
@@ -392,19 +379,14 @@ func (p *Pipeline) ExecuteCtx(ctx context.Context, res *Result) (*provision.Outc
 	})
 }
 
-// Reshape is the standalone reshaping operation for real data: pack the
+// ReshapeCtx is the standalone reshaping operation for real data: pack the
 // corpus's files into unit files of the given size (subset-sum first fit)
 // and return a new file system holding the concatenated unit files, plus
 // the manifest of which inputs each unit contains. Content-backed inputs
 // produce content-backed unit files whose bytes are exactly the members'
-// bytes in order.
-func Reshape(in *vfs.FS, unitSize int64, unitPrefix string) (*vfs.FS, []*binpack.Bin, error) {
-	return ReshapeCtx(context.Background(), in, unitSize, unitPrefix)
-}
-
-// ReshapeCtx is Reshape with cancellation, checked between unit-file
-// assemblies; the input FS is never mutated, so an aborted reshape
-// leaves nothing to clean up.
+// bytes in order. Cancellation is checked between unit-file assemblies;
+// the input FS is never mutated, so an aborted reshape leaves nothing to
+// clean up.
 func ReshapeCtx(ctx context.Context, in *vfs.FS, unitSize int64, unitPrefix string) (*vfs.FS, []*binpack.Bin, error) {
 	if unitSize <= 0 {
 		return nil, nil, errs.Invalid("core: unit size must be positive, got %d", unitSize)

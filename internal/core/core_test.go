@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestPipelineGrepEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(fs)
+	res, err := p.RunCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestPipelineGrepEndToEnd(t *testing.T) {
 		t.Fatalf("bad plan: %+v", res.Plan)
 	}
 	// Execute the plan end to end.
-	out, err := p.Execute(res)
+	out, err := p.ExecuteCtx(context.Background(), res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestPipelinePOSKeepsOriginalSegmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(fs)
+	res, err := p.RunCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestPipelineDeterministic(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return p.Run(fs)
+		return p.RunCtx(context.Background(), fs)
 	}
 	a, err := run()
 	if err != nil {
@@ -160,7 +161,7 @@ func TestPipelineEmptyCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(vfs.NewFS()); err == nil {
+	if _, err := p.RunCtx(context.Background(), vfs.NewFS()); err == nil {
 		t.Error("expected error for empty corpus")
 	}
 }
@@ -170,10 +171,10 @@ func TestExecuteWithoutPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Execute(nil); err == nil {
+	if _, err := p.ExecuteCtx(context.Background(), nil); err == nil {
 		t.Error("expected error executing nil result")
 	}
-	if _, err := p.Execute(&Result{}); err == nil {
+	if _, err := p.ExecuteCtx(context.Background(), &Result{}); err == nil {
 		t.Error("expected error executing result without plan")
 	}
 }
@@ -191,7 +192,7 @@ func TestReshapePreservesContentExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, bins, err := Reshape(in, 40, "unit")
+	out, bins, err := ReshapeCtx(context.Background(), in, 40, "unit")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestReshapePreservesContentExactly(t *testing.T) {
 func TestReshapeValidation(t *testing.T) {
 	in := vfs.NewFS()
 	_ = in.Add(vfs.BytesFile("a", []byte("x")))
-	if _, _, err := Reshape(in, 0, ""); err == nil {
+	if _, _, err := ReshapeCtx(context.Background(), in, 0, ""); err == nil {
 		t.Error("expected error for zero unit size")
 	}
 }
@@ -229,7 +230,7 @@ func TestReshapeValidation(t *testing.T) {
 func TestReshapeDefaultPrefix(t *testing.T) {
 	in := vfs.NewFS()
 	_ = in.Add(vfs.BytesFile("a", []byte("xyz")))
-	out, _, err := Reshape(in, 10, "")
+	out, _, err := ReshapeCtx(context.Background(), in, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}

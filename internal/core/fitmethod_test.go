@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/corpus"
@@ -27,7 +28,7 @@ func runWithMethod(t *testing.T, method FitMethod) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(fs)
+	res, err := p.RunCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}

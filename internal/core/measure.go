@@ -186,20 +186,3 @@ func MeasureSourcesCtx(ctx context.Context, srcs []scan.Source, opts MeasureOpti
 func MeasurePlanCtx(ctx context.Context, p *scan.Plan, opts MeasureOptions) (*Measurement, error) {
 	return MeasureSourcesCtx(ctx, p.Sources, opts)
 }
-
-// RunMeasuredCtx measures a content-backed corpus (checksums, stats,
-// per-file POS complexity — one read of every file) and then runs the
-// pipeline as RunProfileCtx would with the measured profile. The
-// measurement is returned alongside the plan so callers can report or
-// verify it.
-func (p *Pipeline) RunMeasuredCtx(ctx context.Context, corpusFS *vfs.FS) (*Result, *Measurement, error) {
-	m, err := MeasureCtx(ctx, corpusFS, MeasureOptions{Complexity: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := p.run(ctx, corpusFS, m.Complexity)
-	if err != nil {
-		return nil, m, err
-	}
-	return res, m, nil
-}

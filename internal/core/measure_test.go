@@ -147,12 +147,13 @@ func TestRunMeasuredFeedsComplexityProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, m, err := p.RunMeasuredCtx(context.Background(), fs)
+	m, err := MeasureCtx(context.Background(), fs, MeasureOptions{Complexity: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res == nil || m == nil {
-		t.Fatal("RunMeasured returned nil result or measurement")
+	res, err := p.RunProfileCtx(context.Background(), &corpus.Profile{FS: fs, Complexity: m.Complexity})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(m.Complexity) != 12 {
 		t.Fatalf("measured complexity for %d files, want 12", len(m.Complexity))

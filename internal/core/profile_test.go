@@ -71,7 +71,7 @@ func TestRunProfileExecuteUsesMeanComplexity(t *testing.T) {
 	if res.Complexity == nil {
 		t.Fatal("result lost the complexity map")
 	}
-	out, err := p.Execute(res)
+	out, err := p.ExecuteCtx(context.Background(), res)
 	if err != nil {
 		t.Fatal(err)
 	}

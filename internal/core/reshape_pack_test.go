@@ -20,7 +20,7 @@ func TestReshapePackRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	merged, bins, err := Reshape(fs, 50_000, "unit")
+	merged, bins, err := ReshapeCtx(context.Background(), fs, 50_000, "unit")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/errs"
+	"repro/internal/fnv64"
 	"repro/internal/retry"
 	"repro/internal/scan"
 )
@@ -122,7 +123,7 @@ type WorkerStats struct {
 	Stolen int
 	// Retries counts transient same-worker retries spent on this worker.
 	Retries int
-	// Quarantines counts how many times the worker tripped the health
+	// Quarantined counts how many times the worker tripped the health
 	// gate and was benched for probing.
 	Quarantined int
 	// Dead reports the worker failed its quarantine probes (or the run
@@ -380,13 +381,7 @@ func (c *coordinator) sleep(wait time.Duration) {
 
 // mixSeed decorrelates the per-worker jitter streams from one base seed.
 func mixSeed(base int64, name string) int64 {
-	h := uint64(14695981039346656037)
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(uint64(base) >> (8 * i))
-	}
-	h = journalFold(h, buf[:])
-	h = journalFold(h, []byte(name))
+	h := fnv64.FoldString(fnv64.FoldU64(fnv64.Offset, uint64(base)), name)
 	if h == 0 {
 		h = 1
 	}

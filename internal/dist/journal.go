@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/errs"
+	"repro/internal/fnv64"
 )
 
 // Journal is the coordinator's checkpoint: an append-only on-disk log
@@ -51,16 +52,6 @@ const journalMagic = "RJRNLv2\n"
 // only so that opening one says what it is.
 const journalMagicV1 = "RJRNLv1\n"
 
-// fnv64a over b, continuing from h (offset basis for a fresh sum).
-func journalFold(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	return h
-}
-
-const journalFNVOffset = 14695981039346656037
-
 // journalHeader builds the serialized header for (planFP, spec).
 func journalHeader(planFP uint64, spec Spec) ([]byte, error) {
 	specJSON, err := json.Marshal(spec)
@@ -72,7 +63,7 @@ func journalHeader(planFP uint64, spec Spec) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, planFP)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(specJSON)))
 	buf = append(buf, specJSON...)
-	sum := journalFold(journalFold(journalFNVOffset, buf[len(journalMagic):len(journalMagic)+8]), specJSON)
+	sum := fnv64.Fold(fnv64.Fold(fnv64.Offset, buf[len(journalMagic):len(journalMagic)+8]), specJSON)
 	return binary.LittleEndian.AppendUint64(buf, sum), nil
 }
 
@@ -163,7 +154,7 @@ func parseJournalHeader(path string, raw []byte) ([]byte, error) {
 	if specLen > len(raw) || end > len(raw) {
 		return nil, errs.Corrupt("dist: journal %s: truncated header", path)
 	}
-	sum := journalFold(journalFold(journalFNVOffset, raw[off:off+8]), raw[off+12:off+12+specLen])
+	sum := fnv64.Fold(fnv64.Fold(fnv64.Offset, raw[off:off+8]), raw[off+12:off+12+specLen])
 	if binary.LittleEndian.Uint64(raw[end-8:]) != sum {
 		return nil, errs.Corrupt("dist: journal %s: header checksum mismatch", path)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/perfmodel"
@@ -255,7 +256,7 @@ func Fig6(cfg Config) (*Report, error) {
 	for i := range units {
 		units[i] = workload.NewItem(100_000_000)
 	}
-	reshaped, err := workload.Estimate(in, workload.NewGrep(), units, vol, "fig6-reshaped")
+	reshaped, err := workload.EstimateCtx(context.TODO(), in, workload.NewGrep(), units, vol, "fig6-reshaped")
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +266,7 @@ func Fig6(cfg Config) (*Report, error) {
 	for i, it := range origBinItems {
 		origItems[i] = workload.NewItem(it.Size)
 	}
-	original, err := workload.Estimate(in, workload.NewGrep(), origItems, vol, "fig6-original")
+	original, err := workload.EstimateCtx(context.TODO(), in, workload.NewGrep(), origItems, vol, "fig6-original")
 	if err != nil {
 		return nil, err
 	}

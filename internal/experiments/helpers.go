@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/binpack"
@@ -15,7 +16,7 @@ import (
 // precondition of every measurement experiment.
 func qualifiedSetup(seed int64, salt string) (*cloudsim.Cloud, *cloudsim.Instance, error) {
 	c := cloudsim.New(stats.SeedFor(seed, salt))
-	in, _, err := c.AcquireQualified(cloudsim.Small, "us-east-1a", 50)
+	in, _, err := c.AcquireQualifiedCtx(context.TODO(), cloudsim.Small, "us-east-1a", 50)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,9 +103,9 @@ func measureUnits(h *probe.Harness, items []binpack.Item, volume int64, units []
 	for _, u := range units {
 		var m probe.Measurement
 		if u == 0 {
-			m, err = h.MeasureProbe(volume, 0, set.Original)
+			m, err = h.MeasureProbeCtx(context.TODO(), volume, 0, set.Original)
 		} else {
-			m, err = h.MeasureProbe(volume, u, set.ByUnit[u])
+			m, err = h.MeasureProbeCtx(context.TODO(), volume, u, set.ByUnit[u])
 		}
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/binpack"
@@ -217,7 +218,7 @@ func runPOSScheduling(cfg Config, o schedOpts) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := provision.Execute(c, plan, provision.ExecuteOptions{
+	out, err := provision.ExecuteCtx(context.TODO(), c, plan, provision.ExecuteOptions{
 		App:     workload.NewPOS(),
 		Uniform: true, // §5 assumption: uniform, well-performing instances
 	})

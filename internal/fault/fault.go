@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/errs"
+	"repro/internal/fnv64"
 	"repro/internal/vfs"
 )
 
@@ -164,13 +165,6 @@ func ParseSpec(spec string) (Config, error) {
 	return c, c.validate()
 }
 
-// Event records one injected fault.
-type Event struct {
-	Site    string // which injection point fired
-	Key     string // the victim: file name, worker#task, method+path
-	Attempt uint64 // per-(site,key) attempt index the decision was made at
-}
-
 // Injector makes the seeded fault decisions. Decisions are a pure
 // function of (seed, site, key, attempt): the attempt counter is the
 // only mutable input, and it advances exactly once per roll of its
@@ -182,12 +176,8 @@ type Injector struct {
 	mu       sync.Mutex
 	attempts map[string]uint64 // per-(site,key) roll count
 	counts   map[string]int    // per-site fired count
-	events   []Event
 	fired    int
 }
-
-// maxEvents bounds the retained event log; counts keep totalling past it.
-const maxEvents = 10000
 
 // New builds an injector for the config.
 func New(cfg Config) (*Injector, error) {
@@ -204,34 +194,6 @@ func New(cfg Config) (*Injector, error) {
 // Config returns the injector's configuration.
 func (i *Injector) Config() Config { return i.cfg }
 
-// FNV-64a, inlined so the hot roll path allocates nothing.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvFold(h uint64, data []byte) uint64 {
-	for _, b := range data {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	return h
-}
-
-func fnvFoldString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-func fnvFoldU64(h, v uint64) uint64 {
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(v >> (8 * i))
-	}
-	return fnvFold(h, buf[:])
-}
-
 // roll makes one seeded decision at (site, key): it advances the pair's
 // attempt counter and reports whether the fault fires, plus the raw
 // hash (for deriving deterministic victim offsets) and the attempt the
@@ -246,34 +208,20 @@ func (i *Injector) roll(site, key string, rate float64) (fire bool, h uint64, at
 	i.attempts[ck] = attempt + 1
 	i.mu.Unlock()
 
-	h = fnvFoldU64(fnvOffset64, uint64(i.cfg.Seed))
-	h = fnvFoldString(h, site)
-	h = fnvFoldU64(h, 0)
-	h = fnvFoldString(h, key)
-	h = fnvFoldU64(h, attempt)
+	h = fnv64.FoldU64(fnv64.Offset, uint64(i.cfg.Seed))
+	h = fnv64.FoldString(h, site)
+	h = fnv64.FoldU64(h, 0)
+	h = fnv64.FoldString(h, key)
+	h = fnv64.FoldU64(h, attempt)
 	// 53 uniform bits, like rand.Float64.
 	fire = float64(h>>11)/(1<<53) < rate
 	if fire {
-		i.record(site, key, attempt)
+		i.mu.Lock()
+		i.fired++
+		i.counts[site]++
+		i.mu.Unlock()
 	}
 	return fire, h, attempt
-}
-
-func (i *Injector) record(site, key string, attempt uint64) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.fired++
-	i.counts[site]++
-	if len(i.events) < maxEvents {
-		i.events = append(i.events, Event{Site: site, Key: key, Attempt: attempt})
-	}
-}
-
-// Fired reports the total number of injected faults so far.
-func (i *Injector) Fired() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.fired
 }
 
 // Counts returns the per-site fired counts (a copy).
@@ -285,13 +233,6 @@ func (i *Injector) Counts() map[string]int {
 		out[k] = v
 	}
 	return out
-}
-
-// Events returns the recorded fault log (a copy, capped at maxEvents).
-func (i *Injector) Events() []Event {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return append([]Event(nil), i.events...)
 }
 
 // Summary renders a one-line report: total faults and per-site counts

@@ -135,7 +135,7 @@ func TestWrapFSPreservesShape(t *testing.T) {
 	if shard != "shard-000" || off != 64 {
 		t.Fatalf("locality changed: %q %d", shard, off)
 	}
-	if g.HasRaw() {
+	if _, err := g.Bytes(); err == nil {
 		t.Fatal("wrapped file kept its raw view — faults would be bypassed")
 	}
 }

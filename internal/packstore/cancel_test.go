@@ -90,13 +90,15 @@ func TestRecoverCtxCancellation(t *testing.T) {
 func TestShardWriterAppendCtx(t *testing.T) {
 	dir := t.TempDir()
 	sw := NewShardWriter(dir, "c", 0)
-	if err := sw.AppendCtx(context.Background(), "m1", 3, &byteReader{data: []byte("abc")}); err != nil {
+	if err := sw.Append("m1", 3, &byteReader{data: []byte("abc")}); err != nil {
 		t.Fatal(err)
 	}
+	// An exporter checks its context before each member (vfs.ExportPackCtx
+	// does); once cancelled it starts no further append.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := sw.AppendCtx(cancelled, "m2", 3, &byteReader{data: []byte("def")}); !errors.Is(err, errs.ErrCancelled) {
-		t.Fatalf("cancelled append returned %v", err)
+	if err := errs.FromContext(cancelled); !errors.Is(err, errs.ErrCancelled) {
+		t.Fatalf("cancelled context maps to %v", err)
 	}
 	// The shard finalises cleanly with only the completed member.
 	if err := sw.Close(); err != nil {

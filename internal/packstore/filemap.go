@@ -40,19 +40,6 @@ func errNotRegular(path string) error {
 	return fmt.Errorf("packstore: load %s: not a regular file", path)
 }
 
-// Data returns the file's bytes as a borrowed view, valid until Close.
-// Callers must treat it as immutable.
-func (m *FileMapping) Data() []byte {
-	if m.closed {
-		return nil
-	}
-	return m.data
-}
-
-// Mapped reports whether the view is a real memory mapping (false on the
-// heap fallback). Introspection for tests; both paths behave identically.
-func (m *FileMapping) Mapped() bool { return m.mapped }
-
 // AdviseSequential hints read-ahead for a front-to-back scan of the
 // mapping. Best effort: a no-op on the heap fallback, and errors are
 // advisory.
@@ -142,7 +129,7 @@ func (s *FileSlab) read(r io.Reader, size int64, path string) ([]byte, error) {
 // content by the cheaper of two routes, chosen from the size its stat
 // reports: at or under SmallFileLimit it is read to EOF into slab (the
 // returned mapping is nil and the view lives on the heap), above it the
-// file is mapped (the view is the mapping's Data, valid until the
+// file is mapped (the view is the mapping's bytes, valid until the
 // caller closes the mapping). Either way the descriptor is released
 // before LoadFile returns.
 func LoadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {

@@ -49,13 +49,13 @@ func TestLoadFileSplitsBySize(t *testing.T) {
 			}
 			continue
 		}
-		if m.Mapped() != MmapSupported {
-			t.Fatalf("size %d: Mapped() = %v on a build with MmapSupported = %v", size, m.Mapped(), MmapSupported)
+		if m.mapped != MmapSupported {
+			t.Fatalf("size %d: mapped = %v on a build with MmapSupported = %v", size, m.mapped, MmapSupported)
 		}
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if m.Data() != nil {
+		if m.data != nil {
 			t.Fatalf("size %d: closed mapping still hands out data", size)
 		}
 	}

@@ -69,11 +69,6 @@ func (r *Reader) Pack() *Pack { return r.pack }
 // Len returns the number of members.
 func (r *Reader) Len() int { return r.pack.Len() }
 
-// Mapped reports whether the reader holds a real OS mapping (false when
-// the portable fallback materialised the shard on the heap, or when mmap
-// failed and the open fell back).
-func (r *Reader) Mapped() bool { return r.mapped }
-
 // MemberBytes returns the i-th member's payload (members sorted by name,
 // matching Pack.Members) as a borrowed zero-copy slice, valid until
 // Close. The slice is capacity-clamped so an append cannot spill into the

@@ -108,7 +108,7 @@ func TestReaderAdviseAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !MmapSupported && r.Mapped() {
+	if !MmapSupported && r.mapped {
 		t.Error("fallback build reports a real mapping")
 	}
 	if err := r.AdviseSequential(); err != nil {

@@ -37,13 +37,13 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"sort"
 	"strings"
 
 	"repro/internal/errs"
+	"repro/internal/fnv64"
 )
 
 // Format constants. Changing any of these is a format break.
@@ -95,22 +95,6 @@ type Writer struct {
 	closed  bool
 	buf     [recordPrefixLen]byte
 	copyBuf []byte // streaming window, reused across Append calls
-}
-
-// Inlined FNV-64a (the same function hash/fnv computes): folding in a
-// plain loop keeps the running state in a register and costs zero
-// allocations per member, where a fresh fnv.New64a per append dominated
-// the export profile.
-const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x100000001b3
-)
-
-func fnvFold(h uint64, p []byte) uint64 {
-	for _, b := range p {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	return h
 }
 
 // Create opens a new pack file at path, truncating any existing file,
@@ -227,7 +211,7 @@ func (w *Writer) Append(name string, size int64, r io.Reader) error {
 	if w.copyBuf == nil {
 		w.copyBuf = make([]byte, 64*1024)
 	}
-	h := uint64(fnvOffset64)
+	h := fnv64.MemberInit
 	var n int64
 	for n < size {
 		want := int64(len(w.copyBuf))
@@ -239,7 +223,7 @@ func (w *Writer) Append(name string, size int64, r io.Reader) error {
 			if _, werr := w.bw.Write(w.copyBuf[:m]); werr != nil {
 				return w.fail(werr)
 			}
-			h = fnvFold(h, w.copyBuf[:m])
+			h = fnv64.MemberChecksum(h, w.copyBuf[:m])
 			n += int64(m)
 		}
 		if rerr == io.EOF {
@@ -272,7 +256,7 @@ func (w *Writer) AppendBytes(name string, data []byte) error {
 	if _, err := w.bw.Write(data); err != nil {
 		return w.fail(err)
 	}
-	return w.endRecord(name, int64(len(data)), payloadOff, fnvFold(fnvOffset64, data))
+	return w.endRecord(name, int64(len(data)), payloadOff, fnv64.MemberChecksum(fnv64.MemberInit, data))
 }
 
 // fail poisons the writer: the pack's tail is now a partial record, so
@@ -300,9 +284,6 @@ func (w *Writer) Close() error {
 	sorted := append([]Member(nil), w.members...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
 	index := encodeIndex(sorted)
-	h := fnv.New64a()
-	h.Write(index)
-
 	indexOff := w.off
 	if _, err := w.bw.Write(index); err != nil {
 		w.f.Close()
@@ -312,7 +293,7 @@ func (w *Writer) Close() error {
 	binary.LittleEndian.PutUint64(footer[0:], uint64(indexOff))
 	binary.LittleEndian.PutUint64(footer[8:], uint64(len(index)))
 	binary.LittleEndian.PutUint64(footer[16:], uint64(len(sorted)))
-	binary.LittleEndian.PutUint64(footer[24:], h.Sum64())
+	binary.LittleEndian.PutUint64(footer[24:], fnv64.Fold(fnv64.Offset, index))
 	copy(footer[32:], footerMagic)
 	if _, err := w.bw.Write(footer[:]); err != nil {
 		w.f.Close()

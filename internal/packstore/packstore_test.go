@@ -292,7 +292,7 @@ func TestShardWriter(t *testing.T) {
 	}
 	// Every member is reachable through exactly one shard.
 	seen := make(map[string]bool)
-	for _, p := range set.Packs() {
+	for _, p := range set.packs {
 		for _, m := range p.Members() {
 			if seen[m.Name] {
 				t.Fatalf("member %q appears in two shards", m.Name)

@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"sort"
 	"sync"
 
 	"repro/internal/errs"
+	"repro/internal/fnv64"
 	"repro/internal/par"
 )
 
@@ -80,11 +80,9 @@ func openStrict(f *os.File, path string) (*Pack, error) {
 	if _, err := f.ReadAt(index, indexOff); err != nil {
 		return nil, fmt.Errorf("packstore: %s: reading index: %w", path, err)
 	}
-	h := fnv.New64a()
-	h.Write(index)
-	if h.Sum64() != indexSum {
+	if sum := fnv64.Fold(fnv64.Offset, index); sum != indexSum {
 		return nil, errs.Corrupt("packstore: %s: index checksum %x != footer %x (corrupt index; try Recover)",
-			path, h.Sum64(), indexSum)
+			path, sum, indexSum)
 	}
 	members, err := decodeIndex(index, count, indexOff)
 	if err != nil {
@@ -338,14 +336,20 @@ var verifyBufPool = sync.Pool{
 // name) wrapping errs.ErrCorrupt, so callers identify the blamed member
 // with errors.As instead of parsing the message.
 func (p *Pack) verifyMember(m Member) error {
-	h := fnv.New64a()
+	sum := fnv64.MemberInit
+	r := p.SectionReader(m)
 	bp := verifyBufPool.Get().(*[]byte)
-	_, err := io.CopyBuffer(h, p.SectionReader(m), *bp)
+	var err error
+	for err == nil {
+		var n int
+		n, err = r.Read(*bp)
+		sum = fnv64.MemberChecksum(sum, (*bp)[:n])
+	}
 	verifyBufPool.Put(bp)
-	if err != nil {
+	if err != io.EOF {
 		return errs.StageFile("verify", m.Name, fmt.Errorf("packstore: %s: %w", p.path, err))
 	}
-	if sum := h.Sum64(); sum != m.Checksum {
+	if sum != m.Checksum {
 		return errs.StageFile("verify", m.Name,
 			errs.Corrupt("packstore: %s: checksum %x != stored %x", p.path, sum, m.Checksum))
 	}

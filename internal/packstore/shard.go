@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/errs"
 	"repro/internal/par"
 )
 
@@ -85,17 +84,6 @@ func (s *ShardWriter) Append(name string, size int64, r io.Reader) error {
 	return s.w.Append(name, size, r)
 }
 
-// AppendCtx is Append guarded by a context check: once ctx is done no
-// further member is started and the typed cancellation error is
-// returned. The shard on disk stays well-formed up to the last completed
-// append (Close still finalises it).
-func (s *ShardWriter) AppendCtx(ctx context.Context, name string, size int64, r io.Reader) error {
-	if cerr := errs.FromContext(ctx); cerr != nil {
-		return cerr
-	}
-	return s.Append(name, size, r)
-}
-
 // AppendBytes is Append over an in-memory payload, taking the Writer's
 // zero-copy direct path (no intermediate reader or copy window).
 func (s *ShardWriter) AppendBytes(name string, data []byte) error {
@@ -150,10 +138,6 @@ func OpenSet(paths ...string) (*Set, error) {
 	}
 	return s, nil
 }
-
-// Packs returns the set's packs in open order. Callers must not modify
-// the returned slice.
-func (s *Set) Packs() []*Pack { return s.packs }
 
 // Len returns the total member count across all packs.
 func (s *Set) Len() int {

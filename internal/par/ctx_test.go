@@ -12,37 +12,25 @@ import (
 
 // TestForEachCtxMatchesForEachOnSuccess is the bit-identity acceptance
 // check: an uncancelled ForEachCtx run produces exactly the per-slot
-// results of the non-ctx variant at worker counts {1, 2, 8}.
+// results of a serial loop at worker counts {1, 2, 8}.
 func TestForEachCtxMatchesForEachOnSuccess(t *testing.T) {
 	n := 1009
-	fill := func(run func(p *Pool, out []int64) error, workers int) []int64 {
-		t.Helper()
-		out := make([]int64, n)
-		if err := run(New(workers), out); err != nil {
+	want := make([]int64, n)
+	for i := range want {
+		want[i] = int64(i)*7919 + 13
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got := make([]int64, n)
+		err := New(workers).ForEachCtx(context.Background(), n, func(i int) error {
+			got[i] = int64(i)*7919 + 13
+			return nil
+		})
+		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return out
-	}
-	plain := func(p *Pool, out []int64) error {
-		return p.ForEach(n, func(i int) error {
-			out[i] = int64(i)*7919 + 13
-			return nil
-		})
-	}
-	withCtx := func(p *Pool, out []int64) error {
-		return p.ForEachCtx(context.Background(), n, func(i int) error {
-			out[i] = int64(i)*7919 + 13
-			return nil
-		})
-	}
-	want := fill(plain, 1)
-	for _, workers := range []int{1, 2, 8} {
-		for name, run := range map[string]func(*Pool, []int64) error{"ForEach": plain, "ForEachCtx": withCtx} {
-			got := fill(run, workers)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s workers=%d: slot %d = %d, want %d", name, workers, i, got[i], want[i])
-				}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -130,7 +118,7 @@ func TestForEachCtxTaskErrorBeatsCancellation(t *testing.T) {
 
 func TestMapCtxSuccessAndCancel(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		out, err := MapCtx(context.Background(), New(workers), 100, func(i int) (int, error) {
+		out, err := mapCtx(context.Background(), New(workers), 100, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -144,9 +132,9 @@ func TestMapCtxSuccessAndCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := MapCtx(ctx, New(4), 100, func(i int) (int, error) { return i, nil })
+	out, err := mapCtx(ctx, New(4), 100, func(i int) (int, error) { return i, nil })
 	if out != nil || !errors.Is(err, errs.ErrCancelled) {
-		t.Fatalf("cancelled MapCtx: (%v, %v)", out, err)
+		t.Fatalf("cancelled map: (%v, %v)", out, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,7 @@ func TestForEachFastFailBoundsWastedWork(t *testing.T) {
 	for _, n := range []int{1_000, 100_000} {
 		for _, workers := range []int{2, 8} {
 			var ran atomic.Int64
-			err := New(workers).ForEach(n, func(i int) error {
+			err := New(workers).ForEachCtx(context.Background(), n, func(i int) error {
 				ran.Add(1)
 				if i == 3 {
 					return boom
@@ -40,7 +41,7 @@ func TestForEachFastFailBoundsWastedWork(t *testing.T) {
 func TestForEachSerialFastFail(t *testing.T) {
 	boom := errors.New("boom")
 	var ran int
-	err := New(1).ForEach(1000, func(i int) error {
+	err := New(1).ForEachCtx(context.Background(), 1000, func(i int) error {
 		ran++
 		if i == 3 {
 			return boom

@@ -7,7 +7,7 @@
 // Determinism contract: a fan-out over n tasks produces bit-identical
 // results at any worker count, including 1, because
 //
-//   - each task writes only to its own pre-allocated slot (ForEach/MapCtx),
+//   - each task writes only to its own pre-allocated slot (ForEachCtx),
 //   - errors are reported by lowest task index, not completion order,
 //   - reductions (SumChunksCtx) combine integer partials in fixed chunk
 //     order, and integer addition is associative, and
@@ -22,10 +22,9 @@
 // any failure is observed every lower index has already been claimed and
 // will finish — the lowest failing index always runs.
 //
-// The Ctx variants (ForEachCtx, MapCtx, SumChunksCtx) additionally stop
-// dispatching when the context is cancelled or its deadline expires,
-// returning ctx.Err() wrapped in *CancelledError. On success they are
-// bit-identical to the non-ctx forms at any worker count.
+// Both fan-outs (ForEachCtx, SumChunksCtx) additionally stop dispatching
+// when the context is cancelled or its deadline expires, returning
+// ctx.Err() wrapped in *CancelledError.
 //
 // Panics inside a task propagate and crash the process, as they would in
 // a serial loop.
@@ -61,20 +60,20 @@ func Default() *Pool { return New(0) }
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// ForEach runs fn(i) for every i in [0, n), using up to Workers()
+// ForEachCtx runs fn(i) for every i in [0, n), using up to Workers()
 // goroutines. Dispatch is fast-fail: after the first recorded error no
 // new indices are claimed, though tasks already in flight complete. The
 // returned error is the one from the lowest failing index, so the
 // outcome does not depend on scheduling. fn must confine its writes to
 // per-index state (or otherwise synchronise).
-func (p *Pool) ForEach(n int, fn func(i int) error) error {
-	return p.forEach(nil, n, fn)
-}
-
-// forEach is the shared fan-out core. A nil ctx means "never cancelled"
-// (the non-ctx entry points); a non-nil ctx adds a cancellation check
-// before each claim and maps expiry to *CancelledError.
-func (p *Pool) forEach(ctx context.Context, n int, fn func(i int) error) error {
+//
+// Before claiming each index the worker checks ctx, and once ctx is done
+// no new indices are dispatched (in-flight tasks still complete). On
+// cancellation it returns ctx.Err() wrapped in *CancelledError — unless
+// some dispatched task already failed, in which case the lowest-index
+// task error wins. A run that completes without cancellation is
+// bit-identical at any worker count.
+func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -84,10 +83,8 @@ func (p *Pool) forEach(ctx context.Context, n int, fn func(i int) error) error {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			if ctx != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return &CancelledError{Err: cerr}
-				}
+			if cerr := ctx.Err(); cerr != nil {
+				return &CancelledError{Err: cerr}
 			}
 			if err := fn(i); err != nil {
 				return err
@@ -98,10 +95,7 @@ func (p *Pool) forEach(ctx context.Context, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	var stop atomic.Bool
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+	done := ctx.Done() // nil for a context that can never be cancelled
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {
@@ -138,10 +132,8 @@ func (p *Pool) forEach(ctx context.Context, n int, fn func(i int) error) error {
 			return err
 		}
 	}
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return &CancelledError{Err: cerr}
-		}
+	if cerr := ctx.Err(); cerr != nil {
+		return &CancelledError{Err: cerr}
 	}
 	return nil
 }
@@ -177,7 +169,7 @@ func (p *Pool) SumChunksCtx(ctx context.Context, n int, chunk func(lo, hi int) (
 		ranges = append(ranges, [2]int{lo, hi})
 	}
 	partials := make([]int64, len(ranges))
-	err := p.forEach(ctx, len(ranges), func(i int) error {
+	err := p.ForEachCtx(ctx, len(ranges), func(i int) error {
 		v, err := chunk(ranges[i][0], ranges[i][1])
 		if err != nil {
 			return err

@@ -13,7 +13,7 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 32} {
 		n := 257
 		counts := make([]atomic.Int32, n)
-		err := New(workers).ForEach(n, func(i int) error {
+		err := New(workers).ForEachCtx(context.Background(), n, func(i int) error {
 			counts[i].Add(1)
 			return nil
 		})
@@ -32,7 +32,7 @@ func TestForEachFirstErrorByIndex(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
 	for _, workers := range []int{1, 8} {
-		err := New(workers).ForEach(100, func(i int) error {
+		err := New(workers).ForEachCtx(context.Background(), 100, func(i int) error {
 			switch i {
 			case 90:
 				return errHigh
@@ -48,14 +48,32 @@ func TestForEachFirstErrorByIndex(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := Default().ForEach(0, func(int) error { return errors.New("never") }); err != nil {
+	if err := Default().ForEachCtx(context.Background(), 0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// mapCtx is the slot-per-index idiom every caller of ForEachCtx uses to
+// collect results: task i writes out[i] and nothing else.
+func mapCtx[T any](ctx context.Context, p *Pool, n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := p.ForEachCtx(ctx, n, func(i int) error {
+		v, err := fn(i)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestMapOrdersResults(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
-		out, err := MapCtx(context.Background(), New(workers), 50, func(i int) (string, error) {
+		out, err := mapCtx(context.Background(), New(workers), 50, func(i int) (string, error) {
 			return fmt.Sprintf("task-%02d", i), nil
 		})
 		if err != nil {
@@ -71,7 +89,7 @@ func TestMapOrdersResults(t *testing.T) {
 
 func TestMapError(t *testing.T) {
 	boom := errors.New("boom")
-	out, err := MapCtx(context.Background(), New(4), 10, func(i int) (int, error) {
+	out, err := mapCtx(context.Background(), New(4), 10, func(i int) (int, error) {
 		if i == 3 {
 			return 0, boom
 		}

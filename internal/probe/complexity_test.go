@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestRandomSamplingCapturesComplexityVariation(t *testing.T) {
 
 	measure := func(sel []binpack.Item, volume int64) (float64, float64) {
 		items := ItemsWithComplexity(sel, profile.Complexity)
-		m, err := h.MeasureProbe(volume, 0, items)
+		m, err := h.MeasureProbeCtx(context.Background(), volume, 0, items)
 		if err != nil {
 			t.Fatal(err)
 		}

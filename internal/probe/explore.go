@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -34,7 +35,7 @@ func (h *Harness) ExploreSubsets(files []binpack.Item, n int, volume, unitSize i
 		h.DatasetKeyFn = func(v, u int64) string {
 			return fmt.Sprintf("subset-%d-v%d-u%d", si, v, u)
 		}
-		m, err := h.MeasureProbe(actualVolume, unitSize, items)
+		m, err := h.MeasureProbeCtx(context.TODO(), actualVolume, unitSize, items)
 		h.DatasetKeyFn = saved
 		if err != nil {
 			return nil, nil, nil, err

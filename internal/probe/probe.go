@@ -169,23 +169,17 @@ func NewHarness(c *cloudsim.Cloud, in *cloudsim.Instance, app workload.App, st w
 	}
 }
 
-// MeasureProbe runs one probe Repeats times.
+// MeasureProbeCtx runs one probe Repeats times.
 //
-// The repeats stay strictly sequential by design: each workload.Run draws
-// from the instance's noise stream and advances the virtual clock, so run
-// i's measurement depends on the RNG state left by run i-1 — reordering the
-// repeats would change every sampled value. Parallelism lives one level
-// down instead, inside workload.Estimate's per-item cost sum, which is
-// RNG-free and fans out over the shared par pool without touching the
-// stream.
-func (h *Harness) MeasureProbe(volume, unitSize int64, items []workload.Item) (Measurement, error) {
-	return h.MeasureProbeCtx(context.Background(), volume, unitSize, items)
-}
-
-// MeasureProbeCtx is MeasureProbe with cancellation. The context is
-// checked between repeats — never inside one, and the repeats stay
-// strictly sequential, so a run that completes consumes exactly the RNG
-// draws and virtual time of the non-ctx form.
+// The repeats stay strictly sequential by design: each workload.RunCtx
+// draws from the instance's noise stream and advances the virtual clock,
+// so run i's measurement depends on the RNG state left by run i-1 —
+// reordering the repeats would change every sampled value. Parallelism
+// lives one level down instead, inside workload.EstimateCtx's per-item
+// cost sum, which is RNG-free and fans out over the shared par pool
+// without touching the stream. The context is checked between repeats —
+// never inside one — so a run that completes consumes the same RNG draws
+// and virtual time whatever context it was given.
 func (h *Harness) MeasureProbeCtx(ctx context.Context, volume, unitSize int64, items []workload.Item) (Measurement, error) {
 	if len(items) == 0 {
 		return Measurement{}, fmt.Errorf("probe: empty probe")

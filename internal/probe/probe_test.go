@@ -27,7 +27,7 @@ func corpusItems(t *testing.T, spec corpus.Spec, seed int64) []binpack.Item {
 func qualified(t *testing.T, seed int64) (*cloudsim.Cloud, *cloudsim.Instance) {
 	t.Helper()
 	c := cloudsim.New(seed)
-	in, _, err := c.AcquireQualified(cloudsim.Small, "us-east-1a", 50)
+	in, _, err := c.AcquireQualifiedCtx(context.Background(), cloudsim.Small, "us-east-1a", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBuildSetValidation(t *testing.T) {
 func TestMeasureProbeRepeats(t *testing.T) {
 	c, in := qualified(t, 2)
 	h := NewHarness(c, in, workload.NewGrep(), workload.Local{})
-	m, err := h.MeasureProbe(1000000, 100000, workload.Items([]int64{100000, 100000, 100000}))
+	m, err := h.MeasureProbeCtx(context.Background(), 1000000, 100000, workload.Items([]int64{100000, 100000, 100000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestMeasureProbeRepeats(t *testing.T) {
 	if m.String() == "" {
 		t.Error("empty String()")
 	}
-	if _, err := h.MeasureProbe(10, 10, nil); err == nil {
+	if _, err := h.MeasureProbeCtx(context.Background(), 10, 10, nil); err == nil {
 		t.Error("expected error for empty probe")
 	}
 }
@@ -299,7 +299,7 @@ func TestHarnessDatasetKeyFnDrivesPlacement(t *testing.T) {
 		h := NewHarness(c, in, workload.NewGrep(), vol)
 		key := fmt.Sprintf("clone-%d", i)
 		h.DatasetKeyFn = func(volume, unitSize int64) string { return key }
-		m, err := h.MeasureProbe(set.Volume, 100_000, set.ByUnit[100_000])
+		m, err := h.MeasureProbeCtx(context.Background(), set.Volume, 100_000, set.ByUnit[100_000])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,18 +65,14 @@ type ExecuteOptions struct {
 	Storage func(i int, in *cloudsim.Instance) (workload.Storage, string)
 }
 
-// Execute launches one instance per bin and simulates them processing
+// ExecuteCtx launches one instance per bin and simulates them processing
 // their data in parallel. The cloud clock advances by the makespan once at
 // the end; billing is computed per instance from its own elapsed time
-// (pending time is free, every started hour bills in full).
-func Execute(c *cloudsim.Cloud, plan *Plan, opts ExecuteOptions) (*Outcome, error) {
-	return ExecuteCtx(context.Background(), c, plan, opts)
-}
-
-// ExecuteCtx is Execute with cancellation: the context is checked before
-// each bin's instance launch (and threaded through qualification and the
-// per-bin estimate), so an abort lands within one bin of the cancel and
-// the virtual clock is never advanced for a run that did not complete.
+// (pending time is free, every started hour bills in full). The context is
+// checked before each bin's instance launch (and threaded through
+// qualification and the per-bin estimate), so an abort lands within one
+// bin of the cancel and the virtual clock is never advanced for a run
+// that did not complete.
 func ExecuteCtx(ctx context.Context, c *cloudsim.Cloud, plan *Plan, opts ExecuteOptions) (*Outcome, error) {
 	if opts.App == nil {
 		return nil, errs.Invalid("provision: ExecuteOptions.App is required")

@@ -1,6 +1,7 @@
 package provision
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -324,7 +325,7 @@ func TestExecutePlanOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Execute(c, plan, ExecuteOptions{App: workload.NewPOS()})
+	out, err := ExecuteCtx(context.Background(), c, plan, ExecuteOptions{App: workload.NewPOS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,11 +361,11 @@ func TestExecuteQualifiedReducesMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lottery, err := Execute(cloudsim.New(41), plan, ExecuteOptions{App: workload.NewPOS()})
+	lottery, err := ExecuteCtx(context.Background(), cloudsim.New(41), plan, ExecuteOptions{App: workload.NewPOS()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qualified, err := Execute(cloudsim.New(41), plan, ExecuteOptions{App: workload.NewPOS(), Qualify: true})
+	qualified, err := ExecuteCtx(context.Background(), cloudsim.New(41), plan, ExecuteOptions{App: workload.NewPOS(), Qualify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +382,7 @@ func TestExecuteQualifiedReducesMisses(t *testing.T) {
 func TestExecuteValidation(t *testing.T) {
 	c := cloudsim.New(1)
 	plan := &Plan{}
-	if _, err := Execute(c, plan, ExecuteOptions{}); err == nil {
+	if _, err := ExecuteCtx(context.Background(), c, plan, ExecuteOptions{}); err == nil {
 		t.Error("expected error for missing app")
 	}
 }
@@ -393,11 +394,11 @@ func TestExecuteComplexityScalesRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Execute(cloudsim.New(7), plan, ExecuteOptions{App: workload.NewPOS(), Complexity: 1})
+	plain, err := ExecuteCtx(context.Background(), cloudsim.New(7), plan, ExecuteOptions{App: workload.NewPOS(), Complexity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	complex, err := Execute(cloudsim.New(7), plan, ExecuteOptions{App: workload.NewPOS(), Complexity: 2})
+	complex, err := ExecuteCtx(context.Background(), cloudsim.New(7), plan, ExecuteOptions{App: workload.NewPOS(), Complexity: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,11 +428,11 @@ func TestUniformBinsReduceMissRisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outFF, err := Execute(cloudsim.New(52), ff, ExecuteOptions{App: workload.NewPOS(), Qualify: true})
+	outFF, err := ExecuteCtx(context.Background(), cloudsim.New(52), ff, ExecuteOptions{App: workload.NewPOS(), Qualify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outUni, err := Execute(cloudsim.New(52), uni, ExecuteOptions{App: workload.NewPOS(), Qualify: true})
+	outUni, err := ExecuteCtx(context.Background(), cloudsim.New(52), uni, ExecuteOptions{App: workload.NewPOS(), Qualify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,11 +454,11 @@ func TestExecuteLargeInstancesFasterButCostlier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := Execute(cloudsim.New(81), plan, ExecuteOptions{App: workload.NewPOS(), Uniform: true})
+	small, err := ExecuteCtx(context.Background(), cloudsim.New(81), plan, ExecuteOptions{App: workload.NewPOS(), Uniform: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Execute(cloudsim.New(81), plan, ExecuteOptions{
+	large, err := ExecuteCtx(context.Background(), cloudsim.New(81), plan, ExecuteOptions{
 		App: workload.NewPOS(), Uniform: true, Type: cloudsim.Large,
 	})
 	if err != nil {

@@ -1,45 +1,9 @@
 package scan
 
-// FNV-64a, inlined: the same function hash/fnv computes, but folded in a
-// tight loop over each block with the running state in a register instead
-// of behind an interface call per write. Per-file sums here are
-// bit-identical to vfs.Checksum.
-const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x100000001b3
-)
-
-// fnvFold advances the running FNV-64a state over p. The hash is one
-// serial xor-multiply chain — unrolling cannot overlap the multiplies —
-// but consuming eight bytes per iteration removes seven loop-bound checks
-// and branches per chain step, bit-identical to the byte loop.
-func fnvFold(h uint64, p []byte) uint64 {
-	for len(p) >= 8 {
-		h = (h ^ uint64(p[0])) * fnvPrime64
-		h = (h ^ uint64(p[1])) * fnvPrime64
-		h = (h ^ uint64(p[2])) * fnvPrime64
-		h = (h ^ uint64(p[3])) * fnvPrime64
-		h = (h ^ uint64(p[4])) * fnvPrime64
-		h = (h ^ uint64(p[5])) * fnvPrime64
-		h = (h ^ uint64(p[6])) * fnvPrime64
-		h = (h ^ uint64(p[7])) * fnvPrime64
-		p = p[8:]
-	}
-	for _, b := range p {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	return h
-}
-
-func fnvFoldString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
+import "repro/internal/fnv64"
 
 // FileSum is one scanned file's identity: its name, declared size, and
-// FNV-64a checksum of its content.
+// the member checksum (FNV-64a) of its content.
 type FileSum struct {
 	Name string
 	Size int64
@@ -52,21 +16,19 @@ type FileSum struct {
 // server and the distributed scan both report — equal fingerprints mean
 // byte-identical manifests.
 func FingerprintSums(sums []FileSum) uint64 {
-	h := uint64(fnvOffset64)
-	var buf [16]byte
+	h := fnv64.Offset
 	for _, s := range sums {
-		h = fnvFoldString(h, s.Name)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(s.Size >> (8 * i))
-			buf[8+i] = byte(s.Sum >> (8 * i))
-		}
-		h = fnvFold(h, buf[:])
+		h = fnv64.FoldString(h, s.Name)
+		h = fnv64.FoldU64(h, uint64(s.Size))
+		h = fnv64.FoldU64(h, s.Sum)
 	}
 	return h
 }
 
-// Checksum is the per-file FNV-64a kernel: after a run it holds one
-// FileSum per scanned file, in input order.
+// Checksum is the per-file member-checksum kernel: after a run it holds
+// one FileSum per scanned file, in input order. Its sums are the ones the
+// pack writer stores and pack verification recomputes — all three fold
+// through fnv64.MemberChecksum.
 type Checksum struct {
 	h    uint64
 	cur  FileSum
@@ -81,12 +43,12 @@ func (c *Checksum) Fork() Kernel { return &Checksum{} }
 
 // Begin implements Kernel.
 func (c *Checksum) Begin(src Source) {
-	c.h = fnvOffset64
+	c.h = fnv64.MemberInit
 	c.cur = FileSum{Name: src.Name, Size: src.Size}
 }
 
 // Block implements Kernel.
-func (c *Checksum) Block(p []byte) { c.h = fnvFold(c.h, p) }
+func (c *Checksum) Block(p []byte) { c.h = fnv64.MemberChecksum(c.h, p) }
 
 // End implements Kernel: the completed file is folded into the kernel's
 // own accumulation.

@@ -1,6 +1,10 @@
 package scan
 
-import "context"
+import (
+	"context"
+
+	"repro/internal/fnv64"
+)
 
 // Plan is the shard-assignment half of a scan, split from execution so
 // the two can live on different sides of a process boundary: a
@@ -96,29 +100,18 @@ func (p *Plan) Slice(t Task) []Source { return p.Sources[t.Lo:t.Hi] }
 // content, and hashing it here would cost a full corpus read at plan
 // time.
 func (p *Plan) Fingerprint() uint64 {
-	h := uint64(fnvOffset64)
-	var buf [16]byte
-	u64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h = fnvFold(h, buf[:8])
-	}
-	u64(uint64(len(p.Sources)))
+	h := fnv64.FoldU64(fnv64.Offset, uint64(len(p.Sources)))
 	for i := range p.Sources {
 		s := &p.Sources[i]
-		h = fnvFoldString(h, s.Name)
-		h = fnvFoldString(h, s.Shard)
-		for j := 0; j < 8; j++ {
-			buf[j] = byte(s.Size >> (8 * j))
-			buf[8+j] = byte(s.Offset >> (8 * j))
-		}
-		h = fnvFold(h, buf[:])
+		h = fnv64.FoldString(h, s.Name)
+		h = fnv64.FoldString(h, s.Shard)
+		h = fnv64.FoldU64(h, uint64(s.Size))
+		h = fnv64.FoldU64(h, uint64(s.Offset))
 	}
-	u64(uint64(len(p.Tasks)))
+	h = fnv64.FoldU64(h, uint64(len(p.Tasks)))
 	for _, t := range p.Tasks {
-		u64(uint64(int64(t.Lo)))
-		u64(uint64(int64(t.Hi)))
+		h = fnv64.FoldU64(h, uint64(int64(t.Lo)))
+		h = fnv64.FoldU64(h, uint64(int64(t.Hi)))
 	}
 	return h
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -90,7 +91,7 @@ func (mo *Monitor) RunTaskResilient(items []workload.Item, preferredZone, s3Key 
 	var instElapsed float64
 	chunks := splitChunks(items, mo.Chunks)
 	for ci := 0; ci < len(chunks); {
-		d, err := workload.Estimate(in, mo.App, chunks[ci], vol, s3Key)
+		d, err := workload.EstimateCtx(context.TODO(), in, mo.App, chunks[ci], vol, s3Key)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -154,7 +155,7 @@ func (mo *Monitor) RunTask(items []workload.Item, vol *cloudsim.Volume, datasetK
 	chunks := splitChunks(items, mo.Chunks)
 	for ci := 0; ci < len(chunks); ci++ {
 		chunk := chunks[ci]
-		d, err := workload.Estimate(in, mo.App, chunk, vol, datasetKey)
+		d, err := workload.EstimateCtx(context.TODO(), in, mo.App, chunk, vol, datasetKey)
 		if err != nil {
 			return nil, err
 		}

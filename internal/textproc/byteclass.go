@@ -15,7 +15,7 @@ package textproc
 // and the fold maps 'A'-'Z' to 'a'-'z' leaving all other bytes (including
 // UTF-8 continuation bytes) untouched.
 
-// Class bits for Classes / classTable.
+// Class bits for classTable.
 const (
 	ClassSpace  uint8 = 1 << iota // ' ', '\n', '\t', '\r'
 	ClassWord                     // letter, digit or apostrophe: a token-continuing byte
@@ -90,9 +90,6 @@ func buildStreamClass() (t [256]uint8) {
 	}
 	return t
 }
-
-// Classes returns the class bits for a byte.
-func Classes(c byte) uint8 { return classTable[c] }
 
 // Fold returns the ASCII-lowercased form of a byte (identity for
 // non-letters and non-ASCII bytes).

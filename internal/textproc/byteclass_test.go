@@ -24,10 +24,10 @@ func TestClassTableMatchesPredicates(t *testing.T) {
 		if got := isWordByte(b); got != wantWord {
 			t.Errorf("isWordByte(%#x) = %v, want %v", b, got, wantWord)
 		}
-		if got := Classes(b)&ClassLetter != 0; got != wantLetter {
+		if got := classTable[b]&ClassLetter != 0; got != wantLetter {
 			t.Errorf("ClassLetter(%#x) = %v, want %v", b, got, wantLetter)
 		}
-		if got := Classes(b)&ClassDigit != 0; got != wantDigit {
+		if got := classTable[b]&ClassDigit != 0; got != wantDigit {
 			t.Errorf("ClassDigit(%#x) = %v, want %v", b, got, wantDigit)
 		}
 		if got := isUpperByte(b); got != wantUpper {
@@ -58,7 +58,7 @@ func TestFoldTableMatchesStringsToLower(t *testing.T) {
 // word, and upper implies letter implies word.
 func TestClassesAreDisjointWhereExpected(t *testing.T) {
 	for c := 0; c < 256; c++ {
-		cl := Classes(byte(c))
+		cl := classTable[c]
 		if cl&ClassSpace != 0 && cl&ClassWord != 0 {
 			t.Errorf("byte %#x is both space and word", c)
 		}

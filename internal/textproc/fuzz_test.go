@@ -160,10 +160,10 @@ func analyzerOracleDiff(tagger *Tagger, data []byte, blockSizes ...int) string {
 	wantFile := FileStats{Name: "fuzz", Stats: want, Lines: wantLines, Unknown: tagged.Unknown}
 	for _, bs := range blockSizes {
 		var words bytes.Buffer
-		a := NewStreamAnalyzer(func(w []byte) {
+		a := &StreamAnalyzer{onWord: func(w []byte) {
 			words.Write(w)
 			words.WriteByte(0)
-		})
+		}}
 		k := NewAnalyzerKernel(tagger)
 		k.Begin(scan.Source{Name: "fuzz", Size: int64(len(data))})
 		for i := 0; i < len(data); i += bs {

@@ -5,8 +5,6 @@ import (
 	"io"
 	"regexp"
 	"sync"
-
-	"repro/internal/vfs"
 )
 
 // Searcher is a streaming pattern matcher. The paper's grep usage scenario
@@ -175,59 +173,4 @@ func (s *Searcher) CountReader(r io.Reader) (int64, error) {
 			return total, err
 		}
 	}
-}
-
-// countFile streams one vfs file through CountReader, closing the reader
-// afterwards when the content source hands out closable readers (disk- or
-// pack-backed corpora); leaking one descriptor per searched file would
-// exhaust the process limit long before a million-file corpus finishes.
-func (s *Searcher) countFile(f vfs.File) (int64, error) {
-	r, err := f.Open()
-	if err != nil {
-		return 0, err
-	}
-	matches, err := s.CountReader(r)
-	if c, ok := r.(io.Closer); ok {
-		if cerr := c.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		return 0, fmt.Errorf("textproc: grep %s: %w", f.Name, err)
-	}
-	return matches, nil
-}
-
-// FileResult is the per-file outcome of a grep run.
-type FileResult struct {
-	Name    string
-	Bytes   int64
-	Matches int64
-}
-
-// GrepResult aggregates a run over many files.
-type GrepResult struct {
-	Files   []FileResult
-	Bytes   int64
-	Matches int64
-}
-
-// GrepFiles searches every file in order, streaming each one's content.
-func (s *Searcher) GrepFiles(files []vfs.File) (*GrepResult, error) {
-	res := &GrepResult{}
-	for _, f := range files {
-		matches, err := s.countFile(f)
-		if err != nil {
-			return nil, err
-		}
-		res.Files = append(res.Files, FileResult{Name: f.Name, Bytes: f.Size, Matches: matches})
-		res.Bytes += f.Size
-		res.Matches += matches
-	}
-	return res, nil
-}
-
-// GrepFS searches the whole file system in List order.
-func (s *Searcher) GrepFS(fs *vfs.FS) (*GrepResult, error) {
-	return s.GrepFiles(fs.List())
 }

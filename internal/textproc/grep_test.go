@@ -175,28 +175,46 @@ func TestCountReaderPropagatesError(t *testing.T) {
 	}
 }
 
+// grepFiles streams each file through CountReader in order and returns
+// the per-file and total match counts.
+func grepFiles(s *Searcher, files []vfs.File) (perFile []int64, total int64, err error) {
+	for _, f := range files {
+		r, err := f.Open()
+		if err != nil {
+			return nil, 0, err
+		}
+		n, err := s.CountReader(r)
+		if c, ok := r.(io.Closer); ok {
+			c.Close()
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		perFile = append(perFile, n)
+		total += n
+	}
+	return perFile, total, nil
+}
+
 func TestGrepFilesAndFS(t *testing.T) {
 	fs := vfs.NewFS()
 	_ = fs.Add(vfs.BytesFile("a.txt", []byte("the word appears: word")))
 	_ = fs.Add(vfs.BytesFile("b.txt", []byte("no match here")))
 	_ = fs.Add(vfs.BytesFile("c.txt", []byte("word")))
 	s, _ := NewSearcher("word")
-	res, err := s.GrepFS(fs)
+	perFile, total, err := grepFiles(s, fs.List())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Matches != 3 {
-		t.Errorf("total matches = %d, want 3", res.Matches)
+	if total != 3 {
+		t.Errorf("total matches = %d, want 3", total)
 	}
-	if res.Bytes != fs.TotalSize() {
-		t.Errorf("bytes = %d, want %d", res.Bytes, fs.TotalSize())
-	}
-	if len(res.Files) != 3 {
-		t.Fatalf("file results = %d", len(res.Files))
+	if len(perFile) != 3 {
+		t.Fatalf("file results = %d", len(perFile))
 	}
 	// List order is name-sorted: a, b, c.
-	if res.Files[0].Matches != 2 || res.Files[1].Matches != 0 || res.Files[2].Matches != 1 {
-		t.Errorf("per-file matches: %+v", res.Files)
+	if perFile[0] != 2 || perFile[1] != 0 || perFile[2] != 1 {
+		t.Errorf("per-file matches: %v", perFile)
 	}
 }
 
@@ -204,7 +222,7 @@ func TestGrepMetadataOnlyFileFails(t *testing.T) {
 	fs := vfs.NewFS()
 	_ = fs.Add(vfs.NewFile("meta", 10))
 	s, _ := NewSearcher("x")
-	if _, err := s.GrepFS(fs); err == nil {
+	if _, _, err := grepFiles(s, fs.List()); err == nil {
 		t.Error("expected error for metadata-only file")
 	}
 }
@@ -229,17 +247,17 @@ func TestGrepInvariantUnderConcat(t *testing.T) {
 		members = append(members, vfs.BytesFile(fmt.Sprintf("m%02d", i), append([]byte(nil), buf.Bytes()...)))
 	}
 	s, _ := NewSearcher("needle")
-	separate, err := s.GrepFiles(members)
+	_, separate, err := grepFiles(s, members)
 	if err != nil {
 		t.Fatal(err)
 	}
 	merged := vfs.Concat("unit", members)
-	combined, err := s.GrepFiles([]vfs.File{merged})
+	_, combined, err := grepFiles(s, []vfs.File{merged})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if separate.Matches != combined.Matches {
-		t.Errorf("reshaping changed grep output: %d vs %d", separate.Matches, combined.Matches)
+	if separate != combined {
+		t.Errorf("reshaping changed grep output: %d vs %d", separate, combined)
 	}
 }
 

@@ -74,8 +74,8 @@ func NewMultiSearcher(patterns []string) (*MultiSearcher, error) {
 }
 
 // NewFoldedMultiSearcher builds an ASCII case-insensitive multi-pattern
-// searcher, with the same fold rule as NewFoldedSearcher: bytes 'A'-'Z'
-// compare equal to 'a'-'z', all other bytes compare exactly.
+// searcher: bytes 'A'-'Z' compare equal to 'a'-'z', all other bytes
+// compare exactly.
 func NewFoldedMultiSearcher(patterns []string) (*MultiSearcher, error) {
 	return newMultiSearcher(patterns, true)
 }
@@ -441,10 +441,6 @@ func (m *MultiSearcher) feedFolded(s int32, p []byte, counts []int64) int32 {
 	}
 	return s
 }
-
-// NumStates returns the automaton's state count (root included) — layout
-// introspection for tests and capacity planning, not needed for matching.
-func (m *MultiSearcher) NumStates() int { return len(m.outOff) - 1 }
 
 // startBytes returns how many distinct bytes can start a pattern; used by
 // tests pinning the skip-loop setup.

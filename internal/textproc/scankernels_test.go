@@ -32,7 +32,7 @@ func TestStreamAnalyzerMatchesAnalyzeAtAnySplit(t *testing.T) {
 		want := Analyze(data)
 		wantLines := int64(bytes.Count(data, []byte("\n")))
 		for _, block := range []int{1, 2, 3, 5, 7, 64, len(data) + 1} {
-			a := NewStreamAnalyzer(nil)
+			a := new(StreamAnalyzer)
 			for off := 0; off < len(data); off += block {
 				end := off + block
 				if end > len(data) {
@@ -62,7 +62,7 @@ func TestStreamAnalyzerWordCallbackSeesEveryWordToken(t *testing.T) {
 		}
 		for _, block := range []int{1, 3, 64} {
 			var got []string
-			a := NewStreamAnalyzer(func(w []byte) { got = append(got, string(w)) })
+			a := &StreamAnalyzer{onWord: func(w []byte) { got = append(got, string(w)) }}
 			for off := 0; off < len(data); off += block {
 				end := off + block
 				if end > len(data) {
@@ -85,7 +85,7 @@ func TestStreamAnalyzerWordCallbackSeesEveryWordToken(t *testing.T) {
 }
 
 func TestStreamAnalyzerResetClearsState(t *testing.T) {
-	a := NewStreamAnalyzer(nil)
+	a := new(StreamAnalyzer)
 	a.Block([]byte("unfinished word and sen"))
 	a.Reset()
 	a.Block([]byte("two words."))

@@ -3,10 +3,7 @@ package vfs
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sort"
-	"sync"
 
 	"repro/internal/errs"
 	"repro/internal/scan"
@@ -20,41 +17,6 @@ import (
 // The corpus-wide operations here are thin wrappers over the fused scan
 // engine: BuildManifestCtx and Manifest.VerifyCtx run a checksum-only
 // scan.Run, each file opened and streamed exactly once.
-
-// copyBufPool recycles the streaming window used by single-file Checksum;
-// without it every io.Copy allocated a fresh 32 kB buffer.
-var copyBufPool = sync.Pool{
-	New: func() any {
-		buf := make([]byte, 64*1024)
-		return &buf
-	},
-}
-
-// hashReader streams r through FNV-64a using a pooled window buffer.
-func hashReader(r io.Reader) (uint64, error) {
-	h := fnv.New64a()
-	bp := copyBufPool.Get().(*[]byte)
-	_, err := io.CopyBuffer(h, r, *bp)
-	copyBufPool.Put(bp)
-	if err != nil {
-		return 0, err
-	}
-	return h.Sum64(), nil
-}
-
-// Checksum streams a file's content through FNV-64a, closing the reader
-// afterwards when the content source hands out closable readers.
-func Checksum(f File) (uint64, error) {
-	r, err := f.Open()
-	if err != nil {
-		return 0, err
-	}
-	sum, err := hashReader(r)
-	if err := closeReader(r, err); err != nil {
-		return 0, fmt.Errorf("vfs: checksum %q: %w", f.Name, err)
-	}
-	return sum, nil
-}
 
 // Manifest maps file names to (size, checksum).
 type Manifest map[string]ManifestEntry

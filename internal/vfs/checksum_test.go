@@ -7,28 +7,54 @@ import (
 	"testing"
 )
 
+// checksumOracle streams a file's content through the standard library's
+// FNV-64a — the reference the engine's member checksum must equal.
+func checksumOracle(f File) (uint64, error) {
+	r, err := f.Open()
+	if err != nil {
+		return 0, err
+	}
+	h := fnv.New64a()
+	_, err = io.Copy(h, r)
+	if err := closeReader(r, err); err != nil {
+		return 0, err
+	}
+	return h.Sum64(), nil
+}
+
 func TestChecksumDeterministicAndDiscriminating(t *testing.T) {
+	ctx := context.Background()
 	a := BytesFile("a", []byte("hello"))
-	sum1, err := Checksum(a)
+	b := BytesFile("b", []byte("hellp"))
+	fs := NewFS()
+	_ = fs.Add(a)
+	_ = fs.Add(b)
+	m1, err := BuildManifestCtx(ctx, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum2, err := Checksum(a)
+	m2, err := BuildManifestCtx(ctx, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum1 != sum2 {
+	if m1["a"] != m2["a"] || m1["b"] != m2["b"] {
 		t.Error("checksum not deterministic")
 	}
-	b := BytesFile("b", []byte("hellp"))
-	sumB, err := Checksum(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sumB == sum1 {
+	if m1["a"].Checksum == m1["b"].Checksum {
 		t.Error("different content, same checksum")
 	}
-	if _, err := Checksum(NewFile("meta", 5)); err == nil {
+	for _, f := range []File{a, b} {
+		want, err := checksumOracle(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m1[f.Name].Checksum; got != want {
+			t.Errorf("%s: member checksum %x, hash/fnv says %x", f.Name, got, want)
+		}
+	}
+	meta := NewFS()
+	_ = meta.Add(NewFile("meta", 5))
+	if _, err := BuildManifestCtx(ctx, meta); err == nil {
 		t.Error("expected error for metadata-only file")
 	}
 }

@@ -97,10 +97,10 @@ func testImportDirMappedMatchesImportDir(t *testing.T, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mf.HasRaw() {
+		if !mf.hasRaw {
 			t.Fatalf("mapped file %q has no raw view", mf.Name)
 		}
-		if pf.HasRaw() {
+		if pf.hasRaw {
 			t.Fatalf("plain import file %q unexpectedly has a raw view", pf.Name)
 		}
 		if mf.Size != pf.Size {

@@ -3,12 +3,11 @@ package vfs
 import (
 	"context"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"io"
 	"os"
 
 	"repro/internal/errs"
+	"repro/internal/fnv64"
 	"repro/internal/packstore"
 	"repro/internal/par"
 )
@@ -211,7 +210,7 @@ func importPacks(ctx context.Context, mode packMode, sources []string) (*FS, io.
 			open := func() io.Reader { return p.SectionReader(m) }
 			if mode == packVerified {
 				open = func() io.Reader {
-					return &verifyReader{r: p.SectionReader(m), name: m.Name, size: m.Size, want: m.Checksum, h: fnv.New64a()}
+					return &verifyReader{r: p.SectionReader(m), name: m.Name, size: m.Size, want: m.Checksum, sum: fnv64.MemberInit}
 				}
 			}
 			// Locality (shard path + member offset) lets fused scans read
@@ -242,7 +241,7 @@ func (cs closers) Close() error {
 	return first
 }
 
-// verifyReader streams a pack member while folding its FNV-64a sum,
+// verifyReader streams a pack member while folding its member checksum,
 // checking it against the indexed checksum the moment the payload is
 // fully delivered. The check fires exactly once, on whichever Read
 // completes the payload (or hits EOF), so a scanner that consumes the
@@ -252,7 +251,7 @@ type verifyReader struct {
 	r       io.Reader
 	name    string
 	want    uint64
-	h       hash.Hash64
+	sum     uint64
 	n       int64
 	size    int64
 	checked bool
@@ -268,7 +267,7 @@ func (v *verifyReader) Read(p []byte) (int, error) {
 	}
 	n, err := v.r.Read(p)
 	if n > 0 {
-		v.h.Write(p[:n])
+		v.sum = fnv64.MemberChecksum(v.sum, p[:n])
 		v.n += int64(n)
 	}
 	if err == io.EOF || (err == nil && v.n >= v.size) {
@@ -289,9 +288,9 @@ func (v *verifyReader) check() error {
 		return errs.StageFile("verify", v.name,
 			errs.Corrupt("vfs: member %q delivered %d bytes, index says %d", v.name, v.n, v.size))
 	}
-	if sum := v.h.Sum64(); sum != v.want {
+	if v.sum != v.want {
 		return errs.StageFile("verify", v.name,
-			errs.Corrupt("vfs: member %q checksum %016x != indexed %016x", v.name, sum, v.want))
+			errs.Corrupt("vfs: member %q checksum %016x != indexed %016x", v.name, v.sum, v.want))
 	}
 	return nil
 }

@@ -38,10 +38,10 @@ func TestImportPackMappedMatchesImportPack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mf.HasRaw() {
+		if !mf.hasRaw {
 			t.Fatalf("mapped file %q has no raw view", mf.Name)
 		}
-		if pf.HasRaw() {
+		if pf.hasRaw {
 			t.Fatalf("plain import file %q unexpectedly has a raw view", pf.Name)
 		}
 		pShard, pOff := pf.Locality()

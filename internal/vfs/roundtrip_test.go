@@ -176,7 +176,7 @@ func TestReadPathsDoNotLeakDescriptors(t *testing.T) {
 		if _, err := f.ReadAll(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Checksum(f); err != nil {
+		if _, err := checksumOracle(f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestReadPathsDoNotLeakDescriptors(t *testing.T) {
 	if _, err := merged.ReadAll(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Checksum(merged); err != nil {
+	if _, err := checksumOracle(merged); err != nil {
 		t.Fatal(err)
 	}
 

@@ -115,9 +115,6 @@ func (f File) WithRawBytes(data []byte) File {
 	return f
 }
 
-// HasRaw reports whether the file carries a zero-copy content view.
-func (f File) HasRaw() bool { return f.hasRaw }
-
 // Bytes returns the file's zero-copy content view. It implements
 // scan.BytesSource for raw-backed files; calling it on a file without a
 // raw view is an error (scans route those through Open instead).

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -20,12 +21,12 @@ func TestEstimateChunkedSumMatchesSerial(t *testing.T) {
 	_, in2 := goodInstance(t, 77)
 	st := S3Storage{}
 	prev := runtime.GOMAXPROCS(1)
-	serial, err := Estimate(in1, NewPOS(), items, st, "d")
+	serial, err := EstimateCtx(context.Background(), in1, NewPOS(), items, st, "d")
 	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Estimate(in2, NewPOS(), items, st, "d")
+	parallel, err := EstimateCtx(context.Background(), in2, NewPOS(), items, st, "d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestEstimateNegativeSizeInChunkedPath(t *testing.T) {
 	}
 	items[4321].Size = -1
 	_, in := goodInstance(t, 78)
-	if _, err := Estimate(in, NewGrep(), items, nil, "d"); err == nil {
+	if _, err := EstimateCtx(context.Background(), in, NewGrep(), items, nil, "d"); err == nil {
 		t.Error("expected negative-size error from chunked path")
 	}
 }

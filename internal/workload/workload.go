@@ -347,7 +347,7 @@ func NewStatsComplexityKernel(t *textproc.Tagger) *textproc.StatsKernel {
 // cost sum out across CPUs; below it the pool overhead exceeds the win.
 const parThreshold = 2048
 
-// Estimate computes the duration an application run would take on the
+// EstimateCtx computes the duration an application run would take on the
 // instance without advancing any clock. The measurement includes the
 // instance's noise: processing time takes narrow multiplicative noise,
 // while the startup overhead takes wide noise — so short runs on small data
@@ -360,14 +360,10 @@ const parThreshold = 2048
 // per-item cost sum — which consumes no randomness and whose Duration
 // (integer) partials are summed in chunk order, so fanning it out over the
 // pool is bit-identical to the serial loop — and finally the work noise.
-func Estimate(in *cloudsim.Instance, app App, items []Item, st Storage, datasetKey string) (time.Duration, error) {
-	return EstimateCtx(context.Background(), in, app, items, st, datasetKey)
-}
-
-// EstimateCtx is Estimate with cancellation: the per-item cost sum stops
-// dispatching chunks once ctx is done and the call returns a typed
-// cancellation error. A completed estimate is bit-identical to the
-// non-ctx form — the RNG draw order above is unaffected by the context.
+//
+// The per-item cost sum stops dispatching chunks once ctx is done and the
+// call returns a typed cancellation error; the RNG draw order above is
+// unaffected by the context.
 func EstimateCtx(ctx context.Context, in *cloudsim.Instance, app App, items []Item, st Storage, datasetKey string) (time.Duration, error) {
 	if in.State() != cloudsim.Running {
 		return 0, fmt.Errorf("workload: instance %s is %s, not running", in.ID, in.State())

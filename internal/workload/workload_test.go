@@ -15,7 +15,7 @@ import (
 func goodInstance(t *testing.T, seed int64) (*cloudsim.Cloud, *cloudsim.Instance) {
 	t.Helper()
 	c := cloudsim.New(seed)
-	in, _, err := c.AcquireQualified(cloudsim.Small, "us-east-1a", 50)
+	in, _, err := c.AcquireQualifiedCtx(context.Background(), cloudsim.Small, "us-east-1a", 50)
 	if err != nil {
 		t.Fatal(err)
 	}

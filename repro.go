@@ -13,8 +13,10 @@
 //   - internal/provision: the §5 static planner and plan executor
 //   - internal/cloudsim:  the deterministic EC2 simulator
 //   - internal/corpus:    synthetic Newslab-like corpora
+//   - internal/vfs:       the corpus file system, directory and pack imports
 //   - internal/textproc:  real grep and POS-tagging kernels
 //   - internal/scan:      fused streaming scan (one read per file, N kernels)
+//   - internal/errs:      the typed error taxonomy
 //   - internal/sched:     dynamic monitoring and spot plans (§7 extensions)
 //
 // Quick start:
@@ -25,14 +27,18 @@
 //	    App:             repro.NewPOSApp(),
 //	    DeadlineSeconds: 3600,
 //	})
-//	result, _ := p.Run(fs)
-//	outcome, _ := p.Execute(result)
+//	result, _ := p.RunCtx(ctx, fs)
+//	outcome, _ := p.ExecuteCtx(ctx, result)
+//
+// The internal packages take a context everywhere; Reshape, Measure and
+// ExecutePlan here are the only context-free conveniences.
 package repro
 
 import (
 	"context"
 	"io"
 
+	"repro/internal/binpack"
 	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -60,7 +66,9 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) { return core.New(cfg) }
 
 // Reshape packs a corpus's files into unit files of the given size and
 // returns the merged file system plus the packing manifest.
-var Reshape = core.Reshape
+func Reshape(in *FS, unitSize int64, unitPrefix string) (*FS, []*binpack.Bin, error) {
+	return core.ReshapeCtx(context.Background(), in, unitSize, unitPrefix)
+}
 
 // Fused measurement: one open and one streaming read per corpus file
 // feeds every requested kernel (checksum, text stats, multi-pattern
@@ -196,7 +204,9 @@ var NewCloud = cloudsim.New
 var NewPlanner = provision.NewPlanner
 
 // ExecutePlan runs a plan on a simulated cloud.
-var ExecutePlan = provision.Execute
+func ExecutePlan(c *Cloud, plan *Plan, opts provision.ExecuteOptions) (*provision.Outcome, error) {
+	return provision.ExecuteCtx(context.Background(), c, plan, opts)
+}
 
 // SelectModelByCV chooses a performance-model family by k-fold
 // cross-validation instead of in-sample R².

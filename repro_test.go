@@ -22,14 +22,14 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(fs)
+	res, err := p.RunCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Plan == nil {
 		t.Fatal("no plan")
 	}
-	out, err := p.Execute(res)
+	out, err := p.ExecuteCtx(context.Background(), res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +53,12 @@ func TestFacadeReshapeAndSearch(t *testing.T) {
 	if len(bins) != merged.Len() {
 		t.Error("manifest mismatch")
 	}
-	s, err := NewSearcher("the")
+	grep := MeasureOptions{Patterns: []string{"the"}}
+	before, err := MeasureCtx(context.Background(), fs, grep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := s.GrepFS(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.GrepFS(merged)
+	after, err := MeasureCtx(context.Background(), merged, grep)
 	if err != nil {
 		t.Fatal(err)
 	}

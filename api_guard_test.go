@@ -1,41 +1,49 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 )
 
-// guardedPackages are the engine packages whose exported funcs and
-// methods must each be reached by a command, the harness, an example or
-// another non-test file.
+// guardedPackages are the engine packages whose exported funcs, methods
+// and constants must each be reached by a command, the harness, an
+// example or another non-test file.
 var guardedPackages = []string{
 	"vfs", "packstore", "scan", "textproc", "par", "core", "dist",
 	"server", "errs", "retry", "fault", "cli", "binpack",
 }
 
-// productionRoots is where a caller counts: everything that ships or
-// that the repository benchmark builds. Test files never count.
-var productionRoots = []string{"internal", "cmd", "examples", "benchmark", "repro.go"}
+// productionModules is where a caller counts: the non-test files of every
+// package of this module (the facade, internal, cmd, examples) and of the
+// repository benchmark, which is a module of its own.
+var productionModules = []string{".", "benchmark"}
 
-// apiAllowlist names the exported funcs and methods that stay without a
-// production caller, one reason each. Keys are "pkg.Func" or
+// apiAllowlist names the exported funcs, methods and constants that stay
+// without a production caller, one reason each. Keys are "pkg.Name" or
 // "pkg.Type.Method".
 var apiAllowlist = map[string]string{
-	"errs.StageError.Unwrap":             "interface satisfaction: errors.Is / errors.As walk it",
-	"errs.categorized.Unwrap":            "interface satisfaction: errors.Is / errors.As walk it",
-	"errs.retryAfterError.Unwrap":        "interface satisfaction: errors.Is / errors.As walk it",
-	"par.CancelledError.Unwrap":          "interface satisfaction: errors.Is / errors.As walk it",
+	"errs.StageError.Unwrap":             "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
+	"errs.categorized.Unwrap":            "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
+	"errs.retryAfterError.Unwrap":        "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
+	"par.CancelledError.Unwrap":          "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
 	"packstore.RecoverCtx":               "recovery code: rebuilds the index of a pack whose footer never landed; what the 'try Recover' errors point at",
 	"packstore.Pack.Truncated":           "recovery code: tells a RecoverCtx caller the scan stopped at a torn record",
+	"packstore.Pack.Lookup":              "library surface: O(1) member access by name, the property the format's sorted index exists for; fnv64's and packstore's tests read members through it",
+	"packstore.MmapSupported":            "build fact other packages' tests branch on: cli and vfs tests expect mappings only where the build makes them",
 	"dist.Local.SetHealth":               "test seam: quarantine and probe tests flip an in-process worker's health",
 	"vfs.FS.Remove":                      "library surface: repro.FS is the facade's file-system type and Remove completes Add / Get; its cache-invalidation leg is tested",
 	"textproc.Searcher.CountReader":      "library surface: repro.NewSearcher's streaming count, and the single-pattern oracle every MultiSearcher engine is held to",
+	"textproc.MultiSearcher.CountBytes":  "library surface: repro.NewMultiSearcher's one-shot count, and what scan's differential test and the root kernel benchmarks call from other packages",
 	"textproc.MultiSearcher.CountReader": "library surface: repro.NewMultiSearcher's streaming count for callers outside the scan engine",
 	"textproc.NewFoldedSearcher":         "oracle: scan's differential test holds the folded match kernel to it, from another package",
 	"textproc.NewRegexpSearcher":         "library surface: the paper's complex-pattern grep mode, measured by BenchmarkGrepRegexp1MB",
@@ -47,74 +55,85 @@ var apiAllowlist = map[string]string{
 }
 
 // TestExportedAPIHasProductionCallers keeps the engine packages' exported
-// API equal to what production calls: an exported func or method whose
-// name appears nowhere in non-test code except at its own declaration is
-// either dead or a test oracle, and belongs in a _test.go file.
+// API equal to what production calls. It type-checks every non-test
+// package of the two modules (the file sets come from `go list`, so they
+// are the default build's) and resolves each identifier to the object it
+// denotes: an exported func, method or constant of a guarded package that
+// no non-test file refers to is either dead or a test oracle, and belongs
+// in a _test.go file. A method also counts as called when a type that has
+// it satisfies an interface — one the production code spells, or a named
+// one from a package it imports — that declares the method.
 func TestExportedAPIHasProductionCallers(t *testing.T) {
-	guarded := map[string]string{} // directory → package name
-	for _, pkg := range guardedPackages {
-		guarded[filepath.Join("internal", pkg)] = pkg
+	prog := loadProduction(t)
+
+	used := map[types.Object]bool{}
+	for _, obj := range prog.info.Uses {
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
+		}
+		used[obj] = true
 	}
-	// uses[name] counts identifier occurrences across production code;
-	// declCount[name] counts how many of those are the declarations
-	// collected here, so a name used only where it is declared nets to
-	// zero. Matching is by name, not by type: a method is "called" if any
-	// identifier anywhere spells its name.
-	type decl struct{ key, name, pos string }
-	var decls []decl
-	uses, declCount := map[string]int{}, map[string]int{}
-	fset := token.NewFileSet()
-	for _, root := range productionRoots {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
+	// A method reaches an interface through any type whose method set holds
+	// it: its receiver, or a struct that embeds the receiver (cmd/serve's
+	// drainer promotes *server.Server's drain methods into cli.Drainer).
+	ifaces, carriers := prog.interfaces(), prog.namedTypes()
+	viaInterface := func(m *types.Func) bool {
+		var declaring []*types.Interface
+		for _, it := range ifaces {
+			if obj, _, _ := types.LookupFieldOrMethod(it, false, m.Pkg(), m.Name()); obj != nil {
+				declaring = append(declaring, it)
 			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					uses[id.Name]++
-				}
-				return true
-			})
-			pkg, ok := guarded[filepath.Dir(path)]
-			if !ok {
-				return nil
-			}
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
+		}
+		for _, named := range carriers {
+			for _, recv := range []types.Type{named, types.NewPointer(named)} {
+				if sel := types.NewMethodSet(recv).Lookup(m.Pkg(), m.Name()); sel == nil || sel.Obj() != m {
 					continue
 				}
-				key := pkg + "." + fd.Name.Name
-				if fd.Recv != nil && len(fd.Recv.List) == 1 {
-					key = pkg + "." + recvTypeName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				for _, it := range declaring {
+					if types.Implements(recv, it) {
+						return true
+					}
 				}
-				decls = append(decls, decl{key, fd.Name.Name, fset.Position(fd.Pos()).String()})
-				declCount[fd.Name.Name]++
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		return false
 	}
 
 	seen := map[string]bool{}
 	var orphans []string
-	for _, d := range decls {
-		seen[d.key] = true
-		_, allowed := apiAllowlist[d.key]
-		switch called := uses[d.name] > declCount[d.name]; {
+	check := func(key string, obj types.Object, called bool) {
+		seen[key] = true
+		_, allowed := apiAllowlist[key]
+		switch {
 		case called && allowed:
-			t.Errorf("allowlist entry %s has production callers now: remove it", d.key)
+			t.Errorf("allowlist entry %s has production callers now: remove it", key)
 		case !called && !allowed:
-			orphans = append(orphans, d.pos+": "+d.key)
+			orphans = append(orphans, prog.fset.Position(obj.Pos()).String()+": "+key)
+		}
+	}
+	for _, name := range guardedPackages {
+		pkg := prog.pkgs["repro/internal/"+name]
+		if pkg == nil {
+			t.Fatalf("guarded package %s was not loaded", name)
+		}
+		scope := pkg.Scope()
+		for _, id := range scope.Names() {
+			switch obj := scope.Lookup(id).(type) {
+			case *types.Func, *types.Const:
+				if obj.Exported() {
+					check(name+"."+id, obj, used[obj])
+				}
+			case *types.TypeName:
+				recv, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for i := 0; i < recv.NumMethods(); i++ {
+					if m := recv.Method(i); m.Exported() {
+						check(name+"."+id+"."+m.Name(), m, used[m] || viaInterface(m))
+					}
+				}
+			}
 		}
 	}
 	sort.Strings(orphans)
@@ -128,14 +147,130 @@ func TestExportedAPIHasProductionCallers(t *testing.T) {
 	}
 }
 
-func recvTypeName(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.StarExpr:
-		return recvTypeName(x.X)
-	case *ast.IndexExpr:
-		return recvTypeName(x.X)
-	case *ast.Ident:
-		return x.Name
+// production is the type-checked non-test code of both modules.
+type production struct {
+	fset *token.FileSet
+	info *types.Info
+	pkgs map[string]*types.Package // import path → package, module packages only
+	std  map[string]*types.Package // the standard-library packages they import
+}
+
+// loadProduction lists each module's packages with their dependencies —
+// `go list -deps` prints a package after everything it imports — and
+// type-checks the module's own from source in that order; standard
+// packages come from the toolchain's export data.
+func loadProduction(t *testing.T) *production {
+	t.Helper()
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go toolchain on PATH to list and type-check the modules with")
 	}
-	return "?"
+	p := &production{
+		fset: token.NewFileSet(),
+		info: &types.Info{
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+		pkgs: map[string]*types.Package{},
+		std:  map[string]*types.Package{},
+	}
+	std := importer.Default()
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if pkg := p.pkgs[path]; pkg != nil {
+			return pkg, nil
+		}
+		pkg, err := std.Import(path)
+		if err == nil {
+			p.std[path] = pkg
+		}
+		return pkg, err
+	})}
+	for _, dir := range productionModules {
+		cmd := exec.Command("go", "list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard", "./...")
+		cmd.Dir = dir
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.String())
+		}
+		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+			var lp struct {
+				ImportPath, Dir string
+				GoFiles         []string
+				Standard        bool
+			}
+			if err := dec.Decode(&lp); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("go list in %s: %v", dir, err)
+			}
+			if lp.Standard || p.pkgs[lp.ImportPath] != nil {
+				continue
+			}
+			var files []*ast.File
+			for _, name := range lp.GoFiles {
+				f, err := parser.ParseFile(p.fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			pkg, err := conf.Check(lp.ImportPath, p.fset, files, p.info)
+			if err != nil {
+				t.Fatalf("type-checking %s: %v", lp.ImportPath, err)
+			}
+			p.pkgs[lp.ImportPath] = pkg
+		}
+	}
+	return p
+}
+
+// namedTypes returns every package-level defined type of production code
+// that can carry methods.
+func (p *production) namedTypes() []*types.Named {
+	var out []*types.Named
+	for _, pkg := range p.pkgs {
+		scope := pkg.Scope()
+		for _, id := range scope.Names() {
+			if tn, ok := scope.Lookup(id).(*types.TypeName); ok && !tn.IsAlias() {
+				if named, ok := tn.Type().(*types.Named); ok && !types.IsInterface(named) {
+					out = append(out, named)
+				}
+			}
+		}
+	}
+	return out
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// interfaces collects every interface with methods that production code
+// could hand a guarded type to: each one it writes out (declared or
+// inline), each named one of a standard package it imports, and error.
+func (p *production) interfaces() []*types.Interface {
+	seen := map[*types.Interface]bool{}
+	var out []*types.Interface
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seen[it] {
+			seen[it] = true
+			out = append(out, it)
+		}
+	}
+	for _, tv := range p.info.Types {
+		if tv.IsType() {
+			add(tv.Type)
+		}
+	}
+	for _, pkg := range p.std {
+		scope := pkg.Scope()
+		for _, id := range scope.Names() {
+			if tn, ok := scope.Lookup(id).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	return out
 }

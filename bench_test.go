@@ -37,7 +37,7 @@ func benchExperiment(b *testing.B, id string, metrics ...string) {
 	var rep *experiments.Report
 	var err error
 	for i := 0; i < b.N; i++ {
-		rep, err = driver(experiments.Config{Seed: 2011})
+		rep, err = driver(context.Background(), experiments.Config{Seed: 2011})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *runID)
 		os.Exit(2)
 	}
-	rep, err := driver(cfg)
+	rep, err := driver(ctx, cfg)
 	if err != nil {
 		cli.Fatal("experiments", err)
 	}

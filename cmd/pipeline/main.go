@@ -60,7 +60,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "distribute the measurement scan over N in-process workers (0 = single-node scan)")
 		wAddrs   = flag.String("worker-addrs", "", "distribute the measurement scan to remote worker daemons: comma-separated host:port list")
 		onlyM    = flag.Bool("measure-only", false, "stop after the measurement scan (skip probing/planning/execution)")
-		taskB    = flag.Int64("task-bytes", 0, "task chunking cap for shard-less sources (0 = default; must match remote workers)")
 
 		checkpoint = flag.String("checkpoint", "", "journal completed measurement tasks to this file (crash-safe checkpoint)")
 		resume     = flag.Bool("resume", false, "resume from an existing -checkpoint journal, skipping tasks it already holds")
@@ -133,7 +132,7 @@ func main() {
 		if *grepPats != "" {
 			spec.Patterns = strings.Split(*grepPats, ",")
 		}
-		plan := scan.NewPlan(vfs.Sources(fs.List()), scan.PlanOptions{TaskBytes: *taskB})
+		plan := scan.NewPlan(vfs.Sources(fs.List()), scan.PlanOptions{})
 
 		opts := dist.Options{
 			MaxAttempts:  *maxAtt,

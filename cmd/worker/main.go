@@ -3,7 +3,7 @@
 // synthetic spec), derives the shared scan plan, and answers a
 // coordinator's POST /v1/scan requests by executing one plan task at a
 // time and returning its kernel states as one checksummed binary record
-// (application/octet-stream; DESIGN.md §10 has the layout). The
+// (application/octet-stream; DESIGN.md §11 has the layout). The
 // coordinator (pipeline -worker-addrs) verifies plan agreement by
 // fingerprint before any work lands, so a worker pointed at the wrong
 // corpus refuses loudly, and a coordinator that gives up on a request —
@@ -39,11 +39,10 @@ func main() {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	var (
-		corpus    = cli.CorpusFlags(flag.CommandLine, 0.002)
-		addr      = flag.String("addr", "127.0.0.1:9101", "listen address (use :0 for an ephemeral port)")
-		name      = flag.String("name", "", "worker name in coordinator stats (default: the listen address)")
-		taskBytes = flag.Int64("task-bytes", 0, "task chunking cap for shard-less sources (0 = default; must match the coordinator)")
-		drain     = flag.Float64("drain", 10, "graceful-drain deadline in seconds after SIGINT/SIGTERM")
+		corpus = cli.CorpusFlags(flag.CommandLine, 0.002)
+		addr   = flag.String("addr", "127.0.0.1:9101", "listen address (use :0 for an ephemeral port)")
+		name   = flag.String("name", "", "worker name in coordinator stats (default: the listen address)")
+		drain  = flag.Float64("drain", 10, "graceful-drain deadline in seconds after SIGINT/SIGTERM")
 	)
 	corpus.FaultFlags(flag.CommandLine)
 	flag.Parse()
@@ -57,7 +56,7 @@ func main() {
 		fatal(err)
 	}
 	defer closer.Close()
-	plan := scan.NewPlan(vfs.Sources(fs.List()), scan.PlanOptions{TaskBytes: *taskBytes})
+	plan := scan.NewPlan(vfs.Sources(fs.List()), scan.PlanOptions{})
 
 	d, err := cli.Listen(*addr)
 	if err != nil {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// --- The §3.1 back-of-envelope first. ---
 	decision, err := sched.AnalyzeSwitch(60, 78, 3*time.Minute, time.Hour, 0.85)
 	if err != nil {
@@ -48,7 +50,7 @@ func main() {
 		monitor := sched.NewMonitor(cloud, workload.NewGrep(), expected, "us-east-1a")
 		monitor.Policy = policy
 		monitor.SlowRatio = 1.4
-		report, err := monitor.RunTask(items, vol, "newslab-shard-7")
+		report, err := monitor.RunTask(ctx, items, vol, "newslab-shard-7")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +67,7 @@ func main() {
 			vol40[i] = workload.NewItem(100_000_000)
 		}
 		monitor := sched.NewMonitor(c, workload.NewGrep(), expected, "us-east-1a")
-		rep, err := monitor.RunTaskResilient(vol40, "us-east-1a", "newslab-backup",
+		rep, err := monitor.RunTaskResilient(ctx, vol40, "us-east-1a", "newslab-backup",
 			func(chunk int) {
 				if chunk == 2 && !c.ZoneFailed("us-east-1a") {
 					_ = c.FailZone("us-east-1a") // inject a zone outage mid-task

@@ -18,9 +18,6 @@ type Measurement struct {
 	Files int
 	Bytes int64
 
-	// Manifest holds every file's size and FNV-64a checksum.
-	Manifest vfs.Manifest
-
 	// Stats aggregates token/sentence/line statistics corpus-wide;
 	// FileStats holds them per file in scan order.
 	Stats     textproc.TextStats
@@ -39,11 +36,11 @@ type Measurement struct {
 	// in the exact shape RunProfileCtx consumes.
 	Complexity map[string]float64
 
-	// Sums holds every file's (name, size, checksum) in scan order — the
-	// ordered view of Manifest that Fingerprint folds. Two measurements
-	// with equal fingerprints saw byte-identical corpora in the same
-	// order, which is how the distributed engine's output is checked
-	// against a single-node run.
+	// Sums holds every file's (name, size, FNV-64a checksum) in scan
+	// order — what Fingerprint folds. Two measurements with equal
+	// fingerprints saw byte-identical corpora in the same order, which is
+	// how the distributed engine's output is checked against a
+	// single-node run.
 	Sums []scan.FileSum
 }
 
@@ -139,10 +136,8 @@ func (mk *MeasureKernels) Measurement() *Measurement {
 		FileStats: mk.Analyzer.Files(),
 	}
 	m.Files = len(m.Sums)
-	m.Manifest = make(vfs.Manifest, m.Files)
 	for _, s := range m.Sums {
 		m.Bytes += s.Size
-		m.Manifest[s.Name] = vfs.ManifestEntry{Size: s.Size, Checksum: s.Sum}
 	}
 	if mk.Analyzer.Tagger() != nil {
 		m.Complexity = make(map[string]float64, len(m.FileStats))

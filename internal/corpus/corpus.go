@@ -111,78 +111,82 @@ func Text400K(scale float64) Spec {
 	}
 }
 
+// forEachFile draws the corpus: file i's name and size, in index order,
+// sizes from the single sequential RNG stream that is part of the corpus
+// identity. Every Generate form gets its names and sizes here.
+func forEachFile(spec Spec, seed int64, visit func(name string, size int64) error) error {
+	r := stats.NewRand(seed, "corpus-sizes-"+spec.Name)
+	for i := 0; i < spec.NumFiles; i++ {
+		if err := visit(fileName(spec, i), spec.Sizes.Sample(r)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// content produces a file's bytes from a generator seeded by (seed, name),
+// so repeated calls — lazy opens, eager materialisation, any worker —
+// yield identical bytes.
+func content(spec Spec, seed int64, name string, size int64) []byte {
+	g := NewGenerator(spec.Style, stats.SeedFor(seed, "content-"+name))
+	if spec.HTML {
+		return g.HTML(int(size))
+	}
+	return g.Text(int(size))
+}
+
 // Generate builds a metadata-only corpus: file names and sizes but no
 // content. This is the cheap form used for packing and provisioning
 // experiments over millions of files.
 func Generate(spec Spec, seed int64) (*vfs.FS, error) {
 	fs := vfs.NewFS()
-	r := stats.NewRand(seed, "corpus-sizes-"+spec.Name)
-	for i := 0; i < spec.NumFiles; i++ {
-		f := vfs.NewFile(fileName(spec, i), spec.Sizes.Sample(r))
-		if err := fs.Add(f); err != nil {
-			return nil, err
-		}
+	err := forEachFile(spec, seed, func(name string, size int64) error {
+		return fs.Add(vfs.NewFile(name, size))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return fs, nil
 }
 
 // GenerateWithContent builds a corpus whose files materialise real text (or
-// HTML) deterministically on demand. Content for file i is produced by a
-// generator seeded from (seed, name), so repeated opens yield identical
-// bytes. Intended for small-to-medium corpora feeding the real grep and POS
-// kernels.
+// HTML) deterministically on demand, caching nothing: every open
+// regenerates, trading CPU for memory exactly like re-reading from disk
+// would. Intended for small-to-medium corpora feeding the real grep and
+// POS kernels.
 func GenerateWithContent(spec Spec, seed int64) (*vfs.FS, error) {
 	fs := vfs.NewFS()
-	r := stats.NewRand(seed, "corpus-sizes-"+spec.Name)
-	for i := 0; i < spec.NumFiles; i++ {
-		name := fileName(spec, i)
-		size := spec.Sizes.Sample(r)
-		fileSeed := stats.SeedFor(seed, "content-"+name)
-		style := spec.Style
-		html := spec.HTML
-		sz := int(size)
-		open := func() (data []byte) {
-			g := NewGenerator(style, fileSeed)
-			if html {
-				return g.HTML(sz)
-			}
-			return g.Text(sz)
-		}
-		f := vfs.NewContentFile(name, size, lazyBytes(open))
-		if err := fs.Add(f); err != nil {
-			return nil, err
-		}
+	err := forEachFile(spec, seed, func(name string, size int64) error {
+		return fs.Add(vfs.NewContentFile(name, size, func() (io.Reader, error) {
+			return bytes.NewReader(content(spec, seed, name, size)), nil
+		}))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return fs, nil
 }
 
 // GenerateWithContentEagerCtx is GenerateWithContent with the file bytes
 // materialised up front, in parallel (workers <= 0 means all CPUs). Sizes
-// are still sampled from the single sequential corpus RNG stream — that
-// order is part of the corpus identity — but each file's content generator
-// is seeded independently from (seed, name) via stats.SeedFor, so the
-// per-file byte generation fans out across the pool and the resulting
-// corpus is byte-identical to the lazy form at any worker count. Intended
-// for benchmark and experiment corpora that will be read many times:
-// repeated opens become memory reads instead of regeneration. Per-file
-// materialisation stops once ctx is done and the call returns a typed
-// cancellation error.
+// still come from the one sequential draw, but each file's content
+// generator is seeded independently, so the per-file byte generation fans
+// out across the pool and the resulting corpus is byte-identical to the
+// lazy form at any worker count. Intended for benchmark and experiment
+// corpora that will be read many times: repeated opens become memory
+// reads instead of regeneration. Per-file materialisation stops once ctx
+// is done and the call returns a typed cancellation error.
 func GenerateWithContentEagerCtx(ctx context.Context, spec Spec, seed int64, workers int) (*vfs.FS, error) {
-	names := make([]string, spec.NumFiles)
-	sizes := make([]int64, spec.NumFiles)
-	r := stats.NewRand(seed, "corpus-sizes-"+spec.Name)
-	for i := 0; i < spec.NumFiles; i++ {
-		names[i] = fileName(spec, i)
-		sizes[i] = spec.Sizes.Sample(r)
-	}
-	contents := make([][]byte, spec.NumFiles)
-	err := par.New(workers).ForEachCtx(ctx, spec.NumFiles, func(i int) error {
-		g := NewGenerator(spec.Style, stats.SeedFor(seed, "content-"+names[i]))
-		if spec.HTML {
-			contents[i] = g.HTML(int(sizes[i]))
-		} else {
-			contents[i] = g.Text(int(sizes[i]))
-		}
+	names := make([]string, 0, spec.NumFiles)
+	sizes := make([]int64, 0, spec.NumFiles)
+	_ = forEachFile(spec, seed, func(name string, size int64) error { // the visitor never fails
+		names = append(names, name)
+		sizes = append(sizes, size)
+		return nil
+	})
+	contents := make([][]byte, len(names))
+	err := par.New(workers).ForEachCtx(ctx, len(names), func(i int) error {
+		contents[i] = content(spec, seed, names[i], sizes[i])
 		return nil
 	})
 	if err != nil {
@@ -199,15 +203,6 @@ func GenerateWithContentEagerCtx(ctx context.Context, spec Spec, seed int64, wor
 		}
 	}
 	return fs, nil
-}
-
-// lazyBytes adapts a deterministic byte producer into a vfs.Opener, caching
-// nothing: every open regenerates, trading CPU for memory exactly like
-// re-reading from disk would.
-func lazyBytes(produce func() []byte) vfs.Opener {
-	return func() io.Reader {
-		return bytes.NewReader(produce())
-	}
 }
 
 func fileName(spec Spec, i int) string {

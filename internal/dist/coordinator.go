@@ -22,14 +22,6 @@ type Options struct {
 	// are separate: one attempt may retry the same worker several times.
 	// A task that exhausts its attempts fails the run rather than loop.
 	MaxAttempts int
-	// ScanWorkers bounds each worker's per-task scan fan-out
-	// (0 = GOMAXPROCS on the worker).
-	ScanWorkers int
-	// BlockSize pins the workers' streaming window (0 = default). Block
-	// splits never change results; pinning it keeps instrumented runs
-	// exactly reproducible.
-	BlockSize int
-
 	// Retry shapes the per-attempt transient-failure loop: a worker
 	// whose Scan fails retryably (errs.IsRetryable — ErrUnavailable,
 	// refused connections, timeouts) is retried in place with
@@ -37,13 +29,6 @@ type Options struct {
 	// task away. The zero value uses retry's defaults; Seed is mixed
 	// with the worker name so fleets do not back off in lockstep.
 	Retry retry.Policy
-	// RetryBudget caps total transient retries across the whole run
-	// (0 = DefaultRetryBudget, negative = unlimited), so a systemic
-	// fault fails loudly instead of stalling exponentially.
-	RetryBudget int
-	// Health configures worker health gating: trip, quarantine, probe,
-	// re-admission.
-	Health HealthOptions
 	// AllowPartial degrades instead of aborting when a task fails
 	// deterministically with ErrCorrupt: the task is skipped, the rest
 	// of the plan completes, and the Report carries an explicit manifest
@@ -54,6 +39,14 @@ type Options struct {
 	// coordinator resumes instead of rescanning — bit-identically, since
 	// the journaled states fold through the same frontier.
 	Journal *Journal
+
+	// Test seams, set only by this package's tests. retryBudget caps
+	// total transient retries across the whole run (0 =
+	// DefaultRetryBudget), so a systemic fault fails loudly instead of
+	// stalling exponentially; health tunes worker health gating: trip,
+	// quarantine, probe, re-admission.
+	retryBudget int
+	health      healthOptions
 }
 
 // Defaults for Options' zero fields.
@@ -64,12 +57,12 @@ const (
 	DefaultRetryBudget = 64
 )
 
-// HealthOptions tunes the consecutive-failure trip and the
+// healthOptions tunes the consecutive-failure trip and the
 // quarantine/probe/re-admission loop that replaced the engine's old
 // permanent-death model: a worker that keeps failing is quarantined
 // (gets no work), probed periodically, and either re-admitted when a
 // probe succeeds or declared dead when MaxProbes all fail.
-type HealthOptions struct {
+type healthOptions struct {
 	// TripAfter is the consecutive exhausted-retry failure count that
 	// quarantines a worker (0 = DefaultTripAfter).
 	TripAfter int
@@ -87,7 +80,7 @@ const (
 	DefaultMaxProbes     = 3
 )
 
-func (h HealthOptions) withDefaults() HealthOptions {
+func (h healthOptions) withDefaults() healthOptions {
 	if h.TripAfter <= 0 {
 		h.TripAfter = DefaultTripAfter
 	}
@@ -391,7 +384,7 @@ func mixSeed(base int64, name string) int64 {
 // probe runs one quarantine's probe loop outside mu: up to MaxProbes
 // probes, ProbeInterval apart, ending early when the run finishes or
 // the context dies. It reports whether the worker may rejoin.
-func (c *coordinator) probe(ctx context.Context, w Worker, h HealthOptions) bool {
+func (c *coordinator) probe(ctx context.Context, w Worker, h healthOptions) bool {
 	hc, probeable := w.(HealthChecker)
 	for i := 0; i < h.MaxProbes; i++ {
 		t := time.NewTimer(h.ProbeInterval)
@@ -432,7 +425,7 @@ func (c *coordinator) probe(ctx context.Context, w Worker, h HealthOptions) bool
 //
 // Resilience: a retryably-failing Scan (errs.IsRetryable) is retried on
 // the same worker under Options.Retry and the shared budget; a worker
-// whose failures trip Options.Health is quarantined, probed, and
+// whose failures trip the health gate is quarantined, probed, and
 // re-admitted or declared dead; ErrCorrupt under AllowPartial skips the
 // task; completed tasks are journaled (Options.Journal) and journaled
 // tasks are folded without rescanning.
@@ -452,15 +445,11 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 	if maxAttempts <= 0 {
 		maxAttempts = DefaultMaxAttempts
 	}
-	health := opts.Health.withDefaults()
-	var budget *retry.Budget
-	if opts.RetryBudget >= 0 {
-		n := opts.RetryBudget
-		if n == 0 {
-			n = DefaultRetryBudget
-		}
-		budget = retry.NewBudget(n)
+	health := opts.health.withDefaults()
+	if opts.retryBudget <= 0 {
+		opts.retryBudget = DefaultRetryBudget
 	}
+	budget := retry.NewBudget(opts.retryBudget)
 
 	c := &coordinator{
 		tasks:       make([]taskState, len(plan.Tasks)),
@@ -558,13 +547,7 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 				}
 				c.mu.Unlock()
 
-				req := &ScanRequest{
-					PlanFP:      planFP,
-					Spec:        spec,
-					Task:        task,
-					ScanWorkers: opts.ScanWorkers,
-					BlockSize:   opts.BlockSize,
-				}
+				req := &ScanRequest{PlanFP: planFP, Spec: spec, Task: task}
 				var resp *ScanResponse
 				var busy time.Duration
 				retries, err := retry.Do(actx, policy, budget, func(ctx context.Context) error {

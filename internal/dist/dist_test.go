@@ -25,7 +25,7 @@ import (
 func fastFailOpts() Options {
 	return Options{
 		Retry:  retry.Policy{MaxAttempts: 1},
-		Health: HealthOptions{TripAfter: 1, ProbeInterval: time.Millisecond, MaxProbes: 1},
+		health: healthOptions{TripAfter: 1, ProbeInterval: time.Millisecond, MaxProbes: 1},
 	}
 }
 

@@ -38,12 +38,11 @@ import (
 // per-run checkpoint, so the format carries no compatibility: a file of
 // an older version is refused, not migrated.
 type Journal struct {
-	mu       sync.Mutex
-	f        *os.File
-	path     string
-	resumed  map[int][][]byte
-	appended int
-	closed   bool
+	mu      sync.Mutex
+	f       *os.File
+	path    string
+	resumed map[int][][]byte
+	closed  bool
 }
 
 const journalMagic = "RJRNLv2\n"
@@ -196,17 +195,6 @@ func (j *Journal) States() map[int][][]byte {
 	return j.resumed
 }
 
-// Len reports how many completed tasks the journal holds (resumed plus
-// appended this run).
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.resumed) + j.appended
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Append durably records one completed task's kernel states: the write
 // is synced before returning, so a journal entry implies the states
 // survive a crash. Called by the coordinator the moment a task wins;
@@ -226,7 +214,6 @@ func (j *Journal) Append(task int, states [][]byte) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("dist: journal %s: syncing task %d: %w", j.path, task, err)
 	}
-	j.appended++
 	return nil
 }
 

@@ -76,8 +76,8 @@ func TestRetryBudgetExhaustionFailsLoudly(t *testing.T) {
 	w.SetHealth(alwaysDown)
 
 	opts := fastRetryOpts()
-	opts.RetryBudget = 2
-	opts.Health = HealthOptions{TripAfter: 1, ProbeInterval: time.Millisecond, MaxProbes: 1}
+	opts.retryBudget = 2
+	opts.health = healthOptions{TripAfter: 1, ProbeInterval: time.Millisecond, MaxProbes: 1}
 	_, rep, err := Measure(context.Background(), p, spec, []Worker{w}, opts)
 	if !errors.Is(err, errs.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
@@ -116,7 +116,7 @@ func TestQuarantineAndReadmission(t *testing.T) {
 
 	opts := Options{
 		Retry:  retry.Policy{MaxAttempts: 1},
-		Health: HealthOptions{TripAfter: 1, ProbeInterval: time.Millisecond, MaxProbes: 3},
+		health: healthOptions{TripAfter: 1, ProbeInterval: time.Millisecond, MaxProbes: 3},
 	}
 	m, rep, err := Measure(context.Background(), p, spec, []Worker{w}, opts)
 	if err != nil {

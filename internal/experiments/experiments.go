@@ -107,7 +107,7 @@ func (r *Report) String() string {
 }
 
 // Driver is an experiment entry point.
-type Driver func(Config) (*Report, error)
+type Driver func(context.Context, Config) (*Report, error)
 
 // Registry maps experiment IDs to drivers, in the paper's order.
 var Registry = []struct {
@@ -170,7 +170,7 @@ func RunAllWorkersCtx(ctx context.Context, cfg Config, workers int) ([]*Report, 
 	reps := make([]*Report, len(Registry))
 	errs := make([]error, len(Registry))
 	ferr := par.New(workers).ForEachCtx(ctx, len(Registry), func(i int) error {
-		reps[i], errs[i] = Registry[i].Driver(cfg)
+		reps[i], errs[i] = Registry[i].Driver(ctx, cfg)
 		return nil
 	})
 	reports := make([]*Report, 0, len(Registry))

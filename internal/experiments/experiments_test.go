@@ -14,7 +14,7 @@ func run(t *testing.T, id string) *Report {
 	if !ok {
 		t.Fatalf("no driver registered for %s", id)
 	}
-	rep, err := d(Config{})
+	rep, err := d(context.Background(), Config{})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -351,11 +351,11 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestScaleParameterRespected(t *testing.T) {
-	small, err := Fig1a(Config{Scale: 0.5})
+	small, err := Fig1a(context.Background(), Config{Scale: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Fig1a(Config{Scale: 2})
+	big, err := Fig1a(context.Background(), Config{Scale: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/corpus"
@@ -9,7 +10,7 @@ import (
 // Fig1a reproduces the HTML_18mil size histogram (10 kB bins up to
 // 300 kB). Base scale generates 18,000 files (0.1% of the paper's 18M);
 // the distribution shape, not the count, is the reproduced artefact.
-func Fig1a(cfg Config) (*Report, error) {
+func Fig1a(_ context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("fig1a", "HTML_18mil frequency distribution (10 kB bins)")
 	spec := corpus.HTML18Mil(0.001 * cfg.Scale)
@@ -56,7 +57,7 @@ func Fig1a(cfg Config) (*Report, error) {
 
 // Fig1b reproduces the Text_400K size histogram (1 kB bins up to 160 kB).
 // Base scale generates 20,000 files (5% of the paper's 400k).
-func Fig1b(cfg Config) (*Report, error) {
+func Fig1b(_ context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("fig1b", "Text_400K frequency distribution (1 kB bins)")
 	spec := corpus.Text400K(0.05 * cfg.Scale)

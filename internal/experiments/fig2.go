@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/perfmodel"
@@ -12,7 +13,7 @@ import (
 // the optimal provisioning strategy. The experiment tabulates the data
 // processable per instance-hour at several working volumes for both
 // shapes and verifies the strategy each implies.
-func Fig2(cfg Config) (*Report, error) {
+func Fig2(_ context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("fig2", "execution time as a function of data volume: f(x)=a·x^b")
 	convex := &perfmodel.PowerLaw{A: 2e-11, B: 1.3}

@@ -13,16 +13,16 @@ import (
 // Fig3 reproduces the 1 MB grep probe of Fig. 3: the run is so short that
 // unstable setup overheads dominate and the measurements are discarded
 // ("We discard these results as too unstable").
-func Fig3(cfg Config) (*Report, error) {
+func Fig3(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("fig3", "grep on a 1 MB volume: unstable at small scale")
-	c, in, err := qualifiedSetup(cfg.Seed, "fig3")
+	c, in, err := qualifiedSetup(ctx, cfg.Seed, "fig3")
 	if err != nil {
 		return nil, err
 	}
 	h := probe.NewHarness(c, in, workload.NewGrep(), workload.Local{})
 	items := sampleItems(htmlDist(), 2_000_000, cfg.Seed, "fig3")
-	ms, err := measureUnits(h, items, 1_000_000, []int64{0, 100_000, 500_000, 1_000_000})
+	ms, err := measureUnits(ctx, h, items, 1_000_000, []int64{0, 100_000, 500_000, 1_000_000})
 	if err != nil {
 		return nil, err
 	}
@@ -43,10 +43,10 @@ func Fig3(cfg Config) (*Report, error) {
 
 // Fig4 reproduces the 5 GB probe of Fig. 4: execution time vs unit file
 // size reaches a plateau at the 10 MB unit that extends to 2 GB.
-func Fig4(cfg Config) (*Report, error) {
+func Fig4(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("fig4", "grep on a 5 GB volume: plateau from 10 MB to 2 GB")
-	c, in, err := qualifiedSetup(cfg.Seed, "fig4")
+	c, in, err := qualifiedSetup(ctx, cfg.Seed, "fig4")
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func Fig4(cfg Config) (*Report, error) {
 	const volume = 5_000_000_000
 	items := sampleItems(htmlDist(), volume+100_000_000, cfg.Seed, "fig4")
 	units := []int64{0, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000, 2_000_000_000, 5_000_000_000}
-	ms, err := measureUnits(h, items, volume, units)
+	ms, err := measureUnits(ctx, h, items, volume, units)
 	if err != nil {
 		return nil, err
 	}
@@ -77,10 +77,10 @@ func Fig4(cfg Config) (*Report, error) {
 // EBS placement ("probes, while on the same EBS logical storage volume,
 // were placed in different locations some of which have a consistently
 // higher access time").
-func Fig5(cfg Config) (*Report, error) {
+func Fig5(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("fig5", "grep on 1/2/10 GB volumes: repeatable EBS placement spikes")
-	c, in, err := qualifiedSetup(cfg.Seed, "fig5")
+	c, in, err := qualifiedSetup(ctx, cfg.Seed, "fig5")
 	if err != nil {
 		return nil, err
 	}
@@ -100,12 +100,12 @@ func Fig5(cfg Config) (*Report, error) {
 		// Fine sweep: 10 MB base unit, many multiples along the plateau.
 		units := []int64{10_000_000, 20_000_000, 30_000_000, 40_000_000, 50_000_000,
 			70_000_000, 100_000_000, 150_000_000, 200_000_000, 300_000_000, 500_000_000}
-		ms, err := measureUnits(h, items, volume, units)
+		ms, err := measureUnits(ctx, h, items, volume, units)
 		if err != nil {
 			return nil, err
 		}
 		// Rerun to demonstrate repeatability.
-		ms2, err := measureUnits(h, items, volume, units)
+		ms2, err := measureUnits(ctx, h, items, volume, units)
 		if err != nil {
 			return nil, err
 		}
@@ -140,8 +140,8 @@ func Fig5(cfg Config) (*Report, error) {
 
 // grepCalibration runs the escalating probe protocol for grep and fits the
 // Eq. (1)-style model at the 100 MB unit size.
-func grepCalibration(cfg Config, salt string) (*perfmodel.Affine, []float64, []float64, error) {
-	c, in, err := qualifiedSetup(cfg.Seed, salt)
+func grepCalibration(ctx context.Context, cfg Config, salt string) (*perfmodel.Affine, []float64, []float64, error) {
+	c, in, err := qualifiedSetup(ctx, cfg.Seed, salt)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -149,7 +149,7 @@ func grepCalibration(cfg Config, salt string) (*perfmodel.Affine, []float64, []f
 	var xs, ys []float64
 	for _, volume := range []int64{200_000_000, 500_000_000, 1_000_000_000, 2_000_000_000, 5_000_000_000} {
 		items := sampleItems(htmlDist(), volume+50_000_000, cfg.Seed, fmt.Sprintf("%s-%d", salt, volume))
-		ms, err := measureUnits(h, items, volume, []int64{100_000_000})
+		ms, err := measureUnits(ctx, h, items, volume, []int64{100_000_000})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -170,17 +170,17 @@ func grepCalibration(cfg Config, salt string) (*perfmodel.Affine, []float64, []f
 // samples, whose slightly different slope shows the sampling sensitivity
 // the paper reports (32.2s mean with min 23.25 / max 45.95 across
 // samples).
-func Eq12(cfg Config) (*Report, error) {
+func Eq12(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("eq12", "grep linear fits at the 100 MB unit size")
-	m1, xs, ys, err := grepCalibration(cfg, "eq12")
+	m1, xs, ys, err := grepCalibration(ctx, cfg, "eq12")
 	if err != nil {
 		return nil, err
 	}
 	rep.note("model (1): %v [paper: f(x) = -0.974 + 1.324e-8x, R²=0.999]", m1)
 
 	// Random sampling: 10 independent 2 GB samples (§5.1).
-	c, in, err := qualifiedSetup(cfg.Seed, "eq12-samples")
+	c, in, err := qualifiedSetup(ctx, cfg.Seed, "eq12-samples")
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +192,7 @@ func Eq12(cfg Config) (*Report, error) {
 	for i := 0; i < 10; i++ {
 		const volume = 2_000_000_000
 		items := sampleItems(htmlDist(), volume+50_000_000, cfg.Seed, fmt.Sprintf("eq12-rs-%d", i))
-		ms, err := measureUnits(h, items, volume, []int64{100_000_000})
+		ms, err := measureUnits(ctx, h, items, volume, []int64{100_000_000})
 		if err != nil {
 			return nil, err
 		}
@@ -224,10 +224,10 @@ func Eq12(cfg Config) (*Report, error) {
 // in the original format, and compare. The paper reports prediction
 // 1387.8s vs actual 1975.6s (a ~30% underestimate) and a 5.6x improvement
 // over the original small files.
-func Fig6(cfg Config) (*Report, error) {
+func Fig6(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("fig6", "grep on 100 GB: prediction vs actual, reshaped vs original")
-	m1, _, _, err := grepCalibration(cfg, "fig6-cal")
+	m1, _, _, err := grepCalibration(ctx, cfg, "fig6-cal")
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +239,7 @@ func Fig6(cfg Config) (*Report, error) {
 	// differ from the calibration instance's local storage — the paper's
 	// prediction error has the same root (training conditions ≠ production
 	// conditions).
-	c, in, err := qualifiedSetup(cfg.Seed, "fig6-run")
+	c, in, err := qualifiedSetup(ctx, cfg.Seed, "fig6-run")
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +256,7 @@ func Fig6(cfg Config) (*Report, error) {
 	for i := range units {
 		units[i] = workload.NewItem(100_000_000)
 	}
-	reshaped, err := workload.EstimateCtx(context.TODO(), in, workload.NewGrep(), units, vol, "fig6-reshaped")
+	reshaped, err := workload.EstimateCtx(ctx, in, workload.NewGrep(), units, vol, "fig6-reshaped")
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +266,7 @@ func Fig6(cfg Config) (*Report, error) {
 	for i, it := range origBinItems {
 		origItems[i] = workload.NewItem(it.Size)
 	}
-	original, err := workload.EstimateCtx(context.TODO(), in, workload.NewGrep(), origItems, vol, "fig6-original")
+	original, err := workload.EstimateCtx(ctx, in, workload.NewGrep(), origItems, vol, "fig6-original")
 	if err != nil {
 		return nil, err
 	}

@@ -14,9 +14,9 @@ import (
 
 // qualifiedSetup builds a cloud and acquires a qualified instance, the §4
 // precondition of every measurement experiment.
-func qualifiedSetup(seed int64, salt string) (*cloudsim.Cloud, *cloudsim.Instance, error) {
+func qualifiedSetup(ctx context.Context, seed int64, salt string) (*cloudsim.Cloud, *cloudsim.Instance, error) {
 	c := cloudsim.New(stats.SeedFor(seed, salt))
-	in, _, err := c.AcquireQualifiedCtx(context.TODO(), cloudsim.Small, "us-east-1a", 50)
+	in, _, err := c.AcquireQualifiedCtx(ctx, cloudsim.Small, "us-east-1a", 50)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -66,7 +66,7 @@ func textDist() corpus.SizeDist { return corpus.Text400K(1).Sizes }
 // measureUnits packs the items at each requested unit size (0 = original)
 // and measures the probe with the harness. Unit sizes must be multiples of
 // the smallest nonzero unit so bins merge without re-packing.
-func measureUnits(h *probe.Harness, items []binpack.Item, volume int64, units []int64) ([]probe.Measurement, error) {
+func measureUnits(ctx context.Context, h *probe.Harness, items []binpack.Item, volume int64, units []int64) ([]probe.Measurement, error) {
 	var s0 int64
 	var multiples []int
 	for _, u := range units {
@@ -103,9 +103,9 @@ func measureUnits(h *probe.Harness, items []binpack.Item, volume int64, units []
 	for _, u := range units {
 		var m probe.Measurement
 		if u == 0 {
-			m, err = h.MeasureProbeCtx(context.TODO(), volume, 0, set.Original)
+			m, err = h.MeasureProbeCtx(ctx, volume, 0, set.Original)
 		} else {
-			m, err = h.MeasureProbeCtx(context.TODO(), volume, u, set.ByUnit[u])
+			m, err = h.MeasureProbeCtx(ctx, volume, u, set.ByUnit[u])
 		}
 		if err != nil {
 			return nil, err

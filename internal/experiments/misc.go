@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -18,12 +19,12 @@ import (
 // because of sentence complexity. The books are generated synthetically in
 // matching styles, analysed by the real tagger, and priced by the POS cost
 // model.
-func Complexity(cfg Config) (*Report, error) {
+func Complexity(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("complexity", "Dubliners vs Agnes Grey: POS cost of text complexity")
 	tagger := textproc.NewTagger()
 	pos := workload.NewPOS()
-	_, in, err := qualifiedSetup(cfg.Seed, "complexity")
+	_, in, err := qualifiedSetup(ctx, cfg.Seed, "complexity")
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +68,7 @@ func Complexity(cfg Config) (*Report, error) {
 // instance: staying processes ~210 GB in the next hour; switching to a
 // fast instance (3-minute startup + attach penalty) gains ~57 GB; a slow
 // replacement loses ~10 GB.
-func SwitchCalc(cfg Config) (*Report, error) {
+func SwitchCalc(_ context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("switchcalc", "switch-or-stay for a slow instance (§3.1)")
 	d, err := sched.AnalyzeSwitch(60, 78, 3*time.Minute, time.Hour, 0.85)
@@ -92,7 +93,7 @@ func SwitchCalc(cfg Config) (*Report, error) {
 // output be less segmented", which "in turn, results in a shorter makespan"
 // — and that the per-byte transfer cost is constant, so only request
 // charges vary with segmentation.
-func Retrieval(cfg Config) (*Report, error) {
+func Retrieval(_ context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("retrieval", "output retrieval time and cost vs segmentation")
 	m := cloudsim.DefaultRetrievalModel
@@ -132,7 +133,7 @@ func Retrieval(cfg Config) (*Report, error) {
 // CostFn tabulates the paper's §5 pricing function f(d) for a fixed
 // predicted workload across deadlines on both sides of the one-hour
 // boundary.
-func CostFn(cfg Config) (*Report, error) {
+func CostFn(_ context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("costfn", "pricing function f(d) for P = 5.3 predicted hours")
 	const predicted = 5.3

@@ -15,10 +15,10 @@ import (
 // Fig7 reproduces the POS probe of Fig. 7: on a 1000 kB volume the
 // original segmentation fares best; merging into larger unit files buys
 // nothing because the tagger is memory-bound.
-func Fig7(cfg Config) (*Report, error) {
+func Fig7(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("fig7", "POS tagging on a 1000 kB volume: original segmentation wins")
-	c, in, err := qualifiedSetup(cfg.Seed, "fig7")
+	c, in, err := qualifiedSetup(ctx, cfg.Seed, "fig7")
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +26,7 @@ func Fig7(cfg Config) (*Report, error) {
 	items := sampleItems(textDist(), 2_000_000, cfg.Seed, "fig7")
 	const volume = 1_000_000
 	units := []int64{0, 1_000, 10_000, 100_000, 1_000_000}
-	ms, err := measureUnits(h, items, volume, units)
+	ms, err := measureUnits(ctx, h, items, volume, units)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func Fig7(cfg Config) (*Report, error) {
 // posCalibration measures POS at the original segmentation across volumes
 // and fits the Eq. (3)-style affine model. Calibration runs on a nominal
 // instance so the §5 figures isolate model error from instance luck.
-func posCalibration(cfg Config, salt string) (*perfmodel.Affine, []float64, []float64, error) {
+func posCalibration(ctx context.Context, cfg Config, salt string) (*perfmodel.Affine, []float64, []float64, error) {
 	c, in, err := nominalSetup(cfg.Seed, salt)
 	if err != nil {
 		return nil, nil, nil, err
@@ -65,7 +65,7 @@ func posCalibration(cfg Config, salt string) (*perfmodel.Affine, []float64, []fl
 	var xs, ys []float64
 	for _, volume := range []int64{1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000} {
 		items := sampleItems(textDist(), volume+100_000, cfg.Seed, fmt.Sprintf("%s-%d", salt, volume))
-		ms, err := measureUnits(h, items, volume, []int64{0})
+		ms, err := measureUnits(ctx, h, items, volume, []int64{0})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -89,17 +89,17 @@ const eq4SlopeRatio = 0.725482 / 0.865
 
 // Eq34 reproduces the POS linear fits: model (3) from escalation probes
 // and the random-sample refit (4) with its lower slope.
-func Eq34(cfg Config) (*Report, error) {
+func Eq34(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("eq34", "POS linear fits: model (3) and random-sample refit (4)")
-	m3, xs, ys, err := posCalibration(cfg, "eq34")
+	m3, xs, ys, err := posCalibration(ctx, cfg, "eq34")
 	if err != nil {
 		return nil, err
 	}
 	rep.note("model (3): %v [paper: f(x) = 0.327 + 0.865e-4·x, x in bytes]", m3)
 
 	// Random sampling refit (§5.2): 3 samples of 5 MB plus subsets.
-	c, in, err := qualifiedSetup(cfg.Seed, "eq34-samples")
+	c, in, err := qualifiedSetup(ctx, cfg.Seed, "eq34-samples")
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,7 @@ func Eq34(cfg Config) (*Report, error) {
 	for i := 0; i < 3; i++ {
 		for _, volume := range []int64{1_000_000, 5_000_000} {
 			items := sampleItems(textDist(), volume+100_000, cfg.Seed, fmt.Sprintf("eq34-rs-%d-%d", i, volume))
-			ms, err := measureUnits(h, items, volume, []int64{0})
+			ms, err := measureUnits(ctx, h, items, volume, []int64{0})
 			if err != nil {
 				return nil, err
 			}
@@ -157,8 +157,8 @@ type posSchedulingContext struct {
 // V = 26.1 · f⁻¹(3600) (its "⌈26.1⌉ = 27 instances" arithmetic), so every
 // instance count of Figs. 8-9 — 27, 22, 14, 11 — falls out of the same
 // ratios the paper reports, independent of calibration luck.
-func posContext(cfg Config) (*posSchedulingContext, error) {
-	m3, xs, ys, err := posCalibration(cfg, "fig89-cal")
+func posContext(ctx context.Context, cfg Config) (*posSchedulingContext, error) {
+	m3, xs, ys, err := posCalibration(ctx, cfg, "fig89-cal")
 	if err != nil {
 		return nil, err
 	}
@@ -193,32 +193,32 @@ type schedOpts struct {
 
 // runPOSScheduling executes one scheduling panel: plan, execute on
 // qualified instances, report per-instance times and deadline misses.
-func runPOSScheduling(cfg Config, o schedOpts) (*Report, error) {
+func runPOSScheduling(ctx context.Context, cfg Config, o schedOpts) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport(o.id, o.title)
-	ctx, err := posContext(cfg)
+	pc, err := posContext(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var model perfmodel.Model = ctx.m3
+	var model perfmodel.Model = pc.m3
 	if o.useM4 {
-		model = ctx.m4
+		model = pc.m4
 	}
 	planner := &provision.Planner{Model: model, Rate: 0.085}
 	var plan *provision.Plan
 	if o.adjusted {
-		plan, err = planner.PlanAdjusted(ctx.items, o.deadline, ctx.adj)
+		plan, err = planner.PlanAdjusted(pc.items, o.deadline, pc.adj)
 	} else {
-		plan, err = planner.PlanDeadline(ctx.items, o.deadline, o.strategy)
+		plan, err = planner.PlanDeadline(pc.items, o.deadline, o.strategy)
 	}
 	if err != nil {
 		return nil, err
 	}
-	c, _, err := qualifiedSetup(cfg.Seed, o.id+"-exec")
+	c, _, err := qualifiedSetup(ctx, cfg.Seed, o.id+"-exec")
 	if err != nil {
 		return nil, err
 	}
-	out, err := provision.ExecuteCtx(context.TODO(), c, plan, provision.ExecuteOptions{
+	out, err := provision.ExecuteCtx(ctx, c, plan, provision.ExecuteOptions{
 		App:     workload.NewPOS(),
 		Uniform: true, // §5 assumption: uniform, well-performing instances
 	})
@@ -227,7 +227,7 @@ func runPOSScheduling(cfg Config, o schedOpts) (*Report, error) {
 	}
 	rep.note("model: %v", model)
 	if o.adjusted {
-		rep.note("deadline adjusted %v → %.0f s (a = %.4f)", o.deadline, plan.Deadline, ctx.adj.A)
+		rep.note("deadline adjusted %v → %.0f s (a = %.4f)", o.deadline, plan.Deadline, pc.adj.A)
 	}
 	if o.paperNote != "" {
 		rep.note("paper: %s", o.paperNote)
@@ -259,8 +259,8 @@ func runPOSScheduling(cfg Config, o schedOpts) (*Report, error) {
 }
 
 // Fig8a: D = 1 h, model (3), first-fit bins in original order.
-func Fig8a(cfg Config) (*Report, error) {
-	return runPOSScheduling(cfg, schedOpts{
+func Fig8a(ctx context.Context, cfg Config) (*Report, error) {
+	return runPOSScheduling(ctx, cfg, schedOpts{
 		id:        "fig8a",
 		title:     "POS D=1h, model (3), first-fit original order",
 		deadline:  3600,
@@ -270,8 +270,8 @@ func Fig8a(cfg Config) (*Report, error) {
 }
 
 // Fig8b: D = 1 h, model (3), uniform bins.
-func Fig8b(cfg Config) (*Report, error) {
-	return runPOSScheduling(cfg, schedOpts{
+func Fig8b(ctx context.Context, cfg Config) (*Report, error) {
+	return runPOSScheduling(ctx, cfg, schedOpts{
 		id:        "fig8b",
 		title:     "POS D=1h, model (3), uniform bins",
 		deadline:  3600,
@@ -281,8 +281,8 @@ func Fig8b(cfg Config) (*Report, error) {
 }
 
 // Fig8c: D = 1 h, refit model (4) with its lower slope.
-func Fig8c(cfg Config) (*Report, error) {
-	return runPOSScheduling(cfg, schedOpts{
+func Fig8c(ctx context.Context, cfg Config) (*Report, error) {
+	return runPOSScheduling(ctx, cfg, schedOpts{
 		id:        "fig8c",
 		title:     "POS D=1h, refit model (4), uniform bins",
 		deadline:  3600,
@@ -293,8 +293,8 @@ func Fig8c(cfg Config) (*Report, error) {
 }
 
 // Fig8d: adjusted deadline 3600 → ~3124 under model (4).
-func Fig8d(cfg Config) (*Report, error) {
-	return runPOSScheduling(cfg, schedOpts{
+func Fig8d(ctx context.Context, cfg Config) (*Report, error) {
+	return runPOSScheduling(ctx, cfg, schedOpts{
 		id:        "fig8d",
 		title:     "POS adjusted D (3600 → ~3124), model (4)",
 		deadline:  3600,
@@ -305,8 +305,8 @@ func Fig8d(cfg Config) (*Report, error) {
 }
 
 // Fig9a: D = 2 h, model (3), uniform bins.
-func Fig9a(cfg Config) (*Report, error) {
-	return runPOSScheduling(cfg, schedOpts{
+func Fig9a(ctx context.Context, cfg Config) (*Report, error) {
+	return runPOSScheduling(ctx, cfg, schedOpts{
 		id:        "fig9a",
 		title:     "POS D=2h, model (3), uniform bins",
 		deadline:  7200,
@@ -316,8 +316,8 @@ func Fig9a(cfg Config) (*Report, error) {
 }
 
 // Fig9b: D = 2 h, refit model (4).
-func Fig9b(cfg Config) (*Report, error) {
-	return runPOSScheduling(cfg, schedOpts{
+func Fig9b(ctx context.Context, cfg Config) (*Report, error) {
+	return runPOSScheduling(ctx, cfg, schedOpts{
 		id:        "fig9b",
 		title:     "POS D=2h, refit model (4), uniform bins",
 		deadline:  7200,
@@ -328,8 +328,8 @@ func Fig9b(cfg Config) (*Report, error) {
 }
 
 // Fig9c: adjusted deadline 7200 → ~6247 under model (4).
-func Fig9c(cfg Config) (*Report, error) {
-	return runPOSScheduling(cfg, schedOpts{
+func Fig9c(ctx context.Context, cfg Config) (*Report, error) {
+	return runPOSScheduling(ctx, cfg, schedOpts{
 		id:        "fig9c",
 		title:     "POS adjusted D (7200 → ~6247), model (4)",
 		deadline:  7200,

@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -191,9 +192,6 @@ func New(cfg Config) (*Injector, error) {
 	}, nil
 }
 
-// Config returns the injector's configuration.
-func (i *Injector) Config() Config { return i.cfg }
-
 // roll makes one seeded decision at (site, key): it advances the pair's
 // attempt counter and reports whether the fault fires, plus the raw
 // hash (for deriving deterministic victim offsets) and the attempt the
@@ -222,17 +220,6 @@ func (i *Injector) roll(site, key string, rate float64) (fire bool, h uint64, at
 		i.mu.Unlock()
 	}
 	return fire, h, attempt
-}
-
-// Counts returns the per-site fired counts (a copy).
-func (i *Injector) Counts() map[string]int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	out := make(map[string]int, len(i.counts))
-	for k, v := range i.counts {
-		out[k] = v
-	}
-	return out
 }
 
 // Summary renders a one-line report: total faults and per-site counts
@@ -274,12 +261,17 @@ func (i *Injector) WrapFS(fs *vfs.FS) (*vfs.FS, error) {
 		nf := f
 		if f.HasContent() {
 			src := f
-			nf = vfs.NewContentFile(f.Name, f.Size, func() io.Reader {
+			nf = vfs.NewContentFile(f.Name, f.Size, func() (io.Reader, error) {
 				base, err := src.Open()
 				if err != nil {
-					return &errReader{err: err}
+					// src.Open already named the file, and the wrapped
+					// file has the same name: pass on the cause alone.
+					if cause := errors.Unwrap(err); cause != nil {
+						err = cause
+					}
+					return nil, err
 				}
-				return i.newReader(src.Name, src.Size, base)
+				return i.newReader(src.Name, src.Size, base), nil
 			})
 			if shard, off := f.Locality(); shard != "" {
 				nf = nf.WithLocality(shard, off)
@@ -291,10 +283,6 @@ func (i *Injector) WrapFS(fs *vfs.FS) (*vfs.FS, error) {
 	}
 	return out, nil
 }
-
-type errReader struct{ err error }
-
-func (e *errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // newReader wraps one freshly-opened content stream with this open's
 // fault decisions. Each open rolls anew (the per-file attempt counter

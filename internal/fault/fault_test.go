@@ -157,8 +157,8 @@ func TestReadErrorInjection(t *testing.T) {
 	if !errs.IsRetryable(func() error { _, err := f.ReadAll(); return err }()) {
 		t.Fatal("injected read error must be retryable")
 	}
-	if inj.Counts()[SiteReadErr] < 2 {
-		t.Fatalf("counts = %v, want >= 2 read-err", inj.Counts())
+	if inj.counts[SiteReadErr] < 2 {
+		t.Fatalf("counts = %v, want >= 2 read-err", inj.counts)
 	}
 }
 

@@ -60,7 +60,7 @@ func BenchmarkPackRandomAccess2048(b *testing.B) { randomAccessBench(benchPack(b
 
 func BenchmarkPackVerify512(b *testing.B) {
 	p := benchPack(b, 512, 8192)
-	b.SetBytes(p.DataSize())
+	b.SetBytes(512 * 8192)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := p.VerifyCtx(context.Background(), 0); err != nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"repro/internal/errs"
 )
 
 // Reader is a zero-copy view over a finalised pack: the whole shard is
@@ -34,7 +32,7 @@ type Reader struct {
 
 // MmapSupported reports whether this build maps packs with the OS mmap
 // path (false under the portable fallback build tag, where Readers
-// materialise shards on the heap instead).
+// materialise shards on the heap instead). Tests branch on it.
 const MmapSupported = mmapSupported
 
 // OpenReader opens a finalised pack for zero-copy member access. The
@@ -66,9 +64,6 @@ func OpenReader(path string) (*Reader, error) {
 // SectionReaders read from the mapping and share the Reader's lifetime.
 func (r *Reader) Pack() *Pack { return r.pack }
 
-// Len returns the number of members.
-func (r *Reader) Len() int { return r.pack.Len() }
-
 // MemberBytes returns the i-th member's payload (members sorted by name,
 // matching Pack.Members) as a borrowed zero-copy slice, valid until
 // Close. The slice is capacity-clamped so an append cannot spill into the
@@ -76,16 +71,6 @@ func (r *Reader) Len() int { return r.pack.Len() }
 func (r *Reader) MemberBytes(i int) []byte {
 	m := r.pack.members[i]
 	return r.data[m.Offset : m.Offset+m.Size : m.Offset+m.Size]
-}
-
-// Lookup returns the named member's payload as a borrowed slice, valid
-// until Close.
-func (r *Reader) Lookup(name string) ([]byte, error) {
-	i, ok := r.pack.byName[name]
-	if !ok {
-		return nil, errs.NotFound("packstore: %s: no member %q", r.pack.path, name)
-	}
-	return r.MemberBytes(i), nil
 }
 
 // AdviseSequential hints the OS that the mapping will be read front to
@@ -101,7 +86,7 @@ func (r *Reader) AdviseSequential() error {
 }
 
 // Close unmaps the shard and releases the file handle. Every slice
-// handed out by MemberBytes/Lookup is invalid afterwards. Idempotent.
+// handed out by MemberBytes is invalid afterwards. Idempotent.
 func (r *Reader) Close() error {
 	if r.data == nil && r.pack == nil {
 		return nil

@@ -43,6 +43,16 @@ func mappedFixture(t *testing.T) (string, map[string][]byte) {
 	return path, payloads
 }
 
+// lookup returns the named member's borrowed payload through the pack's
+// name index.
+func lookup(r *Reader, name string) ([]byte, bool) {
+	i, ok := r.pack.byName[name]
+	if !ok {
+		return nil, false
+	}
+	return r.MemberBytes(i), true
+}
+
 func TestReaderMemberBytesMatchPayloads(t *testing.T) {
 	path, payloads := mappedFixture(t)
 	r, err := OpenReader(path)
@@ -50,8 +60,8 @@ func TestReaderMemberBytesMatchPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Len() != len(payloads) {
-		t.Fatalf("Len = %d, want %d", r.Len(), len(payloads))
+	if r.Pack().Len() != len(payloads) {
+		t.Fatalf("Len = %d, want %d", r.Pack().Len(), len(payloads))
 	}
 	for i, m := range r.Pack().Members() {
 		got := r.MemberBytes(i)
@@ -64,16 +74,16 @@ func TestReaderMemberBytesMatchPayloads(t *testing.T) {
 		if cap(got) != len(got) {
 			t.Errorf("member %q view cap %d != len %d (not clamped)", m.Name, cap(got), len(got))
 		}
-		byName, err := r.Lookup(m.Name)
-		if err != nil {
-			t.Fatal(err)
+		byName, ok := lookup(r, m.Name)
+		if !ok {
+			t.Fatalf("lookup(%q): no such member", m.Name)
 		}
 		if !bytes.Equal(byName, got) {
-			t.Errorf("Lookup(%q) differs from MemberBytes(%d)", m.Name, i)
+			t.Errorf("lookup(%q) differs from MemberBytes(%d)", m.Name, i)
 		}
 	}
-	if _, err := r.Lookup("nope"); err == nil {
-		t.Error("Lookup of a missing member succeeded")
+	if _, ok := lookup(r, "nope"); ok {
+		t.Error("lookup of a missing member succeeded")
 	}
 }
 
@@ -160,7 +170,7 @@ func TestReaderManyMembersZeroCopyIdentity(t *testing.T) {
 	defer r.Close()
 	// All views share one backing array: offsets must be strictly
 	// increasing within it and contents exact.
-	for i := 0; i < r.Len(); i++ {
+	for i := 0; i < r.Pack().Len(); i++ {
 		m := r.Pack().Members()[i]
 		want := fmt.Sprintf("payload %s |", strings.TrimLeft(m.Name[2:], "0"))
 		if m.Name == "m-0000" {

@@ -118,9 +118,6 @@ func Create(path string) (*Writer, error) {
 	return w, nil
 }
 
-// Path returns the file path the writer is producing.
-func (w *Writer) Path() string { return w.path }
-
 // Count returns the number of members appended so far.
 func (w *Writer) Count() int { return len(w.members) }
 
@@ -271,46 +268,42 @@ func (w *Writer) fail(err error) error {
 // Close writes the sorted index and footer, flushes, syncs and closes
 // the file. On a poisoned writer it closes the file without finalising
 // (leaving a Recover-able truncated pack) and returns the append error.
-func (w *Writer) Close() error {
+func (w *Writer) Close() (err error) {
 	if w.closed {
 		return fmt.Errorf("packstore: writer %s already closed", w.path)
 	}
 	w.closed = true
+	// The descriptor is released however finalising goes; its own error
+	// is the result only when nothing failed before it.
+	defer func() {
+		if cerr := w.f.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("packstore: close %s: %w", w.path, cerr)
+		}
+	}()
 	if w.err != nil {
 		w.bw.Flush()
-		w.f.Close()
 		return w.err
 	}
 	sorted := append([]Member(nil), w.members...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
 	index := encodeIndex(sorted)
-	indexOff := w.off
-	if _, err := w.bw.Write(index); err != nil {
-		w.f.Close()
-		return fmt.Errorf("packstore: finalize %s: %w", w.path, err)
-	}
 	var footer [footerLen]byte
-	binary.LittleEndian.PutUint64(footer[0:], uint64(indexOff))
+	binary.LittleEndian.PutUint64(footer[0:], uint64(w.off))
 	binary.LittleEndian.PutUint64(footer[8:], uint64(len(index)))
 	binary.LittleEndian.PutUint64(footer[16:], uint64(len(sorted)))
 	binary.LittleEndian.PutUint64(footer[24:], fnv64.Fold(fnv64.Offset, index))
 	copy(footer[32:], footerMagic)
-	if _, err := w.bw.Write(footer[:]); err != nil {
-		w.f.Close()
-		return fmt.Errorf("packstore: finalize %s: %w", w.path, err)
-	}
+	// A bufio.Writer's error is sticky: Flush reports whichever write
+	// failed first.
+	w.bw.Write(index)
+	w.bw.Write(footer[:])
 	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
 		return fmt.Errorf("packstore: finalize %s: %w", w.path, err)
 	}
 	// Durable store: the pack must survive the crash it is the recovery
 	// artefact for.
 	if err := w.f.Sync(); err != nil {
-		w.f.Close()
 		return fmt.Errorf("packstore: sync %s: %w", w.path, err)
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("packstore: close %s: %w", w.path, err)
 	}
 	return nil
 }

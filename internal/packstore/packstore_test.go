@@ -248,6 +248,17 @@ func TestCorruptIndexCaughtByOpen(t *testing.T) {
 	}
 }
 
+// dataSize sums the payload bytes of every member of every pack.
+func dataSize(s *Set) int64 {
+	var n int64
+	for _, p := range s.packs {
+		for _, m := range p.members {
+			n += m.Size
+		}
+	}
+	return n
+}
+
 func TestShardWriter(t *testing.T) {
 	dir := t.TempDir()
 	members := testMembers(40)
@@ -282,8 +293,8 @@ func TestShardWriter(t *testing.T) {
 	if set.Len() != len(members) {
 		t.Fatalf("set has %d members, want %d", set.Len(), len(members))
 	}
-	if set.DataSize() != total {
-		t.Fatalf("set data size %d, want %d", set.DataSize(), total)
+	if got := dataSize(set); got != total {
+		t.Fatalf("set data size %d, want %d", got, total)
 	}
 	for _, workers := range []int{1, 3, 8} {
 		if err := set.VerifyCtx(context.Background(), workers); err != nil {
@@ -336,7 +347,7 @@ func TestOversizedMemberGetsOwnShard(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sw.Shards(); got != 3 {
+	if got := len(sw.Paths()); got != 3 {
 		t.Fatalf("got %d shards, want 3 (oversized member isolated)", got)
 	}
 }

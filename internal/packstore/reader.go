@@ -152,7 +152,7 @@ func newPack(path string, ra io.ReaderAt, closer io.Closer, size int64, members 
 // written. A pack recovered from a damaged tail reports Truncated(). ctx
 // is threaded through the salvage verification passes (the expensive part
 // of recovery on a large pack).
-func RecoverCtx(ctx context.Context, path string) (*Pack, error) {
+func RecoverCtx(ctx context.Context, path string) (_ *Pack, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("packstore: recover: %w", err)
@@ -160,69 +160,62 @@ func RecoverCtx(ctx context.Context, path string) (*Pack, error) {
 	if p, err := openStrict(f, path); err == nil {
 		return p, nil
 	}
+	// The salvaged pack owns f; every failure below gives it back.
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	info, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("packstore: recover %s: %w", path, err)
 	}
 	size := info.Size()
 	if size < int64(headerLen) {
-		f.Close()
 		return nil, fmt.Errorf("packstore: recover %s: shorter than the pack header", path)
 	}
 	var hdr [8]byte
 	if _, err := f.ReadAt(hdr[:headerLen], 0); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("packstore: recover %s: reading header: %w", path, err)
 	}
 	if string(hdr[:headerLen]) != headerMagic {
-		f.Close()
 		return nil, fmt.Errorf("packstore: recover %s: not a pack (bad header magic)", path)
 	}
 	members := scanRecords(f, size)
 	p, err := newPack(path, f, f, size, members, true)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	// Salvage means intact: verify every salvaged payload. A bad final
 	// member is the crash tail — drop it; a bad earlier member is
 	// corruption, not truncation — surface it.
+	verr := p.VerifyCtx(ctx, 0)
+	if verr == nil {
+		return p, nil
+	}
+	if errs.IsCancellation(verr) || len(members) == 0 {
+		return nil, verr
+	}
+	last := members[0] // highest offset = last appended
+	for _, m := range members {
+		if m.Offset > last.Offset {
+			last = m
+		}
+	}
+	if p.verifyMember(last) == nil {
+		return nil, fmt.Errorf("packstore: recover %s: corruption beyond the tail: %w", path, verr)
+	}
+	trimmed := make([]Member, 0, len(members)-1)
+	for _, m := range members {
+		if m.Name != last.Name {
+			trimmed = append(trimmed, m)
+		}
+	}
+	if p, err = newPack(path, f, f, size, trimmed, true); err != nil {
+		return nil, err
+	}
 	if err := p.VerifyCtx(ctx, 0); err != nil {
-		if errs.IsCancellation(err) {
-			f.Close()
-			return nil, err
-		}
-		if len(members) == 0 {
-			f.Close()
-			return nil, err
-		}
-		last := members[len(members)-1] // highest offset = last appended
-		for _, m := range members {
-			if m.Offset > last.Offset {
-				last = m
-			}
-		}
-		if verr := p.verifyMember(last); verr != nil {
-			trimmed := make([]Member, 0, len(members)-1)
-			for _, m := range members {
-				if m.Name != last.Name {
-					trimmed = append(trimmed, m)
-				}
-			}
-			p, err = newPack(path, f, f, size, trimmed, true)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			if err := p.VerifyCtx(ctx, 0); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("packstore: recover %s: corruption beyond the tail: %w", path, err)
-			}
-		} else {
-			f.Close()
-			return nil, fmt.Errorf("packstore: recover %s: corruption beyond the tail: %w", path, err)
-		}
+		return nil, fmt.Errorf("packstore: recover %s: corruption beyond the tail: %w", path, err)
 	}
 	return p, nil
 }
@@ -281,15 +274,6 @@ func (p *Pack) Path() string { return p.path }
 // Len returns the number of members.
 func (p *Pack) Len() int { return len(p.members) }
 
-// DataSize returns the summed payload bytes of all members.
-func (p *Pack) DataSize() int64 {
-	var n int64
-	for _, m := range p.members {
-		n += m.Size
-	}
-	return n
-}
-
 // Truncated reports whether the pack was salvaged from a damaged tail
 // (only ever true for packs opened via Recover).
 func (p *Pack) Truncated() bool { return p.truncated }
@@ -312,15 +296,6 @@ func (p *Pack) Lookup(name string) (Member, bool) {
 // handle through ReadAt.
 func (p *Pack) SectionReader(m Member) *io.SectionReader {
 	return io.NewSectionReader(p.ra, m.Offset, m.Size)
-}
-
-// Open returns a reader over the named member's payload.
-func (p *Pack) Open(name string) (*io.SectionReader, error) {
-	m, ok := p.Lookup(name)
-	if !ok {
-		return nil, errs.NotFound("packstore: %s: no member %q", p.path, name)
-	}
-	return p.SectionReader(m), nil
 }
 
 // verifyBufPool recycles the streaming windows Verify hashes through.

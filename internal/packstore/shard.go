@@ -39,9 +39,6 @@ func NewShardWriter(dir, prefix string, target int64) *ShardWriter {
 // Paths returns the shard files written so far, in write order.
 func (s *ShardWriter) Paths() []string { return append([]string(nil), s.paths...) }
 
-// Shards returns the number of shard files started so far.
-func (s *ShardWriter) Shards() int { return s.seq }
-
 // roll closes the current shard (if any) and starts the next.
 func (s *ShardWriter) roll() error {
 	if s.w != nil {
@@ -144,15 +141,6 @@ func (s *Set) Len() int {
 	n := 0
 	for _, p := range s.packs {
 		n += p.Len()
-	}
-	return n
-}
-
-// DataSize returns the total payload bytes across all packs.
-func (s *Set) DataSize() int64 {
-	var n int64
-	for _, p := range s.packs {
-		n += p.DataSize()
 	}
 	return n
 }

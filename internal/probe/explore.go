@@ -16,7 +16,7 @@ import (
 // volume are drawn, each reshaped to unitSize (0 keeps the original
 // segmentation) and measured. The pooled per-run points are returned
 // alongside the per-sample measurements, ready for model (re)fitting.
-func (h *Harness) ExploreSubsets(files []binpack.Item, n int, volume, unitSize int64, r *rand.Rand) ([]Measurement, []float64, []float64, error) {
+func (h *Harness) ExploreSubsets(ctx context.Context, files []binpack.Item, n int, volume, unitSize int64, r *rand.Rand) ([]Measurement, []float64, []float64, error) {
 	samples, err := MultiSample(files, n, volume, r)
 	if err != nil {
 		return nil, nil, nil, err
@@ -35,7 +35,7 @@ func (h *Harness) ExploreSubsets(files []binpack.Item, n int, volume, unitSize i
 		h.DatasetKeyFn = func(v, u int64) string {
 			return fmt.Sprintf("subset-%d-v%d-u%d", si, v, u)
 		}
-		m, err := h.MeasureProbeCtx(context.TODO(), actualVolume, unitSize, items)
+		m, err := h.MeasureProbeCtx(ctx, actualVolume, unitSize, items)
 		h.DatasetKeyFn = saved
 		if err != nil {
 			return nil, nil, nil, err

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestExploreSubsetsPoolsPoints(t *testing.T) {
 	c, in := qualified(t, 61)
 	h := NewHarness(c, in, workload.NewGrep(), workload.Local{})
 	r := rand.New(rand.NewSource(1))
-	ms, xs, ys, err := h.ExploreSubsets(items, 5, 2_000_000, 100_000, r)
+	ms, xs, ys, err := h.ExploreSubsets(context.Background(), items, 5, 2_000_000, 100_000, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestExploreSubsetsPoolsPoints(t *testing.T) {
 	// Equal-volume samples alone cannot determine a slope; pool a second
 	// exploration at a different volume (the paper pools samples with its
 	// escalation measurements) and the combined fit must be sane.
-	_, xs2, ys2, err := h.ExploreSubsets(items, 3, 6_000_000, 100_000, r)
+	_, xs2, ys2, err := h.ExploreSubsets(context.Background(), items, 3, 6_000_000, 100_000, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestExploreSubsetsOriginalSegmentation(t *testing.T) {
 	c, in := qualified(t, 62)
 	h := NewHarness(c, in, workload.NewPOS(), workload.Local{})
 	r := rand.New(rand.NewSource(2))
-	ms, _, _, err := h.ExploreSubsets(items, 3, 1_000_000, 0, r)
+	ms, _, _, err := h.ExploreSubsets(context.Background(), items, 3, 1_000_000, 0, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestExploreSubsetsRestoresKeyFn(t *testing.T) {
 	h := NewHarness(c, in, workload.NewGrep(), workload.Local{})
 	before := h.DatasetKeyFn(1, 2)
 	r := rand.New(rand.NewSource(3))
-	if _, _, _, err := h.ExploreSubsets(items, 2, 500_000, 50_000, r); err != nil {
+	if _, _, _, err := h.ExploreSubsets(context.Background(), items, 2, 500_000, 50_000, r); err != nil {
 		t.Fatal(err)
 	}
 	if h.DatasetKeyFn(1, 2) != before {
@@ -85,7 +86,7 @@ func TestExploreSubsetsExhaustion(t *testing.T) {
 	c, in := qualified(t, 64)
 	h := NewHarness(c, in, workload.NewGrep(), workload.Local{})
 	r := rand.New(rand.NewSource(4))
-	if _, _, _, err := h.ExploreSubsets(items, 10, 10_000_000, 0, r); err == nil {
+	if _, _, _, err := h.ExploreSubsets(context.Background(), items, 10, 10_000_000, 0, r); err == nil {
 		t.Error("expected exhaustion error")
 	}
 }

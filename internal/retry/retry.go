@@ -98,7 +98,6 @@ func sleep(ctx context.Context, d time.Duration) error {
 type Budget struct {
 	mu        sync.Mutex
 	remaining int
-	used      int
 }
 
 // NewBudget returns a budget allowing n retries in total.
@@ -119,18 +118,7 @@ func (b *Budget) Take() bool {
 		return false
 	}
 	b.remaining--
-	b.used++
 	return true
-}
-
-// Used reports how many retries have been consumed.
-func (b *Budget) Used() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.used
 }
 
 // Do runs op, retrying transient failures (errs.IsRetryable) with

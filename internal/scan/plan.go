@@ -87,10 +87,6 @@ func NewPlan(srcs []Source, opts PlanOptions) *Plan {
 	return p
 }
 
-// Slice returns the task's sources — the window of the plan a worker
-// executes.
-func (p *Plan) Slice(t Task) []Source { return p.Sources[t.Lo:t.Hi] }
-
 // Fingerprint folds the plan's identity — every source's name, declared
 // size and physical location, plus the task boundaries — into one
 // FNV-64a value. A coordinator sends it ahead of work so a worker that

@@ -2,10 +2,6 @@
 
 package scan
 
-// PoisonEnabled reports whether this build poisons recycled scan
-// buffers (the `scandebug` build tag).
-const PoisonEnabled = true
-
 // poisonByte overwrites every recycled block buffer in scandebug builds:
 // a kernel that illegally retained a Block slice sees 0xDB garbage
 // instead of stale-but-plausible bytes, turning a silent corruption into

@@ -27,9 +27,6 @@ func (k *retainingKernel) Merge(other Kernel) {}
 // kernel that illegally retains a streaming Block slice observes 0xDB
 // poison after the run, never the original bytes.
 func TestPoisonClobbersRetainedBuffers(t *testing.T) {
-	if !PoisonEnabled {
-		t.Fatal("scandebug build must set PoisonEnabled")
-	}
 	content := bytes.Repeat([]byte("retain-me "), 20)
 	srcs := []Source{{
 		Name: "a.txt", Size: int64(len(content)),

@@ -2,9 +2,5 @@
 
 package scan
 
-// PoisonEnabled reports whether this build poisons recycled scan
-// buffers (the `scandebug` build tag).
-const PoisonEnabled = false
-
 // poison is a no-op in release builds; the compiler removes the calls.
 func poison([]byte) {}

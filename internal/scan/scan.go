@@ -243,17 +243,7 @@ func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) er
 			if err := errs.FromContext(ctx); err != nil {
 				return err
 			}
-			var err error
-			if srcs[i].Raw != nil {
-				// Zero-copy path: borrowed windows, no pool traffic.
-				err = scanRaw(srcs[i], set, blockSize)
-			} else {
-				bp := bufs.Get().(*[]byte)
-				err = scanOne(srcs[i], set, *bp)
-				poison(*bp)
-				bufs.Put(bp)
-			}
-			if err != nil {
+			if err := scanFile(srcs[i], set, blockSize, &bufs); err != nil {
 				// The set holds the chunk's earlier files; it is dropped,
 				// not recycled, and the run's results are void anyway.
 				return err
@@ -278,31 +268,31 @@ func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) er
 	})
 }
 
-// scanRaw feeds one zero-copy source through the kernel set: the
-// complete content comes back as one borrowed slice and kernels see it
-// in blockSize windows — subslices of the original, nothing copied, no
-// buffer recycled. The length is validated against the declared size,
-// the same corruption contract as the streaming path.
-func scanRaw(src Source, set []Kernel, blockSize int) error {
-	data, err := src.Raw.Bytes()
-	if err != nil {
-		return fmt.Errorf("scan: raw open %q: %w", src.Name, err)
-	}
-	if int64(len(data)) != src.Size {
-		return errs.Corrupt("scan: %q declared %d bytes but content has %d", src.Name, src.Size, len(data))
-	}
+// scanFile is the per-file frame around both delivery paths: Begin on
+// every kernel, the source's bytes in windows, the count of what arrived
+// held against the declared size — short or over-long content is as
+// corrupt here as it is in vfs.ReadInto — and End on every kernel. A
+// source with a raw view is delivered from it and its Content is never
+// opened; any other streams through a pooled buffer.
+func scanFile(src Source, set []Kernel, blockSize int, bufs *sync.Pool) error {
 	for _, k := range set {
 		k.Begin(src)
 	}
-	for off := 0; off < len(data); off += blockSize {
-		end := off + blockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		b := data[off:end]
-		for _, k := range set {
-			k.Block(b)
-		}
+	var n int64
+	var err error
+	if src.Raw != nil {
+		n, err = deliverRaw(src, set, blockSize)
+	} else {
+		bp := bufs.Get().(*[]byte)
+		n, err = deliverStream(src, set, *bp)
+		poison(*bp)
+		bufs.Put(bp)
+	}
+	if err != nil {
+		return err
+	}
+	if n != src.Size {
+		return errs.Corrupt("scan: %q declared %d bytes but content has %d", src.Name, src.Size, n)
 	}
 	for _, k := range set {
 		k.End()
@@ -310,20 +300,34 @@ func scanRaw(src Source, set []Kernel, blockSize int) error {
 	return nil
 }
 
-// scanOne streams one source through the kernel set: exactly one Open,
-// one pass of reads, one Close. The byte count is validated against the
-// declared size — short or over-long content is as corrupt here as it is
-// in vfs.ReadInto.
-func scanOne(src Source, set []Kernel, buf []byte) error {
+// deliverRaw feeds a zero-copy source to the kernel set: the complete
+// content comes back as one borrowed slice and kernels see it in
+// blockSize windows — subslices of the original, nothing copied, no
+// buffer recycled. It returns the bytes delivered.
+func deliverRaw(src Source, set []Kernel, blockSize int) (int64, error) {
+	data, err := src.Raw.Bytes()
+	if err != nil {
+		return 0, fmt.Errorf("scan: raw open %q: %w", src.Name, err)
+	}
+	for off := 0; off < len(data); off += blockSize {
+		b := data[off:min(off+blockSize, len(data))]
+		for _, k := range set {
+			k.Block(b)
+		}
+	}
+	return int64(len(data)), nil
+}
+
+// deliverStream streams a source through the kernel set: exactly one
+// Open, one pass of reads into buf, one Close. It returns the bytes
+// delivered.
+func deliverStream(src Source, set []Kernel, buf []byte) (int64, error) {
 	if src.Content == nil {
-		return errs.Invalid("scan: source %q has no content", src.Name)
+		return 0, errs.Invalid("scan: source %q has no content", src.Name)
 	}
 	r, err := src.Content.Open()
 	if err != nil {
-		return fmt.Errorf("scan: open %q: %w", src.Name, err)
-	}
-	for _, k := range set {
-		k.Begin(src)
+		return 0, fmt.Errorf("scan: open %q: %w", src.Name, err)
 	}
 	var total int64
 	var rerr error
@@ -348,14 +352,5 @@ func scanOne(src Source, set []Kernel, buf []byte) error {
 			rerr = fmt.Errorf("scan: closing %q: %w", src.Name, cerr)
 		}
 	}
-	if rerr != nil {
-		return rerr
-	}
-	if total != src.Size {
-		return errs.Corrupt("scan: %q declared %d bytes but content has %d", src.Name, src.Size, total)
-	}
-	for _, k := range set {
-		k.End()
-	}
-	return nil
+	return total, rerr
 }

@@ -34,7 +34,7 @@ type ResilientReport struct {
 // volume, re-stage from S3, new instance — and resumes from the next
 // unprocessed chunk. Slow-instance replacement (the Monitor's policy)
 // still applies within a zone.
-func (mo *Monitor) RunTaskResilient(items []workload.Item, preferredZone, s3Key string, onCheckpoint func(chunk int)) (*ResilientReport, error) {
+func (mo *Monitor) RunTaskResilient(ctx context.Context, items []workload.Item, preferredZone, s3Key string, onCheckpoint func(chunk int)) (*ResilientReport, error) {
 	if mo.Chunks < 1 {
 		return nil, fmt.Errorf("sched: Chunks must be ≥ 1, got %d", mo.Chunks)
 	}
@@ -91,7 +91,7 @@ func (mo *Monitor) RunTaskResilient(items []workload.Item, preferredZone, s3Key 
 	var instElapsed float64
 	chunks := splitChunks(items, mo.Chunks)
 	for ci := 0; ci < len(chunks); {
-		d, err := workload.EstimateCtx(context.TODO(), in, mo.App, chunks[ci], vol, s3Key)
+		d, err := workload.EstimateCtx(ctx, in, mo.App, chunks[ci], vol, s3Key)
 		if err != nil {
 			return nil, err
 		}

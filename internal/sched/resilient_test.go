@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/workload"
@@ -9,7 +10,7 @@ import (
 func TestRunTaskResilientNoFailure(t *testing.T) {
 	c := goodCloud(70)
 	mo := NewMonitor(c, workload.NewGrep(), grepModel(t), "us-east-1a")
-	rep, err := mo.RunTaskResilient(taskItems(20, 100_000_000), "us-east-1a", "backup-a", nil)
+	rep, err := mo.RunTaskResilient(context.Background(), taskItems(20, 100_000_000), "us-east-1a", "backup-a", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestRunTaskResilientSurvivesZoneOutage(t *testing.T) {
 	mo := NewMonitor(c, workload.NewGrep(), grepModel(t), "us-east-1a")
 	mo.Chunks = 4
 	failed := false
-	rep, err := mo.RunTaskResilient(taskItems(20, 100_000_000), "us-east-1a", "backup-b",
+	rep, err := mo.RunTaskResilient(context.Background(), taskItems(20, 100_000_000), "us-east-1a", "backup-b",
 		func(chunk int) {
 			if chunk == 2 && !failed {
 				failed = true
@@ -52,7 +53,7 @@ func TestRunTaskResilientSurvivesZoneOutage(t *testing.T) {
 	}
 	// Recovery re-staged from S3 a second time.
 	baseline, err := NewMonitor(goodCloud(71), workload.NewGrep(), grepModel(t), "us-east-1a").
-		RunTaskResilient(taskItems(20, 100_000_000), "us-east-1a", "backup-b", nil)
+		RunTaskResilient(context.Background(), taskItems(20, 100_000_000), "us-east-1a", "backup-b", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRunTaskResilientAllZonesDown(t *testing.T) {
 		}
 	}
 	mo := NewMonitor(c, workload.NewGrep(), grepModel(t), "us-east-1a")
-	if _, err := mo.RunTaskResilient(taskItems(4, 1000), "us-east-1a", "backup-c", nil); err == nil {
+	if _, err := mo.RunTaskResilient(context.Background(), taskItems(4, 1000), "us-east-1a", "backup-c", nil); err == nil {
 		t.Error("expected error with every zone failed")
 	}
 }
@@ -81,7 +82,7 @@ func TestRunTaskResilientValidation(t *testing.T) {
 	c := goodCloud(73)
 	mo := NewMonitor(c, workload.NewGrep(), grepModel(t), "us-east-1a")
 	mo.Chunks = 0
-	if _, err := mo.RunTaskResilient(taskItems(1, 1), "us-east-1a", "k", nil); err == nil {
+	if _, err := mo.RunTaskResilient(context.Background(), taskItems(1, 1), "us-east-1a", "k", nil); err == nil {
 		t.Error("expected error for zero chunks")
 	}
 }

@@ -135,7 +135,7 @@ type TaskReport struct {
 // volume, replacing the instance (detach + launch + attach, the ~3-minute
 // penalty of §3.1) whenever a checkpoint shows it behind schedule. The
 // volume's persistence is what makes replacement cheap: no data moves.
-func (mo *Monitor) RunTask(items []workload.Item, vol *cloudsim.Volume, datasetKey string) (*TaskReport, error) {
+func (mo *Monitor) RunTask(ctx context.Context, items []workload.Item, vol *cloudsim.Volume, datasetKey string) (*TaskReport, error) {
 	if mo.Chunks < 1 {
 		return nil, fmt.Errorf("sched: Chunks must be ≥ 1, got %d", mo.Chunks)
 	}
@@ -155,7 +155,7 @@ func (mo *Monitor) RunTask(items []workload.Item, vol *cloudsim.Volume, datasetK
 	chunks := splitChunks(items, mo.Chunks)
 	for ci := 0; ci < len(chunks); ci++ {
 		chunk := chunks[ci]
-		d, err := workload.EstimateCtx(context.TODO(), in, mo.App, chunk, vol, datasetKey)
+		d, err := workload.EstimateCtx(ctx, in, mo.App, chunk, vol, datasetKey)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -111,7 +112,7 @@ func TestMonitorNoReplacementOnGoodInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	mo := NewMonitor(c, workload.NewGrep(), grepModel(t), "us-east-1a")
-	rep, err := mo.RunTask(taskItems(40, 100_000_000), vol, "task-a")
+	rep, err := mo.RunTask(context.Background(), taskItems(40, 100_000_000), vol, "task-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestMonitorReplacesSlowInstance(t *testing.T) {
 	}
 	mo := NewMonitor(c, workload.NewGrep(), grepModel(t), "us-east-1a")
 	mo.SlowRatio = 1.2
-	rep, err := mo.RunTask(taskItems(40, 100_000_000), vol, "task-b")
+	rep, err := mo.RunTask(context.Background(), taskItems(40, 100_000_000), vol, "task-b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestMonitorNeverReplacePolicy(t *testing.T) {
 	mo := NewMonitor(c, workload.NewGrep(), grepModel(t), "us-east-1a")
 	mo.Policy = NeverReplace
 	mo.SlowRatio = 1.2
-	rep, err := mo.RunTask(taskItems(20, 100_000_000), vol, "task-c")
+	rep, err := mo.RunTask(context.Background(), taskItems(20, 100_000_000), vol, "task-c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestMonitorReplaceAtHourBillsNoPartialExtra(t *testing.T) {
 	vol, _ := c.CreateVolume("us-east-1a", 100)
 	now := NewMonitor(c, workload.NewGrep(), grepModel(t), "us-east-1a")
 	now.SlowRatio = 1.2
-	repNow, err := now.RunTask(taskItems(40, 100_000_000), vol, "task-d")
+	repNow, err := now.RunTask(context.Background(), taskItems(40, 100_000_000), vol, "task-d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestMonitorReplaceAtHourBillsNoPartialExtra(t *testing.T) {
 	atHour := NewMonitor(c2, workload.NewGrep(), grepModel(t), "us-east-1a")
 	atHour.SlowRatio = 1.2
 	atHour.Policy = ReplaceAtHour
-	repHour, err := atHour.RunTask(taskItems(40, 100_000_000), vol2, "task-d")
+	repHour, err := atHour.RunTask(context.Background(), taskItems(40, 100_000_000), vol2, "task-d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +203,12 @@ func TestMonitorValidation(t *testing.T) {
 	vol, _ := c.CreateVolume("us-east-1a", 100)
 	mo := NewMonitor(c, workload.NewGrep(), grepModel(t), "us-east-1a")
 	mo.Chunks = 0
-	if _, err := mo.RunTask(taskItems(1, 1), vol, "k"); err == nil {
+	if _, err := mo.RunTask(context.Background(), taskItems(1, 1), vol, "k"); err == nil {
 		t.Error("expected error for zero chunks")
 	}
 	mo.Chunks = 2
 	mo.SlowRatio = 1
-	if _, err := mo.RunTask(taskItems(1, 1), vol, "k"); err == nil {
+	if _, err := mo.RunTask(context.Background(), taskItems(1, 1), vol, "k"); err == nil {
 		t.Error("expected error for SlowRatio ≤ 1")
 	}
 }

@@ -91,10 +91,6 @@ func buildStreamClass() (t [256]uint8) {
 	return t
 }
 
-// Fold returns the ASCII-lowercased form of a byte (identity for
-// non-letters and non-ASCII bytes).
-func Fold(c byte) byte { return foldTable[c] }
-
 // isWordByte reports whether c continues a word token: [a-zA-Z0-9'].
 func isWordByte(c byte) bool { return classTable[c]&ClassWord != 0 }
 

@@ -42,7 +42,7 @@ func TestClassTableMatchesPredicates(t *testing.T) {
 func TestFoldTableMatchesStringsToLower(t *testing.T) {
 	for c := 0; c < 256; c++ {
 		b := byte(c)
-		got := Fold(b)
+		got := foldTable[b]
 		if b < 0x80 {
 			want := strings.ToLower(string(rune(b)))
 			if string(rune(got)) != want {

@@ -41,19 +41,14 @@ func ExtractFS(in *vfs.FS) (*vfs.FS, error) {
 
 // lazyExtract re-derives the text from the source file on each open.
 func lazyExtract(src vfs.File) vfs.Opener {
-	return func() io.Reader {
+	return func() (io.Reader, error) {
 		data, err := src.ReadAll()
 		if err != nil {
-			return failedReader{err}
+			return nil, err
 		}
-		return bytes.NewReader(ExtractText(data))
+		return bytes.NewReader(ExtractText(data)), nil
 	}
 }
-
-// failedReader surfaces a deferred open error on first Read.
-type failedReader struct{ err error }
-
-func (r failedReader) Read([]byte) (int, error) { return 0, r.err }
 
 // rewriteExt swaps the final extension for ext (appending when none).
 func rewriteExt(name, ext string) string {

@@ -17,7 +17,9 @@ import (
 // because a match straddling a boundary is simply a matcher position that
 // crosses a Feed call. No input bytes are ever re-buffered.
 //
-// Two engines share that contract (DESIGN.md §12):
+// Two engines share that contract (DESIGN.md §9). Both index their tables
+// by the raw input byte and fold at build time, so a folded searcher runs
+// the same loops as an exact one, with no per-byte fold load:
 //
 //   - bitap (shift-and), used when the patterns' total length fits the 64
 //     bit positions of one machine word. Per input byte the whole matcher
@@ -40,7 +42,6 @@ import (
 //     off the table-walk dependency chain entirely.
 type MultiSearcher struct {
 	patterns []string
-	folded   bool
 
 	// bitap engine (eligible pattern sets only).
 	bitap     bool
@@ -169,19 +170,26 @@ func newMultiSearcher(patterns []string, folded bool) (*MultiSearcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &MultiSearcher{
-		patterns: append([]string(nil), patterns...),
-		folded:   folded,
+	// Both engines index their tables by the raw input byte: entry c is
+	// the one for fold[c], the identity for an exact searcher.
+	fold := foldTable
+	if !folded {
+		for c := range fold {
+			fold[c] = byte(c)
+		}
 	}
-	m.buildAC(next, out)
-	m.buildBitap()
+	m := &MultiSearcher{patterns: append([]string(nil), patterns...)}
+	m.buildAC(next, out, &fold)
+	m.buildBitap(&fold)
 	return m, nil
 }
 
 // buildAC lays the automaton out for the hot loop: BFS renumbering,
 // hot/cold table split, flattened outputs behind the bitmap, and the
-// root-skip configuration.
-func (m *MultiSearcher) buildAC(next [][256]int32, out [][]int32) {
+// root-skip configuration. The automaton of a folded searcher is built
+// over folded bytes; its table rows are indexed by the raw byte, so the
+// entry for c is the transition on fold[c].
+func (m *MultiSearcher) buildAC(next [][256]int32, out [][]int32, fold *[256]byte) {
 	// Renumber breadth-first: near-root states get the low ids, so the hot
 	// interleaved region naturally covers where text automata live.
 	order := bfsOrder(next)
@@ -207,12 +215,12 @@ func (m *MultiSearcher) buildAC(next [][256]int32, out [][]int32) {
 		row := &next[order[newS]]
 		if newS < hotN {
 			for c := 0; c < 256; c++ {
-				m.hot[c<<8|newS] = newID[row[c]]
+				m.hot[c<<8|newS] = newID[row[fold[c]]]
 			}
 		} else {
 			base := (newS - hotN) << 8
 			for c := 0; c < 256; c++ {
-				m.cold[base|c] = newID[row[c]]
+				m.cold[base|c] = newID[row[fold[c]]]
 			}
 		}
 	}
@@ -233,28 +241,22 @@ func (m *MultiSearcher) buildAC(next [][256]int32, out [][]int32) {
 		copy(m.outFlat[m.outOff[newS]:], out[order[newS]])
 	}
 
-	// Root skip setup: mark the bytes whose root transition stays at the
-	// root. When exactly one byte can leave it — and, for folded
-	// searchers, only when no other input byte folds onto that byte — the
-	// skip loop can be bytes.IndexByte instead of a per-byte table test.
+	// Root skip setup: mark the raw bytes whose root transition stays at
+	// the root. When exactly one can leave it the skip loop is
+	// bytes.IndexByte instead of a per-byte table test; a folded letter
+	// start has two such bytes, so it never qualifies.
 	m.soloStart = -1
-	var startBytes []byte
+	starts := 0
 	for c := 0; c < 256; c++ {
 		if m.hot[c<<8] == 0 { // root is state 0 in both numberings
 			m.rootSkip[c] = true
 		} else {
-			startBytes = append(startBytes, byte(c))
+			m.soloStart = int16(c)
+			starts++
 		}
 	}
-	if len(startBytes) == 1 {
-		b := startBytes[0]
-		// Folded automata are built over folded bytes, so the trie edge is
-		// on the lowercase form; IndexByte over the raw input is only
-		// correct when folding is the identity both ways at b (no 'A'-'Z'
-		// input maps onto it, and b maps to itself).
-		if !m.folded || (foldTable[b] == b && !(b >= 'a' && b <= 'z')) {
-			m.soloStart = int16(b)
-		}
+	if starts != 1 {
+		m.soloStart = -1
 	}
 }
 
@@ -263,7 +265,7 @@ func (m *MultiSearcher) buildAC(next [][256]int32, out [][]int32) {
 // the top (match) bit of pattern i-1 shifts into pattern i's first
 // position, but initMask sets that position unconditionally anyway, so
 // the leak is harmless.
-func (m *MultiSearcher) buildBitap() {
+func (m *MultiSearcher) buildBitap(fold *[256]byte) {
 	total := 0
 	for _, p := range m.patterns {
 		total += len(p)
@@ -275,19 +277,10 @@ func (m *MultiSearcher) buildBitap() {
 	for pi, p := range m.patterns {
 		m.initMask |= 1 << uint(off)
 		for j := 0; j < len(p); j++ {
-			pc := p[j]
-			if m.folded {
-				pc = foldTable[pc]
-			}
-			// Index masks by the raw input byte, folding at build time:
-			// every byte c that folds onto pc matches this position, so
-			// the hot loop needs no per-byte fold load.
+			// Every byte c that folds onto the pattern byte matches this
+			// position.
 			for c := 0; c < 256; c++ {
-				ic := byte(c)
-				if m.folded {
-					ic = foldTable[ic]
-				}
-				if ic == pc {
+				if fold[c] == fold[p[j]] {
 					m.masks[c] |= 1 << uint(off+j)
 				}
 			}
@@ -319,9 +312,6 @@ func (m *MultiSearcher) Feed(st MatchState, p []byte, counts []int64) MatchState
 	if m.bitap {
 		return MatchState(m.feedBitap(uint64(st), p, counts))
 	}
-	if m.folded {
-		return MatchState(m.feedFolded(int32(st), p, counts))
-	}
 	return MatchState(m.feedExact(int32(st), p, counts))
 }
 
@@ -346,7 +336,7 @@ func (m *MultiSearcher) feedBitap(d uint64, p []byte, counts []int64) uint64 {
 	return d
 }
 
-// feedExact is the case-sensitive automaton hot loop: per byte, one
+// feedExact is the automaton hot loop: per byte, one
 // transition load (hot region interleaved byte-major) and one has-output
 // bit test. When a single byte value can start a pattern, root-state runs
 // collapse to one vectorized bytes.IndexByte call; with several start
@@ -381,52 +371,6 @@ func (m *MultiSearcher) feedExact(s int32, p []byte, counts []int64) int32 {
 			i += j
 		}
 		c := p[i]
-		i++
-		if s < 256 {
-			s = hot[int(c)<<8|int(s)]
-		} else {
-			s = cold[(int(s)-256)<<8|int(c)]
-		}
-		if hasOut[s>>6]&(1<<(uint(s)&63)) != 0 {
-			for _, pi := range m.outFlat[m.outOff[s]:m.outOff[s+1]] {
-				counts[pi]++
-			}
-		}
-	}
-	return s
-}
-
-// feedFolded is feedExact with the shared fold table applied per byte —
-// one extra load, and exactly the mapping the trie was built with. The
-// IndexByte skip stays sound because soloStart is only set for folded
-// searchers when the byte is fold-invariant.
-func (m *MultiSearcher) feedFolded(s int32, p []byte, counts []int64) int32 {
-	hot := m.hot
-	hasOut := m.hasOut
-	if m.cold == nil && m.soloStart < 0 {
-		for _, raw := range p {
-			c := foldTable[raw]
-			s = hot[int(c)<<8|int(s)]
-			if hasOut[s>>6]&(1<<(uint(s)&63)) != 0 {
-				for _, pi := range m.outFlat[m.outOff[s]:m.outOff[s+1]] {
-					counts[pi]++
-				}
-			}
-		}
-		return s
-	}
-	cold := m.cold
-	solo := m.soloStart
-	i, n := 0, len(p)
-	for i < n {
-		if s == 0 && solo >= 0 {
-			j := bytes.IndexByte(p[i:], byte(solo))
-			if j < 0 {
-				break
-			}
-			i += j
-		}
-		c := foldTable[p[i]]
 		i++
 		if s < 256 {
 			s = hot[int(c)<<8|int(s)]

@@ -2,6 +2,7 @@ package textproc
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -268,5 +269,47 @@ func TestMultiSearcherHotColdBoundary(t *testing.T) {
 	text := []byte(strings.Join(patterns, " filler ") + " aaasuffixtaila bbbsuffixtail")
 	if got, want := fast.CountBytes(text), ref.CountBytes(text); !equalCounts(got, want) {
 		t.Fatalf("deep automaton: fast %v, want %v", got, want)
+	}
+}
+
+// TestFoldedAutomatonIndexesByRawByte: a folded pattern set too long for
+// bitap walks the Aho–Corasick tables, which are indexed by the raw input
+// byte — so every byte value, letters of either case included, must take
+// the transition its folded form would, and a stream split anywhere must
+// count what the single-pattern folded searcher counts.
+func TestFoldedAutomatonIndexesByRawByte(t *testing.T) {
+	patterns := []string{"The Quick", "QUICK brown", "fox", "x", "Lazy-Dog_42", "été", "jumps over the LAZY", "0ops", "Brown Fox Jumps"}
+	ms, err := NewFoldedMultiSearcher(patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms.bitap {
+		t.Fatal("pattern set fits bitap; the automaton is not under test")
+	}
+	oracles := make([]*Searcher, len(patterns))
+	for i, p := range patterns {
+		if oracles[i], err = NewFoldedSearcher(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(what string, got []int64, text []byte) {
+		t.Helper()
+		for i, s := range oracles {
+			if want := s.CountBytes(text); got[i] != want {
+				t.Fatalf("%s: pattern %q counted %d, folded searcher %d", what, patterns[i], got[i], want)
+			}
+		}
+	}
+	for c := 0; c < 256; c++ {
+		text := []byte{byte(c)}
+		check(fmt.Sprintf("byte %#02x", c), ms.CountBytes(text), text)
+	}
+	text := []byte("tHE qUICK BROWN Fox JUMPS OVER the lazy-dog_42; ÉTÉ été 0OPS xX the quick brown fOX jumps Over The Lazy")
+	check("whole text", ms.CountBytes(text), text)
+	for cut := 0; cut <= len(text); cut++ {
+		counts := make([]int64, len(patterns))
+		st := ms.Feed(ms.Start(), text[:cut], counts)
+		ms.Feed(st, text[cut:], counts)
+		check(fmt.Sprintf("split at %d", cut), counts, text)
 	}
 }

@@ -22,10 +22,10 @@ func (tr *trackingReader) Close() error {
 // trackedFile returns a content file whose most recently opened reader is
 // observable through the returned pointer slot.
 func trackedFile(name string, data []byte, slot **trackingReader) File {
-	return NewContentFile(name, int64(len(data)), func() io.Reader {
+	return NewContentFile(name, int64(len(data)), func() (io.Reader, error) {
 		tr := &trackingReader{r: bytes.NewReader(data)}
 		*slot = tr
-		return tr
+		return tr, nil
 	})
 }
 
@@ -119,7 +119,7 @@ func (d *dribbleReader) Read(p []byte) (int, error) {
 
 func TestConcatShortReadMembers(t *testing.T) {
 	unit := Concat("unit", []File{
-		NewContentFile("dribble", 5, func() io.Reader { return &dribbleReader{data: []byte("hello")} }),
+		NewContentFile("dribble", 5, func() (io.Reader, error) { return &dribbleReader{data: []byte("hello")}, nil }),
 		BytesFile("tail", []byte(" world")),
 	})
 	got, err := unit.ReadAll()

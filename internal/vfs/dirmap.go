@@ -1,11 +1,11 @@
 package vfs
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	iofs "io/fs"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -56,23 +56,12 @@ const importChunkFiles = 256
 // returned.
 func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error) {
 	// Walk first, load second: the walk order defines the corpus exactly
-	// as ImportDir does (both visit each directory in lexical order), and
-	// WalkDir reports entries without an lstat apiece — the load's own
-	// fstat is the only one a file gets.
+	// as ImportDir does, and it reports entries without an lstat apiece —
+	// the load's own fstat is the only one a file gets.
 	type entry struct{ name, path string }
 	var entries []entry
-	err := filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			return nil
-		}
-		rel, err := filepath.Rel(dir, path)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, entry{name: filepath.ToSlash(rel), path: path})
+	err := walkFiles(dir, func(name, path string) error {
+		entries = append(entries, entry{name, path})
 		return nil
 	})
 	if err != nil {
@@ -140,13 +129,13 @@ type dirImport struct {
 
 // file builds the imported File over its loaded content view.
 func (imp *dirImport) file(name string, data []byte) File {
-	return NewContentFile(name, int64(len(data)), func() io.Reader {
+	return NewContentFile(name, int64(len(data)), func() (io.Reader, error) {
 		// Loud failure after the import's closer runs, matching the pack
 		// reader's read-after-close contract.
 		if imp.closed.Load() {
-			return &errReader{fmt.Errorf("vfs: %s: read after mapped dir import close", name)}
+			return nil, errors.New("read after mapped dir import close")
 		}
-		return &sliceReader{data: data}
+		return bytes.NewReader(data), nil
 	}).WithRawBytes(data)
 }
 

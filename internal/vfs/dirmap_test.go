@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -67,6 +68,52 @@ func mixedSizeTree(t *testing.T) string {
 // over: many tiny files in nested directories, and the mixed-size tree.
 func testTrees(t *testing.T, files int) map[string]string {
 	return map[string]string{"small": dirTestTree(t, files), "mixed": mixedSizeTree(t)}
+}
+
+// TestImportsShareOneWalk: both directory imports take their corpus from
+// the one walker, so they list the same regular files under the same
+// relative, slash-separated names with the same sizes — nested
+// directories, an empty file and a file past the slab limit included.
+func TestImportsShareOneWalk(t *testing.T) {
+	dir := t.TempDir()
+	want := map[string]int64{
+		"a.txt":            3,
+		"empty.txt":        0,
+		"sub/b.txt":        5,
+		"sub/deep/big.bin": packstore.SmallFileLimit + 1,
+		"sub/deep/c.txt":   7,
+		"z/last.txt":       1,
+	}
+	for name, size := range want {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, bytes.Repeat([]byte("x"), int(size)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub", "hollow"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := ImportDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, closer, err := ImportDirMappedCtx(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	for which, fs := range map[string]*FS{"ImportDir": plain, "ImportDirMappedCtx": mapped} {
+		got := map[string]int64{}
+		for _, f := range fs.List() {
+			got[f.Name] = f.Size
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s lists %v, want %v", which, got, want)
+		}
+	}
 }
 
 // TestImportDirMappedMatchesImportDir: the mapped import exposes the same

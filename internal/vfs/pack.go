@@ -49,13 +49,20 @@ func (o *PackOptions) fillDefaults() {
 // each member append, so an abort lands within one window of work and the
 // partial shards on disk remain well-formed up to the last completed
 // append.
-func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) ([]string, error) {
+func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (paths []string, err error) {
 	opts.fillDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("vfs: export pack: %w", err)
 	}
 	files := fs.List()
 	sw := packstore.NewShardWriter(dir, opts.Prefix, opts.ShardSize)
+	// An export that fails still closes the shard it was writing; the
+	// failure is what the caller hears about.
+	defer func() {
+		if err != nil {
+			sw.Close()
+		}
+	}()
 
 	// Files above the prefetch cap are streamed at append time instead of
 	// being materialised, bounding read-ahead memory at window × cap.
@@ -84,30 +91,24 @@ func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (
 			return nil
 		})
 		if err != nil {
-			sw.Close()
 			return nil, err
 		}
 		for i := lo; i < hi; i++ {
 			if cerr := errs.FromContext(ctx); cerr != nil {
-				sw.Close()
 				return nil, cerr
 			}
 			f := files[i]
 			if f.Size > maxPrefetch || bufs[i] == nil {
 				r, err := f.Open()
 				if err != nil {
-					sw.Close()
 					return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, err)
 				}
-				err = closeReader(r, sw.Append(f.Name, f.Size, r))
-				if err != nil {
-					sw.Close()
+				if err := closeReader(r, sw.Append(f.Name, f.Size, r)); err != nil {
 					return nil, err
 				}
 				continue
 			}
 			if err := sw.AppendBytes(f.Name, bufs[i]); err != nil {
-				sw.Close()
 				return nil, err
 			}
 			// Hand the backing array to a file one window ahead for reuse.
@@ -207,10 +208,10 @@ func importPacks(ctx context.Context, mode packMode, sources []string) (*FS, io.
 			opened = append(opened, p)
 		}
 		for i, m := range p.Members() {
-			open := func() io.Reader { return p.SectionReader(m) }
+			open := func() (io.Reader, error) { return p.SectionReader(m), nil }
 			if mode == packVerified {
-				open = func() io.Reader {
-					return &verifyReader{r: p.SectionReader(m), name: m.Name, size: m.Size, want: m.Checksum, sum: fnv64.MemberInit}
+				open = func() (io.Reader, error) {
+					return &verifyReader{r: p.SectionReader(m), name: m.Name, size: m.Size, want: m.Checksum, sum: fnv64.MemberInit}, nil
 				}
 			}
 			// Locality (shard path + member offset) lets fused scans read

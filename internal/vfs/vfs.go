@@ -8,12 +8,19 @@
 // paper's reshaping operation — is a zero-copy view over member files, so a
 // merged unit file always contains exactly the bytes of its members in
 // order.
+//
+// Delivery contract (DESIGN.md §7): an Opener returns a fresh reader or an
+// error, never a reader that fails later in the error's place; whoever
+// calls Open closes the reader if it is an io.Closer; a raw view, where a
+// file has one, is valid until the closer of the import that made it runs.
 package vfs
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,10 +30,11 @@ import (
 	"repro/internal/par"
 )
 
-// Opener produces a fresh reader over a file's content. Implementations
-// must return independent readers on each call so files can be read
-// concurrently and repeatedly.
-type Opener func() io.Reader
+// Opener produces a fresh reader over a file's content, or the reason it
+// cannot. Implementations must return independent readers on each call so
+// files can be read concurrently and repeatedly. A reader that holds a
+// resource implements io.Closer; whoever called Open closes it.
+type Opener func() (io.Reader, error)
 
 // File is a named, sized blob with optional lazily-materialised content.
 // Pack-backed files additionally carry locality — which shard container
@@ -65,28 +73,10 @@ func NewContentFile(name string, size int64, open Opener) File {
 // not copied; callers must not mutate it afterwards.
 func BytesFile(name string, data []byte) File {
 	return File{
-		Name: name,
-		Size: int64(len(data)),
-		content: func() io.Reader {
-			return &sliceReader{data: data}
-		},
+		Name:    name,
+		Size:    int64(len(data)),
+		content: func() (io.Reader, error) { return bytes.NewReader(data), nil },
 	}
-}
-
-// sliceReader is a minimal io.Reader over a byte slice (bytes.NewReader
-// would also do; this keeps File free of retained Reader state).
-type sliceReader struct {
-	data []byte
-	off  int
-}
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
 }
 
 // WithLocality returns a copy of the file annotated with its physical
@@ -129,12 +119,17 @@ func (f *File) Bytes() ([]byte, error) {
 func (f File) HasContent() bool { return f.content != nil }
 
 // Open returns a new reader over the file's content. It returns an error
-// for metadata-only files.
+// for metadata-only files, and the content source's own error — wrapped
+// with the file name — when the source cannot be opened.
 func (f File) Open() (io.Reader, error) {
 	if f.content == nil {
 		return nil, fmt.Errorf("vfs: file %q is metadata-only", f.Name)
 	}
-	return f.content(), nil
+	r, err := f.content()
+	if err != nil {
+		return nil, fmt.Errorf("vfs: open %q: %w", f.Name, err)
+	}
+	return r, nil
 }
 
 // ReadAll materialises the full content of the file and validates that its
@@ -208,92 +203,61 @@ func readFull(f File, r io.Reader, buf []byte) ([]byte, error) {
 // not affect the merged file. Metadata-only members produce a metadata-only
 // merged file.
 func Concat(name string, members []File) File {
-	var size int64
-	allContent := true
+	f := File{Name: name}
+	allContent := len(members) > 0
 	captured := append([]File(nil), members...)
 	for _, m := range captured {
-		size += m.Size
+		f.Size += m.Size
 		if !m.HasContent() {
 			allContent = false
 		}
 	}
-	f := File{Name: name, Size: size}
-	if allContent && len(captured) > 0 {
-		f.content = func() io.Reader {
-			readers := make([]io.Reader, len(captured))
-			lazies := make([]*lazyReader, len(captured))
-			for i := range captured {
-				l := &lazyReader{f: captured[i]}
-				lazies[i] = l
-				readers[i] = l
-			}
-			return &concatReader{Reader: io.MultiReader(readers...), members: lazies}
-		}
+	if allContent {
+		f.content = func() (io.Reader, error) { return &concatReader{members: captured}, nil }
 	}
 	return f
 }
 
-// lazyReader opens its member on first Read and closes it at EOF, so a
-// merged unit of thousands of disk-backed members holds at most one
-// descriptor at a time instead of one per member for the whole stream.
-type lazyReader struct {
-	f    File
-	r    io.Reader
-	done bool
-}
-
-func (l *lazyReader) Read(p []byte) (int, error) {
-	if l.done {
-		return 0, io.EOF
-	}
-	if l.r == nil {
-		r, err := l.f.Open()
-		if err != nil {
-			l.done = true
-			return 0, err
-		}
-		l.r = r
-	}
-	n, err := l.r.Read(p)
-	if err == io.EOF {
-		if cerr := l.Close(); cerr != nil {
-			return n, cerr
-		}
-	}
-	return n, err
-}
-
-// Close releases the member's reader early (abandoned streams); closing
-// an unopened or finished lazyReader is a no-op.
-func (l *lazyReader) Close() error {
-	if l.done && l.r == nil {
-		return nil
-	}
-	l.done = true
-	r := l.r
-	l.r = nil
-	if c, ok := r.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// concatReader is the merged stream handed out by Concat. It implements
-// io.Closer so consumers that close after draining (ReadInto, checksum
-// paths) release any member descriptors still open mid-stream.
+// concatReader is the merged stream handed out by Concat. It walks the
+// members itself: open member i on the first Read that needs it, drain
+// it, close it, advance — so a merged unit of thousands of disk-backed
+// members holds at most one descriptor at a time. It implements io.Closer
+// so consumers that stop mid-stream release the member that is open.
 type concatReader struct {
-	io.Reader
-	members []*lazyReader
+	members []File    // read-only: shared by every reader of the merged file
+	next    int       // index of the next member to open
+	cur     io.Reader // the open member, nil between members
 }
 
-func (c *concatReader) Close() error {
-	var first error
-	for _, l := range c.members {
-		if err := l.Close(); err != nil && first == nil {
-			first = err
+func (c *concatReader) Read(p []byte) (int, error) {
+	for c.cur != nil || c.next < len(c.members) {
+		if c.cur == nil {
+			r, err := c.members[c.next].Open()
+			if err != nil {
+				return 0, err
+			}
+			c.cur = r
+			c.next++
 		}
+		n, err := c.cur.Read(p)
+		if err == io.EOF {
+			// Bytes that came with the EOF are delivered first; the next
+			// call moves on to the next member.
+			if err = c.Close(); err == nil && n == 0 {
+				continue
+			}
+		}
+		return n, err
 	}
-	return first
+	return 0, io.EOF
+}
+
+// Close releases the member open mid-stream, if any; the stream can be
+// read on from the next member, which is how Read advances.
+func (c *concatReader) Close() error {
+	err := closeReader(c.cur, nil)
+	c.cur = nil
+	return err
 }
 
 // ErrNotFound is returned by FS lookups for unknown names. It wraps
@@ -457,29 +421,18 @@ func exportPath(dir, name string) (string, error) {
 }
 
 // ImportDir loads every regular file under dir on the real file system into
-// a new FS, with names relative to dir (slash-separated).
+// a new FS, with names relative to dir (slash-separated). Only metadata is
+// read: each file is opened when a reader asks for its content.
 func ImportDir(dir string) (*FS, error) {
 	fs := NewFS()
-	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+	err := walkFiles(dir, func(name, path string) error {
+		// The one lstat a file gets, as filepath.Walk made; the walk's
+		// directory entries carry none.
+		info, err := os.Lstat(path)
 		if err != nil {
 			return err
 		}
-		if info.IsDir() {
-			return nil
-		}
-		rel, err := filepath.Rel(dir, path)
-		if err != nil {
-			return err
-		}
-		name := filepath.ToSlash(rel)
-		p := path
-		return fs.Add(NewContentFile(name, info.Size(), func() io.Reader {
-			f, err := os.Open(p)
-			if err != nil {
-				return &errReader{err}
-			}
-			return f
-		}))
+		return fs.Add(NewContentFile(name, info.Size(), func() (io.Reader, error) { return os.Open(path) }))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("vfs: import %s: %w", dir, err)
@@ -487,6 +440,18 @@ func ImportDir(dir string) (*FS, error) {
 	return fs, nil
 }
 
-type errReader struct{ err error }
-
-func (e *errReader) Read([]byte) (int, error) { return 0, e.err }
+// walkFiles is the one directory walk: it calls visit for every
+// non-directory entry under dir, each directory in lexical order, with the
+// entry's name relative to dir (slash-separated) and its path on disk.
+func walkFiles(dir string, visit func(name, path string) error) error {
+	return filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		return visit(filepath.ToSlash(rel), path)
+	})
+}

@@ -73,7 +73,7 @@ func Reshape(in *FS, unitSize int64, unitPrefix string) (*FS, []*binpack.Bin, er
 // Fused measurement: one open and one streaming read per corpus file
 // feeds every requested kernel (checksum, text stats, multi-pattern
 // match counts, POS complexity) with bit-identical results at any
-// worker count. See internal/scan and DESIGN.md §7.
+// worker count. See internal/scan and DESIGN.md §8.
 type (
 	// Measurement is the artefact of one fused scan.
 	Measurement = core.Measurement
@@ -245,12 +245,12 @@ func IsCancellation(err error) bool { return errs.IsCancellation(err) }
 
 // RunExperiment regenerates one of the paper's tables or figures by ID
 // (fig1a … fig9c, eq12, eq34, complexity, switchcalc, costfn).
-func RunExperiment(id string, cfg experiments.Config) (*experiments.Report, error) {
+func RunExperiment(ctx context.Context, id string, cfg experiments.Config) (*experiments.Report, error) {
 	d, ok := experiments.Lookup(id)
 	if !ok {
 		return nil, errUnknownExperiment(id)
 	}
-	return d(cfg)
+	return d(ctx, cfg)
 }
 
 // ExperimentConfig parameterises experiment reproduction.

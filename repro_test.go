@@ -71,14 +71,14 @@ func TestFacadeReshapeAndSearch(t *testing.T) {
 }
 
 func TestFacadeExperiment(t *testing.T) {
-	rep, err := RunExperiment("costfn", ExperimentConfig{})
+	rep, err := RunExperiment(context.Background(), "costfn", ExperimentConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.ID != "costfn" {
 		t.Errorf("report ID = %s", rep.ID)
 	}
-	if _, err := RunExperiment("bogus", ExperimentConfig{}); err == nil {
+	if _, err := RunExperiment(context.Background(), "bogus", ExperimentConfig{}); err == nil {
 		t.Error("expected error for unknown experiment")
 	}
 }

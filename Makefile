@@ -67,9 +67,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 # bench-pack measures just the packstore paths (write, verify, O(1) random
-# access).
+# access) and the reshape that feeds them: 12 000 files on disk imported,
+# reshaped and exported as packs (BenchmarkReshapeExport12k, root package).
 bench-pack:
-	$(GO) test -run '^$$' -bench Pack ./internal/packstore
+	$(GO) test -run '^$$' -bench 'BenchmarkPack|ReshapeExport12k' . ./internal/packstore
 
 # bench-repo-test runs the repository benchmark harness's own tests
 # (BENCHMARK.json schema, the statistics and verdict arithmetic, a quick

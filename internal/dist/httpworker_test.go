@@ -270,7 +270,9 @@ func TestHTTPWorkerPlanMismatch(t *testing.T) {
 // TestScanRequestIsBounded pins the daemon's request side: a body over
 // the cap, or with anything after its one JSON value, is answered 400
 // in the error envelope (ErrInvalid on the coordinator) before any
-// kernel set is built for it; trailing whitespace is not "anything".
+// kernel set is built for it; trailing whitespace is not "anything". A
+// request that still carries the retired scan_workers / block_size fields
+// is served: unknown fields are ignored.
 func TestScanRequestIsBounded(t *testing.T) {
 	p := testPlan(t, 12)
 	ts := httptest.NewServer(NewWorkerServer("w", p).Handler())
@@ -283,6 +285,7 @@ func TestScanRequestIsBounded(t *testing.T) {
 	}{
 		"valid":               {valid, http.StatusOK},
 		"trailing-whitespace": {append(append([]byte(nil), valid...), " \n"...), http.StatusOK},
+		"retired-fields":      {append(append([]byte(nil), valid[:len(valid)-1]...), `,"scan_workers":4,"block_size":512}`...), http.StatusOK},
 		"oversized":           {huge, http.StatusBadRequest},
 		"second-value":        {append(append([]byte(nil), valid...), valid...), http.StatusBadRequest},
 		"trailing-garbage":    {append(append([]byte(nil), valid...), '!'), http.StatusBadRequest},

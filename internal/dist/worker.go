@@ -18,13 +18,6 @@ type ScanRequest struct {
 	Spec   Spec   `json:"spec"`
 	// Task indexes the shared plan's task list.
 	Task int `json:"task"`
-	// ScanWorkers bounds the worker's scan fan-out for this task
-	// (0 = GOMAXPROCS).
-	ScanWorkers int `json:"scan_workers,omitempty"`
-	// BlockSize overrides the streaming window (0 = default). Block
-	// splits never change results, but pinning it keeps runs exactly
-	// reproducible under instrumentation.
-	BlockSize int `json:"block_size,omitempty"`
 }
 
 // ScanResponse carries one completed task's kernel states: one snapshot
@@ -125,8 +118,7 @@ func (l *Local) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse, erro
 	for i, k := range l.protos.List {
 		kernels[i] = k.Fork()
 	}
-	opts := scan.Options{Workers: req.ScanWorkers, BlockSize: req.BlockSize}
-	if err := scan.Execute(ctx, l.plan, l.plan.Tasks[req.Task:req.Task+1], opts, kernels...); err != nil {
+	if err := scan.Execute(ctx, l.plan, l.plan.Tasks[req.Task:req.Task+1], scan.Options{}, kernels...); err != nil {
 		return nil, err
 	}
 	states := make([][]byte, len(kernels))

@@ -1,6 +1,7 @@
 package fnv64_test
 
 import (
+	"bytes"
 	"hash/fnv"
 	"math/rand"
 	"path/filepath"
@@ -91,7 +92,7 @@ func TestMemberChecksumMatchesRecordedValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBytes("m", buf); err != nil {
+	if err := w.Append("m", int64(len(buf)), bytes.NewReader(buf)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

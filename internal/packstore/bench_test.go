@@ -22,7 +22,7 @@ func benchPack(b *testing.B, n int, memberSize int) *Pack {
 		data[i] = byte(i % 251)
 	}
 	for i := 0; i < n; i++ {
-		if err := w.AppendBytes(fmt.Sprintf("m-%06d", i), data); err != nil {
+		if err := appendBytes(w, fmt.Sprintf("m-%06d", i), data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func BenchmarkPackWrite512(b *testing.B) {
 			b.Fatal(err)
 		}
 		for j := 0; j < 512; j++ {
-			if err := w.AppendBytes(fmt.Sprintf("m-%06d", j), data); err != nil {
+			if err := appendBytes(w, fmt.Sprintf("m-%06d", j), data); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -139,3 +140,49 @@ func TestFileSlabDetectsSizeDrift(t *testing.T) {
 type failingReader struct{ err error }
 
 func (r failingReader) Read([]byte) (int, error) { return 0, r.err }
+
+// TestOpenFileReadsAndReleases: the raw-descriptor opener delivers a
+// file's exact bytes then EOF, fails a missing file the way os.Open does,
+// and holds its descriptor until Close — once: a second Close, or a Read
+// after it, is os.ErrClosed and never reaches a descriptor number the
+// process may have handed to someone else in between.
+func TestOpenFileReadsAndReleases(t *testing.T) {
+	dir := t.TempDir()
+	for _, size := range []int{0, 1, 5000, 300 << 10} {
+		want := patterned(size, byte(size))
+		path := filepath.Join(dir, fmt.Sprintf("f%d", size))
+		if err := os.WriteFile(path, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(r)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("size %d: read %d bytes, err %v", size, len(got), err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("size %d: close: %v", size, err)
+		}
+		// Whoever opens next gets the number just released; the stale
+		// reader must not touch it.
+		other, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("second Close = %v, want os.ErrClosed", err)
+		}
+		if _, err := r.Read(make([]byte, 1)); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("Read after Close = %v, want os.ErrClosed", err)
+		}
+		if _, err := other.Stat(); err != nil {
+			t.Errorf("a stale reader's Close reached a reused descriptor: %v", err)
+		}
+		other.Close()
+	}
+	if _, err := OpenFile(filepath.Join(dir, "absent")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: err = %v, want os.ErrNotExist", err)
+	}
+}

@@ -33,7 +33,7 @@ func mappedFixture(t *testing.T) (string, map[string][]byte) {
 	}
 	// Append in non-sorted order so index sorting is exercised.
 	for _, name := range []string{"d/text", "a/small", "c/binary", "b/empty"} {
-		if err := w.AppendBytes(name, payloads[name]); err != nil {
+		if err := appendBytes(w, name, payloads[name]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestReaderManyMembersZeroCopyIdentity(t *testing.T) {
 	}
 	const n = 300
 	for i := 0; i < n; i++ {
-		if err := w.AppendBytes(fmt.Sprintf("m-%04d", i), []byte(fmt.Sprintf("payload %d |", i))); err != nil {
+		if err := appendBytes(w, fmt.Sprintf("m-%04d", i), []byte(fmt.Sprintf("payload %d |", i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,7 +2,10 @@
 
 package packstore
 
-import "os"
+import (
+	"io"
+	"os"
+)
 
 const mmapSupported = false
 
@@ -47,4 +50,9 @@ func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
 	}
 	data, err := slab.read(f, info.Size(), path)
 	return data, nil, err
+}
+
+// openFile is OpenFile through *os.File, which is what the platform has.
+func openFile(path string) (io.ReadCloser, error) {
+	return os.Open(path)
 }

@@ -38,20 +38,30 @@ func unmapFile(data []byte) error {
 	return syscall.Munmap(data)
 }
 
-// loadFile is LoadFile over raw descriptors: the small-file route is
-// exactly open, fstat, read to EOF, close — no *os.File, no finalizer, no
-// FileInfo, no attempt to register a regular file with the poller — which
-// keeps the per-file fixed cost of a many-small-files import down to the
-// system calls it cannot avoid. Only a file large enough to map is
-// wrapped in an *os.File, for mapFile.
-func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
+// openFD opens path read-only on a raw descriptor: no *os.File, no
+// finalizer, no attempt to register a regular file with the poller. The
+// caller closes it.
+func openFD(path string) (int, error) {
 	var fd int
 	err := ignoringEINTR(func() (err error) {
 		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 		return err
 	})
 	if err != nil {
-		return nil, nil, &os.PathError{Op: "open", Path: path, Err: err}
+		return -1, &os.PathError{Op: "open", Path: path, Err: err}
+	}
+	return fd, nil
+}
+
+// loadFile is LoadFile over raw descriptors: the small-file route is
+// exactly open, fstat, read to EOF, close — no FileInfo either — which
+// keeps the per-file fixed cost of a many-small-files import down to the
+// system calls it cannot avoid. Only a file large enough to map is
+// wrapped in an *os.File, for mapFile.
+func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
+	fd, err := openFD(path)
+	if err != nil {
+		return nil, nil, err
 	}
 	var st syscall.Stat_t
 	if err := ignoringEINTR(func() error { return syscall.Fstat(fd, &st) }); err != nil {
@@ -74,6 +84,49 @@ func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
 	data, err := slab.read(fdReader(fd), st.Size, path)
 	syscall.Close(fd)
 	return data, nil, err
+}
+
+// openFile is OpenFile over a raw descriptor: a sequential read of one
+// member costs open, read, read-EOF, close and nothing else.
+func openFile(path string) (io.ReadCloser, error) {
+	fd, err := openFD(path)
+	if err != nil {
+		return nil, err
+	}
+	return &fdFile{fd: fd, path: path}, nil
+}
+
+// fdFile owns a raw descriptor until Close. Nothing else will release it:
+// there is no finalizer behind it.
+type fdFile struct {
+	fd   int // -1 once closed
+	path string
+}
+
+func (f *fdFile) Read(p []byte) (int, error) {
+	if f.fd < 0 {
+		return 0, &os.PathError{Op: "read", Path: f.path, Err: os.ErrClosed}
+	}
+	n, err := fdReader(f.fd).Read(p)
+	if err != nil && err != io.EOF {
+		err = &os.PathError{Op: "read", Path: f.path, Err: err}
+	}
+	return n, err
+}
+
+// Close releases the descriptor. A second Close reports os.ErrClosed, as
+// *os.File does, and never touches a descriptor number the process may
+// have reused since.
+func (f *fdFile) Close() error {
+	if f.fd < 0 {
+		return &os.PathError{Op: "close", Path: f.path, Err: os.ErrClosed}
+	}
+	fd := f.fd
+	f.fd = -1
+	if err := syscall.Close(fd); err != nil {
+		return &os.PathError{Op: "close", Path: f.path, Err: err}
+	}
+	return nil
 }
 
 // fdReader is io.Reader over a raw descriptor.

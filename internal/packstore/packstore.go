@@ -242,10 +242,15 @@ func (w *Writer) Append(name string, size int64, r io.Reader) error {
 	return w.endRecord(name, size, payloadOff, h)
 }
 
-// AppendBytes is Append over an in-memory payload: the bytes go to the
-// buffered writer directly and the checksum folds over them in place —
-// no intermediate reader, no copy window.
-func (w *Writer) AppendBytes(name string, data []byte) error {
+// AppendSummed stores one member whose payload is already in memory and
+// whose member checksum — fnv64.MemberChecksum over exactly these bytes —
+// the caller has already folded, so a pipelined exporter hashes on the
+// goroutine that loaded the bytes and this one only writes. The sum is
+// recorded as given: every reader checks it against the payload
+// (Pack.VerifyCtx, vfs.ImportPackVerifiedCtx), so a wrong one is found at
+// the first verified read, naming the member, exactly as damage on disk
+// would be.
+func (w *Writer) AppendSummed(name string, data []byte, sum uint64) error {
 	payloadOff, err := w.beginRecord(name, int64(len(data)))
 	if err != nil {
 		return err
@@ -253,7 +258,7 @@ func (w *Writer) AppendBytes(name string, data []byte) error {
 	if _, err := w.bw.Write(data); err != nil {
 		return w.fail(err)
 	}
-	return w.endRecord(name, int64(len(data)), payloadOff, fnv64.MemberChecksum(fnv64.MemberInit, data))
+	return w.endRecord(name, int64(len(data)), payloadOff, sum)
 }
 
 // fail poisons the writer: the pack's tail is now a partial record, so

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/errs"
+	"repro/internal/fnv64"
 )
 
 // testMembers builds a deterministic member set with varied sizes,
@@ -36,6 +37,14 @@ func testMembers(n int) []struct {
 	return out
 }
 
+// appendBytes appends an in-memory payload under the member checksum
+// folded here: what an exporter does on its loading goroutines.
+func appendBytes(w interface {
+	AppendSummed(name string, data []byte, sum uint64) error
+}, name string, data []byte) error {
+	return w.AppendSummed(name, data, fnv64.MemberChecksum(fnv64.MemberInit, data))
+}
+
 // writePack writes the given members into a single pack at path.
 func writePack(t *testing.T, path string, members []struct {
 	name string
@@ -47,7 +56,7 @@ func writePack(t *testing.T, path string, members []struct {
 		t.Fatal(err)
 	}
 	for _, m := range members {
-		if err := w.AppendBytes(m.name, m.data); err != nil {
+		if err := appendBytes(w, m.name, m.data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,13 +134,13 @@ func TestAppendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBytes("", nil); err == nil {
+	if err := appendBytes(w, "", nil); err == nil {
 		t.Error("empty name accepted")
 	}
-	if err := w.AppendBytes("ok", []byte("x")); err != nil {
+	if err := appendBytes(w, "ok", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBytes("ok", []byte("y")); err == nil {
+	if err := appendBytes(w, "ok", []byte("y")); err == nil {
 		t.Error("duplicate name accepted")
 	}
 	if err := w.Append("short", 5, strings.NewReader("abc")); err == nil {
@@ -219,6 +228,54 @@ func TestCorruptPayloadCaughtByVerify(t *testing.T) {
 	}
 }
 
+// TestWrongSumIsFoundByVerify: AppendSummed records the checksum its
+// caller folded without re-deriving it, so a caller that hands over the
+// wrong one writes a pack that opens — the index agrees with the record —
+// and that Pack.VerifyCtx and Set.VerifyCtx both fail with ErrCorrupt
+// naming the member, as they do for a damaged payload. The writer taking
+// the sum on trust weakens nothing a reader relies on.
+func TestWrongSumIsFoundByVerify(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wrong.pack")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "bad", "c"} {
+		data := []byte("payload of " + name)
+		sum := fnv64.MemberChecksum(fnv64.MemberInit, data)
+		if name == "bad" {
+			sum ^= 1
+		}
+		if err := w.AppendSummed(name, data, sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Open(path)
+	if err != nil {
+		t.Fatalf("a pack with a wrongly summed member must still open: %v", err)
+	}
+	defer p.Close()
+	set, err := OpenSet(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	for _, workers := range []int{1, 4} {
+		for via, err := range map[string]error{
+			"Pack.VerifyCtx": p.VerifyCtx(context.Background(), workers),
+			"Set.VerifyCtx":  set.VerifyCtx(context.Background(), workers),
+		} {
+			var se *errs.StageError
+			if !errors.Is(err, errs.ErrCorrupt) || !errors.As(err, &se) || se.File != "bad" {
+				t.Errorf("%s(%d) = %v, want ErrCorrupt naming the wrongly summed member", via, workers, err)
+			}
+		}
+	}
+}
+
 func TestCorruptIndexCaughtByOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.pack")
 	writePack(t, path, testMembers(5))
@@ -265,7 +322,7 @@ func TestShardWriter(t *testing.T) {
 	var total int64
 	sw := NewShardWriter(dir, "shard", 8*1024)
 	for _, m := range members {
-		if err := sw.AppendBytes(m.name, m.data); err != nil {
+		if err := appendBytes(sw, m.name, m.data); err != nil {
 			t.Fatal(err)
 		}
 		total += int64(len(m.data))
@@ -335,13 +392,13 @@ func TestOversizedMemberGetsOwnShard(t *testing.T) {
 	dir := t.TempDir()
 	sw := NewShardWriter(dir, "shard", 10)
 	big := bytes.Repeat([]byte("x"), 100)
-	if err := sw.AppendBytes("small-1", []byte("ab")); err != nil {
+	if err := appendBytes(sw, "small-1", []byte("ab")); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.AppendBytes("big", big); err != nil {
+	if err := appendBytes(sw, "big", big); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.AppendBytes("small-2", []byte("cd")); err != nil {
+	if err := appendBytes(sw, "small-2", []byte("cd")); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {

@@ -81,13 +81,13 @@ func (s *ShardWriter) Append(name string, size int64, r io.Reader) error {
 	return s.w.Append(name, size, r)
 }
 
-// AppendBytes is Append over an in-memory payload, taking the Writer's
-// zero-copy direct path (no intermediate reader or copy window).
-func (s *ShardWriter) AppendBytes(name string, data []byte) error {
+// AppendSummed is Append over an in-memory payload whose member checksum
+// the caller has folded (see Writer.AppendSummed).
+func (s *ShardWriter) AppendSummed(name string, data []byte, sum uint64) error {
 	if err := s.ensure(int64(len(data))); err != nil {
 		return err
 	}
-	return s.w.AppendBytes(name, data)
+	return s.w.AppendSummed(name, data, sum)
 }
 
 // Close finalises the last shard. The ShardWriter is unusable afterwards.

@@ -19,6 +19,20 @@ import (
 // that a corpus of a few thousand files still spreads over every worker.
 const importChunkFiles = 256
 
+// importChunks is how many chunks a walk of n entries makes.
+func importChunks(n int) int { return (n + importChunkFiles - 1) / importChunkFiles }
+
+// forEachImportChunk runs fn over the contiguous chunks [lo, hi) of a walk
+// of n entries, chunk c of importChunks(n), concurrently on the default
+// pool. fn writes only to its own entries' slots, so the result does not
+// depend on the worker count, and the error is the first in walk order.
+func forEachImportChunk(ctx context.Context, n int, fn func(c, lo, hi int) error) error {
+	return par.Default().ForEachCtx(ctx, importChunks(n), func(c int) error {
+		lo := c * importChunkFiles
+		return fn(c, lo, min(lo+importChunkFiles, n))
+	})
+}
+
 // ImportDirMappedCtx loads every regular file under dir — the same corpus
 // ImportDir builds — with a zero-copy raw view on every file alongside
 // its streaming content source. Scans over the returned FS take the
@@ -58,12 +72,7 @@ func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error)
 	// Walk first, load second: the walk order defines the corpus exactly
 	// as ImportDir does, and it reports entries without an lstat apiece —
 	// the load's own fstat is the only one a file gets.
-	type entry struct{ name, path string }
-	var entries []entry
-	err := walkFiles(dir, func(name, path string) error {
-		entries = append(entries, entry{name, path})
-		return nil
-	})
+	entries, err := walkFiles(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("vfs: import mapped %s: %w", dir, err)
 	}
@@ -73,17 +82,14 @@ func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error)
 	// worker keeps filling one slab across the chunks it claims.
 	imp := &dirImport{}
 	files := make([]File, len(entries))
-	chunks := (len(entries) + importChunkFiles - 1) / importChunkFiles
-	chunkMaps := make([][]*packstore.FileMapping, chunks)
+	chunkMaps := make([][]*packstore.FileMapping, importChunks(len(entries)))
 	var slabs sync.Pool
-	err = par.Default().ForEachCtx(ctx, chunks, func(c int) error {
+	err = forEachImportChunk(ctx, len(entries), func(c, lo, hi int) error {
 		slab, _ := slabs.Get().(*packstore.FileSlab)
 		if slab == nil {
 			slab = new(packstore.FileSlab)
 		}
 		defer slabs.Put(slab)
-		lo := c * importChunkFiles
-		hi := min(lo+importChunkFiles, len(entries))
 		for i := lo; i < hi; i++ {
 			if cerr := errs.FromContext(ctx); cerr != nil {
 				return cerr

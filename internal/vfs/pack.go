@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"repro/internal/errs"
 	"repro/internal/fnv64"
@@ -25,9 +26,10 @@ type PackOptions struct {
 	// split, so a shard holds at least one member however large. <= 0
 	// means a single unbounded shard. Default 256 MB.
 	ShardSize int64
-	// Workers bounds the content read-ahead fan-out (0 = GOMAXPROCS,
-	// 1 = serial). The written bytes are identical at any worker count:
-	// only materialisation is concurrent, appending is in List order.
+	// Workers is the number of loader goroutines that materialise and
+	// checksum members ahead of the one goroutine that writes them
+	// (0 = GOMAXPROCS). The written bytes are identical at any worker
+	// count: loading is concurrent, appending is in List order.
 	Workers int
 }
 
@@ -40,15 +42,53 @@ func (o *PackOptions) fillDefaults() {
 	}
 }
 
+// maxPrefetch is the largest file the export's loaders materialise; a
+// larger one is streamed by the writing goroutine when its turn comes, so
+// read-ahead memory is bounded at 2 × workers × maxPrefetch.
+const maxPrefetch = 4 << 20
+
+// packUnit is one slot of the export pipeline: the file a loader was
+// handed, what it made of it, and the buffer that travels with the slot.
+type packUnit struct {
+	file File
+	buf  []byte // backing array, allocated once and reused by every file the slot carries
+	data []byte // buf[:file.Size] once loaded
+	sum  uint64 // fnv64.MemberChecksum of data, folded by the loader
+	err  error
+	done chan struct{} // one send per hand-out, buffered: a loader never waits on the writer
+}
+
+// load materialises and checksums the slot's file on a loader goroutine.
+// Files above maxPrefetch are left for the writer to stream.
+func (u *packUnit) load(bufCap int64) {
+	u.data, u.err = nil, nil
+	if u.file.Size > maxPrefetch {
+		return
+	}
+	if u.buf == nil {
+		u.buf = make([]byte, bufCap)
+	}
+	if u.data, u.err = u.file.ReadInto(u.buf); u.err == nil {
+		u.sum = fnv64.MemberChecksum(fnv64.MemberInit, u.data)
+	}
+}
+
 // ExportPackCtx writes every content-backed file into pack shards under
-// dir, in List order, and returns the shard paths. The expensive part —
-// materialising content — runs ahead concurrently in a bounded window
-// while members are appended strictly in order, so
-// the shards are byte-reproducible: the same FS always produces the same
-// pack files. The context is checked between prefetch windows and before
-// each member append, so an abort lands within one window of work and the
-// partial shards on disk remain well-formed up to the last completed
-// append.
+// dir, in List order, and returns the shard paths. It is an ordered
+// two-stage pipeline. Stage one, opts.Workers loaders: each takes the next
+// file in List order, reads it into one of 2 × workers buffers (sized once
+// to the largest file at or under maxPrefetch, so a reused buffer always
+// fits) and folds its member checksum there. Stage two, the caller's
+// goroutine: it appends unit i — payload and the sum that came with it —
+// the moment unit i is ready, then hands the buffer out again for unit
+// i + 2 × workers, so loading runs ahead of writing and syncing by up to
+// that many units and never stops for them. Only stage two touches the
+// shards, strictly in List order, so they are byte-reproducible: the same
+// FS always produces the same pack files at any worker count. The error
+// reported is the first in List order. The context is checked before each
+// load and before each append, so an abort lands within one unit of work,
+// the partial shards on disk remain well-formed up to the last completed
+// append, and every loader has exited before the call returns.
 func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (paths []string, err error) {
 	opts.fillDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -64,58 +104,71 @@ func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (
 		}
 	}()
 
-	// Files above the prefetch cap are streamed at append time instead of
-	// being materialised, bounding read-ahead memory at window × cap.
-	const maxPrefetch = 4 << 20
-	pool := par.New(opts.Workers)
-	window := pool.Workers() * 2
-	if window < 2 {
-		window = 2
+	var bufCap int64
+	for _, f := range files {
+		if f.Size <= maxPrefetch && f.Size > bufCap {
+			bufCap = f.Size
+		}
 	}
-	bufs := make([][]byte, len(files))
-	for lo := 0; lo < len(files); lo += window {
-		hi := lo + window
-		if hi > len(files) {
-			hi = len(files)
-		}
-		err := pool.ForEachCtx(ctx, hi-lo, func(k int) error {
-			i := lo + k
-			if files[i].Size > maxPrefetch {
-				return nil
+	workers := par.New(opts.Workers).Workers()
+	units := make([]packUnit, min(2*workers, len(files)))
+	for i := range units {
+		units[i].done = make(chan struct{}, 1)
+	}
+	// Every slot is handed out at most once before it is taken back, so the
+	// queue never holds more than len(units) and a send never blocks.
+	queue := make(chan *packUnit, len(units))
+	loadCtx, stop := context.WithCancel(ctx)
+	var loaders sync.WaitGroup
+	for k := 0; k < min(workers, len(units)); k++ {
+		loaders.Add(1)
+		go func() {
+			defer loaders.Done()
+			for u := range queue {
+				// A unit skipped here is never appended: the context was
+				// done first, and the writer checks it before every append.
+				if loadCtx.Err() == nil {
+					u.load(bufCap)
+				}
+				u.done <- struct{}{}
 			}
-			data, err := files[i].ReadInto(bufs[i])
+		}()
+	}
+	defer func() {
+		stop()
+		close(queue)
+		loaders.Wait()
+	}()
+
+	handed := 0
+	for i, f := range files {
+		// Slot i % len(units) last carried unit i - len(units), appended
+		// below before this iteration began.
+		for ; handed < len(files) && handed < i+len(units); handed++ {
+			u := &units[handed%len(units)]
+			u.file = files[handed]
+			queue <- u
+		}
+		u := &units[i%len(units)]
+		<-u.done
+		if u.err != nil {
+			return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, u.err)
+		}
+		if cerr := errs.FromContext(ctx); cerr != nil {
+			return nil, cerr
+		}
+		if f.Size > maxPrefetch {
+			r, err := f.Open()
 			if err != nil {
-				return fmt.Errorf("vfs: export pack at %q: %w", files[i].Name, err)
+				return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, err)
 			}
-			bufs[i] = data
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i := lo; i < hi; i++ {
-			if cerr := errs.FromContext(ctx); cerr != nil {
-				return nil, cerr
-			}
-			f := files[i]
-			if f.Size > maxPrefetch || bufs[i] == nil {
-				r, err := f.Open()
-				if err != nil {
-					return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, err)
-				}
-				if err := closeReader(r, sw.Append(f.Name, f.Size, r)); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if err := sw.AppendBytes(f.Name, bufs[i]); err != nil {
+			if err := closeReader(r, sw.Append(f.Name, f.Size, r)); err != nil {
 				return nil, err
 			}
-			// Hand the backing array to a file one window ahead for reuse.
-			if j := i + window; j < len(files) {
-				bufs[j] = bufs[i][:0]
-			}
-			bufs[i] = nil
+			continue
+		}
+		if err := sw.AppendSummed(f.Name, u.data, u.sum); err != nil {
+			return nil, err
 		}
 	}
 	if err := sw.Close(); err != nil {

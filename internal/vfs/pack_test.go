@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/errs"
@@ -186,38 +185,6 @@ func TestImportPackVerified(t *testing.T) {
 	err = manifest.VerifyCtx(context.Background(), in3)
 	if !errors.Is(err, errs.ErrCorrupt) || !errors.As(err, &se) || se.File != victim {
 		t.Errorf("manifest verify over the damaged pack: %v, want ErrCorrupt naming %q", err, victim)
-	}
-}
-
-func TestExportPackDeterministicAcrossWorkers(t *testing.T) {
-	fs := packTestFS(t, 45)
-	var reference map[string][]byte
-	for _, workers := range []int{1, 2, 8} {
-		dir := t.TempDir()
-		paths, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{Prefix: "d", ShardSize: 8 * 1024, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards := make(map[string][]byte, len(paths))
-		for _, p := range paths {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shards[filepath.Base(p)] = data
-		}
-		if reference == nil {
-			reference = shards
-			continue
-		}
-		if len(shards) != len(reference) {
-			t.Fatalf("workers=%d produced %d shards, reference %d", workers, len(shards), len(reference))
-		}
-		for name, data := range shards {
-			if !bytes.Equal(data, reference[name]) {
-				t.Fatalf("workers=%d: shard %s differs from reference", workers, name)
-			}
-		}
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"repro/internal/errs"
+	"repro/internal/packstore"
 	"repro/internal/par"
 )
 
@@ -141,9 +142,11 @@ func (f File) ReadAll() ([]byte, error) {
 	return f.ReadInto(nil)
 }
 
-// closeReader closes r when it holds an OS resource (ImportDir openers
-// hand out bare *os.File readers), keeping err if one is already set.
-// Content sources that are plain in-memory readers are unaffected.
+// closeReader closes r when it holds an OS resource, keeping err if one is
+// already set. For an ImportDir file this is the only release its raw
+// descriptor gets (packstore.OpenFile: no finalizer stands behind it), so
+// every path that opens a File ends here. Content sources that are plain
+// in-memory readers are unaffected.
 func closeReader(r io.Reader, err error) error {
 	if c, ok := r.(io.Closer); ok {
 		if cerr := c.Close(); cerr != nil && err == nil {
@@ -422,29 +425,68 @@ func exportPath(dir, name string) (string, error) {
 
 // ImportDir loads every regular file under dir on the real file system into
 // a new FS, with names relative to dir (slash-separated). Only metadata is
-// read: each file is opened when a reader asks for its content.
+// read: each file is opened when a reader asks for its content, through
+// packstore.OpenFile — a raw descriptor that only the reader's Close
+// releases, which is what makes the delivery contract's "whoever calls
+// Open closes" mandatory here. The walk lists the corpus; the one lstat a
+// file gets (the walk's directory entries carry none) runs in chunks on
+// every core, and the files are added in walk order, so the FS — and the
+// error, if a file vanished in between — is the serial walk's.
 func ImportDir(dir string) (*FS, error) {
-	fs := NewFS()
-	err := walkFiles(dir, func(name, path string) error {
-		// The one lstat a file gets, as filepath.Walk made; the walk's
-		// directory entries carry none.
-		info, err := os.Lstat(path)
-		if err != nil {
-			return err
-		}
-		return fs.Add(NewContentFile(name, info.Size(), func() (io.Reader, error) { return os.Open(path) }))
-	})
+	entries, err := walkFiles(dir)
+	if err != nil {
+		return nil, fmt.Errorf("vfs: import %s: %w", dir, err)
+	}
+	fs, err := statFiles(entries)
 	if err != nil {
 		return nil, fmt.Errorf("vfs: import %s: %w", dir, err)
 	}
 	return fs, nil
 }
 
-// walkFiles is the one directory walk: it calls visit for every
-// non-directory entry under dir, each directory in lexical order, with the
-// entry's name relative to dir (slash-separated) and its path on disk.
-func walkFiles(dir string, visit func(name, path string) error) error {
-	return filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
+// statFiles is ImportDir after its walk: lstat every listed file, chunk by
+// chunk on the pool as ImportDirMappedCtx loads its chunks, then add them
+// in walk order. The error is the first in walk order, and no FS is
+// returned beside it.
+func statFiles(entries []dirEntry) (*FS, error) {
+	sizes := make([]int64, len(entries))
+	// ImportDir's signature is the harness's and carries no context; a stat
+	// is not worth cancelling.
+	err := forEachImportChunk(context.Background(), len(entries), func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			info, err := os.Lstat(entries[i].path)
+			if err != nil {
+				return err
+			}
+			sizes[i] = info.Size()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	fs := NewFS()
+	for i, e := range entries {
+		path := e.path
+		open := func() (io.Reader, error) { return packstore.OpenFile(path) }
+		if err := fs.Add(NewContentFile(e.name, sizes[i], open)); err != nil {
+			return nil, err
+		}
+	}
+	return fs, nil
+}
+
+// dirEntry is one regular file the walk found: its corpus name and its
+// path on disk.
+type dirEntry struct{ name, path string }
+
+// walkFiles is the one directory walk: it lists every non-directory entry
+// under dir, each directory in lexical order, by its name relative to dir
+// (slash-separated) and its path on disk — for the two directory imports
+// to stat or load in parallel.
+func walkFiles(dir string) ([]dirEntry, error) {
+	var entries []dirEntry
+	err := filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
@@ -452,6 +494,8 @@ func walkFiles(dir string, visit func(name, path string) error) error {
 		if err != nil {
 			return err
 		}
-		return visit(filepath.ToSlash(rel), path)
+		entries = append(entries, dirEntry{filepath.ToSlash(rel), path})
+		return nil
 	})
+	return entries, err
 }

@@ -48,8 +48,9 @@ verify-quick:
 # short budget of fresh inputs: the analyzer against Analyze, Tokenize
 # and TagText at window-straddling block sizes, the lexicon key set
 # against the map, both searcher engines against the reference walk in
-# multisearch_ref_test.go, and the record codec's two readers (a worker's
-# answer, journal replay) against hostile frames. The committed seeds
+# multisearch_ref_test.go, the record codec's two readers (a worker's
+# answer, journal replay) against hostile frames, and the lockstep member
+# checksum against one MemberChecksum per member. The committed seeds
 # already run under plain `go test`. (go test takes one package and one
 # -fuzz target per run.)
 fuzz-smoke:
@@ -57,7 +58,8 @@ fuzz-smoke:
 		./internal/textproc:FuzzStreamAnalyzerBlockSplit \
 		./internal/textproc:FuzzKnownWord \
 		./internal/textproc:FuzzMultiSearcherBlockSplit \
-		./internal/dist:FuzzRecord; do \
+		./internal/dist:FuzzRecord \
+		./internal/fnv64:FuzzMemberChecksums; do \
 		$(GO) test "$${target%%:*}" -run '^$$' -fuzz "^$${target##*:}\$$" -fuzztime 10s || exit 1; \
 	done
 
@@ -66,11 +68,14 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
-# bench-pack measures just the packstore paths (write, verify, O(1) random
-# access) and the reshape that feeds them: 12 000 files on disk imported,
-# reshaped and exported as packs (BenchmarkReshapeExport12k, root package).
+# bench-pack measures just the packstore paths (write, verify — the unit
+# shape in BenchmarkPackVerifyUnits — and O(1) random access), the reshape
+# that feeds them: 12 000 files on disk imported, reshaped and exported as
+# packs (BenchmarkReshapeExport12k, root package), and the member checksum
+# both hash with, one, two and four members in lockstep
+# (fnv64:BenchmarkMemberChecksums).
 bench-pack:
-	$(GO) test -run '^$$' -bench 'BenchmarkPack|ReshapeExport12k' . ./internal/packstore
+	$(GO) test -run '^$$' -bench 'BenchmarkPack|ReshapeExport12k|MemberChecksums' . ./internal/packstore ./internal/fnv64
 
 # bench-repo-test runs the repository benchmark harness's own tests
 # (BENCHMARK.json schema, the statistics and verdict arithmetic, a quick

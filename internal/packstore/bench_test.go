@@ -69,6 +69,20 @@ func BenchmarkPackVerify512(b *testing.B) {
 	}
 }
 
+// BenchmarkPackVerifyUnits verifies the reshaped corpus's shape: 25 unit
+// members of 1 MiB, where the fold, not the per-member overhead, is the
+// cost, so lockstep batches show at full size.
+func BenchmarkPackVerifyUnits(b *testing.B) {
+	p := benchPack(b, 25, 1<<20)
+	b.SetBytes(25 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.VerifyCtx(context.Background(), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPackWrite512(b *testing.B) {
 	data := make([]byte, 8192)
 	for i := range data {

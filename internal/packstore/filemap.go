@@ -147,3 +147,12 @@ func LoadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
 func OpenFile(path string) (io.ReadCloser, error) {
 	return openFile(path)
 }
+
+// LstatSize is the size os.Lstat reports for path (a symlink's own), and
+// the same *os.PathError when it fails, without the FileInfo: on unix one
+// lstat into a stack buffer, so an import that sizes thousands of files
+// allocates nothing per file for it; os.Lstat elsewhere and behind
+// packstore_nommap.
+func LstatSize(path string) (int64, error) {
+	return lstatSize(path)
+}

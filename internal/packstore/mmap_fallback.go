@@ -56,3 +56,12 @@ func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
 func openFile(path string) (io.ReadCloser, error) {
 	return os.Open(path)
 }
+
+// lstatSize is LstatSize through os.Lstat.
+func lstatSize(path string) (int64, error) {
+	info, err := os.Lstat(path)
+	if err != nil {
+		return 0, err
+	}
+	return info.Size(), nil
+}

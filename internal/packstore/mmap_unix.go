@@ -96,6 +96,15 @@ func openFile(path string) (io.ReadCloser, error) {
 	return &fdFile{fd: fd, path: path}, nil
 }
 
+// lstatSize is LstatSize over the system call itself.
+func lstatSize(path string) (int64, error) {
+	var st syscall.Stat_t
+	if err := ignoringEINTR(func() error { return syscall.Lstat(path, &st) }); err != nil {
+		return 0, &os.PathError{Op: "lstat", Path: path, Err: err}
+	}
+	return st.Size, nil
+}
+
 // fdFile owns a raw descriptor until Close. Nothing else will release it:
 // there is no finalizer behind it.
 type fdFile struct {

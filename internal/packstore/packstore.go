@@ -41,6 +41,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/errs"
 	"repro/internal/fnv64"
@@ -97,6 +98,13 @@ type Writer struct {
 	copyBuf []byte // streaming window, reused across Append calls
 }
 
+// writeBufPool recycles Writers' output buffers: a ShardWriter rolling
+// from one shard to the next writes the next through the buffer the last
+// one's Close gave back.
+var writeBufPool = sync.Pool{
+	New: func() any { return bufio.NewWriterSize(nil, 256*1024) },
+}
+
 // Create opens a new pack file at path, truncating any existing file,
 // and writes the header.
 func Create(path string) (*Writer, error) {
@@ -104,9 +112,11 @@ func Create(path string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("packstore: create: %w", err)
 	}
+	bw := writeBufPool.Get().(*bufio.Writer)
+	bw.Reset(f)
 	w := &Writer{
 		f:     f,
-		bw:    bufio.NewWriterSize(f, 256*1024),
+		bw:    bw,
 		path:  path,
 		names: make(map[string]struct{}),
 	}
@@ -278,9 +288,13 @@ func (w *Writer) Close() (err error) {
 		return fmt.Errorf("packstore: writer %s already closed", w.path)
 	}
 	w.closed = true
-	// The descriptor is released however finalising goes; its own error
-	// is the result only when nothing failed before it.
+	// The descriptor and the buffer are released however finalising goes;
+	// the descriptor's own error is the result only when nothing failed
+	// before it.
 	defer func() {
+		w.bw.Reset(nil)
+		writeBufPool.Put(w.bw)
+		w.bw = nil
 		if cerr := w.f.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("packstore: close %s: %w", w.path, cerr)
 		}

@@ -276,6 +276,113 @@ func TestWrongSumIsFoundByVerify(t *testing.T) {
 	}
 }
 
+// TestSetVerifyBlamesFirstBadMemberOfItsBatch: Set.VerifyCtx checks four
+// consecutive members per task in lockstep, so a batch's lanes run out at
+// different rounds and the pool finishes batches in any order. Whichever
+// batch position, round or batch the damage is in, the error names the
+// first bad member in (pack, name) order and wraps ErrCorrupt.
+func TestSetVerifyBlamesFirstBadMemberOfItsBatch(t *testing.T) {
+	// Thirteen members over two packs: batches 0–3, 4–7 (a5 | b6 spans the
+	// shard boundary), 8–11 and a last batch of one; sizes straddle the
+	// 64 KiB read window, and one member is empty.
+	sizes := []int{150000, 9, 70001, 65537, 1, 200000, 64 << 10, 0, 90000, 17, 131072, 40, 7}
+	const packA = 6 // members 0–5 in a.pack, the rest in b.pack
+	names := make([]string, len(sizes))
+	for i := range names {
+		names[i] = fmt.Sprintf("a-%02d", i)
+		if i >= packA {
+			names[i] = fmt.Sprintf("b-%02d", i)
+		}
+	}
+	build := func(t *testing.T) []string {
+		t.Helper()
+		dir := t.TempDir()
+		var paths []string
+		for _, r := range [][2]int{{0, packA}, {packA, len(sizes)}} {
+			var members []struct {
+				name string
+				data []byte
+			}
+			for i := r[0]; i < r[1]; i++ {
+				data := bytes.Repeat([]byte{byte(i + 1), byte(i * 7)}, sizes[i]/2+1)[:sizes[i]]
+				members = append(members, struct {
+					name string
+					data []byte
+				}{names[i], data})
+			}
+			path := filepath.Join(dir, names[r[0]][:1]+".pack")
+			writePack(t, path, members)
+			paths = append(paths, path)
+		}
+		return paths
+	}
+	// corrupt flips the byte at offset at (negative: from the end) of each
+	// named flat member, in whichever pack holds it.
+	corrupt := func(t *testing.T, paths []string, bad map[int]int) {
+		t.Helper()
+		for _, path := range paths {
+			p, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs := map[int]int64{}
+			for i, at := range bad {
+				if m, ok := p.Lookup(names[i]); ok {
+					if at < 0 {
+						at += int(m.Size)
+					}
+					offs[i] = m.Offset + int64(at)
+				}
+			}
+			p.Close()
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, off := range offs {
+				data[off] ^= 0xff
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := []struct {
+		name string
+		bad  map[int]int // flat member index → byte offset flipped
+		want int
+	}{
+		{"batch position 0", map[int]int{4: 0}, 4},
+		{"batch position 1", map[int]int{5: 150001}, 5},
+		{"batch position 2", map[int]int{6: 65535}, 6},
+		{"batch position 3", map[int]int{8: -1}, 8},
+		{"two batches, later first in the list", map[int]int{10: 3, 2: 70000}, 2},
+		{"two batches, same position", map[int]int{1: 4, 9: 4}, 1},
+		{"two in one batch, the later one shorter", map[int]int{5: 199999, 6: 0}, 5},
+		{"shortest lane of a batch, its last byte", map[int]int{9: -1}, 9},
+		{"the lane left folding alone, its last byte", map[int]int{10: -1}, 10},
+		{"the last batch of one", map[int]int{12: -1}, 12},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			paths := build(t)
+			corrupt(t, paths, tc.bad)
+			set, err := OpenSet(paths...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer set.Close()
+			for _, workers := range []int{1, 2, 8} {
+				err := set.VerifyCtx(context.Background(), workers)
+				var se *errs.StageError
+				if !errors.Is(err, errs.ErrCorrupt) || !errors.As(err, &se) || se.File != names[tc.want] {
+					t.Errorf("workers=%d: %v, want ErrCorrupt naming %s", workers, err, names[tc.want])
+				}
+			}
+		})
+	}
+}
+
 func TestCorruptIndexCaughtByOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.pack")
 	writePack(t, path, testMembers(5))

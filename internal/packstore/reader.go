@@ -202,7 +202,7 @@ func RecoverCtx(ctx context.Context, path string) (_ *Pack, err error) {
 			last = m
 		}
 	}
-	if p.verifyMember(last) == nil {
+	if verifyMembers([]packMember{{p, last}}) == nil {
 		return nil, fmt.Errorf("packstore: recover %s: corruption beyond the tail: %w", path, verr)
 	}
 	trimmed := make([]Member, 0, len(members)-1)
@@ -298,49 +298,104 @@ func (p *Pack) SectionReader(m Member) *io.SectionReader {
 	return io.NewSectionReader(p.ra, m.Offset, m.Size)
 }
 
-// verifyBufPool recycles the streaming windows Verify hashes through.
+// packMember is one member to verify and the pack that holds it.
+type packMember struct {
+	p *Pack
+	m Member
+}
+
+// verifyBatch is how many consecutive members one verify task checks:
+// the lanes of fnv64.MemberChecksums.
+const verifyBatch = 4
+
+// verifyWindow is how much of each member a verify task reads per step.
+// One pooled buffer carries a batch's four windows.
+const verifyWindow = 64 << 10
+
 var verifyBufPool = sync.Pool{
 	New: func() any {
-		buf := make([]byte, 256*1024)
+		buf := make([]byte, verifyBatch*verifyWindow)
 		return &buf
 	},
 }
 
-// verifyMember streams one member's payload and compares checksums. A
-// mismatch comes back as a StageError (stage "verify", file = member
-// name) wrapping errs.ErrCorrupt, so callers identify the blamed member
-// with errors.As instead of parsing the message.
-func (p *Pack) verifyMember(m Member) error {
-	sum := fnv64.MemberInit
-	r := p.SectionReader(m)
+// verifyMembers checks up to verifyBatch members against their stored
+// checksums: it preads the next window of every member not yet read
+// through, folds the windows in lockstep and repeats. The error, if any,
+// is the first bad member's in batch order — a read error or a mismatch,
+// each a StageError (stage "verify", file = member name), the mismatch
+// wrapping errs.ErrCorrupt — so callers identify the blamed member with
+// errors.As instead of parsing the message.
+func verifyMembers(batch []packMember) error {
 	bp := verifyBufPool.Get().(*[]byte)
-	var err error
-	for err == nil {
-		var n int
-		n, err = r.Read(*bp)
-		sum = fnv64.MemberChecksum(sum, (*bp)[:n])
+	defer verifyBufPool.Put(bp)
+	var sums [verifyBatch]uint64
+	var off [verifyBatch]int64
+	var failed [verifyBatch]error
+	for k := range batch {
+		sums[k] = fnv64.MemberInit
 	}
-	verifyBufPool.Put(bp)
-	if err != io.EOF {
-		return errs.StageFile("verify", m.Name, fmt.Errorf("packstore: %s: %w", p.path, err))
+	for {
+		var win [verifyBatch][]byte
+		read := false
+		for k, pm := range batch {
+			if failed[k] != nil || off[k] == pm.m.Size {
+				continue
+			}
+			w := (*bp)[k*verifyWindow:][:min(verifyWindow, pm.m.Size-off[k])]
+			n, err := pm.p.ra.ReadAt(w, pm.m.Offset+off[k])
+			if n < len(w) {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				failed[k] = errs.StageFile("verify", pm.m.Name, fmt.Errorf("packstore: %s: %w", pm.p.path, err))
+				continue
+			}
+			win[k], off[k], read = w, off[k]+int64(n), true
+		}
+		if !read {
+			break
+		}
+		fnv64.MemberChecksums(&sums, &win)
 	}
-	if sum != m.Checksum {
-		return errs.StageFile("verify", m.Name,
-			errs.Corrupt("packstore: %s: checksum %x != stored %x", p.path, sum, m.Checksum))
+	for k, pm := range batch {
+		if failed[k] != nil {
+			return failed[k]
+		}
+		if sums[k] != pm.m.Checksum {
+			return errs.StageFile("verify", pm.m.Name,
+				errs.Corrupt("packstore: %s: checksum %x != stored %x", pm.p.path, sums[k], pm.m.Checksum))
+		}
 	}
 	return nil
 }
 
-// VerifyCtx checksums every member's payload against the index, fanning
-// the FNV streams out over the pool (workers <= 0 means GOMAXPROCS). The
-// reported error is the one from the first member in name order, so the
-// outcome is identical at any worker count. Member dispatch stops once ctx
-// is done and the call returns a typed cancellation error; a corruption
-// found before the abort still wins (task errors take precedence).
-func (p *Pack) VerifyCtx(ctx context.Context, workers int) error {
-	return par.New(workers).ForEachCtx(ctx, len(p.members), func(i int) error {
-		return p.verifyMember(p.members[i])
+// verifyAll checks members in batches of verifyBatch consecutive ones on
+// the pool. The reported error is the first bad member's in slice order:
+// batches are consecutive, the pool reports the lowest failing batch and a
+// batch its first failing member. Batch dispatch stops once ctx is done
+// and the call returns a typed cancellation error; a corruption found
+// before the abort still wins (task errors take precedence).
+func verifyAll(ctx context.Context, workers int, members []packMember) error {
+	batches := (len(members) + verifyBatch - 1) / verifyBatch
+	return par.New(workers).ForEachCtx(ctx, batches, func(b int) error {
+		lo := b * verifyBatch
+		return verifyMembers(members[lo:min(lo+verifyBatch, len(members))])
 	})
+}
+
+// VerifyCtx checksums every member's payload against the index, four
+// consecutive members per task on the pool (workers <= 0 means
+// GOMAXPROCS). The reported error is the one from the first bad member in
+// name order, so the outcome is identical at any worker count. Batch
+// dispatch stops once ctx is done and the call returns a typed
+// cancellation error; a corruption found before the abort still wins.
+func (p *Pack) VerifyCtx(ctx context.Context, workers int) error {
+	members := make([]packMember, len(p.members))
+	for i, m := range p.members {
+		members[i] = packMember{p, m}
+	}
+	return verifyAll(ctx, workers, members)
 }
 
 // Close releases the pack's shared file handle. Member readers obtained

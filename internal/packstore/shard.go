@@ -6,8 +6,6 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
-
-	"repro/internal/par"
 )
 
 // ShardWriter splits a stream of members across pack files, rolling to a
@@ -145,26 +143,21 @@ func (s *Set) Len() int {
 	return n
 }
 
-// VerifyCtx checksums every member of every pack on one pool, so a set of
-// many small shards still saturates the machine. Errors are reported for
-// the first failing member in (pack, name) order, independent of worker
-// count. The flattened (pack, member) dispatch stops once ctx is done and
-// the call returns a typed cancellation error; a corruption found before
-// the abort still wins.
+// VerifyCtx checksums every member of every pack on one pool, four
+// consecutive members of the (pack, name) order per task — a batch may
+// span two shards — so a set of many small shards still saturates the
+// machine. Errors are reported for the first failing member in (pack,
+// name) order, independent of worker count. Batch dispatch stops once ctx
+// is done and the call returns a typed cancellation error; a corruption
+// found before the abort still wins.
 func (s *Set) VerifyCtx(ctx context.Context, workers int) error {
-	type slot struct {
-		p *Pack
-		m Member
-	}
-	flat := make([]slot, 0, s.Len())
+	flat := make([]packMember, 0, s.Len())
 	for _, p := range s.packs {
 		for _, m := range p.Members() {
-			flat = append(flat, slot{p, m})
+			flat = append(flat, packMember{p, m})
 		}
 	}
-	return par.New(workers).ForEachCtx(ctx, len(flat), func(i int) error {
-		return flat[i].p.verifyMember(flat[i].m)
-	})
+	return verifyAll(ctx, workers, flat)
 }
 
 // Close closes every pack, returning the first error.

@@ -111,7 +111,7 @@ func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error)
 	for _, ms := range chunkMaps {
 		imp.maps = append(imp.maps, ms...)
 	}
-	fs := NewFS()
+	fs := newFS(len(files))
 	for i := 0; err == nil && i < len(files); i++ {
 		err = fs.Add(files[i])
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -114,6 +115,89 @@ func TestImportsShareOneWalk(t *testing.T) {
 			t.Errorf("%s lists %v, want %v", which, got, want)
 		}
 	}
+}
+
+// walkDirReference is the walk walkFiles replaced: filepath.WalkDir, with
+// each name recovered from its path.
+func walkDirReference(dir string) ([]dirEntry, error) {
+	var entries []dirEntry
+	err := filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		entries = append(entries, dirEntry{filepath.ToSlash(rel), path})
+		return nil
+	})
+	return entries, err
+}
+
+// TestWalkFilesMatchesWalkDir pins the walk to filepath.WalkDir's order,
+// names and paths on a tree where walk order and a flat sort of the names
+// disagree ('-' and '.' sort before '/', so "a-b" and "a.b" precede "a/x"
+// in a sort but follow it in the walk), with a nested level, empty
+// directories and a symlink to a directory, which is listed and not
+// followed. An unreadable subdirectory is an error, as it is for WalkDir.
+func TestWalkFilesMatchesWalkDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"a/x", "a/b/c/deep", "a-b", "a.b", "a0", "z/last"} {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, empty := range []string{"empty", "z/hollow"} {
+		if err := os.MkdirAll(filepath.Join(dir, empty), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Symlink(filepath.Join(dir, "a"), filepath.Join(dir, "link")); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+	got, err := walkFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := walkDirReference(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("walkFiles lists\n%v\nfilepath.WalkDir\n%v", got, want)
+	}
+	var names []string
+	for _, e := range got {
+		names = append(names, e.name)
+	}
+	if want := []string{"a/b/c/deep", "a/x", "a-b", "a.b", "a0", "link", "z/last"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("walk order %q, want %q", names, want)
+	}
+
+	if _, err := walkFiles(filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("walk of a missing root: %v, want os.ErrNotExist", err)
+	}
+	t.Run("unreadable subdirectory", func(t *testing.T) {
+		locked := filepath.Join(dir, "z")
+		if err := os.Chmod(locked, 0); err != nil {
+			t.Fatal(err)
+		}
+		defer os.Chmod(locked, 0o755)
+		if _, err := os.ReadDir(locked); err == nil {
+			t.Skip("permission bits do not stop this user reading a directory")
+		}
+		if _, err := walkFiles(dir); !errors.Is(err, os.ErrPermission) {
+			t.Fatalf("walk over an unreadable directory: %v, want os.ErrPermission", err)
+		}
+		if _, err := walkDirReference(dir); !errors.Is(err, os.ErrPermission) {
+			t.Fatalf("reference walk over an unreadable directory: %v, want os.ErrPermission", err)
+		}
+	})
 }
 
 // TestImportDirMappedMatchesImportDir: the mapped import exposes the same

@@ -26,8 +26,8 @@ type PackOptions struct {
 	// split, so a shard holds at least one member however large. <= 0
 	// means a single unbounded shard. Default 256 MB.
 	ShardSize int64
-	// Workers is the number of loader goroutines that materialise and
-	// checksum members ahead of the one goroutine that writes them
+	// Workers is the number of loader goroutines that materialise members
+	// ahead of the one goroutine that checksums and writes them
 	// (0 = GOMAXPROCS). The written bytes are identical at any worker
 	// count: loading is concurrent, appending is in List order.
 	Workers int
@@ -43,8 +43,8 @@ func (o *PackOptions) fillDefaults() {
 }
 
 // maxPrefetch is the largest file the export's loaders materialise; a
-// larger one is streamed by the writing goroutine when its turn comes, so
-// read-ahead memory is bounded at 2 × workers × maxPrefetch.
+// larger one is streamed by the writing goroutine when its turn comes.
+// Read-ahead memory is bounded at 2 × workers × maxPrefetch.
 const maxPrefetch = 4 << 20
 
 // packUnit is one slot of the export pipeline: the file a loader was
@@ -53,13 +53,13 @@ type packUnit struct {
 	file File
 	buf  []byte // backing array, allocated once and reused by every file the slot carries
 	data []byte // buf[:file.Size] once loaded
-	sum  uint64 // fnv64.MemberChecksum of data, folded by the loader
+	sum  uint64 // fnv64 member checksum of data, folded by the writer with its batch
 	err  error
 	done chan struct{} // one send per hand-out, buffered: a loader never waits on the writer
 }
 
-// load materialises and checksums the slot's file on a loader goroutine.
-// Files above maxPrefetch are left for the writer to stream.
+// load materialises the slot's file on a loader goroutine. Files above
+// maxPrefetch are left for the writer to stream.
 func (u *packUnit) load(bufCap int64) {
 	u.data, u.err = nil, nil
 	if u.file.Size > maxPrefetch {
@@ -68,27 +68,45 @@ func (u *packUnit) load(bufCap int64) {
 	if u.buf == nil {
 		u.buf = make([]byte, bufCap)
 	}
-	if u.data, u.err = u.file.ReadInto(u.buf); u.err == nil {
-		u.sum = fnv64.MemberChecksum(fnv64.MemberInit, u.data)
+	u.data, u.err = u.file.ReadInto(u.buf)
+}
+
+// sumBatch waits until units lo..hi-1 of the export (slot i % len(units)
+// carries unit i) are loaded and folds the member checksums of the ones
+// that loaded in one lockstep pass. A unit that failed or is left to
+// stream has no data; its sum is never used.
+func sumBatch(units []packUnit, lo, hi int) {
+	var sums [4]uint64
+	var data [4][]byte
+	for i := lo; i < hi; i++ {
+		u := &units[i%len(units)]
+		<-u.done
+		sums[i-lo], data[i-lo] = fnv64.MemberInit, u.data
+	}
+	fnv64.MemberChecksums(&sums, &data)
+	for i := lo; i < hi; i++ {
+		units[i%len(units)].sum = sums[i-lo]
 	}
 }
 
 // ExportPackCtx writes every content-backed file into pack shards under
 // dir, in List order, and returns the shard paths. It is an ordered
 // two-stage pipeline. Stage one, opts.Workers loaders: each takes the next
-// file in List order, reads it into one of 2 × workers buffers (sized once
-// to the largest file at or under maxPrefetch, so a reused buffer always
-// fits) and folds its member checksum there. Stage two, the caller's
-// goroutine: it appends unit i — payload and the sum that came with it —
-// the moment unit i is ready, then hands the buffer out again for unit
-// i + 2 × workers, so loading runs ahead of writing and syncing by up to
-// that many units and never stops for them. Only stage two touches the
-// shards, strictly in List order, so they are byte-reproducible: the same
-// FS always produces the same pack files at any worker count. The error
-// reported is the first in List order. The context is checked before each
-// load and before each append, so an abort lands within one unit of work,
-// the partial shards on disk remain well-formed up to the last completed
-// append, and every loader has exited before the call returns.
+// file in List order and reads it into a slot's buffer (sized once to the
+// largest file at or under maxPrefetch, so a reused buffer always fits;
+// up to 2 × workers + 4 slots, as many as 2 × workers × maxPrefetch
+// bytes hold). Stage two, the caller's goroutine: it waits for the next
+// batch of up to four units, folds their member checksums in lockstep
+// (fnv64.MemberChecksums), then appends each — payload and sum — and
+// hands its slot straight out again for the unit that many places later,
+// so loading runs ahead of summing, writing and syncing and never stops
+// for them. Only stage two touches the shards, strictly in List order, so
+// they are byte-reproducible: the same FS always produces the same pack
+// files at any worker count. The error reported is the first in List
+// order. The context is checked before each load and before each append,
+// so an abort lands within one batch of work, the partial shards on disk
+// remain well-formed up to the last completed append, and every loader
+// has exited before the call returns.
 func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (paths []string, err error) {
 	opts.fillDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -111,7 +129,11 @@ func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (
 		}
 	}
 	workers := par.New(opts.Workers).Workers()
-	units := make([]packUnit, min(2*workers, len(files)))
+	// As many slots as the read-ahead budget holds at bufCap apiece, up to
+	// 2 × workers + 4: the loaders' 2 × workers plus a batch of four for the
+	// writer to sum. The budget holds at least 2 × workers of any size.
+	budget := 2 * int64(workers) * maxPrefetch
+	units := make([]packUnit, min(int64(2*workers+4), budget/max(bufCap, 1), int64(len(files))))
 	for i := range units {
 		units[i].done = make(chan struct{}, 1)
 	}
@@ -140,35 +162,46 @@ func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (
 		loaders.Wait()
 	}()
 
+	// handOut gives units up to (not including) upTo to the loaders. Slot
+	// j % len(units) last carried unit j - len(units), which the writer
+	// appended before handing unit j out.
 	handed := 0
-	for i, f := range files {
-		// Slot i % len(units) last carried unit i - len(units), appended
-		// below before this iteration began.
-		for ; handed < len(files) && handed < i+len(units); handed++ {
+	handOut := func(upTo int) {
+		for ; handed < min(upTo, len(files)); handed++ {
 			u := &units[handed%len(units)]
 			u.file = files[handed]
 			queue <- u
 		}
-		u := &units[i%len(units)]
-		<-u.done
-		if u.err != nil {
-			return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, u.err)
-		}
-		if cerr := errs.FromContext(ctx); cerr != nil {
-			return nil, cerr
-		}
-		if f.Size > maxPrefetch {
-			r, err := f.Open()
-			if err != nil {
-				return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, err)
+	}
+	handOut(len(units))
+	// The writer sums a batch of up to four consecutive units in lockstep,
+	// then appends them one by one, handing each slot straight back. A
+	// batch takes at most half the slots, so the loaders always have the
+	// other half to run ahead into.
+	lanes := min(4, max(1, len(units)/2))
+	for lo := 0; lo < len(files); lo += lanes {
+		hi := min(lo+lanes, len(files))
+		sumBatch(units, lo, hi)
+		for i := lo; i < hi; i++ {
+			f, u := files[i], &units[i%len(units)]
+			if u.err != nil {
+				return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, u.err)
 			}
-			if err := closeReader(r, sw.Append(f.Name, f.Size, r)); err != nil {
+			if cerr := errs.FromContext(ctx); cerr != nil {
+				return nil, cerr
+			}
+			if f.Size > maxPrefetch {
+				r, err := f.Open()
+				if err != nil {
+					return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, err)
+				}
+				if err := closeReader(r, sw.Append(f.Name, f.Size, r)); err != nil {
+					return nil, err
+				}
+			} else if err := sw.AppendSummed(f.Name, u.data, u.sum); err != nil {
 				return nil, err
 			}
-			continue
-		}
-		if err := sw.AppendSummed(f.Name, u.data, u.sum); err != nil {
-			return nil, err
+			handOut(i + 1 + len(units))
 		}
 	}
 	if err := sw.Close(); err != nil {

@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	iofs "io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -290,8 +289,13 @@ func (fs *FS) invalidate() {
 }
 
 // NewFS returns an empty file system.
-func NewFS() *FS {
-	return &FS{files: make(map[string]File)}
+func NewFS() *FS { return newFS(0) }
+
+// newFS returns an empty file system with room for n files, for an import
+// that knows its count before its first Add: the map and the order slice
+// are allocated once instead of grown under the adds.
+func newFS(n int) *FS {
+	return &FS{files: make(map[string]File, n), order: make([]string, 0, n)}
 }
 
 // Add inserts a file, rejecting duplicates and negative sizes.
@@ -454,18 +458,18 @@ func statFiles(entries []dirEntry) (*FS, error) {
 	// is not worth cancelling.
 	err := forEachImportChunk(context.Background(), len(entries), func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			info, err := os.Lstat(entries[i].path)
+			size, err := packstore.LstatSize(entries[i].path)
 			if err != nil {
 				return err
 			}
-			sizes[i] = info.Size()
+			sizes[i] = size
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	fs := NewFS()
+	fs := newFS(len(entries))
 	for i, e := range entries {
 		path := e.path
 		open := func() (io.Reader, error) { return packstore.OpenFile(path) }
@@ -481,21 +485,33 @@ func statFiles(entries []dirEntry) (*FS, error) {
 type dirEntry struct{ name, path string }
 
 // walkFiles is the one directory walk: it lists every non-directory entry
-// under dir, each directory in lexical order, by its name relative to dir
-// (slash-separated) and its path on disk — for the two directory imports
-// to stat or load in parallel.
+// under dir by its name relative to dir (slash-separated) and its path on
+// disk — for the two directory imports to stat or load in parallel. It
+// walks as filepath.WalkDir does — depth-first, each directory in lexical
+// order, symlinks listed and not followed, an unreadable directory an
+// error — but builds each name and path by appending the entry to its
+// directory's, as it descends, instead of recovering the name from the
+// path with filepath.Rel per entry.
 func walkFiles(dir string) ([]dirEntry, error) {
 	var entries []dirEntry
-	err := filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		rel, err := filepath.Rel(dir, path)
+	var walk func(path, prefix string) error
+	walk = func(path, prefix string) error {
+		list, err := os.ReadDir(path)
 		if err != nil {
 			return err
 		}
-		entries = append(entries, dirEntry{filepath.ToSlash(rel), path})
+		for _, d := range list {
+			name, sub := prefix+d.Name(), path+d.Name()
+			if !d.IsDir() {
+				entries = append(entries, dirEntry{name, sub})
+			} else if err := walk(sub+string(filepath.Separator), name+"/"); err != nil {
+				return err
+			}
+		}
 		return nil
-	})
-	return entries, err
+	}
+	if dir != "" && !os.IsPathSeparator(dir[len(dir)-1]) {
+		dir += string(filepath.Separator)
+	}
+	return entries, walk(dir, "")
 }

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-pack bench-repo-test chaos-smoke clean
+.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-kernels bench-pack bench-repo-test chaos-smoke clean
 
 all: build
 
@@ -47,17 +47,19 @@ verify-quick:
 # fuzz-smoke gives each fuzz target that decodes or scans outside bytes a
 # short budget of fresh inputs: the analyzer against Analyze, Tokenize
 # and TagText at window-straddling block sizes, the lexicon key set
-# against the map, both searcher engines against the reference walk in
-# multisearch_ref_test.go, the record codec's two readers (a worker's
-# answer, journal replay) against hostile frames, and the lockstep member
-# checksum against one MemberChecksum per member. The committed seeds
-# already run under plain `go test`. (go test takes one package and one
-# -fuzz target per run.)
+# against the map, both searcher engines (and the checksum their FeedSum
+# carries) against the reference walk in multisearch_ref_test.go and
+# hash/fnv, every production kernel's Restore against arbitrary states,
+# the record codec's two readers (a worker's answer, journal replay)
+# against hostile frames, and the lockstep member checksum against one
+# MemberChecksum per member. The committed seeds already run under plain
+# `go test`. (go test takes one package and one -fuzz target per run.)
 fuzz-smoke:
 	for target in \
 		./internal/textproc:FuzzStreamAnalyzerBlockSplit \
 		./internal/textproc:FuzzKnownWord \
 		./internal/textproc:FuzzMultiSearcherBlockSplit \
+		./internal/textproc:FuzzKernelRestore \
 		./internal/dist:FuzzRecord \
 		./internal/fnv64:FuzzMemberChecksums; do \
 		$(GO) test "$${target%%:*}" -run '^$$' -fuzz "^$${target##*:}\$$" -fuzztime 10s || exit 1; \
@@ -67,6 +69,14 @@ fuzz-smoke:
 # measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
+
+# bench-kernels measures every per-kernel throughput benchmark in the root
+# package (BenchmarkKernel*PerMB: checksum, match, the checksum carried by
+# the matcher under scan.Run, statistics, statistics with the lexicon) on
+# one core, over 1 MiB of each of three text shapes. Single samples swing
+# ±15 % on a shared host: read the best of the -count runs.
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'Kernel.*PerMB' -benchtime 20x -cpu 1 -count 5 .
 
 # bench-pack measures just the packstore paths (write, verify — the unit
 # shape in BenchmarkPackVerifyUnits — and O(1) random access), the reshape

@@ -561,13 +561,19 @@ func BenchmarkRetrievalSegmentation(b *testing.B) {
 // "accented", the same with an 'é' every 40 bytes or so — a tokenizer can
 // be fast on the first and slow on the others.
 
+type kernelShape struct {
+	name string
+	text []byte
+}
+
+func kernelShapes() []kernelShape {
+	plain := corpus.NewGenerator(corpus.NewsStyle(), 6).Text(1 << 20)
+	return []kernelShape{{"plain", plain}, {"wrapped", kerneltest.Prose(plain, 1000)}, {"accented", kerneltest.Prose(plain, 4)}}
+}
+
 func benchKernelPerMB(b *testing.B, mk func() scan.Kernel) {
 	b.Helper()
-	plain := corpus.NewGenerator(corpus.NewsStyle(), 6).Text(1 << 20)
-	for _, shape := range []struct {
-		name string
-		text []byte
-	}{{"plain", plain}, {"wrapped", kerneltest.Prose(plain, 1000)}, {"accented", kerneltest.Prose(plain, 4)}} {
+	for _, shape := range kernelShapes() {
 		b.Run(shape.name, func(b *testing.B) {
 			src := scan.Source{Name: "kernel-1mb", Size: int64(len(shape.text))}
 			k := mk()
@@ -587,12 +593,44 @@ func BenchmarkKernelChecksumPerMB(b *testing.B) {
 	benchKernelPerMB(b, func() scan.Kernel { return scan.NewChecksum() })
 }
 
+var kernelPatterns = []string{"the", "and", "president", "market", "city", "nation", "report", "error"}
+
 func BenchmarkKernelMatchPerMB(b *testing.B) {
-	ms, err := textproc.NewMultiSearcher([]string{"the", "and", "president", "market", "city", "nation", "report", "error"})
+	ms, err := textproc.NewMultiSearcher(kernelPatterns)
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchKernelPerMB(b, func() scan.Kernel { return textproc.NewMatchKernel(ms) })
+}
+
+// BenchmarkKernelChecksumMatchPerMB is the checksum and the match kernel
+// as a measurement holds them: scan.Run, one worker, over one 1 MiB raw
+// source, so the checksum rides the matcher's byte loop
+// (scan.SumCarrier). Read against KernelMatchPerMB and
+// KernelChecksumPerMB, it is what the pair costs over the matcher alone.
+func BenchmarkKernelChecksumMatchPerMB(b *testing.B) {
+	ms, err := textproc.NewMultiSearcher(kernelPatterns)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, shape := range kernelShapes() {
+		b.Run(shape.name, func(b *testing.B) {
+			text := shape.text
+			srcs := []scan.Source{{
+				Name: "kernel-1mb", Size: int64(len(text)),
+				Raw: scan.BytesFunc(func() ([]byte, error) { return text, nil }),
+			}}
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				err := scan.Run(context.Background(), srcs, scan.Options{Workers: 1}, scan.NewChecksum(), textproc.NewMatchKernel(ms))
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkKernelStatsPerMB(b *testing.B) {

@@ -9,8 +9,9 @@
 // Fold / FoldString / FoldU64 from Offset. Content folds hash every byte
 // of every member and call MemberChecksum from MemberInit (or
 // MemberChecksums, four members in lockstep, where one goroutine holds
-// several): those names are the single statement of "a member's checksum
-// is FNV-64a", so changing the content hash is an edit here plus a pack
+// several, or MemberStep, a byte at a time inside another kernel's loop):
+// those names are the single statement of "a member's checksum is
+// FNV-64a", so changing the content hash is an edit here plus a pack
 // magic bump.
 package fnv64
 
@@ -68,6 +69,13 @@ const MemberInit = Offset
 // verified pack import — calls this name, so the stored sums, the
 // manifests and the kernel agree by construction.
 func MemberChecksum(h uint64, p []byte) uint64 { return Fold(h, p) }
+
+// MemberStep advances a member checksum by one byte: MemberChecksum(h, p)
+// is MemberStep applied to p's bytes in turn. It is for a per-byte loop
+// that carries the checksum beside a chain of its own — the matcher's
+// bitap step — so the two latency-bound chains overlap in one loop
+// instead of each paying a pass.
+func MemberStep(h uint64, c byte) uint64 { return (h ^ uint64(c)) * prime }
 
 // MemberChecksums advances four independent member checksums at once:
 // sums[k] = MemberChecksum(sums[k], members[k]) for each k, bit for bit.

@@ -21,8 +21,9 @@ func oracle(p []byte) uint64 {
 
 // TestFoldEqualsHashFNV holds every form of the fold to the standard
 // library on random bytes: each length that exercises the unrolled body
-// and its tail, cut in two at every offset, and one buffer large enough
-// to run the unrolled loop for real.
+// and its tail, cut in two at every offset, byte by byte through
+// MemberStep, and one buffer large enough to run the unrolled loop for
+// real.
 func TestFoldEqualsHashFNV(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	for n := 0; n <= 64; n++ {
@@ -31,6 +32,13 @@ func TestFoldEqualsHashFNV(t *testing.T) {
 		want := oracle(p)
 		if got := fnv64.FoldString(fnv64.Offset, string(p)); got != want {
 			t.Fatalf("FoldString, %d bytes: %x, hash/fnv %x", n, got, want)
+		}
+		step := fnv64.MemberInit
+		for _, c := range p {
+			step = fnv64.MemberStep(step, c)
+		}
+		if step != want {
+			t.Fatalf("MemberStep, %d bytes: %x, hash/fnv %x", n, step, want)
 		}
 		for cut := 0; cut <= n; cut++ {
 			if got := fnv64.Fold(fnv64.Fold(fnv64.Offset, p[:cut]), p[cut:]); got != want {

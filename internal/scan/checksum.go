@@ -47,7 +47,8 @@ func (c *Checksum) Begin(src Source) {
 	c.cur = FileSum{Name: src.Name, Size: src.Size}
 }
 
-// Block implements Kernel.
+// Block implements Kernel. A run whose kernels include a SumCarrier does
+// not call it: the carrier folds the sum in its own loop.
 func (c *Checksum) Block(p []byte) { c.h = fnv64.MemberChecksum(c.h, p) }
 
 // End implements Kernel: the completed file is folded into the kernel's

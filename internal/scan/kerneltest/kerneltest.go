@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/errs"
+	"repro/internal/fnv64"
 	"repro/internal/scan"
 )
 
@@ -108,6 +109,20 @@ func feed(k scan.Kernel, src scan.Source, content []byte, blockSize int) {
 	k.End()
 }
 
+// feedSum is feed through a carrier's BlockSum, the way a run that
+// carries a checksum drives it, and returns the member checksum the
+// carrier folded beside its own work.
+func feedSum(k scan.Kernel, src scan.Source, content []byte, blockSize int) uint64 {
+	c := k.(scan.SumCarrier)
+	h := fnv64.MemberInit
+	k.Begin(src)
+	for off := 0; off < len(content); off += blockSize {
+		h = c.BlockSum(h, content[off:min(off+blockSize, len(content))])
+	}
+	k.End()
+	return h
+}
+
 // accumulate scans files [lo, hi) the way the engine does — a private
 // fork per file, merged in input order into a root fork — and returns
 // the root.
@@ -118,6 +133,22 @@ func accumulate(t *testing.T, proto scan.Kernel, contents [][]byte, lo, hi, bloc
 	for i := lo; i < hi; i++ {
 		k := proto.Fork()
 		feed(k, srcs[i], contents[i], blockSize)
+		root.Merge(k)
+	}
+	return root
+}
+
+// accumulateSum is accumulate over every file through BlockSum, holding
+// each file's carried sum to its member checksum.
+func accumulateSum(t *testing.T, proto scan.Kernel, contents [][]byte, blockSize int) scan.Kernel {
+	t.Helper()
+	srcs := sources(contents)
+	root := proto.Fork()
+	for i, c := range contents {
+		k := proto.Fork()
+		if got, want := feedSum(k, srcs[i], c, blockSize), fnv64.MemberChecksum(fnv64.MemberInit, c); got != want {
+			t.Errorf("%T: BlockSum over %s at block size %d carried %#x, member checksum %#x", proto, srcs[i].Name, blockSize, got, want)
+		}
 		root.Merge(k)
 	}
 	return root
@@ -137,6 +168,9 @@ func snapshot(t *testing.T, k scan.Kernel) []byte {
 //
 //   - block-size independence: the accumulated snapshot is bit-identical
 //     at every BlockSizes entry;
+//   - a scan.SumCarrier fed through BlockSum instead of Block snapshots
+//     the same bytes at every BlockSizes entry, and the sum it returns is
+//     each file's fnv64.MemberChecksum;
 //   - Snapshot→Restore→Snapshot is bit-identical;
 //   - an element count the payload cannot hold is ErrCorrupt, and Restore
 //     allocates less than twice the payload finding that out;
@@ -159,6 +193,16 @@ func Conformance(t *testing.T, proto scan.Kernel, contents [][]byte) {
 		got := snapshot(t, accumulate(t, proto, contents, 0, len(contents), bs))
 		if !bytes.Equal(got, want) {
 			t.Errorf("%T: snapshot at block size %d differs from block size %d", proto, bs, BlockSizes[0])
+		}
+	}
+
+	// A carrier fed through BlockSum accumulates exactly what Block does,
+	// and carries each file's member checksum.
+	if _, ok := proto.(scan.SumCarrier); ok {
+		for _, bs := range BlockSizes {
+			if got := snapshot(t, accumulateSum(t, proto, contents, bs)); !bytes.Equal(got, want) {
+				t.Errorf("%T: snapshot through BlockSum at block size %d differs from Block's", proto, bs)
+			}
 		}
 	}
 

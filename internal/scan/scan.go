@@ -130,6 +130,82 @@ type Kernel interface {
 	Merge(other Kernel)
 }
 
+// SumCarrier is a kernel whose per-byte loop can carry the member checksum
+// beside its own work: BlockSum(h, p) has exactly Block(p)'s effect on the
+// kernel and returns fnv64.MemberChecksum(h, p). When a run's kernels hold
+// a *Checksum and a carrier, Run feeds the carrier through BlockSum with
+// the checksum's running state instead of calling both Blocks, so the
+// checksum's xor-multiply chain shares the carrier's loop rather than
+// paying a pass of its own. Begin, End, Merge and the state codec of both
+// kernels are untouched, and so is every bit they accumulate.
+type SumCarrier interface {
+	BlockSum(h uint64, p []byte) uint64
+}
+
+// kernelSet is one worker's forked kernels and the way a window reaches
+// them: every kernel in all sees Begin, End and Merge in registration
+// order; a window goes to the carrier through BlockSum when the set
+// carries its checksum, and to the rest through Block.
+type kernelSet struct {
+	all     []Kernel
+	block   []Kernel // all but a carried checksum and its carrier
+	sum     *Checksum
+	carrier SumCarrier
+}
+
+// carriedChecksum is the one decision a run makes about carrying, from
+// its prototypes and before it forks anything: the positions of the first
+// *Checksum and the first SumCarrier, or -1 for both when the kernels
+// lack either.
+func carriedChecksum(kernels []Kernel) (sum, carrier int) {
+	sum, carrier = -1, -1
+	for i, k := range kernels {
+		switch k.(type) {
+		case *Checksum:
+			if sum < 0 {
+				sum = i
+			}
+		case SumCarrier:
+			if carrier < 0 {
+				carrier = i
+			}
+		}
+	}
+	if sum < 0 || carrier < 0 {
+		return -1, -1
+	}
+	return sum, carrier
+}
+
+// forkSet forks every prototype into a new set, routing windows as
+// carriedChecksum decided.
+func forkSet(kernels []Kernel, sum, carrier int) *kernelSet {
+	s := &kernelSet{all: make([]Kernel, len(kernels))}
+	for i, k := range kernels {
+		f := k.Fork()
+		s.all[i] = f
+		switch i {
+		case sum:
+			s.sum = f.(*Checksum)
+		case carrier:
+			s.carrier = f.(SumCarrier)
+		default:
+			s.block = append(s.block, f)
+		}
+	}
+	return s
+}
+
+// feed delivers the next window of the current file to the set.
+func (s *kernelSet) feed(p []byte) {
+	if s.carrier != nil {
+		s.sum.h = s.carrier.BlockSum(s.sum.h, p)
+	}
+	for _, k := range s.block {
+		k.Block(p)
+	}
+}
+
 // Options configures a scan run.
 type Options struct {
 	// Workers bounds the fan-out (0 or negative = GOMAXPROCS; 1 = serial).
@@ -192,6 +268,9 @@ func chunkBounds(srcs []Source, workers int) []int {
 // pays one set claim, one lock round trip and one Merge per kernel per
 // chunk instead of per file, while a corpus of large unit files, each a
 // chunk of its own, dispatches exactly file by file.
+//
+// Run decides once, from the kernels it is given, whether a checksum
+// rides a carrier (SumCarrier); nothing else about a run changes with it.
 func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) error {
 	if len(kernels) == 0 {
 		return errs.Invalid("scan: no kernels registered")
@@ -216,11 +295,12 @@ func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) er
 		return &b
 	}}
 	var mu sync.Mutex
-	var free [][]Kernel
-	slots := make([][]Kernel, n)
+	var free []*kernelSet
+	slots := make([]*kernelSet, n)
 	frontier := 0
+	sum, carrier := carriedChecksum(kernels)
 
-	fork := func() []Kernel {
+	fork := func() *kernelSet {
 		mu.Lock()
 		if k := len(free) - 1; k >= 0 {
 			set := free[k]
@@ -229,11 +309,7 @@ func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) er
 			return set
 		}
 		mu.Unlock()
-		set := make([]Kernel, len(kernels))
-		for i, k := range kernels {
-			set[i] = k.Fork()
-		}
-		return set
+		return forkSet(kernels, sum, carrier)
 	}
 
 	return pool.ForEachCtx(ctx, n, func(c int) error {
@@ -258,7 +334,7 @@ func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) er
 		for frontier < n && slots[frontier] != nil {
 			done := slots[frontier]
 			slots[frontier] = nil
-			for j, k := range done {
+			for j, k := range done.all {
 				kernels[j].Merge(k)
 			}
 			free = append(free, done)
@@ -273,9 +349,10 @@ func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) er
 // held against the declared size — short or over-long content is as
 // corrupt here as it is in vfs.ReadInto — and End on every kernel. A
 // source with a raw view is delivered from it and its Content is never
-// opened; any other streams through a pooled buffer.
-func scanFile(src Source, set []Kernel, blockSize int, bufs *sync.Pool) error {
-	for _, k := range set {
+// opened; any other streams through a pooled buffer. Both loops hand each
+// window to the set's one feed, so a carried checksum rides either.
+func scanFile(src Source, set *kernelSet, blockSize int, bufs *sync.Pool) error {
+	for _, k := range set.all {
 		k.Begin(src)
 	}
 	var n int64
@@ -294,7 +371,7 @@ func scanFile(src Source, set []Kernel, blockSize int, bufs *sync.Pool) error {
 	if n != src.Size {
 		return errs.Corrupt("scan: %q declared %d bytes but content has %d", src.Name, src.Size, n)
 	}
-	for _, k := range set {
+	for _, k := range set.all {
 		k.End()
 	}
 	return nil
@@ -304,16 +381,13 @@ func scanFile(src Source, set []Kernel, blockSize int, bufs *sync.Pool) error {
 // content comes back as one borrowed slice and kernels see it in
 // blockSize windows — subslices of the original, nothing copied, no
 // buffer recycled. It returns the bytes delivered.
-func deliverRaw(src Source, set []Kernel, blockSize int) (int64, error) {
+func deliverRaw(src Source, set *kernelSet, blockSize int) (int64, error) {
 	data, err := src.Raw.Bytes()
 	if err != nil {
 		return 0, fmt.Errorf("scan: raw open %q: %w", src.Name, err)
 	}
 	for off := 0; off < len(data); off += blockSize {
-		b := data[off:min(off+blockSize, len(data))]
-		for _, k := range set {
-			k.Block(b)
-		}
+		set.feed(data[off:min(off+blockSize, len(data))])
 	}
 	return int64(len(data)), nil
 }
@@ -321,7 +395,7 @@ func deliverRaw(src Source, set []Kernel, blockSize int) (int64, error) {
 // deliverStream streams a source through the kernel set: exactly one
 // Open, one pass of reads into buf, one Close. It returns the bytes
 // delivered.
-func deliverStream(src Source, set []Kernel, buf []byte) (int64, error) {
+func deliverStream(src Source, set *kernelSet, buf []byte) (int64, error) {
 	if src.Content == nil {
 		return 0, errs.Invalid("scan: source %q has no content", src.Name)
 	}
@@ -335,9 +409,7 @@ func deliverStream(src Source, set []Kernel, buf []byte) (int64, error) {
 		n, err := r.Read(buf)
 		if n > 0 {
 			total += int64(n)
-			for _, k := range set {
-				k.Block(buf[:n])
-			}
+			set.feed(buf[:n])
 		}
 		if err == io.EOF {
 			break

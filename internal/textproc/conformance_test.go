@@ -2,6 +2,7 @@ package textproc_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/errs"
@@ -51,21 +52,35 @@ func TestStatsKernelRejectsForeignStates(t *testing.T) {
 // TestMatchKernelConformance pins the portable-state contract for the
 // grep kernel, in both exact and case-folded configurations — the folded
 // automaton has a different byte-class table, so its boundary-straddling
-// behaviour is pinned separately.
+// behaviour is pinned separately — and on both engines: the production
+// 8-pattern set (42 pattern bytes, bitap) and a set past bitap's 64
+// (Aho–Corasick). The kernel is a scan.SumCarrier, so each run also holds
+// BlockSum to Block and the carried sum to the member checksum.
 func TestMatchKernelConformance(t *testing.T) {
-	patterns := []string{"the", "error", "Unknownzz"}
-	t.Run("exact", func(t *testing.T) {
-		ms, err := textproc.NewMultiSearcher(patterns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kerneltest.Conformance(t, textproc.NewMatchKernel(ms), nil)
-	})
-	t.Run("folded", func(t *testing.T) {
-		ms, err := textproc.NewFoldedMultiSearcher(patterns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kerneltest.Conformance(t, textproc.NewMatchKernel(ms), nil)
-	})
+	for _, c := range []struct {
+		name     string
+		patterns []string
+		folded   bool
+	}{
+		{"exact", []string{"the", "error", "Unknownzz"}, false},
+		{"folded", []string{"the", "error", "Unknownzz"}, true},
+		{"production", []string{"the", "and", "president", "market", "city", "nation", "report", "error"}, false},
+		{"aho-corasick", []string{"the", "and", "president", "market", "city", "nation", "report", "error",
+			"sentences", "quotes", "ellipsis", "unknownzz", "line three", "rate is"}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			newSearcher := textproc.NewMultiSearcher
+			if c.folded {
+				newSearcher = textproc.NewFoldedMultiSearcher
+			}
+			ms, err := newSearcher(c.patterns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(strings.Join(c.patterns, "")); c.name == "aho-corasick" && n <= 64 {
+				t.Fatalf("the Aho–Corasick set has %d pattern bytes; bitap takes up to 64", n)
+			}
+			kerneltest.Conformance(t, textproc.NewMatchKernel(ms), nil)
+		})
+	}
 }

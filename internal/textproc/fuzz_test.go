@@ -2,10 +2,15 @@ package textproc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
+	"repro/internal/errs"
+	"repro/internal/fnv64"
 	"repro/internal/scan"
+	"repro/internal/scan/kerneltest"
 )
 
 // fuzzSearcherSets covers both engines and both folding modes: a small
@@ -31,7 +36,8 @@ func fuzzSearcherSets() []struct {
 // FuzzMultiSearcherBlockSplit pins block-split invariance for both
 // searcher engines: feeding arbitrary bytes through Feed in blocks of
 // any size yields exactly the counts of one contiguous feed, and both
-// equal the frozen reference walk.
+// equal the frozen reference walk. FeedSum at the same split gives the
+// same counts and carries hash/fnv's sum of the bytes.
 func FuzzMultiSearcherBlockSplit(f *testing.F) {
 	f.Add([]byte("the quick brown fox themes the theme"), byte(3))
 	f.Add([]byte("THE THEME emits; aB ba ab"), byte(1))
@@ -40,6 +46,9 @@ func FuzzMultiSearcherBlockSplit(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("thethemit"), 40), byte(5))
 	f.Fuzz(func(t *testing.T, data []byte, bsRaw byte) {
 		bs := 1 + int(bsRaw)%13
+		oracle := fnv.New64a()
+		oracle.Write(data)
+		wantSum := oracle.Sum64()
 		for _, set := range fuzzSearcherSets() {
 			newFast := NewMultiSearcher
 			newRef := NewReferenceMultiSearcher
@@ -81,6 +90,22 @@ func FuzzMultiSearcherBlockSplit(f *testing.F) {
 				}
 				if !equalInt64s(split, want) {
 					t.Fatalf("%s/%s block size %d: got %v want %v", set.name, name, bs, split, want)
+				}
+				// FeedSum at the same split and in one piece: the same
+				// counts, and the member checksum the loop carried is
+				// hash/fnv's.
+				for _, fbs := range []int{bs, len(data) + 1} {
+					summed := make([]int64, s.NumPatterns())
+					st, h := s.Start(), fnv64.MemberInit
+					for i := 0; i < len(data); i += fbs {
+						st, h = s.FeedSum(st, h, data[i:min(i+fbs, len(data))], summed)
+					}
+					if !equalInt64s(summed, want) {
+						t.Fatalf("%s/%s FeedSum at block size %d: got %v want %v", set.name, name, fbs, summed, want)
+					}
+					if h != wantSum {
+						t.Fatalf("%s/%s FeedSum at block size %d: sum %#x, hash/fnv %#x", set.name, name, fbs, h, wantSum)
+					}
 				}
 			}
 		}
@@ -224,6 +249,61 @@ func FuzzStreamAnalyzerBlockSplit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, bsRaw uint16) {
 		if diff := analyzerOracleDiff(tagger, data, 63, 64, 65, 79, 80, 81, 1+int(bsRaw)%300, len(data)+1); diff != "" {
 			t.Fatal(diff)
+		}
+	})
+}
+
+// FuzzKernelRestore feeds arbitrary bytes to the Restore of every
+// production kernel whose state crosses the wire and the journal — the
+// checksum, the analyzer without and with a lexicon, the matcher — as a
+// remote worker's answer or a journal record would: it must not panic, a
+// refusal must be ErrCorrupt or ErrInvalid, and a state it accepts must
+// snapshot back to the same bytes. The seeds are each kernel's real state
+// over the conformance samples, empty states, and kerneltest's garbage.
+func FuzzKernelRestore(f *testing.F) {
+	ms, err := NewMultiSearcher([]string{"the", "error", "Unknownzz"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	kernels := []scan.Kernel{scan.NewChecksum(), NewStatsKernel(), NewAnalyzerKernel(NewTagger()), NewMatchKernel(ms)}
+	for _, proto := range kernels {
+		empty, err := scan.SnapshotKernel(proto.Fork())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(empty)
+		k := proto.Fork()
+		for i, c := range kerneltest.SampleContents() {
+			k.Begin(scan.Source{Name: fmt.Sprintf("sample-%02d.txt", i), Size: int64(len(c))})
+			k.Block(c)
+			k.End()
+		}
+		full, err := scan.SnapshotKernel(k)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(full)
+	}
+	for _, g := range kerneltest.GarbageStates() {
+		f.Add(g)
+	}
+	f.Fuzz(func(t *testing.T, state []byte) {
+		for _, proto := range kernels {
+			k := proto.Fork()
+			err := scan.RestoreKernel(k, state)
+			if err != nil {
+				if !errors.Is(err, errs.ErrCorrupt) && !errors.Is(err, errs.ErrInvalid) {
+					t.Fatalf("%T: Restore refused with %v, neither ErrCorrupt nor ErrInvalid", proto, err)
+				}
+				continue
+			}
+			again, err := scan.SnapshotKernel(k)
+			if err != nil {
+				t.Fatalf("%T: Snapshot after Restore: %v", proto, err)
+			}
+			if !bytes.Equal(again, state) {
+				t.Fatalf("%T: Restore accepted %d bytes that snapshot back as %d different ones", proto, len(state), len(again))
+			}
 		}
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+
+	"repro/internal/fnv64"
 )
 
 // MultiSearcher counts occurrences of N literal patterns in one pass over
@@ -315,6 +317,18 @@ func (m *MultiSearcher) Feed(st MatchState, p []byte, counts []int64) MatchState
 	return MatchState(m.feedExact(int32(st), p, counts))
 }
 
+// FeedSum is Feed that also advances a member checksum over p: it returns
+// Feed's state and fnv64.MemberChecksum(h, p). The bitap engine folds the
+// checksum into its own byte loop (feedBitapSum); the Aho–Corasick engine
+// sums and then walks, at the cost of the two passes.
+func (m *MultiSearcher) FeedSum(st MatchState, h uint64, p []byte, counts []int64) (MatchState, uint64) {
+	if m.bitap {
+		d, h := m.feedBitapSum(uint64(st), h, p, counts)
+		return MatchState(d), h
+	}
+	return MatchState(m.feedExact(int32(st), p, counts)), fnv64.MemberChecksum(h, p)
+}
+
 // feedBitap is the shift-and hot loop. D's bit off_i+j means "the first
 // j+1 bytes of pattern i end here"; matchMask picks out the completed
 // patterns, almost always zero.
@@ -334,6 +348,42 @@ func (m *MultiSearcher) feedBitap(d uint64, p []byte, counts []int64) uint64 {
 		}
 	}
 	return d
+}
+
+// feedBitapSum is feedBitap with the member checksum h folded in the same
+// byte loop. FNV-64a's xor-multiply (≈ 4 cycles a byte) and the shift-and
+// step (≈ 3) are two latency-bound chains, so one loop carries both at
+// nearly the rate of the slower alone — provided nothing flushes them: a
+// mispredicted match test discards the checksum's chain along with the
+// matcher's. So the loop has no data-dependent branch. Each byte's match
+// bits are stored to hits and kept — the index advances — only when they
+// are not zero, and the kept ones are counted once per len(hits) bytes.
+// Feed keeps feedBitap rather than this loop with the sum discarded: the
+// store costs the matcher alone more than its mispredictions do.
+func (m *MultiSearcher) feedBitapSum(d, h uint64, p []byte, counts []int64) (uint64, uint64) {
+	masks := &m.masks
+	init, match := m.initMask, m.matchMask
+	var hits [256]uint64
+	for len(p) > 0 {
+		q := p[:min(len(p), len(hits))]
+		p = p[len(q):]
+		n := 0
+		for _, c := range q {
+			h = fnv64.MemberStep(h, c)
+			d = ((d << 1) | init) & masks[c]
+			// n < len(hits) here; the mask only spares a bounds check.
+			hits[n&(len(hits)-1)] = d & match
+			if d&match != 0 {
+				n++
+			}
+		}
+		for _, mm := range hits[:n] {
+			for ; mm != 0; mm &= mm - 1 {
+				counts[m.bitPat[bits.TrailingZeros64(mm)]]++
+			}
+		}
+	}
+	return d, h
 }
 
 // feedExact is the automaton hot loop: per byte, one

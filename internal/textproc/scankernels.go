@@ -205,23 +205,40 @@ func (a *StreamAnalyzer) windows(p []byte, i int) int {
 
 // windowWords hands the consumer every word that ends inside the window
 // at p[i:], whose word bytes are w; the first of them started at open, in
-// an earlier window, when prev is set. lexKeyMax bytes are readable from
-// any word's start: windows leaves that margin.
+// an earlier window of the same stretch, when prev is set. lexKeyMax bytes
+// are readable from any word's start: windows leaves that margin after
+// the window, and a word that started before it has the window itself.
+// The test callback and the lexicon each get a loop of their own, so the
+// lexicon's loop tests nothing per word but the probe.
 func (a *StreamAnalyzer) windowWords(p []byte, i int, w, prev uint64, open int) {
 	starts, ends := w&^(w<<1|prev), ^w&(w<<1|prev)
+	// After the word that straddles in, what is left pairs up in order:
+	// every end with a start in this window.
+	win := (*[windowBytes + lexKeyMax]byte)(p[i:])
+	if a.onWord != nil {
+		if prev != 0 && ends != 0 {
+			a.onWord(p[open : i+bits.TrailingZeros64(ends)])
+			ends &= ends - 1
+		}
+		for ; ends != 0; starts, ends = starts&(starts-1), ends&(ends-1) {
+			s := bits.TrailingZeros64(starts)
+			a.onWord(win[s:bits.TrailingZeros64(ends)])
+		}
+		return
+	}
+	set := a.tagger.set
+	unknown := 0
 	if prev != 0 && ends != 0 {
-		a.emit(p[open : i+bits.TrailingZeros64(ends)])
+		if n := i + bits.TrailingZeros64(ends) - open; n > lexKeyMax ||
+			!set.has(lexKey(binary.LittleEndian.Uint64(p[open:]), binary.LittleEndian.Uint64(p[open+8:]), n)) {
+			unknown++
+		}
 		ends &= ends - 1
 	}
-	// What is left pairs up in order: every end with a start in this window.
-	unknown := 0
-	win := (*[windowBytes + lexKeyMax]byte)(p[i:])
 	for ; ends != 0; starts, ends = starts&(starts-1), ends&(ends-1) {
 		s := bits.TrailingZeros64(starts)
-		switch n := bits.TrailingZeros64(ends) - s; {
-		case a.onWord != nil:
-			a.onWord(win[s : s+n])
-		case n > lexKeyMax || !a.tagger.set.has(lexKey(binary.LittleEndian.Uint64(win[s:]), binary.LittleEndian.Uint64(win[s+8:]), n)):
+		if n := bits.TrailingZeros64(ends) - s; n > lexKeyMax ||
+			!set.has(lexKey(binary.LittleEndian.Uint64(win[s:]), binary.LittleEndian.Uint64(win[s+8:]), n)) {
 			unknown++
 		}
 	}
@@ -536,7 +553,8 @@ type FilePatternCount struct {
 
 // MatchKernel is the multi-pattern grep scan kernel: one MultiSearcher
 // automaton pass per file, counts per pattern. The automaton state is the
-// whole block-boundary carry.
+// whole block-boundary carry. It is a scan.SumCarrier: in a run beside a
+// scan.Checksum, the member checksum rides its byte loop.
 type MatchKernel struct {
 	ms *MultiSearcher
 	st MatchState
@@ -585,6 +603,13 @@ func (k *MatchKernel) Begin(src scan.Source) {
 
 // Block implements scan.Kernel.
 func (k *MatchKernel) Block(p []byte) { k.st = k.ms.Feed(k.st, p, k.counts) }
+
+// BlockSum implements scan.SumCarrier: Block, with the member checksum
+// carried through the matcher's byte loop (MultiSearcher.FeedSum).
+func (k *MatchKernel) BlockSum(h uint64, p []byte) uint64 {
+	k.st, h = k.ms.FeedSum(k.st, h, p, k.counts)
+	return h
+}
 
 // End implements scan.Kernel: the completed file's counts are copied into
 // the kernel's own arena (the scratch slice is recycled across files) and

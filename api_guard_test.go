@@ -12,25 +12,18 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
-
-// guardedPackages are the engine packages whose exported funcs, methods
-// and constants must each be reached by a command, the harness, an
-// example or another non-test file.
-var guardedPackages = []string{
-	"vfs", "packstore", "scan", "textproc", "par", "core", "dist",
-	"server", "errs", "retry", "fault", "cli", "binpack",
-}
 
 // productionModules is where a caller counts: the non-test files of every
 // package of this module (the facade, internal, cmd, examples) and of the
 // repository benchmark, which is a module of its own.
 var productionModules = []string{".", "benchmark"}
 
-// apiAllowlist names the exported funcs, methods and constants that stay
-// without a production caller, one reason each. Keys are "pkg.Name" or
-// "pkg.Type.Method".
+// apiAllowlist names the exported funcs, methods, constants and variables
+// that stay without a production caller, one reason each. Keys are
+// "pkg.Name" or "pkg.Type.Method".
 var apiAllowlist = map[string]string{
 	"errs.StageError.Unwrap":             "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
 	"errs.categorized.Unwrap":            "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
@@ -52,17 +45,23 @@ var apiAllowlist = map[string]string{
 	"binpack.FirstFitDecreasing":         "ablation baseline: BenchmarkAblationPackingQuality / BenchmarkHeuristicComparison",
 	"binpack.BestFitDecreasing":          "ablation baseline: BenchmarkHeuristicComparison",
 	"binpack.LeastLoadedDecreasing":      "ablation baseline: the LPT rule LeastLoaded is compared with in tests",
+	"workload.ComplexityOf":              "oracle: scan's and core's tests hold the analyzer kernel's complexity factor to it, from other packages",
+	"cloudsim.Instance.BilledDuration":   "the §3.1 billing rule on the instance lifecycle (pending is free, billing stops at terminate), pinned by the billing and zone-failure tests",
+	"cloudsim.SpotRequest.Cost":          "§7 spot extension: the spot billing rule (each active hour at that hour's price), pinned by TestSpotRequestLifecycle; sched.PlanSpot prices its hours itself",
+	"probe.Harness.ExploreSubsets":       "§7 extension: pooling probe points over many subsets of the original set, pinned by four tests",
+	"sched.MeanTimeToRecover":            "§7 extension: the zone-failover cost estimate beside RunTaskResilient, pinned by TestMeanTimeToRecover",
 }
 
-// TestExportedAPIHasProductionCallers keeps the engine packages' exported
+// TestExportedAPIHasProductionCallers keeps the internal packages' exported
 // API equal to what production calls. It type-checks every non-test
 // package of the two modules (the file sets come from `go list`, so they
 // are the default build's) and resolves each identifier to the object it
-// denotes: an exported func, method or constant of a guarded package that
-// no non-test file refers to is either dead or a test oracle, and belongs
-// in a _test.go file. A method also counts as called when a type that has
-// it satisfies an interface — one the production code spells, or a named
-// one from a package it imports — that declares the method.
+// denotes: an exported func, method, constant or package-level variable of
+// a guarded package that no non-test file refers to is either dead or a
+// test oracle, and belongs in a _test.go file. A method also counts as
+// called when a type that has it satisfies an interface — one the
+// production code spells, or a named one from a package it imports — that
+// declares the method.
 func TestExportedAPIHasProductionCallers(t *testing.T) {
 	prog := loadProduction(t)
 
@@ -111,15 +110,14 @@ func TestExportedAPIHasProductionCallers(t *testing.T) {
 			orphans = append(orphans, prog.fset.Position(obj.Pos()).String()+": "+key)
 		}
 	}
-	for _, name := range guardedPackages {
-		pkg := prog.pkgs["repro/internal/"+name]
-		if pkg == nil {
-			t.Fatalf("guarded package %s was not loaded", name)
-		}
+	guarded := prog.guarded()
+	t.Logf("guarding %d internal packages", len(guarded))
+	for _, pkg := range guarded {
+		name := strings.TrimPrefix(pkg.Path(), internalPrefix)
 		scope := pkg.Scope()
 		for _, id := range scope.Names() {
 			switch obj := scope.Lookup(id).(type) {
-			case *types.Func, *types.Const:
+			case *types.Func, *types.Const, *types.Var:
 				if obj.Exported() {
 					check(name+"."+id, obj, used[obj])
 				}
@@ -145,6 +143,27 @@ func TestExportedAPIHasProductionCallers(t *testing.T) {
 			t.Errorf("allowlist entry %s names nothing declared in the guarded packages", key)
 		}
 	}
+}
+
+// internalPrefix is the import-path prefix of the packages the guard covers.
+const internalPrefix = "repro/internal/"
+
+// guarded returns every internal package that a non-test package imports.
+// A new internal package is guarded as soon as production code uses it; a
+// test-support package that only tests import (such as scan/kerneltest) is
+// not.
+func (p *production) guarded() []*types.Package {
+	seen := map[*types.Package]bool{}
+	var out []*types.Package
+	for _, pkg := range p.pkgs {
+		for _, imp := range pkg.Imports() {
+			if strings.HasPrefix(imp.Path(), internalPrefix) && !seen[imp] {
+				seen[imp] = true
+				out = append(out, imp)
+			}
+		}
+	}
+	return out
 }
 
 // production is the type-checked non-test code of both modules.

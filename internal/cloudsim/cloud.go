@@ -57,12 +57,6 @@ func (in *Instance) BilledDuration() time.Duration {
 	return end - in.runningAt
 }
 
-// Cost returns the accrued cost: the hourly rate times the number of full
-// or partial running hours (§1.1: "$0.1 × ⌈h⌉").
-func (in *Instance) Cost() float64 {
-	return BillHours(in.BilledDuration()) * in.Type.HourlyRate
-}
-
 // BillHours converts a running duration to billable hours: every started
 // hour counts in full. Zero duration bills zero.
 func BillHours(d time.Duration) float64 {
@@ -132,11 +126,6 @@ type Cloud struct {
 	s3          *S3
 	spot        *SpotMarket
 	failedZones map[string]bool
-	// instanceLimit caps concurrently active (non-terminated) instances;
-	// 0 = unlimited. The 2010-era EC2 default was 20 on-demand instances
-	// per region — the "limitations on the number of instances that can
-	// be requested" of §5.2.
-	instanceLimit int
 }
 
 // New creates a cloud in the default US-east region.
@@ -162,31 +151,6 @@ func NewInRegion(seed int64, region Region, q QualityDist) *Cloud {
 
 // Clock exposes the simulation clock.
 func (c *Cloud) Clock() *Clock { return c.clock }
-
-// DefaultInstanceLimit is the 2010-era per-region on-demand cap.
-const DefaultInstanceLimit = 20
-
-// SetInstanceLimit caps concurrently active instances (0 = unlimited, the
-// default — most experiments assume the paper's limit increases were
-// granted). Negative values are rejected.
-func (c *Cloud) SetInstanceLimit(n int) error {
-	if n < 0 {
-		return fmt.Errorf("cloudsim: negative instance limit %d", n)
-	}
-	c.instanceLimit = n
-	return nil
-}
-
-// ActiveInstances counts instances not yet terminated.
-func (c *Cloud) ActiveInstances() int {
-	active := 0
-	for _, in := range c.insts {
-		if !in.terminated {
-			active++
-		}
-	}
-	return active
-}
 
 // Region returns the cloud's region.
 func (c *Cloud) Region() Region { return c.region }
@@ -267,17 +231,6 @@ func (c *Cloud) Launch(t InstanceType, zone string) (*Instance, error) {
 	if c.failedZones[zone] {
 		return nil, fmt.Errorf("cloudsim: zone %q is failed", zone)
 	}
-	if c.instanceLimit > 0 {
-		active := 0
-		for _, in := range c.insts {
-			if !in.terminated {
-				active++
-			}
-		}
-		if active >= c.instanceLimit {
-			return nil, fmt.Errorf("cloudsim: instance limit reached (%d active, limit %d); request a limit increase or terminate instances", active, c.instanceLimit)
-		}
-	}
 	c.nextInst++
 	id := fmt.Sprintf("i-%06d", c.nextInst)
 	boot := MinBootDelay + time.Duration(c.launch.Int63n(int64(MaxBootDelay-MinBootDelay)))
@@ -331,23 +284,4 @@ func (c *Cloud) Instances() []*Instance {
 		}
 	}
 	return out
-}
-
-// TotalCost sums accrued cost over all instances, including spot instances.
-func (c *Cloud) TotalCost() float64 {
-	var total float64
-	for _, in := range c.Instances() {
-		total += in.Cost()
-	}
-	total += c.spot.accruedCost()
-	return total
-}
-
-// InstanceHours sums billable hours across all on-demand instances.
-func (c *Cloud) InstanceHours() float64 {
-	var total float64
-	for _, in := range c.Instances() {
-		total += BillHours(in.BilledDuration())
-	}
-	return total
 }

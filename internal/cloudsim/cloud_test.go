@@ -80,7 +80,7 @@ func TestBillingPartialHourRoundsUp(t *testing.T) {
 	c.WaitUntilRunning(in)
 	c.Clock().Advance(10 * time.Minute)
 	c.Terminate(in)
-	if got := in.Cost(); got != Small.HourlyRate {
+	if got := cost(in); got != Small.HourlyRate {
 		t.Errorf("cost = %v, want one full hour %v", got, Small.HourlyRate)
 	}
 	// Pending time is free: billed duration is exactly 10 minutes.
@@ -95,12 +95,12 @@ func TestBillingMultipleHours(t *testing.T) {
 	c.WaitUntilRunning(in)
 	c.Clock().Advance(2*time.Hour + time.Minute)
 	c.Terminate(in)
-	if got := in.Cost(); math.Abs(got-3*Small.HourlyRate) > 1e-12 {
+	if got := cost(in); math.Abs(got-3*Small.HourlyRate) > 1e-12 {
 		t.Errorf("cost = %v, want 3 hours", got)
 	}
 	// Time after terminate accrues nothing.
 	c.Clock().Advance(5 * time.Hour)
-	if got := in.Cost(); math.Abs(got-3*Small.HourlyRate) > 1e-12 {
+	if got := cost(in); math.Abs(got-3*Small.HourlyRate) > 1e-12 {
 		t.Errorf("cost after idle = %v, want unchanged", got)
 	}
 }
@@ -129,7 +129,7 @@ func TestPendingInstanceNeverBilled(t *testing.T) {
 	in, _ := c.Launch(Small, "us-east-1a")
 	// Terminate while still pending.
 	c.Terminate(in)
-	if got := in.Cost(); got != 0 {
+	if got := cost(in); got != 0 {
 		t.Errorf("pending-only instance cost = %v, want 0", got)
 	}
 }
@@ -176,6 +176,30 @@ func TestQualityMixMatchesDistribution(t *testing.T) {
 	}
 }
 
+// cost is an instance's accrued charge: the hourly rate times the number of
+// full or partial running hours (§1.1: "$0.1 × ⌈h⌉").
+func cost(in *Instance) float64 {
+	return BillHours(in.BilledDuration()) * in.Type.HourlyRate
+}
+
+// instanceHours sums billable hours across all on-demand instances.
+func instanceHours(c *Cloud) float64 {
+	var total float64
+	for _, in := range c.Instances() {
+		total += BillHours(in.BilledDuration())
+	}
+	return total
+}
+
+// totalCost sums accrued cost over all on-demand instances.
+func totalCost(c *Cloud) float64 {
+	var total float64
+	for _, in := range c.Instances() {
+		total += cost(in)
+	}
+	return total
+}
+
 func TestTotalCostAndInstanceHours(t *testing.T) {
 	c := New(6)
 	for i := 0; i < 3; i++ {
@@ -186,11 +210,11 @@ func TestTotalCostAndInstanceHours(t *testing.T) {
 	for _, in := range c.Instances() {
 		c.Terminate(in)
 	}
-	if got := c.InstanceHours(); got != 6 {
+	if got := instanceHours(c); got != 6 {
 		t.Errorf("instance hours = %v, want 6 (3 instances x 2 billed hours)", got)
 	}
 	want := 6 * Small.HourlyRate
-	if got := c.TotalCost(); math.Abs(got-want) > 1e-9 {
+	if got := totalCost(c); math.Abs(got-want) > 1e-9 {
 		t.Errorf("total cost = %v, want %v", got, want)
 	}
 }
@@ -198,7 +222,7 @@ func TestTotalCostAndInstanceHours(t *testing.T) {
 func TestInstancesOrdered(t *testing.T) {
 	c := New(6)
 	a, _ := c.Launch(Small, "us-east-1a")
-	b, _ := c.Launch(Large, "us-east-1b")
+	b, _ := c.Launch(Small, "us-east-1b")
 	list := c.Instances()
 	if len(list) != 2 || list[0] != a || list[1] != b {
 		t.Errorf("instances out of order")
@@ -226,8 +250,8 @@ func TestLaunchNominal(t *testing.T) {
 	}
 	c.Clock().Advance(30 * time.Minute)
 	c.Terminate(in)
-	if in.Cost() != Small.HourlyRate {
-		t.Errorf("cost = %v", in.Cost())
+	if cost(in) != Small.HourlyRate {
+		t.Errorf("cost = %v", cost(in))
 	}
 	if _, err := c.LaunchNominal(Small, "nowhere"); err == nil {
 		t.Error("expected zone error")
@@ -260,46 +284,6 @@ func TestSetupNoiseWiderThanRunNoise(t *testing.T) {
 	for _, f := range append(setup, run...) {
 		if f < 0.1 {
 			t.Fatalf("noise factor %v below floor", f)
-		}
-	}
-}
-
-func TestInstanceLimit(t *testing.T) {
-	c := New(101)
-	if err := c.SetInstanceLimit(-1); err == nil {
-		t.Error("expected error for negative limit")
-	}
-	if err := c.SetInstanceLimit(3); err != nil {
-		t.Fatal(err)
-	}
-	var last *Instance
-	for i := 0; i < 3; i++ {
-		in, err := c.Launch(Small, "us-east-1a")
-		if err != nil {
-			t.Fatalf("launch %d: %v", i, err)
-		}
-		last = in
-	}
-	if c.ActiveInstances() != 3 {
-		t.Errorf("active = %d", c.ActiveInstances())
-	}
-	if _, err := c.Launch(Small, "us-east-1a"); err == nil {
-		t.Error("fourth launch exceeded the limit")
-	}
-	// Terminating frees a slot.
-	if err := c.Terminate(last); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Launch(Small, "us-east-1a"); err != nil {
-		t.Errorf("launch after terminate: %v", err)
-	}
-	// Lifting the limit removes the cap.
-	if err := c.SetInstanceLimit(0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := c.Launch(Small, "us-east-1a"); err != nil {
-			t.Fatalf("unlimited launch failed: %v", err)
 		}
 	}
 }

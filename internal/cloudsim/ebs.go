@@ -26,7 +26,6 @@ type Volume struct {
 	// instance effects. EBS latency is lower-variance than S3 but the
 	// bandwidth is bounded by network attachment.
 	BaseReadMBps float64
-	staged       map[string]int64 // dataset key → staged bytes
 }
 
 // CreateVolume provisions a new EBS volume in a zone.
@@ -45,7 +44,6 @@ func (c *Cloud) CreateVolume(zone string, sizeGB int) (*Volume, error) {
 		SizeGB:       sizeGB,
 		cloud:        c,
 		BaseReadMBps: 80,
-		staged:       make(map[string]int64),
 	}
 	c.vols[id] = v
 	return v, nil
@@ -63,9 +61,6 @@ func (c *Cloud) Attach(v *Volume, in *Instance) error {
 	}
 	if v.Zone != in.Zone {
 		return fmt.Errorf("cloudsim: volume %s in %s cannot attach to instance in %s", v.ID, v.Zone, in.Zone)
-	}
-	if c.failedZones[v.Zone] {
-		return fmt.Errorf("cloudsim: zone %q is failed; volume %s unavailable until recovery", v.Zone, v.ID)
 	}
 	if err := c.clock.Advance(VolumeAttachDelay); err != nil {
 		return err
@@ -86,38 +81,6 @@ func (c *Cloud) Detach(v *Volume) error {
 	delete(v.attachedTo.volumes, v.ID)
 	v.attachedTo = nil
 	return nil
-}
-
-// AttachedTo returns the instance the volume is attached to, or nil.
-func (v *Volume) AttachedTo() *Instance { return v.attachedTo }
-
-// Stage records that a dataset (identified by key) of the given size has
-// been placed on the volume. Staged bytes must fit the volume.
-func (v *Volume) Stage(key string, bytes int64) error {
-	if bytes < 0 {
-		return fmt.Errorf("cloudsim: cannot stage negative bytes")
-	}
-	var used int64
-	for _, b := range v.staged {
-		used += b
-	}
-	if used+bytes > int64(v.SizeGB)*1_000_000_000 {
-		return fmt.Errorf("cloudsim: volume %s full: %d + %d > %d GB", v.ID, used, bytes, v.SizeGB)
-	}
-	v.staged[key] += bytes
-	return nil
-}
-
-// Staged returns the bytes staged under key.
-func (v *Volume) Staged(key string) int64 { return v.staged[key] }
-
-// StagedTotal returns all staged bytes.
-func (v *Volume) StagedTotal() int64 {
-	var used int64
-	for _, b := range v.staged {
-		used += b
-	}
-	return used
 }
 
 // PlacementFactor returns the deterministic access-time multiplier for a
@@ -155,21 +118,6 @@ func (v *Volume) ReadMBps(in *Instance, key string) float64 {
 		bw = in.Quality.SeqReadMBps
 	}
 	return bw / v.PlacementFactor(key)
-}
-
-// CloneVolume creates a new volume with the same size and staged datasets
-// but fresh placements — the experiment the paper used to confirm the
-// placement hypothesis ("clones of a large sized directory can result in
-// performance variations of up to a factor of 3").
-func (c *Cloud) CloneVolume(v *Volume) (*Volume, error) {
-	nv, err := c.CreateVolume(v.Zone, v.SizeGB)
-	if err != nil {
-		return nil, err
-	}
-	for k, b := range v.staged {
-		nv.staged[k] = b
-	}
-	return nv, nil
 }
 
 // EstimateTransfer returns the virtual time to move `bytes` at `mbps`.

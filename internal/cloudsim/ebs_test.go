@@ -45,7 +45,7 @@ func TestAttachDetachRules(t *testing.T) {
 	if err := c.Attach(v, inA); err != nil {
 		t.Fatal(err)
 	}
-	if v.AttachedTo() != inA {
+	if v.attachedTo != inA {
 		t.Error("volume not attached")
 	}
 	if len(inA.Volumes()) != 1 {
@@ -100,29 +100,12 @@ func TestTerminateDetachesVolumes(t *testing.T) {
 	if err := c.Terminate(in); err != nil {
 		t.Fatal(err)
 	}
-	if v.AttachedTo() != nil {
+	if v.attachedTo != nil {
 		t.Error("volume still attached after terminate")
 	}
-	// EBS content persists beyond the instance (§1.1).
-	if err := v.Stage("data", 100); err != nil {
+	// The volume outlives the instance (§1.1): a fresh one can attach it.
+	if err := c.Attach(v, runningInstance(t, c, "us-east-1a")); err != nil {
 		t.Errorf("volume unusable after instance death: %v", err)
-	}
-}
-
-func TestStageCapacity(t *testing.T) {
-	c := New(1)
-	v, _ := c.CreateVolume("us-east-1a", 1) // 1 GB
-	if err := v.Stage("a", 600_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Stage("b", 600_000_000); err == nil {
-		t.Error("expected capacity error")
-	}
-	if err := v.Stage("c", -1); err == nil {
-		t.Error("expected negative-bytes error")
-	}
-	if v.Staged("a") != 600_000_000 || v.StagedTotal() != 600_000_000 {
-		t.Error("staged accounting wrong")
 	}
 }
 
@@ -151,19 +134,15 @@ func TestPlacementFactorPropertiesAndRepeatability(t *testing.T) {
 }
 
 func TestPlacementDiffersAcrossVolumes(t *testing.T) {
-	// The clone experiment: the same directory on a cloned volume can land
+	// The clone experiment: the same directory on another volume can land
 	// on a different placement.
 	c := New(1)
 	v1, _ := c.CreateVolume("us-east-1a", 100)
-	_ = v1.Stage("dir", 1000)
 	differs := false
 	for i := 0; i < 50; i++ {
-		clone, err := c.CloneVolume(v1)
+		clone, err := c.CreateVolume(v1.Zone, v1.SizeGB)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if clone.Staged("dir") != 1000 {
-			t.Fatal("clone lost staged data")
 		}
 		key := fmt.Sprintf("dir-%d", i)
 		if v1.PlacementFactor(key) != clone.PlacementFactor(key) {

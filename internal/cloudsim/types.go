@@ -12,31 +12,15 @@ type InstanceType struct {
 	HourlyRate     float64 // dollars per full or partial hour in running state
 }
 
-// The instance menu. The paper's experiments use small instances ("most
-// common and most cost effective", §3.1) at the $0.085/h rate quoted in §5.
-var (
-	Small = InstanceType{
-		Name:           "m1.small",
-		ComputeUnits:   1,
-		MemoryGB:       1.7,
-		LocalStorageGB: 160,
-		HourlyRate:     0.085,
-	}
-	Medium = InstanceType{
-		Name:           "c1.medium",
-		ComputeUnits:   5,
-		MemoryGB:       1.7,
-		LocalStorageGB: 350,
-		HourlyRate:     0.17,
-	}
-	Large = InstanceType{
-		Name:           "m1.large",
-		ComputeUnits:   4,
-		MemoryGB:       7.5,
-		LocalStorageGB: 850,
-		HourlyRate:     0.34,
-	}
-)
+// Small is the instance type the paper's experiments use ("most common and
+// most cost effective", §3.1) at the $0.085/h rate quoted in §5.
+var Small = InstanceType{
+	Name:           "m1.small",
+	ComputeUnits:   1,
+	MemoryGB:       1.7,
+	LocalStorageGB: 160,
+	HourlyRate:     0.085,
+}
 
 // Region groups availability zones constructed to be failure-insulated
 // (§1.1). Zones are named after the paper's us-east example.

@@ -27,7 +27,6 @@ import (
 const (
 	KB int64 = 1000
 	MB       = 1000 * KB
-	GB       = 1000 * MB
 )
 
 // SizeDist is a log-normal file-size distribution with hard bounds.
@@ -45,12 +44,6 @@ func (d SizeDist) Sample(r *rand.Rand) int64 {
 	}, float64(d.Min), float64(d.Max), 64)
 	return int64(math.Round(v))
 }
-
-// Median returns the distribution's unbounded median, exp(Mu).
-func (d SizeDist) Median() float64 { return math.Exp(d.Mu) }
-
-// Mean returns the unbounded mean, exp(Mu + Sigma²/2).
-func (d SizeDist) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
 
 // Spec describes a synthetic dataset.
 type Spec struct {

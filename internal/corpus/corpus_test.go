@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -247,8 +248,10 @@ func TestCountWords(t *testing.T) {
 
 func TestSizeDistStats(t *testing.T) {
 	d := SizeDist{Mu: 7, Sigma: 1, Min: 1, Max: 1 << 40}
-	if d.Median() <= 0 || d.Mean() <= d.Median() {
-		t.Errorf("lognormal mean %v must exceed median %v", d.Mean(), d.Median())
+	// The unbounded log-normal's median is exp(Mu), its mean exp(Mu + Sigma²/2).
+	median, mean := math.Exp(d.Mu), math.Exp(d.Mu+d.Sigma*d.Sigma/2)
+	if median <= 0 || mean <= median {
+		t.Errorf("lognormal mean %v must exceed median %v", mean, median)
 	}
 	r := stats.NewRand(5, "sizedist")
 	for i := 0; i < 1000; i++ {

@@ -82,17 +82,3 @@ func GenerateProfile(spec Spec, seed int64, g Gradient, jitterSigma float64) (*P
 	}
 	return &Profile{FS: fs, Complexity: cx}, nil
 }
-
-// MeanComplexity returns the size-weighted mean complexity of the profile
-// (the effective corpus-wide factor).
-func (p *Profile) MeanComplexity() float64 {
-	var weighted, total float64
-	for _, f := range p.FS.List() {
-		weighted += p.Complexity[f.Name] * float64(f.Size)
-		total += float64(f.Size)
-	}
-	if total == 0 {
-		return 0
-	}
-	return weighted / total
-}

@@ -180,17 +180,6 @@ func (g *Generator) TaggedSentence() ([]string, []lexicon.Tag) {
 // trace records the ground-truth tag of the token just generated.
 func (g *Generator) trace(t lexicon.Tag) { g.tagTrace = append(g.tagTrace, t) }
 
-// Words generates at least n words of text (whole sentences) and returns
-// them joined with single spaces; sentences are capitalised naively by the
-// renderer in Text.
-func (g *Generator) Words(n int) []string {
-	var words []string
-	for len(words) < n {
-		words = append(words, g.Sentence()...)
-	}
-	return words
-}
-
 // Text renders whole sentences until at least size bytes are produced, then
 // truncates to exactly size bytes (padding with spaces in the corner case of
 // a short final buffer). The result is valid UTF-8 ASCII.

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -323,6 +327,42 @@ func TestRunAllProducesEveryReport(t *testing.T) {
 			t.Errorf("report %s differs between serial and parallel runs", serial[i].ID)
 		}
 	}
+}
+
+// TestRunAllMatchesGolden pins the simulator's output: every report of a
+// default run, rendered exactly as cmd/experiments prints it, must equal
+// testdata/all.golden byte for byte. Regenerate the file with
+// `go run ./cmd/experiments > internal/experiments/testdata/all.golden`
+// when a change to the output is intended.
+func TestRunAllMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("RunAll is the slow full sweep")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the golden output was recorded on amd64; %s may fuse multiply-adds, which rounds the last printed digits differently", runtime.GOARCH)
+	}
+	reports, err := RunAllCtx(context.Background(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, rep := range reports {
+		fmt.Fprintln(&got, rep)
+	}
+	want, err := os.ReadFile("testdata/all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("output differs from testdata/all.golden at line %d:\n got: %q\nwant: %q", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("output has %d lines, testdata/all.golden %d", len(gotLines), len(wantLines))
 }
 
 func TestReportRendering(t *testing.T) {

@@ -134,6 +134,3 @@ func Entries() map[string][]Tag {
 	add(ProperNouns, ProperN)
 	return lex
 }
-
-// Size returns the number of distinct words across all inventories.
-func Size() int { return len(Entries()) }

@@ -60,11 +60,8 @@ func TestEntriesFreshCopy(t *testing.T) {
 }
 
 func TestSize(t *testing.T) {
-	if Size() < 300 {
-		t.Errorf("lexicon size %d, want ≥ 300", Size())
-	}
-	if Size() != len(Entries()) {
-		t.Error("Size disagrees with Entries")
+	if n := len(Entries()); n < 300 {
+		t.Errorf("lexicon size %d, want ≥ 300", n)
 	}
 }
 

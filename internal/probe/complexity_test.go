@@ -40,6 +40,20 @@ func TestBinsToItemsWithComplexityWeightedMean(t *testing.T) {
 	}
 }
 
+// meanComplexity is the size-weighted mean complexity of a profile, the
+// effective corpus-wide factor.
+func meanComplexity(p *corpus.Profile) float64 {
+	var weighted, total float64
+	for _, f := range p.FS.List() {
+		weighted += p.Complexity[f.Name] * float64(f.Size)
+		total += float64(f.Size)
+	}
+	if total == 0 {
+		return 0
+	}
+	return weighted / total
+}
+
 func TestGenerateProfileGradient(t *testing.T) {
 	spec := corpus.Text400K(0.002)
 	p, err := corpus.GenerateProfile(spec, 5, corpus.RampComplexity{From: 0.8, To: 1.6}, 0)
@@ -52,7 +66,7 @@ func TestGenerateProfileGradient(t *testing.T) {
 	if first != 0.8 || last != 1.6 {
 		t.Errorf("gradient endpoints = %v, %v", first, last)
 	}
-	mean := p.MeanComplexity()
+	mean := meanComplexity(p)
 	if mean < 1.0 || mean > 1.4 {
 		t.Errorf("mean complexity = %v, want ≈1.2", mean)
 	}

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/binpack"
 	"repro/internal/cloudsim"
@@ -354,24 +353,11 @@ func PickPreferredUnit(ms []Measurement, tol float64) (int64, error) {
 	return ms[best].UnitSize, nil
 }
 
-// Points converts measurements at a fixed unit size into (volume, seconds)
-// regression points for the performance model (§5: "we focus strictly on
-// the measurements relevant to that unit file size").
-func Points(sets [][]Measurement, unitSize int64) (xs, ys []float64) {
-	for _, ms := range sets {
-		for _, m := range ms {
-			if m.UnitSize == unitSize {
-				xs = append(xs, float64(m.Volume))
-				ys = append(ys, m.Mean)
-			}
-		}
-	}
-	return xs, ys
-}
-
-// AllRunsPoints is like Points but emits every individual run rather than
-// the means, giving the residual distribution more degrees of freedom for
-// the deadline-adjustment analysis.
+// AllRunsPoints converts measurements at a fixed unit size into (volume,
+// seconds) regression points for the performance model (§5: "we focus
+// strictly on the measurements relevant to that unit file size"). It emits
+// every individual run rather than the means, giving the residual
+// distribution more degrees of freedom for the deadline-adjustment analysis.
 func AllRunsPoints(sets [][]Measurement, unitSize int64) (xs, ys []float64) {
 	for _, ms := range sets {
 		for _, m := range ms {
@@ -384,10 +370,4 @@ func AllRunsPoints(sets [][]Measurement, unitSize int64) (xs, ys []float64) {
 		}
 	}
 	return xs, ys
-}
-
-// EstimateDuration is a small helper used by examples to display virtual
-// durations.
-func EstimateDuration(seconds float64) time.Duration {
-	return time.Duration(seconds * float64(time.Second))
 }

@@ -231,15 +231,11 @@ func TestPointsExtraction(t *testing.T) {
 		{{Volume: 200, UnitSize: 10, Mean: 2, Runs: []float64{1.9, 2.1}},
 			{Volume: 200, UnitSize: 20, Mean: 3, Runs: []float64{3}}},
 	}
-	xs, ys := Points(sets, 10)
-	if len(xs) != 2 || ys[0] != 1 || ys[1] != 2 {
-		t.Errorf("points = %v, %v", xs, ys)
-	}
 	xr, yr := AllRunsPoints(sets, 10)
-	if len(xr) != 4 || yr[0] != 0.9 {
+	if len(xr) != 4 || xr[0] != 100 || xr[2] != 200 || yr[0] != 0.9 || yr[3] != 2.1 {
 		t.Errorf("all-runs points = %v, %v", xr, yr)
 	}
-	if xs2, _ := Points(sets, 99); xs2 != nil {
+	if xs2, _ := AllRunsPoints(sets, 99); xs2 != nil {
 		t.Error("unknown unit returned points")
 	}
 }

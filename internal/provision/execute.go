@@ -3,7 +3,6 @@ package provision
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/cloudsim"
@@ -49,24 +48,14 @@ type ExecuteOptions struct {
 	// Uniform launches idealised nominal-quality instances, the paper's
 	// §5 simplifying assumption. Overrides Qualify.
 	Uniform bool
-	// Type selects the instance type (zero value → Small, the paper's
-	// choice as "most common and most cost effective"). Larger types run
-	// CPU-bound work proportionally faster at a proportionally higher
-	// rate — the related-work observation that "large EC2 instances fair
-	// well for CPU intensive tasks".
-	Type cloudsim.InstanceType
-	// Rate overrides the billing rate (default: the instance type's).
-	Rate float64
 	// Complexity is the content complexity applied to every unit file
 	// (1.0 default).
 	Complexity float64
-	// Storage returns the storage and dataset key for instance i; nil
-	// means instance-local storage.
-	Storage func(i int, in *cloudsim.Instance) (workload.Storage, string)
 }
 
-// ExecuteCtx launches one instance per bin and simulates them processing
-// their data in parallel. The cloud clock advances by the makespan once at
+// ExecuteCtx launches one small instance per bin (the paper's choice as
+// "most common and most cost effective", §3.1) and simulates them
+// processing their data in parallel from instance-local storage. The cloud clock advances by the makespan once at
 // the end; billing is computed per instance from its own elapsed time
 // (pending time is free, every started hour bills in full). The context is
 // checked before each bin's instance launch (and threaded through
@@ -83,9 +72,6 @@ func ExecuteCtx(ctx context.Context, c *cloudsim.Cloud, plan *Plan, opts Execute
 	if opts.Complexity <= 0 {
 		opts.Complexity = 1
 	}
-	if opts.Type.Name == "" {
-		opts.Type = cloudsim.Small
-	}
 	out := &Outcome{Deadline: plan.RequestedDeadline}
 	var makespan float64
 	for i, bin := range plan.Bins {
@@ -96,43 +82,31 @@ func ExecuteCtx(ctx context.Context, c *cloudsim.Cloud, plan *Plan, opts Execute
 		var err error
 		switch {
 		case opts.Uniform:
-			in, err = c.LaunchNominal(opts.Type, opts.Zone)
+			in, err = c.LaunchNominal(cloudsim.Small, opts.Zone)
 			if err == nil {
 				err = c.WaitUntilRunning(in)
 			}
 		case opts.Qualify:
-			in, _, err = c.AcquireQualifiedCtx(ctx, opts.Type, opts.Zone, 25)
+			in, _, err = c.AcquireQualifiedCtx(ctx, cloudsim.Small, opts.Zone, 25)
 		default:
-			in, err = c.Launch(opts.Type, opts.Zone)
+			in, err = c.Launch(cloudsim.Small, opts.Zone)
 			if err == nil {
 				err = c.WaitUntilRunning(in)
 			}
 		}
 		if err != nil {
 			return nil, err
-		}
-		var st workload.Storage
-		key := fmt.Sprintf("plan-bin-%d", i)
-		if opts.Storage != nil {
-			st, key = opts.Storage(i, in)
 		}
 		items := make([]workload.Item, 0, len(bin.Items))
 		for _, it := range bin.Items {
 			items = append(items, workload.Item{Size: it.Size, Complexity: opts.Complexity})
 		}
-		elapsed, err := workload.EstimateCtx(ctx, in, opts.App, items, st, key)
+		elapsed, err := workload.EstimateCtx(ctx, in, opts.App, items, nil, fmt.Sprintf("plan-bin-%d", i))
 		if err != nil {
 			return nil, err
 		}
 		actual := elapsed.Seconds()
-		rate := opts.Rate
-		if rate == 0 {
-			rate = in.Type.HourlyRate
-		}
-		hours := math.Ceil(actual / 3600)
-		if actual > 0 && hours == 0 {
-			hours = 1
-		}
+		hours := cloudsim.BillHours(elapsed)
 		io := InstanceOutcome{
 			InstanceID: in.ID,
 			Bytes:      bin.Used,
@@ -147,7 +121,7 @@ func ExecuteCtx(ctx context.Context, c *cloudsim.Cloud, plan *Plan, opts Execute
 			out.Missed++
 		}
 		out.InstanceHours += hours
-		out.ActualCost += hours * rate
+		out.ActualCost += hours * in.Type.HourlyRate
 		if actual > makespan {
 			makespan = actual
 		}

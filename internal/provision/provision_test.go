@@ -444,33 +444,3 @@ func TestUniformBinsReduceMissRisk(t *testing.T) {
 		t.Errorf("uniform makespan %v worse than first-fit %v", outUni.MakespanS, outFF.MakespanS)
 	}
 }
-
-func TestExecuteLargeInstancesFasterButCostlier(t *testing.T) {
-	// Related work (§6): "large EC2 instances fair well for CPU intensive
-	// tasks" — 4 ECUs run the POS work ~4x faster, at 4x the hourly rate.
-	items := testItems(40, 1_000_000)
-	pl := NewPlanner(eq3())
-	plan, err := pl.PlanDeadline(items, 3600, UniformBins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := ExecuteCtx(context.Background(), cloudsim.New(81), plan, ExecuteOptions{App: workload.NewPOS(), Uniform: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := ExecuteCtx(context.Background(), cloudsim.New(81), plan, ExecuteOptions{
-		App: workload.NewPOS(), Uniform: true, Type: cloudsim.Large,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	speedup := small.MakespanS / large.MakespanS
-	if speedup < 3 || speedup > 5 {
-		t.Errorf("large-instance speedup = %v, want ≈4 (4 ECUs)", speedup)
-	}
-	// Same billed hours here (both within one hour), so 4x the rate shows
-	// directly in cost.
-	if large.ActualCost <= small.ActualCost {
-		t.Errorf("large instances not costlier: $%v vs $%v", large.ActualCost, small.ActualCost)
-	}
-}

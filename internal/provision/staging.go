@@ -18,7 +18,8 @@ import (
 // PlanDeadlineStaged budgets the deadline net of staging.
 
 // StagingModel describes where the input comes from and what moving it
-// costs.
+// costs. The zero value is the grep assumption: data already on EBS
+// volumes, staged in no time and for free.
 type StagingModel struct {
 	// FixedPerRun is the constant per-run staging time of the paper's POS
 	// assumption (upload-site throughput bound, independent of per-instance
@@ -32,19 +33,9 @@ type StagingModel struct {
 	Pricing *cloudsim.TransferPricing
 }
 
-// EBSPreStaged is the grep assumption: data already on EBS volumes.
-func EBSPreStaged() StagingModel { return StagingModel{} }
-
 // ConstantStaging is the POS assumption: a fixed stage-in time per run.
 func ConstantStaging(seconds float64) StagingModel {
 	return StagingModel{FixedPerRun: seconds}
-}
-
-// S3Staging stages from S3 at the given per-instance bandwidth with
-// transfer pricing applied.
-func S3Staging(mbps float64) StagingModel {
-	p := cloudsim.DefaultTransferPricing
-	return StagingModel{MBps: mbps, Pricing: &p}
 }
 
 // StageTime returns the staging seconds for one instance's share.

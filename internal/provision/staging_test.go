@@ -2,16 +2,25 @@ package provision
 
 import (
 	"testing"
+
+	"repro/internal/cloudsim"
 )
 
+// s3Staging stages from S3 at the given per-instance bandwidth with
+// transfer pricing applied.
+func s3Staging(mbps float64) StagingModel {
+	p := cloudsim.DefaultTransferPricing
+	return StagingModel{MBps: mbps, Pricing: &p}
+}
+
 func TestStagingModelTimes(t *testing.T) {
-	if got := EBSPreStaged().StageTime(1_000_000_000); got != 0 {
+	if got := (StagingModel{}).StageTime(1_000_000_000); got != 0 {
 		t.Errorf("EBS staging time = %v, want 0", got)
 	}
 	if got := ConstantStaging(120).StageTime(1_000_000_000); got != 120 {
 		t.Errorf("constant staging = %v, want 120", got)
 	}
-	s3 := S3Staging(40)
+	s3 := s3Staging(40)
 	// 400 MB at 40 MB/s = 10 s.
 	if got := s3.StageTime(400_000_000); got != 10 {
 		t.Errorf("S3 staging = %v, want 10", got)
@@ -19,11 +28,11 @@ func TestStagingModelTimes(t *testing.T) {
 }
 
 func TestStagingCosts(t *testing.T) {
-	free, err := EBSPreStaged().StageCost(1_000_000_000, 100)
+	free, err := (StagingModel{}).StageCost(1_000_000_000, 100)
 	if err != nil || free != 0 {
 		t.Errorf("EBS staging cost = %v, %v", free, err)
 	}
-	paid, err := S3Staging(40).StageCost(10_000_000_000, 1000)
+	paid, err := s3Staging(40).StageCost(10_000_000_000, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +78,12 @@ func TestPlanStagedBudgetsDeadline(t *testing.T) {
 func TestPlanStagedVolumeDependentConverges(t *testing.T) {
 	pl := NewPlanner(eq3())
 	items := testItems(500, 1_000_000)
-	staged, err := pl.PlanStaged(items, 3600, UniformBins, S3Staging(40))
+	staged, err := pl.PlanStaged(items, 3600, UniformBins, s3Staging(40))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fixed point: the budgeted staging time matches the realised max bin.
-	want := S3Staging(40).StageTime(maxBinUsed(staged.Bins))
+	want := s3Staging(40).StageTime(maxBinUsed(staged.Bins))
 	if diff := staged.StageSeconds - want; diff < -1 || diff > 1 {
 		t.Errorf("fixed point off: budgeted %v, realised %v", staged.StageSeconds, want)
 	}
@@ -89,10 +98,10 @@ func TestPlanStagedImpossible(t *testing.T) {
 	if _, err := pl.PlanStaged(items, 300, UniformBins, ConstantStaging(400)); err == nil {
 		t.Error("expected error when staging exceeds the deadline")
 	}
-	if _, err := pl.PlanStaged(items, 0, UniformBins, EBSPreStaged()); err == nil {
+	if _, err := pl.PlanStaged(items, 0, UniformBins, StagingModel{}); err == nil {
 		t.Error("expected error for zero deadline")
 	}
-	if _, err := (&Planner{Rate: 1}).PlanStaged(items, 100, UniformBins, EBSPreStaged()); err == nil {
+	if _, err := (&Planner{Rate: 1}).PlanStaged(items, 100, UniformBins, StagingModel{}); err == nil {
 		t.Error("expected error for nil model")
 	}
 }
@@ -104,7 +113,7 @@ func TestPlanStagedEBSEquivalentToPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged, err := pl.PlanStaged(items, 3600, UniformBins, EBSPreStaged())
+	staged, err := pl.PlanStaged(items, 3600, UniformBins, StagingModel{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/cloudsim"
@@ -66,18 +65,6 @@ func (g *GradeTracker) Observations() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.total
-}
-
-// Grades returns the observed grades in sorted order.
-func (g *GradeTracker) Grades() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.counts))
-	for grade := range g.counts {
-		out = append(out, grade)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ModelBank holds one performance model per instance grade — the §7 plan

@@ -55,7 +55,7 @@ func TestGradeTrackerObserveInstance(t *testing.T) {
 	if tr.Observations() != 10 {
 		t.Errorf("observations = %d", tr.Observations())
 	}
-	if len(tr.Grades()) == 0 {
+	if len(tr.counts) == 0 {
 		t.Error("no grades recorded")
 	}
 }

@@ -147,9 +147,9 @@ func TestMonitorReplacesSlowInstance(t *testing.T) {
 	if len(rep.Grades) != rep.Replacements+1 {
 		t.Errorf("grades %v inconsistent with %d replacements", rep.Grades, rep.Replacements)
 	}
-	// The volume survives all the churn, detached at most once at the end.
-	if vol.AttachedTo() == nil {
-		t.Error("volume should remain attached to the final instance")
+	// The volume survives all the churn, attached to the final instance.
+	if err := c.Detach(vol); err != nil {
+		t.Errorf("volume should remain attached to the final instance: %v", err)
 	}
 }
 

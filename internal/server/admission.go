@@ -102,6 +102,3 @@ func (a *admission) draining() bool {
 // depth returns the current number of queued (admitted but not yet
 // running) requests — the queue-depth gauge.
 func (a *admission) depth() int64 { return a.queued.Load() }
-
-// inFlight returns the number of held worker slots.
-func (a *admission) inFlight() int64 { return int64(len(a.slots)) }

@@ -15,7 +15,6 @@ type Histogram struct {
 	counts   []int64
 	overflow int64
 	total    int64
-	sum      int64
 }
 
 // NewHistogram creates a histogram with the given bin width covering
@@ -40,7 +39,6 @@ func (h *Histogram) Add(v int64) error {
 		return fmt.Errorf("stats: histogram value must be non-negative, got %d", v)
 	}
 	h.total++
-	h.sum += v
 	if v >= h.cap {
 		h.overflow++
 		return nil
@@ -53,35 +51,8 @@ func (h *Histogram) Add(v int64) error {
 // [i·binWidth, (i+1)·binWidth).
 func (h *Histogram) Bins() []int64 { return append([]int64(nil), h.counts...) }
 
-// BinWidth returns the configured bin width.
-func (h *Histogram) BinWidth() int64 { return h.binWidth }
-
 // Overflow returns the count of observations at or beyond the cap.
 func (h *Histogram) Overflow() int64 { return h.overflow }
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Sum returns the sum of all recorded observations (total data volume when
-// observations are file sizes).
-func (h *Histogram) Sum() int64 { return h.sum }
-
-// Count returns the count of bin i.
-func (h *Histogram) Count(i int) int64 { return h.counts[i] }
-
-// NumBins returns the number of in-range bins.
-func (h *Histogram) NumBins() int { return len(h.counts) }
-
-// ModeBin returns the index of the fullest bin (the lowest index on ties).
-func (h *Histogram) ModeBin() int {
-	best := 0
-	for i, c := range h.counts {
-		if c > h.counts[best] {
-			best = i
-		}
-	}
-	return best
-}
 
 // FractionBelow returns the fraction of observations strictly below limit,
 // counting whole bins only (limit should be a multiple of the bin width for

@@ -17,15 +17,6 @@ type LinearFit struct {
 // Predict evaluates the fitted line at x.
 func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
 
-// Invert solves Intercept + Slope·x = y for x. It returns an error for a
-// zero slope.
-func (f LinearFit) Invert(y float64) (float64, error) {
-	if f.Slope == 0 {
-		return 0, fmt.Errorf("stats: cannot invert fit with zero slope")
-	}
-	return (y - f.Intercept) / f.Slope, nil
-}
-
 func (f LinearFit) String() string {
 	return fmt.Sprintf("y = %.6g + %.6g*x (R²=%.4f, n=%d)", f.Intercept, f.Slope, f.R2, f.N)
 }
@@ -75,28 +66,6 @@ func FitLinearWeighted(xs, ys, ws []float64) (LinearFit, error) {
 	slope := (sw*sxy - sx*sy) / det
 	intercept := (sy - slope*sx) / sw
 	fit := LinearFit{Slope: slope, Intercept: intercept, N: len(xs)}
-	fit.R2 = rSquared(ys, func(i int) float64 { return fit.Predict(xs[i]) })
-	return fit, nil
-}
-
-// FitThroughOrigin fits y ≈ Slope·x with zero intercept, the paper's y = ax
-// linear family.
-func FitThroughOrigin(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, fmt.Errorf("stats: len(xs)=%d != len(ys)=%d", len(xs), len(ys))
-	}
-	if len(xs) == 0 {
-		return LinearFit{}, ErrInsufficientData
-	}
-	var sxx, sxy float64
-	for i := range xs {
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	if sxx == 0 {
-		return LinearFit{}, fmt.Errorf("stats: degenerate design (all x zero)")
-	}
-	fit := LinearFit{Slope: sxy / sxx, N: len(xs)}
 	fit.R2 = rSquared(ys, func(i int) float64 { return fit.Predict(xs[i]) })
 	return fit, nil
 }
@@ -165,15 +134,6 @@ func rSquared(ys []float64, pred func(i int) float64) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// Residuals returns observed-minus-predicted for each point.
-func Residuals(xs, ys []float64, predict func(x float64) float64) []float64 {
-	res := make([]float64, len(ys))
-	for i := range ys {
-		res[i] = ys[i] - predict(xs[i])
-	}
-	return res
 }
 
 // RelativeResiduals returns (y - f(x)) / f(x) for each point, the quantity

@@ -1,7 +1,8 @@
 // Package stats provides the small statistical toolkit the reproduction
-// needs: descriptive summaries, least-squares regression (plain, through the
-// origin, weighted and log-space), residual analysis and normal-distribution
-// quantiles used for the paper's deadline-adjustment rule.
+// needs: descriptive summaries, least-squares regression (plain, weighted,
+// quadratic through the origin and log-space), relative residuals and
+// normal-distribution quantiles used for the paper's deadline-adjustment
+// rule.
 //
 // Everything is dependency-free and deterministic. The regression helpers
 // deliberately mirror the fitting procedures of §4-§5 of the paper rather
@@ -12,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrInsufficientData is returned when an estimator is given fewer points
@@ -84,35 +84,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// StdDev returns the sample standard deviation of xs (0 if len < 2).
-func StdDev(xs []float64) float64 {
-	return Summarize(xs).StdDev
-}
-
-// Quantile returns the p-quantile (0 ≤ p ≤ 1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-func Quantile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrInsufficientData
-	}
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("stats: quantile p=%v out of [0,1]", p)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }

@@ -436,18 +436,6 @@ func (m *MultiSearcher) feedExact(s int32, p []byte, counts []int64) int32 {
 	return s
 }
 
-// startBytes returns how many distinct bytes can start a pattern; used by
-// tests pinning the skip-loop setup.
-func (m *MultiSearcher) startBytes() int {
-	total := 0
-	for c := 0; c < 256; c++ {
-		if !m.rootSkip[c] {
-			total++
-		}
-	}
-	return total
-}
-
 // CountBytes counts every occurrence of every pattern in data, returning
 // one count per pattern in registration order. Overlapping occurrences
 // all count, matching Searcher.CountBytes per pattern.

@@ -7,6 +7,18 @@ import (
 	"testing"
 )
 
+// startBytes returns how many distinct bytes can start a pattern, which
+// pins the skip-loop setup.
+func startBytes(m *MultiSearcher) int {
+	total := 0
+	for c := 0; c < 256; c++ {
+		if !m.rootSkip[c] {
+			total++
+		}
+	}
+	return total
+}
+
 func TestMultiSearcherMatchesSearcherPerPattern(t *testing.T) {
 	patterns := []string{"ab", "abab", "ba", "b", "xyz", "aa"}
 	texts := []string{
@@ -223,9 +235,9 @@ func equalCounts(a, b []int64) bool {
 // set matches the distinct first bytes.
 func TestMultiSearcherSkipLoopSetup(t *testing.T) {
 	ms, _ := NewMultiSearcher([]string{"needle", "nose"})
-	if ms.soloStart != int16('n') || ms.startBytes() != 1 {
+	if ms.soloStart != int16('n') || startBytes(ms) != 1 {
 		t.Fatalf("exact single start byte: soloStart=%d startBytes=%d, want 'n'/1",
-			ms.soloStart, ms.startBytes())
+			ms.soloStart, startBytes(ms))
 	}
 	ms, _ = NewFoldedMultiSearcher([]string{"needle"})
 	if ms.soloStart != -1 {
@@ -239,9 +251,9 @@ func TestMultiSearcherSkipLoopSetup(t *testing.T) {
 		t.Fatalf("folded non-letter start byte should use IndexByte, got soloStart=%d", ms.soloStart)
 	}
 	ms, _ = NewMultiSearcher([]string{"alpha", "beta", "gamma"})
-	if ms.soloStart != -1 || ms.startBytes() != 3 {
+	if ms.soloStart != -1 || startBytes(ms) != 3 {
 		t.Fatalf("three start bytes: soloStart=%d startBytes=%d, want -1/3",
-			ms.soloStart, ms.startBytes())
+			ms.soloStart, startBytes(ms))
 	}
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"repro/internal/cloudsim"
 	"repro/internal/stats"
 )
 
@@ -46,12 +47,11 @@ func TestGrepMatchOutputCost(t *testing.T) {
 	if withOutput <= base {
 		t.Error("match output generation costs nothing")
 	}
-	if worst.OutputBytes(it.Size) != 0 {
-		t.Error("worst case should emit no output")
-	}
-	// 2000 matches/MB × 500 B × 1000 MB = 1 GB of output.
-	if got := matchy.OutputBytes(it.Size); got != 1_000_000_000 {
-		t.Errorf("output bytes = %d, want 1 GB", got)
+	// The worst case emits no output, so the whole difference is writing
+	// 2000 matches/MB × 500 B × 1000 MB = 1 GB of it.
+	want := cloudsim.EstimateTransfer(1_000_000_000, matchy.OutputMBps*cpuOf(in))
+	if got := withOutput - base; got != want {
+		t.Errorf("output time = %v, want %v for 1 GB", got, want)
 	}
 }
 

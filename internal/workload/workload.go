@@ -210,17 +210,6 @@ func (g *Grep) Process(it Item, readMBps float64, in *cloudsim.Instance) time.Du
 	return d
 }
 
-// OutputBytes returns the expected output volume for an input of the given
-// size — zero in the worst-case configuration, where the full-traversal
-// analysis "isolat[es] from the cost incurred when also generating large
-// outputs".
-func (g *Grep) OutputBytes(inputBytes int64) int64 {
-	if g.MatchesPerMB <= 0 || g.AvgMatchBytes <= 0 {
-		return 0
-	}
-	return int64(g.MatchesPerMB * float64(inputBytes) / 1e6 * g.AvgMatchBytes)
-}
-
 // POS is the CPU/memory-bound Stanford POS tagger model with the
 // left3words configuration.
 type POS struct {

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-kernels bench-pack bench-repo-test chaos-smoke clean
+.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-kernels bench-pack bench-serve bench-repo-test chaos-smoke clean
 
 all: build
 
@@ -51,9 +51,11 @@ verify-quick:
 # carries) against the reference walk in multisearch_ref_test.go and
 # hash/fnv, every production kernel's Restore against arbitrary states,
 # the record codec's two readers (a worker's answer, journal replay)
-# against hostile frames, and the lockstep member checksum against one
-# MemberChecksum per member. The committed seeds already run under plain
-# `go test`. (go test takes one package and one -fuzz target per run.)
+# against hostile frames, the lockstep member checksum against one
+# MemberChecksum per member, and the serve request decoders (any body to
+# grep, measure and verify answers a typed status, never a panic or a
+# 500). The committed seeds already run under plain `go test`. (go test
+# takes one package and one -fuzz target per run.)
 fuzz-smoke:
 	for target in \
 		./internal/textproc:FuzzStreamAnalyzerBlockSplit \
@@ -61,7 +63,8 @@ fuzz-smoke:
 		./internal/textproc:FuzzMultiSearcherBlockSplit \
 		./internal/textproc:FuzzKernelRestore \
 		./internal/dist:FuzzRecord \
-		./internal/fnv64:FuzzMemberChecksums; do \
+		./internal/fnv64:FuzzMemberChecksums \
+		./internal/server:FuzzServeRequest; do \
 		$(GO) test "$${target%%:*}" -run '^$$' -fuzz "^$${target##*:}\$$" -fuzztime 10s || exit 1; \
 	done
 
@@ -86,6 +89,14 @@ bench-kernels:
 # (fnv64:BenchmarkMemberChecksums).
 bench-pack:
 	$(GO) test -run '^$$' -bench 'BenchmarkPack|ReshapeExport12k|MemberChecksums' . ./internal/packstore ./internal/fnv64
+
+# bench-serve measures the resident daemon's per-request cost without the
+# network: one request of each kind serve-mixed sends (grep with the
+# eight-pattern set, measure with complexity, manifest, stats) through
+# Handler().ServeHTTP over a 1 000-file corpus.Text400K pack, mapped,
+# with allocations (server:BenchmarkServeRequest).
+bench-serve:
+	$(GO) test -run '^$$' -bench BenchmarkServeRequest -benchmem ./internal/server
 
 # bench-repo-test runs the repository benchmark harness's own tests
 # (BENCHMARK.json schema, the statistics and verdict arithmetic, a quick

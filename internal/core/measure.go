@@ -53,8 +53,8 @@ func (m *Measurement) Fingerprint() uint64 { return scan.FingerprintSums(m.Sums)
 type MeasureOptions struct {
 	// Workers bounds the scan fan-out (0 = GOMAXPROCS).
 	Workers int
-	// Patterns adds a multi-pattern grep kernel (Aho–Corasick, one
-	// automaton pass for all patterns).
+	// Patterns adds a multi-pattern grep kernel (one matcher pass for all
+	// patterns: bitap up to 64 pattern bytes, Aho–Corasick past that).
 	Patterns []string
 	// FoldCase makes the pattern match ASCII case-insensitive.
 	FoldCase bool
@@ -142,11 +142,7 @@ func (mk *MeasureKernels) Measurement() *Measurement {
 	if mk.Analyzer.Tagger() != nil {
 		m.Complexity = make(map[string]float64, len(m.FileStats))
 		for _, f := range m.FileStats {
-			oov := 0.0
-			if f.Stats.Words > 0 {
-				oov = float64(f.Unknown) / float64(f.Stats.Words)
-			}
-			m.Complexity[f.Name] = workload.ComplexityFromStats(f.Stats, oov)
+			m.Complexity[f.Name] = FileComplexity(f)
 		}
 	}
 	if mk.Match != nil {
@@ -156,6 +152,19 @@ func (mk *MeasureKernels) Measurement() *Measurement {
 		m.Matches = mk.Match.TotalMatches()
 	}
 	return m
+}
+
+// FileComplexity is one file's POS complexity, derived from the
+// analyzer's per-file record: its statistics and its out-of-vocabulary
+// share (Unknown over Words). The record must come from an analyzer that
+// carried a tagger. Every complexity the repository reports goes through
+// it, so the same record gives the same bits on every path.
+func FileComplexity(f textproc.FileStats) float64 {
+	oov := 0.0
+	if f.Stats.Words > 0 {
+		oov = float64(f.Unknown) / float64(f.Stats.Words)
+	}
+	return workload.ComplexityFromStats(f.Stats, oov)
 }
 
 // MeasureSourcesCtx runs the fused measurement over an explicit,

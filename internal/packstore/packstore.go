@@ -90,6 +90,7 @@ type Writer struct {
 	bw      *bufio.Writer
 	path    string
 	off     int64
+	data    int64 // summed payload bytes of the booked members
 	members []Member
 	names   map[string]struct{}
 	err     error
@@ -132,14 +133,9 @@ func Create(path string) (*Writer, error) {
 func (w *Writer) Count() int { return len(w.members) }
 
 // DataSize returns the summed payload bytes appended so far — the
-// quantity shard rolling is measured against.
-func (w *Writer) DataSize() int64 {
-	var n int64
-	for _, m := range w.members {
-		n += m.Size
-	}
-	return n
-}
+// quantity shard rolling is measured against, kept as a running total so
+// filling a shard stays linear in its members.
+func (w *Writer) DataSize() int64 { return w.data }
 
 // checkName validates a member name for storage.
 func checkName(name string) error {
@@ -200,6 +196,7 @@ func (w *Writer) endRecord(name string, size, payloadOff int64, sum uint64) erro
 		Offset:   payloadOff,
 	})
 	w.names[name] = struct{}{}
+	w.data += size
 	w.off = payloadOff + size + checksumLen
 	return nil
 }

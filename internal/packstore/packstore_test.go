@@ -480,6 +480,58 @@ func TestShardWriter(t *testing.T) {
 	}
 }
 
+// TestDataSizeIsAppendedBytes: a writer's DataSize is the summed size of
+// the members it booked — through Append and AppendSummed, across a
+// ShardWriter's rolls (each shard counts its own members), and unchanged
+// by an append that fails and poisons the writer.
+func TestDataSizeIsAppendedBytes(t *testing.T) {
+	sw := NewShardWriter(t.TempDir(), "shard", 8*1024)
+	var want int64
+	for i, m := range testMembers(40) {
+		shards := len(sw.paths)
+		var err error
+		if i%2 == 0 {
+			err = appendBytes(sw, m.name, m.data)
+		} else {
+			err = sw.Append(m.name, int64(len(m.data)), bytes.NewReader(m.data))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sw.paths) != shards {
+			want = 0 // rolled: the new shard holds only this member
+		}
+		want += int64(len(m.data))
+		if got := sw.w.DataSize(); got != want {
+			t.Fatalf("after member %d (shard %d): DataSize %d, appended %d", i, len(sw.paths), got, want)
+		}
+	}
+	if len(sw.paths) < 2 {
+		t.Fatalf("expected the shard writer to roll, got %d shard", len(sw.paths))
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := Create(filepath.Join(t.TempDir(), "a.pack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendBytes(w, "ok", []byte("xyz")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append("short", 5, strings.NewReader("abc")); err == nil {
+		t.Fatal("short content accepted")
+	}
+	if err := appendBytes(w, "after", []byte("q")); err == nil {
+		t.Fatal("append to a poisoned writer accepted")
+	}
+	if got := w.DataSize(); got != 3 {
+		t.Errorf("DataSize after a poisoned append = %d, want the 3 bytes booked before it", got)
+	}
+	w.Close()
+}
+
 func TestShardWriterEmptyLeavesNoFiles(t *testing.T) {
 	dir := t.TempDir()
 	sw := NewShardWriter(dir, "shard", 1024)

@@ -67,7 +67,7 @@ func TestConcurrentRequestsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMean := complexityMean(wantMeasure)
+	wantMean := libraryComplexityMean(wantMeasure)
 
 	const clients = 32
 	var wg sync.WaitGroup

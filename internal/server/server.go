@@ -11,10 +11,10 @@
 //
 // Endpoints (JSON in/out):
 //
-//	POST /v1/grep     multi-pattern Aho–Corasick match counts
-//	POST /v1/measure  fused checksum+stats(+grep)(+complexity) measurement
+//	POST /v1/grep     multi-pattern match counts
+//	POST /v1/measure  fused stats(+grep)(+complexity) measurement
 //	POST /v1/verify   recompute checksums, compare against startup manifest
-//	GET  /v1/manifest per-file sizes and checksums (startup warm scan)
+//	GET  /v1/manifest per-file sizes and checksums (encoded at startup)
 //	GET  /v1/stats    corpus-wide text statistics (startup warm scan)
 //	GET  /healthz     liveness + drain state
 //	GET  /metrics     per-endpoint latency histograms, queue depth, counters
@@ -29,7 +29,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -72,16 +74,18 @@ type Server struct {
 	bytes  int64
 	shards int
 
-	// Startup warm-scan products: the manifest is the reference /v1/verify
-	// checks against, the stats answer /v1/stats without a scan, and the
-	// scan itself faults the mappings into the page cache. fingerprint is
-	// an FNV-64a fold over the manifest's (name, size, checksum) rows in
-	// input order — one corpus identity derived from the parallel per-file
-	// sums.
-	manifest    []ManifestEntry
-	fingerprint uint64
-	stats       textproc.TextStats
-	lines       int64
+	// Startup warm-scan products: the per-file sums are the reference
+	// /v1/verify checks against, the manifest document is their JSON
+	// rendering (encoded once, served as bytes), the stats answer
+	// /v1/stats without a scan, and the scan itself faults the mappings
+	// into the page cache. fingerprint is an FNV-64a fold over the (name,
+	// size, checksum) rows in input order — one corpus identity derived
+	// from the parallel per-file sums.
+	sums         []scan.FileSum
+	manifestJSON []byte
+	fingerprint  uint64
+	stats        textproc.TextStats
+	lines        int64
 
 	tagger *textproc.Tagger
 
@@ -102,8 +106,9 @@ type ManifestEntry struct {
 }
 
 // New builds a server over the sources, running the startup warm scan
-// (per-file checksums, corpus text statistics) under ctx. The scan
-// doubles as page-cache warm-up for mapped packs.
+// (per-file checksums, corpus text statistics) under ctx and encoding the
+// manifest document from it. The scan doubles as page-cache warm-up for
+// mapped packs.
 func New(ctx context.Context, srcs []scan.Source, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
@@ -132,17 +137,13 @@ func New(ctx context.Context, srcs []scan.Source, cfg Config) (*Server, error) {
 	if err := scan.Run(ctx, srcs, scan.Options{Workers: cfg.ScanWorkers}, mk.List...); err != nil {
 		return nil, errs.Stage("serve-warmup", err)
 	}
-	s.manifest = make([]ManifestEntry, 0, len(srcs))
-	for _, sum := range mk.Checksum.Sums() {
-		s.manifest = append(s.manifest, ManifestEntry{
-			Name:     sum.Name,
-			Size:     sum.Size,
-			Checksum: fmt.Sprintf("%016x", sum.Sum),
-		})
-	}
-	s.fingerprint = scan.FingerprintSums(mk.Checksum.Sums())
+	s.sums = mk.Checksum.Sums()
+	s.fingerprint = scan.FingerprintSums(s.sums)
 	s.stats = mk.Analyzer.Total()
 	s.lines = mk.Analyzer.Lines()
+	if s.manifestJSON, err = s.encodeManifest(); err != nil {
+		return nil, errs.Stage("serve-warmup", err)
+	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/grep", s.handleGrep)
@@ -321,6 +322,15 @@ type GrepResponse struct {
 	ElapsedMS float64      `json:"elapsed_ms"`
 }
 
+// newSearcher builds the request's multi-pattern searcher, ASCII
+// case-insensitive when fold is set.
+func newSearcher(patterns []string, fold bool) (*textproc.MultiSearcher, error) {
+	if fold {
+		return textproc.NewFoldedMultiSearcher(patterns)
+	}
+	return textproc.NewMultiSearcher(patterns)
+}
+
 func (s *Server) handleGrep(w http.ResponseWriter, r *http.Request) {
 	var req GrepRequest
 	if err := errs.DecodeJSON(w, r, &req); err != nil {
@@ -335,13 +345,7 @@ func (s *Server) handleGrep(w http.ResponseWriter, r *http.Request) {
 		errs.WriteError(w, errs.Stage("grep", err))
 		return
 	}
-	var ms *textproc.MultiSearcher
-	var err error
-	if req.Fold {
-		ms, err = textproc.NewFoldedMultiSearcher(req.Patterns)
-	} else {
-		ms, err = textproc.NewMultiSearcher(req.Patterns)
-	}
+	ms, err := newSearcher(req.Patterns, req.Fold)
 	if err != nil {
 		errs.WriteError(w, errs.Stage("grep", errs.Invalid("%v", err)))
 		return
@@ -407,46 +411,63 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	}
 	s.runScan(w, r, "measure", req.TimeoutMS, func(ctx context.Context) (any, error) {
 		start := time.Now()
-		m, err := core.MeasureSourcesCtx(ctx, s.srcs, core.MeasureOptions{
-			Workers:    s.cfg.ScanWorkers,
-			Patterns:   req.Patterns,
-			FoldCase:   req.Fold,
-			Complexity: req.Complexity,
-			Tagger:     s.tagger,
-		})
-		if err != nil {
-			return nil, err
+		// The scan runs what the response reports and nothing else: the
+		// analyzer (with the lexicon when complexity is asked for) and the
+		// matcher when there are patterns. No field carries a checksum, so
+		// none is folded; files and bytes are the server's own counts, and
+		// scan.Run fails a source that delivers other than its declared size.
+		var tagger *textproc.Tagger
+		if req.Complexity {
+			tagger = s.tagger
 		}
+		an := textproc.NewAnalyzerKernel(tagger)
+		kernels := []scan.Kernel{an}
+		var mk *textproc.MatchKernel
+		if len(req.Patterns) > 0 {
+			ms, err := newSearcher(req.Patterns, req.Fold)
+			if err != nil {
+				return nil, errs.Stage("measure", errs.Invalid("%v", err))
+			}
+			mk = textproc.NewMatchKernel(ms)
+			kernels = append(kernels, mk)
+		}
+		if err := scan.Run(ctx, s.srcs, scan.Options{Workers: s.cfg.ScanWorkers}, kernels...); err != nil {
+			return nil, errs.Stage("measure", err)
+		}
+		stats := an.Total()
 		resp := &MeasureResponse{
-			Files:        m.Files,
-			Bytes:        m.Bytes,
-			Tokens:       m.Stats.Tokens,
-			Words:        m.Stats.Words,
-			Sentences:    m.Stats.Sentences,
-			Lines:        m.Lines,
-			MeanSentence: m.Stats.MeanSentence,
-			MaxSentence:  m.Stats.MaxSentence,
-			Patterns:     m.Patterns,
-			Totals:       m.PatternTotals,
-			Matches:      m.Matches,
-			ElapsedMS:    float64(time.Since(start).Nanoseconds()) * msPerNs,
+			Files:        s.files,
+			Bytes:        s.bytes,
+			Tokens:       stats.Tokens,
+			Words:        stats.Words,
+			Sentences:    stats.Sentences,
+			Lines:        an.Lines(),
+			MeanSentence: stats.MeanSentence,
+			MaxSentence:  stats.MaxSentence,
 		}
-		if m.Complexity != nil {
-			resp.ComplexityMean = complexityMean(m)
+		if mk != nil {
+			resp.Patterns = mk.Searcher().Patterns()
+			resp.Totals = mk.Totals()
+			resp.Matches = mk.TotalMatches()
 		}
+		if req.Complexity {
+			resp.ComplexityMean = complexityMean(an.Files())
+		}
+		resp.ElapsedMS = float64(time.Since(start).Nanoseconds()) * msPerNs
 		return resp, nil
 	})
 }
 
 // complexityMean folds the per-file complexities in scan input order —
-// NOT map order, which would make the floating-point sum (and so the
-// response) vary between identical requests.
-func complexityMean(m *core.Measurement) float64 {
+// the order core.Measurement lists its FileStats in, never a map's — so
+// the floating-point sum, and so the response, is the same bits for
+// identical requests and equal to the library's.
+func complexityMean(files []textproc.FileStats) float64 {
 	var sum float64
-	for _, fs := range m.FileStats {
-		sum += m.Complexity[fs.Name]
+	for _, f := range files {
+		sum += core.FileComplexity(f)
 	}
-	return sum / float64(len(m.Complexity))
+	return sum / float64(len(files))
 }
 
 // VerifyRequest asks for a full re-checksum against the startup manifest.
@@ -476,14 +497,13 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			return nil, errs.Stage("verify", err)
 		}
 		sums := ck.Sums()
-		if len(sums) != len(s.manifest) {
-			return nil, errs.Stage("verify", errs.Corrupt("scan saw %d files, manifest has %d", len(sums), len(s.manifest)))
+		if len(sums) != len(s.sums) {
+			return nil, errs.Stage("verify", errs.Corrupt("scan saw %d files, manifest has %d", len(sums), len(s.sums)))
 		}
 		for i, sum := range sums {
-			want := s.manifest[i]
-			if got := fmt.Sprintf("%016x", sum.Sum); sum.Name != want.Name || got != want.Checksum {
+			if want := s.sums[i]; sum.Name != want.Name || sum.Sum != want.Sum {
 				return nil, errs.StageFile("verify", sum.Name,
-					errs.Corrupt("checksum %s, manifest has %s", got, want.Checksum))
+					errs.Corrupt("checksum %016x, manifest has %016x", sum.Sum, want.Sum))
 			}
 		}
 		if fp := scan.FingerprintSums(sums); fp != s.fingerprint {
@@ -508,14 +528,34 @@ type ManifestResponse struct {
 	Entries     []ManifestEntry `json:"entries"`
 }
 
-func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	errs.WriteJSON(w, http.StatusOK, &ManifestResponse{
+// encodeManifest renders the manifest document exactly as errs.WriteJSON
+// would write it (indented, newline-terminated), once: the rows are
+// immutable for the server's lifetime, so every GET serves these bytes.
+func (s *Server) encodeManifest() ([]byte, error) {
+	man := &ManifestResponse{
 		Files:       s.files,
 		TotalBytes:  s.bytes,
 		Shards:      s.shards,
 		Fingerprint: fmt.Sprintf("%016x", s.fingerprint),
-		Entries:     s.manifest,
-	})
+		Entries:     make([]ManifestEntry, len(s.sums)),
+	}
+	for i, sum := range s.sums {
+		man.Entries[i] = ManifestEntry{Name: sum.Name, Size: sum.Size, Checksum: fmt.Sprintf("%016x", sum.Sum)}
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(man); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(s.manifestJSON)))
+	w.Write(s.manifestJSON) // the client is the only victim of a failed write
 }
 
 // StatsResponse is the /v1/stats document (startup warm-scan statistics).

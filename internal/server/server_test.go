@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 )
 
 // testFS builds a small deterministic content-backed corpus.
-func testFS(t *testing.T) *vfs.FS {
+func testFS(t testing.TB) *vfs.FS {
 	t.Helper()
 	fs := vfs.NewFS()
 	texts := []string{
@@ -129,39 +130,129 @@ func TestGrepMatchesLibrary(t *testing.T) {
 	}
 }
 
+// libraryComplexityMean is the complexity mean the library's Measurement
+// implies: its per-file map folded in FileStats (scan input) order.
+func libraryComplexityMean(m *core.Measurement) float64 {
+	var sum float64
+	for _, fs := range m.FileStats {
+		sum += m.Complexity[fs.Name]
+	}
+	return sum / float64(len(m.Complexity))
+}
+
+// encodeIndented renders v the way errs.WriteJSON writes a body.
+func encodeIndented(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestMeasureMatchesLibrary pins the measure endpoint to
-// core.MeasureSourcesCtx — the exact call the one-shot CLI makes.
+// core.MeasureSourcesCtx — the exact call the one-shot CLI makes — with
+// and without patterns, folded or not, with and without complexity: every
+// response field but elapsed_ms equals the library's, and the body is the
+// bytes the library's answer encodes to.
 func TestMeasureMatchesLibrary(t *testing.T) {
 	fs := testFS(t)
 	_, ts := newTestServer(t, fs, Config{MaxInFlight: 2, QueueDepth: 8})
+	srcs := scan.SequentialOrder(vfs.Sources(fs.List()))
 
-	files := fs.List()
-	want, err := core.MeasureSourcesCtx(context.Background(),
-		scan.SequentialOrder(vfs.Sources(files)),
-		core.MeasureOptions{Patterns: []string{"error"}, Complexity: true})
-	if err != nil {
+	for _, pc := range []struct {
+		name     string
+		patterns []string
+		fold     bool
+	}{
+		{"no-patterns", nil, false},
+		{"patterns", []string{"error", "the", "President"}, false},
+		{"patterns-fold", []string{"error", "the", "President"}, true},
+	} {
+		for _, complexity := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/complexity=%v", pc.name, complexity), func(t *testing.T) {
+				m, err := core.MeasureSourcesCtx(context.Background(), srcs,
+					core.MeasureOptions{Patterns: pc.patterns, FoldCase: pc.fold, Complexity: complexity})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := MeasureResponse{
+					Files:        m.Files,
+					Bytes:        m.Bytes,
+					Tokens:       m.Stats.Tokens,
+					Words:        m.Stats.Words,
+					Sentences:    m.Stats.Sentences,
+					Lines:        m.Lines,
+					MeanSentence: m.Stats.MeanSentence,
+					MaxSentence:  m.Stats.MaxSentence,
+					Patterns:     m.Patterns,
+					Totals:       m.PatternTotals,
+					Matches:      m.Matches,
+				}
+				if complexity {
+					want.ComplexityMean = libraryComplexityMean(m)
+				}
+
+				resp, data := postJSON(t, ts.URL+"/v1/measure",
+					MeasureRequest{Patterns: pc.patterns, Fold: pc.fold, Complexity: complexity})
+				if resp.StatusCode != 200 {
+					t.Fatalf("measure status %d: %s", resp.StatusCode, data)
+				}
+				var got MeasureResponse
+				if err := json.Unmarshal(data, &got); err != nil {
+					t.Fatal(err)
+				}
+				want.ElapsedMS = got.ElapsedMS
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("measure = %+v, library says %+v", got, want)
+				}
+				if enc := encodeIndented(t, &want); !bytes.Equal(data, enc) {
+					t.Errorf("measure body differs from the library's answer encoded:\n%s\nwant\n%s", data, enc)
+				}
+			})
+		}
+	}
+}
+
+// TestManifestBodyEncodedOnce: the manifest bytes New encodes are what
+// errs.WriteJSON writes for the same document, headers included.
+func TestManifestBodyEncodedOnce(t *testing.T) {
+	fs := testFS(t)
+	srv, _ := newTestServer(t, fs, Config{MaxInFlight: 2, QueueDepth: 8})
+
+	got := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(got, httptest.NewRequest(http.MethodGet, "/v1/manifest", nil))
+	var man ManifestResponse
+	if err := json.Unmarshal(got.Body.Bytes(), &man); err != nil {
 		t.Fatal(err)
 	}
 
-	resp, data := postJSON(t, ts.URL+"/v1/measure",
-		MeasureRequest{Patterns: []string{"error"}, Complexity: true})
-	if resp.StatusCode != 200 {
-		t.Fatalf("measure status %d: %s", resp.StatusCode, data)
+	want := httptest.NewRecorder()
+	errs.WriteJSON(want, http.StatusOK, &ManifestResponse{
+		Files:       srv.files,
+		TotalBytes:  srv.bytes,
+		Shards:      srv.shards,
+		Fingerprint: fmt.Sprintf("%016x", srv.fingerprint),
+		Entries:     man.Entries,
+	})
+	if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("manifest: status %d body\n%s\nerrs.WriteJSON gives %d\n%s", got.Code, got.Body, want.Code, want.Body)
 	}
-	var got MeasureResponse
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
+	if ct := got.Header().Get("Content-Type"); ct != want.Header().Get("Content-Type") {
+		t.Errorf("Content-Type %q, errs.WriteJSON sets %q", ct, want.Header().Get("Content-Type"))
 	}
-	if got.Tokens != want.Stats.Tokens || got.Words != want.Stats.Words ||
-		got.Sentences != want.Stats.Sentences || got.Lines != want.Lines {
-		t.Errorf("measure = %+v, library says stats %+v lines %d", got, want.Stats, want.Lines)
+	if cl := got.Header().Get("Content-Length"); cl != fmt.Sprint(want.Body.Len()) {
+		t.Errorf("Content-Length %q, body is %d bytes", cl, want.Body.Len())
 	}
-	if got.Matches != want.Matches {
-		t.Errorf("matches = %d, library says %d", got.Matches, want.Matches)
+	if len(man.Entries) != fs.Len() {
+		t.Fatalf("manifest lists %d entries, corpus has %d", len(man.Entries), fs.Len())
 	}
-	wantMean := complexityMean(want)
-	if got.ComplexityMean != wantMean {
-		t.Errorf("complexity_mean = %v, library says %v", got.ComplexityMean, wantMean)
+	for i, sum := range srv.sums {
+		if e := man.Entries[i]; e.Name != sum.Name || e.Size != sum.Size || e.Checksum != fmt.Sprintf("%016x", sum.Sum) {
+			t.Errorf("entry %d = %+v, warm scan has %+v", i, e, sum)
+		}
 	}
 }
 
@@ -245,6 +336,43 @@ func TestMetricsAfterTraffic(t *testing.T) {
 	}
 }
 
+// manyPatterns returns n one-byte patterns.
+func manyPatterns(n int) []string {
+	p := make([]string, n)
+	for i := range p {
+		p[i] = "a"
+	}
+	return p
+}
+
+// mustJSON marshals a request body whose encoding cannot fail.
+func mustJSON(v any) string {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return string(raw)
+}
+
+// hostileRequests are requests a client may not make the server act on:
+// each must be refused with 400 in the shared envelope (TestStatusMapping)
+// and seeds FuzzServeRequest.
+func hostileRequests() map[string]struct{ path, body, header string } {
+	return map[string]struct{ path, body, header string }{
+		"oversized-body":     {path: "/v1/verify", body: `{"timeout_ms": 1` + strings.Repeat(" ", errs.MaxRequestBytes) + `}`},
+		"too-many-patterns":  {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: manyPatterns(maxPatterns + 1)})},
+		"measure-patterns":   {path: "/v1/measure", body: mustJSON(MeasureRequest{Patterns: manyPatterns(maxPatterns + 1)})},
+		"pattern-bytes":      {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: []string{strings.Repeat("a", maxPatternBytes+1)}})},
+		"2MiB-pattern":       {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: []string{strings.Repeat("a", 2<<20)}})},
+		"timeout-ceiling":    {path: "/v1/verify", body: mustJSON(VerifyRequest{TimeoutMS: maxTimeout.Milliseconds() + 1})},
+		"timeout-overflow":   {path: "/v1/verify", body: `{"timeout_ms": 9223372036854775807}`},
+		"header-ceiling":     {path: "/v1/verify", body: `{}`, header: "99999999999999999999"},
+		"second-value":       {path: "/v1/verify", body: `{}{}`},
+		"trailing-garbage":   {path: "/v1/grep", body: `{"patterns":["the"]}!`},
+		"unbalanced-literal": {path: "/v1/measure", body: `{"patterns":["the"]`},
+	}
+}
+
 // TestStatusMapping covers the HTTP error surface: malformed body and
 // missing patterns are 400, wrong method 405, unknown path 404, an
 // expired per-request timeout 504, and the error envelope carries the
@@ -311,30 +439,7 @@ func TestStatusMapping(t *testing.T) {
 
 	// What a client may not make the server do: each is refused with 400 in
 	// the shared envelope before an automaton is built or a slot is taken.
-	manyPatterns := make([]string, maxPatterns+1)
-	for i := range manyPatterns {
-		manyPatterns[i] = "a"
-	}
-	mustJSON := func(v any) string {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(raw)
-	}
-	for name, tc := range map[string]struct{ path, body, header string }{
-		"oversized-body":     {path: "/v1/verify", body: `{"timeout_ms": 1` + strings.Repeat(" ", errs.MaxRequestBytes) + `}`},
-		"too-many-patterns":  {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: manyPatterns})},
-		"measure-patterns":   {path: "/v1/measure", body: mustJSON(MeasureRequest{Patterns: manyPatterns})},
-		"pattern-bytes":      {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: []string{strings.Repeat("a", maxPatternBytes+1)}})},
-		"2MiB-pattern":       {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: []string{strings.Repeat("a", 2<<20)}})},
-		"timeout-ceiling":    {path: "/v1/verify", body: mustJSON(VerifyRequest{TimeoutMS: maxTimeout.Milliseconds() + 1})},
-		"timeout-overflow":   {path: "/v1/verify", body: `{"timeout_ms": 9223372036854775807}`},
-		"header-ceiling":     {path: "/v1/verify", body: `{}`, header: "99999999999999999999"},
-		"second-value":       {path: "/v1/verify", body: `{}{}`},
-		"trailing-garbage":   {path: "/v1/grep", body: `{"patterns":["the"]}!`},
-		"unbalanced-literal": {path: "/v1/measure", body: `{"patterns":["the"]`},
-	} {
+	for name, tc := range hostileRequests() {
 		t.Run(name, func(t *testing.T) {
 			req, err := http.NewRequest("POST", ts.URL+tc.path, strings.NewReader(tc.body))
 			if err != nil {
@@ -355,7 +460,7 @@ func TestStatusMapping(t *testing.T) {
 		})
 	}
 	// The caps are inclusive, and whitespace after the value is not data.
-	resp, data = postJSON(t, ts.URL+"/v1/grep", GrepRequest{Patterns: manyPatterns[:maxPatterns]})
+	resp, data = postJSON(t, ts.URL+"/v1/grep", GrepRequest{Patterns: manyPatterns(maxPatterns)})
 	if resp.StatusCode != 200 {
 		t.Errorf("%d patterns: status %d: %s", maxPatterns, resp.StatusCode, data)
 	}

@@ -60,7 +60,8 @@ func FuzzMultiSearcherBlockSplit(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			forced, err := newFast(set.patterns)
+			// The AC walk is exercised even on small sets.
+			forced, err := newACMultiSearcher(set.patterns, set.folded)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +69,6 @@ func FuzzMultiSearcherBlockSplit(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			forced.bitap = false // exercise the AC walk even on small sets
 
 			want := make([]int64, ref.NumPatterns())
 			ref.Feed(ref.Start(), data, want)

@@ -19,7 +19,8 @@ import (
 // because a match straddling a boundary is simply a matcher position that
 // crosses a Feed call. No input bytes are ever re-buffered.
 //
-// Two engines share that contract (DESIGN.md §9). Both index their tables
+// Two engines share that contract (DESIGN.md §9); construction builds
+// only the one a pattern set runs. Both index their tables
 // by the raw input byte and fold at build time, so a folded searcher runs
 // the same loops as an exact one, with no per-byte fold load:
 //
@@ -52,7 +53,7 @@ type MultiSearcher struct {
 	matchMask uint64      // bits at each pattern's last position
 	bitPat    [64]int16   // match bit position -> pattern index
 
-	// Aho–Corasick engine (always built; the only engine for large sets).
+	// Aho–Corasick engine (built only for sets too large for bitap).
 	hotN int32           // states resident in the byte-major interleaved region
 	hot  *[1 << 16]int32 // hot[int(c)<<8|int(s)] for s < 256 (padded to a full 256x256)
 	cold []int32         // cold[(int(s)-256)<<8 | int(c)] for s >= 256
@@ -83,21 +84,29 @@ func NewFoldedMultiSearcher(patterns []string) (*MultiSearcher, error) {
 	return newMultiSearcher(patterns, true)
 }
 
+// validatePatterns enforces the searcher's input contract: at least one
+// pattern, none empty.
+func validatePatterns(patterns []string) error {
+	if len(patterns) == 0 {
+		return fmt.Errorf("textproc: multi-searcher needs at least one pattern")
+	}
+	for pi, p := range patterns {
+		if p == "" {
+			return fmt.Errorf("textproc: empty search pattern at index %d", pi)
+		}
+	}
+	return nil
+}
+
 // buildAutomaton runs the trie + BFS/failure-link phases shared by the
 // production searcher and the frozen reference: a dense goto table and
 // per-state output sets, with fail chains already collapsed so matching
-// never walks them. Node 0 is the root; a zero edge means "absent".
-func buildAutomaton(patterns []string, folded bool) (next [][256]int32, out [][]int32, err error) {
-	if len(patterns) == 0 {
-		return nil, nil, fmt.Errorf("textproc: multi-searcher needs at least one pattern")
-	}
-
+// never walks them. Node 0 is the root; a zero edge means "absent". The
+// patterns must have passed validatePatterns.
+func buildAutomaton(patterns []string, folded bool) (next [][256]int32, out [][]int32) {
 	trie := [][256]int32{{}}
 	out = [][]int32{nil}
 	for pi, p := range patterns {
-		if p == "" {
-			return nil, nil, fmt.Errorf("textproc: empty search pattern at index %d", pi)
-		}
 		cur := int32(0)
 		for i := 0; i < len(p); i++ {
 			c := p[i]
@@ -142,7 +151,7 @@ func buildAutomaton(patterns []string, folded bool) (next [][256]int32, out [][]
 			}
 		}
 	}
-	return next, out, nil
+	return next, out
 }
 
 // bfsOrder returns the breadth-first visit order of the automaton's
@@ -168,22 +177,31 @@ func bfsOrder(next [][256]int32) []int32 {
 }
 
 func newMultiSearcher(patterns []string, folded bool) (*MultiSearcher, error) {
-	next, out, err := buildAutomaton(patterns, folded)
-	if err != nil {
+	if err := validatePatterns(patterns); err != nil {
 		return nil, err
 	}
-	// Both engines index their tables by the raw input byte: entry c is
-	// the one for fold[c], the identity for an exact searcher.
+	fold := foldFor(folded)
+	m := &MultiSearcher{patterns: append([]string(nil), patterns...)}
+	// Only the engine Feed runs is built: the automaton's trie and tables
+	// are ~0.4 MB even for a handful of short patterns.
+	if !m.buildBitap(&fold) {
+		next, out := buildAutomaton(m.patterns, folded)
+		m.buildAC(next, out, &fold)
+	}
+	return m, nil
+}
+
+// foldFor returns the byte map both engines index their tables through:
+// entry c is the byte c matches as, fold[c] for a folded searcher and the
+// identity for an exact one.
+func foldFor(folded bool) [256]byte {
 	fold := foldTable
 	if !folded {
 		for c := range fold {
 			fold[c] = byte(c)
 		}
 	}
-	m := &MultiSearcher{patterns: append([]string(nil), patterns...)}
-	m.buildAC(next, out, &fold)
-	m.buildBitap(&fold)
-	return m, nil
+	return fold
 }
 
 // buildAC lays the automaton out for the hot loop: BFS renumbering,
@@ -263,17 +281,17 @@ func (m *MultiSearcher) buildAC(next [][256]int32, out [][]int32, fold *[256]byt
 }
 
 // buildBitap enables the shift-and engine when every pattern position
-// fits one 64-bit word. Patterns pack contiguously with no guard bits:
+// fits one 64-bit word, and reports whether it did. Patterns pack contiguously with no guard bits:
 // the top (match) bit of pattern i-1 shifts into pattern i's first
 // position, but initMask sets that position unconditionally anyway, so
 // the leak is harmless.
-func (m *MultiSearcher) buildBitap(fold *[256]byte) {
+func (m *MultiSearcher) buildBitap(fold *[256]byte) bool {
 	total := 0
 	for _, p := range m.patterns {
 		total += len(p)
 	}
 	if total > 64 {
-		return
+		return false
 	}
 	off := 0
 	for pi, p := range m.patterns {
@@ -292,6 +310,7 @@ func (m *MultiSearcher) buildBitap(fold *[256]byte) {
 		m.matchMask |= 1 << uint(off-1)
 	}
 	m.bitap = true
+	return true
 }
 
 // NumPatterns returns how many patterns the searcher matches; counts

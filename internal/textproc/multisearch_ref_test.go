@@ -26,10 +26,10 @@ func NewFoldedReferenceMultiSearcher(patterns []string) (*ReferenceMultiSearcher
 }
 
 func newReferenceMultiSearcher(patterns []string, folded bool) (*ReferenceMultiSearcher, error) {
-	next, out, err := buildAutomaton(patterns, folded)
-	if err != nil {
+	if err := validatePatterns(patterns); err != nil {
 		return nil, err
 	}
+	next, out := buildAutomaton(patterns, folded)
 	return &ReferenceMultiSearcher{
 		patterns: append([]string(nil), patterns...),
 		folded:   folded,
@@ -71,4 +71,23 @@ func (m *ReferenceMultiSearcher) CountBytes(data []byte) []int64 {
 	counts := make([]int64, len(m.patterns))
 	m.Feed(m.Start(), data, counts)
 	return counts
+}
+
+// newACMultiSearcher builds a production searcher that runs the
+// Aho–Corasick engine whatever the set's size: construction builds only
+// bitap for a set of ≤ 64 pattern bytes, so the automaton is laid out here
+// and the dispatch flag cleared. The skip-loop setup and the differential
+// and fuzz tests use it to pin the automaton walk on small sets too.
+func newACMultiSearcher(patterns []string, folded bool) (*MultiSearcher, error) {
+	m, err := newMultiSearcher(patterns, folded)
+	if err != nil {
+		return nil, err
+	}
+	if m.hot == nil {
+		fold := foldFor(folded)
+		next, out := buildAutomaton(m.patterns, folded)
+		m.buildAC(next, out, &fold)
+	}
+	m.bitap = false
+	return m, nil
 }

@@ -3,6 +3,7 @@ package textproc
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -178,16 +179,18 @@ func TestMultiSearcherMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Both engines are pinned: the bitap searcher as constructed
-			// (all these sets are eligible), and the automaton engine by
-			// clearing the dispatch flag — the AC tables are always built.
+			// (all these sets are eligible), and the automaton engine built
+			// for the same set by newACMultiSearcher.
 			for _, forceAC := range []bool{false, true} {
-				fast, err := newMultiSearcher(patterns, folded)
+				newFast := newMultiSearcher
+				if forceAC {
+					newFast = newACMultiSearcher
+				}
+				fast, err := newFast(patterns, folded)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if forceAC {
-					fast.bitap = false
-				} else if !fast.bitap {
+				if !forceAC && !fast.bitap {
 					t.Fatalf("patterns %q should be bitap-eligible", patterns)
 				}
 				for ti, text := range randTexts(patterns) {
@@ -229,28 +232,28 @@ func equalCounts(a, b []int64) bool {
 	return true
 }
 
-// TestMultiSearcherSkipLoopSetup pins the root-skip configuration: a
-// single fold-invariant start byte enables IndexByte, a letter start byte
-// under folding must not (uppercase inputs fold onto it), and the start
-// set matches the distinct first bytes.
+// TestMultiSearcherSkipLoopSetup pins the Aho–Corasick root-skip
+// configuration: a single fold-invariant start byte enables IndexByte, a
+// letter start byte under folding must not (uppercase inputs fold onto
+// it), and the start set matches the distinct first bytes.
 func TestMultiSearcherSkipLoopSetup(t *testing.T) {
-	ms, _ := NewMultiSearcher([]string{"needle", "nose"})
+	ms, _ := newACMultiSearcher([]string{"needle", "nose"}, false)
 	if ms.soloStart != int16('n') || startBytes(ms) != 1 {
 		t.Fatalf("exact single start byte: soloStart=%d startBytes=%d, want 'n'/1",
 			ms.soloStart, startBytes(ms))
 	}
-	ms, _ = NewFoldedMultiSearcher([]string{"needle"})
+	ms, _ = newACMultiSearcher([]string{"needle"}, true)
 	if ms.soloStart != -1 {
 		t.Fatalf("folded letter start byte must not use IndexByte (misses 'N'), got soloStart=%d", ms.soloStart)
 	}
 	if got := ms.CountBytes([]byte("Needle needle NEEDLE")); got[0] != 3 {
 		t.Fatalf("folded skip loop count = %d, want 3", got[0])
 	}
-	ms, _ = NewFoldedMultiSearcher([]string{"0ops"})
+	ms, _ = newACMultiSearcher([]string{"0ops"}, true)
 	if ms.soloStart != int16('0') {
 		t.Fatalf("folded non-letter start byte should use IndexByte, got soloStart=%d", ms.soloStart)
 	}
-	ms, _ = NewMultiSearcher([]string{"alpha", "beta", "gamma"})
+	ms, _ = newACMultiSearcher([]string{"alpha", "beta", "gamma"}, false)
 	if ms.soloStart != -1 || startBytes(ms) != 3 {
 		t.Fatalf("three start bytes: soloStart=%d startBytes=%d, want -1/3",
 			ms.soloStart, startBytes(ms))
@@ -324,4 +327,48 @@ func TestFoldedAutomatonIndexesByRawByte(t *testing.T) {
 		ms.Feed(st, text[cut:], counts)
 		check(fmt.Sprintf("split at %d", cut), counts, text)
 	}
+}
+
+// TestMultiSearcherBuildsOnlyItsEngine: a set of ≤ 64 pattern bytes gets
+// the bitap engine and none of the Aho–Corasick tables, a larger set gets
+// the tables, and building a searcher for the repository benchmark's
+// eight-pattern grep set costs a few KiB, not the automaton's ~0.4 MB.
+func TestMultiSearcherBuildsOnlyItsEngine(t *testing.T) {
+	eight := []string{"the", "and", "president", "market", "city", "nation", "report", "error"}
+	for _, folded := range []bool{false, true} {
+		small, err := newMultiSearcher(eight, folded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !small.bitap || small.hot != nil || small.cold != nil || small.hasOut != nil {
+			t.Errorf("folded=%v: bitap-eligible set built Aho–Corasick tables (bitap=%v hot=%v)", folded, small.bitap, small.hot != nil)
+		}
+		large, err := newMultiSearcher(append(eight, "said the market", "city nation error"), folded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if large.bitap || large.hot == nil {
+			t.Errorf("folded=%v: set over 64 bytes: bitap=%v hot built=%v, want the automaton", folded, large.bitap, large.hot != nil)
+		}
+	}
+
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := NewMultiSearcher(eight); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := NewMultiSearcher(eight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBuild := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perBuild >= 16<<10 {
+		t.Errorf("NewMultiSearcher(8 patterns) allocates %d bytes in %.0f allocations, want < 16 KiB", perBuild, allocs)
+	}
+	t.Logf("NewMultiSearcher(8 patterns): %d bytes in %.0f allocations", perBuild, allocs)
 }

@@ -168,8 +168,9 @@ func NewPOSApp() App { return workload.NewPOS() }
 // kernel, for running over content-backed corpora).
 var NewSearcher = textproc.NewSearcher
 
-// NewMultiSearcher compiles N literal patterns into one Aho–Corasick
-// automaton, so counting all of them costs a single pass over the bytes.
+// NewMultiSearcher compiles N literal patterns into one matcher — bitap
+// for up to 64 pattern bytes, an Aho–Corasick automaton past that — so
+// counting all of them costs a single pass over the bytes.
 var NewMultiSearcher = textproc.NewMultiSearcher
 
 // NewFoldedMultiSearcher is NewMultiSearcher with ASCII case folding.

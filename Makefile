@@ -51,11 +51,13 @@ verify-quick:
 # carries) against the reference walk in multisearch_ref_test.go and
 # hash/fnv, every production kernel's Restore against arbitrary states,
 # the record codec's two readers (a worker's answer, journal replay)
-# against hostile frames, the lockstep member checksum against one
-# MemberChecksum per member, and the serve request decoders (any body to
-# grep, measure and verify answers a typed status, never a panic or a
-# 500). The committed seeds already run under plain `go test`. (go test
-# takes one package and one -fuzz target per run.)
+# against hostile frames, the pack readers (Open, OpenReader, RecoverCtx)
+# against arbitrary files (typed refusals, typed verify failures), the
+# fault spec parser against arbitrary specs (ErrInvalid or a config New
+# accepts), and the serve request decoders (any body to grep, measure and
+# verify answers a typed status, never a panic or a 500). The committed
+# seeds already run under plain `go test`. (go test takes one package and
+# one -fuzz target per run.)
 fuzz-smoke:
 	for target in \
 		./internal/textproc:FuzzStreamAnalyzerBlockSplit \
@@ -63,7 +65,8 @@ fuzz-smoke:
 		./internal/textproc:FuzzMultiSearcherBlockSplit \
 		./internal/textproc:FuzzKernelRestore \
 		./internal/dist:FuzzRecord \
-		./internal/fnv64:FuzzMemberChecksums \
+		./internal/packstore:FuzzPackOpen \
+		./internal/fault:FuzzParseSpec \
 		./internal/server:FuzzServeRequest; do \
 		$(GO) test "$${target%%:*}" -run '^$$' -fuzz "^$${target##*:}\$$" -fuzztime 10s || exit 1; \
 	done
@@ -82,13 +85,11 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench 'Kernel.*PerMB' -benchtime 20x -cpu 1 -count 5 .
 
 # bench-pack measures just the packstore paths (write, verify — the unit
-# shape in BenchmarkPackVerifyUnits — and O(1) random access), the reshape
-# that feeds them: 12 000 files on disk imported, reshaped and exported as
-# packs (BenchmarkReshapeExport12k, root package), and the member checksum
-# both hash with, one, two and four members in lockstep
-# (fnv64:BenchmarkMemberChecksums).
+# shape in BenchmarkPackVerifyUnits — and O(1) random access) and the
+# reshape that feeds them: 12 000 files on disk imported, reshaped and
+# exported as packs (BenchmarkReshapeExport12k, root package).
 bench-pack:
-	$(GO) test -run '^$$' -bench 'BenchmarkPack|ReshapeExport12k|MemberChecksums' . ./internal/packstore ./internal/fnv64
+	$(GO) test -run '^$$' -bench 'BenchmarkPack|ReshapeExport12k' . ./internal/packstore
 
 # bench-serve measures the resident daemon's per-request cost without the
 # network: one request of each kind serve-mixed sends (grep with the

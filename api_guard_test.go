@@ -31,7 +31,7 @@ var apiAllowlist = map[string]string{
 	"par.CancelledError.Unwrap":          "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
 	"packstore.RecoverCtx":               "recovery code: rebuilds the index of a pack whose footer never landed; what the 'try Recover' errors point at",
 	"packstore.Pack.Truncated":           "recovery code: tells a RecoverCtx caller the scan stopped at a torn record",
-	"packstore.Pack.Lookup":              "library surface: O(1) member access by name, the property the format's sorted index exists for; fnv64's and packstore's tests read members through it",
+	"packstore.Pack.Lookup":              "library surface: O(1) member access by name, the property the format's sorted index exists for; packstore's tests read members through it",
 	"packstore.MmapSupported":            "build fact other packages' tests branch on: cli and vfs tests expect mappings only where the build makes them",
 	"dist.Local.SetHealth":               "test seam: quarantine and probe tests flip an in-process worker's health",
 	"vfs.FS.Remove":                      "library surface: repro.FS is the facade's file-system type and Remove completes Add / Get; its cache-invalidation leg is tested",

@@ -98,9 +98,16 @@ func (c Config) validate() error {
 		{"latencyrate", c.LatencyRate}, {"kill", c.Kill}, {"refuse", c.Refuse},
 		{"http503", c.HTTP503}, {"http429", c.HTTP429}, {"stall", c.Stall},
 	} {
-		if r.v < 0 || r.v > 1 {
+		// Written so that NaN, which compares false with everything, fails.
+		if !(r.v >= 0 && r.v <= 1) {
 			return errs.Invalid("fault: rate %s=%v outside [0, 1]", r.name, r.v)
 		}
+	}
+	if c.Latency < 0 {
+		return errs.Invalid("fault: negative latency %v", c.Latency)
+	}
+	if c.RetryAfterS < 0 {
+		return errs.Invalid("fault: negative retryafter %d", c.RetryAfterS)
 	}
 	return nil
 }
@@ -109,7 +116,8 @@ func (c Config) validate() error {
 // e.g. "seed=7,readerr=0.1,kill=0.05,latency=1ms,latencyrate=0.2".
 // Keys: seed, readerr, shortread, bitflip, latency (duration),
 // latencyrate, kill, refuse, http503, http429, stall, retryafter
-// (seconds). Unknown keys and out-of-range rates are errors.
+// (seconds). Unknown keys, rates outside [0, 1] (NaN included) and
+// negative durations are ErrInvalid.
 func ParseSpec(spec string) (Config, error) {
 	var c Config
 	for _, part := range strings.Split(spec, ",") {
@@ -160,7 +168,7 @@ func ParseSpec(spec string) (Config, error) {
 			return c, errs.Invalid("fault: spec %s=%q: %v", k, v, err)
 		}
 	}
-	if c.LatencyRate > 0 && c.Latency <= 0 {
+	if c.LatencyRate > 0 && c.Latency == 0 {
 		c.Latency = time.Millisecond
 	}
 	return c, c.validate()

@@ -342,9 +342,13 @@ func TestParseSpec(t *testing.T) {
 	if !cfg.Enabled() {
 		t.Fatal("parsed config reports disabled")
 	}
-	for _, bad := range []string{"bogus=1", "readerr=2", "readerr", "seed=x", "kill=-0.1"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Fatalf("ParseSpec(%q) accepted", bad)
+	for _, bad := range []string{
+		"bogus=1", "readerr=2", "readerr", "seed=x", "kill=-0.1",
+		"readerr=NaN", "kill=nan", "stall=+Inf",
+		"retryafter=-5,http503=1", "latency=-5ms", "latency=-5ms,latencyrate=0.5",
+	} {
+		if _, err := ParseSpec(bad); !errors.Is(err, errs.ErrInvalid) {
+			t.Fatalf("ParseSpec(%q) = %v, want ErrInvalid", bad, err)
 		}
 	}
 	if cfg, err := ParseSpec(""); err != nil || cfg.Enabled() {
@@ -355,6 +359,39 @@ func TestParseSpec(t *testing.T) {
 	if err != nil || cfg.Latency <= 0 {
 		t.Fatalf("latencyrate without latency: cfg=%+v err=%v", cfg, err)
 	}
+}
+
+// FuzzParseSpec: any spec string parses or is refused with ErrInvalid,
+// never a panic, and an accepted config is one New accepts too: every
+// rate in [0, 1], no negative latency or Retry-After.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"seed=7,readerr=0.1,kill=0.05,latency=2ms,latencyrate=0.25,http503=0.1,retryafter=1",
+		"", "readerr=NaN", "retryafter=-5,http503=1", "latency=-5ms", "latencyrate=0.5", "stall=1e-300",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			if !errors.Is(err, errs.ErrInvalid) {
+				t.Fatalf("ParseSpec(%q) refused untyped: %v", spec, err)
+			}
+			return
+		}
+		for _, r := range []float64{cfg.ReadErr, cfg.ShortRead, cfg.BitFlip, cfg.LatencyRate, cfg.Kill,
+			cfg.Refuse, cfg.HTTP503, cfg.HTTP429, cfg.Stall} {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("ParseSpec(%q) accepted rate %v: %+v", spec, r, cfg)
+			}
+		}
+		if cfg.Latency < 0 || cfg.RetryAfterS < 0 {
+			t.Fatalf("ParseSpec(%q) accepted a negative duration: %+v", spec, cfg)
+		}
+		if _, err := New(cfg); err != nil {
+			t.Fatalf("ParseSpec(%q) accepted what New refuses: %v", spec, err)
+		}
+	})
 }
 
 func TestSummaryDeterministic(t *testing.T) {

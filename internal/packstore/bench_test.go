@@ -70,8 +70,8 @@ func BenchmarkPackVerify512(b *testing.B) {
 }
 
 // BenchmarkPackVerifyUnits verifies the reshaped corpus's shape: 25 unit
-// members of 1 MiB, where the fold, not the per-member overhead, is the
-// cost, so lockstep batches show at full size.
+// members of 1 MiB, where the checksum, not the per-member overhead, is
+// the cost.
 func BenchmarkPackVerifyUnits(b *testing.B) {
 	p := benchPack(b, 25, 1<<20)
 	b.SetBytes(25 << 20)

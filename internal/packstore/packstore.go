@@ -14,29 +14,33 @@
 // padding, fixed little-endian encoding), so packing the same members in
 // the same order twice yields byte-identical files:
 //
-//	header   8 B  magic "RPACKv1\n"
+//	header   8 B  magic "RPACKv2\n"
 //	records  one per member, in append order:
 //	           magic "RREC" (4 B) | nameLen uint32 | size uint64
 //	           name (nameLen B) | payload (size B)
-//	           checksum uint64 — FNV-64a of the payload
+//	           checksum uint64 — Checksum of the payload
 //	index    one entry per member, sorted by name:
 //	           nameLen uint32 | size uint64 | checksum uint64
 //	           offset uint64 (payload start) | name
 //	footer  40 B  indexOffset | indexSize | count | indexChecksum
 //	              | magic "RPACKEND"
 //
-// The payload checksum trails the payload so writing streams in one
-// pass; the index repeats it so strict readers never touch record
-// headers. Because records are strictly sequential, a crash while
-// appending can only damage the tail: Recover rescans the records of a
-// pack with a missing or corrupt footer and salvages every complete
-// member (see reader.go).
+// Every stored checksum is CRC-32C (Castagnoli), zero-extended into its
+// 8-byte slot (see Checksum). Format v1 ("RPACKv1\n") had the same layout
+// with FNV-64a sums; Open, OpenReader and RecoverCtx refuse it with
+// errs.ErrInvalid, naming the format. The payload checksum trails the
+// payload so writing streams in one pass; the index repeats it so strict
+// readers never touch record headers. Because records are strictly
+// sequential, a crash while appending can only damage the tail: Recover
+// rescans the records of a pack with a missing or corrupt footer and
+// salvages every complete member (see reader.go).
 package packstore
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"sort"
@@ -44,12 +48,11 @@ import (
 	"sync"
 
 	"repro/internal/errs"
-	"repro/internal/fnv64"
 )
 
 // Format constants. Changing any of these is a format break.
 const (
-	headerMagic = "RPACKv1\n"
+	headerMagic = "RPACKv2\n"
 	footerMagic = "RPACKEND"
 	recordMagic = "RREC"
 
@@ -63,13 +66,29 @@ const (
 	MaxNameLen = 1 << 16
 )
 
+// headerMagicV1 opens a pack of the FNV-64a format, named only so that
+// opening one says what it is.
+const headerMagicV1 = "RPACKv1\n"
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum advances a running pack checksum over p; a whole payload's sum
+// is Checksum(0, payload), fed in any split. It is CRC-32C, which
+// hash/crc32 runs on the CPU's CRC instructions at memory speed, widened
+// to the 8-byte slots the format stores. Every site that writes or checks
+// a stored sum — Writer.Append, an exporter feeding AppendSummed,
+// verification, recovery and vfs's verified import — calls this name.
+func Checksum(sum uint64, p []byte) uint64 {
+	return uint64(crc32.Update(uint32(sum), castagnoli, p))
+}
+
 // Member describes one file stored in a pack.
 type Member struct {
 	// Name is the member's slash-separated corpus name, unique per pack.
 	Name string
 	// Size is the payload length in bytes.
 	Size int64
-	// Checksum is the FNV-64a hash of the payload.
+	// Checksum is the payload's pack checksum: Checksum(0, payload).
 	Checksum uint64
 	// Offset is the payload's byte offset within the pack file.
 	Offset int64
@@ -215,7 +234,7 @@ func (w *Writer) Append(name string, size int64, r io.Reader) error {
 	if w.copyBuf == nil {
 		w.copyBuf = make([]byte, 64*1024)
 	}
-	h := fnv64.MemberInit
+	var h uint64
 	var n int64
 	for n < size {
 		want := int64(len(w.copyBuf))
@@ -227,7 +246,7 @@ func (w *Writer) Append(name string, size int64, r io.Reader) error {
 			if _, werr := w.bw.Write(w.copyBuf[:m]); werr != nil {
 				return w.fail(werr)
 			}
-			h = fnv64.MemberChecksum(h, w.copyBuf[:m])
+			h = Checksum(h, w.copyBuf[:m])
 			n += int64(m)
 		}
 		if rerr == io.EOF {
@@ -250,12 +269,12 @@ func (w *Writer) Append(name string, size int64, r io.Reader) error {
 }
 
 // AppendSummed stores one member whose payload is already in memory and
-// whose member checksum — fnv64.MemberChecksum over exactly these bytes —
-// the caller has already folded, so a pipelined exporter hashes on the
-// goroutine that loaded the bytes and this one only writes. The sum is
-// recorded as given: every reader checks it against the payload
-// (Pack.VerifyCtx, vfs.ImportPackVerifiedCtx), so a wrong one is found at
-// the first verified read, naming the member, exactly as damage on disk
+// whose pack checksum — Checksum(0, data) — the caller has already
+// folded, so a pipelined exporter hashes on the goroutine that loaded the
+// bytes and this one only writes. The sum is recorded as given: every
+// reader checks it against the payload (Pack.VerifyCtx,
+// vfs.ImportPackVerifiedCtx), so a wrong one is found at the first
+// verified read, naming the member, exactly as damage on disk
 // would be.
 func (w *Writer) AppendSummed(name string, data []byte, sum uint64) error {
 	payloadOff, err := w.beginRecord(name, int64(len(data)))
@@ -307,7 +326,7 @@ func (w *Writer) Close() (err error) {
 	binary.LittleEndian.PutUint64(footer[0:], uint64(w.off))
 	binary.LittleEndian.PutUint64(footer[8:], uint64(len(index)))
 	binary.LittleEndian.PutUint64(footer[16:], uint64(len(sorted)))
-	binary.LittleEndian.PutUint64(footer[24:], fnv64.Fold(fnv64.Offset, index))
+	binary.LittleEndian.PutUint64(footer[24:], Checksum(0, index))
 	copy(footer[32:], footerMagic)
 	// A bufio.Writer's error is sticky: Flush reports whichever write
 	// failed first.

@@ -3,8 +3,10 @@ package packstore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,8 +14,13 @@ import (
 	"testing"
 
 	"repro/internal/errs"
-	"repro/internal/fnv64"
 )
+
+// crc32c is the oracle for every stored pack sum: CRC-32C straight from
+// the standard library, zero-extended to the 8-byte slot.
+func crc32c(p []byte) uint64 {
+	return uint64(crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+}
 
 // testMembers builds a deterministic member set with varied sizes,
 // including empty and nested names.
@@ -37,12 +44,12 @@ func testMembers(n int) []struct {
 	return out
 }
 
-// appendBytes appends an in-memory payload under the member checksum
+// appendBytes appends an in-memory payload under the pack checksum
 // folded here: what an exporter does on its loading goroutines.
 func appendBytes(w interface {
 	AppendSummed(name string, data []byte, sum uint64) error
 }, name string, data []byte) error {
-	return w.AppendSummed(name, data, fnv64.MemberChecksum(fnv64.MemberInit, data))
+	return w.AppendSummed(name, data, crc32c(data))
 }
 
 // writePack writes the given members into a single pack at path.
@@ -242,7 +249,7 @@ func TestWrongSumIsFoundByVerify(t *testing.T) {
 	}
 	for _, name := range []string{"a", "bad", "c"} {
 		data := []byte("payload of " + name)
-		sum := fnv64.MemberChecksum(fnv64.MemberInit, data)
+		sum := crc32c(data)
 		if name == "bad" {
 			sum ^= 1
 		}
@@ -277,10 +284,10 @@ func TestWrongSumIsFoundByVerify(t *testing.T) {
 }
 
 // TestSetVerifyBlamesFirstBadMemberOfItsBatch: Set.VerifyCtx checks four
-// consecutive members per task in lockstep, so a batch's lanes run out at
-// different rounds and the pool finishes batches in any order. Whichever
-// batch position, round or batch the damage is in, the error names the
-// first bad member in (pack, name) order and wraps ErrCorrupt.
+// consecutive members per task, each a 64 KiB window at a time, and the
+// pool finishes batches in any order. Whichever batch position, window or
+// batch the damage is in, the error names the first bad member in (pack,
+// name) order and wraps ErrCorrupt.
 func TestSetVerifyBlamesFirstBadMemberOfItsBatch(t *testing.T) {
 	// Thirteen members over two packs: batches 0–3, 4–7 (a5 | b6 spans the
 	// shard boundary), 8–11 and a last batch of one; sizes straddle the
@@ -380,6 +387,60 @@ func TestSetVerifyBlamesFirstBadMemberOfItsBatch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStoredChecksumIsCRC32C pins what a pack stores, in the record
+// trailer, the index entry and the footer, to CRC-32C from hash/crc32 —
+// for a fixed 4 099-byte buffer (whose FNV-64a content sum
+// fnv64:TestMemberChecksumMatchesRecordedValues pins) also to its recorded
+// value — streamed through Append and summed by AppendSummed's caller
+// alike.
+func TestStoredChecksumIsCRC32C(t *testing.T) {
+	buf := make([]byte, 4099)
+	for i := range buf {
+		buf[i] = byte((i*31 + 7) % 251)
+	}
+	const recorded = 0x4f3a184d
+	if got := crc32c(buf); got != recorded {
+		t.Fatalf("CRC-32C of the fixed buffer = %#x, recorded %#x", got, recorded)
+	}
+	path := filepath.Join(t.TempDir(), "one.pack")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append("streamed", int64(len(buf)), bytes.NewReader(buf)); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendBytes(w, "summed", buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(raw[:headerLen]); got != "RPACKv2\n" {
+		t.Errorf("header magic %q, want RPACKv2", got)
+	}
+	p, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for _, m := range p.Members() {
+		trailer := binary.LittleEndian.Uint64(raw[m.Offset+m.Size:])
+		if m.Checksum != recorded || trailer != recorded {
+			t.Errorf("member %s: index sum %#x, record trailer %#x, want %#x", m.Name, m.Checksum, trailer, recorded)
+		}
+	}
+	footer := raw[len(raw)-footerLen:]
+	indexOff := binary.LittleEndian.Uint64(footer)
+	if got, want := binary.LittleEndian.Uint64(footer[24:]), crc32c(raw[indexOff:len(raw)-footerLen]); got != want {
+		t.Errorf("footer index sum %#x, CRC-32C of the index %#x", got, want)
 	}
 }
 

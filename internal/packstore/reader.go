@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"repro/internal/errs"
-	"repro/internal/fnv64"
 	"repro/internal/par"
 )
 
@@ -44,7 +43,25 @@ func Open(path string) (*Pack, error) {
 	return p, nil
 }
 
-// openStrict reads header, footer and index from an open file.
+// checkHeader refuses a file that does not start with this format's
+// magic. A v1 pack is refused as ErrInvalid, naming the format: its bytes
+// may be intact, but this build neither writes nor checks FNV-64a sums.
+func checkHeader(f *os.File, path string) error {
+	var hdr [headerLen]byte
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return fmt.Errorf("packstore: %s: reading header: %w", path, err)
+	}
+	switch string(hdr[:]) {
+	case headerMagic:
+		return nil
+	case headerMagicV1:
+		return errs.Invalid("packstore: %s is pack format v1 (FNV-64a sums); this build reads and writes v2 — export the corpus again", path)
+	}
+	return errs.Corrupt("packstore: %s: bad header magic (not a pack)", path)
+}
+
+// openStrict reads header, footer and index from an open file. A refusal
+// of the file's bytes wraps errs.ErrCorrupt, or ErrInvalid for a v1 pack.
 func openStrict(f *os.File, path string) (*Pack, error) {
 	info, err := f.Stat()
 	if err != nil {
@@ -52,14 +69,10 @@ func openStrict(f *os.File, path string) (*Pack, error) {
 	}
 	size := info.Size()
 	if size < int64(headerLen+footerLen) {
-		return nil, fmt.Errorf("packstore: %s: too short for a pack (%d bytes)", path, size)
+		return nil, errs.Corrupt("packstore: %s: too short for a pack (%d bytes)", path, size)
 	}
-	var hdr [8]byte
-	if _, err := f.ReadAt(hdr[:headerLen], 0); err != nil {
-		return nil, fmt.Errorf("packstore: %s: reading header: %w", path, err)
-	}
-	if string(hdr[:headerLen]) != headerMagic {
-		return nil, fmt.Errorf("packstore: %s: bad header magic", path)
+	if err := checkHeader(f, path); err != nil {
+		return nil, err
 	}
 	var footer [footerLen]byte
 	if _, err := f.ReadAt(footer[:], size-int64(footerLen)); err != nil {
@@ -73,20 +86,20 @@ func openStrict(f *os.File, path string) (*Pack, error) {
 	count := binary.LittleEndian.Uint64(footer[16:])
 	indexSum := binary.LittleEndian.Uint64(footer[24:])
 	if indexOff < int64(headerLen) || indexLen < 0 || indexOff+indexLen != size-int64(footerLen) {
-		return nil, fmt.Errorf("packstore: %s: footer index bounds [%d,+%d) inconsistent with file size %d",
+		return nil, errs.Corrupt("packstore: %s: footer index bounds [%d,+%d) inconsistent with file size %d",
 			path, indexOff, indexLen, size)
 	}
 	index := make([]byte, indexLen)
 	if _, err := f.ReadAt(index, indexOff); err != nil {
 		return nil, fmt.Errorf("packstore: %s: reading index: %w", path, err)
 	}
-	if sum := fnv64.Fold(fnv64.Offset, index); sum != indexSum {
+	if sum := Checksum(0, index); sum != indexSum {
 		return nil, errs.Corrupt("packstore: %s: index checksum %x != footer %x (corrupt index; try Recover)",
 			path, sum, indexSum)
 	}
 	members, err := decodeIndex(index, count, indexOff)
 	if err != nil {
-		return nil, fmt.Errorf("packstore: %s: %w", path, err)
+		return nil, errs.Corrupt("packstore: %s: %v", path, err)
 	}
 	return newPack(path, f, f, size, members, false)
 }
@@ -94,6 +107,10 @@ func openStrict(f *os.File, path string) (*Pack, error) {
 // decodeIndex parses index bytes, validating every entry's bounds
 // against the record region [headerLen, indexOff).
 func decodeIndex(index []byte, count uint64, indexOff int64) ([]Member, error) {
+	// An entry is 28 bytes and a name of at least one.
+	if count > uint64(len(index)/29) {
+		return nil, fmt.Errorf("index of %d bytes cannot hold %d entries", len(index), count)
+	}
 	members := make([]Member, 0, count)
 	off := 0
 	for i := uint64(0); i < count; i++ {
@@ -112,7 +129,9 @@ func decodeIndex(index []byte, count uint64, indexOff int64) ([]Member, error) {
 		}
 		m.Name = string(index[off : off+nameLen])
 		off += nameLen
-		if m.Size < 0 || m.Offset < int64(headerLen) || m.Offset+m.Size+checksumLen > indexOff {
+		// Offset and Size are untrusted: compared, never summed, so that no
+		// overflow can pass the check.
+		if m.Offset < int64(headerLen) || m.Size < 0 || m.Offset > indexOff-checksumLen-m.Size {
 			return nil, fmt.Errorf("index entry %q payload [%d,+%d) outside record region", m.Name, m.Offset, m.Size)
 		}
 		members = append(members, m)
@@ -130,7 +149,7 @@ func newPack(path string, ra io.ReaderAt, closer io.Closer, size int64, members 
 	byName := make(map[string]int, len(members))
 	for i, m := range members {
 		if _, dup := byName[m.Name]; dup {
-			return nil, fmt.Errorf("packstore: %s: duplicate member %q", path, m.Name)
+			return nil, errs.Corrupt("packstore: %s: duplicate member %q", path, m.Name)
 		}
 		byName[m.Name] = i
 	}
@@ -172,14 +191,10 @@ func RecoverCtx(ctx context.Context, path string) (_ *Pack, err error) {
 	}
 	size := info.Size()
 	if size < int64(headerLen) {
-		return nil, fmt.Errorf("packstore: recover %s: shorter than the pack header", path)
+		return nil, errs.Corrupt("packstore: recover %s: shorter than the pack header", path)
 	}
-	var hdr [8]byte
-	if _, err := f.ReadAt(hdr[:headerLen], 0); err != nil {
-		return nil, fmt.Errorf("packstore: recover %s: reading header: %w", path, err)
-	}
-	if string(hdr[:headerLen]) != headerMagic {
-		return nil, fmt.Errorf("packstore: recover %s: not a pack (bad header magic)", path)
+	if err := checkHeader(f, path); err != nil {
+		return nil, err
 	}
 	members := scanRecords(f, size)
 	p, err := newPack(path, f, f, size, members, true)
@@ -241,15 +256,13 @@ func scanRecords(ra io.ReaderAt, size int64) []Member {
 		}
 		nameLen := int64(binary.LittleEndian.Uint32(prefix[4:]))
 		msize := int64(binary.LittleEndian.Uint64(prefix[8:]))
-		if nameLen <= 0 || nameLen >= MaxNameLen || msize < 0 {
-			return members
-		}
 		nameOff := off + int64(recordPrefixLen)
 		payloadOff := nameOff + nameLen
-		end := payloadOff + msize + checksumLen
-		if end > size {
+		// msize is untrusted: compared, never summed, until it fits.
+		if nameLen <= 0 || nameLen >= MaxNameLen || msize < 0 || msize > size-checksumLen-payloadOff {
 			return members
 		}
+		end := payloadOff + msize + checksumLen
 		name := make([]byte, nameLen)
 		if _, err := ra.ReadAt(name, nameOff); err != nil {
 			return members
@@ -304,67 +317,44 @@ type packMember struct {
 	m Member
 }
 
-// verifyBatch is how many consecutive members one verify task checks:
-// the lanes of fnv64.MemberChecksums.
+// verifyBatch is how many consecutive members one verify task checks, so
+// a set of many small members does not pay the pool's dispatch per member.
 const verifyBatch = 4
 
-// verifyWindow is how much of each member a verify task reads per step.
-// One pooled buffer carries a batch's four windows.
+// verifyWindow is how much of a member verifyMembers reads per step.
 const verifyWindow = 64 << 10
 
 var verifyBufPool = sync.Pool{
 	New: func() any {
-		buf := make([]byte, verifyBatch*verifyWindow)
+		buf := make([]byte, verifyWindow)
 		return &buf
 	},
 }
 
-// verifyMembers checks up to verifyBatch members against their stored
-// checksums: it preads the next window of every member not yet read
-// through, folds the windows in lockstep and repeats. The error, if any,
-// is the first bad member's in batch order — a read error or a mismatch,
-// each a StageError (stage "verify", file = member name), the mismatch
-// wrapping errs.ErrCorrupt — so callers identify the blamed member with
-// errors.As instead of parsing the message.
+// verifyMembers checks members in order against their stored checksums,
+// each pread and folded a window at a time, and returns the first bad
+// member's error — a read error or a mismatch, each a StageError (stage
+// "verify", file = member name), the mismatch wrapping errs.ErrCorrupt —
+// so callers identify the blamed member with errors.As instead of parsing
+// the message.
 func verifyMembers(batch []packMember) error {
 	bp := verifyBufPool.Get().(*[]byte)
 	defer verifyBufPool.Put(bp)
-	var sums [verifyBatch]uint64
-	var off [verifyBatch]int64
-	var failed [verifyBatch]error
-	for k := range batch {
-		sums[k] = fnv64.MemberInit
-	}
-	for {
-		var win [verifyBatch][]byte
-		read := false
-		for k, pm := range batch {
-			if failed[k] != nil || off[k] == pm.m.Size {
-				continue
-			}
-			w := (*bp)[k*verifyWindow:][:min(verifyWindow, pm.m.Size-off[k])]
-			n, err := pm.p.ra.ReadAt(w, pm.m.Offset+off[k])
-			if n < len(w) {
+	for _, pm := range batch {
+		var sum uint64
+		for off := int64(0); off < pm.m.Size; {
+			w := (*bp)[:min(verifyWindow, pm.m.Size-off)]
+			if n, err := pm.p.ra.ReadAt(w, pm.m.Offset+off); n < len(w) {
 				if err == io.EOF {
 					err = io.ErrUnexpectedEOF
 				}
-				failed[k] = errs.StageFile("verify", pm.m.Name, fmt.Errorf("packstore: %s: %w", pm.p.path, err))
-				continue
+				return errs.StageFile("verify", pm.m.Name, fmt.Errorf("packstore: %s: %w", pm.p.path, err))
 			}
-			win[k], off[k], read = w, off[k]+int64(n), true
+			sum, off = Checksum(sum, w), off+int64(len(w))
 		}
-		if !read {
-			break
-		}
-		fnv64.MemberChecksums(&sums, &win)
-	}
-	for k, pm := range batch {
-		if failed[k] != nil {
-			return failed[k]
-		}
-		if sums[k] != pm.m.Checksum {
+		if sum != pm.m.Checksum {
 			return errs.StageFile("verify", pm.m.Name,
-				errs.Corrupt("packstore: %s: checksum %x != stored %x", pm.p.path, sums[k], pm.m.Checksum))
+				errs.Corrupt("packstore: %s: checksum %x != stored %x", pm.p.path, sum, pm.m.Checksum))
 		}
 	}
 	return nil

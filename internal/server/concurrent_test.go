@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -219,6 +221,37 @@ func TestQueueOverflow429(t *testing.T) {
 	}
 	if snap.QueueDepth != 0 || snap.InFlight != 0 {
 		t.Errorf("gauges not drained: %+v", snap)
+	}
+}
+
+// TestGrepRefusedAtAdmissionBuildsNoSearcher: a grep builds its searcher
+// with a slot held, so one that admission refuses costs nothing to build.
+// With the only slot taken and no queue, a single 16 KiB pattern — whose
+// automaton allocates ≈ 117 MB to build — is answered 429 while the whole
+// process allocates under 8 MB.
+func TestGrepRefusedAtAdmissionBuildsNoSearcher(t *testing.T) {
+	srv, ts, release := gatedServer(t, Config{MaxInFlight: 1, QueueDepth: 0})
+	held := make(chan int, 1)
+	go func() {
+		resp, _ := postJSON(t, ts.URL+"/v1/grep", GrepRequest{Patterns: []string{"the"}})
+		held <- resp.StatusCode
+	}()
+	waitFor(t, "slot held", func() bool { return srv.Metrics().inFlight.Load() == 1 })
+
+	big := GrepRequest{Patterns: []string{strings.Repeat("abcdefghijklmnop", 1<<10)}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, data := postJSON(t, ts.URL+"/v1/grep", big)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("grep with the slot held: status %d: %s, want 429", resp.StatusCode, data)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Errorf("a refused 16 KiB grep allocated %.1f MB, want < 8 MB: the searcher was built before admission", float64(grew)/(1<<20))
+	}
+	close(release)
+	if status := <-held; status != http.StatusOK {
+		t.Errorf("held request: status %d, want 200", status)
 	}
 }
 

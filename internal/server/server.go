@@ -345,12 +345,13 @@ func (s *Server) handleGrep(w http.ResponseWriter, r *http.Request) {
 		errs.WriteError(w, errs.Stage("grep", err))
 		return
 	}
-	ms, err := newSearcher(req.Patterns, req.Fold)
-	if err != nil {
-		errs.WriteError(w, errs.Stage("grep", errs.Invalid("%v", err)))
-		return
-	}
 	s.runScan(w, r, "grep", req.TimeoutMS, func(ctx context.Context) (any, error) {
+		// Built with the slot held, so admission bounds what searchers cost
+		// at once: a large pattern set allocates tens of megabytes.
+		ms, err := newSearcher(req.Patterns, req.Fold)
+		if err != nil {
+			return nil, errs.Stage("grep", errs.Invalid("%v", err))
+		}
 		mk := textproc.NewMatchKernel(ms)
 		start := time.Now()
 		if err := scan.Run(ctx, s.srcs, scan.Options{Workers: s.cfg.ScanWorkers}, mk); err != nil {

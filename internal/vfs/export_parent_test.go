@@ -49,31 +49,33 @@ func writeMixedTree(t *testing.T, dir string) {
 	}
 }
 
-// parentShards are the SHA-256 digests of the shards the parent of the
-// pipelined exporter wrote for writeMixedTree's corpus — its
-// `cmd/reshape -unit 4400000 -pack -shard <key>`, the window-barrier
-// export, identical at -workers 1, 2, 3 and 8 — keyed by shard size: one
-// unit per shard, two, and all four in one.
-var parentShards = map[int64][]string{
+// recordedShards are the SHA-256 digests of the shards
+// `cmd/reshape -unit 4400000 -pack -shard <key>` writes for
+// writeMixedTree's corpus, identical at -workers 1, 2 and 8, keyed by
+// shard size: one unit per shard, two, and all four in one. They were
+// first recorded from the serial exporter the pipeline replaced and
+// re-recorded once, when pack sums became CRC-32C (format v2): only the
+// header magic and the checksum slots changed then.
+var recordedShards = map[int64][]string{
 	1: {
-		"5790226c545208c9784ca9d89d03a4de8960f72b485189ed1edf0602feb37190",
-		"0b68c433f6781e5857ff01539e7cf2e0f8b07c7dd51412d64a339b63d24bb2a1",
-		"ec3f6c5de730f85729d18df5f756280ccc395b7b7701906ee51b4b0d726ff1fb",
-		"03eb5991a45ebdefdc962de7b9779751fcd5a6cb280622a4a498a391ad05e1fa",
+		"e211ce0b81c6da52616b120a61e71be55ebd4f125a4b68a750bbbde206539e11",
+		"501cc59a26f71b2555480e226f4d82fbca431d80d7b42f0f75fc5478d3766feb",
+		"55aaf093921e92f251f7cb03ef5f2d9fba841dd25c0dd846413313aa184a6b6d",
+		"68dd6fed87552e66873f0f051dde19bb5db18ff44174bb12c6e0027f68a2b343",
 	},
 	9_000_000: {
-		"41918c7f7a283d671d6c4f387ff6af3a8a807c53b5afd07ee27fbc6dd20ccce7",
-		"10287cbc9e760766641eeedc35f1db98edf717b8b46c08267669905e24faba7f",
+		"3222ebb84076008fe81ae7e9d177f344e27cfc2bc44088ed6685e571d00cf0e5",
+		"ef05123812d194c21f25659104490ac13b6cd47dc0741d893e4ee15384323bad",
 	},
 	256 << 20: {
-		"341c8dfb279e6facde8d6f24f015a6300d97347dd77d9b09b206a20a1545db63",
+		"e9764e6000bb9825fa33129f826a3a33830a976b4e33e9d777dcb10d6135f225",
 	},
 }
 
 // TestExportPackDeterministicAcrossWorkers: whatever the loader count and
-// however the units fall into shards, the export writes the bytes the
-// serial parent wrote — for units a loader materialised, with one or many
-// members, and for the one the writer streams between them.
+// however the units fall into shards, the export writes the recorded
+// bytes — for units a loader materialised, with one or many members, and
+// for the one the writer streams between them.
 func TestExportPackDeterministicAcrossWorkers(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -90,7 +92,7 @@ func TestExportPackDeterministicAcrossWorkers(t *testing.T) {
 	if got, want := merged.Sizes(), []int64{4_035_985, 4_350_000, 4_000_000, 800_000}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("reshape made units of %v bytes, the test is built for %v (4 MiB = %d)", got, want, 4<<20)
 	}
-	for shard, want := range parentShards {
+	for shard, want := range recordedShards {
 		for _, workers := range []int{1, 2, 3, 8} {
 			paths, err := merged.ExportPackCtx(ctx, t.TempDir(), vfs.PackOptions{Prefix: "unit", ShardSize: shard, Workers: workers})
 			if err != nil {
@@ -106,7 +108,7 @@ func TestExportPackDeterministicAcrossWorkers(t *testing.T) {
 				got[i] = hex.EncodeToString(sum[:])
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shard size %d, workers %d: shards digest to\n%q\nthe parent's to\n%q", shard, workers, got, want)
+				t.Errorf("shard size %d, workers %d: shards digest to\n%q\nrecorded\n%q", shard, workers, got, want)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/errs"
-	"repro/internal/fnv64"
 	"repro/internal/packstore"
 )
 
@@ -252,7 +252,7 @@ func TestImportPackVerifiedNamesWrongSum(t *testing.T) {
 	}
 	for _, name := range []string{"a", "bad", "c"} {
 		data := []byte("payload of " + name)
-		sum := fnv64.MemberChecksum(fnv64.MemberInit, data)
+		sum := uint64(crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)))
 		if name == "bad" {
 			sum ^= 1
 		}

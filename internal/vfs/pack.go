@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/errs"
-	"repro/internal/fnv64"
 	"repro/internal/packstore"
 	"repro/internal/par"
 )
@@ -26,8 +25,8 @@ type PackOptions struct {
 	// split, so a shard holds at least one member however large. <= 0
 	// means a single unbounded shard. Default 256 MB.
 	ShardSize int64
-	// Workers is the number of loader goroutines that materialise members
-	// ahead of the one goroutine that checksums and writes them
+	// Workers is the number of loader goroutines that materialise and
+	// checksum members ahead of the one goroutine that writes them
 	// (0 = GOMAXPROCS). The written bytes are identical at any worker
 	// count: loading is concurrent, appending is in List order.
 	Workers int
@@ -53,12 +52,13 @@ type packUnit struct {
 	file File
 	buf  []byte // backing array, allocated once and reused by every file the slot carries
 	data []byte // buf[:file.Size] once loaded
-	sum  uint64 // fnv64 member checksum of data, folded by the writer with its batch
+	sum  uint64 // packstore.Checksum of data, folded by the loader
 	err  error
 	done chan struct{} // one send per hand-out, buffered: a loader never waits on the writer
 }
 
-// load materialises the slot's file on a loader goroutine. Files above
+// load materialises the slot's file on a loader goroutine and folds its
+// pack checksum while the bytes are still in cache. Files above
 // maxPrefetch are left for the writer to stream.
 func (u *packUnit) load(bufCap int64) {
 	u.data, u.err = nil, nil
@@ -68,43 +68,26 @@ func (u *packUnit) load(bufCap int64) {
 	if u.buf == nil {
 		u.buf = make([]byte, bufCap)
 	}
-	u.data, u.err = u.file.ReadInto(u.buf)
-}
-
-// sumBatch waits until units lo..hi-1 of the export (slot i % len(units)
-// carries unit i) are loaded and folds the member checksums of the ones
-// that loaded in one lockstep pass. A unit that failed or is left to
-// stream has no data; its sum is never used.
-func sumBatch(units []packUnit, lo, hi int) {
-	var sums [4]uint64
-	var data [4][]byte
-	for i := lo; i < hi; i++ {
-		u := &units[i%len(units)]
-		<-u.done
-		sums[i-lo], data[i-lo] = fnv64.MemberInit, u.data
-	}
-	fnv64.MemberChecksums(&sums, &data)
-	for i := lo; i < hi; i++ {
-		units[i%len(units)].sum = sums[i-lo]
+	if u.data, u.err = u.file.ReadInto(u.buf); u.err == nil {
+		u.sum = packstore.Checksum(0, u.data)
 	}
 }
 
 // ExportPackCtx writes every content-backed file into pack shards under
 // dir, in List order, and returns the shard paths. It is an ordered
 // two-stage pipeline. Stage one, opts.Workers loaders: each takes the next
-// file in List order and reads it into a slot's buffer (sized once to the
+// file in List order, reads it into a slot's buffer (sized once to the
 // largest file at or under maxPrefetch, so a reused buffer always fits;
 // up to 2 × workers + 4 slots, as many as 2 × workers × maxPrefetch
-// bytes hold). Stage two, the caller's goroutine: it waits for the next
-// batch of up to four units, folds their member checksums in lockstep
-// (fnv64.MemberChecksums), then appends each — payload and sum — and
-// hands its slot straight out again for the unit that many places later,
-// so loading runs ahead of summing, writing and syncing and never stops
-// for them. Only stage two touches the shards, strictly in List order, so
+// bytes hold) and folds its pack checksum. Stage two, the caller's
+// goroutine: it waits for the next unit, appends it — payload and sum —
+// and hands its slot straight out again for the unit that many places
+// later, so loading runs ahead of writing and syncing and never stops for
+// them. Only stage two touches the shards, strictly in List order, so
 // they are byte-reproducible: the same FS always produces the same pack
 // files at any worker count. The error reported is the first in List
 // order. The context is checked before each load and before each append,
-// so an abort lands within one batch of work, the partial shards on disk
+// so an abort lands within one unit of work, the partial shards on disk
 // remain well-formed up to the last completed append, and every loader
 // has exited before the call returns.
 func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (paths []string, err error) {
@@ -130,8 +113,8 @@ func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (
 	}
 	workers := par.New(opts.Workers).Workers()
 	// As many slots as the read-ahead budget holds at bufCap apiece, up to
-	// 2 × workers + 4: the loaders' 2 × workers plus a batch of four for the
-	// writer to sum. The budget holds at least 2 × workers of any size.
+	// 2 × workers + 4: two per loader plus four more of read-ahead. The
+	// budget holds at least 2 × workers of any size.
 	budget := 2 * int64(workers) * maxPrefetch
 	units := make([]packUnit, min(int64(2*workers+4), budget/max(bufCap, 1), int64(len(files))))
 	for i := range units {
@@ -174,35 +157,27 @@ func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (
 		}
 	}
 	handOut(len(units))
-	// The writer sums a batch of up to four consecutive units in lockstep,
-	// then appends them one by one, handing each slot straight back. A
-	// batch takes at most half the slots, so the loaders always have the
-	// other half to run ahead into.
-	lanes := min(4, max(1, len(units)/2))
-	for lo := 0; lo < len(files); lo += lanes {
-		hi := min(lo+lanes, len(files))
-		sumBatch(units, lo, hi)
-		for i := lo; i < hi; i++ {
-			f, u := files[i], &units[i%len(units)]
-			if u.err != nil {
-				return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, u.err)
+	for i, f := range files {
+		u := &units[i%len(units)]
+		<-u.done
+		if u.err != nil {
+			return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, u.err)
+		}
+		if cerr := errs.FromContext(ctx); cerr != nil {
+			return nil, cerr
+		}
+		if f.Size > maxPrefetch {
+			r, err := f.Open()
+			if err != nil {
+				return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, err)
 			}
-			if cerr := errs.FromContext(ctx); cerr != nil {
-				return nil, cerr
-			}
-			if f.Size > maxPrefetch {
-				r, err := f.Open()
-				if err != nil {
-					return nil, fmt.Errorf("vfs: export pack at %q: %w", f.Name, err)
-				}
-				if err := closeReader(r, sw.Append(f.Name, f.Size, r)); err != nil {
-					return nil, err
-				}
-			} else if err := sw.AppendSummed(f.Name, u.data, u.sum); err != nil {
+			if err := closeReader(r, sw.Append(f.Name, f.Size, r)); err != nil {
 				return nil, err
 			}
-			handOut(i + 1 + len(units))
+		} else if err := sw.AppendSummed(f.Name, u.data, u.sum); err != nil {
+			return nil, err
 		}
+		handOut(i + 1 + len(units))
 	}
 	if err := sw.Close(); err != nil {
 		return nil, err
@@ -223,11 +198,12 @@ func ImportPackCtx(ctx context.Context, sources ...string) (*FS, io.Closer, erro
 }
 
 // ImportPackVerifiedCtx is ImportPackCtx with end-to-end read
-// verification: every member reader folds the payload through FNV-64a as
-// it streams and fails the read with ErrCorrupt — stage "verify", file =
-// member name — if the bytes do not match the checksum the pack index
-// recorded at export. The cost is one extra hash pass over whatever is
-// actually read; unread members cost nothing. This is the
+// verification: every member reader folds the payload through
+// packstore.Checksum (CRC-32C) as it streams and fails the read with
+// ErrCorrupt — stage "verify", file = member name — if the bytes do not
+// match the checksum the pack index recorded at export. The cost is one
+// extra hash pass, at memory speed, over whatever is actually read;
+// unread members cost nothing. This is the
 // `-verify-reads` mode: on-disk corruption (a flipped bit, a torn write)
 // surfaces as a loud typed failure at the first scan that touches it,
 // instead of silently skewing results.
@@ -297,7 +273,7 @@ func importPacks(ctx context.Context, mode packMode, sources []string) (*FS, io.
 			open := func() (io.Reader, error) { return p.SectionReader(m), nil }
 			if mode == packVerified {
 				open = func() (io.Reader, error) {
-					return &verifyReader{r: p.SectionReader(m), name: m.Name, size: m.Size, want: m.Checksum, sum: fnv64.MemberInit}, nil
+					return &verifyReader{r: p.SectionReader(m), name: m.Name, size: m.Size, want: m.Checksum}, nil
 				}
 			}
 			// Locality (shard path + member offset) lets fused scans read
@@ -328,7 +304,7 @@ func (cs closers) Close() error {
 	return first
 }
 
-// verifyReader streams a pack member while folding its member checksum,
+// verifyReader streams a pack member while folding its pack checksum,
 // checking it against the indexed checksum the moment the payload is
 // fully delivered. The check fires exactly once, on whichever Read
 // completes the payload (or hits EOF), so a scanner that consumes the
@@ -354,7 +330,7 @@ func (v *verifyReader) Read(p []byte) (int, error) {
 	}
 	n, err := v.r.Read(p)
 	if n > 0 {
-		v.sum = fnv64.MemberChecksum(v.sum, p[:n])
+		v.sum = packstore.Checksum(v.sum, p[:n])
 		v.n += int64(n)
 	}
 	if err == io.EOF || (err == nil && v.n >= v.size) {

@@ -46,10 +46,8 @@ var apiAllowlist = map[string]string{
 	"binpack.BestFitDecreasing":          "ablation baseline: BenchmarkHeuristicComparison",
 	"binpack.LeastLoadedDecreasing":      "ablation baseline: the LPT rule LeastLoaded is compared with in tests",
 	"workload.ComplexityOf":              "oracle: scan's and core's tests hold the analyzer kernel's complexity factor to it, from other packages",
-	"cloudsim.Instance.BilledDuration":   "the §3.1 billing rule on the instance lifecycle (pending is free, billing stops at terminate), pinned by the billing and zone-failure tests",
-	"cloudsim.SpotRequest.Cost":          "§7 spot extension: the spot billing rule (each active hour at that hour's price), pinned by TestSpotRequestLifecycle; sched.PlanSpot prices its hours itself",
-	"probe.Harness.ExploreSubsets":       "§7 extension: pooling probe points over many subsets of the original set, pinned by four tests",
-	"sched.MeanTimeToRecover":            "§7 extension: the zone-failover cost estimate beside RunTaskResilient, pinned by TestMeanTimeToRecover",
+	"cloudsim.Instance.BilledDuration":   "the §3.1 billing rule on the instance lifecycle (pending is free, billing stops at terminate), pinned by the billing tests",
+	"probe.SampleWithoutReplacement":     "the paper's §5.1 random-sampling procedure: complexity_test.go's random-sample leg refits the model with it, and four TestSample* tests pin it",
 }
 
 // TestExportedAPIHasProductionCallers keeps the internal packages' exported

@@ -4,9 +4,9 @@
 // with boot latency, availability zones, heterogeneous instance quality
 // (CPU up to 4x apart, variable I/O — Dejun et al., cited in §6),
 // attachable EBS volumes with placement-dependent access speed (the
-// repeatable Fig. 5 spikes), an S3 object store, a bonnie++-style
-// qualification benchmark, and a spot market (the paper's §1.1 aside,
-// implemented as an extension for the dynamic scheduler).
+// repeatable Fig. 5 spikes), a bonnie++-style qualification benchmark,
+// and the S3/EC2 transfer pricing and retrieval time of the paper's
+// output-segmentation argument (§1).
 //
 // All randomness is drawn from seeded streams derived from the cloud's root
 // seed, so simulations are bit-reproducible. Time is virtual: nothing

@@ -41,9 +41,6 @@ func (in *Instance) State() State {
 	return Running
 }
 
-// ReadyAt returns when the instance enters (or entered) the running state.
-func (in *Instance) ReadyAt() time.Duration { return in.runningAt }
-
 // BilledDuration returns the running-state time that accrues charges so
 // far (or in total, once terminated).
 func (in *Instance) BilledDuration() time.Duration {
@@ -114,18 +111,15 @@ var DefaultQualityDist = QualityDist{SlowFraction: 0.15, UnstableFraction: 0.10}
 
 // Cloud is the simulated EC2 region-level API.
 type Cloud struct {
-	clock       *Clock
-	seed        int64
-	region      Region
-	quality     QualityDist
-	launch      *rand.Rand // boot-delay + quality lottery stream
-	nextInst    int
-	nextVol     int
-	insts       map[string]*Instance
-	vols        map[string]*Volume
-	s3          *S3
-	spot        *SpotMarket
-	failedZones map[string]bool
+	clock    *Clock
+	seed     int64
+	region   Region
+	quality  QualityDist
+	launch   *rand.Rand // boot-delay + quality lottery stream
+	nextInst int
+	nextVol  int
+	insts    []*Instance // every instance launched, in launch order
+	vols     map[string]*Volume
 }
 
 // New creates a cloud in the default US-east region.
@@ -141,11 +135,8 @@ func NewInRegion(seed int64, region Region, q QualityDist) *Cloud {
 		region:  region,
 		quality: q,
 		launch:  stats.NewRand(seed, "cloud-launch"),
-		insts:   make(map[string]*Instance),
 		vols:    make(map[string]*Volume),
 	}
-	c.s3 = newS3(c)
-	c.spot = newSpotMarket(c)
 	return c
 }
 
@@ -154,12 +145,6 @@ func (c *Cloud) Clock() *Clock { return c.clock }
 
 // Region returns the cloud's region.
 func (c *Cloud) Region() Region { return c.region }
-
-// S3 returns the region's object store.
-func (c *Cloud) S3() *S3 { return c.s3 }
-
-// Spot returns the spot market.
-func (c *Cloud) Spot() *SpotMarket { return c.spot }
 
 func (c *Cloud) validZone(zone string) bool {
 	for _, z := range c.region.Zones {
@@ -228,9 +213,6 @@ func (c *Cloud) Launch(t InstanceType, zone string) (*Instance, error) {
 	if t.HourlyRate <= 0 || t.ComputeUnits <= 0 {
 		return nil, fmt.Errorf("cloudsim: invalid instance type %+v", t)
 	}
-	if c.failedZones[zone] {
-		return nil, fmt.Errorf("cloudsim: zone %q is failed", zone)
-	}
 	c.nextInst++
 	id := fmt.Sprintf("i-%06d", c.nextInst)
 	boot := MinBootDelay + time.Duration(c.launch.Int63n(int64(MaxBootDelay-MinBootDelay)))
@@ -245,7 +227,7 @@ func (c *Cloud) Launch(t InstanceType, zone string) (*Instance, error) {
 		volumes:    make(map[string]*Volume),
 		noise:      stats.NewRand(c.seed, "instance-noise-"+id),
 	}
-	c.insts[id] = in
+	c.insts = append(c.insts, in)
 	return in, nil
 }
 
@@ -272,16 +254,4 @@ func (c *Cloud) Terminate(in *Instance) error {
 		delete(in.volumes, v.ID)
 	}
 	return nil
-}
-
-// Instances returns all instances ever launched, in launch order.
-func (c *Cloud) Instances() []*Instance {
-	out := make([]*Instance, 0, len(c.insts))
-	for i := 1; i <= c.nextInst; i++ {
-		id := fmt.Sprintf("i-%06d", i)
-		if in, ok := c.insts[id]; ok {
-			out = append(out, in)
-		}
-	}
-	return out
 }

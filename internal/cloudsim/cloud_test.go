@@ -6,6 +6,12 @@ import (
 	"time"
 )
 
+// ReadyAt returns when the instance enters (or entered) the running state.
+func (in *Instance) ReadyAt() time.Duration { return in.runningAt }
+
+// Instances returns all instances ever launched, in launch order.
+func (c *Cloud) Instances() []*Instance { return append([]*Instance(nil), c.insts...) }
+
 func TestClockAdvance(t *testing.T) {
 	var c Clock
 	if c.Now() != 0 {

@@ -70,19 +70,6 @@ func (c *Cloud) Attach(v *Volume, in *Instance) error {
 	return nil
 }
 
-// Detach disconnects the volume from its instance; its contents persist.
-func (c *Cloud) Detach(v *Volume) error {
-	if v.attachedTo == nil {
-		return fmt.Errorf("cloudsim: volume %s is not attached", v.ID)
-	}
-	if err := c.clock.Advance(VolumeDetachDelay); err != nil {
-		return err
-	}
-	delete(v.attachedTo.volumes, v.ID)
-	v.attachedTo = nil
-	return nil
-}
-
 // PlacementFactor returns the deterministic access-time multiplier for a
 // dataset key on this volume: 1.0 for most placements, and between
 // slowMin and slowMax (1.5x-3x, the paper's observed clone variation) for

@@ -102,5 +102,4 @@ const (
 	MaxBootDelay      = 180 * time.Second
 	ShutdownDelay     = 30 * time.Second
 	VolumeAttachDelay = 20 * time.Second
-	VolumeDetachDelay = 10 * time.Second
 )

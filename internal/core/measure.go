@@ -114,7 +114,7 @@ func NewMeasureKernels(opts MeasureOptions) (*MeasureKernels, error) {
 			ms, err = textproc.NewMultiSearcher(opts.Patterns)
 		}
 		if err != nil {
-			return nil, errs.Invalid("%v", err)
+			return nil, err
 		}
 		mk.Match = textproc.NewMatchKernel(ms)
 		mk.List = append(mk.List, mk.Match)

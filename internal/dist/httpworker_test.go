@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -307,5 +308,37 @@ func TestScanRequestIsBounded(t *testing.T) {
 				t.Errorf("error envelope %+v (decode: %v)", eb, err)
 			}
 		})
+	}
+}
+
+// TestScanRefusesOverBudgetPatterns: a spec whose patterns exceed
+// textproc's budget is refused before any automaton is built for it. One
+// pattern as large as the request body allows would ask the automaton for
+// gigabytes; the daemon answers 400 (ErrInvalid on the coordinator)
+// having allocated only what decoding the body costs, and an in-process
+// Local refuses the same spec with ErrInvalid.
+func TestScanRefusesOverBudgetPatterns(t *testing.T) {
+	p := testPlan(t, 12)
+	spec := Spec{Patterns: []string{strings.Repeat("abcdefghijklmnop", (errs.MaxRequestBytes-1<<10)/16)}}
+	if _, err := NewLocal("local", p, spec); !errors.Is(err, errs.ErrInvalid) {
+		t.Fatalf("NewLocal: err = %v, want ErrInvalid", err)
+	}
+	ts := httptest.NewServer(NewWorkerServer("w", p).Handler())
+	defer ts.Close()
+	body := mustJSON(t, &ScanRequest{PlanFP: p.Fingerprint(), Spec: spec})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(ts.URL+"/v1/scan", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb errs.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || resp.StatusCode != http.StatusBadRequest || eb.Status != http.StatusBadRequest {
+		t.Fatalf("status %d, envelope %+v (decode: %v), want 400", resp.StatusCode, eb, err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Errorf("a refused %d-byte pattern allocated %.1f MB, want < 8 MB", len(spec.Patterns[0]), float64(grew)/(1<<20))
 	}
 }

@@ -4,24 +4,39 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
-// run executes a driver at default config, failing the test on error.
+// defaultSweep is one parallel RunAllCtx at default config, shared by every
+// test of the binary that reads a default-config report: the drivers are
+// pure functions of their Config, so one sweep answers them all.
+var defaultSweep = sync.OnceValues(func() ([]*Report, error) {
+	return RunAllCtx(context.Background(), Config{})
+})
+
+// run returns a driver's report from the shared default sweep, failing the
+// test on error.
 func run(t *testing.T, id string) *Report {
 	t.Helper()
-	d, ok := Lookup(id)
-	if !ok {
+	i := 0
+	for i < len(Registry) && Registry[i].ID != id {
+		i++
+	}
+	if i == len(Registry) {
 		t.Fatalf("no driver registered for %s", id)
 	}
-	rep, err := d(context.Background(), Config{})
+	reports, err := defaultSweep()
 	if err != nil {
-		t.Fatalf("%s: %v", id, err)
+		t.Fatalf("default sweep: %v", err)
 	}
+	rep := reports[i]
 	if rep.ID != id {
 		t.Fatalf("report ID %q != %q", rep.ID, id)
 	}
@@ -272,6 +287,69 @@ func TestSwitchCalc(t *testing.T) {
 	}
 }
 
+func TestAnalyzeSwitchPaperExample(t *testing.T) {
+	// §3.1: slow instance at 60 MB/s processes ≈210 GB/h (the paper rounds
+	// 216 down); a fast replacement (≈75+ MB/s) with a 3-minute penalty
+	// gains ≈57 GB; a slow replacement loses ≈10 GB.
+	d, err := analyzeSwitch(60, 78, 3*time.Minute, time.Hour, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(d.StayGB-216) > 1 {
+		t.Errorf("stay = %v GB, want ≈216 (paper rounds to 210)", d.StayGB)
+	}
+	gain := d.SwitchGB - d.StayGB
+	if gain < 40 || gain > 70 {
+		t.Errorf("switch gain = %v GB, want ≈57", gain)
+	}
+	loss := d.StayGB - d.SwitchSlowGB
+	if loss < 5 || loss > 15 {
+		t.Errorf("slow-replacement loss = %v GB, want ≈10", loss)
+	}
+	if !d.Recommend {
+		t.Error("switch not recommended with certain fast replacement")
+	}
+}
+
+func TestAnalyzeSwitchExpectedValue(t *testing.T) {
+	// With a high enough fast probability the expected gain is positive;
+	// with pFast = 0 it must be negative (pure downside).
+	hi, err := analyzeSwitch(60, 78, 3*time.Minute, time.Hour, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hi.Recommend {
+		t.Error("80% fast probability should recommend switching")
+	}
+	lo, err := analyzeSwitch(60, 78, 3*time.Minute, time.Hour, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo.Recommend {
+		t.Error("0% fast probability should not recommend switching")
+	}
+}
+
+func TestAnalyzeSwitchValidation(t *testing.T) {
+	if _, err := analyzeSwitch(0, 10, time.Minute, time.Hour, 0.5); err == nil {
+		t.Error("expected error for zero slow speed")
+	}
+	if _, err := analyzeSwitch(10, 10, -time.Minute, time.Hour, 0.5); err == nil {
+		t.Error("expected error for negative penalty")
+	}
+	if _, err := analyzeSwitch(10, 10, time.Minute, time.Hour, 1.5); err == nil {
+		t.Error("expected error for pFast > 1")
+	}
+	// Penalty longer than horizon: switching yields zero work.
+	d, err := analyzeSwitch(60, 78, 2*time.Hour, time.Hour, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.SwitchGB != 0 || d.Recommend {
+		t.Errorf("over-long penalty: %+v", d)
+	}
+}
+
 func TestCostFn(t *testing.T) {
 	rep := run(t, "costfn")
 	if rep.Values["subhour_premium"] <= 1 {
@@ -300,7 +378,7 @@ func TestRunAllProducesEveryReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RunAll is the slow full sweep")
 	}
-	reports, err := RunAllCtx(context.Background(), Config{})
+	reports, err := defaultSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +419,7 @@ func TestRunAllMatchesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the golden output was recorded on amd64; %s may fuse multiply-adds, which rounds the last printed digits differently", runtime.GOARCH)
 	}
-	reports, err := RunAllCtx(context.Background(), Config{})
+	reports, err := defaultSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/corpus"
 	"repro/internal/provision"
-	"repro/internal/sched"
 	"repro/internal/textproc"
 	"repro/internal/workload"
 )
@@ -71,7 +70,7 @@ func Complexity(ctx context.Context, cfg Config) (*Report, error) {
 func SwitchCalc(_ context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("switchcalc", "switch-or-stay for a slow instance (§3.1)")
-	d, err := sched.AnalyzeSwitch(60, 78, 3*time.Minute, time.Hour, 0.85)
+	d, err := analyzeSwitch(60, 78, 3*time.Minute, time.Hour, 0.85)
 	if err != nil {
 		return nil, err
 	}
@@ -86,6 +85,53 @@ func SwitchCalc(_ context.Context, cfg Config) (*Report, error) {
 	rep.Values["recommend_switch"] = boolToFloat(d.Recommend)
 	rep.Values["expected_gain_gb"] = d.ExpectedGainGB
 	return rep, nil
+}
+
+// switchDecision is the §3.1 back-of-envelope: an I/O-bound application on
+// a slow instance can either let it run another hour or switch to a fresh
+// (likely fast) instance, paying a startup + EBS-attach penalty.
+type switchDecision struct {
+	// StayGB is the data processed in the horizon if we stay.
+	StayGB float64
+	// SwitchGB is the data processed if the replacement is fast.
+	SwitchGB float64
+	// SwitchSlowGB is the downside if the replacement is slow too.
+	SwitchSlowGB float64
+	// Recommend is true when switching wins in expectation.
+	Recommend bool
+	// ExpectedGainGB is the probability-weighted gain from switching.
+	ExpectedGainGB float64
+}
+
+// analyzeSwitch reproduces the paper's example: at 60 MB/s a slow instance
+// processes ≈210 GB in the next hour; a fast replacement (even after a
+// 3-minute penalty) processes ≈57 GB more; a slow replacement loses
+// ≈10 GB. pFast is the probability the replacement is fast.
+func analyzeSwitch(slowMBps, fastMBps float64, penalty, horizon time.Duration, pFast float64) (switchDecision, error) {
+	if slowMBps <= 0 || fastMBps <= 0 {
+		return switchDecision{}, fmt.Errorf("experiments: speeds must be positive (%v, %v)", slowMBps, fastMBps)
+	}
+	if penalty < 0 || horizon <= 0 {
+		return switchDecision{}, fmt.Errorf("experiments: invalid penalty %v or horizon %v", penalty, horizon)
+	}
+	if pFast < 0 || pFast > 1 {
+		return switchDecision{}, fmt.Errorf("experiments: pFast %v out of [0,1]", pFast)
+	}
+	gb := func(mbps float64, d time.Duration) float64 {
+		return mbps * d.Seconds() / 1000
+	}
+	work := horizon - penalty
+	if work < 0 {
+		work = 0
+	}
+	d := switchDecision{
+		StayGB:       gb(slowMBps, horizon),
+		SwitchGB:     gb(fastMBps, work),
+		SwitchSlowGB: gb(slowMBps, work),
+	}
+	d.ExpectedGainGB = pFast*(d.SwitchGB-d.StayGB) + (1-pFast)*(d.SwitchSlowGB-d.StayGB)
+	d.Recommend = d.ExpectedGainGB > 0
+	return d, nil
 }
 
 // Retrieval quantifies the paper's §1 claim that reshaping "also speeds up

@@ -120,7 +120,7 @@ func TestRandomSamplingCapturesComplexityVariation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(workload.TotalBytes(items)), m.Mean
+		return float64(totalBytes(items)), m.Mean
 	}
 
 	// Prefix calibration at two volumes (the escalation protocol's shape).
@@ -171,7 +171,7 @@ func TestRandomSamplingCapturesComplexityVariation(t *testing.T) {
 	for _, it := range allItems {
 		trueSeconds += workload.NewPOS().Process(it, 80, in).Seconds()
 	}
-	total := float64(workload.TotalBytes(allItems))
+	total := float64(totalBytes(allItems))
 	prefErr := relErr(prefixFit.Predict(total), trueSeconds)
 	randErr := relErr(randomFit.Predict(total), trueSeconds)
 	if randErr >= prefErr {

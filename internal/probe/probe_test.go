@@ -24,6 +24,15 @@ func corpusItems(t *testing.T, spec corpus.Spec, seed int64) []binpack.Item {
 	return items
 }
 
+// totalBytes sums the item sizes.
+func totalBytes(items []workload.Item) int64 {
+	var total int64
+	for _, it := range items {
+		total += it.Size
+	}
+	return total
+}
+
 func qualified(t *testing.T, seed int64) (*cloudsim.Cloud, *cloudsim.Instance) {
 	t.Helper()
 	c := cloudsim.New(seed)
@@ -73,9 +82,9 @@ func TestBuildSetDerivesMultiplesWithoutRepacking(t *testing.T) {
 		}
 	}
 	// Volume is conserved across every reshaping.
-	origTotal := workload.TotalBytes(set.Original)
+	origTotal := totalBytes(set.Original)
 	for u, probeItems := range set.ByUnit {
-		if got := workload.TotalBytes(probeItems); got != origTotal {
+		if got := totalBytes(probeItems); got != origTotal {
 			t.Errorf("unit %d: volume %d != original %d", u, got, origTotal)
 		}
 		// Larger units → no more files than the s0 packing.

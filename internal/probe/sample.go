@@ -43,33 +43,3 @@ func SampleWithoutReplacement(files []binpack.Item, volume int64, r *rand.Rand) 
 	}
 	return out, nil
 }
-
-// MultiSample draws n disjoint samples of the given volume (each without
-// replacement, and no file shared across samples), as in the paper's ten
-// 2 GB grep samples. It errors when the corpus cannot supply them all.
-func MultiSample(files []binpack.Item, n int, volume int64, r *rand.Rand) ([][]binpack.Item, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("probe: sample count must be positive, got %d", n)
-	}
-	remaining := append([]binpack.Item(nil), files...)
-	samples := make([][]binpack.Item, 0, n)
-	for s := 0; s < n; s++ {
-		sample, err := SampleWithoutReplacement(remaining, volume, r)
-		if err != nil {
-			return nil, fmt.Errorf("probe: sample %d of %d: %w", s+1, n, err)
-		}
-		samples = append(samples, sample)
-		taken := make(map[string]bool, len(sample))
-		for _, f := range sample {
-			taken[f.ID] = true
-		}
-		next := remaining[:0]
-		for _, f := range remaining {
-			if !taken[f.ID] {
-				next = append(next, f)
-			}
-		}
-		remaining = next
-	}
-	return samples, nil
-}

@@ -105,35 +105,3 @@ func TestSampleRandomness(t *testing.T) {
 		}
 	}
 }
-
-func TestMultiSampleDisjoint(t *testing.T) {
-	files := sampleCorpus(2000)
-	r := rand.New(rand.NewSource(4))
-	samples, err := MultiSample(files, 10, 100_000, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 10 {
-		t.Fatalf("samples = %d", len(samples))
-	}
-	seen := map[string]int{}
-	for si, sample := range samples {
-		for _, f := range sample {
-			if prev, dup := seen[f.ID]; dup {
-				t.Fatalf("file %s in samples %d and %d", f.ID, prev, si)
-			}
-			seen[f.ID] = si
-		}
-	}
-}
-
-func TestMultiSampleExhaustion(t *testing.T) {
-	files := sampleCorpus(100) // ~105 kB total
-	r := rand.New(rand.NewSource(5))
-	if _, err := MultiSample(files, 3, 50_000, r); err == nil {
-		t.Error("expected exhaustion error")
-	}
-	if _, err := MultiSample(files, 0, 1000, r); err == nil {
-		t.Error("expected error for zero samples")
-	}
-}

@@ -179,31 +179,12 @@ func (s *Server) HardStop() { s.hardCancel() }
 
 // --- request plumbing ---------------------------------------------------
 
-// What one request may ask for, whatever the operator's flags say. A body
-// is bounded by errs.MaxRequestBytes; these bound what a body that fits
-// can still cost: the automaton is ~2 KiB of transition table per pattern
-// byte and is built before admission, and a timeout in milliseconds
-// overflows time.Duration long before it overflows int64.
-const (
-	maxPatterns     = 10_000
-	maxPatternBytes = 16 << 10
-	maxTimeout      = time.Hour
-)
-
-// checkPatterns refuses a pattern list over the caps before any automaton
-// is built from it.
-func checkPatterns(patterns []string) error {
-	if len(patterns) > maxPatterns {
-		return errs.Invalid("%d patterns, limit %d", len(patterns), maxPatterns)
-	}
-	total := 0
-	for _, p := range patterns {
-		if total += len(p); total > maxPatternBytes {
-			return errs.Invalid("patterns exceed %d bytes in total", maxPatternBytes)
-		}
-	}
-	return nil
-}
+// The longest timeout one request may ask for, whatever the operator's
+// flags say: a timeout in milliseconds overflows time.Duration long before
+// it overflows int64. A body is bounded by errs.MaxRequestBytes, and its
+// patterns by textproc.CheckPatternBudget, which the handlers run before
+// admission so an over-budget request never waits for a slot.
+const maxTimeout = time.Hour
 
 // timeoutOf resolves a request's deadline: the body's timeout_ms when
 // positive, else the X-Timeout-Ms header, else the server default. A
@@ -341,7 +322,7 @@ func (s *Server) handleGrep(w http.ResponseWriter, r *http.Request) {
 		errs.WriteError(w, errs.Stage("grep", errs.Invalid("no patterns")))
 		return
 	}
-	if err := checkPatterns(req.Patterns); err != nil {
+	if err := textproc.CheckPatternBudget(req.Patterns); err != nil {
 		errs.WriteError(w, errs.Stage("grep", err))
 		return
 	}
@@ -350,7 +331,7 @@ func (s *Server) handleGrep(w http.ResponseWriter, r *http.Request) {
 		// at once: a large pattern set allocates tens of megabytes.
 		ms, err := newSearcher(req.Patterns, req.Fold)
 		if err != nil {
-			return nil, errs.Stage("grep", errs.Invalid("%v", err))
+			return nil, errs.Stage("grep", err)
 		}
 		mk := textproc.NewMatchKernel(ms)
 		start := time.Now()
@@ -406,7 +387,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		errs.WriteError(w, err)
 		return
 	}
-	if err := checkPatterns(req.Patterns); err != nil {
+	if err := textproc.CheckPatternBudget(req.Patterns); err != nil {
 		errs.WriteError(w, errs.Stage("measure", err))
 		return
 	}
@@ -427,7 +408,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 		if len(req.Patterns) > 0 {
 			ms, err := newSearcher(req.Patterns, req.Fold)
 			if err != nil {
-				return nil, errs.Stage("measure", errs.Invalid("%v", err))
+				return nil, errs.Stage("measure", err)
 			}
 			mk = textproc.NewMatchKernel(ms)
 			kernels = append(kernels, mk)

@@ -360,9 +360,9 @@ func mustJSON(v any) string {
 func hostileRequests() map[string]struct{ path, body, header string } {
 	return map[string]struct{ path, body, header string }{
 		"oversized-body":     {path: "/v1/verify", body: `{"timeout_ms": 1` + strings.Repeat(" ", errs.MaxRequestBytes) + `}`},
-		"too-many-patterns":  {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: manyPatterns(maxPatterns + 1)})},
-		"measure-patterns":   {path: "/v1/measure", body: mustJSON(MeasureRequest{Patterns: manyPatterns(maxPatterns + 1)})},
-		"pattern-bytes":      {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: []string{strings.Repeat("a", maxPatternBytes+1)}})},
+		"too-many-patterns":  {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: manyPatterns(textproc.MaxPatterns + 1)})},
+		"measure-patterns":   {path: "/v1/measure", body: mustJSON(MeasureRequest{Patterns: manyPatterns(textproc.MaxPatterns + 1)})},
+		"pattern-bytes":      {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: []string{strings.Repeat("a", textproc.MaxPatternBytes+1)}})},
 		"2MiB-pattern":       {path: "/v1/grep", body: mustJSON(GrepRequest{Patterns: []string{strings.Repeat("a", 2<<20)}})},
 		"timeout-ceiling":    {path: "/v1/verify", body: mustJSON(VerifyRequest{TimeoutMS: maxTimeout.Milliseconds() + 1})},
 		"timeout-overflow":   {path: "/v1/verify", body: `{"timeout_ms": 9223372036854775807}`},
@@ -460,9 +460,9 @@ func TestStatusMapping(t *testing.T) {
 		})
 	}
 	// The caps are inclusive, and whitespace after the value is not data.
-	resp, data = postJSON(t, ts.URL+"/v1/grep", GrepRequest{Patterns: manyPatterns(maxPatterns)})
+	resp, data = postJSON(t, ts.URL+"/v1/grep", GrepRequest{Patterns: manyPatterns(textproc.MaxPatterns)})
 	if resp.StatusCode != 200 {
-		t.Errorf("%d patterns: status %d: %s", maxPatterns, resp.StatusCode, data)
+		t.Errorf("%d patterns: status %d: %s", textproc.MaxPatterns, resp.StatusCode, data)
 	}
 	r5, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader("{} \n"))
 	if err != nil {

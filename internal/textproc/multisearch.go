@@ -2,10 +2,10 @@ package textproc
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"math/bits"
 
+	"repro/internal/errs"
 	"repro/internal/fnv64"
 )
 
@@ -84,15 +84,42 @@ func NewFoldedMultiSearcher(patterns []string) (*MultiSearcher, error) {
 	return newMultiSearcher(patterns, true)
 }
 
+// What one searcher may be built from, whoever asks for it (serve, worker,
+// pipeline): building the automaton allocates ≈ 7.5 KB per pattern byte,
+// so the byte cap bounds one build at ≈ 120 MB.
+const (
+	MaxPatterns     = 10_000
+	MaxPatternBytes = 16 << 10
+)
+
+// CheckPatternBudget refuses a pattern list over MaxPatterns or
+// MaxPatternBytes with an errs.ErrInvalid error. Every searcher build runs
+// it first; a daemon also runs it before admitting a request.
+func CheckPatternBudget(patterns []string) error {
+	if len(patterns) > MaxPatterns {
+		return errs.Invalid("%d patterns, limit %d", len(patterns), MaxPatterns)
+	}
+	total := 0
+	for _, p := range patterns {
+		if total += len(p); total > MaxPatternBytes {
+			return errs.Invalid("patterns exceed %d bytes in total", MaxPatternBytes)
+		}
+	}
+	return nil
+}
+
 // validatePatterns enforces the searcher's input contract: at least one
-// pattern, none empty.
+// pattern, within the budget, none empty. Every refusal is ErrInvalid.
 func validatePatterns(patterns []string) error {
 	if len(patterns) == 0 {
-		return fmt.Errorf("textproc: multi-searcher needs at least one pattern")
+		return errs.Invalid("textproc: multi-searcher needs at least one pattern")
+	}
+	if err := CheckPatternBudget(patterns); err != nil {
+		return err
 	}
 	for pi, p := range patterns {
 		if p == "" {
-			return fmt.Errorf("textproc: empty search pattern at index %d", pi)
+			return errs.Invalid("textproc: empty search pattern at index %d", pi)
 		}
 	}
 	return nil

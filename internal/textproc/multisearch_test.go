@@ -2,10 +2,13 @@ package textproc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/errs"
 )
 
 // startBytes returns how many distinct bytes can start a pattern, which
@@ -108,6 +111,37 @@ func TestMultiSearcherRejectsBadPatterns(t *testing.T) {
 	}
 	if _, err := NewMultiSearcher([]string{"ok", ""}); err == nil {
 		t.Error("empty pattern accepted")
+	}
+}
+
+// TestMultiSearcherPatternBudget: both caps are inclusive, and a list one
+// over either is refused as ErrInvalid by both constructors before any
+// table is built.
+func TestMultiSearcherPatternBudget(t *testing.T) {
+	many := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = "a"
+		}
+		return out
+	}
+	for name, patterns := range map[string][]string{
+		"count": many(MaxPatterns),
+		"bytes": {strings.Repeat("a", MaxPatternBytes/2), strings.Repeat("b", MaxPatternBytes/2)},
+	} {
+		if err := CheckPatternBudget(patterns); err != nil {
+			t.Errorf("%s at the cap: %v", name, err)
+		}
+	}
+	for name, patterns := range map[string][]string{
+		"count": many(MaxPatterns + 1),
+		"bytes": {strings.Repeat("a", MaxPatternBytes/2), strings.Repeat("b", MaxPatternBytes/2+1)},
+	} {
+		for _, build := range []func([]string) (*MultiSearcher, error){NewMultiSearcher, NewFoldedMultiSearcher} {
+			if _, err := build(patterns); !errors.Is(err, errs.ErrInvalid) {
+				t.Errorf("%s one over the cap: err = %v, want ErrInvalid", name, err)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cloudsim"
-	"repro/internal/stats"
 )
 
 func TestGrepPatternComplexityShiftsBottleneck(t *testing.T) {
@@ -64,37 +63,5 @@ func TestGrepComplexityFloor(t *testing.T) {
 	b := g.Process(NewItem(1000000), 80, in)
 	if a != b {
 		t.Error("complexity floor not applied")
-	}
-}
-
-func TestS3StorageSlowerAndNoisierThanLocal(t *testing.T) {
-	_, in := goodInstance(t, 24)
-	s3 := S3Storage{}
-	var s3Rates, localRates []float64
-	for i := 0; i < 200; i++ {
-		s3Rates = append(s3Rates, s3.ReadMBps(in, "k"))
-		localRates = append(localRates, Local{}.ReadMBps(in, "k"))
-	}
-	s3Sum := stats.Summarize(s3Rates)
-	localSum := stats.Summarize(localRates)
-	if s3Sum.Mean >= localSum.Mean {
-		t.Errorf("S3 mean %v not below local %v", s3Sum.Mean, localSum.Mean)
-	}
-	// Local storage rate is a constant (up to float accumulation); S3 must
-	// jitter.
-	if localSum.StdDev > 1e-9 {
-		t.Errorf("local rate jitters: %v", localSum.StdDev)
-	}
-	if s3Sum.CV() < 0.01 {
-		t.Errorf("S3 rate CV = %v, want visible variability", s3Sum.CV())
-	}
-}
-
-func TestS3StorageDefaults(t *testing.T) {
-	if got := (S3Storage{}).ReadMBps(nil, "k"); got != 40 {
-		t.Errorf("nil-instance S3 rate = %v, want base 40", got)
-	}
-	if got := (S3Storage{BaseMBps: 10}).ReadMBps(nil, "k"); got != 10 {
-		t.Errorf("custom base = %v", got)
 	}
 }

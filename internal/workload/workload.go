@@ -48,15 +48,6 @@ func Items(sizes []int64) []Item {
 	return out
 }
 
-// TotalBytes sums the item sizes.
-func TotalBytes(items []Item) int64 {
-	var total int64
-	for _, it := range items {
-		total += it.Size
-	}
-	return total
-}
-
 // Storage abstracts where the input data lives: an EBS volume (placement-
 // sensitive bandwidth) or instance-local storage.
 type Storage interface {
@@ -75,32 +66,6 @@ func (Local) ReadMBps(in *cloudsim.Instance, _ string) float64 {
 		return 0
 	}
 	return in.Quality.SeqReadMBps
-}
-
-// S3Storage reads input directly from the object store. S3 supports many
-// parallel readers but its effective bandwidth is lower and noticeably
-// more variable than EBS (§1.1) — each ReadMBps call draws fresh jitter
-// from the instance's noise stream.
-type S3Storage struct {
-	// BaseMBps is the nominal sustained S3 download bandwidth; the default
-	// used when zero is 40 MB/s (half of nominal EBS).
-	BaseMBps float64
-}
-
-// ReadMBps implements Storage with multiplicative jitter roughly twice as
-// wide as local/EBS measurement noise.
-func (s S3Storage) ReadMBps(in *cloudsim.Instance, _ string) float64 {
-	base := s.BaseMBps
-	if base <= 0 {
-		base = 40
-	}
-	if in == nil {
-		return base
-	}
-	// Widen the instance's noise: square the factor to double its spread
-	// in log space, capturing S3's "higher and more variable" latency.
-	f := in.NoiseFactor()
-	return base * f * f
 }
 
 // App is the simulated cost model of a black-box application.
@@ -345,10 +310,11 @@ const parThreshold = 2048
 // repeated estimates vary like repeated real measurements.
 //
 // The RNG draw order is part of the observable behaviour and is fixed:
-// storage bandwidth first (S3 draws jitter), then setup noise, then the
-// per-item cost sum — which consumes no randomness and whose Duration
-// (integer) partials are summed in chunk order, so fanning it out over the
-// pool is bit-identical to the serial loop — and finally the work noise.
+// storage bandwidth first (Local and *cloudsim.Volume draw nothing), then
+// setup noise, then the per-item cost sum — which consumes no randomness
+// and whose Duration (integer) partials are summed in chunk order, so
+// fanning it out over the pool is bit-identical to the serial loop — and
+// finally the work noise.
 //
 // The per-item cost sum stops dispatching chunks once ctx is done and the
 // call returns a typed cancellation error; the RNG draw order above is

@@ -27,9 +27,6 @@ func TestItemsHelpers(t *testing.T) {
 	if len(items) != 2 || items[0].Complexity != 1 {
 		t.Errorf("items = %+v", items)
 	}
-	if TotalBytes(items) != 30 {
-		t.Errorf("total = %d", TotalBytes(items))
-	}
 	if NewItem(5).Size != 5 {
 		t.Error("NewItem wrong")
 	}

@@ -17,7 +17,6 @@
 //   - internal/textproc:  real grep and POS-tagging kernels
 //   - internal/scan:      fused streaming scan (one read per file, N kernels)
 //   - internal/errs:      the typed error taxonomy
-//   - internal/sched:     dynamic monitoring and spot plans (§7 extensions)
 //
 // Quick start:
 //

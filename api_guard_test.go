@@ -51,7 +51,8 @@ var apiAllowlist = map[string]string{
 }
 
 // TestExportedAPIHasProductionCallers keeps the internal packages' exported
-// API equal to what production calls. It type-checks every non-test
+// API equal to what production calls, and every module package free of
+// unexported functions nothing calls (checkUnexportedFuncs). It type-checks every non-test
 // package of the two modules (the file sets come from `go list`, so they
 // are the default build's) and resolves each identifier to the object it
 // denotes: an exported func, method, constant or package-level variable of
@@ -141,6 +142,61 @@ func TestExportedAPIHasProductionCallers(t *testing.T) {
 			t.Errorf("allowlist entry %s names nothing declared in the guarded packages", key)
 		}
 	}
+	checkUnexportedFuncs(t, prog)
+}
+
+// checkUnexportedFuncs closes the hole the exported-API walk leaves: an
+// unexported package-level function of either module's non-test code
+// that nothing refers to — not its own package's production files, not
+// its in-package tests — is dead, and go vet does not report it. Only the
+// declaring package can name an unexported function, so each package with
+// in-package tests is type-checked once more together with them, and
+// those uses count too.
+func checkUnexportedFuncs(t *testing.T, prog *production) {
+	uses := func(pkg *types.Package, info *types.Info) map[types.Object]bool {
+		used := map[types.Object]bool{}
+		for _, obj := range info.Uses {
+			if f, ok := obj.(*types.Func); ok && f.Pkg() == pkg {
+				used[f.Origin()] = true
+			}
+		}
+		return used
+	}
+	checked := 0
+	for path, pkg := range prog.pkgs {
+		used := uses(pkg, prog.info)
+		if lp, ok := prog.withTests[path]; ok {
+			// The test-inclusive check declares fresh objects over freshly
+			// parsed files; map their uses back to the production ones by
+			// source position.
+			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+			files := prog.parse(t, lp.Dir, append(append([]string(nil), lp.GoFiles...), lp.TestGoFiles...))
+			withTests, err := prog.conf.Check(path, prog.fset, files, info)
+			if err != nil {
+				t.Fatalf("type-checking %s with its tests: %v", path, err)
+			}
+			byPos := map[token.Position]bool{}
+			for obj := range uses(withTests, info) {
+				byPos[prog.fset.Position(obj.Pos())] = true
+			}
+			for _, id := range pkg.Scope().Names() {
+				if obj := pkg.Scope().Lookup(id); byPos[prog.fset.Position(obj.Pos())] {
+					used[obj] = true
+				}
+			}
+		}
+		for _, id := range pkg.Scope().Names() {
+			f, ok := pkg.Scope().Lookup(id).(*types.Func)
+			if !ok || f.Exported() || (pkg.Name() == "main" && id == "main") {
+				continue
+			}
+			checked++
+			if !used[f] {
+				t.Errorf("%s: %s.%s is referenced nowhere, tests included: delete it", prog.fset.Position(f.Pos()), path, id)
+			}
+		}
+	}
+	t.Logf("checked %d unexported package-level functions", checked)
 }
 
 // internalPrefix is the import-path prefix of the packages the guard covers.
@@ -170,6 +226,17 @@ type production struct {
 	info *types.Info
 	pkgs map[string]*types.Package // import path → package, module packages only
 	std  map[string]*types.Package // the standard-library packages they import
+	conf types.Config
+	// withTests holds each module package that has in-package test files,
+	// by import path, for checkUnexportedFuncs.
+	withTests map[string]listedPackage
+}
+
+// listedPackage is one package as `go list` describes it.
+type listedPackage struct {
+	ImportPath, Dir      string
+	GoFiles, TestGoFiles []string
+	Standard             bool
 }
 
 // loadProduction lists each module's packages with their dependencies —
@@ -187,11 +254,12 @@ func loadProduction(t *testing.T) *production {
 			Uses:  map[*ast.Ident]types.Object{},
 			Types: map[ast.Expr]types.TypeAndValue{},
 		},
-		pkgs: map[string]*types.Package{},
-		std:  map[string]*types.Package{},
+		pkgs:      map[string]*types.Package{},
+		std:       map[string]*types.Package{},
+		withTests: map[string]listedPackage{},
 	}
 	std := importer.Default()
-	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+	p.conf = types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
 		if pkg := p.pkgs[path]; pkg != nil {
 			return pkg, nil
 		}
@@ -202,7 +270,7 @@ func loadProduction(t *testing.T) *production {
 		return pkg, err
 	})}
 	for _, dir := range productionModules {
-		cmd := exec.Command("go", "list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard", "./...")
+		cmd := exec.Command("go", "list", "-deps", "-json=ImportPath,Dir,GoFiles,TestGoFiles,Standard", "./...")
 		cmd.Dir = dir
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
@@ -211,11 +279,7 @@ func loadProduction(t *testing.T) *production {
 			t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.String())
 		}
 		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-			var lp struct {
-				ImportPath, Dir string
-				GoFiles         []string
-				Standard        bool
-			}
+			var lp listedPackage
 			if err := dec.Decode(&lp); err == io.EOF {
 				break
 			} else if err != nil {
@@ -224,22 +288,31 @@ func loadProduction(t *testing.T) *production {
 			if lp.Standard || p.pkgs[lp.ImportPath] != nil {
 				continue
 			}
-			var files []*ast.File
-			for _, name := range lp.GoFiles {
-				f, err := parser.ParseFile(p.fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
-				if err != nil {
-					t.Fatal(err)
-				}
-				files = append(files, f)
-			}
-			pkg, err := conf.Check(lp.ImportPath, p.fset, files, p.info)
+			pkg, err := p.conf.Check(lp.ImportPath, p.fset, p.parse(t, lp.Dir, lp.GoFiles), p.info)
 			if err != nil {
 				t.Fatalf("type-checking %s: %v", lp.ImportPath, err)
 			}
 			p.pkgs[lp.ImportPath] = pkg
+			if len(lp.TestGoFiles) > 0 {
+				p.withTests[lp.ImportPath] = lp
+			}
 		}
 	}
 	return p
+}
+
+// parse parses the named files of one package directory.
+func (p *production) parse(t *testing.T, dir string, names []string) []*ast.File {
+	t.Helper()
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(p.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
 }
 
 // namedTypes returns every package-level defined type of production code

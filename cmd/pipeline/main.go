@@ -126,7 +126,7 @@ func main() {
 	// One fused scan serves every requested measurement: checksums, text
 	// stats, multi-pattern grep and the POS complexity profile all ride the
 	// same single read of each file (packed corpora shard-sequentially).
-	var complexity map[string]float64
+	var complexity []float64
 	if *grepPats != "" || *measure {
 		spec := dist.Spec{FoldCase: *foldCase, Complexity: *measure && *appName == "pos"}
 		if *grepPats != "" {
@@ -206,13 +206,17 @@ func main() {
 			fmt.Printf("  pattern %q: %d matches\n", pat, m.PatternTotals[i])
 		}
 		if m.Complexity != nil {
-			complexity = m.Complexity
 			var mean float64
-			for _, c := range complexity {
+			for _, c := range m.Complexity {
 				mean += c
 			}
 			fmt.Printf("  POS complexity profile: %d files, mean %.3f\n",
-				len(complexity), mean/float64(len(complexity)))
+				len(m.Complexity), mean/float64(len(m.Complexity)))
+			// In corpus order; a file a degraded run skipped is priced at 1.
+			complexity = make([]float64, fs.Len())
+			for i, f := range fs.List() {
+				complexity[i] = m.Complexity[f.Name]
+			}
 		}
 	}
 	if *onlyM {

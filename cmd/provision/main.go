@@ -57,10 +57,10 @@ func main() {
 	case *volume > 0:
 		n := int64(*volume) / *unit
 		for i := int64(0); i < n; i++ {
-			items = append(items, binpack.Item{ID: fmt.Sprintf("chunk-%07d", i), Size: *unit})
+			items = append(items, binpack.Item{Size: *unit})
 		}
 		if rem := int64(*volume) - n**unit; rem > 0 {
-			items = append(items, binpack.Item{ID: "chunk-rem", Size: rem})
+			items = append(items, binpack.Item{Size: rem})
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "provision: provide -volume or -dir")

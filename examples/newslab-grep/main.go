@@ -60,11 +60,11 @@ func main() {
 	harness := probe.NewHarness(cloud, inst, workload.NewGrep(), workload.Local{})
 	var xs, ys []float64
 	for _, volume := range []int64{500_000_000, 1_000_000_000, 2_000_000_000, 5_000_000_000} {
-		items := make([]binpack.Item, volume/100_000_000)
-		for i := range items {
-			items[i] = binpack.Item{ID: fmt.Sprintf("u-%d-%d", volume, i), Size: 100_000_000}
+		sizes := make([]int64, volume/100_000_000)
+		for i := range sizes {
+			sizes[i] = 100_000_000
 		}
-		m, err := harness.MeasureProbeCtx(ctx, volume, 100_000_000, workload.Items(sizesOf(items)))
+		m, err := harness.MeasureProbeCtx(ctx, volume, 100_000_000, workload.Items(sizes))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func main() {
 	// Build and execute the plan over 100 MB unit files.
 	units := make([]binpack.Item, 1000)
 	for i := range units {
-		units[i] = binpack.Item{ID: fmt.Sprintf("unit-%04d", i), Size: 100_000_000}
+		units[i] = binpack.Item{Size: 100_000_000}
 	}
 	plan, err := planner.PlanDeadline(units, 3600, provision.UniformBins)
 	if err != nil {
@@ -110,12 +110,4 @@ func main() {
 		predicted/float64(plan.Instances), outcome.MakespanS,
 		100*(outcome.MakespanS-predicted/float64(plan.Instances))/outcome.MakespanS,
 		plan.Instances, outcome.ActualCost)
-}
-
-func sizesOf(items []binpack.Item) []int64 {
-	out := make([]int64, len(items))
-	for i, it := range items {
-		out[i] = it.Size
-	}
-	return out
 }

@@ -142,7 +142,7 @@ func sampleBin(dist corpus.SizeDist, volume int64, salt string) []binpack.Item {
 	r := stats.NewRand(seed, salt)
 	var items []binpack.Item
 	var total int64
-	for i := 0; total < volume; i++ {
+	for total < volume {
 		s := dist.Sample(r)
 		if total+s > volume {
 			s = volume - total
@@ -150,7 +150,7 @@ func sampleBin(dist corpus.SizeDist, volume int64, salt string) []binpack.Item {
 		if s <= 0 {
 			break
 		}
-		items = append(items, binpack.Item{ID: fmt.Sprintf("%s-%06d", salt, i), Size: s})
+		items = append(items, binpack.Item{Size: s})
 		total += s
 	}
 	return items

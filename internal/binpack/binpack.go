@@ -4,9 +4,11 @@
 // heuristic [Vazirani 2003] used to build probe sets (§4), and least-loaded
 // balancing for the uniform-bins improvement of Fig. 8(b).
 //
-// Items are (ID, Size) pairs; packing never splits an item — the paper's
-// files are unsplittable units, so an item larger than the bin capacity gets
-// a dedicated oversized bin rather than an error.
+// Items are (ID, Size) pairs whose identity is their input position: bins
+// record it (Bin.Pos), Verify checks it, and callers index their per-item
+// data by it. Packing never splits an item — the paper's files are
+// unsplittable units, so an item larger than the bin capacity gets a
+// dedicated oversized bin rather than an error.
 package binpack
 
 import "fmt"
@@ -21,6 +23,7 @@ type Item struct {
 type Bin struct {
 	Capacity  int64
 	Items     []Item
+	Pos       []int32 // each item's position in the packer's input, parallel to Items
 	Used      int64
 	Oversized bool // single item exceeding the capacity
 }
@@ -36,18 +39,27 @@ func (b *Bin) FillFraction() float64 {
 	return float64(b.Used) / float64(b.Capacity)
 }
 
-func (b *Bin) add(it Item) {
+// add appends the item found at input position pos.
+func (b *Bin) add(it Item, pos int) {
 	b.Items = append(b.Items, it)
+	b.Pos = append(b.Pos, int32(pos))
 	b.Used += it.Size
 }
 
-func validate(items []Item, capacity int64) error {
-	if capacity <= 0 {
-		return fmt.Errorf("binpack: capacity must be positive, got %d", capacity)
+// oversizedBin is the dedicated bin of an item larger than the capacity.
+func oversizedBin(capacity int64, it Item, pos int) *Bin {
+	return &Bin{Capacity: capacity, Items: []Item{it}, Pos: []int32{int32(pos)}, Used: it.Size, Oversized: true}
+}
+
+// validate is every packer's input check: limit (a capacity, or a bin
+// count, as named) must be positive and no item size negative.
+func validate(items []Item, limit int64, name string) error {
+	if limit <= 0 {
+		return fmt.Errorf("binpack: %s must be positive, got %d", name, limit)
 	}
 	for i, it := range items {
 		if it.Size < 0 {
-			return fmt.Errorf("binpack: item %d (%q) has negative size %d", i, it.ID, it.Size)
+			return fmt.Errorf("binpack: item at position %d has negative size %d", i, it.Size)
 		}
 	}
 	return nil
@@ -65,11 +77,13 @@ type binMeta struct {
 
 // buildBins materialises bins from per-item placements. binAt[i] is the
 // bin index of the i-th placement, in the order placements were made, and
-// itemAt(i) the corresponding item; all bins share one flat item slab
-// (capacity-bounded subslices, so a caller appending to one bin's Items
-// reallocates instead of clobbering its neighbour).
-func buildBins(metas []binMeta, capacity int64, n int, binAt []int32, itemAt func(i int) Item) []*Bin {
+// posAt(i) the input position of the item placed; all bins share one flat
+// item slab and one position slab (capacity-bounded subslices, so a caller
+// appending to one bin reallocates instead of clobbering its neighbour).
+func buildBins(metas []binMeta, capacity int64, items []Item, binAt []int32, posAt func(i int) int32) []*Bin {
+	n := len(items)
 	slab := make([]Item, 0, n)
+	posSlab := make([]int32, 0, n)
 	structs := make([]Bin, len(metas))
 	bins := make([]*Bin, len(metas))
 	off := 0
@@ -80,15 +94,22 @@ func buildBins(metas []binMeta, capacity int64, n int, binAt []int32, itemAt fun
 		b.Oversized = m.oversized
 		end := off + int(m.count)
 		b.Items = slab[off:off:end]
+		b.Pos = posSlab[off:off:end]
 		off = end
 		bins[bi] = b
 	}
 	for i := 0; i < n; i++ {
 		b := bins[binAt[i]]
-		b.Items = append(b.Items, itemAt(i))
+		p := posAt(i)
+		b.Items = append(b.Items, items[p])
+		b.Pos = append(b.Pos, p)
 	}
 	return bins
 }
+
+// inputOrder is buildBins' posAt for packers that place items in input
+// order.
+func inputOrder(i int) int32 { return int32(i) }
 
 // FirstFit packs the items, in the order given, each into the first open bin
 // with room, opening a new bin when none fits. This is the ordering the
@@ -102,8 +123,8 @@ func buildBins(metas []binMeta, capacity int64, n int, binAt []int32, itemAt fun
 // kept outside the tree for an O(1) fast path. The output is identical
 // bin-for-bin to the O(n·bins) linear scan kept in linear_test.go.
 func FirstFit(items []Item, capacity int64) ([]*Bin, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("binpack: capacity must be positive, got %d", capacity)
+	if err := validate(items, capacity, "capacity"); err != nil {
+		return nil, err
 	}
 	n := len(items)
 	binAt := make([]int32, n)
@@ -112,9 +133,6 @@ func FirstFit(items []Item, capacity int64) ([]*Bin, error) {
 	frontier := -1 // position of the open frontier bin; residual tracked here, not in the tree
 	var frontierFree int64
 	for i, it := range items {
-		if it.Size < 0 {
-			return nil, fmt.Errorf("binpack: item %d (%q) has negative size %d", i, it.ID, it.Size)
-		}
 		if it.Size > capacity {
 			// The frontier keeps its position; the oversized bin's tree slot
 			// stays closed (-1) so queries never land on it.
@@ -152,14 +170,14 @@ func FirstFit(items []Item, capacity int64) ([]*Bin, error) {
 		}
 		binAt[i] = int32(pos)
 	}
-	return buildBins(metas, capacity, n, binAt, func(i int) Item { return items[i] }), nil
+	return buildBins(metas, capacity, items, binAt, inputOrder), nil
 }
 
 // FirstFitDecreasing sorts items by decreasing size (stable, so equal-size
 // items keep their relative order) before running FirstFit. It packs tighter
 // but, as the paper notes, concentrates large files in the early bins.
 func FirstFitDecreasing(items []Item, capacity int64) ([]*Bin, error) {
-	return FirstFit(sortedBySizeDesc(items), capacity)
+	return decreasing(items, capacity, "capacity", func(sorted []Item) ([]*Bin, error) { return FirstFit(sorted, capacity) })
 }
 
 // SubsetSumFirstFit packs items using the subset-sum first-fit heuristic the
@@ -176,7 +194,7 @@ func FirstFitDecreasing(items []Item, capacity int64) ([]*Bin, error) {
 // the O(n)-per-bin rescan of the reference in linear_test.go. The output
 // is identical bin-for-bin.
 func SubsetSumFirstFit(items []Item, capacity int64) ([]*Bin, error) {
-	if err := validate(items, capacity); err != nil {
+	if err := validate(items, capacity, "capacity"); err != nil {
 		return nil, err
 	}
 	n := len(items)
@@ -222,7 +240,7 @@ func SubsetSumFirstFit(items []Item, capacity int64) ([]*Bin, error) {
 	}
 	// Within a bin, items appear in scan order (decreasing size), exactly as
 	// the linear reference appends them.
-	return buildBins(metas, capacity, n, binAt, func(p int) Item { return items[order[p].idx] }), nil
+	return buildBins(metas, capacity, items, binAt, func(p int) int32 { return order[p].idx }), nil
 }
 
 // LeastLoaded distributes items across exactly n bins, always placing the
@@ -230,18 +248,10 @@ func SubsetSumFirstFit(items []Item, capacity int64) ([]*Bin, error) {
 // decreasing size this is the LPT rule; the paper's "uniform bins"
 // improvement (Fig. 8(b)) corresponds to balanced bins of volume ≈ V/n.
 func LeastLoaded(items []Item, n int) ([]*Bin, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("binpack: bin count must be positive, got %d", n)
+	if err := validate(items, int64(n), "bin count"); err != nil {
+		return nil, err
 	}
-	for i, it := range items {
-		if it.Size < 0 {
-			return nil, fmt.Errorf("binpack: item %d (%q) has negative size %d", i, it.ID, it.Size)
-		}
-	}
-	var total int64
-	for _, it := range items {
-		total += it.Size
-	}
+	total := TotalSize(items)
 	capacity := total / int64(n)
 	if total%int64(n) != 0 {
 		capacity++
@@ -249,40 +259,32 @@ func LeastLoaded(items []Item, n int) ([]*Bin, error) {
 	if capacity == 0 {
 		capacity = 1
 	}
-	bins := make([]*Bin, n)
-	for i := range bins {
-		bins[i] = &Bin{Capacity: capacity}
-	}
-	for _, it := range items {
+	metas := make([]binMeta, n)
+	binAt := make([]int32, len(items))
+	for p, it := range items {
 		best := 0
 		for i := 1; i < n; i++ {
-			if bins[i].Used < bins[best].Used {
+			if metas[i].used < metas[best].used {
 				best = i
 			}
 		}
-		bins[best].add(it)
+		metas[best].used += it.Size
+		metas[best].count++
+		binAt[p] = int32(best)
 	}
 	// ⌈V/n⌉ is a balancing target, not a hard cap: item granularity can
-	// overshoot it slightly. Widen capacities to the realised maximum so
+	// overshoot it slightly. Widen the capacity to the realised maximum so
 	// the packing invariants hold.
-	var maxUsed int64
-	for _, b := range bins {
-		if b.Used > maxUsed {
-			maxUsed = b.Used
-		}
+	for _, m := range metas {
+		capacity = max(capacity, m.used)
 	}
-	if maxUsed > capacity {
-		for _, b := range bins {
-			b.Capacity = maxUsed
-		}
-	}
-	return bins, nil
+	return buildBins(metas, capacity, items, binAt, inputOrder), nil
 }
 
 // LeastLoadedDecreasing sorts items by decreasing size before LeastLoaded
 // (the classic LPT balancing rule, tighter max-bin bounds).
 func LeastLoadedDecreasing(items []Item, n int) ([]*Bin, error) {
-	return LeastLoaded(sortedBySizeDesc(items), n)
+	return decreasing(items, int64(n), "bin count", func(sorted []Item) ([]*Bin, error) { return LeastLoaded(sorted, n) })
 }
 
 // Stats summarises the quality of a packing.
@@ -336,35 +338,34 @@ func TotalSize(items []Item) int64 {
 	return total
 }
 
-// Verify checks the packing invariants: every input item appears in exactly
-// one bin, bin Used fields match their contents, and no non-oversized bin
-// exceeds its capacity. It returns a descriptive error on the first
-// violation. Tests and the probe harness call this after every pack.
+// Verify checks the packing invariants: each bin has one input position
+// per item, every position appears in exactly one bin with its input's
+// size, bin Used fields match their contents, and no non-oversized bin
+// exceeds its capacity. It returns an error on the first violation and
+// allocates one flag per input item; the packing callers run it after
+// every pack.
 func Verify(items []Item, bins []*Bin) error {
-	want := make(map[string]int64, len(items))
-	for _, it := range items {
-		if _, dup := want[it.ID]; dup {
-			return fmt.Errorf("binpack: duplicate item ID %q in input", it.ID)
-		}
-		want[it.ID] = it.Size
-	}
-	seen := make(map[string]bool, len(items))
+	seen := make([]bool, len(items))
+	packed := 0
 	for bi, b := range bins {
-		var used int64
-		for _, it := range b.Items {
-			size, ok := want[it.ID]
-			if !ok {
-				return fmt.Errorf("binpack: bin %d contains unknown item %q", bi, it.ID)
-			}
-			if size != it.Size {
-				return fmt.Errorf("binpack: item %q size changed: %d -> %d", it.ID, size, it.Size)
-			}
-			if seen[it.ID] {
-				return fmt.Errorf("binpack: item %q packed twice", it.ID)
-			}
-			seen[it.ID] = true
-			used += it.Size
+		if len(b.Pos) != len(b.Items) {
+			return fmt.Errorf("binpack: bin %d records %d positions for %d items", bi, len(b.Pos), len(b.Items))
 		}
+		var used int64
+		for j, p := range b.Pos {
+			if p < 0 || int(p) >= len(items) {
+				return fmt.Errorf("binpack: bin %d item %d has position %d, input holds %d items", bi, j, p, len(items))
+			}
+			if seen[p] {
+				return fmt.Errorf("binpack: item at position %d packed twice", p)
+			}
+			seen[p] = true
+			if size := b.Items[j].Size; size != items[p].Size {
+				return fmt.Errorf("binpack: item at position %d size changed: %d -> %d", p, items[p].Size, size)
+			}
+			used += b.Items[j].Size
+		}
+		packed += len(b.Pos)
 		if used != b.Used {
 			return fmt.Errorf("binpack: bin %d Used=%d but contents sum to %d", bi, b.Used, used)
 		}
@@ -372,8 +373,8 @@ func Verify(items []Item, bins []*Bin) error {
 			return fmt.Errorf("binpack: bin %d overfull: %d > %d", bi, b.Used, b.Capacity)
 		}
 	}
-	if len(seen) != len(want) {
-		return fmt.Errorf("binpack: packed %d of %d items", len(seen), len(want))
+	if packed != len(items) {
+		return fmt.Errorf("binpack: packed %d of %d items", packed, len(items))
 	}
 	return nil
 }

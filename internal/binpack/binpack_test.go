@@ -3,6 +3,7 @@ package binpack
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -271,7 +272,8 @@ func TestMergeGroupsK1CopiesDeeply(t *testing.T) {
 		t.Fatal(err)
 	}
 	out[0].Items[0].ID = "mutated"
-	if bins[0].Items[0].ID == "mutated" {
+	out[0].Pos[0] = 7
+	if bins[0].Items[0].ID == "mutated" || bins[0].Pos[0] == 7 {
 		t.Error("MergeGroups(k=1) aliases input items")
 	}
 }
@@ -279,18 +281,6 @@ func TestMergeGroupsK1CopiesDeeply(t *testing.T) {
 func TestMergeGroupsErrors(t *testing.T) {
 	if _, err := MergeGroups(nil, 0); err == nil {
 		t.Error("expected error for k=0")
-	}
-}
-
-func TestFlatten(t *testing.T) {
-	items := mkItems(4, 4, 4)
-	bins, _ := FirstFit(items, 8)
-	flat := Flatten(bins)
-	if len(flat) != 3 {
-		t.Fatalf("flatten length = %d", len(flat))
-	}
-	if TotalSize(flat) != 12 {
-		t.Errorf("total = %d, want 12", TotalSize(flat))
 	}
 }
 
@@ -315,63 +305,113 @@ func TestSummarize(t *testing.T) {
 
 func TestVerifyCatchesViolations(t *testing.T) {
 	items := mkItems(5, 5)
-	bins, _ := FirstFit(items, 10)
-
-	t.Run("lost item", func(t *testing.T) {
-		broken := []*Bin{{Capacity: 10, Items: bins[0].Items[:1], Used: 5}}
-		if err := Verify(items, broken); err == nil {
-			t.Error("expected error for missing item")
+	// bin builds a hand-made bin over input positions; Used is the sum of
+	// the items' sizes unless a test overrides it.
+	bin := func(capacity int64, pos ...int32) *Bin {
+		b := &Bin{Capacity: capacity, Pos: pos}
+		for _, p := range pos {
+			b.Items = append(b.Items, items[p])
+			b.Used += items[p].Size
 		}
-	})
-	t.Run("wrong used", func(t *testing.T) {
-		broken := []*Bin{{Capacity: 10, Items: append([]Item(nil), items...), Used: 99}}
-		if err := Verify(items, broken); err == nil {
-			t.Error("expected error for wrong Used")
-		}
-	})
-	t.Run("unknown item", func(t *testing.T) {
-		broken := []*Bin{{Capacity: 10, Items: []Item{{ID: "ghost", Size: 1}, items[0], items[1]}, Used: 11}}
-		if err := Verify(items, broken); err == nil {
-			t.Error("expected error for unknown item")
-		}
-	})
-	t.Run("duplicate input", func(t *testing.T) {
-		dup := []Item{{ID: "a", Size: 1}, {ID: "a", Size: 1}}
-		if err := Verify(dup, nil); err == nil {
-			t.Error("expected error for duplicate input IDs")
-		}
-	})
-	t.Run("overfull", func(t *testing.T) {
-		big := mkItems(6, 6)
-		broken := []*Bin{{Capacity: 10, Items: append([]Item(nil), big...), Used: 12}}
-		if err := Verify(big, broken); err == nil {
-			t.Error("expected error for overfull bin")
-		}
-	})
-	t.Run("size change", func(t *testing.T) {
-		changed := []*Bin{{Capacity: 10, Items: []Item{{ID: items[0].ID, Size: 6}, items[1]}, Used: 11}}
-		if err := Verify(items, changed); err == nil {
-			t.Error("expected error for changed size")
+		return b
+	}
+	if err := Verify(items, []*Bin{bin(10, 0, 1)}); err != nil {
+		t.Fatalf("valid packing rejected: %v", err)
+	}
+	cases := map[string][]*Bin{
+		"lost item": {bin(10, 0)},
+		"wrong used": {func() *Bin {
+			b := bin(10, 0, 1)
+			b.Used = 99
+			return b
+		}()},
+		"unknown item":      {bin(10, 0, 1), {Capacity: 10, Items: []Item{{Size: 1}}, Pos: []int32{2}, Used: 1}},
+		"negative position": {{Capacity: 10, Items: []Item{{Size: 5}}, Pos: []int32{-1}, Used: 5}, bin(10, 1)},
+		"packed twice":      {bin(10, 0, 1), bin(10, 1)},
+		"size change": {func() *Bin {
+			b := bin(20, 0, 1)
+			b.Items = []Item{items[0], {ID: items[1].ID, Size: 6}}
+			b.Used = 11
+			return b
+		}()},
+		"positions shorter than items": {func() *Bin {
+			b := bin(10, 0, 1)
+			b.Pos = b.Pos[:1]
+			return b
+		}()},
+		"positions longer than items": {func() *Bin {
+			b := bin(10, 0, 1)
+			b.Items = b.Items[:1]
+			b.Used = 5
+			return b
+		}()},
+		"overfull": {bin(9, 0, 1)},
+	}
+	for name, bins := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := Verify(items, bins); err == nil {
+				t.Error("Verify accepted a broken packing")
+			}
+		})
+	}
+	t.Run("oversized bin may exceed capacity", func(t *testing.T) {
+		b := bin(4, 0)
+		b.Oversized = true
+		if err := Verify(items, []*Bin{b, bin(10, 1)}); err != nil {
+			t.Error(err)
 		}
 	})
 }
 
-// Property: for every heuristic, packing conserves items and respects
-// capacities on arbitrary inputs.
-func TestPackingInvariantsProperty(t *testing.T) {
-	heuristics := map[string]func([]Item, int64) ([]*Bin, error){
-		"first-fit":            FirstFit,
-		"first-fit-decreasing": FirstFitDecreasing,
-		"subset-sum":           SubsetSumFirstFit,
+// Verify's bookkeeping is one flag per input item: no map, no per-item
+// allocation, whatever the packing's size.
+func TestVerifyAllocatesOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	items := make([]Item, 10_000)
+	for i := range items {
+		items[i] = Item{Size: r.Int63n(50_000) + 1}
 	}
-	for name, pack := range heuristics {
-		pack := pack
+	bins, err := SubsetSumFirstFit(items, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := Verify(items, bins); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Verify over %d items allocates %v times per run, want 1", len(items), allocs)
+	}
+}
+
+// exportedPackers is every exported packer, the bin-count ones at a bin
+// count derived from the capacity argument.
+var exportedPackers = map[string]func([]Item, int64) ([]*Bin, error){
+	"first-fit":            FirstFit,
+	"first-fit-decreasing": FirstFitDecreasing,
+	"subset-sum":           SubsetSumFirstFit,
+	"next-fit":             NextFit,
+	"best-fit":             BestFit,
+	"best-fit-decreasing":  BestFitDecreasing,
+	"least-loaded": func(items []Item, c int64) ([]*Bin, error) {
+		return LeastLoaded(items, int(c%13)+1)
+	},
+	"least-loaded-decreasing": func(items []Item, c int64) ([]*Bin, error) {
+		return LeastLoadedDecreasing(items, int(c%13)+1)
+	},
+}
+
+// Property: for every packer, packing conserves items, records each one's
+// input position and respects capacities on arbitrary inputs.
+func TestPackingInvariantsProperty(t *testing.T) {
+	for name, pack := range exportedPackers {
 		t.Run(name, func(t *testing.T) {
 			f := func(rawSizes []uint16, rawCap uint16) bool {
 				capacity := int64(rawCap%1000) + 1
 				items := make([]Item, len(rawSizes))
 				for i, s := range rawSizes {
-					items[i] = Item{ID: fmt.Sprintf("p%d", i), Size: int64(s % 2000)}
+					items[i] = Item{Size: int64(s % 2000)}
 				}
 				bins, err := pack(items, capacity)
 				if err != nil {
@@ -386,13 +426,24 @@ func TestPackingInvariantsProperty(t *testing.T) {
 	}
 }
 
+// Every packer reports a negative size by the item's input position.
+func TestPackersNameNegativeSizePosition(t *testing.T) {
+	items := mkItems(3, 9, -4, 1)
+	for name, pack := range exportedPackers {
+		_, err := pack(items, 10)
+		if err == nil || !strings.Contains(err.Error(), "position 2 ") {
+			t.Errorf("%s: error %v does not name position 2", name, err)
+		}
+	}
+}
+
 // Property: merging preserves items for any k.
 func TestMergeInvariantProperty(t *testing.T) {
 	f := func(rawSizes []uint8, kRaw uint8) bool {
 		k := int(kRaw%7) + 1
 		items := make([]Item, len(rawSizes))
 		for i, s := range rawSizes {
-			items[i] = Item{ID: fmt.Sprintf("m%d", i), Size: int64(s)}
+			items[i] = Item{Size: int64(s)}
 		}
 		bins, err := SubsetSumFirstFit(items, 300)
 		if err != nil {

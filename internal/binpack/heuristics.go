@@ -9,21 +9,21 @@ package binpack
 // quality bound (2·OPT), but the only heuristic with streaming behaviour —
 // relevant when the corpus cannot be held in memory.
 func NextFit(items []Item, capacity int64) ([]*Bin, error) {
-	if err := validate(items, capacity); err != nil {
+	if err := validate(items, capacity, "capacity"); err != nil {
 		return nil, err
 	}
 	var bins []*Bin
 	var open *Bin
-	for _, it := range items {
+	for p, it := range items {
 		if it.Size > capacity {
-			bins = append(bins, &Bin{Capacity: capacity, Items: []Item{it}, Used: it.Size, Oversized: true})
+			bins = append(bins, oversizedBin(capacity, it, p))
 			continue
 		}
 		if open == nil || open.Free() < it.Size {
 			open = &Bin{Capacity: capacity}
 			bins = append(bins, open)
 		}
-		open.add(it)
+		open.add(it, p)
 	}
 	return bins, nil
 }
@@ -31,13 +31,13 @@ func NextFit(items []Item, capacity int64) ([]*Bin, error) {
 // BestFit places each item into the open bin with the least remaining
 // space that still fits it, opening a new bin when none does.
 func BestFit(items []Item, capacity int64) ([]*Bin, error) {
-	if err := validate(items, capacity); err != nil {
+	if err := validate(items, capacity, "capacity"); err != nil {
 		return nil, err
 	}
 	var bins []*Bin
-	for _, it := range items {
+	for p, it := range items {
 		if it.Size > capacity {
-			bins = append(bins, &Bin{Capacity: capacity, Items: []Item{it}, Used: it.Size, Oversized: true})
+			bins = append(bins, oversizedBin(capacity, it, p))
 			continue
 		}
 		best := -1
@@ -54,16 +54,16 @@ func BestFit(items []Item, capacity int64) ([]*Bin, error) {
 		}
 		if best == -1 {
 			nb := &Bin{Capacity: capacity}
-			nb.add(it)
+			nb.add(it, p)
 			bins = append(bins, nb)
 			continue
 		}
-		bins[best].add(it)
+		bins[best].add(it, p)
 	}
 	return bins, nil
 }
 
 // BestFitDecreasing sorts items by decreasing size (stable) before BestFit.
 func BestFitDecreasing(items []Item, capacity int64) ([]*Bin, error) {
-	return BestFit(sortedBySizeDesc(items), capacity)
+	return decreasing(items, capacity, "capacity", func(sorted []Item) ([]*Bin, error) { return BestFit(sorted, capacity) })
 }

@@ -157,17 +157,29 @@ func radixSortSizeDesc(order scanOrder) {
 	}
 }
 
-// sortedBySizeDesc returns a copy of the items in decreasing-size order,
-// equal sizes keeping input order — what sort.SliceStable over the items
-// produces, but via the integer-keyed sort (an order of magnitude faster
-// than the reflection-based stable sort on 10k-item corpora).
-func sortedBySizeDesc(items []Item) []Item {
+// decreasing validates the items, runs pack over them in decreasing-size
+// order (equal sizes in input order, as sort.SliceStable would give, via
+// the integer-keyed sort) and maps the bins' positions back through that
+// order, so they index the caller's slice.
+func decreasing(items []Item, limit int64, name string, pack func(sorted []Item) ([]*Bin, error)) ([]*Bin, error) {
+	if err := validate(items, limit, name); err != nil {
+		return nil, err
+	}
 	order := sizeOrder(items)
 	sorted := make([]Item, len(items))
 	for i, o := range order {
 		sorted[i] = items[o.idx]
 	}
-	return sorted
+	bins, err := pack(sorted)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range bins {
+		for j, p := range b.Pos {
+			b.Pos[j] = order[p].idx
+		}
+	}
+	return bins, nil
 }
 
 // searchFit returns the first scan position whose item size is <= free.

@@ -14,12 +14,14 @@ func packersMatch(t *testing.T, label string, got, want []*Bin) {
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.Capacity != w.Capacity || g.Used != w.Used || g.Oversized != w.Oversized || len(g.Items) != len(w.Items) {
+		if g.Capacity != w.Capacity || g.Used != w.Used || g.Oversized != w.Oversized ||
+			len(g.Items) != len(w.Items) || len(g.Pos) != len(w.Pos) {
 			t.Fatalf("%s: bin %d header %+v != reference %+v", label, i, g, w)
 		}
 		for j := range w.Items {
-			if g.Items[j] != w.Items[j] {
-				t.Fatalf("%s: bin %d item %d %+v != reference %+v", label, i, j, g.Items[j], w.Items[j])
+			if g.Items[j] != w.Items[j] || g.Pos[j] != w.Pos[j] {
+				t.Fatalf("%s: bin %d item %d %+v at %d != reference %+v at %d",
+					label, i, j, g.Items[j], g.Pos[j], w.Items[j], w.Pos[j])
 			}
 		}
 	}

@@ -19,26 +19,26 @@ import (
 // a plain scan over open bins per item: the oracle the differential tests
 // hold the indexed packer to, and the baseline of the benchmark below.
 func FirstFitLinear(items []Item, capacity int64) ([]*Bin, error) {
-	if err := validate(items, capacity); err != nil {
+	if err := validate(items, capacity, "capacity"); err != nil {
 		return nil, err
 	}
 	var bins []*Bin
-	for _, it := range items {
+	for p, it := range items {
 		if it.Size > capacity {
-			bins = append(bins, &Bin{Capacity: capacity, Items: []Item{it}, Used: it.Size, Oversized: true})
+			bins = append(bins, oversizedBin(capacity, it, p))
 			continue
 		}
 		placed := false
 		for _, b := range bins {
 			if !b.Oversized && b.Free() >= it.Size {
-				b.add(it)
+				b.add(it, p)
 				placed = true
 				break
 			}
 		}
 		if !placed {
 			nb := &Bin{Capacity: capacity}
-			nb.add(it)
+			nb.add(it, p)
 			bins = append(bins, nb)
 		}
 	}
@@ -49,7 +49,7 @@ func FirstFitLinear(items []Item, capacity int64) ([]*Bin, error) {
 // SubsetSumFirstFit — a full rescan of the remaining items per bin: the
 // oracle for the indexed subset-sum packer and its benchmark baseline.
 func SubsetSumFirstFitLinear(items []Item, capacity int64) ([]*Bin, error) {
-	if err := validate(items, capacity); err != nil {
+	if err := validate(items, capacity, "capacity"); err != nil {
 		return nil, err
 	}
 	order := make([]int, len(items))
@@ -70,13 +70,13 @@ func SubsetSumFirstFitLinear(items []Item, capacity int64) ([]*Bin, error) {
 			it := items[idx]
 			if it.Size > capacity {
 				// Oversized items are emitted as their own bins immediately.
-				bins = append(bins, &Bin{Capacity: capacity, Items: []Item{it}, Used: it.Size, Oversized: true})
+				bins = append(bins, oversizedBin(capacity, it, idx))
 				used[idx] = true
 				remaining--
 				continue
 			}
 			if b.Free() >= it.Size {
-				b.add(it)
+				b.add(it, idx)
 				used[idx] = true
 				remaining--
 			}

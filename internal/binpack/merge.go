@@ -20,6 +20,7 @@ func MergeGroups(bins []*Bin, k int) ([]*Bin, error) {
 		for i, b := range bins {
 			cp := *b
 			cp.Items = append([]Item(nil), b.Items...)
+			cp.Pos = append([]int32(nil), b.Pos...)
 			out[i] = &cp
 		}
 		return out, nil
@@ -35,6 +36,7 @@ func MergeGroups(bins []*Bin, k int) ([]*Bin, error) {
 		for _, b := range bins[start:end] {
 			capSum += b.Capacity
 			merged.Items = append(merged.Items, b.Items...)
+			merged.Pos = append(merged.Pos, b.Pos...)
 			merged.Used += b.Used
 		}
 		// Keep the nominal capacity of a full group so unit file sizes stay
@@ -48,14 +50,4 @@ func MergeGroups(bins []*Bin, k int) ([]*Bin, error) {
 		out = append(out, merged)
 	}
 	return out, nil
-}
-
-// Flatten returns all items of the bins in bin order, the file order a
-// concatenated unit file would contain.
-func Flatten(bins []*Bin) []Item {
-	var items []Item
-	for _, b := range bins {
-		items = append(items, b.Items...)
-	}
-	return items
 }

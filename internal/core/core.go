@@ -137,25 +137,28 @@ type Result struct {
 	ReshapedBins []*binpack.Bin
 	// Plan is the provisioning plan for the configured deadline.
 	Plan *provision.Plan
-	// Complexity is the per-file complexity map of a profiled run (nil
-	// for uniform corpora).
-	Complexity map[string]float64
+	// Complexity is the per-file complexity of a profiled run, in the
+	// corpus's List order (nil for uniform corpora).
+	Complexity []float64
 }
 
 // MeanComplexity returns the size-weighted mean complexity of the corpus
-// the result was computed over (1.0 when no profile was used).
-func (r *Result) MeanComplexity(items []binpack.Item) float64 {
+// files packed into bins, each read at its position (Bin.Pos) in the
+// corpus's List order (1.0 when no profile was used).
+func (r *Result) MeanComplexity(bins []*binpack.Bin) float64 {
 	if r.Complexity == nil {
 		return 1
 	}
 	var weighted, total float64
-	for _, it := range items {
-		c := r.Complexity[it.ID]
-		if c <= 0 {
-			c = 1
+	for _, b := range bins {
+		for j, it := range b.Items {
+			c := r.Complexity[b.Pos[j]]
+			if c <= 0 {
+				c = 1
+			}
+			weighted += c * float64(it.Size)
+			total += float64(it.Size)
 		}
-		weighted += c * float64(it.Size)
-		total += float64(it.Size)
 	}
 	if total == 0 {
 		return 1
@@ -206,17 +209,20 @@ func (p *Pipeline) RunCtx(ctx context.Context, corpusFS *vfs.FS) (*Result, error
 // RunProfileCtx executes the pipeline over a heterogeneous-complexity
 // corpus: probe measurements and plan predictions carry each file's
 // complexity, so the calibration honestly reflects what the workload will
-// cost (§5.2's closing observation). The profile's complexity map keys
-// must match the corpus file names. Cancellation and the armed deadline
-// are RunCtx's.
+// cost (§5.2's closing observation). The profile must hold one complexity
+// per corpus file, in List order. Cancellation and the armed deadline are
+// RunCtx's.
 func (p *Pipeline) RunProfileCtx(ctx context.Context, profile *corpus.Profile) (*Result, error) {
 	if profile == nil || profile.FS == nil {
 		return nil, errs.Invalid("core: nil profile")
 	}
+	if n := profile.FS.Len(); len(profile.Complexity) != n {
+		return nil, errs.Invalid("core: profile holds %d complexities for %d files", len(profile.Complexity), n)
+	}
 	return p.run(ctx, profile.FS, profile.Complexity)
 }
 
-func (p *Pipeline) run(ctx context.Context, corpusFS *vfs.FS, complexity map[string]float64) (*Result, error) {
+func (p *Pipeline) run(ctx context.Context, corpusFS *vfs.FS, complexity []float64) (*Result, error) {
 	if p.Config.DeadlineSeconds > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx,
@@ -330,12 +336,9 @@ func (p *Pipeline) run(ctx context.Context, corpusFS *vfs.FS, complexity map[str
 			return nil, errs.Stage("reshaping", fmt.Errorf("core: reshaping invariant: %w", err))
 		}
 		res.ReshapedBins = bins
-		planItems = make([]binpack.Item, 0, len(bins))
+		planItems = make([]binpack.Item, len(bins))
 		for i, b := range bins {
-			planItems = append(planItems, binpack.Item{
-				ID:   fmt.Sprintf("unit-%06d", i),
-				Size: b.Used,
-			})
+			planItems[i].Size = b.Used
 		}
 	}
 
@@ -362,20 +365,15 @@ func (p *Pipeline) ExecuteCtx(ctx context.Context, res *Result) (*provision.Outc
 	if res == nil || res.Plan == nil {
 		return nil, errs.Invalid("core: no plan to execute")
 	}
-	complexity := 1.0
-	if res.Complexity != nil {
-		// After reshaping, plan bins hold synthetic unit IDs; the original
-		// file IDs live in the reshaped bins.
-		source := res.Plan.Bins
-		if res.ReshapedBins != nil {
-			source = res.ReshapedBins
-		}
-		complexity = res.MeanComplexity(binpack.Flatten(source))
+	// After reshaping, only the reshaped bins hold corpus positions.
+	source := res.Plan.Bins
+	if res.ReshapedBins != nil {
+		source = res.ReshapedBins
 	}
 	return provision.ExecuteCtx(ctx, p.Cloud, res.Plan, provision.ExecuteOptions{
 		App:        p.Config.App,
 		Zone:       p.Config.Zone,
-		Complexity: complexity,
+		Complexity: res.MeanComplexity(source),
 	})
 }
 
@@ -394,6 +392,7 @@ func ReshapeCtx(ctx context.Context, in *vfs.FS, unitSize int64, unitPrefix stri
 	if unitPrefix == "" {
 		unitPrefix = "unit"
 	}
+	files := in.List()
 	items := ItemsFromFS(in)
 	bins, err := binpack.SubsetSumFirstFit(items, unitSize)
 	if err != nil {
@@ -407,13 +406,9 @@ func ReshapeCtx(ctx context.Context, in *vfs.FS, unitSize int64, unitPrefix stri
 		if cerr := errs.FromContext(ctx); cerr != nil {
 			return nil, nil, errs.Stage("reshaping", cerr)
 		}
-		members := make([]vfs.File, 0, len(b.Items))
-		for _, it := range b.Items {
-			f, err := in.Get(it.ID)
-			if err != nil {
-				return nil, nil, err
-			}
-			members = append(members, f)
+		members := make([]vfs.File, len(b.Pos))
+		for j, p := range b.Pos {
+			members[j] = files[p]
 		}
 		merged := vfs.Concat(fmt.Sprintf("%s-%06d", unitPrefix, i), members)
 		if err := out.Add(merged); err != nil {

@@ -32,8 +32,8 @@ type Measurement struct {
 	PatternFiles  []textproc.FilePatternCount
 	Matches       int64
 
-	// Complexity maps file name to POS complexity (nil unless requested),
-	// in the exact shape RunProfileCtx consumes.
+	// Complexity maps file name to POS complexity (nil unless requested);
+	// a corpus.Profile lists the same values in the corpus's List order.
 	Complexity map[string]float64
 
 	// Sums holds every file's (name, size, FNV-64a checksum) in scan

@@ -155,7 +155,12 @@ func TestRunMeasuredFeedsComplexityProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.RunProfileCtx(context.Background(), &corpus.Profile{FS: fs, Complexity: m.Complexity})
+	// The profile lists the measured complexities in corpus order.
+	profile := &corpus.Profile{FS: fs, Complexity: make([]float64, fs.Len())}
+	for i, f := range fs.List() {
+		profile.Complexity[i] = m.Complexity[f.Name]
+	}
+	res, err := p.RunProfileCtx(context.Background(), profile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +170,13 @@ func TestRunMeasuredFeedsComplexityProfile(t *testing.T) {
 	if len(res.Complexity) != 12 {
 		t.Fatalf("result carries %d complexities, want the measured profile", len(res.Complexity))
 	}
-	// The measured profile is exactly what RunProfileCtx consumes: a fresh
-	// pipeline run over it reproduces the same plan.
+	// A fresh pipeline run over the measured profile reproduces the same
+	// plan.
 	p2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := p2.RunProfileCtx(context.Background(), &corpus.Profile{FS: fs, Complexity: m.Complexity})
+	res2, err := p2.RunProfileCtx(context.Background(), profile)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/binpack"
 	"repro/internal/corpus"
+	"repro/internal/errs"
 	"repro/internal/workload"
 )
 
@@ -92,6 +94,18 @@ func TestRunProfileValidation(t *testing.T) {
 	if _, err := p.RunProfileCtx(context.Background(), &corpus.Profile{}); err == nil {
 		t.Error("expected error for profile without corpus")
 	}
+	// One complexity per file, in List order: a profile of any other
+	// length would price files by the wrong positions.
+	profile, err := corpus.GenerateProfile(corpus.Text400K(0.001), 3, corpus.FlatComplexity(2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, profile.FS.Len() - 1, profile.FS.Len() + 1} {
+		short := &corpus.Profile{FS: profile.FS, Complexity: make([]float64, n)}
+		if _, err := p.RunProfileCtx(context.Background(), short); !errors.Is(err, errs.ErrInvalid) {
+			t.Errorf("%d complexities for %d files: err = %v, want ErrInvalid", n, profile.FS.Len(), err)
+		}
+	}
 }
 
 func TestMeanComplexityHelper(t *testing.T) {
@@ -99,13 +113,16 @@ func TestMeanComplexityHelper(t *testing.T) {
 	if r.MeanComplexity(nil) != 1 {
 		t.Error("nil complexity should mean 1")
 	}
-	r.Complexity = map[string]float64{"a": 2}
-	// Empty items exercise the zero-total branch.
+	r.Complexity = []float64{2, 0}
+	// Empty bins exercise the zero-total branch.
 	if got := r.MeanComplexity(nil); got != 1 {
-		t.Errorf("empty items mean = %v, want 1", got)
+		t.Errorf("empty bins mean = %v, want 1", got)
 	}
-	items := []binpack.Item{{ID: "a", Size: 10}, {ID: "unknown", Size: 10}}
-	if got := r.MeanComplexity(items); got != 1.5 {
+	bins, err := binpack.FirstFit([]binpack.Item{{Size: 10}, {Size: 10}}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.MeanComplexity(bins); got != 1.5 {
 		t.Errorf("mean = %v, want 1.5 (2 and default 1)", got)
 	}
 }

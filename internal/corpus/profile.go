@@ -44,8 +44,9 @@ func (r RampComplexity) At(frac float64) float64 {
 // Profile is a corpus plus its per-file complexity factors.
 type Profile struct {
 	FS *vfs.FS
-	// Complexity maps file name to its content complexity factor.
-	Complexity map[string]float64
+	// Complexity holds each file's content complexity factor, in
+	// FS.List() order.
+	Complexity []float64
 }
 
 // GenerateProfile builds a metadata-only corpus whose files carry
@@ -63,10 +64,9 @@ func GenerateProfile(spec Spec, seed int64, g Gradient, jitterSigma float64) (*P
 		return nil, err
 	}
 	r := stats.NewRand(seed, "corpus-complexity-"+spec.Name)
-	cx := make(map[string]float64, fs.Len())
-	files := fs.List()
-	n := float64(len(files))
-	for i, f := range files {
+	cx := make([]float64, fs.Len())
+	n := float64(len(cx))
+	for i := range cx {
 		frac := 0.0
 		if n > 1 {
 			frac = float64(i) / (n - 1)
@@ -78,7 +78,7 @@ func GenerateProfile(spec Spec, seed int64, g Gradient, jitterSigma float64) (*P
 		if c < 0.05 {
 			c = 0.05
 		}
-		cx[f.Name] = c
+		cx[i] = c
 	}
 	return &Profile{FS: fs, Complexity: cx}, nil
 }

@@ -40,12 +40,13 @@ func nominalSetup(seed int64, salt string) (*cloudsim.Cloud, *cloudsim.Instance,
 
 // sampleItems draws files from a size distribution until the target volume
 // is reached, without materialising a full corpus. The items stand in for
-// a contiguous region of the data set.
+// a contiguous region of the data set; like every packed item, each is
+// known by its position, so none is named.
 func sampleItems(dist corpus.SizeDist, volume int64, seed int64, salt string) []binpack.Item {
 	r := stats.NewRand(seed, salt)
 	var items []binpack.Item
 	var total int64
-	for i := 0; total < volume; i++ {
+	for total < volume {
 		s := dist.Sample(r)
 		if total+s > volume {
 			s = volume - total
@@ -53,7 +54,7 @@ func sampleItems(dist corpus.SizeDist, volume int64, seed int64, salt string) []
 				break
 			}
 		}
-		items = append(items, binpack.Item{ID: fmt.Sprintf("%s-%06d", salt, i), Size: s})
+		items = append(items, binpack.Item{Size: s})
 		total += s
 	}
 	return items
@@ -85,7 +86,7 @@ func measureUnits(ctx context.Context, h *probe.Harness, items []binpack.Item, v
 	var set *probe.Set
 	var err error
 	if s0 > 0 {
-		set, err = probe.BuildSet(items, volume, s0, multiples)
+		set, err = probe.BuildSet(items, volume, s0, multiples, nil)
 	} else {
 		sel, selErr := probe.SelectPrefix(items, volume)
 		if selErr != nil {

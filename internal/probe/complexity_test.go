@@ -12,21 +12,23 @@ import (
 )
 
 func TestItemsWithComplexity(t *testing.T) {
-	files := []binpack.Item{{ID: "a", Size: 10}, {ID: "b", Size: 20}}
-	cx := map[string]float64{"a": 2.0} // b missing → defaults to 1
+	files := []binpack.Item{{Size: 10}, {Size: 20}, {Size: 30}}
+	cx := []float64{2.0, 0} // no factor for the second, none at all for the third → 1
 	items := ItemsWithComplexity(files, cx)
-	if items[0].Complexity != 2.0 || items[1].Complexity != 1.0 {
-		t.Errorf("complexities = %v, %v", items[0].Complexity, items[1].Complexity)
+	if items[0].Complexity != 2.0 || items[1].Complexity != 1.0 || items[2].Complexity != 1.0 {
+		t.Errorf("complexities = %v, %v, %v", items[0].Complexity, items[1].Complexity, items[2].Complexity)
 	}
 }
 
 func TestBinsToItemsWithComplexityWeightedMean(t *testing.T) {
-	files := []binpack.Item{{ID: "a", Size: 30}, {ID: "b", Size: 10}}
-	bins, err := binpack.FirstFit(files, 100)
+	files := []binpack.Item{{Size: 10}, {Size: 30}}
+	bins, err := binpack.FirstFitDecreasing(files, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cx := map[string]float64{"a": 1.0, "b": 3.0}
+	// The decreasing packer holds the 30-byte file first; its factor is
+	// still read at its input position.
+	cx := []float64{3.0, 1.0}
 	items := BinsToItemsWithComplexity(bins, cx)
 	if len(items) != 1 {
 		t.Fatalf("items = %d", len(items))
@@ -44,8 +46,8 @@ func TestBinsToItemsWithComplexityWeightedMean(t *testing.T) {
 // effective corpus-wide factor.
 func meanComplexity(p *corpus.Profile) float64 {
 	var weighted, total float64
-	for _, f := range p.FS.List() {
-		weighted += p.Complexity[f.Name] * float64(f.Size)
+	for i, f := range p.FS.List() {
+		weighted += p.Complexity[i] * float64(f.Size)
 		total += float64(f.Size)
 	}
 	if total == 0 {
@@ -60,9 +62,7 @@ func TestGenerateProfileGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := p.FS.List()
-	first := p.Complexity[files[0].Name]
-	last := p.Complexity[files[len(files)-1].Name]
+	first, last := p.Complexity[0], p.Complexity[len(p.Complexity)-1]
 	if first != 0.8 || last != 1.6 {
 		t.Errorf("gradient endpoints = %v, %v", first, last)
 	}
@@ -114,8 +114,18 @@ func TestRandomSamplingCapturesComplexityVariation(t *testing.T) {
 	c, in := qualified(t, 9)
 	h := NewHarness(c, in, workload.NewPOS(), workload.Local{})
 
+	// A random sample reorders the files, so its complexities are looked
+	// up by name rather than read at the corpus positions.
+	byName := make(map[string]float64, len(files))
+	for i, f := range files {
+		byName[f.ID] = profile.Complexity[i]
+	}
 	measure := func(sel []binpack.Item, volume int64) (float64, float64) {
-		items := ItemsWithComplexity(sel, profile.Complexity)
+		cx := make([]float64, len(sel))
+		for i, f := range sel {
+			cx[i] = byName[f.ID]
+		}
+		items := ItemsWithComplexity(sel, cx)
 		m, err := h.MeasureProbeCtx(context.Background(), volume, 0, items)
 		if err != nil {
 			t.Fatal(err)

@@ -89,14 +89,11 @@ func SelectPrefix(files []binpack.Item, volume int64) ([]binpack.Item, error) {
 //
 // s0 should exceed the largest file in the selection, as the paper
 // prescribes; if it does not, oversized files become their own unit files.
-func BuildSet(files []binpack.Item, volume, s0 int64, multiples []int) (*Set, error) {
-	return BuildSetWithComplexity(files, volume, s0, multiples, nil)
-}
-
-// BuildSetWithComplexity is BuildSet over a heterogeneous corpus: probe
-// items carry each file's complexity, and merged unit files the
-// size-weighted mean of their members'. A nil map means uniform 1.
-func BuildSetWithComplexity(files []binpack.Item, volume, s0 int64, multiples []int, cx map[string]float64) (*Set, error) {
+//
+// cx prices a heterogeneous corpus: cx[i] is files[i]'s complexity, probe
+// items carry it, and merged unit files the size-weighted mean of their
+// members'. A nil cx means uniform complexity 1.
+func BuildSet(files []binpack.Item, volume, s0 int64, multiples []int, cx []float64) (*Set, error) {
 	selection, err := SelectPrefix(files, volume)
 	if err != nil {
 		return nil, err
@@ -128,16 +125,6 @@ func BuildSetWithComplexity(files []binpack.Item, volume, s0 int64, multiples []
 		set.ByUnit[s0*int64(k)] = BinsToItemsWithComplexity(merged, cx)
 	}
 	return set, nil
-}
-
-func binsToItems(bins []*binpack.Bin) []workload.Item {
-	items := make([]workload.Item, 0, len(bins))
-	for _, b := range bins {
-		if b.Used > 0 {
-			items = append(items, workload.NewItem(b.Used))
-		}
-	}
-	return items
 }
 
 // Harness runs probes on a qualified instance and records measurements.
@@ -247,10 +234,10 @@ type Protocol struct {
 	// S0 is the base unit size; Multiples derives the rest.
 	S0        int64
 	Multiples []int
-	// Complexity optionally maps file IDs to content complexity; probes
-	// then price heterogeneous corpora correctly (merged unit files carry
-	// the size-weighted mean). Nil means uniform complexity 1.
-	Complexity map[string]float64
+	// Complexity optionally holds the content complexity of each file
+	// RunCtx is given, in order; probes then price heterogeneous corpora
+	// (merged unit files carry the size-weighted mean). Nil means 1.
+	Complexity []float64
 }
 
 // Result of a full protocol run.
@@ -286,7 +273,7 @@ func (p *Protocol) RunCtx(ctx context.Context, files []binpack.Item) (*Result, e
 		if cerr := errs.FromContext(ctx); cerr != nil {
 			return nil, cerr
 		}
-		set, err := BuildSetWithComplexity(files, v, p.S0, p.Multiples, p.Complexity)
+		set, err := BuildSet(files, v, p.S0, p.Multiples, p.Complexity)
 		if err != nil {
 			return nil, err
 		}

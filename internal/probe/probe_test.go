@@ -64,7 +64,7 @@ func TestBuildSetDerivesMultiplesWithoutRepacking(t *testing.T) {
 	items := corpusItems(t, corpus.Text400K(0.005), 1) // 2000 files
 	const volume = 2_000_000
 	const s0 = 10_000
-	set, err := BuildSet(items, volume, s0, []int{2, 5, 10})
+	set, err := BuildSet(items, volume, s0, []int{2, 5, 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,10 @@ func TestBuildSetDerivesMultiplesWithoutRepacking(t *testing.T) {
 
 func TestBuildSetValidation(t *testing.T) {
 	items := []binpack.Item{{ID: "a", Size: 100}}
-	if _, err := BuildSet(items, 50, 0, nil); err == nil {
+	if _, err := BuildSet(items, 50, 0, nil, nil); err == nil {
 		t.Error("expected error for s0=0")
 	}
-	if _, err := BuildSet(items, 1000, 10, nil); err == nil {
+	if _, err := BuildSet(items, 1000, 10, nil, nil); err == nil {
 		t.Error("expected error for volume beyond corpus")
 	}
 }
@@ -127,7 +127,7 @@ func TestMeasureProbeRepeats(t *testing.T) {
 
 func TestMeasureSetCoversAllUnits(t *testing.T) {
 	items := corpusItems(t, corpus.Text400K(0.002), 3)
-	set, err := BuildSet(items, 500_000, 5_000, []int{2, 4})
+	set, err := BuildSet(items, 500_000, 5_000, []int{2, 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestFig5SpikesAreRepeatable(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewHarness(c, in, workload.NewGrep(), vol)
-	set, err := BuildSet(items, 5_000_000, 100_000, []int{2, 4, 8, 16})
+	set, err := BuildSet(items, 5_000_000, 100_000, []int{2, 4, 8, 16}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestHarnessDatasetKeyFnDrivesPlacement(t *testing.T) {
 	if err := c.Attach(vol, in); err != nil {
 		t.Fatal(err)
 	}
-	set, err := BuildSet(items, 2_000_000, 100_000, nil)
+	set, err := BuildSet(items, 2_000_000, 100_000, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,8 +136,9 @@ var GenerateCorpus = corpus.Generate
 // GenerateCorpusWithContent builds a corpus with deterministic text bytes.
 var GenerateCorpusWithContent = corpus.GenerateWithContent
 
-// CorpusProfile pairs a corpus with per-file complexity factors for
-// heterogeneous-complexity studies (§5.2's closing observation).
+// CorpusProfile pairs a corpus with per-file complexity factors, in the
+// corpus's List order, for heterogeneous-complexity studies (§5.2's
+// closing observation).
 type CorpusProfile = corpus.Profile
 
 // GenerateCorpusProfile builds a corpus whose files carry complexity

@@ -11,6 +11,7 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -22,8 +23,9 @@ import (
 var productionModules = []string{".", "benchmark"}
 
 // apiAllowlist names the exported funcs, methods, constants and variables
-// that stay without a production caller, one reason each. Keys are
-// "pkg.Name" or "pkg.Type.Method".
+// that stay without a production caller, and the exported struct fields
+// that no production code sets, one reason each. Keys are "pkg.Name",
+// "pkg.Type.Method" or "pkg.Type.Field".
 var apiAllowlist = map[string]string{
 	"errs.StageError.Unwrap":             "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
 	"errs.categorized.Unwrap":            "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
@@ -40,7 +42,6 @@ var apiAllowlist = map[string]string{
 	"textproc.MultiSearcher.CountReader": "library surface: repro.NewMultiSearcher's streaming count for callers outside the scan engine",
 	"textproc.NewFoldedSearcher":         "oracle: scan's differential test holds the folded match kernel to it, from another package",
 	"textproc.NewRegexpSearcher":         "library surface: the paper's complex-pattern grep mode, measured by BenchmarkGrepRegexp1MB",
-	"textproc.Tagger.TagReader":          "library surface: bounded-memory tagging of merged unit files (the Fig. 7 failure mode); seven tests, no command yet",
 	"binpack.NextFit":                    "ablation baseline: BenchmarkHeuristicComparison situates the paper's first-fit choice against it",
 	"binpack.FirstFitDecreasing":         "ablation baseline: BenchmarkAblationPackingQuality / BenchmarkHeuristicComparison",
 	"binpack.BestFitDecreasing":          "ablation baseline: BenchmarkHeuristicComparison",
@@ -48,6 +49,14 @@ var apiAllowlist = map[string]string{
 	"workload.ComplexityOf":              "oracle: scan's and core's tests hold the analyzer kernel's complexity factor to it, from other packages",
 	"cloudsim.Instance.BilledDuration":   "the §3.1 billing rule on the instance lifecycle (pending is free, billing stops at terminate), pinned by the billing tests",
 	"probe.SampleWithoutReplacement":     "the paper's §5.1 random-sampling procedure: complexity_test.go's random-sample leg refits the model with it, and four TestSample* tests pin it",
+
+	"scan.Options.BlockSize":           "test seam: block-split tests run every kernel across block boundaries at sizes production never picks",
+	"scan.PlanOptions.TaskBytes":       "test seam: task-granularity tests split a plan into more tasks than the default size would",
+	"provision.ExecuteOptions.Qualify": "the qualification ablation: BenchmarkAblationQualification and the miss-rate test run a plan with and without bonnie++ qualification",
+	"workload.Grep.MatchesPerMB":       "the grep output mode: matches per MB drive the output cost the grep tests price",
+	"workload.Grep.AvgMatchBytes":      "the grep output mode: bytes per match drive the output cost the grep tests price",
+	"corpus.RampComplexity.From":       "library surface: the facade's repro.RampComplexity profile, whose endpoints a caller sets",
+	"corpus.RampComplexity.To":         "library surface: the facade's repro.RampComplexity profile, whose endpoints a caller sets",
 }
 
 // TestExportedAPIHasProductionCallers keeps the internal packages' exported
@@ -61,6 +70,12 @@ var apiAllowlist = map[string]string{
 // called when a type that has it satisfies an interface — one the
 // production code spells, or a named one from a package it imports — that
 // declares the method.
+//
+// An exported field of a guarded package's struct type is a knob, and a
+// knob that no non-test file sets is one nobody turns (fieldsSet says what
+// setting is). Fields with a json tag are exempt: decoders set them. The
+// rule cannot see a knob that only its own package's defaulting writes —
+// a `if c.X == 0 { c.X = … }` in production code counts as setting X.
 func TestExportedAPIHasProductionCallers(t *testing.T) {
 	prog := loadProduction(t)
 
@@ -104,11 +119,16 @@ func TestExportedAPIHasProductionCallers(t *testing.T) {
 		_, allowed := apiAllowlist[key]
 		switch {
 		case called && allowed:
-			t.Errorf("allowlist entry %s has production callers now: remove it", key)
+			t.Errorf("allowlist entry %s has production callers (or, for a field, setters) now: remove it", key)
 		case !called && !allowed:
-			orphans = append(orphans, prog.fset.Position(obj.Pos()).String()+": "+key)
+			fix := "has no caller outside tests: delete it, move it into a _test.go file, or allowlist it with a reason"
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				fix = "is set by no production code: delete it or make it a constant, or allowlist it with a reason"
+			}
+			orphans = append(orphans, prog.fset.Position(obj.Pos()).String()+": "+key+" "+fix)
 		}
 	}
+	set := prog.fieldsSet()
 	guarded := prog.guarded()
 	t.Logf("guarding %d internal packages", len(guarded))
 	for _, pkg := range guarded {
@@ -130,12 +150,22 @@ func TestExportedAPIHasProductionCallers(t *testing.T) {
 						check(name+"."+id+"."+m.Name(), m, used[m] || viaInterface(m))
 					}
 				}
+				st, ok := recv.Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					f := st.Field(i)
+					if _, decoded := reflect.StructTag(st.Tag(i)).Lookup("json"); f.Exported() && !f.Embedded() && !decoded {
+						check(name+"."+id+"."+f.Name(), f, set[f])
+					}
+				}
 			}
 		}
 	}
 	sort.Strings(orphans)
 	for _, o := range orphans {
-		t.Errorf("%s has no caller outside tests: delete it, move it into a _test.go file, or allowlist it with a reason", o)
+		t.Error(o)
 	}
 	for key := range apiAllowlist {
 		if !seen[key] {
@@ -199,6 +229,68 @@ func checkUnexportedFuncs(t *testing.T, prog *production) {
 	t.Logf("checked %d unexported package-level functions", checked)
 }
 
+// fieldsSet returns every struct field that a non-test file sets: names as
+// a composite-literal key or fills by position, assigns (=, op=, also
+// inside a selector or index chain such as x.F.G = v or x.F[i] = v), steps
+// with ++ or --, or takes the address of (&x.F, which flag.IntVar and
+// friends write through).
+func (p *production) fieldsSet() map[*types.Var]bool {
+	set := map[*types.Var]bool{}
+	// mark records the fields selected along an lvalue chain.
+	var mark func(e ast.Expr)
+	mark = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			if f, ok := p.info.Uses[e.Sel].(*types.Var); ok && f.IsField() {
+				set[f.Origin()] = true
+			}
+			mark(e.X)
+		case *ast.IndexExpr:
+			mark(e.X)
+		case *ast.StarExpr:
+			mark(e.X)
+		case *ast.ParenExpr:
+			mark(e.X)
+		}
+	}
+	for _, file := range p.files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					mark(lhs)
+				}
+			case *ast.IncDecStmt:
+				mark(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(n.X)
+				}
+			case *ast.CompositeLit:
+				typ := p.info.Types[n].Type
+				if ptr, ok := typ.(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if f, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							set[f.Origin()] = true
+						}
+					} else {
+						set[st.Field(i).Origin()] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return set
+}
+
 // internalPrefix is the import-path prefix of the packages the guard covers.
 const internalPrefix = "repro/internal/"
 
@@ -227,6 +319,8 @@ type production struct {
 	pkgs map[string]*types.Package // import path → package, module packages only
 	std  map[string]*types.Package // the standard-library packages they import
 	conf types.Config
+	// files are the parsed non-test files of every module package.
+	files []*ast.File
 	// withTests holds each module package that has in-package test files,
 	// by import path, for checkUnexportedFuncs.
 	withTests map[string]listedPackage
@@ -288,10 +382,12 @@ func loadProduction(t *testing.T) *production {
 			if lp.Standard || p.pkgs[lp.ImportPath] != nil {
 				continue
 			}
-			pkg, err := p.conf.Check(lp.ImportPath, p.fset, p.parse(t, lp.Dir, lp.GoFiles), p.info)
+			files := p.parse(t, lp.Dir, lp.GoFiles)
+			pkg, err := p.conf.Check(lp.ImportPath, p.fset, files, p.info)
 			if err != nil {
 				t.Fatalf("type-checking %s: %v", lp.ImportPath, err)
 			}
+			p.files = append(p.files, files...)
 			p.pkgs[lp.ImportPath] = pkg
 			if len(lp.TestGoFiles) > 0 {
 				p.withTests[lp.ImportPath] = lp

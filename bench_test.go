@@ -10,7 +10,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -491,58 +490,6 @@ func BenchmarkHeuristicComparison(b *testing.B) {
 			b.ReportMetric(float64(bins), "bins")
 		})
 	}
-}
-
-// AblationFitSelection compares in-sample best-R² selection against
-// cross-validated selection on noisy near-linear data.
-func BenchmarkAblationFitSelection(b *testing.B) {
-	r := stats.NewRand(7, "bench-cv")
-	var xs, ys []float64
-	for v := 1e6; v <= 1e10; v *= 1.6 {
-		for rep := 0; rep < 3; rep++ {
-			xs = append(xs, v)
-			ys = append(ys, (0.3+8.65e-5*v)*(1+r.NormFloat64()*0.05))
-		}
-	}
-	var r2Err, cvErr float64
-	truth := func(x float64) float64 { return 0.3 + 8.65e-5*x }
-	relErr := func(m perfmodel.Model) float64 {
-		at := 3e10 // extrapolation point beyond the data
-		return math.Abs(m.Predict(at)/truth(at) - 1)
-	}
-	for i := 0; i < b.N; i++ {
-		best, err := perfmodel.Best(perfmodel.FitAll(xs, ys))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cv, _, err := perfmodel.SelectByCV(xs, ys, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2Err = relErr(best)
-		cvErr = relErr(cv)
-	}
-	b.ReportMetric(r2Err, "extrap_err_bestR2")
-	b.ReportMetric(cvErr, "extrap_err_cv")
-}
-
-// CostCurve sweep performance and the sub-hour premium it exposes.
-func BenchmarkCostCurve(b *testing.B) {
-	m, err := perfmodel.FitAffine([]float64{0, 1e9}, []float64{0.327, 0.327 + 0.865e-4*1e9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl := provision.NewPlanner(m)
-	deadlines := []float64{300, 600, 1800, 3600, 7200, 14400, 28800}
-	var premium float64
-	for i := 0; i < b.N; i++ {
-		curve, err := pl.CostCurve(1_000_000_000, deadlines)
-		if err != nil {
-			b.Fatal(err)
-		}
-		premium = curve[0].CostUSD / curve[3].CostUSD
-	}
-	b.ReportMetric(premium, "premium_5min_vs_1h")
 }
 
 // Retrieval-time experiment as a benchmark (the §1 output claim).

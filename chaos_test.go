@@ -125,7 +125,7 @@ func TestChaosEndToEnd(t *testing.T) {
 	// run must skip them and land on the clean fingerprint.
 	t.Run("crash then resume", func(t *testing.T) {
 		journal := filepath.Join(work, "scan.journal")
-		failPipeline(t, pipeline, 1, measure("-workers", "1", "-checkpoint", journal, "-max-attempts", "1", "-fault", "seed=5,kill=0.9")...)
+		failCommand(t, pipeline, 1, measure("-workers", "1", "-checkpoint", journal, "-max-attempts", "1", "-fault", "seed=5,kill=0.9")...)
 		if st, err := os.Stat(journal); err != nil || st.Size() == 0 {
 			t.Fatalf("crashed run left no checkpoint journal (%v)", err)
 		}
@@ -149,7 +149,7 @@ func TestChaosEndToEnd(t *testing.T) {
 		sort.Strings(shards)
 		flipByte(t, shards[len(shards)-1], 200)
 
-		if out := failPipeline(t, pipeline, 1, measure("-verify-reads")...); !strings.Contains(out, "corrupt") {
+		if out := failCommand(t, pipeline, 1, measure("-verify-reads")...); !strings.Contains(out, "corrupt") {
 			t.Errorf("strict failure does not mention corruption:\n%s", out)
 		}
 		var degraded string

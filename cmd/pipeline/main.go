@@ -9,7 +9,6 @@
 //	pipeline -app pos -spec text -scale 0.002 -deadline 120
 //	pipeline -app grep -dir ./corpus -deadline 3600
 //	pipeline -app grep -packs ./packed -deadline 3600
-//	pipeline -app pos -spec text -scale 0.002 -deadline 120 -fit cv
 //	pipeline -app grep -dir ./corpus -grep error,warning,fatal -measure
 //	pipeline -app pos -spec text -scale 0.002 -measure
 //	pipeline -packs ./packed -measure -measure-only -workers 4
@@ -52,7 +51,6 @@ func main() {
 		src      = cli.CorpusFlags(flag.CommandLine, 0.002)
 		appName  = flag.String("app", "grep", "application: grep or pos")
 		deadline = flag.Float64("deadline", 3600, "deadline in seconds")
-		fit      = flag.String("fit", "r2", "model selection: r2, cv or weighted")
 		execute  = flag.Bool("execute", true, "execute the plan on the simulated cloud")
 		grepPats = flag.String("grep", "", "comma-separated literal patterns: count matches during the fused measurement scan")
 		foldCase = flag.Bool("fold", false, "match -grep patterns ASCII case-insensitively")
@@ -90,18 +88,6 @@ func main() {
 		app = workload.NewPOS()
 	default:
 		fmt.Fprintf(os.Stderr, "pipeline: unknown app %q (grep or pos)\n", *appName)
-		os.Exit(2)
-	}
-	var method core.FitMethod
-	switch *fit {
-	case "r2":
-		method = core.FitBestR2
-	case "cv":
-		method = core.FitCrossValidated
-	case "weighted":
-		method = core.FitWeighted
-	default:
-		fmt.Fprintf(os.Stderr, "pipeline: unknown fit method %q (r2, cv or weighted)\n", *fit)
 		os.Exit(2)
 	}
 
@@ -240,7 +226,6 @@ func main() {
 		MaxVolume:       fs.TotalSize(),
 		S0:              pickS0(fs),
 		Multiples:       []int{10, 100},
-		FitMethod:       method,
 	})
 	if err != nil {
 		fatal(err)

@@ -41,10 +41,16 @@ func main() {
 		adjust    = flag.Float64("adjust", 0, "deadline-inflation factor a (schedule for D/(1+a))")
 		uniform   = flag.Bool("uniform", true, "distribute data uniformly (false = first-fit, original order)")
 		unit      = flag.Int64("unit", 1_000_000, "granularity for -volume workloads (bytes per file)")
-		sweep     = flag.Bool("sweep", false, "print a cost-vs-deadline curve instead of one plan")
-		staging   = flag.Float64("staging", 0, "constant per-run staging time in seconds (the paper's POS assumption)")
 	)
 	flag.Parse()
+	if *unit <= 0 {
+		fmt.Fprintf(os.Stderr, "provision: -unit must be positive, got %d\n", *unit)
+		os.Exit(2)
+	}
+	if !(*rate >= 0) {
+		fmt.Fprintf(os.Stderr, "provision: -rate must be non-negative, got %v\n", *rate)
+		os.Exit(2)
+	}
 
 	var items []binpack.Item
 	switch {
@@ -81,38 +87,11 @@ func main() {
 		strategy = provision.UniformBins
 	}
 
-	if *sweep {
-		total := binpack.TotalSize(items)
-		deadlines := []float64{*deadline / 4, *deadline / 2, *deadline, *deadline * 2, *deadline * 4}
-		curve, err := planner.CostCurve(total, deadlines)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("model: %v\n", model)
-		fmt.Println("deadline(s)  instances  instance-h  cost($)  feasible")
-		for _, pt := range curve {
-			fmt.Printf("%-12.0f %-10d %-11.0f %-8.3f %v\n",
-				pt.DeadlineSeconds, pt.Instances, pt.InstanceHours, pt.CostUSD, pt.Feasible)
-		}
-		if best, err := provision.CheapestFeasible(curve); err == nil {
-			fmt.Printf("cheapest feasible: %.0f s at $%.3f\n", best.DeadlineSeconds, best.CostUSD)
-		}
-		return
-	}
-
 	var plan *provision.Plan
 	var err error
-	switch {
-	case *staging > 0:
-		staged, serr := planner.PlanStaged(items, *deadline, strategy, provision.ConstantStaging(*staging))
-		if serr != nil {
-			fatal(serr)
-		}
-		fmt.Printf("staging budget:   %.0f s per run\n", staged.StageSeconds)
-		plan = staged.Plan
-	case *adjust > 0:
+	if *adjust > 0 {
 		plan, err = planner.PlanAdjusted(items, *deadline, perfmodel.Adjustment{A: *adjust, MissProb: 0.10})
-	default:
+	} else {
 		plan, err = planner.PlanDeadline(items, *deadline, strategy)
 	}
 	if err != nil {

@@ -153,15 +153,16 @@ func runPipelineEnv(t *testing.T, env []string, bin string, args ...string) meas
 	return m
 }
 
-// failPipeline runs pipeline with arguments it must refuse or die on,
-// requires exactly the exit code want (so a race report's 66 or a signal
-// never passes for the expected failure) and returns what it printed.
-func failPipeline(t *testing.T, bin string, want int, args ...string) string {
+// failCommand runs a built command with arguments it must refuse or die
+// on, requires exactly the exit code want (so a race report's 66 or a
+// signal never passes for the expected failure) and returns what it
+// printed.
+func failCommand(t *testing.T, bin string, want int, args ...string) string {
 	t.Helper()
 	out, err := exec.Command(bin, args...).CombinedOutput()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != want {
-		t.Fatalf("pipeline %v: %v, want exit code %d\n%s", args, err, want, out)
+		t.Fatalf("%s %v: %v, want exit code %d\n%s", filepath.Base(bin), args, err, want, out)
 	}
 	return string(out)
 }
@@ -174,7 +175,7 @@ var commands struct {
 	err  error
 }
 
-// commandBins builds corpusgen, reshape, pipeline, serve, worker and every
+// commandBins builds corpusgen, reshape, pipeline, provision, serve, worker and every
 // example once per test binary and returns the directory prefix to run them
 // from. The build carries -race exactly when this test binary does, so `go
 // test ./...` stays quick and `make verify` keeps the detector on in the
@@ -200,7 +201,7 @@ func commandBins(t *testing.T) string {
 			args = append(args, "-race")
 		}
 		args = append(args, "-o", commands.dir,
-			"./cmd/corpusgen", "./cmd/reshape", "./cmd/pipeline", "./cmd/serve", "./cmd/worker")
+			"./cmd/corpusgen", "./cmd/reshape", "./cmd/pipeline", "./cmd/provision", "./cmd/serve", "./cmd/worker")
 		for _, name := range exampleNames() {
 			args = append(args, "./examples/"+name)
 		}
@@ -268,6 +269,57 @@ func runCommand(t *testing.T, bin string, args ...string) {
 	}
 }
 
+// TestProvisionCommand runs cmd/provision's plan modes and requires their
+// plan lines, and refuses the numeric inputs it cannot plan for as usage
+// errors (exit 2 naming the flag, no panic).
+func TestProvisionCommand(t *testing.T) {
+	provision := commandBins(t) + "provision"
+	dir := t.TempDir()
+	for i, size := range []int{40_000, 25_000, 60_000, 10_000} {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("f%d.txt", i)), make([]byte, size), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-volume", "1e9", "-deadline", "3600"},
+			[]string{"strategy:         uniform-bins", "deadline:         3600 s (planned for 3600 s)", "instances:        25 (minimum 25)", "estimated cost:   $2.125"}},
+		{[]string{"-volume", "1e9", "-deadline", "3600", "-adjust", "0.1525"},
+			[]string{"deadline:         3600 s (planned for 3124 s)", "instances:        28 (minimum 28)", "estimated cost:   $2.380"}},
+		{[]string{"-volume", "5e8", "-deadline", "7200", "-uniform=false", "-slope", "1.324e-8", "-intercept", "-0.974"},
+			[]string{"strategy:         first-fit-original-order", "volume:           500000000 bytes in 500 files", "instance-hours:   2", "estimated cost:   $0.170"}},
+		{[]string{"-dir", dir, "-deadline", "60", "-slope", "1e-5"},
+			[]string{"volume:           135000 bytes in 4 files", "instances:        1 (minimum 1)", "estimated cost:   $0.085"}},
+	} {
+		out, err := exec.Command(provision, tc.args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("provision %v: %v\n%s", tc.args, err, out)
+		}
+		for _, line := range append(tc.want, "bin  bytes        files  predicted") {
+			if !strings.Contains(string(out), line) {
+				t.Errorf("provision %v: no %q in\n%s", tc.args, line, out)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-volume", "1e9", "-unit", "0"}, "-unit"},
+		{[]string{"-volume", "10", "-unit", "-3"}, "-unit"},
+		{[]string{"-volume", "1e9", "-rate", "-1"}, "-rate"},
+		{[]string{"-volume", "1e9", "-sweep"}, "flag provided but not defined: -sweep"},
+		{[]string{"-volume", "1e9", "-staging", "600"}, "flag provided but not defined: -staging"},
+	} {
+		out := failCommand(t, provision, 2, tc.args...)
+		if !strings.Contains(out, tc.want) || strings.Contains(out, "panic") || strings.Contains(out, "goroutine") {
+			t.Errorf("provision %v: want a usage error naming %q, got\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
 // TestCommandsEndToEnd drives the built commands the way an operator
 // would: generate and pack a corpus; serve it and read every endpoint's
 // typed answer; measure it single-node, on two in-process workers and on
@@ -322,7 +374,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}
 
 	// Two fleets at once is a usage error, not a silent choice of one.
-	if out := failPipeline(t, bin+"pipeline", 2, append(flags, "-workers", "2", "-worker-addrs", "127.0.0.1:1")...); !strings.Contains(out, "-workers and -worker-addrs") {
+	if out := failCommand(t, bin+"pipeline", 2, append(flags, "-workers", "2", "-worker-addrs", "127.0.0.1:1")...); !strings.Contains(out, "-workers and -worker-addrs") {
 		t.Errorf("refusal of -workers with -worker-addrs does not name the pair:\n%s", out)
 	}
 

@@ -36,82 +36,47 @@ type Config struct {
 	Seed int64
 	// App is the application cost model under study.
 	App workload.App
-	// Zone to provision in; defaults to the region's first zone.
-	Zone string
-	// InitialVolume, Growth, MaxVolume and StableCV configure the §4
-	// escalation protocol. Defaults: 1 MB, x10, 1 GB, 0.15.
+	// InitialVolume and MaxVolume bound the §4 escalation protocol, which
+	// grows the volume by probeGrowth until the runs are stable. Defaults:
+	// 1 MB and 1 GB.
 	InitialVolume int64
-	Growth        int64
 	MaxVolume     int64
-	StableCV      float64
 	// S0 is the base unit size for probe reshaping; Multiples derives the
 	// others. Defaults: 1 MB and {2, 5, 10, 50, 100}.
 	S0        int64
 	Multiples []int
-	// PlateauTol is the relative tolerance for plateau membership (§4
-	// analysis). Default 0.05.
-	PlateauTol float64
 	// DeadlineSeconds is the user deadline D.
 	DeadlineSeconds float64
-	// MissProb is the accepted deadline-miss probability for the §5.2
-	// adjustment. Default 0.10.
-	MissProb float64
-	// Rate is the flat hourly price. Default $0.085.
-	Rate float64
-	// MaxInstances caps the plan (0 = uncapped).
-	MaxInstances int
-	// FitMethod selects how the performance model is chosen. Default
-	// FitBestR2, the paper's procedure.
-	FitMethod FitMethod
 }
 
-// FitMethod selects the model-fitting strategy of stage 4.
-type FitMethod int
-
-// Fit methods.
+// The paper's fixed protocol parameters. Plans are priced at the paper's
+// small-instance rate (provision.NewPlanner).
 const (
-	// FitBestR2 fits every family and keeps the best in-sample R² — the
-	// paper's §5 procedure.
-	FitBestR2 FitMethod = iota
-	// FitCrossValidated selects the family by k-fold cross-validation on
-	// held-out relative error (more robust for flexible families).
-	FitCrossValidated
-	// FitWeighted fits the affine family with volume-proportional weights,
-	// the paper's §7 extension "demanding closer fits in the large data
-	// volume range".
-	FitWeighted
+	// probeGrowth multiplies the probe volume between escalation steps.
+	probeGrowth = 10
+	// probeStableCV is the run-to-run coefficient of variation below which
+	// a probe set counts as stable (§4).
+	probeStableCV = 0.15
+	// plateauTol is the relative tolerance for plateau membership (§4
+	// analysis).
+	plateauTol = 0.05
+	// missProb is the accepted deadline-miss probability for the §5.2
+	// adjustment.
+	missProb = 0.10
 )
 
 func (c *Config) fillDefaults() {
-	if c.Zone == "" {
-		c.Zone = cloudsim.USEast.Zones[0]
-	}
 	if c.InitialVolume == 0 {
 		c.InitialVolume = 1_000_000
 	}
-	if c.Growth == 0 {
-		c.Growth = 10
-	}
 	if c.MaxVolume == 0 {
 		c.MaxVolume = 1_000_000_000
-	}
-	if c.StableCV == 0 {
-		c.StableCV = 0.15
 	}
 	if c.S0 == 0 {
 		c.S0 = 1_000_000
 	}
 	if c.Multiples == nil {
 		c.Multiples = []int{2, 5, 10, 50, 100}
-	}
-	if c.PlateauTol == 0 {
-		c.PlateauTol = 0.05
-	}
-	if c.MissProb == 0 {
-		c.MissProb = 0.10
-	}
-	if c.Rate == 0 {
-		c.Rate = 0.085
 	}
 }
 
@@ -235,11 +200,12 @@ func (p *Pipeline) run(ctx context.Context, corpusFS *vfs.FS, complexity []float
 	}
 	res := &Result{Complexity: complexity}
 
-	// Stage 1: qualified instance (§4).
+	// Stage 1: qualified instance (§4), in the region's first zone, where
+	// ExecuteCtx launches the plan too.
 	if cerr := errs.FromContext(ctx); cerr != nil {
 		return nil, errs.Stage("qualification", cerr)
 	}
-	in, attempts, err := p.Cloud.AcquireQualifiedCtx(ctx, cloudsim.Small, p.Config.Zone, 50)
+	in, attempts, err := p.Cloud.AcquireQualifiedCtx(ctx, cloudsim.Small, p.Cloud.Region().Zones[0], 50)
 	if err != nil {
 		return nil, errs.Stage("qualification", err)
 	}
@@ -251,9 +217,9 @@ func (p *Pipeline) run(ctx context.Context, corpusFS *vfs.FS, complexity []float
 	protocol := &probe.Protocol{
 		Harness:       harness,
 		InitialVolume: p.Config.InitialVolume,
-		Growth:        p.Config.Growth,
+		Growth:        probeGrowth,
 		MaxVolume:     p.Config.MaxVolume,
-		StableCV:      p.Config.StableCV,
+		StableCV:      probeStableCV,
 		S0:            p.Config.S0,
 		Multiples:     p.Config.Multiples,
 		MinSets:       3, // the regression needs multiple volumes
@@ -273,7 +239,7 @@ func (p *Pipeline) run(ctx context.Context, corpusFS *vfs.FS, complexity []float
 		return nil, errs.Stage("unit-selection", cerr)
 	}
 	last := probeRes.Sets[len(probeRes.Sets)-1]
-	unit, err := probe.PickPreferredUnit(last, p.Config.PlateauTol)
+	unit, err := probe.PickPreferredUnit(last, plateauTol)
 	if err != nil {
 		return nil, errs.Stage("unit-selection", err)
 	}
@@ -291,33 +257,12 @@ func (p *Pipeline) run(ctx context.Context, corpusFS *vfs.FS, complexity []float
 			fmt.Errorf("core: only %d calibration points at unit %d", len(xs), unit))
 	}
 	res.Candidates = perfmodel.FitAll(xs, ys)
-	var model perfmodel.Model
-	switch p.Config.FitMethod {
-	case FitCrossValidated:
-		k := 5
-		if len(xs) < 2*k {
-			k = 2
-		}
-		m, _, err := perfmodel.SelectByCV(xs, ys, k)
-		if err != nil {
-			return nil, errs.Stage("model-fitting", err)
-		}
-		model = m
-	case FitWeighted:
-		m, err := perfmodel.FitAffineWeighted(xs, ys, perfmodel.VolumeWeights(xs, 1))
-		if err != nil {
-			return nil, errs.Stage("model-fitting", err)
-		}
-		model = m
-	default:
-		m, err := perfmodel.Best(res.Candidates)
-		if err != nil {
-			return nil, errs.Stage("model-fitting", err)
-		}
-		model = m
+	model, err := perfmodel.Best(res.Candidates)
+	if err != nil {
+		return nil, errs.Stage("model-fitting", err)
 	}
 	res.Model = model
-	adj, err := perfmodel.NewAdjustment(model, xs, ys, p.Config.MissProb)
+	adj, err := perfmodel.NewAdjustment(model, xs, ys, missProb)
 	if err == nil {
 		res.Adjustment = adj
 	}
@@ -349,7 +294,7 @@ func (p *Pipeline) run(ctx context.Context, corpusFS *vfs.FS, complexity []float
 	if cerr := errs.FromContext(ctx); cerr != nil {
 		return nil, errs.Stage("planning", cerr)
 	}
-	planner := &provision.Planner{Model: model, Rate: p.Config.Rate, MaxInstances: p.Config.MaxInstances}
+	planner := provision.NewPlanner(model)
 	plan, err := planner.PlanAdjusted(planItems, p.Config.DeadlineSeconds, res.Adjustment)
 	if err != nil {
 		return nil, errs.Stage("planning", err)
@@ -372,7 +317,6 @@ func (p *Pipeline) ExecuteCtx(ctx context.Context, res *Result) (*provision.Outc
 	}
 	return provision.ExecuteCtx(ctx, p.Cloud, res.Plan, provision.ExecuteOptions{
 		App:        p.Config.App,
-		Zone:       p.Config.Zone,
 		Complexity: res.MeanComplexity(source),
 	})
 }

@@ -20,14 +20,6 @@ type Adjustment struct {
 	ResidualMean   float64
 	ResidualStdDev float64
 	N              int
-	// NormalityChecked reports whether enough residuals existed to run the
-	// Kolmogorov-Smirnov check of the §5.2 normality assumption;
-	// NormalityOK holds its verdict. A rejected check does not invalidate
-	// the adjustment but flags that the miss-probability bound is
-	// approximate.
-	NormalityChecked bool
-	NormalityOK      bool
-	KSStatistic      float64
 }
 
 // AdjustDeadline returns the derated deadline D/(1+A). When A ≤ -1 the
@@ -56,17 +48,11 @@ func NewAdjustment(m Model, xs, ys []float64, missProb float64) (Adjustment, err
 		return Adjustment{}, err
 	}
 	s := stats.Summarize(rel)
-	adj := Adjustment{
+	return Adjustment{
 		A:              a,
 		MissProb:       missProb,
 		ResidualMean:   s.Mean,
 		ResidualStdDev: s.StdDev,
 		N:              s.N,
-	}
-	if ks, err := stats.KSNormal(rel); err == nil {
-		adj.NormalityChecked = true
-		adj.NormalityOK = ks.Normal
-		adj.KSStatistic = ks.D
-	}
-	return adj, nil
+	}, nil
 }

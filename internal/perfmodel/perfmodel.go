@@ -111,31 +111,6 @@ func FitAffine(xs, ys []float64) (*Affine, error) {
 	return &Affine{A: fit.Slope, B: fit.Intercept, r2: fit.R2}, nil
 }
 
-// FitAffineWeighted fits y = B + A·x with per-point weights — the §7
-// extension demanding closer fits in the large-volume range.
-func FitAffineWeighted(xs, ys, ws []float64) (*Affine, error) {
-	fit, err := stats.FitLinearWeighted(xs, ys, ws)
-	if err != nil {
-		return nil, err
-	}
-	return &Affine{A: fit.Slope, B: fit.Intercept, r2: fit.R2}, nil
-}
-
-// VolumeWeights returns weights proportional to x^power, the natural
-// weighting for "closer fits in the large data volume range" (§7).
-// power=0 reduces to uniform weights.
-func VolumeWeights(xs []float64, power float64) []float64 {
-	ws := make([]float64, len(xs))
-	for i, x := range xs {
-		if x <= 0 {
-			ws[i] = 1e-9
-			continue
-		}
-		ws[i] = math.Pow(x, power)
-	}
-	return ws
-}
-
 // Proportional is y = A·x, fitted in log space (Y = ln a + X as in §5(1)).
 type Proportional struct {
 	A  float64

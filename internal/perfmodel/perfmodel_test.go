@@ -218,44 +218,6 @@ func TestFitAllAndBest(t *testing.T) {
 	}
 }
 
-func TestWeightedFitFavoursLargeVolumes(t *testing.T) {
-	// Truth is linear at large volumes but corrupted at small ones; the
-	// volume-weighted fit must track the large-volume behaviour better.
-	var xs, ys []float64
-	for x := 1e3; x <= 1e6; x *= 2 {
-		y := 1e-5 * x
-		if x < 1e4 {
-			y *= 5 // small-volume overheads corrupt the trend
-		}
-		xs = append(xs, x)
-		ys = append(ys, y)
-	}
-	plain, err := FitAffine(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weighted, err := FitAffineWeighted(xs, ys, VolumeWeights(xs, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	truthAt := 1e-5 * 1e6
-	errPlain := math.Abs(plain.Predict(1e6) - truthAt)
-	errWeighted := math.Abs(weighted.Predict(1e6) - truthAt)
-	if errWeighted >= errPlain {
-		t.Errorf("weighted fit no better at large volume: %v vs %v", errWeighted, errPlain)
-	}
-}
-
-func TestVolumeWeightsEdge(t *testing.T) {
-	ws := VolumeWeights([]float64{0, -5, 10}, 1)
-	if ws[0] <= 0 || ws[1] <= 0 {
-		t.Error("non-positive volumes must still get positive weights")
-	}
-	if ws[2] != 10 {
-		t.Errorf("weight = %v, want 10", ws[2])
-	}
-}
-
 func TestAdjustmentMatchesPaperCalculation(t *testing.T) {
 	// Build residuals with known moments: the paper derives a = 1.525 from
 	// its POS model (4) residuals; we verify the formula a = z·σ + μ.

@@ -102,9 +102,6 @@ type Planner struct {
 	// Rate is the flat hourly rate (the paper's $0.085 for small
 	// instances).
 	Rate float64
-	// MaxInstances caps requests ("there are limitations on the number of
-	// instances that can be requested", §5.2). Zero means no cap.
-	MaxInstances int
 }
 
 // NewPlanner creates a planner at the paper's small-instance rate.
@@ -124,6 +121,9 @@ func (pl *Planner) plan(items []binpack.Item, deadlineSeconds, requestedSeconds 
 	}
 	if deadlineSeconds <= 0 {
 		return nil, fmt.Errorf("provision: deadline must be positive, got %v", deadlineSeconds)
+	}
+	if !(pl.Rate >= 0) {
+		return nil, fmt.Errorf("provision: hourly rate must be non-negative, got %v", pl.Rate)
 	}
 	if len(items) == 0 {
 		return nil, fmt.Errorf("provision: no items to plan")
@@ -153,9 +153,6 @@ func (pl *Planner) plan(items []binpack.Item, deadlineSeconds, requestedSeconds 
 	}
 	if err := binpack.Verify(items, bins); err != nil {
 		return nil, fmt.Errorf("provision: packing invariant violated: %w", err)
-	}
-	if pl.MaxInstances > 0 && len(bins) > pl.MaxInstances {
-		return nil, fmt.Errorf("provision: plan needs %d instances, cap is %d", len(bins), pl.MaxInstances)
 	}
 	p := &Plan{
 		Deadline:            deadlineSeconds,

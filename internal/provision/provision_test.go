@@ -176,18 +176,17 @@ func TestPlanValidation(t *testing.T) {
 	if _, err := (&Planner{Rate: 1}).PlanDeadline(testItems(1, 1), 3600, UniformBins); err == nil {
 		t.Error("expected error for nil model")
 	}
+	for _, rate := range []float64{-1, math.NaN()} {
+		if _, err := (&Planner{Model: eq3(), Rate: rate}).PlanDeadline(testItems(1, 1), 3600, UniformBins); err == nil {
+			t.Errorf("expected error for rate %v", rate)
+		}
+		if _, err := (&Planner{Model: eq3(), Rate: rate}).PlanAdjusted(testItems(1, 1), 3600, perfmodel.Adjustment{A: 0.5}); err == nil {
+			t.Errorf("PlanAdjusted: expected error for rate %v", rate)
+		}
+	}
 	// Deadline below the model's intercept admits no data.
 	if _, err := pl.PlanDeadline(testItems(1, 1), 0.1, UniformBins); err == nil {
 		t.Error("expected error for sub-intercept deadline")
-	}
-}
-
-func TestPlanMaxInstancesCap(t *testing.T) {
-	pl := NewPlanner(eq3())
-	pl.MaxInstances = 3
-	items := testItems(1000, 1_000_000)
-	if _, err := pl.PlanDeadline(items, 3600, UniformBins); err == nil {
-		t.Error("expected cap error")
 	}
 }
 

@@ -24,47 +24,29 @@ func (f LinearFit) String() string {
 // FitLinear computes the ordinary least-squares line through (xs, ys).
 // It requires at least two points with distinct x values.
 func FitLinear(xs, ys []float64) (LinearFit, error) {
-	return FitLinearWeighted(xs, ys, nil)
-}
-
-// FitLinearWeighted computes a weighted least-squares line. A nil ws means
-// uniform weights; otherwise len(ws) must equal len(xs) and every weight must
-// be positive. Weighted fitting implements the paper's §7 extension of
-// demanding closer fits in the large-volume range.
-func FitLinearWeighted(xs, ys, ws []float64) (LinearFit, error) {
 	if len(xs) != len(ys) {
 		return LinearFit{}, fmt.Errorf("stats: len(xs)=%d != len(ys)=%d", len(xs), len(ys))
 	}
 	if len(xs) < 2 {
 		return LinearFit{}, ErrInsufficientData
 	}
-	if ws != nil && len(ws) != len(xs) {
-		return LinearFit{}, fmt.Errorf("stats: len(ws)=%d != len(xs)=%d", len(ws), len(xs))
-	}
-	var sw, sx, sy, sxx, sxy float64
+	n := float64(len(xs))
+	var sx, sy, sxx, sxy float64
 	for i := range xs {
-		w := 1.0
-		if ws != nil {
-			w = ws[i]
-			if w <= 0 {
-				return LinearFit{}, fmt.Errorf("stats: non-positive weight %v at index %d", w, i)
-			}
-		}
-		sw += w
-		sx += w * xs[i]
-		sy += w * ys[i]
-		sxx += w * xs[i] * xs[i]
-		sxy += w * xs[i] * ys[i]
+		sx += xs[i]
+		sy += ys[i]
+		sxx += xs[i] * xs[i]
+		sxy += xs[i] * ys[i]
 	}
-	det := sw*sxx - sx*sx
+	det := n*sxx - sx*sx
 	// Guard against exactly and *nearly* singular designs: with all x
 	// equal, floating-point residue can leave det tiny but nonzero, and
 	// the resulting slope is garbage.
-	if det == 0 || math.Abs(det) < 1e-12*math.Abs(sw*sxx) {
+	if det == 0 || math.Abs(det) < 1e-12*math.Abs(n*sxx) {
 		return LinearFit{}, fmt.Errorf("stats: degenerate design (all x identical)")
 	}
-	slope := (sw*sxy - sx*sy) / det
-	intercept := (sy - slope*sx) / sw
+	slope := (n*sxy - sx*sy) / det
+	intercept := (sy - slope*sx) / n
 	fit := LinearFit{Slope: slope, Intercept: intercept, N: len(xs)}
 	fit.R2 = rSquared(ys, func(i int) float64 { return fit.Predict(xs[i]) })
 	return fit, nil

@@ -185,35 +185,6 @@ func TestFitLinearErrors(t *testing.T) {
 	}
 }
 
-func TestFitLinearWeightedPullsTowardHeavyPoints(t *testing.T) {
-	// Two clusters; weighting the second cluster heavily must move the fit
-	// toward it.
-	xs := []float64{1, 2, 10, 11}
-	ys := []float64{10, 10, 1, 1}
-	uniform, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weighted, err := FitLinearWeighted(xs, ys, []float64{1, 1, 100, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	errU := math.Abs(uniform.Predict(10.5) - 1)
-	errW := math.Abs(weighted.Predict(10.5) - 1)
-	if errW >= errU {
-		t.Errorf("weighted fit no better near heavy cluster: %v vs %v", errW, errU)
-	}
-}
-
-func TestFitLinearWeightedErrors(t *testing.T) {
-	if _, err := FitLinearWeighted([]float64{1, 2}, []float64{1, 2}, []float64{1}); err == nil {
-		t.Error("expected error for weight length mismatch")
-	}
-	if _, err := FitLinearWeighted([]float64{1, 2}, []float64{1, 2}, []float64{1, -1}); err == nil {
-		t.Error("expected error for negative weight")
-	}
-}
-
 func TestFitQuadraticOriginExact(t *testing.T) {
 	// y = 3x² - 2x
 	xs := []float64{1, 2, 3, 4}

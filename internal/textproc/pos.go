@@ -88,16 +88,6 @@ func NewTagger() *Tagger {
 	return t
 }
 
-// candidates returns the possible tags for a word, consulting the lexicon
-// first and the suffix guesser for out-of-vocabulary words. The second
-// return reports whether the word was found in the lexicon.
-func (t *Tagger) candidates(word string) ([]lexicon.Tag, bool) {
-	if tags, ok := t.lex[lowerWord(word)]; ok {
-		return tags, true
-	}
-	return []lexicon.Tag{GuessTag(word)}, false
-}
-
 // lowerWord lowercases a word for lexicon lookup, returning the input
 // unchanged (no allocation) when it is already free of ASCII uppercase —
 // the overwhelmingly common case in running text.
@@ -168,15 +158,6 @@ func isNumeric(word string) bool {
 		}
 	}
 	return len(word) > 0
-}
-
-// TagSentence tags one sentence with greedy bigram decoding: each token
-// takes the candidate tag maximising lexical preference (candidate order)
-// plus the transition score from the previous tag.
-func (t *Tagger) TagSentence(sentence []Token) []TaggedToken {
-	out := make([]TaggedToken, len(sentence))
-	t.tagInto(out, sentence, nil)
-	return out
 }
 
 // tagInto tags one sentence into dst (len(dst) == len(sentence)), and, when

@@ -10,6 +10,26 @@ import (
 	"repro/internal/vfs"
 )
 
+// TagSentence tags one sentence on its own, through the same greedy bigram
+// decoder TagText runs over a whole document: the per-sentence oracle the
+// tagger tests hold the decoder to.
+func (t *Tagger) TagSentence(sentence []Token) []TaggedToken {
+	out := make([]TaggedToken, len(sentence))
+	t.tagInto(out, sentence, nil)
+	return out
+}
+
+// candidates returns the possible tags for a word, consulting the lexicon
+// first and the suffix guesser for out-of-vocabulary words, the way tagInto
+// does. The second return reports whether the word was found in the
+// lexicon.
+func (t *Tagger) candidates(word string) ([]lexicon.Tag, bool) {
+	if tags, ok := t.lex[lowerWord(word)]; ok {
+		return tags, true
+	}
+	return []lexicon.Tag{GuessTag(word)}, false
+}
+
 func tagsOf(tagged []TaggedToken) []lexicon.Tag {
 	out := make([]lexicon.Tag, len(tagged))
 	for i, tt := range tagged {

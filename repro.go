@@ -209,10 +209,6 @@ func ExecutePlan(c *Cloud, plan *Plan, opts provision.ExecuteOptions) (*provisio
 	return provision.ExecuteCtx(context.Background(), c, plan, opts)
 }
 
-// SelectModelByCV chooses a performance-model family by k-fold
-// cross-validation instead of in-sample R².
-var SelectModelByCV = perfmodel.SelectByCV
-
 // Error taxonomy (internal/errs). Every layer maps its failures onto
 // these sentinels, so callers branch with errors.Is instead of matching
 // message strings; StageError carries which pipeline stage died.

@@ -49,7 +49,9 @@ verify-quick:
 # and TagText at window-straddling block sizes, the lexicon key set
 # against the map, both searcher engines (and the checksum their FeedSum
 # carries) against the reference walk in multisearch_ref_test.go and
-# hash/fnv, every production kernel's Restore against arbitrary states,
+# hash/fnv, on fixed pattern sets and on sets drawn from the input that
+# land on both sides of the bitap stride budget, every production
+# kernel's Restore against arbitrary states,
 # the record codec's two readers (a worker's answer, journal replay)
 # against hostile frames, the pack readers (Open, OpenReader, RecoverCtx)
 # against arbitrary files (typed refusals, typed verify failures), the
@@ -63,6 +65,7 @@ fuzz-smoke:
 		./internal/textproc:FuzzStreamAnalyzerBlockSplit \
 		./internal/textproc:FuzzKnownWord \
 		./internal/textproc:FuzzMultiSearcherBlockSplit \
+		./internal/textproc:FuzzMultiSearcherPatterns \
 		./internal/textproc:FuzzKernelRestore \
 		./internal/dist:FuzzRecord \
 		./internal/packstore:FuzzPackOpen \

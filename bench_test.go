@@ -540,14 +540,37 @@ func BenchmarkKernelChecksumPerMB(b *testing.B) {
 	benchKernelPerMB(b, func() scan.Kernel { return scan.NewChecksum() })
 }
 
-var kernelPatterns = []string{"the", "and", "president", "market", "city", "nation", "report", "error"}
+// kernelPatterns is the repository benchmark's grep set: 42 bytes in 8
+// patterns, inside the matcher's stride budget (total + 2 × patterns ≤
+// 64), so the bitap engine takes three bytes a step. pastStridePatterns is
+// a bitap set of 50 bytes in 8 patterns, past that budget, which steps one
+// byte at a time: each matcher benchmark times it too, as its
+// "single-step" subcase.
+var (
+	kernelPatterns     = []string{"the", "and", "president", "market", "city", "nation", "report", "error"}
+	pastStridePatterns = []string{"the", "and", "president", "market", "business", "nation", "report", "community"}
+)
 
-func BenchmarkKernelMatchPerMB(b *testing.B) {
+// benchMatcherSets runs bench under the production set and, as the
+// "single-step" subcase, under the set past the stride budget.
+func benchMatcherSets(b *testing.B, bench func(*testing.B, *textproc.MultiSearcher)) {
+	b.Helper()
 	ms, err := textproc.NewMultiSearcher(kernelPatterns)
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchKernelPerMB(b, func() scan.Kernel { return textproc.NewMatchKernel(ms) })
+	bench(b, ms)
+	single, err := textproc.NewMultiSearcher(pastStridePatterns)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("single-step", func(b *testing.B) { bench(b, single) })
+}
+
+func BenchmarkKernelMatchPerMB(b *testing.B) {
+	benchMatcherSets(b, func(b *testing.B, ms *textproc.MultiSearcher) {
+		benchKernelPerMB(b, func() scan.Kernel { return textproc.NewMatchKernel(ms) })
+	})
 }
 
 // BenchmarkKernelChecksumMatchPerMB is the checksum and the match kernel
@@ -556,28 +579,26 @@ func BenchmarkKernelMatchPerMB(b *testing.B) {
 // (scan.SumCarrier). Read against KernelMatchPerMB and
 // KernelChecksumPerMB, it is what the pair costs over the matcher alone.
 func BenchmarkKernelChecksumMatchPerMB(b *testing.B) {
-	ms, err := textproc.NewMultiSearcher(kernelPatterns)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shape := range kernelShapes() {
-		b.Run(shape.name, func(b *testing.B) {
-			text := shape.text
-			srcs := []scan.Source{{
-				Name: "kernel-1mb", Size: int64(len(text)),
-				Raw: scan.BytesFunc(func() ([]byte, error) { return text, nil }),
-			}}
-			b.SetBytes(int64(len(text)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := scan.Run(context.Background(), srcs, scan.Options{Workers: 1}, scan.NewChecksum(), textproc.NewMatchKernel(ms))
-				if err != nil {
-					b.Fatal(err)
+	benchMatcherSets(b, func(b *testing.B, ms *textproc.MultiSearcher) {
+		for _, shape := range kernelShapes() {
+			b.Run(shape.name, func(b *testing.B) {
+				text := shape.text
+				srcs := []scan.Source{{
+					Name: "kernel-1mb", Size: int64(len(text)),
+					Raw: scan.BytesFunc(func() ([]byte, error) { return text, nil }),
+				}}
+				b.SetBytes(int64(len(text)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					err := scan.Run(context.Background(), srcs, scan.Options{Workers: 1}, scan.NewChecksum(), textproc.NewMatchKernel(ms))
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-	}
+			})
+		}
+	})
 }
 
 func BenchmarkKernelStatsPerMB(b *testing.B) {

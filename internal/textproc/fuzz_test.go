@@ -13,9 +13,12 @@ import (
 	"repro/internal/scan/kerneltest"
 )
 
-// fuzzSearcherSets covers both engines and both folding modes: a small
-// set the bitap engine takes, the same set forced onto the reworked AC
-// walk, and folded variants. The reference walk is the oracle.
+// fuzzSearcherSets covers both engines, both bitap loops and both folding
+// modes: small sets the bitap engine takes three bytes a step (one of
+// them all self-overlapping and 1-byte patterns), a bitap set past the
+// stride budget (8 patterns, 50 bytes: 50 + 2 × 8 > 64) that steps singly,
+// every set forced onto the reworked AC walk too, and folded variants. The
+// reference walk is the oracle.
 func fuzzSearcherSets() []struct {
 	name     string
 	patterns []string
@@ -28,6 +31,9 @@ func fuzzSearcherSets() []struct {
 	}{
 		{"bitap", []string{"the", "fox", "ab", "ba"}, false},
 		{"bitap-folded", []string{"The", "fox", "aB"}, true},
+		{"bitap-overlaps", []string{"a", "aa", "aaa", "ab"}, false},
+		{"bitap-overlaps-folded", []string{"A", "aA", "aaa", "aB", "t"}, true},
+		{"bitap-single-step", []string{"the", "and", "president", "market", "business", "nation", "report", "community"}, false},
 		{"ac", []string{"the", "theme", "he", "hem", "emit", "mit", "it", "t", "\xff\x00", "brown fox"}, false},
 		{"ac-folded", []string{"The", "THEME", "He", "heM", "Emit", "miT", "It", "T", "brown Fox"}, true},
 	}
@@ -44,6 +50,7 @@ func FuzzMultiSearcherBlockSplit(f *testing.F) {
 	f.Add([]byte("\xff\x00\xff\x00the\xfft"), byte(2))
 	f.Add([]byte(""), byte(7))
 	f.Add(bytes.Repeat([]byte("thethemit"), 40), byte(5))
+	f.Add([]byte("aaaabaAab the president's business: the market, the nation"), byte(4))
 	f.Fuzz(func(t *testing.T, data []byte, bsRaw byte) {
 		bs := 1 + int(bsRaw)%13
 		oracle := fnv.New64a()
@@ -107,6 +114,90 @@ func FuzzMultiSearcherBlockSplit(f *testing.F) {
 						t.Fatalf("%s/%s FeedSum at block size %d: sum %#x, hash/fnv %#x", set.name, name, fbs, h, wantSum)
 					}
 				}
+			}
+		}
+	})
+}
+
+// FuzzMultiSearcherPatterns draws the pattern set from the input too: 1–8
+// patterns of 1–12 bytes over a 3-letter alphabet, exact or folded, so the
+// totals land on both sides of the stride budget (total + 2 × patterns ≤
+// 64) and of the bitap limit (64 bytes). The text is drawn over the same
+// letters, both cases and two bytes no pattern has. Every set must run the
+// engine and loop its size says, and Feed and FeedSum at every block size
+// 1–13 must count what the reference walk counts; FeedSum's carried sum
+// must be hash/fnv's.
+func FuzzMultiSearcherPatterns(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 1, 0, 2, 0, 1}, []byte("aaabababcabbaaab"))
+	f.Add([]byte{0x0f, 4, 0, 0, 0, 0, 0, 4, 1, 1, 1, 1, 1, 4, 2, 2, 2, 2, 2, 4, 0, 1, 2, 0, 1}, bytes.Repeat([]byte("aAbBcab\x00"), 9))
+	f.Add([]byte{7, 5, 5, 5, 5, 5, 5, 5, 5, 0, 1, 2}, bytes.Repeat([]byte("aaaaaaaabcab"), 20)) // 8 × 6: 48 + 16 = 64, stride
+	f.Add([]byte{7, 6, 6, 6, 6, 6, 6, 6, 6, 0, 1}, bytes.Repeat([]byte("aaaaaaaaaab"), 20))     // 8 × 7: single step
+	f.Add([]byte{7, 8, 8, 8, 8, 8, 8, 8, 8, 2}, bytes.Repeat([]byte("aaaaaaaaaaaaaab"), 20))    // 8 × 9: Aho–Corasick
+	f.Fuzz(func(t *testing.T, spec, text []byte) {
+		next := func() int {
+			if len(spec) == 0 {
+				return 0
+			}
+			b := spec[0]
+			spec = spec[1:]
+			return int(b)
+		}
+		head := next()
+		folded := head&8 != 0
+		patterns := make([]string, 1+head%8)
+		lens := make([]int, len(patterns))
+		total := 0
+		for i := range lens {
+			lens[i] = 1 + next()%12
+			total += lens[i]
+		}
+		for i, n := range lens {
+			p := make([]byte, n)
+			for j := range p {
+				p[j] = "abc"[next()%3]
+			}
+			patterns[i] = string(p)
+		}
+		for i, c := range text {
+			if bytes.IndexByte([]byte("abcABC"), c) < 0 {
+				text[i] = "abcABC\x00\xff"[c%8]
+			}
+		}
+
+		newFast, newRef := NewMultiSearcher, NewReferenceMultiSearcher
+		if folded {
+			newFast, newRef = NewFoldedMultiSearcher, NewFoldedReferenceMultiSearcher
+		}
+		m, err := newFast(patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := newRef(patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.bitap != (total <= 64) || (m.strideMask != 0) != (total+2*len(patterns) <= 64) {
+			t.Fatalf("%q (%d bytes): bitap=%v stride=%v", patterns, total, m.bitap, m.strideMask != 0)
+		}
+		want := make([]int64, ref.NumPatterns())
+		ref.Feed(ref.Start(), text, want)
+		oracle := fnv.New64a()
+		oracle.Write(text)
+		wantSum := oracle.Sum64()
+		for bs := 1; bs <= 13; bs++ {
+			fed := make([]int64, len(patterns))
+			summed := make([]int64, len(patterns))
+			st, sst, h := m.Start(), m.Start(), fnv64.MemberInit
+			for i := 0; i < len(text); i += bs {
+				block := text[i:min(i+bs, len(text))]
+				st = m.Feed(st, block, fed)
+				sst, h = m.FeedSum(sst, h, block, summed)
+			}
+			if !equalInt64s(fed, want) || !equalInt64s(summed, want) {
+				t.Fatalf("%q folded=%v block size %d: Feed %v, FeedSum %v, want %v", patterns, folded, bs, fed, summed, want)
+			}
+			if h != wantSum {
+				t.Fatalf("%q block size %d: FeedSum sum %#x, hash/fnv %#x", patterns, bs, h, wantSum)
 			}
 		}
 	})

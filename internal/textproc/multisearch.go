@@ -26,11 +26,14 @@ import (
 //
 //   - bitap (shift-and), used when the patterns' total length fits the 64
 //     bit positions of one machine word. Per input byte the whole matcher
-//     is D = ((D<<1)|init) & masks[c]: a ~3-cycle ALU chain with the mask
-//     load off the critical path (its address depends only on the input
-//     byte, not on D), where an automaton walk pays load-to-use latency
-//     on every byte because the next row address depends on the state
-//     just loaded.
+//     is D = ((D<<1)|init) & masks[c], with the mask load off the critical
+//     path (its address depends only on the input byte, not on D), where
+//     an automaton walk pays load-to-use latency on every byte because the
+//     next row address depends on the state just loaded. When the set also
+//     leaves room for two sticky bits after each pattern (total + 2 ×
+//     patterns ≤ 64), three of those steps compose into one:
+//     D = ((D<<3) & M) | J, where M and J depend only on the three input
+//     bytes. The chain D rides then pays one shift-and-or per three bytes.
 //
 //   - Aho–Corasick with a dense byte-transition table, for pattern sets
 //     too large for bitap. States are renumbered breadth-first and the
@@ -47,11 +50,12 @@ type MultiSearcher struct {
 	patterns []string
 
 	// bitap engine (eligible pattern sets only).
-	bitap     bool
-	masks     [256]uint64 // bit j set iff pattern byte at position j matches input byte c
-	initMask  uint64      // bits at each pattern's first position
-	matchMask uint64      // bits at each pattern's last position
-	bitPat    [64]int16   // match bit position -> pattern index
+	bitap      bool
+	masks      [256]uint64 // bit j set iff pattern byte at position j matches input byte c
+	initMask   uint64      // bits at each pattern's first position
+	matchMask  uint64      // bits at each pattern's last position
+	strideMask uint64      // last and sticky positions; zero past the stride budget
+	bitPat     [64]int16   // match bit position -> pattern index
 
 	// Aho–Corasick engine (built only for sets too large for bitap).
 	hotN int32           // states resident in the byte-major interleaved region
@@ -308,10 +312,21 @@ func (m *MultiSearcher) buildAC(next [][256]int32, out [][]int32, fold *[256]byt
 }
 
 // buildBitap enables the shift-and engine when every pattern position
-// fits one 64-bit word, and reports whether it did. Patterns pack contiguously with no guard bits:
-// the top (match) bit of pattern i-1 shifts into pattern i's first
-// position, but initMask sets that position unconditionally anyway, so
-// the leak is harmless.
+// fits one 64-bit word, and reports whether it did. Bit off_i+j of the
+// state means "the first j+1 bytes of pattern i end here".
+//
+// When total + 2 × patterns ≤ 64 (the stride budget), each pattern is
+// followed by two sticky positions whose mask bits are set for every byte
+// value: a completed match moves on through them, so one that completes at
+// byte j of a three-byte stride is still visible at the stride's end, at
+// last + (3 − j). strideMask holds all three positions and bitPat maps
+// them to the pattern, so the stride loop tests once per three bytes and
+// counts each match exactly once. A set past the budget packs its patterns
+// contiguously and runs only the single-step loops.
+//
+// There are no guard bits in either layout: the bit leaving pattern i-1's
+// last position shifts into pattern i's first, but initMask sets that
+// position unconditionally anyway, so the leak is harmless.
 func (m *MultiSearcher) buildBitap(fold *[256]byte) bool {
 	total := 0
 	for _, p := range m.patterns {
@@ -320,21 +335,34 @@ func (m *MultiSearcher) buildBitap(fold *[256]byte) bool {
 	if total > 64 {
 		return false
 	}
+	sticky := 0
+	if total+2*len(m.patterns) <= 64 {
+		sticky = 2
+	}
+	// byFold[f] has bit j set iff the pattern byte at position j folds to
+	// f; byte c matches position j iff byFold[fold[c]] has it. The sticky
+	// positions match every byte.
+	var byFold [256]uint64
+	var stickyBits uint64
 	off := 0
 	for pi, p := range m.patterns {
 		m.initMask |= 1 << uint(off)
 		for j := 0; j < len(p); j++ {
-			// Every byte c that folds onto the pattern byte matches this
-			// position.
-			for c := 0; c < 256; c++ {
-				if fold[c] == fold[p[j]] {
-					m.masks[c] |= 1 << uint(off+j)
-				}
-			}
+			byFold[fold[p[j]]] |= 1 << uint(off+j)
 		}
 		off += len(p)
-		m.bitPat[off-1] = int16(pi)
 		m.matchMask |= 1 << uint(off-1)
+		for s := 0; s <= sticky; s++ {
+			m.bitPat[off-1+s] = int16(pi)
+		}
+		if sticky > 0 {
+			m.strideMask |= 7 << uint(off-1)
+			stickyBits |= 3 << uint(off)
+			off += sticky
+		}
+	}
+	for c := range m.masks {
+		m.masks[c] = byFold[fold[c]] | stickyBits
 	}
 	m.bitap = true
 	return true
@@ -375,10 +403,22 @@ func (m *MultiSearcher) FeedSum(st MatchState, h uint64, p []byte, counts []int6
 	return MatchState(m.feedExact(int32(st), p, counts)), fnv64.MemberChecksum(h, p)
 }
 
-// feedBitap is the shift-and hot loop. D's bit off_i+j means "the first
-// j+1 bytes of pattern i end here"; matchMask picks out the completed
-// patterns, almost always zero.
+// feedBitap is the shift-and hot loop: under the stride layout it takes
+// three bytes a step (strideHits) and counts the kept hits once per
+// len(hits) strides, then steps singly over the tail of fewer than three
+// bytes, where matchMask picks out the completed patterns, almost always
+// zero.
 func (m *MultiSearcher) feedBitap(d uint64, p []byte, counts []int64) uint64 {
+	if m.strideMask != 0 {
+		var hits [256]uint64
+		for len(p) >= 3 {
+			q := p[:min(len(p)/3, len(hits))*3]
+			p = p[len(q):]
+			var n int
+			d, n = m.strideHits(d, q, &hits)
+			m.countHits(hits[:n], counts)
+		}
+	}
 	masks := &m.masks
 	init, match := m.initMask, m.matchMask
 	for _, c := range p {
@@ -396,20 +436,57 @@ func (m *MultiSearcher) feedBitap(d uint64, p []byte, counts []int64) uint64 {
 	return d
 }
 
+// strideHits advances d over q, a multiple of three bytes and at most
+// 3 × len(hits), three bytes a step. With Bk = masks[ck], three single
+// steps are exactly D = ((D<<3) & M) | J for M = (B1<<2)&(B2<<1)&B3 and J
+// the three steps' result from D = 0; both depend only on the bytes, so
+// the chain D rides is one shift-and-or per stride. Each stride's match
+// bits are stored to hits and kept — n advances — only when they are not
+// zero, so the loop has no data-dependent branch. It returns d and n. The
+// loop is a function of its own, and spells the step out, so that none of
+// its state spills to the stack: inlined into feedBitap, or with the step
+// as an inlined helper, Go's register allocator spills n, B1 or init.
+func (m *MultiSearcher) strideHits(d uint64, q []byte, hits *[256]uint64) (uint64, int) {
+	masks := &m.masks
+	init, stride := m.initMask, m.strideMask
+	n := 0
+	for i := 0; i < len(q)-2; i += 3 {
+		b1, b2, b3 := masks[q[i]], masks[q[i+1]], masks[q[i+2]]
+		j := ((((b1&init)<<1|init)&b2)<<1 | init) & b3
+		d = (d<<3)&((b1<<2)&(b2<<1)&b3) | j
+		// n < len(hits) here; the mask only spares a bounds check.
+		hits[n&(len(hits)-1)] = d & stride
+		if d&stride != 0 {
+			n++
+		}
+	}
+	return d, n
+}
+
 // feedBitapSum is feedBitap with the member checksum h folded in the same
-// byte loop. FNV-64a's xor-multiply (≈ 4 cycles a byte) and the shift-and
-// step (≈ 3) are two latency-bound chains, so one loop carries both at
-// nearly the rate of the slower alone — provided nothing flushes them: a
+// loops. FNV-64a's xor-multiply (≈ 4 cycles a byte) and the shift-and
+// chain are two latency-bound chains, so one loop carries both at nearly
+// the rate of the slower alone — provided nothing flushes them: a
 // mispredicted match test discards the checksum's chain along with the
-// matcher's. So the loop has no data-dependent branch. Each byte's match
-// bits are stored to hits and kept — the index advances — only when they
-// are not zero, and the kept ones are counted once per len(hits) bytes.
-// Feed keeps feedBitap rather than this loop with the sum discarded: the
-// store costs the matcher alone more than its mispredictions do.
+// matcher's. So neither loop has a data-dependent branch: the stride loop
+// (strideHitsSum) takes three FNV steps per iteration, and FNV's is the
+// chain that binds it; the single-step loop stores each byte's match bits
+// to hits as the stride loop does. Feed's single-step loop keeps its
+// branch rather than this store with the sum discarded: the store costs
+// the matcher alone more than its mispredictions do.
 func (m *MultiSearcher) feedBitapSum(d, h uint64, p []byte, counts []int64) (uint64, uint64) {
+	var hits [256]uint64
+	if m.strideMask != 0 {
+		for len(p) >= 3 {
+			q := p[:min(len(p)/3, len(hits))*3]
+			p = p[len(q):]
+			var n int
+			d, h, n = m.strideHitsSum(d, h, q, &hits)
+			m.countHits(hits[:n], counts)
+		}
+	}
 	masks := &m.masks
 	init, match := m.initMask, m.matchMask
-	var hits [256]uint64
 	for len(p) > 0 {
 		q := p[:min(len(p), len(hits))]
 		p = p[len(q):]
@@ -423,13 +500,38 @@ func (m *MultiSearcher) feedBitapSum(d, h uint64, p []byte, counts []int64) (uin
 				n++
 			}
 		}
-		for _, mm := range hits[:n] {
-			for ; mm != 0; mm &= mm - 1 {
-				counts[m.bitPat[bits.TrailingZeros64(mm)]]++
-			}
-		}
+		m.countHits(hits[:n], counts)
 	}
 	return d, h
+}
+
+// strideHitsSum is strideHits with the member checksum h advanced over
+// the same bytes.
+func (m *MultiSearcher) strideHitsSum(d, h uint64, q []byte, hits *[256]uint64) (uint64, uint64, int) {
+	masks := &m.masks
+	init, stride := m.initMask, m.strideMask
+	n := 0
+	for i := 0; i < len(q)-2; i += 3 {
+		c1, c2, c3 := q[i], q[i+1], q[i+2]
+		h = fnv64.MemberStep(fnv64.MemberStep(fnv64.MemberStep(h, c1), c2), c3)
+		b1, b2, b3 := masks[c1], masks[c2], masks[c3]
+		j := ((((b1&init)<<1|init)&b2)<<1 | init) & b3
+		d = (d<<3)&((b1<<2)&(b2<<1)&b3) | j
+		hits[n&(len(hits)-1)] = d & stride
+		if d&stride != 0 {
+			n++
+		}
+	}
+	return d, h, n
+}
+
+// countHits counts every pattern whose match bit is set in the kept hits.
+func (m *MultiSearcher) countHits(hits []uint64, counts []int64) {
+	for _, mm := range hits {
+		for ; mm != 0; mm &= mm - 1 {
+			counts[m.bitPat[bits.TrailingZeros64(mm)]]++
+		}
+	}
 }
 
 // feedExact is the automaton hot loop: per byte, one

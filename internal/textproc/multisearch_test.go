@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/errs"
 )
 
@@ -405,4 +406,59 @@ func TestMultiSearcherBuildsOnlyItsEngine(t *testing.T) {
 		t.Errorf("NewMultiSearcher(8 patterns) allocates %d bytes in %.0f allocations, want < 16 KiB", perBuild, allocs)
 	}
 	t.Logf("NewMultiSearcher(8 patterns): %d bytes in %.0f allocations", perBuild, allocs)
+}
+
+// TestBitapStrideBudget pins which loop a bitap set runs, by size alone:
+// three bytes a step while the pattern bytes plus two sticky positions per
+// pattern fit the word (total + 2 × patterns ≤ 64), one byte a step past
+// that, and bitap, not Aho–Corasick, up to 64 pattern bytes. Each case,
+// exact and folded, counts what the reference walk counts on the kernel
+// benchmarks' text, through Feed and FeedSum.
+func TestBitapStrideBudget(t *testing.T) {
+	text := corpus.NewGenerator(corpus.NewsStyle(), 6).Text(1 << 20)
+	atBudget := []string{"the", "and", "president", "market", "community", "nation", "report", "people"}
+	pastBudget := append([]string(nil), atBudget...)
+	pastBudget[len(pastBudget)-1] += "s"
+	for _, c := range []struct {
+		name     string
+		patterns []string
+		stride   bool
+		budget   int // total + 2 × patterns
+	}{
+		{"production", []string{"the", "and", "president", "market", "city", "nation", "report", "error"}, true, 58},
+		{"at-budget", atBudget, true, 64},
+		{"one-byte-past", pastBudget, false, 65},
+		{"one-64-byte-pattern", []string{string(text[4096 : 4096+64])}, false, 66},
+	} {
+		total := len(strings.Join(c.patterns, ""))
+		if got := total + 2*len(c.patterns); got != c.budget {
+			t.Fatalf("%s: total + 2 × patterns = %d, want %d", c.name, got, c.budget)
+		}
+		for _, folded := range []bool{false, true} {
+			m, err := newMultiSearcher(c.patterns, folded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.bitap || m.hot != nil || (m.strideMask != 0) != c.stride {
+				t.Fatalf("%s folded=%v: bitap=%v AC tables=%v stride=%v, want bitap, no tables, stride=%v",
+					c.name, folded, m.bitap, m.hot != nil, m.strideMask != 0, c.stride)
+			}
+			ref, err := newReferenceMultiSearcher(c.patterns, folded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.CountBytes(text)
+			if want[0] == 0 {
+				t.Fatalf("%s: %q never occurs in the text", c.name, c.patterns[0])
+			}
+			if got := m.CountBytes(text); !equalCounts(got, want) {
+				t.Errorf("%s folded=%v: Feed %v, want %v", c.name, folded, got, want)
+			}
+			summed := make([]int64, len(c.patterns))
+			m.FeedSum(m.Start(), 0, text, summed)
+			if !equalCounts(summed, want) {
+				t.Errorf("%s folded=%v: FeedSum %v, want %v", c.name, folded, summed, want)
+			}
+		}
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/binpack"
+	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/experiments"
@@ -184,34 +185,6 @@ func BenchmarkLeastLoaded10k(b *testing.B) {
 		if _, err := binpack.LeastLoaded(items, 27); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkGrepBMH1MB(b *testing.B) {
-	g := corpus.NewGenerator(corpus.NewsStyle(), 3)
-	text := g.Text(1_000_000)
-	s, err := textproc.NewSearcher("xyzzyplugh")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.CountBytes(text)
-	}
-}
-
-func BenchmarkGrepRegexp1MB(b *testing.B) {
-	g := corpus.NewGenerator(corpus.NewsStyle(), 3)
-	text := g.Text(1_000_000)
-	s, err := textproc.NewRegexpSearcher(`xy+zzy`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.CountBytes(text)
 	}
 }
 
@@ -413,11 +386,11 @@ func BenchmarkAblationQualification(b *testing.B) {
 	}
 	var missLottery, missQualified float64
 	for i := 0; i < b.N; i++ {
-		lot, err := provision.ExecuteCtx(context.Background(), NewCloud(int64(i)), plan, provision.ExecuteOptions{App: workload.NewPOS()})
+		lot, err := provision.ExecuteCtx(context.Background(), cloudsim.New(int64(i)), plan, provision.ExecuteOptions{App: workload.NewPOS()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		qual, err := provision.ExecuteCtx(context.Background(), NewCloud(int64(i)), plan, provision.ExecuteOptions{App: workload.NewPOS(), Qualify: true})
+		qual, err := provision.ExecuteCtx(context.Background(), cloudsim.New(int64(i)), plan, provision.ExecuteOptions{App: workload.NewPOS(), Qualify: true})
 		if err != nil {
 			b.Fatal(err)
 		}

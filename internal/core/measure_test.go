@@ -9,6 +9,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/errs"
 	"repro/internal/textproc"
+	"repro/internal/textproc/bmhtest"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -75,11 +76,6 @@ func TestMeasureMatchesSeparatePasses(t *testing.T) {
 		if want := workload.ComplexityOf(data, tagger); m.Complexity[f.Name] != want {
 			t.Fatalf("complexity[%s] = %v, want %v", f.Name, m.Complexity[f.Name], want)
 		}
-		s, err := textproc.NewSearcher("error")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = s
 	}
 	if m.Bytes != wantBytes {
 		t.Fatalf("Bytes = %d, want %d", m.Bytes, wantBytes)
@@ -91,7 +87,7 @@ func TestMeasureMatchesSeparatePasses(t *testing.T) {
 	// Pattern totals equal the reference searcher, and per-file counts sum
 	// to the totals.
 	for i, p := range m.Patterns {
-		s, err := textproc.NewSearcher(p)
+		s, err := bmhtest.New(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/binpack"
 	"repro/internal/corpus"
+	"repro/internal/corpus/corpustest"
 	"repro/internal/errs"
 	"repro/internal/workload"
 )
@@ -30,11 +31,11 @@ func profiledPipeline(t *testing.T) *Pipeline {
 
 func TestRunProfileComplexityRaisesSlope(t *testing.T) {
 	spec := corpus.Text400K(0.01)
-	flat, err := corpus.GenerateProfile(spec, 17, corpus.FlatComplexity(1), 0)
+	flat, err := corpustest.Ramp(spec, 17, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := corpus.GenerateProfile(spec, 17, corpus.FlatComplexity(2), 0)
+	dense, err := corpustest.Ramp(spec, 17, 2, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRunProfileComplexityRaisesSlope(t *testing.T) {
 
 func TestRunProfileExecuteUsesMeanComplexity(t *testing.T) {
 	spec := corpus.Text400K(0.005)
-	profile, err := corpus.GenerateProfile(spec, 18, corpus.RampComplexity{From: 0.8, To: 1.6}, 0.05)
+	profile, err := corpustest.Ramp(spec, 18, 0.8, 1.6, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestRunProfileValidation(t *testing.T) {
 	}
 	// One complexity per file, in List order: a profile of any other
 	// length would price files by the wrong positions.
-	profile, err := corpus.GenerateProfile(corpus.Text400K(0.001), 3, corpus.FlatComplexity(2), 0)
+	profile, err := corpustest.Ramp(corpus.Text400K(0.001), 3, 2, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/binpack"
 	"repro/internal/corpus"
+	"repro/internal/corpus/corpustest"
 	"repro/internal/perfmodel"
 	"repro/internal/workload"
 )
@@ -58,7 +59,7 @@ func meanComplexity(p *corpus.Profile) float64 {
 
 func TestGenerateProfileGradient(t *testing.T) {
 	spec := corpus.Text400K(0.002)
-	p, err := corpus.GenerateProfile(spec, 5, corpus.RampComplexity{From: 0.8, To: 1.6}, 0)
+	p, err := corpustest.Ramp(spec, 5, 0.8, 1.6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestGenerateProfileGradient(t *testing.T) {
 		t.Errorf("mean complexity = %v, want ≈1.2", mean)
 	}
 	// Flat gradient, with jitter: complexity varies around the level.
-	pj, err := corpus.GenerateProfile(spec, 5, corpus.FlatComplexity(1), 0.3)
+	pj, err := corpustest.Ramp(spec, 5, 1, 1, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,24 +90,13 @@ func TestGenerateProfileGradient(t *testing.T) {
 	}
 }
 
-func TestGenerateProfileValidation(t *testing.T) {
-	spec := corpus.Text400K(0.0001)
-	if _, err := corpus.GenerateProfile(spec, 1, nil, 0); err == nil {
-		t.Error("expected error for nil gradient")
-	}
-	if _, err := corpus.GenerateProfile(spec, 1, corpus.FlatComplexity(1), -1); err == nil {
-		t.Error("expected error for negative jitter")
-	}
-}
-
 // The §5.2 mechanism, reproduced honestly: on a corpus whose complexity
 // ramps upward, a prefix-based calibration (the escalation protocol reads
 // files in order) under-prices the corpus, while random samples capture
 // the true mean — the reason the paper's random-sample refits moved the
 // slope, and why "random sampling can be vital".
 func TestRandomSamplingCapturesComplexityVariation(t *testing.T) {
-	profile, err := corpus.GenerateProfile(corpus.Text400K(0.05), 9,
-		corpus.RampComplexity{From: 0.7, To: 1.7}, 0.05)
+	profile, err := corpustest.Ramp(corpus.Text400K(0.05), 9, 0.7, 1.7, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

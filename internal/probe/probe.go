@@ -257,8 +257,13 @@ type Result struct {
 // repeats inside each probe), so an abort lands within one measurement of
 // the cancel.
 func (p *Protocol) RunCtx(ctx context.Context, files []binpack.Item) (*Result, error) {
-	if p.InitialVolume <= 0 || p.Growth < 2 || p.MaxVolume < p.InitialVolume {
-		return nil, errs.Invalid("probe: invalid protocol config %+v", p)
+	switch {
+	case p.InitialVolume <= 0:
+		return nil, errs.Invalid("probe: protocol InitialVolume %d is not positive", p.InitialVolume)
+	case p.Growth < 2:
+		return nil, errs.Invalid("probe: protocol Growth %d is below 2", p.Growth)
+	case p.MaxVolume < p.InitialVolume:
+		return nil, errs.Invalid("probe: protocol MaxVolume %d is below InitialVolume %d", p.MaxVolume, p.InitialVolume)
 	}
 	var available int64
 	for _, f := range files {

@@ -2,12 +2,15 @@ package probe
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/binpack"
 	"repro/internal/cloudsim"
 	"repro/internal/corpus"
+	"repro/internal/errs"
 	"repro/internal/workload"
 )
 
@@ -189,6 +192,22 @@ func TestProtocolValidation(t *testing.T) {
 	p := &Protocol{InitialVolume: 0}
 	if _, err := p.RunCtx(context.Background(), nil); err == nil {
 		t.Error("expected error for invalid config")
+	}
+	// The refusal names the failing field and its value, not the struct
+	// (whose %+v prints the harness pointer).
+	for field, bad := range map[string]Protocol{
+		"InitialVolume -5": {InitialVolume: -5, Growth: 2, MaxVolume: 10},
+		"Growth 1":         {InitialVolume: 1, Growth: 1, MaxVolume: 10},
+		"MaxVolume 3":      {InitialVolume: 4, Growth: 2, MaxVolume: 3, Harness: &Harness{}},
+	} {
+		_, err := bad.RunCtx(context.Background(), nil)
+		if !errors.Is(err, errs.ErrInvalid) {
+			t.Errorf("%s: err = %v, want ErrInvalid", field, err)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, field) || strings.Contains(msg, "0x") {
+			t.Errorf("%s: err = %q, want it to name the field and its value and print no pointer", field, msg)
+		}
 	}
 }
 

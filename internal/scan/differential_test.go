@@ -14,6 +14,7 @@ import (
 	"repro/internal/scan"
 	"repro/internal/scan/kerneltest"
 	"repro/internal/textproc"
+	"repro/internal/textproc/bmhtest"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -89,9 +90,9 @@ func TestFusedScanMatchesReferenceImplementations(t *testing.T) {
 		complexity float64
 	}
 	refs := make([]ref, len(files))
-	searchers := make([]*textproc.Searcher, len(diffPatterns))
+	searchers := make([]*bmhtest.Searcher, len(diffPatterns))
 	for i, p := range diffPatterns {
-		s, err := textproc.NewSearcher(p)
+		s, err := bmhtest.New(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,9 +173,10 @@ func TestFoldedMultiSearcherMatchesFoldedSearcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ms.CountBytes(text)
+	got := make([]int64, len(diffPatterns))
+	ms.Feed(ms.Start(), text, got)
 	for i, p := range diffPatterns {
-		s, err := textproc.NewFoldedSearcher(p)
+		s, err := bmhtest.NewFolded(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/fault"
 	"repro/internal/scan"
-	"repro/internal/textproc"
 	"repro/internal/vfs"
 )
 
@@ -65,17 +64,6 @@ func TestOpenFailureIsReportedAsItself(t *testing.T) {
 				t.Fatal(err)
 			}
 			return wrapped
-		}},
-		{"ExtractFS over a failing source", "page.txt", os.ErrNotExist, func(t *testing.T) *vfs.FS {
-			src, path := onDisk(t, "page.html", "<p>some words</p>")
-			text, err := textproc.ExtractFS(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Remove(path); err != nil {
-				t.Fatal(err)
-			}
-			return text
 		}},
 	}
 	for _, tc := range cases {

@@ -2,9 +2,9 @@ package textproc
 
 // Byte classification is centralised in two 256-entry tables shared by
 // every byte-at-a-time scanner in the pipeline — the tokenizer, the
-// streaming stats analyzer, the Aho–Corasick multi-searcher, the BMH
-// grep fold and the tagger's lexicon fold. One table means one
-// definition of "word byte" and one fold rule: the reshaping experiments
+// streaming stats analyzer, the multi-searcher's folded tables and the
+// tagger's lexicon fold. One table means one definition of "word byte"
+// and one fold rule: the reshaping experiments
 // depend on the tokenizer and the stream analyzer agreeing bit-for-bit,
 // and a single lookup per byte is also the cheapest classification the
 // hot loops can do (no multi-compare chains, no branch mispredicts on
@@ -28,7 +28,7 @@ var classTable = buildClassTable()
 
 // foldTable maps each byte to its ASCII-lowercased form; non-letters and
 // all bytes >= 0x80 map to themselves. This is the single fold rule used
-// by the folded searchers and the lexicon lookup.
+// by the folded multi-searcher and the lexicon lookup.
 var foldTable = buildFoldTable()
 
 func buildClassTable() (t [256]uint8) {

@@ -2,7 +2,6 @@ package textproc
 
 import (
 	"bytes"
-	"io"
 	"math/bits"
 
 	"repro/internal/errs"
@@ -10,9 +9,10 @@ import (
 )
 
 // MultiSearcher counts occurrences of N literal patterns in one pass over
-// the haystack. Counting semantics match Searcher exactly: every
-// occurrence is counted, overlaps included, and the folded variant
-// lowercases ASCII letters on both sides.
+// the haystack. Every occurrence is counted, overlaps included, and the
+// folded variant lowercases ASCII letters on both sides — the counts of a
+// single-pattern Boyer–Moore–Horspool search per pattern, which the tests
+// hold it to (textproc/bmhtest).
 //
 // The matcher state is the entire cross-block carry: feeding a stream in
 // arbitrary block splits yields the same counts as one contiguous buffer,
@@ -582,36 +582,4 @@ func (m *MultiSearcher) feedExact(s int32, p []byte, counts []int64) int32 {
 		}
 	}
 	return s
-}
-
-// CountBytes counts every occurrence of every pattern in data, returning
-// one count per pattern in registration order. Overlapping occurrences
-// all count, matching Searcher.CountBytes per pattern.
-func (m *MultiSearcher) CountBytes(data []byte) []int64 {
-	counts := make([]int64, len(m.patterns))
-	m.Feed(m.Start(), data, counts)
-	return counts
-}
-
-// CountReader streams r through the matcher and returns per-pattern
-// counts. The window is recycled from the shared grep pool; nothing is
-// carried between blocks except the matcher state.
-func (m *MultiSearcher) CountReader(r io.Reader) ([]int64, error) {
-	counts := make([]int64, len(m.patterns))
-	bp := windowPool.Get().(*[]byte)
-	defer windowPool.Put(bp)
-	buf := (*bp)[:grepBufSize]
-	st := m.Start()
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			st = m.Feed(st, buf[:n], counts)
-		}
-		if err == io.EOF {
-			return counts, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 }

@@ -73,6 +73,14 @@ func (m *ReferenceMultiSearcher) CountBytes(data []byte) []int64 {
 	return counts
 }
 
+// CountBytes counts every occurrence of every pattern in data, one count
+// per pattern in registration order.
+func (m *MultiSearcher) CountBytes(data []byte) []int64 {
+	counts := make([]int64, len(m.patterns))
+	m.Feed(m.Start(), data, counts)
+	return counts
+}
+
 // newACMultiSearcher builds a production searcher that runs the
 // Aho–Corasick engine whatever the set's size: construction builds only
 // bitap for a set of ≤ 64 pattern bytes, so the automaton is laid out here

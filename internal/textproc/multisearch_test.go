@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/errs"
+	"repro/internal/textproc/bmhtest"
 )
 
 // startBytes returns how many distinct bytes can start a pattern, which
@@ -41,7 +42,7 @@ func TestMultiSearcherMatchesSearcherPerPattern(t *testing.T) {
 	for _, text := range texts {
 		got := ms.CountBytes([]byte(text))
 		for i, p := range patterns {
-			s, err := NewSearcher(p)
+			s, err := bmhtest.New(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +58,7 @@ func TestMultiSearcherOverlappingCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Overlaps all count: "aaaa" holds three "aa", same as Searcher.
+	// Overlaps all count: "aaaa" holds three "aa", same as bmhtest.
 	if got := ms.CountBytes([]byte("aaaa"))[0]; got != 3 {
 		t.Fatalf("overlapping count = %d, want 3", got)
 	}
@@ -87,22 +88,6 @@ func TestMultiSearcherBlockSplitInvariance(t *testing.T) {
 					block, patterns[i], counts[i], want[i])
 			}
 		}
-	}
-}
-
-func TestMultiSearcherCountReader(t *testing.T) {
-	ms, err := NewMultiSearcher([]string{"one", "two"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := strings.Repeat("one two twone ", 10000) // spans several windows
-	got, err := ms.CountReader(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ms.CountBytes([]byte(text))
-	if got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("CountReader %v, want %v", got, want)
 	}
 }
 
@@ -336,9 +321,9 @@ func TestFoldedAutomatonIndexesByRawByte(t *testing.T) {
 	if ms.bitap {
 		t.Fatal("pattern set fits bitap; the automaton is not under test")
 	}
-	oracles := make([]*Searcher, len(patterns))
+	oracles := make([]*bmhtest.Searcher, len(patterns))
 	for i, p := range patterns {
-		if oracles[i], err = NewFoldedSearcher(p); err != nil {
+		if oracles[i], err = bmhtest.NewFolded(p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -78,12 +78,6 @@ func TestListAndSizesCacheInvalidation(t *testing.T) {
 	if len(fs.Sizes()) != 4 || len(s1) != 3 {
 		t.Error("sizes cache not invalidated on add")
 	}
-	if err := fs.Remove("aa"); err != nil {
-		t.Fatal(err)
-	}
-	if len(fs.List()) != 3 || len(fs.Sizes()) != 3 {
-		t.Error("caches not invalidated on remove")
-	}
 }
 
 func TestReadIntoReusesBuffer(t *testing.T) {

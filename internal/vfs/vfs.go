@@ -317,24 +317,6 @@ func (fs *FS) Add(f File) error {
 	return nil
 }
 
-// Remove deletes a file by name.
-func (fs *FS) Remove(name string) error {
-	f, ok := fs.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	delete(fs.files, name)
-	fs.total -= f.Size
-	for i, n := range fs.order {
-		if n == name {
-			fs.order = append(fs.order[:i], fs.order[i+1:]...)
-			break
-		}
-	}
-	fs.invalidate()
-	return nil
-}
-
 // Get looks up a file by name.
 func (fs *FS) Get(name string) (File, error) {
 	f, ok := fs.files[name]

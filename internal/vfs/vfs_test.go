@@ -124,15 +124,6 @@ func TestFSAddGetRemove(t *testing.T) {
 	if fs.Len() != 1 || fs.TotalSize() != 5 {
 		t.Errorf("len=%d total=%d", fs.Len(), fs.TotalSize())
 	}
-	if err := fs.Remove("x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove("x"); err == nil {
-		t.Error("expected error removing twice")
-	}
-	if fs.Len() != 0 || fs.TotalSize() != 0 {
-		t.Errorf("after remove: len=%d total=%d", fs.Len(), fs.TotalSize())
-	}
 }
 
 func TestFSListSorted(t *testing.T) {

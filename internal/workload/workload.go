@@ -86,14 +86,10 @@ func secs(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// Grep is the I/O-bound search application (GNU grep 2.5.1 in the paper).
-// The default configuration is the paper's worst-case usage scenario: a
-// simple dictionary-word pattern that never matches, so the whole input is
-// always traversed and no output is generated. The §5.1 discussion notes
-// the knobs that move grep away from that regime — "the complexity of the
-// regular expression we are searching with and the number of matches
-// found" plus "the size of the generated output" — which the
-// PatternComplexity, MatchesPerMB and AvgMatchBytes fields model.
+// Grep is the I/O-bound search application (GNU grep 2.5.1 in the paper),
+// in the paper's worst-case usage scenario: a simple dictionary-word
+// pattern that never matches, so the whole input is always traversed and
+// no output is generated.
 type Grep struct {
 	// OpenOverheadMS is the nominal per-file overhead in milliseconds on a
 	// 1-ECU instance (file open, metadata, first-block seek).
@@ -104,17 +100,6 @@ type Grep struct {
 	// LargeUnitGB is the unit size beyond which buffering degrades
 	// throughput (the right edge of the Fig. 4 plateau).
 	LargeUnitGB float64
-	// PatternComplexity divides the CPU scan speed: 1 = a simple literal
-	// word; larger values model complex regular expressions that "tip the
-	// execution profile towards intense memory and CPU usage" (§5.1).
-	PatternComplexity float64
-	// MatchesPerMB is the expected match density; 0 reproduces the paper's
-	// nonsense-word worst case.
-	MatchesPerMB float64
-	// AvgMatchBytes is the output generated per match (the matching line).
-	AvgMatchBytes float64
-	// OutputMBps is the speed at which match output is written on 1 ECU.
-	OutputMBps float64
 }
 
 // NewGrep returns the calibrated grep model in the paper's worst-case
@@ -123,11 +108,9 @@ type Grep struct {
 // bandwidth.
 func NewGrep() *Grep {
 	return &Grep{
-		OpenOverheadMS:    3.45,
-		ScanMBps:          400,
-		LargeUnitGB:       2,
-		PatternComplexity: 1,
-		OutputMBps:        60,
+		OpenOverheadMS: 3.45,
+		ScanMBps:       400,
+		LargeUnitGB:    2,
 	}
 }
 
@@ -145,18 +128,12 @@ func (g *Grep) PerFile(in *cloudsim.Instance) time.Duration {
 }
 
 // Process implements App: streaming at the harmonic mean of storage and
-// (pattern-complexity-scaled) scan bandwidth, with the large-unit penalty
-// past the plateau edge, plus output-generation time when the pattern
-// matches.
+// scan bandwidth, with the large-unit penalty past the plateau edge.
 func (g *Grep) Process(it Item, readMBps float64, in *cloudsim.Instance) time.Duration {
 	if it.Size <= 0 {
 		return 0
 	}
-	complexity := g.PatternComplexity
-	if complexity < 1 {
-		complexity = 1
-	}
-	scan := g.ScanMBps * cpuOf(in) / complexity
+	scan := g.ScanMBps * cpuOf(in)
 	if readMBps <= 0 {
 		readMBps = 1
 	}
@@ -167,12 +144,7 @@ func (g *Grep) Process(it Item, readMBps float64, in *cloudsim.Instance) time.Du
 		// edge costs ~8%.
 		effective /= 1 + 0.08*math.Log2(sizeGB/g.LargeUnitGB)
 	}
-	d := cloudsim.EstimateTransfer(it.Size, effective)
-	if g.MatchesPerMB > 0 && g.AvgMatchBytes > 0 && g.OutputMBps > 0 {
-		outBytes := g.MatchesPerMB * float64(it.Size) / 1e6 * g.AvgMatchBytes
-		d += cloudsim.EstimateTransfer(int64(outBytes), g.OutputMBps*cpuOf(in))
-	}
-	return d
+	return cloudsim.EstimateTransfer(it.Size, effective)
 }
 
 // POS is the CPU/memory-bound Stanford POS tagger model with the

@@ -69,54 +69,3 @@ func TestFacadeReshapeAndSearch(t *testing.T) {
 		t.Errorf("grep matches %d outside [%d, %d]", after.Matches, before.Matches, before.Matches+boundaries)
 	}
 }
-
-func TestFacadeExperiment(t *testing.T) {
-	rep, err := RunExperiment(context.Background(), "costfn", ExperimentConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ID != "costfn" {
-		t.Errorf("report ID = %s", rep.ID)
-	}
-	if _, err := RunExperiment(context.Background(), "bogus", ExperimentConfig{}); err == nil {
-		t.Error("expected error for unknown experiment")
-	}
-}
-
-func TestFacadePlannerAndCloud(t *testing.T) {
-	c := NewCloud(1)
-	if c.Region().Name != "us-east" {
-		t.Errorf("region = %s", c.Region().Name)
-	}
-	tg := NewTagger()
-	_, res := tg.TagText([]byte("the cat sat."))
-	if res.Words != 3 {
-		t.Errorf("tagger words = %d", res.Words)
-	}
-}
-
-func TestFacadeProfilePipeline(t *testing.T) {
-	profile, err := GenerateCorpusProfile(Text400K(0.002), 5, RampComplexity{From: 0.9, To: 1.3}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPipeline(PipelineConfig{
-		Seed:            5,
-		App:             NewPOSApp(),
-		DeadlineSeconds: 120,
-		InitialVolume:   100_000,
-		MaxVolume:       1_500_000,
-		S0:              10_000,
-		Multiples:       []int{10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.RunProfileCtx(context.Background(), profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Complexity == nil || res.Plan == nil {
-		t.Fatal("profiled run incomplete")
-	}
-}

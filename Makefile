@@ -75,24 +75,25 @@ fuzz-smoke:
 	done
 
 # bench-smoke runs every benchmark exactly once — an execution check, not a
-# measurement.
+# measurement. Benchmarks live beside the code they time; the paper's
+# figures and ablations are experiments (cmd/experiments), not benchmarks.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
-# bench-kernels measures every per-kernel throughput benchmark in the root
-# package (BenchmarkKernel*PerMB: checksum, match, the checksum carried by
-# the matcher under scan.Run, statistics, statistics with the lexicon) on
-# one core, over 1 MiB of each of three text shapes. Single samples swing
-# ±15 % on a shared host: read the best of the -count runs.
+# bench-kernels measures every per-kernel throughput benchmark
+# (internal/textproc's BenchmarkKernel*PerMB: checksum, match, the checksum
+# carried by the matcher under scan.Run, statistics, statistics with the
+# lexicon) on one core, over 1 MiB of each of three text shapes. Single
+# samples swing ±15 % on a shared host: read the best of the -count runs.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'Kernel.*PerMB' -benchtime 20x -cpu 1 -count 5 .
+	$(GO) test -run '^$$' -bench 'Kernel.*PerMB' -benchtime 20x -cpu 1 -count 5 ./internal/textproc
 
 # bench-pack measures just the packstore paths (write, verify — the unit
 # shape in BenchmarkPackVerifyUnits — and O(1) random access) and the
 # reshape that feeds them: 12 000 files on disk imported, reshaped and
-# exported as packs (BenchmarkReshapeExport12k, root package).
+# exported as packs (internal/core's BenchmarkReshapeExport12k).
 bench-pack:
-	$(GO) test -run '^$$' -bench 'BenchmarkPack|ReshapeExport12k' . ./internal/packstore
+	$(GO) test -run '^$$' -bench 'BenchmarkPack|ReshapeExport12k' ./internal/core ./internal/packstore
 
 # bench-serve measures the resident daemon's per-request cost without the
 # network: one request of each kind serve-mixed sends (grep with the

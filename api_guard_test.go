@@ -36,17 +36,12 @@ var apiAllowlist = map[string]string{
 	"packstore.Pack.Lookup":            "library surface: O(1) member access by name, the property the format's sorted index exists for; packstore's tests read members through it",
 	"packstore.MmapSupported":          "build fact other packages' tests branch on: cli and vfs tests expect mappings only where the build makes them",
 	"dist.Local.SetHealth":             "test seam: quarantine and probe tests flip an in-process worker's health",
-	"binpack.NextFit":                  "ablation baseline: BenchmarkHeuristicComparison situates the paper's first-fit choice against it",
-	"binpack.FirstFitDecreasing":       "ablation baseline: BenchmarkAblationPackingQuality / BenchmarkHeuristicComparison",
-	"binpack.BestFitDecreasing":        "ablation baseline: BenchmarkHeuristicComparison",
-	"binpack.LeastLoadedDecreasing":    "ablation baseline: the LPT rule LeastLoaded is compared with in tests",
 	"workload.ComplexityOf":            "oracle: scan's and core's tests hold the analyzer kernel's complexity factor to it, from other packages",
 	"cloudsim.Instance.BilledDuration": "the §3.1 billing rule on the instance lifecycle (pending is free, billing stops at terminate), pinned by the billing tests",
 	"probe.SampleWithoutReplacement":   "the paper's §5.1 random-sampling procedure: complexity_test.go's random-sample leg refits the model with it, and four TestSample* tests pin it",
 
-	"scan.Options.BlockSize":           "test seam: block-split tests run every kernel across block boundaries at sizes production never picks",
-	"scan.PlanOptions.TaskBytes":       "test seam: task-granularity tests split a plan into more tasks than the default size would",
-	"provision.ExecuteOptions.Qualify": "the qualification ablation: BenchmarkAblationQualification and the miss-rate test run a plan with and without bonnie++ qualification",
+	"scan.Options.BlockSize":     "test seam: block-split tests run every kernel across block boundaries at sizes production never picks",
+	"scan.PlanOptions.TaskBytes": "test seam: task-granularity tests split a plan into more tasks than the default size would",
 }
 
 // TestExportedAPIHasProductionCallers keeps the internal packages' exported

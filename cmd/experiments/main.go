@@ -1,10 +1,10 @@
-// Command experiments regenerates the paper's tables and figures on the
-// simulated substrate.
+// Command experiments regenerates the paper's tables and figures, and the
+// ablations of its design choices, on the simulated substrate.
 //
 // Usage:
 //
-//	experiments -run all            # every experiment, in paper order
-//	experiments -run fig6           # one experiment
+//	experiments -run all            # every experiment, in registry order
+//	experiments -run fig6           # one figure; -run ablation-merge, one ablation
 //	experiments -list               # available experiment IDs
 //	experiments -run fig4 -seed 7 -scale 2
 package main
@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/cli"
@@ -29,6 +30,10 @@ func main() {
 		csvDir = flag.String("csv", "", "also write each report as CSV under this directory")
 	)
 	flag.Parse()
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "experiments: -scale must be a positive finite number, got %v\n", *scale)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range experiments.Registry {

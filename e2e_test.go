@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/experiments"
 	"repro/internal/server"
 )
 
@@ -175,11 +177,11 @@ var commands struct {
 	err  error
 }
 
-// commandBins builds corpusgen, reshape, pipeline, provision, serve, worker and every
-// example once per test binary and returns the directory prefix to run them
-// from. The build carries -race exactly when this test binary does, so `go
-// test ./...` stays quick and `make verify` keeps the detector on in the
-// children too.
+// commandBins builds corpusgen, experiments, reshape, pipeline, provision,
+// serve, worker and every example once per test binary and returns the
+// directory prefix to run them from. The build carries -race exactly when
+// this test binary does, so `go test ./...` stays quick and `make verify`
+// keeps the detector on in the children too.
 func commandBins(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
@@ -201,7 +203,7 @@ func commandBins(t *testing.T) string {
 			args = append(args, "-race")
 		}
 		args = append(args, "-o", commands.dir,
-			"./cmd/corpusgen", "./cmd/reshape", "./cmd/pipeline", "./cmd/provision", "./cmd/serve", "./cmd/worker")
+			"./cmd/corpusgen", "./cmd/experiments", "./cmd/reshape", "./cmd/pipeline", "./cmd/provision", "./cmd/serve", "./cmd/worker")
 		for _, name := range exampleNames() {
 			args = append(args, "./examples/"+name)
 		}
@@ -316,6 +318,58 @@ func TestProvisionCommand(t *testing.T) {
 		out := failCommand(t, provision, 2, tc.args...)
 		if !strings.Contains(out, tc.want) || strings.Contains(out, "panic") || strings.Contains(out, "goroutine") {
 			t.Errorf("provision %v: want a usage error naming %q, got\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// TestExperimentsCommand runs cmd/experiments' listing and one ablation,
+// which must print exactly its section of the pinned sweep, and refuses a
+// scale it cannot run at, or an unknown ID, as a usage error (exit 2, no
+// report, no panic).
+func TestExperimentsCommand(t *testing.T) {
+	bin := commandBins(t) + "experiments"
+	out, err := exec.Command(bin, "-list").CombinedOutput()
+	if err != nil {
+		t.Fatalf("experiments -list: %v\n%s", err, out)
+	}
+	listed := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(listed) != 25 || len(experiments.Registry) != 25 {
+		t.Errorf("-list printed %d lines for %d registered IDs, want 25", len(listed), len(experiments.Registry))
+	}
+	for i, e := range experiments.Registry {
+		if i < len(listed) && strings.Fields(listed[i])[0] != e.ID {
+			t.Errorf("-list line %d = %q, want ID %s", i+1, listed[i], e.ID)
+		}
+	}
+	if runtime.GOARCH == "amd64" { // the architecture all.golden was recorded on
+		golden, err := os.ReadFile(filepath.Join("internal", "experiments", "testdata", "all.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, _ := strings.Cut(string(golden), "\n== ablation-qualification:")
+		want, _, _ = strings.Cut("== ablation-qualification:"+want, "\n== ")
+		want += "\n" // the cut takes the blank line that ends each section
+		out, err := exec.Command(bin, "-run", "ablation-qualification").Output()
+		if err != nil {
+			t.Fatalf("experiments -run ablation-qualification: %v", err)
+		}
+		if string(out) != want {
+			t.Errorf("-run ablation-qualification printed\n%s\nwant its all.golden section\n%s", out, want)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-run", "fig1a", "-scale", "NaN"}, "-scale"},
+		{[]string{"-run", "fig1a", "-scale", "Inf"}, "-scale"},
+		{[]string{"-run", "fig1a", "-scale", "-1"}, "-scale"},
+		{[]string{"-run", "fig1a", "-scale", "0"}, "-scale"},
+		{[]string{"-run", "fig99"}, `unknown experiment "fig99"`},
+	} {
+		out := failCommand(t, bin, 2, tc.args...)
+		if !strings.Contains(out, tc.want) || strings.Contains(out, "==") || strings.Contains(out, "panic") || strings.Contains(out, "goroutine") {
+			t.Errorf("experiments %v: want a usage error naming %q and no report, got\n%s", tc.args, tc.want, out)
 		}
 	}
 }

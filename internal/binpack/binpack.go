@@ -28,9 +28,6 @@ type Bin struct {
 	Oversized bool // single item exceeding the capacity
 }
 
-// Free returns the remaining capacity (negative for oversized bins).
-func (b *Bin) Free() int64 { return b.Capacity - b.Used }
-
 // FillFraction returns Used/Capacity (may exceed 1 for oversized bins).
 func (b *Bin) FillFraction() float64 {
 	if b.Capacity == 0 {
@@ -279,12 +276,6 @@ func LeastLoaded(items []Item, n int) ([]*Bin, error) {
 		capacity = max(capacity, m.used)
 	}
 	return buildBins(metas, capacity, items, binAt, inputOrder), nil
-}
-
-// LeastLoadedDecreasing sorts items by decreasing size before LeastLoaded
-// (the classic LPT balancing rule, tighter max-bin bounds).
-func LeastLoadedDecreasing(items []Item, n int) ([]*Bin, error) {
-	return decreasing(items, int64(n), "bin count", func(sorted []Item) ([]*Bin, error) { return LeastLoaded(sorted, n) })
 }
 
 // Stats summarises the quality of a packing.

@@ -189,6 +189,13 @@ func TestLeastLoadedBalances(t *testing.T) {
 	}
 }
 
+// leastLoadedDecreasing sorts items by decreasing size before LeastLoaded:
+// the classic LPT balancing rule, the baseline LeastLoaded's input order is
+// held against.
+func leastLoadedDecreasing(items []Item, n int) ([]*Bin, error) {
+	return decreasing(items, int64(n), "bin count", func(sorted []Item) ([]*Bin, error) { return LeastLoaded(sorted, n) })
+}
+
 func TestLeastLoadedDecreasingBeatsOriginalOrder(t *testing.T) {
 	// Adversarial order: big items last cause imbalance in original order.
 	items := mkItems(1, 1, 1, 1, 30, 30)
@@ -196,7 +203,7 @@ func TestLeastLoadedDecreasingBeatsOriginalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpt, err := LeastLoadedDecreasing(items, 2)
+	lpt, err := leastLoadedDecreasing(items, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,20 +392,17 @@ func TestVerifyAllocatesOnce(t *testing.T) {
 	}
 }
 
-// exportedPackers is every exported packer, the bin-count ones at a bin
-// count derived from the capacity argument.
+// exportedPackers is every exported packer and the LPT baseline, the
+// bin-count ones at a bin count derived from the capacity argument.
 var exportedPackers = map[string]func([]Item, int64) ([]*Bin, error){
 	"first-fit":            FirstFit,
 	"first-fit-decreasing": FirstFitDecreasing,
 	"subset-sum":           SubsetSumFirstFit,
-	"next-fit":             NextFit,
-	"best-fit":             BestFit,
-	"best-fit-decreasing":  BestFitDecreasing,
 	"least-loaded": func(items []Item, c int64) ([]*Bin, error) {
 		return LeastLoaded(items, int(c%13)+1)
 	},
 	"least-loaded-decreasing": func(items []Item, c int64) ([]*Bin, error) {
-		return LeastLoadedDecreasing(items, int(c%13)+1)
+		return leastLoadedDecreasing(items, int(c%13)+1)
 	},
 }
 

@@ -11,9 +11,9 @@ import (
 
 // The O(n·bins) packers the indexed ones replaced, kept as oracles: the
 // differential tests in indexed_test.go require bin-for-bin equality, and
-// the two benchmarks here are the baselines the root package's
-// BenchmarkFirstFit10k / BenchmarkSubsetSumFirstFit10k are read against
-// (same items: 10 000 draws from the text corpus's size distribution).
+// the two Linear benchmarks here are the baselines BenchmarkFirstFit10k /
+// BenchmarkSubsetSumFirstFit10k below are read against (same items:
+// 10 000 draws from the text corpus's size distribution).
 
 // FirstFitLinear is the O(n·bins) reference implementation of FirstFit —
 // a plain scan over open bins per item: the oracle the differential tests
@@ -30,7 +30,7 @@ func FirstFitLinear(items []Item, capacity int64) ([]*Bin, error) {
 		}
 		placed := false
 		for _, b := range bins {
-			if !b.Oversized && b.Free() >= it.Size {
+			if !b.Oversized && b.Capacity-b.Used >= it.Size {
 				b.add(it, p)
 				placed = true
 				break
@@ -75,7 +75,7 @@ func SubsetSumFirstFitLinear(items []Item, capacity int64) ([]*Bin, error) {
 				remaining--
 				continue
 			}
-			if b.Free() >= it.Size {
+			if b.Capacity-b.Used >= it.Size {
 				b.add(it, idx)
 				used[idx] = true
 				remaining--
@@ -119,6 +119,38 @@ func BenchmarkSubsetSumFirstFitLinear10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SubsetSumFirstFitLinear(items, 1_000_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFirstFit10k(b *testing.B) {
+	items := benchItems(10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FirstFit(items, 1_000_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSubsetSumFirstFit10k(b *testing.B) {
+	items := benchItems(10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SubsetSumFirstFit(items, 1_000_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLeastLoaded10k(b *testing.B) {
+	items := benchItems(10_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LeastLoaded(items, 27); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/corpus"
@@ -54,5 +56,43 @@ func TestReshapePackRoundTrip(t *testing.T) {
 	}
 	if err := manifest.VerifyCtx(context.Background(), imported); err != nil {
 		t.Fatalf("per-unit manifest verify over pack import: %v", err)
+	}
+}
+
+// BenchmarkReshapeExport12k is the reshape as a command pays for it, on
+// the repository benchmark's shape: 12 000 small files on disk → ImportDir
+// → ReshapeCtx into 1 MiB units → ExportPackCtx into 4 MiB shards. Bytes
+// per op are the corpus; the timed loop includes removing the previous
+// iteration's shards.
+func BenchmarkReshapeExport12k(b *testing.B) {
+	ctx := context.Background()
+	spec := corpus.Text400K(1)
+	spec.NumFiles = 12000
+	mem, err := corpus.GenerateWithContentEagerCtx(ctx, spec, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plain, out := filepath.Join(b.TempDir(), "plain"), filepath.Join(b.TempDir(), "packs")
+	if err := mem.ExportCtx(ctx, plain); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(mem.TotalSize())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in, err := vfs.ImportDir(plain)
+		if err != nil {
+			b.Fatal(err)
+		}
+		merged, _, err := ReshapeCtx(ctx, in, 1<<20, "unit")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := merged.ExportPackCtx(ctx, out, vfs.PackOptions{Prefix: "unit", ShardSize: 4 << 20}); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

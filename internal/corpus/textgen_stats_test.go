@@ -87,3 +87,11 @@ func TestGeneratorDeterministicPerSeed(t *testing.T) {
 		t.Error("different seeds produced identical text")
 	}
 }
+
+func BenchmarkTextGeneration100kB(b *testing.B) {
+	b.SetBytes(100_000)
+	for i := 0; i < b.N; i++ {
+		g := NewGenerator(NewsStyle(), int64(i))
+		g.Text(100_000)
+	}
+}

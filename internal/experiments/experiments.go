@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§3-§5) on the simulated substrate. Each experiment is a
-// named driver returning a Report: a rendered table plus named scalar
-// Values that the test suite (and EXPERIMENTS.md) assert the paper's
-// qualitative shape against — who wins, by what factor, where plateaus and
-// crossovers fall.
+// evaluation (§3-§5), and an ablation of each of its design choices, on the
+// simulated substrate. Each experiment is a named driver returning a
+// Report: a rendered table plus named scalar Values that the test suite
+// (and EXPERIMENTS.md) assert the paper's qualitative shape against — who
+// wins, by what factor, where plateaus and crossovers fall.
 package experiments
 
 import (
@@ -109,7 +109,7 @@ func (r *Report) String() string {
 // Driver is an experiment entry point.
 type Driver func(context.Context, Config) (*Report, error)
 
-// Registry maps experiment IDs to drivers, in the paper's order.
+// Registry maps experiment IDs to drivers, in the paper's order, ablations last.
 var Registry = []struct {
 	ID     string
 	Paper  string
@@ -136,6 +136,10 @@ var Registry = []struct {
 	{"switchcalc", "§3.1: switch-or-stay calculation", SwitchCalc},
 	{"costfn", "§5: pricing function f(d)", CostFn},
 	{"retrieval", "§1: output retrieval time vs segmentation", Retrieval},
+	{"ablation-packing", "§4 ablation: subset-sum first-fit vs first-fit and FFD", AblationPacking},
+	{"ablation-merge", "§4 ablation: merged probe family vs re-packing per unit", AblationMerge},
+	{"ablation-qualification", "§4 ablation: deadline misses with and without qualification", AblationQualification},
+	{"ablation-poswrapper", "ablation: POS batch wrapper vs one JVM per file", AblationPOSWrapper},
 }
 
 // Lookup finds a driver by ID.

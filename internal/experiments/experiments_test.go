@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -55,7 +56,8 @@ func TestLookupUnknown(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig1a", "fig1b", "fig2", "fig3", "fig4", "fig5", "eq12", "fig6",
 		"fig7", "eq34", "fig8a", "fig8b", "fig8c", "fig8d", "fig9a", "fig9b", "fig9c",
-		"complexity", "switchcalc", "costfn", "retrieval"}
+		"complexity", "switchcalc", "costfn", "retrieval",
+		"ablation-packing", "ablation-merge", "ablation-qualification", "ablation-poswrapper"}
 	if len(Registry) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(Registry), len(want))
 	}
@@ -371,6 +373,96 @@ func TestRetrievalSegmentationPenalty(t *testing.T) {
 	}
 	if rep.Values["segmented_s"] <= rep.Values["merged_s"] {
 		t.Error("segmented retrieval not slower than merged")
+	}
+}
+
+func TestAblationPackingSubsetSumMatchesFFD(t *testing.T) {
+	rep := run(t, "ablation-packing")
+	ss, ffd, ff := rep.Values["bins_subsetsum"], rep.Values["bins_ffd"], rep.Values["bins_firstfit"]
+	if ss != ffd || ffd >= ff {
+		t.Errorf("bins: subset-sum %v, FFD %v, first-fit %v; want subset-sum = FFD < first-fit", ss, ffd, ff)
+	}
+}
+
+func TestAblationMergeMatchesRepacking(t *testing.T) {
+	rep := run(t, "ablation-merge")
+	for _, k := range []int{2, 5, 10, 50, 100} {
+		merged, repacked := rep.Values[fmt.Sprintf("bins_merged_k%d", k)], rep.Values[fmt.Sprintf("bins_repacked_k%d", k)]
+		if merged == 0 || merged != repacked {
+			t.Errorf("k=%d: merged %v bins, repacked %v", k, merged, repacked)
+		}
+	}
+}
+
+func TestAblationQualificationCutsMisses(t *testing.T) {
+	rep := run(t, "ablation-qualification")
+	lottery, qualified := rep.Values["mean_missed_lottery"], rep.Values["mean_missed_qualified"]
+	if !(qualified < lottery) {
+		t.Errorf("mean misses: qualified %v, lottery %v; qualification must miss less", qualified, lottery)
+	}
+}
+
+func TestAblationPOSWrapperSlowdown(t *testing.T) {
+	rep := run(t, "ablation-poswrapper")
+	if x := rep.Values["no_wrapper_slowdown_x"]; x <= 15 {
+		t.Errorf("no-wrapper slowdown = %vx, want above 15x", x)
+	}
+}
+
+// TestAblationTableIsPinned holds EXPERIMENTS.md's "Ablations" table to
+// the output it cites: every row names at least one registered experiment
+// ID in backticks, and every number of its finding is printed, as is, in
+// those experiments' sections of testdata/all.golden.
+func TestAblationTableIsPinned(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]string{}
+	for _, sec := range strings.Split(string(golden), "\n== ") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(sec, "== "), ":")
+		sections[id] = sec
+	}
+	_, table, ok := strings.Cut(string(doc), "\n## Ablations")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Ablations section")
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	code, number := regexp.MustCompile("`[^`]*`"), regexp.MustCompile(`[0-9]+(\.[0-9]+)?`)
+	rows := 0
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(strings.Trim(line, "| "), "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 2 || strings.HasPrefix(cells[1], "---") || strings.TrimSpace(cells[0]) == "ablation" {
+			continue
+		}
+		rows++
+		printed := map[string]bool{}
+		var ids []string
+		for _, span := range code.FindAllString(line, -1) {
+			if id := strings.Trim(span, "`"); sections[id] != "" {
+				ids = append(ids, id)
+				for _, n := range number.FindAllString(sections[id], -1) {
+					printed[n] = true
+				}
+			}
+		}
+		if len(ids) == 0 {
+			t.Errorf("row cites no registered experiment ID in backticks: %s", line)
+			continue
+		}
+		finding := code.ReplaceAllString(cells[len(cells)-1], "")
+		for _, n := range number.FindAllString(finding, -1) {
+			if !printed[n] {
+				t.Errorf("row %v: %s is not printed in their all.golden sections", ids, n)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Error("EXPERIMENTS.md's Ablations table has no rows")
 	}
 }
 

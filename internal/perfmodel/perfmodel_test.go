@@ -319,3 +319,15 @@ func TestModelStrings(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkModelFitAll(b *testing.B) {
+	var xs, ys []float64
+	for v := 1e6; v <= 1e10; v *= 2 {
+		xs = append(xs, v)
+		ys = append(ys, 0.3+8.65e-5*v)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FitAll(xs, ys)
+	}
+}

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-kernels bench-pack bench-serve bench-repo-test chaos-smoke clean
+.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-kernels bench-pack bench-serve bench-dist bench-repo-test chaos-smoke clean
 
 all: build
 
@@ -102,6 +102,15 @@ bench-pack:
 # with allocations (server:BenchmarkServeRequest).
 bench-serve:
 	$(GO) test -run '^$$' -bench BenchmarkServeRequest -benchmem ./internal/server
+
+# bench-dist measures one distributed measurement's cost end to end in
+# one process: a 2 000-file corpus.Text400K corpus packed one member per
+# entry into 256 KiB shards and mapped, two WorkerServers behind httptest
+# servers, the eight-pattern set with complexity, with allocations
+# (dist:BenchmarkDistMeasure). B/op covers the workers' scans, the wire
+# and the coordinator's fold.
+bench-dist:
+	$(GO) test -run '^$$' -bench BenchmarkDistMeasure -benchmem ./internal/dist
 
 # bench-repo-test runs the repository benchmark harness's own tests
 # (BENCHMARK.json schema, the statistics and verdict arithmetic, a quick

@@ -35,7 +35,6 @@ var apiAllowlist = map[string]string{
 	"packstore.Pack.Truncated":         "recovery code: tells a RecoverCtx caller the scan stopped at a torn record",
 	"packstore.Pack.Lookup":            "library surface: O(1) member access by name, the property the format's sorted index exists for; packstore's tests read members through it",
 	"packstore.MmapSupported":          "build fact other packages' tests branch on: cli and vfs tests expect mappings only where the build makes them",
-	"dist.Local.SetHealth":             "test seam: quarantine and probe tests flip an in-process worker's health",
 	"workload.ComplexityOf":            "oracle: scan's and core's tests hold the analyzer kernel's complexity factor to it, from other packages",
 	"cloudsim.Instance.BilledDuration": "the §3.1 billing rule on the instance lifecycle (pending is free, billing stops at terminate), pinned by the billing tests",
 	"probe.SampleWithoutReplacement":   "the paper's §5.1 random-sampling procedure: complexity_test.go's random-sample leg refits the model with it, and four TestSample* tests pin it",

@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/scan"
@@ -47,6 +46,14 @@ func main() {
 		drain    = flag.Float64("drain", 10, "graceful-drain deadline in seconds after SIGINT/SIGTERM")
 	)
 	flag.Parse()
+	reqTimeout, err := cli.Seconds("timeout", *timeout)
+	if err != nil {
+		fatal(err)
+	}
+	drainFor, err := cli.Seconds("drain", *drain)
+	if err != nil {
+		fatal(err)
+	}
 
 	// The mappings (or slabs) stay open for the server's lifetime.
 	fs, closer, _, err := corpus.Open(ctx, cli.Eager)
@@ -59,7 +66,7 @@ func main() {
 		MaxInFlight:    *inflight,
 		QueueDepth:     *queue,
 		ScanWorkers:    *workers,
-		DefaultTimeout: seconds(*timeout),
+		DefaultTimeout: reqTimeout,
 	})
 	if err != nil {
 		fatal(err)
@@ -70,7 +77,7 @@ func main() {
 	}
 	fmt.Printf("serve: listening on http://%s (%d files, %d bytes, inflight %d, queue %d)\n",
 		d.Addr(), fs.Len(), fs.TotalSize(), *inflight, *queue)
-	if err := d.Run(ctx, stop, "serve", srv.Handler(), seconds(*drain), drainer{srv}); err != nil {
+	if err := d.Run(ctx, stop, "serve", srv.Handler(), drainFor, drainer{srv}); err != nil {
 		fatal(err)
 	}
 	os.Exit(cli.ExitCodeCancelled)
@@ -90,8 +97,6 @@ func (d drainer) DrainSummary() string {
 	return fmt.Sprintf("%d requests served, %d cancelled, %d refused",
 		requests, cancels, snap.Rejected429+snap.Rejected503)
 }
-
-func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 func fatal(err error) {
 	cli.Fatal("serve", err)

@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/dist"
@@ -46,6 +45,10 @@ func main() {
 	)
 	corpus.FaultFlags(flag.CommandLine)
 	flag.Parse()
+	drainFor, err := cli.Seconds("drain", *drain)
+	if err != nil {
+		fatal(err)
+	}
 
 	// An armed injector has wrapped the corpus before the plan derivation;
 	// names, sizes and locality are preserved, so the fingerprint handshake
@@ -73,7 +76,7 @@ func main() {
 	}
 	fmt.Printf("worker %s: listening on http://%s (%d files, %d bytes, %d tasks, plan %016x)\n",
 		wname, d.Addr(), fs.Len(), fs.TotalSize(), len(plan.Tasks), plan.Fingerprint())
-	if err := d.Run(ctx, stop, "worker "+wname, ws.Handler(), time.Duration(*drain*float64(time.Second)), nil); err != nil {
+	if err := d.Run(ctx, stop, "worker "+wname, ws.Handler(), drainFor, nil); err != nil {
 		fatal(err)
 	}
 	os.Exit(cli.ExitCodeCancelled)

@@ -3,6 +3,7 @@ package repro
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -370,6 +371,36 @@ func TestExperimentsCommand(t *testing.T) {
 		out := failCommand(t, bin, 2, tc.args...)
 		if !strings.Contains(out, tc.want) || strings.Contains(out, "==") || strings.Contains(out, "panic") || strings.Contains(out, "goroutine") {
 			t.Errorf("experiments %v: want a usage error naming %q and no report, got\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// TestDaemonsRefuseBadDurations holds both daemons' seconds flags to
+// cli.Seconds: a NaN, negative, infinite or overflowing value exits 2
+// naming the flag, before the corpus loads and before any listener opens.
+// A daemon that took the value would serve until killed, so each run has
+// a deadline.
+func TestDaemonsRefuseBadDurations(t *testing.T) {
+	bin := commandBins(t)
+	for _, tc := range []struct {
+		cmd, flag, value string
+	}{
+		{"serve", "-drain", "NaN"},
+		{"serve", "-timeout", "-1"},
+		{"worker", "-drain", "Inf"},
+		{"worker", "-drain", "1e300"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := exec.CommandContext(ctx, bin+tc.cmd, "-addr", "127.0.0.1:0", tc.flag, tc.value).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s %s %s: %v, want exit code 2\n%s", tc.cmd, tc.flag, tc.value, err, out)
+			continue
+		}
+		if s := string(out); !strings.Contains(s, tc.flag) || strings.Contains(s, "listening on") ||
+			strings.Contains(s, "panic") || strings.Contains(s, "goroutine") {
+			t.Errorf("%s %s %s: want one usage error naming %s and no listener, got\n%s", tc.cmd, tc.flag, tc.value, tc.flag, s)
 		}
 	}
 }

@@ -9,9 +9,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/errs"
 )
@@ -59,4 +61,18 @@ func Fatal(prog string, err error) {
 	}
 	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
 	os.Exit(1)
+}
+
+// Seconds reads the value of the seconds flag named name as a
+// time.Duration. It refuses, as a usage error Fatal exits 2 on, a value
+// that is NaN, infinite, negative or too large for a Duration, all of
+// which a plain conversion would turn into a nonsense deadline.
+func Seconds(name string, s float64) (time.Duration, error) {
+	// 2^63 ns is exactly representable, so the comparison is exact; NaN
+	// fails both comparisons.
+	if !(s >= 0 && s*float64(time.Second) < math.MaxInt64) {
+		return 0, usageError(fmt.Sprintf("-%s must be a finite number of seconds from 0 to %.0f, got %v",
+			name, float64(math.MaxInt64)/float64(time.Second), s))
+	}
+	return time.Duration(s * float64(time.Second)), nil
 }

@@ -180,3 +180,32 @@ func TestRunMeasuredFeedsComplexityProfile(t *testing.T) {
 		t.Fatalf("measured run plan diverged: %d instances vs %d", res.Plan.Instances, res2.Plan.Instances)
 	}
 }
+
+// TestMeasurementRowsSizedOnce pins that a measurement's per-file rows are
+// allocated once, from the source count: scan.Run reserves them on every
+// prototype before it dispatches, so the in-order merges append into that
+// one allocation at any worker count and none of the three slices grows
+// past it.
+func TestMeasurementRowsSizedOnce(t *testing.T) {
+	const n = 203
+	fs := measureCorpus(t, n)
+	for _, workers := range []int{1, 2, 8} {
+		m, err := MeasureCtx(context.Background(), fs, MeasureOptions{
+			Workers:    workers,
+			Patterns:   []string{"error", "the"},
+			Complexity: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, lc := range map[string][2]int{
+			"Sums":         {len(m.Sums), cap(m.Sums)},
+			"FileStats":    {len(m.FileStats), cap(m.FileStats)},
+			"PatternFiles": {len(m.PatternFiles), cap(m.PatternFiles)},
+		} {
+			if lc[0] != n || lc[1] != n {
+				t.Errorf("workers %d: %s has len %d, cap %d; want both %d", workers, name, lc[0], lc[1], n)
+			}
+		}
+	}
+}

@@ -189,6 +189,10 @@ type coordinator struct {
 	// absence, not some placeholder, is what makes the result partial.
 	frontier int
 	protos   []scan.Kernel
+	// folds holds one fork per prototype, made once per run: every task's
+	// states are restored into it and merged out of it, which drains it
+	// for the next task. Only advanceFrontier touches it, under mu.
+	folds []scan.Kernel
 
 	rep     *Report
 	journal *Journal
@@ -283,11 +287,12 @@ func (c *coordinator) anyRunning() bool {
 }
 
 // advanceFrontier folds every contiguously-completed task's states into
-// the prototypes, in task order: fork the prototype, restore the
-// portable state into the fork, merge — the exact in-process fold with a
-// Restore spliced in. Skipped tasks contribute nothing and are stepped
-// over. Called under mu; Merge is never concurrent, per the kernel
-// contract.
+// the prototypes, in task order: restore the portable state into the
+// prototype's fold fork, merge — the exact in-process fold with a Restore
+// spliced in. Merge drains the fork, so the next task restores into the
+// same one and its row capacity. Skipped tasks contribute nothing and are
+// stepped over. Called under mu; Merge is never concurrent, per the
+// kernel contract.
 func (c *coordinator) advanceFrontier() {
 	for c.frontier < len(c.tasks) && c.tasks[c.frontier].done {
 		t := &c.tasks[c.frontier]
@@ -301,12 +306,11 @@ func (c *coordinator) advanceFrontier() {
 			return
 		}
 		for j, proto := range c.protos {
-			fork := proto.Fork()
-			if err := scan.RestoreKernel(fork, t.states[j]); err != nil {
+			if err := scan.RestoreKernel(c.folds[j], t.states[j]); err != nil {
 				c.fail(c.frontier, err)
 				return
 			}
-			proto.Merge(fork)
+			proto.Merge(c.folds[j])
 		}
 		t.states = nil
 		c.frontier++
@@ -455,11 +459,20 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 		tasks:       make([]taskState, len(plan.Tasks)),
 		maxAttempts: maxAttempts,
 		protos:      protos,
+		folds:       make([]scan.Kernel, len(protos)),
 		rep:         rep,
 		journal:     opts.Journal,
 		allow:       opts.AllowPartial,
 	}
 	c.cond = sync.NewCond(&c.mu)
+	// The prototypes end up holding a row per plan source, so they are
+	// sized for all of them before the first fold.
+	for j, proto := range protos {
+		c.folds[j] = proto.Fork()
+		if r, ok := proto.(scan.Reserver); ok {
+			r.Reserve(len(plan.Sources))
+		}
+	}
 
 	// Resume: journaled tasks are done before any worker starts; the
 	// frontier folds the leading run of them immediately, and the rest

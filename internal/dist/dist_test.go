@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -500,5 +501,48 @@ func TestHealthyFleetDoesNotDuplicate(t *testing.T) {
 	}
 	if excused > rounds/2 {
 		t.Skipf("machine too noisy to tell: a Scan overran 1.5× the median in %d of %d rounds", excused, rounds)
+	}
+}
+
+// forkCounter is a coordinator prototype that counts the forks made of it.
+type forkCounter struct {
+	scan.Kernel
+	forks *atomic.Int32
+}
+
+func (k forkCounter) Fork() scan.Kernel {
+	k.forks.Add(1)
+	return k.Kernel.Fork()
+}
+
+// TestFoldForksEachPrototypeOnce pins the fold in place: however many
+// tasks a plan has, the coordinator restores every one of them into the
+// same fork of each prototype, and the result is still the single-node
+// measurement bit for bit.
+func TestFoldForksEachPrototypeOnce(t *testing.T) {
+	spec := Spec{Patterns: []string{"error", "the"}, Complexity: true}
+	p := testPlan(t, 40)
+	if len(p.Tasks) < 10 {
+		t.Fatalf("want ≥10 tasks, got %d", len(p.Tasks))
+	}
+	mk, err := spec.Kernels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]atomic.Int32, len(mk.List))
+	protos := make([]scan.Kernel, len(mk.List))
+	for i, k := range mk.List {
+		protos[i] = forkCounter{k, &counts[i]}
+	}
+	if _, err := Run(context.Background(), p, spec, localWorkers(t, p, spec, 2), Options{}, protos...); err != nil {
+		t.Fatal(err)
+	}
+	for i := range counts {
+		if got := counts[i].Load(); got != 1 {
+			t.Errorf("prototype %d (%T) forked %d times over %d tasks, want once per run", i, mk.List[i], got, len(p.Tasks))
+		}
+	}
+	if got, want := mk.Measurement(), singleNode(t, p, spec); !reflect.DeepEqual(got, want) {
+		t.Error("measurement folded through one fork per kernel differs from core.MeasurePlanCtx")
 	}
 }

@@ -200,11 +200,20 @@ func (s *WorkerServer) handleScan(w http.ResponseWriter, r *http.Request) {
 		errs.WriteError(w, errs.Categorize(err))
 		return
 	}
-	body := appendRecord(nil, resp.Task, resp.States)
+	// The record is framed into a pooled buffer, which goes back once
+	// Write has returned: an io.Writer must not retain what it is given.
+	bp := recordBufs.Get().(*[]byte)
+	body := appendRecord((*bp)[:0], resp.Task, resp.States)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body) // the coordinator is the only victim of a failed write
+	*bp = body
+	recordBufs.Put(bp)
 }
+
+// recordBufs recycles the worker's answer buffers across requests, so a
+// daemon frames each record into capacity an earlier answer grew.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // WorkerHealth is the worker daemon's /healthz document.
 type WorkerHealth struct {

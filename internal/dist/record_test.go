@@ -73,6 +73,46 @@ func TestScanAnswerIsOneRecord(t *testing.T) {
 	}
 }
 
+// TestPooledAnswersAreWhole pins the worker's pooled answer buffer: two
+// consecutive answers from one daemon, for tasks of different sizes, are
+// each exactly the record appendRecord frames from their own states, so
+// nothing of the first answer shows in the second.
+func TestPooledAnswersAreWhole(t *testing.T) {
+	spec := Spec{Patterns: []string{"error", "the"}, Complexity: true}
+	p := testPlan(t, 24)
+	ts := httptest.NewServer(NewWorkerServer("w", p).Handler())
+	defer ts.Close()
+	local, err := NewLocal("ref", p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The larger task first, so a reused buffer starts longer than the
+	// second record.
+	first, second := 0, len(p.Tasks)-1
+	if p.Tasks[first].Hi-p.Tasks[first].Lo < p.Tasks[second].Hi-p.Tasks[second].Lo {
+		first, second = second, first
+	}
+	for _, task := range []int{first, second} {
+		req := &ScanRequest{PlanFP: p.Fingerprint(), Spec: spec, Task: task}
+		want, err := local.Scan(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/scan", "application/json", bytes.NewReader(mustJSON(t, req)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, appendRecord(nil, want.Task, want.States)) {
+			t.Errorf("task %d: the answer is not the record of its own states (%d bytes)", task, len(body))
+		}
+	}
+}
+
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)

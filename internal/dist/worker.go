@@ -73,10 +73,6 @@ type Local struct {
 // harness installs fault.Injector.TaskKill here.
 func (l *Local) SetFault(f func(ctx context.Context, task int) error) { l.fault = f }
 
-// SetHealth installs the probe hook consulted by Probe (nil: always
-// healthy).
-func (l *Local) SetHealth(h func(ctx context.Context) error) { l.health = h }
-
 // Probe implements HealthChecker: healthy unless a SetHealth hook says
 // otherwise.
 func (l *Local) Probe(ctx context.Context) error {

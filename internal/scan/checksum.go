@@ -1,6 +1,10 @@
 package scan
 
-import "repro/internal/fnv64"
+import (
+	"slices"
+
+	"repro/internal/fnv64"
+)
 
 // FileSum is one scanned file's identity: its name, declared size, and
 // the member checksum (FNV-64a) of its content.
@@ -68,6 +72,12 @@ func (c *Checksum) Merge(other Kernel) {
 	o.sums = o.sums[:0]
 }
 
+// Reserve implements Reserver: the rows move into an allocation of exactly
+// n more, so a run that fills it leaves len(Sums()) == cap(Sums()).
+func (c *Checksum) Reserve(n int) {
+	c.sums = append(make([]FileSum, 0, len(c.sums)+n), c.sums...)
+}
+
 // Sums returns the per-file checksums in input order. The slice is owned
 // by the kernel.
 func (c *Checksum) Sums() []FileSum { return c.sums }
@@ -93,12 +103,13 @@ func (c *Checksum) Snapshot() ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// Restore implements StateCodec.
+// Restore implements StateCodec, decoding the rows into the receiver's
+// own capacity.
 func (c *Checksum) Restore(state []byte) error {
 	d := NewStateDecoder(state)
 	d.Tag(checksumTag)
 	n := d.Len(24) // name length, size, sum
-	sums := make([]FileSum, 0, n)
+	sums := slices.Grow(c.sums[:0], n)
 	for i := 0; i < n; i++ {
 		sums = append(sums, FileSum{Name: d.Str(), Size: d.I64(), Sum: d.U64()})
 	}

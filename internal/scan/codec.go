@@ -21,8 +21,10 @@ import (
 //
 //   - Snapshot is only defined between files (never mid-Begin/Block/End);
 //     the engine's run functions always leave kernels in that state.
-//   - Restore replaces the receiver's accumulation wholesale; restoring
-//     into a non-empty kernel is a caller bug with undefined results.
+//   - Restore replaces the receiver's accumulation wholesale, reusing its
+//     row capacity, so one drained fork can take state after state;
+//     restoring into a non-empty kernel is a caller bug with undefined
+//     results.
 //   - Snapshot(Restore(b)) must be byte-identical to b — the conformance
 //     helper in scan/kerneltest pins this for every production kernel.
 //   - The encoding carries no read-only configuration (automata,

@@ -116,11 +116,18 @@ func (p *Plan) Fingerprint() uint64 {
 // the kernels — a pure function of (plan, tasks, kernels): no hidden
 // state, so the same call on any machine that holds the same plan
 // produces bit-identical kernel accumulations. Executing a plan's full
-// task list equals Run over its Sources.
+// task list equals Run over its Sources. Tasks that follow one another
+// in the plan (a worker's one-task request always does) scan the plan's
+// own subslice; only a gapped or reordered list is copied.
 func Execute(ctx context.Context, p *Plan, tasks []Task, opts Options, kernels ...Kernel) error {
 	total := 0
-	for _, t := range tasks {
+	contiguous := true
+	for i, t := range tasks {
 		total += t.Hi - t.Lo
+		contiguous = contiguous && (i == 0 || t.Lo == tasks[i-1].Hi)
+	}
+	if contiguous && len(tasks) > 0 {
+		return Run(ctx, p.Sources[tasks[0].Lo:tasks[len(tasks)-1].Hi], opts, kernels...)
 	}
 	srcs := make([]Source, 0, total)
 	for _, t := range tasks {

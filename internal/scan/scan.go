@@ -142,6 +142,18 @@ type SumCarrier interface {
 	BlockSum(h uint64, p []byte) uint64
 }
 
+// Reserver is a kernel that keeps one row per scanned file and can size
+// that accumulation up front: Reserve(n) makes room for n more per-file
+// rows, so appending them never grows the slice again. Run reserves on
+// its prototypes, which end up holding every file's row; the distributed
+// coordinator reserves a whole plan's sources on its own. Forks are never
+// reserved: an engine fork holds one chunk and is recycled with its
+// capacity, and a restored fork sizes itself from its state. Reserving
+// changes no result, only how often the rows are copied on the way there.
+type Reserver interface {
+	Reserve(n int)
+}
+
 // kernelSet is one worker's forked kernels and the way a window reaches
 // them: every kernel in all sees Begin, End and Merge in registration
 // order; a window goes to the carrier through BlockSum when the set
@@ -271,6 +283,7 @@ func chunkBounds(srcs []Source, workers int) []int {
 //
 // Run decides once, from the kernels it is given, whether a checksum
 // rides a carrier (SumCarrier); nothing else about a run changes with it.
+// Before dispatch it reserves len(srcs) rows on every Reserver prototype.
 func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) error {
 	if len(kernels) == 0 {
 		return errs.Invalid("scan: no kernels registered")
@@ -278,6 +291,11 @@ func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) er
 	blockSize := opts.BlockSize
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
+	}
+	for _, k := range kernels {
+		if r, ok := k.(Reserver); ok {
+			r.Reserve(len(srcs))
+		}
 	}
 	pool := par.New(opts.Workers)
 	bounds := chunkBounds(srcs, pool.Workers())

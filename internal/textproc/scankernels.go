@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"unicode"
 	"unicode/utf8"
 
@@ -443,6 +444,13 @@ func (k *StatsKernel) Merge(other scan.Kernel) {
 	o.lines = 0
 }
 
+// Reserve implements scan.Reserver: the records move into an allocation
+// of exactly n more, so a run that fills it leaves len(Files()) ==
+// cap(Files()).
+func (k *StatsKernel) Reserve(n int) {
+	k.files = append(make([]FileStats, 0, len(k.files)+n), k.files...)
+}
+
 // Files returns per-file stats in input order; the slice is owned by the
 // kernel.
 func (k *StatsKernel) Files() []FileStats { return k.files }
@@ -521,7 +529,8 @@ func (k *StatsKernel) Snapshot() ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// Restore implements scan.StateCodec.
+// Restore implements scan.StateCodec, decoding the rows into the
+// receiver's own capacity.
 func (k *StatsKernel) Restore(state []byte) error {
 	d := scan.NewStateDecoder(state)
 	d.Tag(analyzerKernelTag)
@@ -530,7 +539,7 @@ func (k *StatsKernel) Restore(state []byte) error {
 		return errs.Invalid("textproc: analyzer kernel state has lexicon flag %d, kernel has %d", lex, k.lexiconFlag())
 	}
 	n := d.Len(fileStatsMinBytes)
-	files := make([]FileStats, 0, n)
+	files := slices.Grow(k.files[:0], n)
 	for i := 0; i < n; i++ {
 		files = append(files, FileStats{Name: d.Str(), Stats: decodeTextStats(d), Lines: d.I64(), Unknown: d.Int()})
 	}
@@ -642,6 +651,13 @@ func (k *MatchKernel) Merge(other scan.Kernel) {
 	}
 }
 
+// Reserve implements scan.Reserver: the rows move into an allocation of
+// exactly n more, so a run that fills it leaves len(Files()) ==
+// cap(Files()).
+func (k *MatchKernel) Reserve(n int) {
+	k.files = append(make([]FilePatternCount, 0, len(k.files)+n), k.files...)
+}
+
 // Files returns per-file counts in input order; the slice is owned by the
 // kernel.
 func (k *MatchKernel) Files() []FilePatternCount { return k.files }
@@ -692,7 +708,8 @@ func (k *MatchKernel) Snapshot() ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// Restore implements scan.StateCodec.
+// Restore implements scan.StateCodec, decoding the rows into the
+// receiver's own capacity.
 func (k *MatchKernel) Restore(state []byte) error {
 	d := scan.NewStateDecoder(state)
 	d.Tag(matchKernelTag)
@@ -701,7 +718,7 @@ func (k *MatchKernel) Restore(state []byte) error {
 		return errs.Invalid("textproc: match kernel state has %d patterns, searcher has %d", np, k.ms.NumPatterns())
 	}
 	n := d.Len(16 + 8*np) // name length, bytes, one count per pattern
-	files := make([]FilePatternCount, 0, n)
+	files := slices.Grow(k.files[:0], n)
 	var arena scan.Int64Arena
 	row := make([]int64, np)
 	for i := 0; i < n; i++ {

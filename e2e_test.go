@@ -229,10 +229,28 @@ func exampleNames() []string {
 	return names
 }
 
+// matchGolden compares a command's stdout with testdata/<name>.golden. The
+// goldens were recorded on amd64, as all.golden was; another architecture
+// may fuse multiply-adds and round the last printed digits differently,
+// so there only the run itself is checked.
+func matchGolden(t *testing.T, name string, out []byte) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Errorf("%s: printed\n%s\nwant testdata/%s.golden\n%s", name, out, name, want)
+	}
+}
+
 // TestExamplesRun runs every example to completion. The API guard counts
 // an example as a production caller, so an example that only builds would
 // keep an API alive without exercising it: each must exit 0 and print
-// something.
+// exactly its golden output.
 func TestExamplesRun(t *testing.T) {
 	bin := commandBins(t)
 	names := exampleNames()
@@ -251,6 +269,7 @@ func TestExamplesRun(t *testing.T) {
 			if len(bytes.TrimSpace(out)) == 0 {
 				t.Fatalf("printed nothing\n%s", stderr.String())
 			}
+			matchGolden(t, "example-"+name, out)
 		})
 	}
 }
@@ -406,13 +425,27 @@ func TestDaemonsRefuseBadDurations(t *testing.T) {
 }
 
 // TestCommandsEndToEnd drives the built commands the way an operator
-// would: generate and pack a corpus; serve it and read every endpoint's
-// typed answer; measure it single-node, on two in-process workers and on
-// two worker daemons over HTTP, which must agree bit for bit with each
-// other and with what the resident server counts; then SIGTERM each
-// daemon and require the drain line and exit code 130.
+// would: run the whole pipeline (probe, fit, plan, execute) for each
+// application and hold its report to a golden; generate and pack a
+// corpus; serve it and read every endpoint's typed answer; measure it
+// single-node, on two in-process workers and on two worker daemons over
+// HTTP, which must agree bit for bit with each other and with what the
+// resident server counts; then SIGTERM each daemon and require the drain
+// line and exit code 130.
 func TestCommandsEndToEnd(t *testing.T) {
 	bin := commandBins(t)
+	for name, args := range map[string][]string{
+		"pipeline-grep-html":        {"-app", "grep", "-spec", "html", "-scale", "0.002", "-deadline", "3600"},
+		"pipeline-pos-text":         {"-app", "pos", "-spec", "text", "-scale", "0.002", "-deadline", "120"},
+		"pipeline-pos-text-measure": {"-app", "pos", "-spec", "text", "-scale", "0.002", "-measure", "-deadline", "120"},
+	} {
+		out, err := exec.Command(bin+"pipeline", args...).Output()
+		if err != nil {
+			t.Fatalf("pipeline %v: %v", args, err)
+		}
+		matchGolden(t, name, out)
+	}
+
 	work := t.TempDir()
 	corpusDir, packs := filepath.Join(work, "corpus"), filepath.Join(work, "packs")
 	runCommand(t, bin+"corpusgen", "-spec", "text", "-scale", "0.0005", "-out", corpusDir)

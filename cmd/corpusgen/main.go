@@ -27,6 +27,9 @@ func main() {
 		outDir   = flag.String("out", "", "write content-backed files under this directory")
 	)
 	flag.Parse()
+	if err := cli.Positive("scale", *scale); err != nil {
+		fatal(err)
+	}
 
 	var spec corpus.Spec
 	switch *specName {

@@ -12,7 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"repro/internal/cli"
@@ -30,9 +29,8 @@ func main() {
 		csvDir = flag.String("csv", "", "also write each report as CSV under this directory")
 	)
 	flag.Parse()
-	if !(*scale > 0) || math.IsInf(*scale, 1) {
-		fmt.Fprintf(os.Stderr, "experiments: -scale must be a positive finite number, got %v\n", *scale)
-		os.Exit(2)
+	if err := cli.Positive("scale", *scale); err != nil {
+		cli.Fatal("experiments", err)
 	}
 
 	if *list {

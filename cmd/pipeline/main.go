@@ -66,6 +66,9 @@ func main() {
 	)
 	src.FaultFlags(flag.CommandLine)
 	flag.Parse()
+	if _, err := cli.Seconds("deadline", *deadline); err != nil {
+		fatal(err)
+	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "pipeline: -resume needs -checkpoint")
 		os.Exit(2)

@@ -394,23 +394,38 @@ func TestExperimentsCommand(t *testing.T) {
 	}
 }
 
-// TestDaemonsRefuseBadDurations holds both daemons' seconds flags to
-// cli.Seconds: a NaN, negative, infinite or overflowing value exits 2
-// naming the flag, before the corpus loads and before any listener opens.
-// A daemon that took the value would serve until killed, so each run has
-// a deadline.
-func TestDaemonsRefuseBadDurations(t *testing.T) {
+// TestCommandsRefuseHostileNumbers holds the commands' numeric flags to
+// the cli readers: a seconds flag to cli.Seconds, a scale to cli.Positive.
+// A NaN, negative, infinite or overflowing value exits 2 naming the flag,
+// before any corpus is generated and before any listener opens. A daemon
+// that took the value would serve until killed, so each run has a
+// deadline, and the daemons get an ephemeral port.
+func TestCommandsRefuseHostileNumbers(t *testing.T) {
 	bin := commandBins(t)
 	for _, tc := range []struct {
 		cmd, flag, value string
 	}{
 		{"serve", "-drain", "NaN"},
 		{"serve", "-timeout", "-1"},
+		{"serve", "-scale", "Inf"},
 		{"worker", "-drain", "Inf"},
 		{"worker", "-drain", "1e300"},
+		{"worker", "-scale", "-1"},
+		{"pipeline", "-deadline", "NaN"},
+		{"pipeline", "-deadline", "1e300"},
+		{"pipeline", "-deadline", "-1"},
+		{"pipeline", "-scale", "NaN"},
+		{"pipeline", "-scale", "0"},
+		{"corpusgen", "-scale", "NaN"},
+		{"corpusgen", "-scale", "-1"},
+		{"corpusgen", "-scale", "Inf"},
 	} {
+		args := []string{tc.flag, tc.value}
+		if tc.cmd == "serve" || tc.cmd == "worker" {
+			args = append([]string{"-addr", "127.0.0.1:0"}, args...)
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		out, err := exec.CommandContext(ctx, bin+tc.cmd, "-addr", "127.0.0.1:0", tc.flag, tc.value).CombinedOutput()
+		out, err := exec.CommandContext(ctx, bin+tc.cmd, args...).CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
@@ -418,8 +433,8 @@ func TestDaemonsRefuseBadDurations(t *testing.T) {
 			continue
 		}
 		if s := string(out); !strings.Contains(s, tc.flag) || strings.Contains(s, "listening on") ||
-			strings.Contains(s, "panic") || strings.Contains(s, "goroutine") {
-			t.Errorf("%s %s %s: want one usage error naming %s and no listener, got\n%s", tc.cmd, tc.flag, tc.value, tc.flag, s)
+			strings.Contains(s, "corpus:") || strings.Contains(s, "panic") || strings.Contains(s, "goroutine") {
+			t.Errorf("%s %s %s: want one usage error naming %s, no corpus and no listener, got\n%s", tc.cmd, tc.flag, tc.value, tc.flag, s)
 		}
 	}
 }

@@ -58,22 +58,20 @@ func main() {
 
 	// Probe at the 100 MB unit size across escalating volumes (§4).
 	harness := probe.NewHarness(cloud, inst, workload.NewGrep(), workload.Local{})
-	var xs, ys []float64
+	var probes []probe.Measurement
 	for _, volume := range []int64{500_000_000, 1_000_000_000, 2_000_000_000, 5_000_000_000} {
-		sizes := make([]int64, volume/100_000_000)
-		for i := range sizes {
-			sizes[i] = 100_000_000
+		files := make([]binpack.Item, volume/100_000_000)
+		for i := range files {
+			files[i].Size = 100_000_000
 		}
-		m, err := harness.MeasureProbeCtx(ctx, volume, 100_000_000, workload.Items(sizes))
+		m, err := probe.MeasureProbeCtx(ctx, harness, probe.Probe{Volume: volume, UnitSize: 100_000_000, Files: files})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("probe %4.1f GB: %7.2fs ± %.2fs\n", float64(volume)/1e9, m.Mean, m.StdDev)
-		for _, r := range m.Runs {
-			xs = append(xs, float64(volume))
-			ys = append(ys, r)
-		}
+		probes = append(probes, m)
 	}
+	xs, ys := probe.AllRunsPoints([][]probe.Measurement{probes}, 100_000_000)
 	model, err := perfmodel.FitAffine(xs, ys)
 	if err != nil {
 		log.Fatal(err)

@@ -36,19 +36,17 @@ func main() {
 		log.Fatal(err)
 	}
 	harness := probe.NewHarness(cloud, inst, workload.NewPOS(), workload.Local{})
-	var xs, ys []float64
+	var probes []probe.Measurement
 	dist := corpus.Text400K(1).Sizes
 	for _, volume := range []int64{1_000_000, 5_000_000, 20_000_000} {
-		items := sample(dist, volume, fmt.Sprintf("cal-%d", volume))
-		m, err := harness.MeasureProbeCtx(ctx, volume, 0, items)
+		files := sample(dist, volume, fmt.Sprintf("cal-%d", volume))
+		m, err := probe.MeasureProbeCtx(ctx, harness, probe.Probe{Volume: volume, Files: files})
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, r := range m.Runs {
-			xs = append(xs, float64(volume))
-			ys = append(ys, r)
-		}
+		probes = append(probes, m)
 	}
+	xs, ys := probe.AllRunsPoints([][]probe.Measurement{probes}, 0)
 	m3, err := perfmodel.FitAffine(xs, ys)
 	if err != nil {
 		log.Fatal(err)
@@ -68,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	workItems := sampleBin(dist, int64(26.1*x0), "workload")
+	workItems := sample(dist, int64(26.1*x0), "workload")
 
 	scenarios := []struct {
 		name     string
@@ -129,16 +127,7 @@ func drawBars(out *provision.Outcome, deadline float64) {
 	fmt.Printf("  deadline at %.0fs = %d chars\n", deadline, width)
 }
 
-func sample(dist corpus.SizeDist, volume int64, salt string) []workload.Item {
-	items := sampleBin(dist, volume, salt)
-	out := make([]workload.Item, len(items))
-	for i, it := range items {
-		out[i] = workload.NewItem(it.Size)
-	}
-	return out
-}
-
-func sampleBin(dist corpus.SizeDist, volume int64, salt string) []binpack.Item {
+func sample(dist corpus.SizeDist, volume int64, salt string) []binpack.Item {
 	r := stats.NewRand(seed, salt)
 	var items []binpack.Item
 	var total int64

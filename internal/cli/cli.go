@@ -76,3 +76,13 @@ func Seconds(name string, s float64) (time.Duration, error) {
 	}
 	return time.Duration(s * float64(time.Second)), nil
 }
+
+// Positive checks the value of the flag named name, a scale or other
+// multiplier: NaN, infinite, zero or negative values are usage errors
+// Fatal exits 2 on.
+func Positive(name string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return usageError(fmt.Sprintf("-%s must be a positive finite number, got %v", name, v))
+	}
+	return nil
+}

@@ -8,6 +8,23 @@ import (
 	"time"
 )
 
+// TestPositive pins the multiplier check: positive finite values pass,
+// everything else is a usage error that names the flag.
+func TestPositive(t *testing.T) {
+	for _, in := range []float64{1e-300, 0.002, 1, 1e300} {
+		if err := Positive("scale", in); err != nil {
+			t.Errorf("Positive(%v) = %v, want nil", in, err)
+		}
+	}
+	for _, in := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		err := Positive("scale", in)
+		var ue usageError
+		if !errors.As(err, &ue) || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("Positive(%v): %v, want a usage error naming -scale", in, err)
+		}
+	}
+}
+
 // TestSeconds pins the one seconds → Duration reader: finite values from 0
 // up to what a Duration holds convert, everything else is a usage error
 // that names the flag.

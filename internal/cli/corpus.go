@@ -67,11 +67,15 @@ func (e usageError) Error() string { return string(e) }
 // -dir as raw views (slabs for small files, mappings for large ones),
 // else -spec through synthetic. An enabled -fault spec wraps the result —
 // names, sizes and locality are kept, so plan fingerprints match a clean
-// run — and its injector is returned; nil means no faults. The closer
-// must outlive every read; on failure nothing is left open.
+// run — and its injector is returned; nil means no faults. A -scale that
+// is not a positive finite number is refused whichever source is named.
+// The closer must outlive every read; on failure nothing is left open.
 func (c *Corpus) Open(ctx context.Context, synthetic Synthetic) (*vfs.FS, io.Closer, *fault.Injector, error) {
 	if c.verifyReads && c.packs == "" {
 		return nil, nil, nil, usageError("-verify-reads needs a packed corpus (-packs)")
+	}
+	if err := Positive("scale", c.scale); err != nil {
+		return nil, nil, nil, err
 	}
 	cfg, err := fault.ParseSpec(c.faultSpec)
 	if err != nil {

@@ -80,6 +80,8 @@ func TestCorpusOpen(t *testing.T) {
 		{name: "spec-default", synth: "Text_400K"},
 		{name: "spec-html", args: []string{"-spec", "html", "-scale", "0.000001"}, synth: "HTML_18mil"},
 		{name: "spec-unknown", args: []string{"-spec", "pdf"}, usage: true},
+		{name: "scale-nan", args: []string{"-spec", "text", "-scale", "NaN"}, usage: true},
+		{name: "scale-zero", args: []string{"-spec", "text", "-scale", "0"}, usage: true},
 		{name: "verify-reads-without-packs", args: []string{"-dir", plain, "-verify-reads"}, usage: true},
 		{name: "fault-armed", args: []string{"-packs", packed, "-fault", "seed=7,readerr=0.5"}, shards: true, armed: true},
 		{name: "fault-disabled", args: []string{"-packs", packed, "-fault", "seed=7,latency=2ms"}, raw: true, shards: true},

@@ -16,6 +16,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/binpack"
@@ -45,7 +46,8 @@ type Config struct {
 	// others. Defaults: 1 MB and {2, 5, 10, 50, 100}.
 	S0        int64
 	Multiples []int
-	// DeadlineSeconds is the user deadline D.
+	// DeadlineSeconds is the user deadline D: positive, finite and within
+	// a time.Duration, since the run arms a timeout of D.
 	DeadlineSeconds float64
 }
 
@@ -142,8 +144,10 @@ func New(cfg Config) (*Pipeline, error) {
 	if cfg.App == nil {
 		return nil, errs.Invalid("core: Config.App is required")
 	}
-	if cfg.DeadlineSeconds <= 0 {
-		return nil, errs.Invalid("core: Config.DeadlineSeconds must be positive")
+	// 2^63 ns is exactly representable, so the comparison is exact; NaN
+	// fails both comparisons.
+	if !(cfg.DeadlineSeconds > 0 && cfg.DeadlineSeconds*float64(time.Second) < math.MaxInt64) {
+		return nil, errs.Invalid("core: Config.DeadlineSeconds must be positive and fit a time.Duration, got %v", cfg.DeadlineSeconds)
 	}
 	cfg.fillDefaults()
 	return &Pipeline{Cloud: cloudsim.New(cfg.Seed), Config: cfg}, nil
@@ -214,8 +218,9 @@ func (p *Pipeline) run(ctx context.Context, corpusFS *vfs.FS, complexity []float
 
 	// Stage 2: escalating probes (§4).
 	harness := probe.NewHarness(p.Cloud, in, p.Config.App, workload.Local{})
+	harness.Complexity = complexity
 	protocol := &probe.Protocol{
-		Harness:       harness,
+		Runner:        harness,
 		InitialVolume: p.Config.InitialVolume,
 		Growth:        probeGrowth,
 		MaxVolume:     p.Config.MaxVolume,
@@ -223,7 +228,6 @@ func (p *Pipeline) run(ctx context.Context, corpusFS *vfs.FS, complexity []float
 		S0:            p.Config.S0,
 		Multiples:     p.Config.Multiples,
 		MinSets:       3, // the regression needs multiple volumes
-		Complexity:    complexity,
 	}
 	probeRes, err := protocol.RunCtx(ctx, items)
 	if err != nil {

@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/errs"
 	"repro/internal/perfmodel"
 	"repro/internal/vfs"
 	"repro/internal/workload"
@@ -18,6 +22,14 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{App: workload.NewGrep()}); err == nil {
 		t.Error("expected error for missing deadline")
+	}
+	// A NaN deadline plans zero bins, and one past a Duration overflows the
+	// run's timeout into the past: both are refused up front, by name.
+	for _, d := range []float64{math.NaN(), math.Inf(1), -1, 1e300, float64(math.MaxInt64) / float64(time.Second)} {
+		_, err := New(Config{App: workload.NewGrep(), DeadlineSeconds: d})
+		if !errors.Is(err, errs.ErrInvalid) || !strings.Contains(err.Error(), "DeadlineSeconds") {
+			t.Errorf("DeadlineSeconds %v: err = %v, want ErrInvalid naming the field", d, err)
+		}
 	}
 }
 

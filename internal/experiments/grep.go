@@ -22,7 +22,11 @@ func Fig3(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	h := probe.NewHarness(c, in, workload.NewGrep(), workload.Local{})
 	items := sampleItems(htmlDist(), 2_000_000, cfg.Seed, "fig3")
-	ms, err := measureUnits(ctx, h, items, 1_000_000, []int64{0, 100_000, 500_000, 1_000_000})
+	set, err := probe.BuildSet(items, 1_000_000, []int64{0, 100_000, 500_000, 1_000_000})
+	if err != nil {
+		return nil, err
+	}
+	ms, err := probe.MeasureSetCtx(ctx, h, set)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +58,11 @@ func Fig4(ctx context.Context, cfg Config) (*Report, error) {
 	const volume = 5_000_000_000
 	items := sampleItems(htmlDist(), volume+100_000_000, cfg.Seed, "fig4")
 	units := []int64{0, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000, 2_000_000_000, 5_000_000_000}
-	ms, err := measureUnits(ctx, h, items, volume, units)
+	set, err := probe.BuildSet(items, volume, units)
+	if err != nil {
+		return nil, err
+	}
+	ms, err := probe.MeasureSetCtx(ctx, h, set)
 	if err != nil {
 		return nil, err
 	}
@@ -100,18 +108,21 @@ func Fig5(ctx context.Context, cfg Config) (*Report, error) {
 		// Fine sweep: 10 MB base unit, many multiples along the plateau.
 		units := []int64{10_000_000, 20_000_000, 30_000_000, 40_000_000, 50_000_000,
 			70_000_000, 100_000_000, 150_000_000, 200_000_000, 300_000_000, 500_000_000}
-		ms, err := measureUnits(ctx, h, items, volume, units)
+		set, err := probe.BuildSet(items, volume, units)
+		if err != nil {
+			return nil, err
+		}
+		ms, err := probe.MeasureSetCtx(ctx, h, set)
 		if err != nil {
 			return nil, err
 		}
 		// Rerun to demonstrate repeatability.
-		ms2, err := measureUnits(ctx, h, items, volume, units)
+		ms2, err := probe.MeasureSetCtx(ctx, h, set)
 		if err != nil {
 			return nil, err
 		}
 		for i, m := range ms {
-			key := h.DatasetKeyFn(volume, m.UnitSize)
-			pf := vol.PlacementFactor(key)
+			pf := vol.PlacementFactor(probe.DatasetKey(volume, m.UnitSize))
 			rep.addRow(fmtBytes(volume), fmtBytes(m.UnitSize), fmtSecs(m.Mean), fmtSecs(ms2[i].Mean), fmt.Sprintf("%.2fx", pf))
 			points++
 			perByte := m.Mean / float64(volume)
@@ -146,18 +157,20 @@ func grepCalibration(ctx context.Context, cfg Config, salt string) (*perfmodel.A
 		return nil, nil, nil, err
 	}
 	h := probe.NewHarness(c, in, workload.NewGrep(), workload.Local{})
-	var xs, ys []float64
+	var sets [][]probe.Measurement
 	for _, volume := range []int64{200_000_000, 500_000_000, 1_000_000_000, 2_000_000_000, 5_000_000_000} {
 		items := sampleItems(htmlDist(), volume+50_000_000, cfg.Seed, fmt.Sprintf("%s-%d", salt, volume))
-		ms, err := measureUnits(ctx, h, items, volume, []int64{100_000_000})
+		set, err := probe.BuildSet(items, volume, []int64{100_000_000})
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		for _, r := range ms[0].Runs {
-			xs = append(xs, float64(volume))
-			ys = append(ys, r)
+		ms, err := probe.MeasureSetCtx(ctx, h, set)
+		if err != nil {
+			return nil, nil, nil, err
 		}
+		sets = append(sets, ms)
 	}
+	xs, ys := probe.AllRunsPoints(sets, 100_000_000)
 	m, err := perfmodel.FitAffine(xs, ys)
 	if err != nil {
 		return nil, nil, nil, err
@@ -185,25 +198,26 @@ func Eq12(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	h := probe.NewHarness(c, in, workload.NewGrep(), workload.Local{})
-	xs2 := append([]float64(nil), xs...)
-	ys2 := append([]float64(nil), ys...)
+	var samples [][]probe.Measurement
 	var sampleMeans []float64
 	rep.Header = []string{"sample", "volume", "mean", "stddev"}
 	for i := 0; i < 10; i++ {
 		const volume = 2_000_000_000
 		items := sampleItems(htmlDist(), volume+50_000_000, cfg.Seed, fmt.Sprintf("eq12-rs-%d", i))
-		ms, err := measureUnits(ctx, h, items, volume, []int64{100_000_000})
+		set, err := probe.BuildSet(items, volume, []int64{100_000_000})
 		if err != nil {
 			return nil, err
 		}
+		ms, err := probe.MeasureSetCtx(ctx, h, set)
+		if err != nil {
+			return nil, err
+		}
+		samples = append(samples, ms)
 		sampleMeans = append(sampleMeans, ms[0].Mean)
 		rep.addRow(fmt.Sprintf("%d", i+1), fmtBytes(volume), fmtSecs(ms[0].Mean), fmtSecs(ms[0].StdDev))
-		for _, r := range ms[0].Runs {
-			xs2 = append(xs2, float64(volume))
-			ys2 = append(ys2, r)
-		}
 	}
-	m2, err := perfmodel.FitAffine(xs2, ys2)
+	sx, sy := probe.AllRunsPoints(samples, 100_000_000)
+	m2, err := perfmodel.FitAffine(append(xs, sx...), append(ys, sy...))
 	if err != nil {
 		return nil, err
 	}

@@ -25,8 +25,11 @@ func Fig7(ctx context.Context, cfg Config) (*Report, error) {
 	h := probe.NewHarness(c, in, workload.NewPOS(), workload.Local{})
 	items := sampleItems(textDist(), 2_000_000, cfg.Seed, "fig7")
 	const volume = 1_000_000
-	units := []int64{0, 1_000, 10_000, 100_000, 1_000_000}
-	ms, err := measureUnits(ctx, h, items, volume, units)
+	set, err := probe.BuildSet(items, volume, []int64{0, 1_000, 10_000, 100_000, 1_000_000})
+	if err != nil {
+		return nil, err
+	}
+	ms, err := probe.MeasureSetCtx(ctx, h, set)
 	if err != nil {
 		return nil, err
 	}
@@ -62,18 +65,20 @@ func posCalibration(ctx context.Context, cfg Config, salt string) (*perfmodel.Af
 		return nil, nil, nil, err
 	}
 	h := probe.NewHarness(c, in, workload.NewPOS(), workload.Local{})
-	var xs, ys []float64
+	var sets [][]probe.Measurement
 	for _, volume := range []int64{1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000} {
 		items := sampleItems(textDist(), volume+100_000, cfg.Seed, fmt.Sprintf("%s-%d", salt, volume))
-		ms, err := measureUnits(ctx, h, items, volume, []int64{0})
+		set, err := probe.BuildSet(items, volume, []int64{0})
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		for _, r := range ms[0].Runs {
-			xs = append(xs, float64(volume))
-			ys = append(ys, r)
+		ms, err := probe.MeasureSetCtx(ctx, h, set)
+		if err != nil {
+			return nil, nil, nil, err
 		}
+		sets = append(sets, ms)
 	}
+	xs, ys := probe.AllRunsPoints(sets, 0)
 	m, err := perfmodel.FitAffine(xs, ys)
 	if err != nil {
 		return nil, nil, nil, err
@@ -104,24 +109,25 @@ func Eq34(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	h := probe.NewHarness(c, in, workload.NewPOS(), workload.Local{})
-	xs2 := append([]float64(nil), xs...)
-	ys2 := append([]float64(nil), ys...)
+	var samples [][]probe.Measurement
 	rep.Header = []string{"sample", "volume", "mean", "stddev"}
 	for i := 0; i < 3; i++ {
 		for _, volume := range []int64{1_000_000, 5_000_000} {
 			items := sampleItems(textDist(), volume+100_000, cfg.Seed, fmt.Sprintf("eq34-rs-%d-%d", i, volume))
-			ms, err := measureUnits(ctx, h, items, volume, []int64{0})
+			set, err := probe.BuildSet(items, volume, []int64{0})
 			if err != nil {
 				return nil, err
 			}
-			rep.addRow(fmt.Sprintf("%d", i+1), fmtBytes(volume), fmtSecs(ms[0].Mean), fmtSecs(ms[0].StdDev))
-			for _, r := range ms[0].Runs {
-				xs2 = append(xs2, float64(volume))
-				ys2 = append(ys2, r)
+			ms, err := probe.MeasureSetCtx(ctx, h, set)
+			if err != nil {
+				return nil, err
 			}
+			samples = append(samples, ms)
+			rep.addRow(fmt.Sprintf("%d", i+1), fmtBytes(volume), fmtSecs(ms[0].Mean), fmtSecs(ms[0].StdDev))
 		}
 	}
-	m4fit, err := perfmodel.FitAffine(xs2, ys2)
+	sx, sy := probe.AllRunsPoints(samples, 0)
+	m4fit, err := perfmodel.FitAffine(append(xs, sx...), append(ys, sy...))
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 func TestItemsWithComplexity(t *testing.T) {
 	files := []binpack.Item{{Size: 10}, {Size: 20}, {Size: 30}}
 	cx := []float64{2.0, 0} // no factor for the second, none at all for the third → 1
-	items := ItemsWithComplexity(files, cx)
+	items := (&Harness{Complexity: cx}).items(Probe{Files: files})
 	if items[0].Complexity != 2.0 || items[1].Complexity != 1.0 || items[2].Complexity != 1.0 {
 		t.Errorf("complexities = %v, %v, %v", items[0].Complexity, items[1].Complexity, items[2].Complexity)
 	}
@@ -30,7 +30,7 @@ func TestBinsToItemsWithComplexityWeightedMean(t *testing.T) {
 	// The decreasing packer holds the 30-byte file first; its factor is
 	// still read at its input position.
 	cx := []float64{3.0, 1.0}
-	items := BinsToItemsWithComplexity(bins, cx)
+	items := (&Harness{Complexity: cx}).items(Probe{Files: files, Bins: bins})
 	if len(items) != 1 {
 		t.Fatalf("items = %d", len(items))
 	}
@@ -115,12 +115,13 @@ func TestRandomSamplingCapturesComplexityVariation(t *testing.T) {
 		for i, f := range sel {
 			cx[i] = byName[f.ID]
 		}
-		items := ItemsWithComplexity(sel, cx)
-		m, err := h.MeasureProbeCtx(context.Background(), volume, 0, items)
+		h.Complexity = cx
+		p := Probe{Volume: volume, Files: sel}
+		m, err := MeasureProbeCtx(context.Background(), h, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(totalBytes(items)), m.Mean
+		return float64(totalBytes(h.items(p))), m.Mean
 	}
 
 	// Prefix calibration at two volumes (the escalation protocol's shape).
@@ -166,7 +167,7 @@ func TestRandomSamplingCapturesComplexityVariation(t *testing.T) {
 		t.Errorf("random-sample slope only %vx the prefix slope; the complexity ramp should show", ratio)
 	}
 	// And the random model predicts the full corpus far better.
-	allItems := ItemsWithComplexity(files, profile.Complexity)
+	allItems := (&Harness{Complexity: profile.Complexity}).items(Probe{Files: files})
 	var trueSeconds float64
 	for _, it := range allItems {
 		trueSeconds += workload.NewPOS().Process(it, 80, in).Seconds()

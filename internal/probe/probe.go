@@ -1,22 +1,25 @@
 // Package probe implements the paper's §4 measurement protocol: construct
 // test probes from the original data set by varying two dimensions — total
-// volume and unit file size — run each probe five times on a qualified
-// instance, track means and standard deviations, escalate the volume while
-// measurements are unstable, and finally select a preferred unit file size
-// from the most stable probe sets.
+// volume and unit file size — run each probe five times, track means and
+// standard deviations, escalate the volume while measurements are
+// unstable, and finally select a preferred unit file size from the most
+// stable probe sets. The application is a black box behind Runner; sim.go
+// holds the simulated one.
 package probe
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"time"
 
 	"repro/internal/binpack"
-	"repro/internal/cloudsim"
 	"repro/internal/errs"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
+
+// repeats is the number of runs per probe (§4: "All performance
+// measurements are repeated 5 times").
+const repeats = 5
 
 // Measurement is the outcome of repeatedly running the application on one
 // probe (§4: "All performance measurements are repeated 5 times and the
@@ -43,26 +46,42 @@ func (m Measurement) String() string {
 	return fmt.Sprintf("V=%d unit=%s files=%d mean=%.3fs sd=%.3fs", m.Volume, unit, m.Files, m.Mean, m.StdDev)
 }
 
-// Set is a family of probes with a common volume: the original segmentation
-// P^V_orig plus reshaped probes P^V_{s0}..P^V_{sn}.
-type Set struct {
+// Probe is one probe of §4: the files selected for a volume, run at one
+// unit file size.
+type Probe struct {
 	Volume   int64
-	Original []workload.Item
-	// ByUnit maps unit file size to the probe's unit files. The unit sizes
-	// are s0 and its configured multiples, derived by merging bins without
-	// re-running the packing (§4's construction).
-	ByUnit map[int64][]workload.Item
+	UnitSize int64 // 0 = original segmentation
+	// Files is the selection, in corpus order.
+	Files []binpack.Item
+	// Bins holds a reshaped probe's unit files, each member given by its
+	// position in Files. Nil means Files are the unit files themselves.
+	Bins []*binpack.Bin
 }
 
-// UnitSizes returns the reshaped unit sizes in ascending order.
-func (s *Set) UnitSizes() []int64 {
-	out := make([]int64, 0, len(s.ByUnit))
-	for u := range s.ByUnit {
-		out = append(out, u)
+// units returns the number of unit files the probe runs over.
+func (p Probe) units() int {
+	if p.Bins == nil {
+		return len(p.Files)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	n := 0
+	for _, b := range p.Bins {
+		if b.Used > 0 {
+			n++
+		}
+	}
+	return n
 }
+
+// Runner runs the application on one probe once and returns its wall
+// time: the black box §4 probes. Harness runs it on the simulated cloud;
+// the real scan engine is the other implementation.
+type Runner interface {
+	RunProbeCtx(ctx context.Context, p Probe) (time.Duration, error)
+}
+
+// Set is a family of probes with a common volume and selection: the
+// original segmentation P^V_orig and reshaped probes P^V_{s0}..P^V_{sn}.
+type Set []Probe
 
 // SelectPrefix takes files (in their given order) until the cumulative size
 // reaches volume, returning the selected prefix. It errors if the corpus is
@@ -81,102 +100,71 @@ func SelectPrefix(files []binpack.Item, volume int64) ([]binpack.Item, error) {
 	return nil, fmt.Errorf("probe: corpus holds %d bytes, need %d", total, volume)
 }
 
-// BuildSet constructs the probe family for one volume: the original
-// segmentation plus reshaped probes at s0 and each multiple k·s0. The
-// subset-sum first-fit packing runs once at s0; larger unit sizes are
-// derived by merging bins (§4: "we perform the bin packing once ... and
-// then directly derive the remaining probes").
+// BuildSet constructs the probe family for one volume at the given unit
+// sizes, in that order, 0 being the original segmentation. Every other
+// size must be a multiple of the smallest, s0. The subset-sum first-fit
+// packing runs once at s0; larger unit sizes are derived by merging bins
+// (§4: "we perform the bin packing once ... and then directly derive the
+// remaining probes").
 //
 // s0 should exceed the largest file in the selection, as the paper
 // prescribes; if it does not, oversized files become their own unit files.
-//
-// cx prices a heterogeneous corpus: cx[i] is files[i]'s complexity, probe
-// items carry it, and merged unit files the size-weighted mean of their
-// members'. A nil cx means uniform complexity 1.
-func BuildSet(files []binpack.Item, volume, s0 int64, multiples []int, cx []float64) (*Set, error) {
+func BuildSet(files []binpack.Item, volume int64, units []int64) (Set, error) {
 	selection, err := SelectPrefix(files, volume)
 	if err != nil {
 		return nil, err
 	}
-	if s0 <= 0 {
-		return nil, fmt.Errorf("probe: s0 must be positive, got %d", s0)
-	}
-	set := &Set{
-		Volume:   volume,
-		ByUnit:   make(map[int64][]workload.Item),
-		Original: ItemsWithComplexity(selection, cx),
-	}
-	baseBins, err := binpack.SubsetSumFirstFit(selection, s0)
-	if err != nil {
-		return nil, err
-	}
-	if err := binpack.Verify(selection, baseBins); err != nil {
-		return nil, fmt.Errorf("probe: packing invariant violated: %w", err)
-	}
-	set.ByUnit[s0] = BinsToItemsWithComplexity(baseBins, cx)
-	for _, k := range multiples {
-		if k <= 1 {
-			continue
+	var s0 int64
+	for _, u := range units {
+		if u < 0 {
+			return nil, fmt.Errorf("probe: unit size must not be negative, got %d", u)
 		}
-		merged, err := binpack.MergeGroups(baseBins, k)
-		if err != nil {
+		if u > 0 && (s0 == 0 || u < s0) {
+			s0 = u
+		}
+	}
+	var base []*binpack.Bin
+	if s0 > 0 {
+		if base, err = binpack.SubsetSumFirstFit(selection, s0); err != nil {
 			return nil, err
 		}
-		set.ByUnit[s0*int64(k)] = BinsToItemsWithComplexity(merged, cx)
+		if err := binpack.Verify(selection, base); err != nil {
+			return nil, fmt.Errorf("probe: packing invariant violated: %w", err)
+		}
+	}
+	set := make(Set, len(units))
+	for i, u := range units {
+		set[i] = Probe{Volume: volume, UnitSize: u, Files: selection}
+		switch {
+		case u == 0: // the selected files are the unit files
+		case u%s0 != 0:
+			return nil, fmt.Errorf("probe: unit %d is not a multiple of s0 %d", u, s0)
+		case u == s0:
+			set[i].Bins = base
+		default:
+			if set[i].Bins, err = binpack.MergeGroups(base, int(u/s0)); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return set, nil
 }
 
-// Harness runs probes on a qualified instance and records measurements.
-type Harness struct {
-	Cloud    *cloudsim.Cloud
-	Instance *cloudsim.Instance
-	App      workload.App
-	Storage  workload.Storage
-	// Repeats is the number of runs per probe (the paper's 5).
-	Repeats int
-	// DatasetKeyFn names the dataset a probe occupies on storage; EBS
-	// placement effects key off it. The default keys by unit size, which
-	// reproduces Fig. 5's per-unit-size spikes.
-	DatasetKeyFn func(volume, unitSize int64) string
-}
-
-// NewHarness creates a harness with the paper's defaults.
-func NewHarness(c *cloudsim.Cloud, in *cloudsim.Instance, app workload.App, st workload.Storage) *Harness {
-	return &Harness{
-		Cloud:    c,
-		Instance: in,
-		App:      app,
-		Storage:  st,
-		Repeats:  5,
-		DatasetKeyFn: func(volume, unitSize int64) string {
-			return fmt.Sprintf("probe-v%d-u%d", volume, unitSize)
-		},
-	}
-}
-
-// MeasureProbeCtx runs one probe Repeats times.
-//
-// The repeats stay strictly sequential by design: each workload.RunCtx
-// draws from the instance's noise stream and advances the virtual clock,
-// so run i's measurement depends on the RNG state left by run i-1 —
-// reordering the repeats would change every sampled value. Parallelism
-// lives one level down instead, inside workload.EstimateCtx's per-item
-// cost sum, which is RNG-free and fans out over the shared par pool
-// without touching the stream. The context is checked between repeats —
-// never inside one — so a run that completes consumes the same RNG draws
-// and virtual time whatever context it was given.
-func (h *Harness) MeasureProbeCtx(ctx context.Context, volume, unitSize int64, items []workload.Item) (Measurement, error) {
-	if len(items) == 0 {
+// MeasureProbeCtx runs one probe repeats times, strictly in sequence:
+// a runner's repeats may share state (the simulated instance's noise
+// stream and virtual clock), so run i may depend on what run i-1 left.
+// The context is checked between repeats, never inside one.
+func MeasureProbeCtx(ctx context.Context, r Runner, p Probe) (Measurement, error) {
+	files := p.units()
+	if files == 0 {
 		return Measurement{}, fmt.Errorf("probe: empty probe")
 	}
-	key := h.DatasetKeyFn(volume, unitSize)
-	runs := make([]float64, 0, h.Repeats)
-	for i := 0; i < h.Repeats; i++ {
+	runs := make([]float64, 0, repeats)
+	for i := 0; i < repeats; i++ {
 		if cerr := errs.FromContext(ctx); cerr != nil {
 			return Measurement{}, cerr
 		}
-		d, err := workload.RunCtx(ctx, h.Cloud, h.Instance, h.App, items, h.Storage, key)
+		d, err := r.RunProbeCtx(ctx, p)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -184,27 +172,20 @@ func (h *Harness) MeasureProbeCtx(ctx context.Context, volume, unitSize int64, i
 	}
 	s := stats.Summarize(runs)
 	return Measurement{
-		Volume:   volume,
-		UnitSize: unitSize,
-		Files:    len(items),
+		Volume:   p.Volume,
+		UnitSize: p.UnitSize,
+		Files:    files,
 		Runs:     runs,
 		Mean:     s.Mean,
 		StdDev:   s.StdDev,
 	}, nil
 }
 
-// MeasureSetCtx measures the original probe and every reshaped probe of a
-// set, in ascending unit order; ctx is threaded through each probe's
-// measurement loop.
-func (h *Harness) MeasureSetCtx(ctx context.Context, set *Set) ([]Measurement, error) {
-	out := make([]Measurement, 0, len(set.ByUnit)+1)
-	m, err := h.MeasureProbeCtx(ctx, set.Volume, 0, set.Original)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, m)
-	for _, u := range set.UnitSizes() {
-		m, err := h.MeasureProbeCtx(ctx, set.Volume, u, set.ByUnit[u])
+// MeasureSetCtx measures every probe of a set, in order.
+func MeasureSetCtx(ctx context.Context, r Runner, set Set) ([]Measurement, error) {
+	out := make([]Measurement, 0, len(set))
+	for _, p := range set {
+		m, err := MeasureProbeCtx(ctx, r, p)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +196,7 @@ func (h *Harness) MeasureSetCtx(ctx context.Context, set *Set) ([]Measurement, e
 
 // Protocol drives the full escalation loop of §4.
 type Protocol struct {
-	Harness *Harness
+	Runner Runner
 	// InitialVolume is V0 (the paper starts at a single small file / 1 MB).
 	InitialVolume int64
 	// Growth is the volume multiplier k between escalations.
@@ -231,13 +212,10 @@ type Protocol struct {
 	// earlier — the downstream regression needs multiple volumes. Zero
 	// means 1.
 	MinSets int
-	// S0 is the base unit size; Multiples derives the rest.
+	// S0 is the base unit size; Multiples derives the rest, probed in
+	// the order given after the original segmentation and S0.
 	S0        int64
 	Multiples []int
-	// Complexity optionally holds the content complexity of each file
-	// RunCtx is given, in order; probes then price heterogeneous corpora
-	// (merged unit files carry the size-weighted mean). Nil means 1.
-	Complexity []float64
 }
 
 // Result of a full protocol run.
@@ -264,6 +242,14 @@ func (p *Protocol) RunCtx(ctx context.Context, files []binpack.Item) (*Result, e
 		return nil, errs.Invalid("probe: protocol Growth %d is below 2", p.Growth)
 	case p.MaxVolume < p.InitialVolume:
 		return nil, errs.Invalid("probe: protocol MaxVolume %d is below InitialVolume %d", p.MaxVolume, p.InitialVolume)
+	case p.S0 <= 0:
+		return nil, errs.Invalid("probe: protocol S0 %d is not positive", p.S0)
+	}
+	units := []int64{0, p.S0}
+	for _, k := range p.Multiples {
+		if k > 1 {
+			units = append(units, p.S0*int64(k))
+		}
 	}
 	var available int64
 	for _, f := range files {
@@ -278,11 +264,11 @@ func (p *Protocol) RunCtx(ctx context.Context, files []binpack.Item) (*Result, e
 		if cerr := errs.FromContext(ctx); cerr != nil {
 			return nil, cerr
 		}
-		set, err := BuildSet(files, v, p.S0, p.Multiples, p.Complexity)
+		set, err := BuildSet(files, v, units)
 		if err != nil {
 			return nil, err
 		}
-		ms, err := p.Harness.MeasureSetCtx(ctx, set)
+		ms, err := MeasureSetCtx(ctx, p.Runner, set)
 		if err != nil {
 			return nil, err
 		}

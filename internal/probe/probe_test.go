@@ -3,7 +3,7 @@ package probe
 import (
 	"context"
 	"errors"
-	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -67,42 +67,41 @@ func TestBuildSetDerivesMultiplesWithoutRepacking(t *testing.T) {
 	items := corpusItems(t, corpus.Text400K(0.005), 1) // 2000 files
 	const volume = 2_000_000
 	const s0 = 10_000
-	set, err := BuildSet(items, volume, s0, []int{2, 5, 10}, nil)
+	want := []int64{0, s0, 2 * s0, 5 * s0, 10 * s0}
+	set, err := BuildSet(items, volume, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set.Original) == 0 {
-		t.Fatal("no original probe")
-	}
-	units := set.UnitSizes()
-	want := []int64{s0, 2 * s0, 5 * s0, 10 * s0}
-	if len(units) != len(want) {
-		t.Fatalf("unit sizes = %v, want %v", units, want)
-	}
-	for i := range want {
-		if units[i] != want[i] {
-			t.Errorf("unit %d = %d, want %d", i, units[i], want[i])
-		}
+	if len(set) != len(want) || len(set[0].Files) == 0 || set[0].Bins != nil {
+		t.Fatalf("set of %d probes, want %d led by the original segmentation", len(set), len(want))
 	}
 	// Volume is conserved across every reshaping.
-	origTotal := totalBytes(set.Original)
-	for u, probeItems := range set.ByUnit {
-		if got := totalBytes(probeItems); got != origTotal {
-			t.Errorf("unit %d: volume %d != original %d", u, got, origTotal)
+	origTotal := totalBytes((&Harness{}).items(set[0]))
+	for i, p := range set {
+		if p.UnitSize != want[i] || p.Volume != volume {
+			t.Errorf("probe %d: volume %d, unit %d; want %d, %d", i, p.Volume, p.UnitSize, volume, want[i])
+		}
+		if got := totalBytes((&Harness{}).items(p)); got != origTotal {
+			t.Errorf("unit %d: volume %d != original %d", p.UnitSize, got, origTotal)
 		}
 		// Larger units → no more files than the s0 packing.
-		if u > s0 && len(probeItems) > len(set.ByUnit[s0]) {
-			t.Errorf("unit %d has more files than s0", u)
+		if p.UnitSize > s0 && len(p.Bins) > len(set[1].Bins) {
+			t.Errorf("unit %d has more files than s0", p.UnitSize)
 		}
 	}
 }
 
 func TestBuildSetValidation(t *testing.T) {
 	items := []binpack.Item{{ID: "a", Size: 100}}
-	if _, err := BuildSet(items, 50, 0, nil, nil); err == nil {
-		t.Error("expected error for s0=0")
+	for name, units := range map[string][]int64{
+		"a negative unit": {0, -10},
+		"a unit not k·s0": {10, 15},
+	} {
+		if _, err := BuildSet(items, 50, units); err == nil {
+			t.Errorf("expected error for %s", name)
+		}
 	}
-	if _, err := BuildSet(items, 1000, 10, nil, nil); err == nil {
+	if _, err := BuildSet(items, 1000, []int64{10}); err == nil {
 		t.Error("expected error for volume beyond corpus")
 	}
 }
@@ -110,7 +109,8 @@ func TestBuildSetValidation(t *testing.T) {
 func TestMeasureProbeRepeats(t *testing.T) {
 	c, in := qualified(t, 2)
 	h := NewHarness(c, in, workload.NewGrep(), workload.Local{})
-	m, err := h.MeasureProbeCtx(context.Background(), 1000000, 100000, workload.Items([]int64{100000, 100000, 100000}))
+	units := []binpack.Item{{Size: 100000}, {Size: 100000}, {Size: 100000}}
+	m, err := MeasureProbeCtx(context.Background(), h, Probe{Volume: 1000000, UnitSize: 100000, Files: units})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,20 +123,20 @@ func TestMeasureProbeRepeats(t *testing.T) {
 	if m.String() == "" {
 		t.Error("empty String()")
 	}
-	if _, err := h.MeasureProbeCtx(context.Background(), 10, 10, nil); err == nil {
+	if _, err := MeasureProbeCtx(context.Background(), h, Probe{Volume: 10, UnitSize: 10}); err == nil {
 		t.Error("expected error for empty probe")
 	}
 }
 
 func TestMeasureSetCoversAllUnits(t *testing.T) {
 	items := corpusItems(t, corpus.Text400K(0.002), 3)
-	set, err := BuildSet(items, 500_000, 5_000, []int{2, 4}, nil)
+	set, err := BuildSet(items, 500_000, []int64{0, 5_000, 10_000, 20_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, in := qualified(t, 3)
 	h := NewHarness(c, in, workload.NewPOS(), workload.Local{})
-	ms, err := h.MeasureSetCtx(context.Background(), set)
+	ms, err := MeasureSetCtx(context.Background(), h, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestProtocolEscalatesUntilStable(t *testing.T) {
 	c, in := qualified(t, 4)
 	h := NewHarness(c, in, workload.NewGrep(), workload.Local{})
 	p := &Protocol{
-		Harness:       h,
+		Runner:        h,
 		InitialVolume: 100_000, // tiny: setup noise dominates → unstable
 		Growth:        10,
 		MaxVolume:     100_000_000,
@@ -198,7 +198,8 @@ func TestProtocolValidation(t *testing.T) {
 	for field, bad := range map[string]Protocol{
 		"InitialVolume -5": {InitialVolume: -5, Growth: 2, MaxVolume: 10},
 		"Growth 1":         {InitialVolume: 1, Growth: 1, MaxVolume: 10},
-		"MaxVolume 3":      {InitialVolume: 4, Growth: 2, MaxVolume: 3, Harness: &Harness{}},
+		"MaxVolume 3":      {InitialVolume: 4, Growth: 2, MaxVolume: 3, Runner: &Harness{}},
+		"S0 0":             {InitialVolume: 1, Growth: 2, MaxVolume: 10, Runner: &Harness{}},
 	} {
 		_, err := bad.RunCtx(context.Background(), nil)
 		if !errors.Is(err, errs.ErrInvalid) {
@@ -282,15 +283,15 @@ func TestFig5SpikesAreRepeatable(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewHarness(c, in, workload.NewGrep(), vol)
-	set, err := BuildSet(items, 5_000_000, 100_000, []int{2, 4, 8, 16}, nil)
+	set, err := BuildSet(items, 5_000_000, []int64{100_000, 200_000, 400_000, 800_000, 1_600_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := h.MeasureSetCtx(context.Background(), set)
+	first, err := MeasureSetCtx(context.Background(), h, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := h.MeasureSetCtx(context.Background(), set)
+	second, err := MeasureSetCtx(context.Background(), h, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +304,11 @@ func TestFig5SpikesAreRepeatable(t *testing.T) {
 }
 
 func TestHarnessDatasetKeyFnDrivesPlacement(t *testing.T) {
-	// Two harnesses with different key functions can see different speeds
-	// on the same volume — the mechanism behind Fig. 5's spikes.
-	items := corpusItems(t, corpus.Text400K(0.01), 7)
+	// The simulated runner keys EBS placement by (volume, unit size): the
+	// same unit files probed under other volumes or other unit sizes land
+	// in other placements and run at other speeds — the mechanism behind
+	// Fig. 5's spikes. 100 MB of 1 MB files keeps run-to-run noise well
+	// below the placement factors.
 	c, in := qualified(t, 7)
 	vol, err := c.CreateVolume("us-east-1a", 100)
 	if err != nil {
@@ -314,31 +317,34 @@ func TestHarnessDatasetKeyFnDrivesPlacement(t *testing.T) {
 	if err := c.Attach(vol, in); err != nil {
 		t.Fatal(err)
 	}
-	set, err := BuildSet(items, 2_000_000, 100_000, nil, nil)
+	files := make([]binpack.Item, 100)
+	for i := range files {
+		files[i].Size = 1_000_000
+	}
+	set, err := BuildSet(files, 100_000_000, []int64{10_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	means := map[string]float64{}
-	for i := 0; i < 40; i++ {
-		h := NewHarness(c, in, workload.NewGrep(), vol)
-		key := fmt.Sprintf("clone-%d", i)
-		h.DatasetKeyFn = func(volume, unitSize int64) string { return key }
-		m, err := h.MeasureProbeCtx(context.Background(), set.Volume, 100_000, set.ByUnit[100_000])
-		if err != nil {
-			t.Fatal(err)
+	h := NewHarness(c, in, workload.NewGrep(), vol)
+	for _, tc := range []struct {
+		name    string
+		relabel func(p *Probe, i int64)
+	}{
+		{"unit size", func(p *Probe, i int64) { p.UnitSize *= i }},
+		{"volume", func(p *Probe, i int64) { p.Volume += i }},
+	} {
+		fastest, slowest := math.Inf(1), 0.0
+		for i := int64(1); i <= 30; i++ {
+			p := set[0]
+			tc.relabel(&p, i)
+			m, err := MeasureProbeCtx(context.Background(), h, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fastest, slowest = math.Min(fastest, m.Mean), math.Max(slowest, m.Mean)
 		}
-		means[key] = m.Mean
-	}
-	min, max := 1e18, 0.0
-	for _, v := range means {
-		if v < min {
-			min = v
+		if slowest < 1.3*fastest {
+			t.Errorf("the same files under 30 %ss: spread %.2fx, want > 1.3x (paper saw up to 3x)", tc.name, slowest/fastest)
 		}
-		if v > max {
-			max = v
-		}
-	}
-	if max < 1.3*min {
-		t.Errorf("clone spread %.2fx, want > 1.3x (paper saw up to 3x)", max/min)
 	}
 }

@@ -39,15 +39,6 @@ type Item struct {
 // NewItem returns an Item with nominal complexity.
 func NewItem(size int64) Item { return Item{Size: size, Complexity: 1} }
 
-// Items converts a size list to nominal-complexity items.
-func Items(sizes []int64) []Item {
-	out := make([]Item, len(sizes))
-	for i, s := range sizes {
-		out[i] = NewItem(s)
-	}
-	return out
-}
-
 // Storage abstracts where the input data lives: an EBS volume (placement-
 // sensitive bandwidth) or instance-local storage.
 type Storage interface {

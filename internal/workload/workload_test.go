@@ -308,3 +308,12 @@ func TestSlowInstanceCostsMore(t *testing.T) {
 		t.Error("slow instance not slower for CPU-bound work")
 	}
 }
+
+// Items converts a size list to nominal-complexity items.
+func Items(sizes []int64) []Item {
+	out := make([]Item, len(sizes))
+	for i, s := range sizes {
+		out[i] = NewItem(s)
+	}
+	return out
+}

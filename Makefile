@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-kernels bench-pack bench-serve bench-dist bench-repo-test chaos-smoke clean
+.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-kernels bench-pack bench-import bench-serve bench-dist bench-repo-test chaos-smoke clean
 
 all: build
 
@@ -22,10 +22,11 @@ test-nommap:
 
 # test-scandebug runs the scan suite with recycled block buffers poisoned
 # (0xDB) so a kernel that retains a borrowed Block slice fails loudly.
-# internal/vfs rides along so the mapped imports (packs and -dir) are
-# exercised under the same poison build.
+# internal/packstore and internal/vfs ride along: the same tag poisons the
+# small-file slabs a mapped -dir import releases at close, and the mapped
+# imports (packs and -dir) are exercised under the poison build.
 test-scandebug:
-	$(GO) test -tags scandebug ./internal/scan ./internal/vfs
+	$(GO) test -tags scandebug ./internal/scan ./internal/packstore ./internal/vfs
 
 # verify is the tier-1 gate: gofmt and vet clean, and the full suite
 # race-clean. The ./... wildcard covers every package, including
@@ -94,6 +95,14 @@ bench-kernels:
 # exported as packs (internal/core's BenchmarkReshapeExport12k).
 bench-pack:
 	$(GO) test -run '^$$' -bench 'BenchmarkPack|ReshapeExport12k' ./internal/core ./internal/packstore
+
+# bench-import measures the small-file import grep-smallfiles pays per op:
+# a mapped import of 2 000 corpus.Text400K files on disk and its close
+# (walk, open, fstat, read, close, FS insert), warm, with allocations
+# (vfs:BenchmarkImportDirMapped). B/op and allocs/op repeat to within a
+# few per cent; ns/op swings like any 2-core sample.
+bench-import:
+	$(GO) test -run '^$$' -bench BenchmarkImportDirMapped -benchmem -count 5 ./internal/vfs
 
 # bench-serve measures the resident daemon's per-request cost without the
 # network: one request of each kind serve-mixed sends (grep with the

@@ -66,7 +66,13 @@ func main() {
 	)
 	src.FaultFlags(flag.CommandLine)
 	flag.Parse()
-	if _, err := cli.Seconds("deadline", *deadline); err != nil {
+	if _, err := cli.PositiveSeconds("deadline", *deadline); err != nil {
+		fatal(err)
+	}
+	if _, err := cli.Count("workers", *workers, 0); err != nil {
+		fatal(err)
+	}
+	if _, err := cli.Count("max-attempts", *maxAtt, 0); err != nil {
 		fatal(err)
 	}
 	if *resume && *checkpoint == "" {

@@ -43,6 +43,9 @@ func main() {
 		unit      = flag.Int64("unit", 1_000_000, "granularity for -volume workloads (bytes per file)")
 	)
 	flag.Parse()
+	if _, err := cli.PositiveSeconds("deadline", *deadline); err != nil {
+		fatal(err)
+	}
 	if *unit <= 0 {
 		fmt.Fprintf(os.Stderr, "provision: -unit must be positive, got %d\n", *unit)
 		os.Exit(2)

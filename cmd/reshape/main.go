@@ -36,11 +36,22 @@ func main() {
 		prefix  = flag.String("prefix", "unit", "unit file name prefix")
 		dry     = flag.Bool("dry", false, "plan only; do not write output")
 		pack    = flag.Bool("pack", false, "write pack shards instead of plain unit files")
-		shard   = flag.Int64("shard", 256<<20, "target pack shard size in bytes (with -pack)")
+		shard   = flag.Int64("shard", 256<<20, "target pack shard size in bytes (with -pack; 0 = 256 MiB)")
 		verify  = flag.Bool("verify", false, "re-import the packs and verify checksums (with -pack)")
 		workers = flag.Int("workers", 0, "content read-ahead workers for -pack (0 = all CPUs)")
 	)
 	flag.Parse()
+	if err := cli.Positive("unit", float64(*unit)); err != nil {
+		fatal(err)
+	}
+	shardSize, err := cli.Count("shard", *shard, 0)
+	if err != nil {
+		fatal(err)
+	}
+	nWorkers, err := cli.Count("workers", *workers, 0)
+	if err != nil {
+		fatal(err)
+	}
 	if *inDir == "" {
 		fmt.Fprintln(os.Stderr, "reshape: -in is required")
 		flag.Usage()
@@ -73,8 +84,8 @@ func main() {
 	if *pack {
 		paths, err := merged.ExportPackCtx(ctx, *outDir, vfs.PackOptions{
 			Prefix:    *prefix,
-			ShardSize: *shard,
-			Workers:   *workers,
+			ShardSize: shardSize,
+			Workers:   nWorkers,
 		})
 		if err != nil {
 			fatal(err)

@@ -33,19 +33,35 @@ import (
 	"repro/internal/vfs"
 )
 
+// defaultInflight is how many scan requests run at once unless -inflight
+// says otherwise.
+const defaultInflight = 4
+
 func main() {
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	var (
 		corpus   = cli.CorpusFlags(flag.CommandLine, 0.001)
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-		inflight = flag.Int("inflight", 4, "max concurrently running scan requests")
+		inflight = flag.Int("inflight", defaultInflight, "max concurrently running scan requests (0 = 4)")
 		queue    = flag.Int("queue", 64, "max requests waiting for a slot before 429")
 		workers  = flag.Int("scan-workers", 0, "scan fan-out per request (0 = all CPUs)")
 		timeout  = flag.Float64("timeout", 0, "default per-request timeout in seconds (0 = none; requests may set timeout_ms)")
 		drain    = flag.Float64("drain", 10, "graceful-drain deadline in seconds after SIGINT/SIGTERM")
 	)
 	flag.Parse()
+	maxInFlight, err := cli.Count("inflight", *inflight, defaultInflight)
+	if err != nil {
+		fatal(err)
+	}
+	queueDepth, err := cli.Count("queue", *queue, 0)
+	if err != nil {
+		fatal(err)
+	}
+	scanWorkers, err := cli.Count("scan-workers", *workers, 0)
+	if err != nil {
+		fatal(err)
+	}
 	reqTimeout, err := cli.Seconds("timeout", *timeout)
 	if err != nil {
 		fatal(err)
@@ -63,9 +79,9 @@ func main() {
 	defer closer.Close()
 
 	srv, err := server.New(ctx, scan.SequentialOrder(vfs.Sources(fs.List())), server.Config{
-		MaxInFlight:    *inflight,
-		QueueDepth:     *queue,
-		ScanWorkers:    *workers,
+		MaxInFlight:    maxInFlight,
+		QueueDepth:     queueDepth,
+		ScanWorkers:    scanWorkers,
 		DefaultTimeout: reqTimeout,
 	})
 	if err != nil {
@@ -76,7 +92,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("serve: listening on http://%s (%d files, %d bytes, inflight %d, queue %d)\n",
-		d.Addr(), fs.Len(), fs.TotalSize(), *inflight, *queue)
+		d.Addr(), fs.Len(), fs.TotalSize(), maxInFlight, queueDepth)
 	if err := d.Run(ctx, stop, "serve", srv.Handler(), drainFor, drainer{srv}); err != nil {
 		fatal(err)
 	}

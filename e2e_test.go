@@ -395,13 +395,20 @@ func TestExperimentsCommand(t *testing.T) {
 }
 
 // TestCommandsRefuseHostileNumbers holds the commands' numeric flags to
-// the cli readers: a seconds flag to cli.Seconds, a scale to cli.Positive.
-// A NaN, negative, infinite or overflowing value exits 2 naming the flag,
-// before any corpus is generated and before any listener opens. A daemon
-// that took the value would serve until killed, so each run has a
-// deadline, and the daemons get an ephemeral port.
+// the cli readers: a seconds flag to cli.Seconds (a deadline to
+// cli.PositiveSeconds), a scale or a unit size to cli.Positive, a count
+// or a size whose 0 is its default to cli.Count. A NaN, negative,
+// infinite or overflowing value — and a zero deadline or unit — exits 2
+// naming the flag, before any corpus is generated or imported and before
+// any listener opens. A daemon that took the value would serve until
+// killed, so each run has a deadline, and the daemons get an ephemeral
+// port.
 func TestCommandsRefuseHostileNumbers(t *testing.T) {
 	bin := commandBins(t)
+	inDir, outDir := t.TempDir(), t.TempDir()
+	if err := os.WriteFile(filepath.Join(inDir, "a.txt"), []byte("the quick brown fox\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		cmd, flag, value string
 	}{
@@ -414,15 +421,30 @@ func TestCommandsRefuseHostileNumbers(t *testing.T) {
 		{"pipeline", "-deadline", "NaN"},
 		{"pipeline", "-deadline", "1e300"},
 		{"pipeline", "-deadline", "-1"},
+		{"pipeline", "-deadline", "0"},
+		{"pipeline", "-workers", "-2"},
+		{"pipeline", "-max-attempts", "-1"},
 		{"pipeline", "-scale", "NaN"},
 		{"pipeline", "-scale", "0"},
 		{"corpusgen", "-scale", "NaN"},
 		{"corpusgen", "-scale", "-1"},
 		{"corpusgen", "-scale", "Inf"},
+		{"provision", "-deadline", "0"},
+		{"provision", "-deadline", "NaN"},
+		{"serve", "-inflight", "-1"},
+		{"serve", "-queue", "-1"},
+		{"serve", "-scan-workers", "-1"},
+		{"reshape", "-unit", "-1"},
+		{"reshape", "-unit", "0"},
+		{"reshape", "-shard", "-1"},
+		{"reshape", "-workers", "-3"},
 	} {
 		args := []string{tc.flag, tc.value}
-		if tc.cmd == "serve" || tc.cmd == "worker" {
+		switch tc.cmd {
+		case "serve", "worker":
 			args = append([]string{"-addr", "127.0.0.1:0"}, args...)
+		case "reshape":
+			args = append([]string{"-in", inDir, "-out", outDir, "-pack"}, args...)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		out, err := exec.CommandContext(ctx, bin+tc.cmd, args...).CombinedOutput()
@@ -433,7 +455,8 @@ func TestCommandsRefuseHostileNumbers(t *testing.T) {
 			continue
 		}
 		if s := string(out); !strings.Contains(s, tc.flag) || strings.Contains(s, "listening on") ||
-			strings.Contains(s, "corpus:") || strings.Contains(s, "panic") || strings.Contains(s, "goroutine") {
+			strings.Contains(s, "corpus:") || strings.Contains(s, "input:") ||
+			strings.Contains(s, "panic") || strings.Contains(s, "goroutine") {
 			t.Errorf("%s %s %s: want one usage error naming %s, no corpus and no listener, got\n%s", tc.cmd, tc.flag, tc.value, tc.flag, s)
 		}
 	}

@@ -68,13 +68,39 @@ func Fatal(prog string, err error) {
 // that is NaN, infinite, negative or too large for a Duration, all of
 // which a plain conversion would turn into a nonsense deadline.
 func Seconds(name string, s float64) (time.Duration, error) {
+	return seconds(name, s, s >= 0, "from 0")
+}
+
+// PositiveSeconds is Seconds for a flag to which 0 means nothing, a
+// deadline: it refuses 0 as well.
+func PositiveSeconds(name string, s float64) (time.Duration, error) {
+	return seconds(name, s, s > 0, "above 0")
+}
+
+// seconds converts s after checking it is in range: at least the lower
+// bound, which inRange says s meets, and below what a Duration holds.
+func seconds(name string, s float64, inRange bool, lower string) (time.Duration, error) {
 	// 2^63 ns is exactly representable, so the comparison is exact; NaN
 	// fails both comparisons.
-	if !(s >= 0 && s*float64(time.Second) < math.MaxInt64) {
-		return 0, usageError(fmt.Sprintf("-%s must be a finite number of seconds from 0 to %.0f, got %v",
-			name, float64(math.MaxInt64)/float64(time.Second), s))
+	if !(inRange && s*float64(time.Second) < math.MaxInt64) {
+		return 0, usageError(fmt.Sprintf("-%s must be a finite number of seconds %s up to %.0f, got %v",
+			name, lower, float64(math.MaxInt64)/float64(time.Second), s))
 	}
 	return time.Duration(s * float64(time.Second)), nil
+}
+
+// Count reads the value of the integer flag named name, a count or a
+// size where 0 asks for def: it returns def for 0 and refuses a negative
+// value as a usage error Fatal exits 2 on, where a layer underneath would
+// quietly take it for its own default.
+func Count[T int | int64](name string, v, def T) (T, error) {
+	switch {
+	case v < 0:
+		return 0, usageError(fmt.Sprintf("-%s must not be negative (0 asks for the default), got %v", name, v))
+	case v == 0:
+		return def, nil
+	}
+	return v, nil
 }
 
 // Positive checks the value of the flag named name, a scale or other

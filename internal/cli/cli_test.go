@@ -52,3 +52,35 @@ func TestSeconds(t *testing.T) {
 		}
 	}
 }
+
+// TestPositiveSeconds: a deadline converts as Seconds does, and 0 — which
+// Seconds takes for "no wait" — is a usage error naming the flag too.
+func TestPositiveSeconds(t *testing.T) {
+	if got, err := PositiveSeconds("deadline", 120); err != nil || got != 2*time.Minute {
+		t.Errorf("PositiveSeconds(120) = %v, %v; want 2m0s", got, err)
+	}
+	for _, in := range []float64{0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), 1e300} {
+		_, err := PositiveSeconds("deadline", in)
+		var ue usageError
+		if !errors.As(err, &ue) || !strings.Contains(err.Error(), "-deadline") {
+			t.Errorf("PositiveSeconds(%v): %v, want a usage error naming -deadline", in, err)
+		}
+	}
+}
+
+// TestCount pins the integer reader: 0 gives the default, a positive value
+// passes, a negative one is a usage error naming the flag.
+func TestCount(t *testing.T) {
+	for _, tc := range []struct{ in, def, want int }{{0, 4, 4}, {0, 0, 0}, {1, 4, 1}, {64, 0, 64}} {
+		if got, err := Count("inflight", tc.in, tc.def); err != nil || got != tc.want {
+			t.Errorf("Count(%d, default %d) = %d, %v; want %d", tc.in, tc.def, got, err, tc.want)
+		}
+	}
+	for _, in := range []int64{-1, math.MinInt64} {
+		_, err := Count("shard", in, 256<<20)
+		var ue usageError
+		if !errors.As(err, &ue) || !strings.Contains(err.Error(), "-shard") {
+			t.Errorf("Count(%d): %v, want a usage error naming -shard", in, err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"repro/internal/errs"
 )
@@ -82,25 +83,48 @@ const SmallFileLimit = 64 << 10
 // one sixteenth of it.
 const fileSlabBytes = 1 << 20
 
-// FileSlab carves small files' contents out of shared heap slabs, the way
-// scan.Int64Arena carves result rows: one allocation per megabyte of
-// content instead of one per file. Views handed out stay valid for as
-// long as anything references them (slabs are never reused; a full slab
-// is abandoned to the GC once its views die). The zero value is ready to
-// use; a FileSlab is not safe for concurrent use.
+// slab is one shared slab's storage. A pointer to an array, so the pool
+// holds it without boxing a slice header on every Put.
+type slab = [fileSlabBytes]byte
+
+// slabPool recycles slabs between imports. A fresh slab costs a 1 MiB
+// zeroing that the file read overwrites at once, and an import of a few
+// thousand small files draws dozens; recycled, a repeated import draws
+// them from the previous one's Release. The pool drops what two garbage
+// collections find unused, so an idle process gives the memory back.
+var slabPool = sync.Pool{New: func() any { return new(slab) }}
+
+// FileSlab is one loader's state. It carves small files' contents out of
+// shared 1 MiB slabs, the way scan.Int64Arena carves result rows: one slab
+// per megabyte of content instead of one allocation per file, and the
+// slabs come from a package-level pool. On linux it also keeps the
+// directory its last file was opened in, so the next file there is opened
+// relative to it by name alone.
+//
+// Views handed out stay valid until Release, which returns every slab to
+// the pool and closes the directory: a later import may then overwrite
+// them, so whoever owns the views calls Release only once they are dead
+// (vfs.ImportDirMappedCtx's closer). A FileSlab that is never released
+// leaves its slabs to the garbage collector and its directory open. The
+// zero value is ready to use; a FileSlab is not safe for concurrent use.
 type FileSlab struct {
-	buf []byte
+	buf   []byte  // the current slab: its filled prefix, capacity all of it
+	slabs []*slab // every slab drawn since the last Release
+	dir   dirCache
 }
 
 // read appends exactly size bytes of r to the slab and returns them as a
-// capacity-clamped view. size is what the file's stat reported; the read
-// runs to EOF with room for one byte more, so content that is shorter or
-// longer than its stat — a file truncated or appended to in between — is
-// ErrCorrupt, never a silently short or stale view.
+// capacity-clamped view. size, at most SmallFileLimit, is what the file's
+// stat reported; the read runs to EOF with room for one byte more, so
+// content that is shorter or longer than its stat — a file truncated or
+// appended to in between — is ErrCorrupt, never a silently short or stale
+// view.
 func (s *FileSlab) read(r io.Reader, size int64, path string) ([]byte, error) {
 	need := int(size) + 1 // the EOF probe's byte
 	if cap(s.buf)-len(s.buf) < need {
-		s.buf = make([]byte, 0, max(fileSlabBytes, need))
+		p := slabPool.Get().(*slab)
+		s.slabs = append(s.slabs, p)
+		s.buf = p[:0]
 	}
 	off := len(s.buf)
 	dst := s.buf[off : off+need]
@@ -125,13 +149,28 @@ func (s *FileSlab) read(r io.Reader, size int64, path string) ([]byte, error) {
 	return dst[:n:n], nil
 }
 
+// Release hands every slab back to the pool and closes the directory the
+// slab kept open, leaving the zero FileSlab. Every view read into it is
+// dead from here on — under the scandebug tag each released slab is
+// overwritten with 0xDB at once, as the scan engine poisons its recycled
+// blocks. A second Release finds nothing to hand back, so no slab ever
+// reaches the pool twice.
+func (s *FileSlab) Release() {
+	for _, p := range s.slabs {
+		poison(p[:])
+		slabPool.Put(p)
+	}
+	s.dir.close()
+	*s = FileSlab{}
+}
+
 // LoadFile opens the regular file at path once and delivers its complete
 // content by the cheaper of two routes, chosen from the size its stat
 // reports: at or under SmallFileLimit it is read to EOF into slab (the
-// returned mapping is nil and the view lives on the heap), above it the
-// file is mapped (the view is the mapping's bytes, valid until the
-// caller closes the mapping). Either way the descriptor is released
-// before LoadFile returns.
+// returned mapping is nil and the view is valid until slab.Release),
+// above it the file is mapped (the view is the mapping's bytes, valid
+// until the caller closes the mapping). Either way the file's descriptor
+// is released before LoadFile returns.
 func LoadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
 	return loadFile(path, slab)
 }

@@ -25,6 +25,11 @@ func mapFile(f *os.File, size int64) ([]byte, bool, error) {
 // unmapFile is a no-op: heap buffers are garbage-collected.
 func unmapFile([]byte) error { return nil }
 
+// dirCache holds nothing here: every file is opened by its whole path.
+type dirCache struct{}
+
+func (*dirCache) close() {}
+
 // loadFile is LoadFile through *os.File: the same open, stat, read to
 // EOF, close sequence and the same slab, without the raw descriptor
 // calls only unix has. Large files take mapFile's heap fallback.

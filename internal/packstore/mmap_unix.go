@@ -54,12 +54,13 @@ func openFD(path string) (int, error) {
 }
 
 // loadFile is LoadFile over raw descriptors: the small-file route is
-// exactly open, fstat, read to EOF, close — no FileInfo either — which
+// exactly open (relative to the slab's directory where the platform has
+// openat), fstat, read to EOF, close — no FileInfo, no path copy — which
 // keeps the per-file fixed cost of a many-small-files import down to the
 // system calls it cannot avoid. Only a file large enough to map is
 // wrapped in an *os.File, for mapFile.
 func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
-	fd, err := openFD(path)
+	fd, err := slab.dir.open(path)
 	if err != nil {
 		return nil, nil, err
 	}

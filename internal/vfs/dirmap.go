@@ -48,7 +48,7 @@ func forEachImportChunk(ctx context.Context, n int, fn func(c, lo, hi int) error
 // memory-mapped, so the kernels read it straight out of the page cache.
 // A corpus of many small files — the paper's unreshaped "before" state —
 // therefore imports with one open, fstat, read and close per file and one
-// allocation per megabyte, in parallel, and its closer has nothing to
+// recycled slab per megabyte, in parallel, and its closer has nothing to
 // unmap; a corpus of unit files imports as mappings, as before.
 //
 // Sizes come from each file's fstat, and the streaming source reads
@@ -61,13 +61,15 @@ func forEachImportChunk(ctx context.Context, n int, fn func(c, lo, hi int) error
 // degrade to heap buffers with identical behavior, exactly like the pack
 // Reader's packstore_nommap fallback.
 //
-// The returned closer unmaps the mapped files; all raw views and
+// The returned closer unmaps the mapped files and hands the slabs back to
+// packstore's pool, where the next import refills them; all raw views and
 // streaming readers obtained from the FS are invalid after it runs, for
 // slab-backed files too (their streaming readers fail as loudly as the
-// mapped ones). Callers that need bytes past that point must copy them
-// first. Cancellation is checked between files; on abort every mapping
-// made so far is released before the typed cancellation error is
-// returned.
+// mapped ones, and their raw views read another import's bytes — 0xDB
+// under the scandebug tag). Callers that need bytes past that point must
+// copy them first. Closing twice releases once. Cancellation is checked
+// between files; on abort, and on any failure, every mapping and slab
+// taken so far is released before the error is returned.
 func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error) {
 	// Walk first, load second: the walk order defines the corpus exactly
 	// as ImportDir does, and it reports entries without an lstat apiece —
@@ -83,13 +85,9 @@ func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error)
 	imp := &dirImport{}
 	files := make([]File, len(entries))
 	chunkMaps := make([][]*packstore.FileMapping, importChunks(len(entries)))
-	var slabs sync.Pool
 	err = forEachImportChunk(ctx, len(entries), func(c, lo, hi int) error {
-		slab, _ := slabs.Get().(*packstore.FileSlab)
-		if slab == nil {
-			slab = new(packstore.FileSlab)
-		}
-		defer slabs.Put(slab)
+		slab := imp.slab()
+		defer imp.idle(slab)
 		for i := lo; i < hi; i++ {
 			if cerr := errs.FromContext(ctx); cerr != nil {
 				return cerr
@@ -126,11 +124,38 @@ func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error)
 }
 
 // dirImport owns what a mapped directory import must release: the
-// mappings of its large files. The small files' slabs belong to the GC,
-// but their streaming readers honour the same close.
+// mappings of its large files and the slabs its loaders filled with the
+// small ones, which go back to packstore's pool for the next import.
 type dirImport struct {
-	maps   []*packstore.FileMapping
+	maps []*packstore.FileMapping
+
+	mu    sync.Mutex
+	slabs []*packstore.FileSlab // every loader's slab, for Close
+	free  []*packstore.FileSlab // those no chunk is filling
+
 	closed atomic.Bool
+}
+
+// slab hands a chunk a slab no other chunk is filling: one a finished
+// chunk left, so a worker keeps filling the slab it started, or a new one.
+func (imp *dirImport) slab() *packstore.FileSlab {
+	imp.mu.Lock()
+	defer imp.mu.Unlock()
+	if n := len(imp.free); n > 0 {
+		s := imp.free[n-1]
+		imp.free = imp.free[:n-1]
+		return s
+	}
+	s := new(packstore.FileSlab)
+	imp.slabs = append(imp.slabs, s)
+	return s
+}
+
+// idle takes back a slab its chunk has finished with.
+func (imp *dirImport) idle(s *packstore.FileSlab) {
+	imp.mu.Lock()
+	imp.free = append(imp.free, s)
+	imp.mu.Unlock()
 }
 
 // file builds the imported File over its loaded content view.
@@ -145,9 +170,16 @@ func (imp *dirImport) file(name string, data []byte) File {
 	}).WithRawBytes(data)
 }
 
-// Close unmaps every mapped file, keeping the first error.
+// Close unmaps every mapped file, keeping the first error, and releases
+// every slab. Only the first call does anything, so a second Close cannot
+// hand a slab to the pool twice — that is, to two later imports at once.
 func (imp *dirImport) Close() error {
-	imp.closed.Store(true)
+	if imp.closed.Swap(true) {
+		return nil
+	}
+	for _, s := range imp.slabs {
+		s.Release()
+	}
 	var first error
 	for _, m := range imp.maps {
 		if err := m.Close(); err != nil && first == nil {

@@ -462,3 +462,123 @@ func TestImportDirMappedCloseInvalidatesStreaming(t *testing.T) {
 		t.Fatalf("read after close returned %v, want loud close error", err)
 	}
 }
+
+// seededTree writes n small files of 1–5 KB in two directories, ≈ 1 MB
+// for n = 300 so an import fills more than one slab, with bytes that
+// differ per seed: an import that hands one tree's slab to another shows
+// as the other tree's bytes.
+func seededTree(t *testing.T, n int, seed byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	for i := 0; i < n; i++ {
+		sub := filepath.Join(dir, fmt.Sprintf("d%d", i%2))
+		if err := os.MkdirAll(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		content := make([]byte, 1000+(i*37)%4000)
+		for j := range content {
+			content[j] = seed*31 + byte(i+j*7)
+		}
+		if err := os.WriteFile(filepath.Join(sub, fmt.Sprintf("f%03d", i)), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// importMapped imports dir, failing the test on an error.
+func importMapped(t *testing.T, dir string) (*FS, io.Closer) {
+	t.Helper()
+	fs, closer, err := ImportDirMappedCtx(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, closer
+}
+
+// requireTreeBytes fails unless every file of fs has, as its raw view, the
+// bytes its file under dir has on disk.
+func requireTreeBytes(t *testing.T, fs *FS, dir string) {
+	t.Helper()
+	for _, f := range fs.List() {
+		want, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(f.Name)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw, err := f.Bytes(); err != nil || !bytes.Equal(raw, want) {
+			t.Fatalf("%s: raw view differs from the file on disk (err %v)", f.Name, err)
+		}
+	}
+}
+
+// TestImportDirMappedRecyclesSlabs: an import's close hands its slabs to
+// the next import, and only once. Back-to-back imports of two different
+// trees each read their own bytes; after a closer runs twice, two imports
+// alive at once — both drawing from what it released — still do.
+func TestImportDirMappedRecyclesSlabs(t *testing.T) {
+	a, b := seededTree(t, 300, 1), seededTree(t, 300, 2)
+	fsA, closeA := importMapped(t, a)
+	requireTreeBytes(t, fsA, a)
+	if err := closeA.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fsB, closeB := importMapped(t, b)
+	requireTreeBytes(t, fsB, b)
+	if err := closeB.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := closeB.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	fsA, closeA = importMapped(t, a)
+	fsB, closeB = importMapped(t, b)
+	requireTreeBytes(t, fsA, a)
+	requireTreeBytes(t, fsB, b)
+	closeA.Close()
+	closeB.Close()
+}
+
+// TestImportDirMappedReleasesOnEveryPath: a closer run twice, a cancelled
+// import and a failed one each release what the import took. A released
+// slab is the zero FileSlab, and on linux a slab holds the directory its
+// last file was opened in until it is released, so a path that skipped
+// the release would leave a descriptor open.
+func TestImportDirMappedReleasesOnEveryPath(t *testing.T) {
+	dir := seededTree(t, 300, 3)
+	before := openFDs(t)
+
+	_, closer := importMapped(t, dir)
+	imp := closer.(*dirImport)
+	if len(imp.slabs) == 0 {
+		t.Fatal("an import of 300 small files filled no slab")
+	}
+	for i := 0; i < 2; i++ {
+		if err := closer.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i+1, err)
+		}
+		for _, s := range imp.slabs {
+			if !reflect.ValueOf(*s).IsZero() {
+				t.Fatalf("after Close %d a slab still holds state", i+1)
+			}
+		}
+	}
+
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(100)
+	if _, _, err := ImportDirMappedCtx(ctx, dir); !errors.Is(err, errs.ErrCancelled) {
+		t.Fatalf("import cancelled a hundred files in: %v, want ErrCancelled", err)
+	}
+
+	const grower = "/proc/self/cmdline" // see TestImportDirMappedSizeDriftIsCorrupt
+	if info, err := os.Stat(grower); err == nil && info.Mode().IsRegular() && info.Size() == 0 {
+		if err := os.Symlink(grower, filepath.Join(dir, "d1", "f150-grower")); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ImportDirMappedCtx(context.Background(), dir); !errors.Is(err, errs.ErrCorrupt) {
+			t.Fatalf("import over a file that outgrew its stat: %v, want ErrCorrupt", err)
+		}
+	}
+	if after := openFDs(t); after != before {
+		t.Fatalf("%d descriptors open before the imports, %d after", before, after)
+	}
+}

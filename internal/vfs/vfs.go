@@ -462,38 +462,16 @@ func statFiles(entries []dirEntry) (*FS, error) {
 	return fs, nil
 }
 
-// dirEntry is one regular file the walk found: its corpus name and its
-// path on disk.
+// dirEntry is one file the walk found: its corpus name and its path on
+// disk.
+//
+// walkFiles(dir) is the one directory walk: it lists every non-directory
+// entry under dir by its name relative to dir (slash-separated) and its
+// path on disk — for the two directory imports to stat or load in
+// parallel. It walks as filepath.WalkDir does — depth-first, each
+// directory in lexical order, symlinks listed and not followed, an
+// unreadable directory an error. On linux it reads the directories
+// itself (walk_linux.go); elsewhere, and behind packstore_nommap so that
+// the portable walk has a linux build to test it, it lists them with
+// os.ReadDir (walk_other.go).
 type dirEntry struct{ name, path string }
-
-// walkFiles is the one directory walk: it lists every non-directory entry
-// under dir by its name relative to dir (slash-separated) and its path on
-// disk — for the two directory imports to stat or load in parallel. It
-// walks as filepath.WalkDir does — depth-first, each directory in lexical
-// order, symlinks listed and not followed, an unreadable directory an
-// error — but builds each name and path by appending the entry to its
-// directory's, as it descends, instead of recovering the name from the
-// path with filepath.Rel per entry.
-func walkFiles(dir string) ([]dirEntry, error) {
-	var entries []dirEntry
-	var walk func(path, prefix string) error
-	walk = func(path, prefix string) error {
-		list, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		for _, d := range list {
-			name, sub := prefix+d.Name(), path+d.Name()
-			if !d.IsDir() {
-				entries = append(entries, dirEntry{name, sub})
-			} else if err := walk(sub+string(filepath.Separator), name+"/"); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if dir != "" && !os.IsPathSeparator(dir[len(dir)-1]) {
-		dir += string(filepath.Separator)
-	}
-	return entries, walk(dir, "")
-}

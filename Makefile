@@ -98,11 +98,13 @@ bench-pack:
 
 # bench-import measures the small-file import grep-smallfiles pays per op:
 # a mapped import of 2 000 corpus.Text400K files on disk and its close
-# (walk, open, fstat, read, close, FS insert), warm, with allocations
-# (vfs:BenchmarkImportDirMapped). B/op and allocs/op repeat to within a
-# few per cent; ns/op swings like any 2-core sample.
+# (walk, open, fstat, read, close, name order), warm, with allocations
+# (vfs:BenchmarkImportDirMapped), on one core and on two: the loads run
+# beside the walk, which only a second core can overlap. B/op and
+# allocs/op repeat to within a few per cent; ns/op swings like any 2-core
+# sample.
 bench-import:
-	$(GO) test -run '^$$' -bench BenchmarkImportDirMapped -benchmem -count 5 ./internal/vfs
+	$(GO) test -run '^$$' -bench BenchmarkImportDirMapped -benchmem -cpu 1,2 -count 5 ./internal/vfs
 
 # bench-serve measures the resident daemon's per-request cost without the
 # network: one request of each kind serve-mixed sends (grep with the

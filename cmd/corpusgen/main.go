@@ -45,7 +45,7 @@ func main() {
 	if *outDir == "" {
 		fs, err := corpus.Generate(spec, *seed)
 		if err != nil {
-			fatal(err)
+			fatal(cli.Refused("scale", err))
 		}
 		binW, cap := int64(10*corpus.KB), 300*corpus.KB
 		if *specName == "text" {
@@ -63,7 +63,7 @@ func main() {
 
 	fs, err := corpus.GenerateWithContentEagerCtx(ctx, spec, *seed, 0)
 	if err != nil {
-		fatal(err)
+		fatal(cli.Refused("scale", err))
 	}
 	if err := fs.ExportCtx(ctx, *outDir); err != nil {
 		fatal(err)

@@ -22,6 +22,7 @@ import (
 	"repro/internal/binpack"
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/errs"
 	"repro/internal/perfmodel"
 	"repro/internal/provision"
@@ -64,6 +65,12 @@ func main() {
 		}
 		items = core.ItemsFromFS(fs)
 	case *volume > 0:
+		// One item per unit: past corpus.MaxFiles of them, or at an
+		// infinite volume, the list would not fit in memory.
+		if !(*volume/float64(*unit) <= corpus.MaxFiles) {
+			fmt.Fprintf(os.Stderr, "provision: -volume %v over -unit %d is more than %d files\n", *volume, *unit, corpus.MaxFiles)
+			os.Exit(2)
+		}
 		n := int64(*volume) / *unit
 		for i := int64(0); i < n; i++ {
 			items = append(items, binpack.Item{Size: *unit})

@@ -8,6 +8,9 @@
 // staging artefact: a handful of file opens on re-import, per-member
 // checksums, O(1) random access to any unit.
 //
+// Either way the manifest of which inputs each unit holds is written
+// beside the output directory, as <out>.manifest.txt.
+//
 // Usage:
 //
 //	reshape -in ./corpus -out ./units -unit 100000000   # 100 MB units
@@ -19,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"repro/internal/binpack"
 	"repro/internal/cli"
@@ -114,8 +118,11 @@ func main() {
 			fatal(err)
 		}
 	}
-	// Write the manifest so outputs can be traced back to inputs.
-	manifest, err := os.Create(*outDir + "/MANIFEST.txt")
+	// The manifest traces outputs back to inputs. It goes beside the output
+	// directory, not into it: a directory of unit files is a corpus, and a
+	// later `pipeline -dir` would scan a manifest inside it as text.
+	path := filepath.Clean(*outDir) + ".manifest.txt"
+	manifest, err := os.Create(path)
 	if err != nil {
 		fatal(err)
 	}
@@ -127,8 +134,9 @@ func main() {
 		}
 	}
 	if !*pack {
-		fmt.Printf("wrote %d unit files and MANIFEST.txt to %s\n", merged.Len(), *outDir)
+		fmt.Printf("wrote %d unit files to %s\n", merged.Len(), *outDir)
 	}
+	fmt.Printf("wrote the manifest to %s\n", path)
 }
 
 func fatal(err error) {

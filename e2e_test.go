@@ -291,6 +291,33 @@ func runCommand(t *testing.T, bin string, args ...string) {
 	}
 }
 
+// TestReshapeOutputIsACorpus: plain reshape writes nothing but unit files
+// into its output directory — the manifest goes beside it, as it does
+// with -pack — so pipeline -dir over the output reads exactly the unit
+// files and exactly the input's bytes.
+func TestReshapeOutputIsACorpus(t *testing.T) {
+	bin := commandBins(t)
+	work := t.TempDir()
+	corpusDir, units := filepath.Join(work, "corpus"), filepath.Join(work, "units")
+	runCommand(t, bin+"corpusgen", "-spec", "text", "-scale", "0.0005", "-out", corpusDir)
+	out, err := exec.Command(bin+"reshape", "-in", corpusDir, "-out", units, "-unit", "16384").CombinedOutput()
+	if err != nil {
+		t.Fatalf("reshape: %v\n%s", err, out)
+	}
+	var inFiles, unitFiles int
+	var inBytes int64
+	if _, err := fmt.Sscanf(string(out), "input: %d files, %d bytes\npacked into %d unit files", &inFiles, &inBytes, &unitFiles); err != nil || unitFiles < 2 {
+		t.Fatalf("reshape printed no input and unit counts (%v):\n%s", err, out)
+	}
+	if info, err := os.Stat(units + ".manifest.txt"); err != nil || info.Size() == 0 {
+		t.Fatalf("no manifest beside the output directory: %v", err)
+	}
+	m := runPipeline(t, bin+"pipeline", "-dir", units, "-measure", "-measure-only", "-grep", "the")
+	if want := fmt.Sprintf("corpus: %d files, %d bytes\n", unitFiles, inBytes); !strings.Contains(m.out, want) {
+		t.Fatalf("pipeline -dir over the reshaped output: want %q in\n%s", want, m.out)
+	}
+}
+
 // TestProvisionCommand runs cmd/provision's plan modes and requires their
 // plan lines, and refuses the numeric inputs it cannot plan for as usage
 // errors (exit 2 naming the flag, no panic).
@@ -397,10 +424,11 @@ func TestExperimentsCommand(t *testing.T) {
 // TestCommandsRefuseHostileNumbers holds the commands' numeric flags to
 // the cli readers: a seconds flag to cli.Seconds (a deadline to
 // cli.PositiveSeconds), a scale or a unit size to cli.Positive, a count
-// or a size whose 0 is its default to cli.Count. A NaN, negative,
-// infinite or overflowing value — and a zero deadline or unit — exits 2
-// naming the flag, before any corpus is generated or imported and before
-// any listener opens. A daemon that took the value would serve until
+// or a size whose 0 is its default to cli.Count, and a scale or volume
+// past corpus.MaxFiles files to the cap. A NaN, negative, infinite or
+// overflowing value — and a zero deadline or unit — exits 2 naming the
+// flag, before any corpus is generated or imported and before any
+// listener opens. A daemon that took the value would serve until
 // killed, so each run has a deadline, and the daemons get an ephemeral
 // port.
 func TestCommandsRefuseHostileNumbers(t *testing.T) {
@@ -429,8 +457,11 @@ func TestCommandsRefuseHostileNumbers(t *testing.T) {
 		{"corpusgen", "-scale", "NaN"},
 		{"corpusgen", "-scale", "-1"},
 		{"corpusgen", "-scale", "Inf"},
+		{"corpusgen", "-scale", "1e9"}, // metadata only: nothing but corpus.MaxFiles bounds it
+		{"corpusgen", "-scale", "4e9"}, // with -out, where making the name list panicked
 		{"provision", "-deadline", "0"},
 		{"provision", "-deadline", "NaN"},
+		{"provision", "-volume", "1e18"}, // with -unit 1: one item per byte
 		{"serve", "-inflight", "-1"},
 		{"serve", "-queue", "-1"},
 		{"serve", "-scan-workers", "-1"},
@@ -445,6 +476,12 @@ func TestCommandsRefuseHostileNumbers(t *testing.T) {
 			args = append([]string{"-addr", "127.0.0.1:0"}, args...)
 		case "reshape":
 			args = append([]string{"-in", inDir, "-out", outDir, "-pack"}, args...)
+		case "corpusgen":
+			if tc.value == "4e9" {
+				args = append(args, "-out", outDir)
+			}
+		case "provision":
+			args = append(args, "-unit", "1")
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		out, err := exec.CommandContext(ctx, bin+tc.cmd, args...).CombinedOutput()

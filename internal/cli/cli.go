@@ -103,6 +103,16 @@ func Count[T int | int64](name string, v, def T) (T, error) {
 	return v, nil
 }
 
+// Refused turns a layer's errs.ErrInvalid refusal of what the flag named
+// name asked for — a corpus scale past corpus.MaxFiles — into a usage
+// error Fatal exits 2 on, naming the flag; any other error passes as is.
+func Refused(name string, err error) error {
+	if errors.Is(err, errs.ErrInvalid) {
+		return usageError(fmt.Sprintf("-%s: %v", name, err))
+	}
+	return err
+}
+
 // Positive checks the value of the flag named name, a scale or other
 // multiplier: NaN, infinite, zero or negative values are usage errors
 // Fatal exits 2 on.

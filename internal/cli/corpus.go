@@ -68,7 +68,8 @@ func (e usageError) Error() string { return string(e) }
 // else -spec through synthetic. An enabled -fault spec wraps the result —
 // names, sizes and locality are kept, so plan fingerprints match a clean
 // run — and its injector is returned; nil means no faults. A -scale that
-// is not a positive finite number is refused whichever source is named.
+// is not a positive finite number is refused whichever source is named,
+// and one past corpus.MaxFiles files when -spec is.
 // The closer must outlive every read; on failure nothing is left open.
 func (c *Corpus) Open(ctx context.Context, synthetic Synthetic) (*vfs.FS, io.Closer, *fault.Injector, error) {
 	if c.verifyReads && c.packs == "" {
@@ -92,8 +93,10 @@ func (c *Corpus) Open(ctx context.Context, synthetic Synthetic) (*vfs.FS, io.Clo
 		fs, closer, err = vfs.ImportDirMappedCtx(ctx, c.dir)
 	case c.spec == "html":
 		fs, err = synthetic(ctx, corpus.HTML18Mil(c.scale), c.seed)
+		err = Refused("scale", err)
 	case c.spec == "text":
 		fs, err = synthetic(ctx, corpus.Text400K(c.scale), c.seed)
+		err = Refused("scale", err)
 	default:
 		err = usageError(fmt.Sprintf("unknown spec %q (html or text)", c.spec))
 	}

@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/errs"
 	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/vfs"
@@ -45,6 +46,12 @@ func (d SizeDist) Sample(r *rand.Rand) int64 {
 	return int64(math.Round(v))
 }
 
+// MaxFiles is the most files a generated corpus may hold: five and a half
+// times HTML_18mil at full scale. A spec with more is refused with
+// errs.ErrInvalid before anything is allocated; its names and sizes alone
+// would run to gigabytes, and past 2^63 bytes a slice cannot be made.
+const MaxFiles = 100_000_000
+
 // Spec describes a synthetic dataset.
 type Spec struct {
 	Name     string
@@ -61,13 +68,9 @@ type Spec struct {
 // majority of files fall under 50 kB, and the hard cap is the paper's 43 MB
 // maximum.
 func HTML18Mil(scale float64) Spec {
-	n := int(18_000_000 * scale)
-	if n < 1 {
-		n = 1
-	}
 	return Spec{
 		Name:     "HTML_18mil",
-		NumFiles: n,
+		NumFiles: numFiles(18_000_000, scale),
 		Sizes: SizeDist{
 			Mu:    math.Log(24 * 1000), // median ≈24 kB
 			Sigma: 1.2,                 // mean ≈ e^{μ+σ²/2} ≈ 49 kB, long tail
@@ -85,13 +88,9 @@ func HTML18Mil(scale float64) Spec {
 // (the paper's stated fraction), the majority under 5 kB, total ≈1 GB, and
 // the maximum is 705 kB.
 func Text400K(scale float64) Spec {
-	n := int(400_000 * scale)
-	if n < 1 {
-		n = 1
-	}
 	return Spec{
 		Name:     "Text_400K",
-		NumFiles: n,
+		NumFiles: numFiles(400_000, scale),
 		Sizes: SizeDist{
 			Mu:    math.Log(1280), // median ≈1.28 kB → P(size<1 kB) ≈ 0.40
 			Sigma: 1.0,
@@ -104,10 +103,35 @@ func Text400K(scale float64) Spec {
 	}
 }
 
+// numFiles is the file count of a corpus of full files at scale: at least
+// one, and MaxFiles+1 for any count past MaxFiles, so that a spec too
+// large to generate is refused, never wrapped around.
+func numFiles(full, scale float64) int {
+	switch n := full * scale; {
+	case n > MaxFiles:
+		return MaxFiles + 1
+	case n >= 1:
+		return int(n)
+	}
+	return 1
+}
+
+// check refuses a spec with more files than MaxFiles.
+func (spec Spec) check() error {
+	if spec.NumFiles > MaxFiles {
+		return errs.Invalid("corpus %s would hold more than %d files", spec.Name, MaxFiles)
+	}
+	return nil
+}
+
 // forEachFile draws the corpus: file i's name and size, in index order,
 // sizes from the single sequential RNG stream that is part of the corpus
-// identity. Every Generate form gets its names and sizes here.
+// identity. Every Generate form gets its names and sizes here, after the
+// spec's check.
 func forEachFile(spec Spec, seed int64, visit func(name string, size int64) error) error {
+	if err := spec.check(); err != nil {
+		return err
+	}
 	r := stats.NewRand(seed, "corpus-sizes-"+spec.Name)
 	for i := 0; i < spec.NumFiles; i++ {
 		if err := visit(fileName(spec, i), spec.Sizes.Sample(r)); err != nil {
@@ -170,6 +194,9 @@ func GenerateWithContent(spec Spec, seed int64) (*vfs.FS, error) {
 // reads instead of regeneration. Per-file materialisation stops once ctx
 // is done and the call returns a typed cancellation error.
 func GenerateWithContentEagerCtx(ctx context.Context, spec Spec, seed int64, workers int) (*vfs.FS, error) {
+	if err := spec.check(); err != nil {
+		return nil, err
+	}
 	names := make([]string, 0, spec.NumFiles)
 	sizes := make([]int64, 0, spec.NumFiles)
 	_ = forEachFile(spec, seed, func(name string, size int64) error { // the visitor never fails

@@ -2,11 +2,14 @@ package corpus
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/errs"
 	"repro/internal/stats"
 )
 
@@ -288,5 +291,29 @@ func TestStyleStringAndSpecNames(t *testing.T) {
 	}
 	if spec := HTML18Mil(0); spec.NumFiles < 1 {
 		t.Error("zero scale must still produce at least one file")
+	}
+}
+
+// TestSpecsPastMaxFilesAreRefused: a scale past MaxFiles files — however
+// far past, up to where the count no longer fits an int — is refused with
+// ErrInvalid by every generator, before anything is allocated; the
+// largest scale under the cap still makes a spec of that many files.
+func TestSpecsPastMaxFilesAreRefused(t *testing.T) {
+	for _, spec := range []Spec{Text400K(1e9), HTML18Mil(1e300), Text400K(math.Inf(1)), Text400K(MaxFiles/400_000 + 1e-6)} {
+		if spec.NumFiles != MaxFiles+1 {
+			t.Fatalf("%s: %d files, want MaxFiles+1 for any count past the cap", spec.Name, spec.NumFiles)
+		}
+		if _, err := Generate(spec, 1); !errors.Is(err, errs.ErrInvalid) {
+			t.Errorf("Generate(%s, %d files): %v, want ErrInvalid", spec.Name, spec.NumFiles, err)
+		}
+		if _, err := GenerateWithContent(spec, 1); !errors.Is(err, errs.ErrInvalid) {
+			t.Errorf("GenerateWithContent: %v, want ErrInvalid", err)
+		}
+		if _, err := GenerateWithContentEagerCtx(context.Background(), spec, 1, 0); !errors.Is(err, errs.ErrInvalid) {
+			t.Errorf("GenerateWithContentEagerCtx: %v, want ErrInvalid", err)
+		}
+	}
+	if n := Text400K(MaxFiles / 400_000).NumFiles; n != MaxFiles {
+		t.Fatalf("the largest scale under the cap makes %d files, want %d", n, MaxFiles)
 	}
 }

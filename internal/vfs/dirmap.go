@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -14,104 +16,183 @@ import (
 	"repro/internal/par"
 )
 
-// importChunkFiles is how many directory entries one import task loads:
-// enough to amortise the task's claim and its share of a slab, few enough
-// that a corpus of a few thousand files still spreads over every worker.
+// importChunkFiles is how many entries the walk hands the loaders at a
+// time: enough to amortise a handoff, few enough that loads start while the
+// first directory is read and a few thousand files spread over every core.
 const importChunkFiles = 256
 
-// importChunks is how many chunks a walk of n entries makes.
-func importChunks(n int) int { return (n + importChunkFiles - 1) / importChunkFiles }
-
-// forEachImportChunk runs fn over the contiguous chunks [lo, hi) of a walk
-// of n entries, chunk c of importChunks(n), concurrently on the default
-// pool. fn writes only to its own entries' slots, so the result does not
-// depend on the worker count, and the error is the first in walk order.
-func forEachImportChunk(ctx context.Context, n int, fn func(c, lo, hi int) error) error {
-	return par.Default().ForEachCtx(ctx, importChunks(n), func(c int) error {
-		lo := c * importChunkFiles
-		return fn(c, lo, min(lo+importChunkFiles, n))
-	})
+// dirEntry is one file the walk found — its corpus name and its path on
+// disk — and what its load made of it: ImportDir's size, or the mapped
+// import's view.
+//
+// walkFiles(dir, emit) is the one directory walk: every non-directory
+// entry under dir, by slash-separated name relative to dir and by path,
+// handed to emit importChunkFiles at a time as each directory returns
+// them (emit keeps the chunk; its error ends the walk). Symlinks are
+// listed, not followed; an unreadable directory is an error.
+type dirEntry struct {
+	name, path string
+	size       int64
+	data       []byte
 }
 
-// ImportDirMappedCtx loads every regular file under dir — the same corpus
-// ImportDir builds — with a zero-copy raw view on every file alongside
-// its streaming content source. Scans over the returned FS take the
-// engine's borrowed-window path: no per-file opens during the scan, no
-// block-buffer copies.
-//
-// Delivery is chosen per file, by its size (packstore.LoadFile). A file
-// at or under packstore.SmallFileLimit is read once, at import, into a
-// heap slab it shares with its neighbours: a mapping costs an mmap, a
-// munmap, a VMA and a page fault whatever the file's size, the two calls
-// serialise on the process's address-space lock, and for a file of a few
-// pages that fixed cost is several times the copy. A larger file is
-// memory-mapped, so the kernels read it straight out of the page cache.
-// A corpus of many small files — the paper's unreshaped "before" state —
-// therefore imports with one open, fstat, read and close per file and one
-// recycled slab per megabyte, in parallel, and its closer has nothing to
-// unmap; a corpus of unit files imports as mappings, as before.
-//
-// Sizes come from each file's fstat, and the streaming source reads
-// through the same view as the raw path, so both are one consistent
-// snapshot. A small file is read to EOF against that size: one that was
-// truncated or appended to between the fstat and the read fails the
-// import with errs.ErrCorrupt, and once imported it cannot change under
-// the scan — unlike a mapped file, which a concurrent truncation still
-// turns into a SIGBUS. On platforms (or builds) without mmap the mappings
-// degrade to heap buffers with identical behavior, exactly like the pack
-// Reader's packstore_nommap fallback.
-//
-// The returned closer unmaps the mapped files and hands the slabs back to
-// packstore's pool, where the next import refills them; all raw views and
-// streaming readers obtained from the FS are invalid after it runs, for
-// slab-backed files too (their streaming readers fail as loudly as the
-// mapped ones, and their raw views read another import's bytes — 0xDB
-// under the scandebug tag). Callers that need bytes past that point must
-// copy them first. Closing twice releases once. Cancellation is checked
-// between files; on abort, and on any failure, every mapping and slab
-// taken so far is released before the error is returned.
-func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error) {
-	// Walk first, load second: the walk order defines the corpus exactly
-	// as ImportDir does, and it reports entries without an lstat apiece —
-	// the load's own fstat is the only one a file gets.
-	entries, err := walkFiles(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("vfs: import mapped %s: %w", dir, err)
+// walkBefore reports whether filepath.WalkDir, depth-first in lexical
+// order, lists a before b: byte order with '/' below every other byte.
+func walkBefore(a, b string) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] == '/' || (b[i] != '/' && a[i] < b[i])
+		}
 	}
+	return len(a) < len(b)
+}
 
-	// Contiguous chunks of the walk load concurrently, each file into its
-	// own slot, so the result does not depend on the worker count. A
-	// worker keeps filling one slab across the chunks it claims.
-	imp := &dirImport{}
-	files := make([]File, len(entries))
-	chunkMaps := make([][]*packstore.FileMapping, importChunks(len(entries)))
-	err = forEachImportChunk(ctx, len(entries), func(c, lo, hi int) error {
-		slab := imp.slab()
-		defer imp.idle(slab)
-		for i := lo; i < hi; i++ {
+// walkLoad walks dir on a goroutine of its own, which puts the entries in
+// name order once the walk has ended, while loaders run on them from the
+// first chunk on, each with the load loader gives it: twice GOMAXPROCS, so
+// a loader in a slow system call leaves its core to another. On one core,
+// with nothing to overlap, one loader waits for the name order, which the
+// kernel serves faster than directory order. walkLoad returns the
+// entries; else the walk's error; else the failed load first in walk
+// order at any loader count (none after it is loaded); else the
+// cancellation, checked before every chunk and file.
+func walkLoad(ctx context.Context, dir string, loader func() func(*dirEntry) error) ([]*dirEntry, error) {
+	workers := par.Default().Workers()
+	chunks := make(chan []dirEntry, workers) // a chunk ready for each core
+	var entries []*dirEntry
+	var werr error
+	walked := make(chan struct{})
+	go func() {
+		defer close(walked)
+		var listed [][]dirEntry
+		werr = walkFiles(dir, func(chunk []dirEntry) error {
 			if cerr := errs.FromContext(ctx); cerr != nil {
 				return cerr
 			}
-			data, m, err := packstore.LoadFile(entries[i].path, slab)
-			if err != nil {
-				return err
+			if listed = append(listed, chunk); workers > 1 {
+				chunks <- chunk
 			}
-			if m != nil {
-				chunkMaps[c] = append(chunkMaps[c], m)
-				// Scans walk each file front to back; tell the OS so
-				// readahead stays aggressive. Best effort by contract.
-				_ = m.AdviseSequential()
-			}
-			files[i] = imp.file(entries[i].name, data)
+			return nil
+		})
+		close(chunks)
+		if werr == nil {
+			entries = byName(listed)
 		}
-		return nil
-	})
-	for _, ms := range chunkMaps {
-		imp.maps = append(imp.maps, ms...)
+	}()
+	var first firstFailure
+	try := func(load func(*dirEntry) error, e *dirEntry) {
+		if ctx.Err() == nil && first.before(e.name) {
+			if err := load(e); err != nil {
+				first.record(e.name, err)
+			}
+		}
 	}
-	fs := newFS(len(files))
-	for i := 0; err == nil && i < len(files); i++ {
-		err = fs.Add(files[i])
+	n := 2 * workers
+	if workers == 1 {
+		n = 1
+	}
+	var loaders sync.WaitGroup
+	for range n {
+		loaders.Add(1)
+		go func() {
+			defer loaders.Done()
+			load := loader()
+			if workers == 1 {
+				<-walked
+				for _, e := range entries {
+					try(load, e)
+				}
+			}
+			for chunk := range chunks {
+				for i := range chunk {
+					try(load, &chunk[i])
+				}
+			}
+		}()
+	}
+	loaders.Wait()
+	<-walked
+	switch cerr := errs.FromContext(ctx); {
+	case werr != nil && !errs.IsCancellation(werr):
+		return nil, werr
+	case first.err != nil:
+		return nil, first.err
+	case cerr != nil:
+		return nil, cerr
+	}
+	return entries, nil
+}
+
+// firstFailure is the failed load that comes first in walk order so far.
+type firstFailure struct {
+	mu  sync.Mutex
+	err error
+	at  atomic.Pointer[string] // the name err is at
+}
+
+// before reports whether no failure is recorded at or before name.
+func (f *firstFailure) before(name string) bool {
+	at := f.at.Load()
+	return at == nil || walkBefore(name, *at)
+}
+
+// record keeps the failed load of name if it comes first in walk order.
+func (f *firstFailure) record(name string, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.before(name) {
+		f.err = err
+		f.at.Store(&name)
+	}
+}
+
+// byName lists the entries of every chunk in name order.
+func byName(chunks [][]dirEntry) []*dirEntry {
+	entries := make([]*dirEntry, 0, len(chunks)*importChunkFiles)
+	for _, c := range chunks {
+		for i := range c {
+			entries = append(entries, &c[i])
+		}
+	}
+	cmp := func(a, b *dirEntry) int { return strings.Compare(a.name, b.name) }
+	if !slices.IsSortedFunc(entries, cmp) {
+		slices.SortFunc(entries, cmp)
+	}
+	return entries
+}
+
+// ImportDirMappedCtx loads every regular file under dir — the same corpus
+// ImportDir builds — with a zero-copy raw view on every file, which its
+// streaming source reads too, so scans take the engine's borrowed-window
+// path: no per-file opens, no block-buffer copies.
+//
+// Delivery is chosen per file, by its size (packstore.LoadFile): a file
+// at or under packstore.SmallFileLimit is read once into a heap slab it
+// shares with its neighbours (a mapping's fixed cost is several times the
+// copy of a few pages), to EOF against its fstat size, so one that changed
+// in between fails with errs.ErrCorrupt and an imported one cannot change
+// under the scan; a larger file is memory-mapped (heap buffers on builds
+// without mmap), where a concurrent truncation is still a SIGBUS.
+//
+// The loads run beside the walk (walkLoad): the FS is in name order and
+// the error is the first in walk order at any worker count. Cancellation
+// is checked between files; on abort, and on any failure, every mapping
+// and slab taken is released before the error is returned. The returned
+// closer unmaps the mapped files and hands the slabs back to packstore's
+// pool: every raw view and streaming reader from the FS is invalid after
+// it (streaming reads fail loudly; a raw view of a small file reads
+// another import's bytes, 0xDB under scandebug). Closing twice releases
+// once.
+func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error) {
+	imp := &dirImport{}
+	entries, err := walkLoad(ctx, dir, imp.loader)
+	var fs *FS
+	if err == nil {
+		files := make([]File, len(entries))
+		for i, e := range entries {
+			files[i] = File{Name: e.name, Size: int64(len(e.data)), content: imp, raw: e.data, hasRaw: true}
+		}
+		fs, err = newFS(files)
 	}
 	if err != nil {
 		imp.Close()
@@ -127,52 +208,47 @@ func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error)
 // mappings of its large files and the slabs its loaders filled with the
 // small ones, which go back to packstore's pool for the next import.
 type dirImport struct {
-	maps []*packstore.FileMapping
-
-	mu    sync.Mutex
-	slabs []*packstore.FileSlab // every loader's slab, for Close
-	free  []*packstore.FileSlab // those no chunk is filling
-
+	mu     sync.Mutex
+	maps   []*packstore.FileMapping
+	slabs  []*packstore.FileSlab // one per loader goroutine
 	closed atomic.Bool
 }
 
-// slab hands a chunk a slab no other chunk is filling: one a finished
-// chunk left, so a worker keeps filling the slab it started, or a new one.
-func (imp *dirImport) slab() *packstore.FileSlab {
+// loader returns one loader's load: a small file into the loader's own
+// slab, a large one mapped. The load's fstat is the only stat a file gets.
+func (imp *dirImport) loader() func(*dirEntry) error {
+	slab := new(packstore.FileSlab)
 	imp.mu.Lock()
-	defer imp.mu.Unlock()
-	if n := len(imp.free); n > 0 {
-		s := imp.free[n-1]
-		imp.free = imp.free[:n-1]
-		return s
-	}
-	s := new(packstore.FileSlab)
-	imp.slabs = append(imp.slabs, s)
-	return s
-}
-
-// idle takes back a slab its chunk has finished with.
-func (imp *dirImport) idle(s *packstore.FileSlab) {
-	imp.mu.Lock()
-	imp.free = append(imp.free, s)
+	imp.slabs = append(imp.slabs, slab)
 	imp.mu.Unlock()
+	return func(e *dirEntry) error {
+		data, m, err := packstore.LoadFile(e.path, slab)
+		if err != nil {
+			return err
+		}
+		if m != nil {
+			imp.mu.Lock()
+			imp.maps = append(imp.maps, m)
+			imp.mu.Unlock()
+			_ = m.AdviseSequential() // best effort: scans read front to back
+		}
+		e.data = data
+		return nil
+	}
 }
 
-// file builds the imported File over its loaded content view.
-func (imp *dirImport) file(name string, data []byte) File {
-	return NewContentFile(name, int64(len(data)), func() (io.Reader, error) {
-		// Loud failure after the import's closer runs, matching the pack
-		// reader's read-after-close contract.
-		if imp.closed.Load() {
-			return nil, errors.New("read after mapped dir import close")
-		}
-		return bytes.NewReader(data), nil
-	}).WithRawBytes(data)
+// open is every imported file's content source: a reader over its raw
+// view, or, once the import's closer has run, a loud failure, matching
+// the pack reader's read-after-close contract.
+func (imp *dirImport) open(f *File) (io.Reader, error) {
+	if imp.closed.Load() {
+		return nil, errors.New("read after mapped dir import close")
+	}
+	return bytes.NewReader(f.raw), nil
 }
 
 // Close unmaps every mapped file, keeping the first error, and releases
-// every slab. Only the first call does anything, so a second Close cannot
-// hand a slab to the pool twice — that is, to two later imports at once.
+// every slab — on the first call only, so no slab reaches the pool twice.
 func (imp *dirImport) Close() error {
 	if imp.closed.Swap(true) {
 		return nil

@@ -40,7 +40,7 @@ func importAndClose(tb testing.TB, dir string) *vfs.FS {
 
 // BenchmarkImportDirMapped times a mapped import of 2 000 small files on
 // disk and its close, with allocations: the import half of
-// grep-smallfiles' op (walk, open, fstat, read, close, FS insert), warm.
+// grep-smallfiles' op (walk, open, fstat, read, close, name order), warm.
 func BenchmarkImportDirMapped(b *testing.B) {
 	dir := smallFileTree(b)
 	fs := importAndClose(b, dir)
@@ -54,9 +54,11 @@ func BenchmarkImportDirMapped(b *testing.B) {
 
 // TestImportDirMappedAllocsPerFile pins what a warm mapped import of many
 // small files allocates: the walk lists and the loaders open each file
-// without allocating, and the slabs come back from the previous import's
-// close, so what is left per file is its File's content source and its
-// share of the FS. The pin holds the raw-descriptor build on linux.
+// without allocating, the slabs come back from the previous import's
+// close, and every file shares one content source, so all that is left
+// is per chunk and per import — a file's entry, File and place in the
+// name order are slots of slices allocated whole. The pin holds the
+// raw-descriptor build on linux.
 func TestImportDirMappedAllocsPerFile(t *testing.T) {
 	if runtime.GOOS != "linux" || !packstore.MmapSupported {
 		t.Skip("the portable walk and loader allocate per file: os.ReadDir's entries, os.Open's File")
@@ -64,8 +66,36 @@ func TestImportDirMappedAllocsPerFile(t *testing.T) {
 	dir := smallFileTree(t)
 	files := importAndClose(t, dir).Len()
 	allocs := testing.AllocsPerRun(5, func() { importAndClose(t, dir) })
-	if perFile := allocs / float64(files); perFile > 2 {
-		t.Fatalf("importing %d small files allocated %.0f times, %.2f per file, want at most 2", files, allocs, perFile)
+	if perFile := allocs / float64(files); perFile > 0.05 {
+		t.Fatalf("importing %d small files allocated %.0f times, %.3f per file, want at most 0.05", files, allocs, perFile)
 	}
-	t.Logf("%d files: %.0f allocations, %.2f per file", files, allocs, allocs/float64(files))
+	t.Logf("%d files: %.0f allocations, %.3f per file", files, allocs, allocs/float64(files))
+}
+
+// TestImportPackMappedAllocsPerMember pins what a mapped import of a pack
+// set of many small members allocates — dist-packed's shape, one corpus
+// file per member in 256 KiB shards: per member, the name and index slot
+// packstore reads and the content source vfs gives it; the FS adds only
+// its one slice.
+func TestImportPackMappedAllocsPerMember(t *testing.T) {
+	fs, err := corpus.GenerateWithContentEagerCtx(context.Background(), corpus.Text400K(0.005), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := fs.ExportPackCtx(context.Background(), dir, vfs.PackOptions{ShardSize: 256 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	importPacks := func() {
+		if _, closer, err := vfs.ImportPackMappedCtx(context.Background(), dir); err != nil {
+			t.Fatal(err)
+		} else if err := closer.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, importPacks)
+	if perMember := allocs / float64(fs.Len()); perMember > 2.5 {
+		t.Fatalf("importing %d members allocated %.0f times, %.2f per member, want at most 2.5", fs.Len(), allocs, perMember)
+	}
+	t.Logf("%d members: %.0f allocations, %.2f per member", fs.Len(), allocs, allocs/float64(fs.Len()))
 }

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -129,15 +131,35 @@ func walkDirReference(dir string) ([]dirEntry, error) {
 		if err != nil {
 			return err
 		}
-		entries = append(entries, dirEntry{filepath.ToSlash(rel), path})
+		entries = append(entries, dirEntry{name: filepath.ToSlash(rel), path: path})
 		return nil
 	})
 	return entries, err
 }
 
-// TestWalkFilesMatchesWalkDir pins the walk to filepath.WalkDir's order,
-// names and paths on a tree where walk order and a flat sort of the names
-// disagree ('-' and '.' sort before '/', so "a-b" and "a.b" precede "a/x"
+// walkInOrder runs walkFiles and puts what it lists in walk order
+// (walkBefore), which is the order filepath.WalkDir visits.
+func walkInOrder(dir string) ([]dirEntry, error) {
+	var entries []dirEntry
+	err := walkFiles(dir, func(chunk []dirEntry) error {
+		entries = append(entries, chunk...)
+		return nil
+	})
+	slices.SortFunc(entries, func(a, b dirEntry) int {
+		if walkBefore(a.name, b.name) {
+			return -1
+		}
+		if walkBefore(b.name, a.name) {
+			return 1
+		}
+		return 0
+	})
+	return entries, err
+}
+
+// TestWalkFilesMatchesWalkDir pins the walk, put in walkBefore's order, to
+// filepath.WalkDir's order, names and paths on a tree where walk order
+// and a flat sort of the names disagree ('-' and '.' sort before '/', so "a-b" and "a.b" precede "a/x"
 // in a sort but follow it in the walk), with a nested level, empty
 // directories and a symlink to a directory, which is listed and not
 // followed. An unreadable subdirectory is an error, as it is for WalkDir.
@@ -160,7 +182,7 @@ func TestWalkFilesMatchesWalkDir(t *testing.T) {
 	if err := os.Symlink(filepath.Join(dir, "a"), filepath.Join(dir, "link")); err != nil {
 		t.Skipf("no symlinks here: %v", err)
 	}
-	got, err := walkFiles(dir)
+	got, err := walkInOrder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +201,7 @@ func TestWalkFilesMatchesWalkDir(t *testing.T) {
 		t.Fatalf("walk order %q, want %q", names, want)
 	}
 
-	if _, err := walkFiles(filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := walkInOrder(filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("walk of a missing root: %v, want os.ErrNotExist", err)
 	}
 	t.Run("unreadable subdirectory", func(t *testing.T) {
@@ -191,13 +213,97 @@ func TestWalkFilesMatchesWalkDir(t *testing.T) {
 		if _, err := os.ReadDir(locked); err == nil {
 			t.Skip("permission bits do not stop this user reading a directory")
 		}
-		if _, err := walkFiles(dir); !errors.Is(err, os.ErrPermission) {
+		if _, err := walkInOrder(dir); !errors.Is(err, os.ErrPermission) {
 			t.Fatalf("walk over an unreadable directory: %v, want os.ErrPermission", err)
 		}
 		if _, err := walkDirReference(dir); !errors.Is(err, os.ErrPermission) {
 			t.Fatalf("reference walk over an unreadable directory: %v, want os.ErrPermission", err)
 		}
 	})
+}
+
+// TestImportsListNameOrder: on a two-level tree whose walk order is not
+// name order ("a/b" is walked before "a-c" and sorts after it), both
+// directory imports give the same FS, in name order, with each file's
+// bytes. Under packstore_nommap (make test-nommap) the portable walk,
+// which lists in walk order, runs it.
+func TestImportsListNameOrder(t *testing.T) {
+	dir := t.TempDir()
+	want := []string{"a-c", "a.d", "a/b", "a/b0/c", "a/b0/d", "a0", "b/a-c", "b/a/b"}
+	for _, name := range want {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain, err := ImportDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, closer := importMapped(t, dir)
+	defer closer.Close()
+	for which, fs := range map[string]*FS{"ImportDir": plain, "ImportDirMappedCtx": mapped} {
+		if got := fsNames(fs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s lists %q, want %q", which, got, want)
+		}
+		for _, f := range fs.List() {
+			if data, err := f.ReadAll(); err != nil || string(data) != f.Name {
+				t.Fatalf("%s: %s reads %q, %v", which, f.Name, data, err)
+			}
+		}
+	}
+}
+
+// TestImportDirMappedCancelMidWalkReleasesAll: an import cancelled while
+// the walk is still listing — loaders have mapped files and filled slabs,
+// the walker has chunks left — hands back every mapping, slab and
+// descriptor and leaves no goroutine behind. At GOMAXPROCS 2 each of the
+// four loaders holds a chunk (the first starts with the large files: the
+// root's files come before its subdirectory's) and two more wait, so the
+// walk is at most six chunks ahead of the first chunk finished, and a
+// cancellation before any loader has loaded a chunk's worth of files
+// lands before the walk's eighth chunk, of nine.
+func TestImportDirMappedCancelMidWalkReleasesAll(t *testing.T) {
+	dir := t.TempDir()
+	big := bytes.Repeat([]byte("x"), packstore.SmallFileLimit+1)
+	for i := 0; i < 8; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("big%d", i)), big, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub := filepath.Join(dir, "s")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8*importChunkFiles; i++ {
+		if err := os.WriteFile(filepath.Join(sub, fmt.Sprintf("f%04d", i)), []byte("small"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base := runtime.NumGoroutine()
+	_, closer := importMapped(t, dir) // warm: the slab pool and the page cache
+	closer.Close()
+	fds, goroutines := openFDs(t), settledGoroutines(base)
+
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(importChunkFiles / 2)
+	fs, closer, err := ImportDirMappedCtx(ctx, dir)
+	if !errors.Is(err, errs.ErrCancelled) || fs != nil || closer != nil {
+		t.Fatalf("mid-walk cancellation returned (%v, %v, %v), want a bare ErrCancelled", fs, closer, err)
+	}
+	if got := liveMappings(t, dir); got != 0 {
+		t.Fatalf("cancelled import leaked %d mappings", got)
+	}
+	if got := openFDs(t); got != fds {
+		t.Fatalf("%d descriptors open before the import, %d after", fds, got)
+	}
+	if got := settledGoroutines(goroutines); got != goroutines {
+		t.Fatalf("%d goroutines before the import, %d after", goroutines, got)
+	}
 }
 
 // TestImportDirMappedMatchesImportDir: the mapped import exposes the same
@@ -465,8 +571,10 @@ func TestImportDirMappedCloseInvalidatesStreaming(t *testing.T) {
 
 // seededTree writes n small files of 1–5 KB in two directories, ≈ 1 MB
 // for n = 300 so an import fills more than one slab, with bytes that
-// differ per seed: an import that hands one tree's slab to another shows
-// as the other tree's bytes.
+// differ per seed: every byte's low nibble is the seed (1–10), so no run
+// of one tree's bytes, at any offset, equals a run of another's, and an
+// import that hands one tree's slab to another shows as the other tree's
+// bytes.
 func seededTree(t *testing.T, n int, seed byte) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -477,7 +585,7 @@ func seededTree(t *testing.T, n int, seed byte) string {
 		}
 		content := make([]byte, 1000+(i*37)%4000)
 		for j := range content {
-			content[j] = seed*31 + byte(i+j*7)
+			content[j] = byte(i+j*7)<<4 | seed
 		}
 		if err := os.WriteFile(filepath.Join(sub, fmt.Sprintf("f%03d", i)), content, 0o644); err != nil {
 			t.Fatal(err)

@@ -151,9 +151,12 @@ func TestExportPackLeavesNoDescriptorsOrLoaders(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				base := runtime.NumGoroutine()
 				fs, ctx := tc.build(t)
 				out := t.TempDir()
-				fds, goroutines := openFDs(t), runtime.NumGoroutine()
+				// The import in build has joined its goroutines, which may
+				// not all have exited yet: count from once they have.
+				fds, goroutines := openFDs(t), settledGoroutines(base)
 				_, err := fs.ExportPackCtx(ctx, out, PackOptions{ShardSize: 4 << 10, Workers: workers})
 				tc.check(t, err)
 				if after := openFDs(t); after != fds {
@@ -205,37 +208,89 @@ func TestExportPackReportsFirstErrorInListOrder(t *testing.T) {
 	}
 }
 
-// TestImportDirFileVanishesBetweenWalkAndStat: the walk listed a file the
-// parallel stat no longer finds. The import fails naming it and returns no
-// half-filled FS.
+// TestImportDirFileVanishesBetweenWalkAndStat: the walk listed two files,
+// in two chunks, that are gone by the time they are loaded. Both imports
+// fail naming the first in walk order, at GOMAXPROCS 1 and 2, and return
+// nothing beside the error. Where the directory lists the later one first
+// (in the first chunk), the two loaders at GOMAXPROCS 2 are made to fail
+// on it before they load the earlier one.
 func TestImportDirFileVanishesBetweenWalkAndStat(t *testing.T) {
-	dir := diskMembers(t, 3*importChunkFiles/2) // two stat chunks
-	entries, err := walkFiles(dir)
-	if err != nil {
+	dir := diskMembers(t, 3*importChunkFiles/2) // two chunks
+	var listed []dirEntry                       // in the order the walk lists them
+	if err := walkFiles(dir, func(c []dirEntry) error { listed = append(listed, c...); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	// One in each chunk: the first in walk order is the one reported.
-	first, second := entries[7].path, entries[importChunkFiles+7].path
-	for _, path := range []string{first, second} {
+	first, second, inverted := listed[7], listed[importChunkFiles+7], false
+	for _, e := range listed[importChunkFiles:] {
+		if walkBefore(e.name, first.name) {
+			first, second, inverted = e, first, true
+			break
+		}
+	}
+	contents := map[string][]byte{}
+	for _, e := range []dirEntry{first, second} {
+		data, err := os.ReadFile(e.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		contents[e.path] = data
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		imp := &dirImport{}
+		for name, load := range map[string]func() func(*dirEntry) error{
+			"ImportDir":          func() func(*dirEntry) error { return statEntry },
+			"ImportDirMappedCtx": imp.loader,
+		} {
+			// vanishing removes a victim's file just before it is loaded; the
+			// earlier one waits for the later one's load where it can.
+			tried, wait := make(chan struct{}), procs == 2 && inverted
+			vanishing := func() func(*dirEntry) error {
+				load := load()
+				return func(e *dirEntry) error {
+					switch e.name {
+					case second.name:
+						defer close(tried)
+					case first.name:
+						if wait {
+							<-tried
+						}
+					default:
+						return load(e)
+					}
+					os.Remove(e.path)
+					return load(e)
+				}
+			}
+			entries, err := walkLoad(context.Background(), dir, vanishing)
+			if entries != nil {
+				t.Errorf("%s at GOMAXPROCS %d: a failed import listed %d files", name, procs, len(entries))
+			}
+			if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), first.path) {
+				t.Fatalf("%s at GOMAXPROCS %d: err = %v, want os.ErrNotExist naming %s", name, procs, err, first.path)
+			}
+			for path, data := range contents {
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		imp.Close()
+	}
+	// And through the front door, with the files gone before the walk, the
+	// import simply does not list them.
+	for path := range contents {
 		if err := os.Remove(path); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fs, err := statFiles(entries)
-	if fs != nil {
-		t.Errorf("a failed import returned an FS of %d files", fs.Len())
-	}
-	if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), first) {
-		t.Fatalf("err = %v, want os.ErrNotExist naming %s", err, first)
-	}
-	// And through the front door, with the file gone before the walk, the
-	// import simply does not list it.
 	in, err := ImportDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Len() != len(entries)-2 {
-		t.Fatalf("ImportDir after the removals lists %d files, want %d", in.Len(), len(entries)-2)
+	if in.Len() != len(listed)-2 {
+		t.Fatalf("ImportDir after the removals lists %d files, want %d", in.Len(), len(listed)-2)
 	}
 }
 

@@ -1,13 +1,10 @@
 // Package vfs provides a lightweight virtual file system used to model
 // corpora of millions of small files without holding their bytes in memory.
 //
-// A File is (name, size, content source). The content source is optional:
-// the packing and provisioning layers consume only metadata, while the real
-// text-processing kernels (grep, POS tagging) open files and stream bytes
-// that are materialised deterministically on demand. Concatenation — the
-// paper's reshaping operation — is a zero-copy view over member files, so a
-// merged unit file always contains exactly the bytes of its members in
-// order.
+// A File is (name, size, optional content source): the packing and
+// provisioning layers consume only metadata, the kernels stream bytes.
+// Concatenation — the paper's reshaping operation — is a zero-copy view
+// over member files, exactly their bytes in order.
 //
 // Delivery contract (DESIGN.md §7): an Opener returns a fresh reader or an
 // error, never a reader that fails later in the error's place; whoever
@@ -22,7 +19,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/errs"
@@ -36,6 +33,15 @@ import (
 // resource implements io.Closer; whoever called Open closes it.
 type Opener func() (io.Reader, error)
 
+func (o Opener) open(*File) (io.Reader, error) { return o() }
+
+// source is where a File's content comes from: an Opener, or an import
+// that serves each of its files from the file's raw view, so that no
+// file needs a closure of its own.
+type source interface {
+	open(f *File) (io.Reader, error)
+}
+
 // File is a named, sized blob with optional lazily-materialised content.
 // Pack-backed files additionally carry locality — which shard container
 // holds their bytes and at what offset — so scans can order reads
@@ -43,17 +49,15 @@ type Opener func() (io.Reader, error)
 type File struct {
 	Name    string
 	Size    int64
-	content Opener
+	content source
 
 	shard    string // container (pack shard) path, "" for standalone files
 	shardOff int64  // byte offset of the content within the container
 
-	// raw, when hasRaw, is the file's complete content as a borrowed view —
-	// typically a window into a memory-mapped pack shard. Scans use it for
-	// the zero-copy path; the view is only valid while its owner (the pack
-	// reader) stays open. Deliberately separate from BytesFile content: a
-	// file having in-memory bytes is not the same as a file whose owner
-	// guarantees them stable for a whole scan.
+	// raw, when hasRaw, is the file's complete content as a borrowed view
+	// (a window of a mapped shard, a slab), valid while its import is
+	// open: the zero-copy path. BytesFile sets none — in-memory bytes are
+	// not bytes an owner guarantees stable for a whole scan.
 	raw    []byte
 	hasRaw bool
 }
@@ -66,17 +70,17 @@ func NewFile(name string, size int64) File {
 // NewContentFile creates a file whose bytes come from open. The declared
 // size must match the content length; ReadAll validates this.
 func NewContentFile(name string, size int64, open Opener) File {
-	return File{Name: name, Size: size, content: open}
+	f := File{Name: name, Size: size}
+	if open != nil {
+		f.content = open
+	}
+	return f
 }
 
 // BytesFile creates a file backed by an in-memory byte slice. The slice is
 // not copied; callers must not mutate it afterwards.
 func BytesFile(name string, data []byte) File {
-	return File{
-		Name:    name,
-		Size:    int64(len(data)),
-		content: func() (io.Reader, error) { return bytes.NewReader(data), nil },
-	}
+	return NewContentFile(name, int64(len(data)), func() (io.Reader, error) { return bytes.NewReader(data), nil })
 }
 
 // WithLocality returns a copy of the file annotated with its physical
@@ -125,27 +129,22 @@ func (f File) Open() (io.Reader, error) {
 	if f.content == nil {
 		return nil, fmt.Errorf("vfs: file %q is metadata-only", f.Name)
 	}
-	r, err := f.content()
+	r, err := f.content.open(&f)
 	if err != nil {
 		return nil, fmt.Errorf("vfs: open %q: %w", f.Name, err)
 	}
 	return r, nil
 }
 
-// ReadAll materialises the full content of the file and validates that its
-// length matches the declared size. The size is known up front, so the
-// buffer is allocated once at exactly that size and filled with ReadFull —
-// no io.ReadAll growth-and-copy doubling, which matters when concatenated
-// unit files run to hundreds of megabytes.
+// ReadAll materialises the full content of the file, in one buffer of the
+// declared size, and validates that its length matches that size.
 func (f File) ReadAll() ([]byte, error) {
 	return f.ReadInto(nil)
 }
 
 // closeReader closes r when it holds an OS resource, keeping err if one is
 // already set. For an ImportDir file this is the only release its raw
-// descriptor gets (packstore.OpenFile: no finalizer stands behind it), so
-// every path that opens a File ends here. Content sources that are plain
-// in-memory readers are unaffected.
+// descriptor gets (packstore.OpenFile has no finalizer).
 func closeReader(r io.Reader, err error) error {
 	if c, ok := r.(io.Closer); ok {
 		if cerr := c.Close(); cerr != nil && err == nil {
@@ -156,11 +155,8 @@ func closeReader(r io.Reader, err error) error {
 }
 
 // ReadInto is ReadAll with buffer reuse: when cap(buf) >= f.Size the content
-// is read into buf's backing array and no allocation happens. The returned
-// slice always has length f.Size and is only valid until the buffer's next
-// reuse. Pass nil to allocate fresh. The reader is closed after draining
-// when the content source hands out closable readers (real files), so
-// reading at manifest scale does not exhaust descriptors.
+// is read into buf's backing array, valid until its next reuse, and
+// nothing is allocated. The reader is closed after draining.
 func (f File) ReadInto(buf []byte) ([]byte, error) {
 	r, err := f.Open()
 	if err != nil {
@@ -215,7 +211,7 @@ func Concat(name string, members []File) File {
 		}
 	}
 	if allContent {
-		f.content = func() (io.Reader, error) { return &concatReader{members: captured}, nil }
+		f.content = Opener(func() (io.Reader, error) { return &concatReader{members: captured}, nil })
 	}
 	return f
 }
@@ -267,63 +263,83 @@ func (c *concatReader) Close() error {
 // errors.Is.
 var ErrNotFound = fmt.Errorf("vfs: file not found: %w", errs.ErrNotFound)
 
-// FS is an ordered collection of Files keyed by name.
+// FS is a collection of Files in name order: one slice, sorted, which
+// List hands out as it is. A slice List returned is never written again:
+// an Add that sorts last appends past its end, and one that sorts
+// earlier inserts into a copy.
 type FS struct {
-	files map[string]File
-	order []string // insertion order; List sorts lazily
-	dirty bool     // order needs re-sorting before deterministic listing
+	files []File // sorted by name, no name twice
 	total int64
-
-	// Sorted snapshots, built on first List/Sizes call and served until the
-	// next mutation. Pack/plan/probe layers call List and Sizes in tight
-	// loops over an immutable corpus; rebuilding an n-entry slice per call
-	// was pure allocation churn.
-	listCache  []File
-	sizesCache []int64
-}
-
-// invalidate drops the cached listings after a mutation.
-func (fs *FS) invalidate() {
-	fs.listCache = nil
-	fs.sizesCache = nil
 }
 
 // NewFS returns an empty file system.
-func NewFS() *FS { return newFS(0) }
+func NewFS() *FS { return &FS{} }
 
-// newFS returns an empty file system with room for n files, for an import
-// that knows its count before its first Add: the map and the order slice
-// are allocated once instead of grown under the adds.
-func newFS(n int) *FS {
-	return &FS{files: make(map[string]File, n), order: make([]string, 0, n)}
+// newFS returns the file system of files, which it takes over. A slice
+// already in name order costs one pass; any other is sorted once and
+// checked for a name listed twice. It refuses what Add refuses.
+func newFS(files []File) (*FS, error) {
+	fs := &FS{files: files}
+	sorted := true
+	for i, f := range files {
+		if err := checkFile(f); err != nil {
+			return nil, err
+		}
+		fs.total += f.Size
+		sorted = sorted && (i == 0 || files[i-1].Name < f.Name)
+	}
+	if !sorted {
+		slices.SortFunc(files, func(a, b File) int { return strings.Compare(a.Name, b.Name) })
+		for i := 1; i < len(files); i++ {
+			if files[i].Name == files[i-1].Name {
+				return nil, fmt.Errorf("vfs: file %q already exists", files[i].Name)
+			}
+		}
+	}
+	return fs, nil
 }
 
-// Add inserts a file, rejecting duplicates and negative sizes.
-func (fs *FS) Add(f File) error {
+// checkFile refuses a file no FS holds: no name, or a negative size.
+func checkFile(f File) error {
 	if f.Name == "" {
 		return fmt.Errorf("vfs: empty file name")
 	}
 	if f.Size < 0 {
 		return fmt.Errorf("vfs: file %q has negative size %d", f.Name, f.Size)
 	}
-	if _, exists := fs.files[f.Name]; exists {
-		return fmt.Errorf("vfs: file %q already exists", f.Name)
+	return nil
+}
+
+// find returns where name is in the FS, or where it would go.
+func (fs *FS) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(fs.files, name, func(f File, name string) int { return strings.Compare(f.Name, name) })
+}
+
+// Add inserts a file, rejecting duplicates and negative sizes. A file
+// whose name sorts after every other is appended; any other is inserted
+// into a copy of the slice, in time linear in the file count.
+func (fs *FS) Add(f File) error {
+	if err := checkFile(f); err != nil {
+		return err
 	}
-	fs.files[f.Name] = f
-	fs.order = append(fs.order, f.Name)
-	fs.dirty = true
+	if n := len(fs.files); n == 0 || fs.files[n-1].Name < f.Name {
+		fs.files = append(fs.files, f)
+	} else if i, found := fs.find(f.Name); found {
+		return fmt.Errorf("vfs: file %q already exists", f.Name)
+	} else {
+		fs.files = slices.Insert(slices.Clip(fs.files), i, f)
+	}
 	fs.total += f.Size
-	fs.invalidate()
 	return nil
 }
 
 // Get looks up a file by name.
 func (fs *FS) Get(name string) (File, error) {
-	f, ok := fs.files[name]
-	if !ok {
+	i, found := fs.find(name)
+	if !found {
 		return File{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return f, nil
+	return fs.files[i], nil
 }
 
 // Len returns the number of files.
@@ -332,48 +348,26 @@ func (fs *FS) Len() int { return len(fs.files) }
 // TotalSize returns the summed size of all files.
 func (fs *FS) TotalSize() int64 { return fs.total }
 
-// List returns all files sorted by name, for deterministic iteration. The
-// returned slice is a cached snapshot shared between calls; callers must
-// not modify it.
-func (fs *FS) List() []File {
-	if fs.listCache != nil {
-		return fs.listCache
-	}
-	if fs.dirty {
-		sort.Strings(fs.order)
-		fs.dirty = false
-	}
-	out := make([]File, 0, len(fs.order))
-	for _, name := range fs.order {
-		out = append(out, fs.files[name])
-	}
-	fs.listCache = out
-	return out
-}
+// List returns all files sorted by name, for deterministic iteration: the
+// FS's own slice, shared between calls and never written again, so
+// callers must not modify it (its capacity ends at its length, so an
+// append copies).
+func (fs *FS) List() []File { return slices.Clip(fs.files) }
 
-// Sizes returns the sizes of all files in List order. Like List, the slice
-// is cached until the next mutation and must not be modified.
+// Sizes returns the sizes of all files in List order, in a new slice.
 func (fs *FS) Sizes() []int64 {
-	if fs.sizesCache != nil {
-		return fs.sizesCache
-	}
-	files := fs.List()
-	sizes := make([]int64, len(files))
-	for i, f := range files {
+	sizes := make([]int64, len(fs.files))
+	for i, f := range fs.files {
 		sizes[i] = f.Size
 	}
-	fs.sizesCache = sizes
 	return sizes
 }
 
 // ExportCtx writes every content-backed file under dir on the real file
-// system, creating parent directories as needed. Metadata-only files cause
-// an error: exporting would silently lose data otherwise. Files are
-// materialised and written concurrently (content sources are independent by
-// the Opener contract); on failure the reported error is the one from the
-// first file in List order, matching the serial behaviour. No new files
-// are written once ctx is done (files already being written complete),
-// and the call returns a typed cancellation error.
+// system, creating parent directories as needed; a metadata-only file is
+// an error. Files are written concurrently, the error reported is the
+// first in List order, and once ctx is done no new file is started and the
+// call returns a typed cancellation error.
 func (fs *FS) ExportCtx(ctx context.Context, dir string) error {
 	files := fs.List()
 	return par.Default().ForEachCtx(ctx, len(files), func(i int) error {
@@ -414,64 +408,26 @@ func exportPath(dir, name string) (string, error) {
 // read: each file is opened when a reader asks for its content, through
 // packstore.OpenFile — a raw descriptor that only the reader's Close
 // releases, which is what makes the delivery contract's "whoever calls
-// Open closes" mandatory here. The walk lists the corpus; the one lstat a
-// file gets (the walk's directory entries carry none) runs in chunks on
-// every core, and the files are added in walk order, so the FS — and the
-// error, if a file vanished in between — is the serial walk's.
+// Open closes" mandatory here. A file's one lstat runs beside the walk
+// (walkLoad); the FS, and the error if a file vanished, are the serial
+// walk's.
 func ImportDir(dir string) (*FS, error) {
-	entries, err := walkFiles(dir)
-	if err != nil {
-		return nil, fmt.Errorf("vfs: import %s: %w", dir, err)
-	}
-	fs, err := statFiles(entries)
-	if err != nil {
-		return nil, fmt.Errorf("vfs: import %s: %w", dir, err)
-	}
-	return fs, nil
-}
-
-// statFiles is ImportDir after its walk: lstat every listed file, chunk by
-// chunk on the pool as ImportDirMappedCtx loads its chunks, then add them
-// in walk order. The error is the first in walk order, and no FS is
-// returned beside it.
-func statFiles(entries []dirEntry) (*FS, error) {
-	sizes := make([]int64, len(entries))
 	// ImportDir's signature is the harness's and carries no context; a stat
 	// is not worth cancelling.
-	err := forEachImportChunk(context.Background(), len(entries), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			size, err := packstore.LstatSize(entries[i].path)
-			if err != nil {
-				return err
-			}
-			sizes[i] = size
-		}
-		return nil
-	})
+	entries, err := walkLoad(context.Background(), dir, func() func(*dirEntry) error { return statEntry })
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("vfs: import %s: %w", dir, err)
 	}
-	fs := newFS(len(entries))
+	files := make([]File, len(entries))
 	for i, e := range entries {
 		path := e.path
-		open := func() (io.Reader, error) { return packstore.OpenFile(path) }
-		if err := fs.Add(NewContentFile(e.name, sizes[i], open)); err != nil {
-			return nil, err
-		}
+		files[i] = NewContentFile(e.name, e.size, func() (io.Reader, error) { return packstore.OpenFile(path) })
 	}
-	return fs, nil
+	return newFS(files)
 }
 
-// dirEntry is one file the walk found: its corpus name and its path on
-// disk.
-//
-// walkFiles(dir) is the one directory walk: it lists every non-directory
-// entry under dir by its name relative to dir (slash-separated) and its
-// path on disk — for the two directory imports to stat or load in
-// parallel. It walks as filepath.WalkDir does — depth-first, each
-// directory in lexical order, symlinks listed and not followed, an
-// unreadable directory an error. On linux it reads the directories
-// itself (walk_linux.go); elsewhere, and behind packstore_nommap so that
-// the portable walk has a linux build to test it, it lists them with
-// os.ReadDir (walk_other.go).
-type dirEntry struct{ name, path string }
+// statEntry is ImportDir's load: the entry's size, from an lstat.
+func statEntry(e *dirEntry) (err error) {
+	e.size, err = packstore.LstatSize(e.path)
+	return err
+}

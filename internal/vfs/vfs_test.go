@@ -3,10 +3,13 @@ package vfs
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,6 +126,88 @@ func TestFSAddGetRemove(t *testing.T) {
 	}
 	if fs.Len() != 1 || fs.TotalSize() != 5 {
 		t.Errorf("len=%d total=%d", fs.Len(), fs.TotalSize())
+	}
+}
+
+// fsNames lists the FS's names in List order.
+func fsNames(fs *FS) []string {
+	var names []string
+	for _, f := range fs.List() {
+		names = append(names, f.Name)
+	}
+	return names
+}
+
+// TestFSAddKeepsNameOrder: Adds in any order leave the FS sorted by name;
+// a name it holds is refused whether the new file would append (it sorts
+// last) or insert (it sorts earlier); and Get finds every file and
+// misses names before, between and after them.
+func TestFSAddKeepsNameOrder(t *testing.T) {
+	fs := NewFS()
+	added := []string{"m", "c", "x", "a", "k", "z", "b"}
+	for i, name := range added {
+		if err := fs.Add(NewFile(name, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fsNames(fs), []string{"a", "b", "c", "k", "m", "x", "z"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("List = %q, want %q", got, want)
+	}
+	for _, dup := range []string{"z", "a", "k"} {
+		if err := fs.Add(NewFile(dup, 100)); err == nil || !strings.Contains(err.Error(), "already exists") {
+			t.Errorf("Add of a second %q: %v, want an already-exists error", dup, err)
+		}
+	}
+	if fs.Len() != len(added) || fs.TotalSize() != 21 {
+		t.Fatalf("after refused duplicates: %d files, %d bytes, want 7 and 21", fs.Len(), fs.TotalSize())
+	}
+	for i, name := range added {
+		if f, err := fs.Get(name); err != nil || f.Size != int64(i) {
+			t.Errorf("Get(%q) = %+v, %v, want size %d", name, f, err, i)
+		}
+	}
+	for _, miss := range []string{"", "0", "aa", "l", "y", "zz"} {
+		if _, err := fs.Get(miss); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Get(%q) = %v, want ErrNotFound", miss, err)
+		}
+	}
+}
+
+// TestFSListKeepsItsContents: a List taken before later Adds keeps its
+// contents — files that sort last are appended past its end, the others
+// inserted into a copy even where the slice has room — and a caller's
+// append to a List does not share the FS's spare room.
+func TestFSListKeepsItsContents(t *testing.T) {
+	fs := NewFS()
+	// addLast adds files that sort last until the FS's slice has room for
+	// another, so an insert could be made in place.
+	last := "m"
+	addLast := func() {
+		for first := true; first || cap(fs.files) == len(fs.files); first = false {
+			if last += "m"; fs.Add(NewFile(last, 1)) != nil {
+				t.Fatalf("Add(%q) failed", last)
+			}
+		}
+	}
+	for _, name := range []string{"b", "d", "f"} {
+		addLast()
+		before := fs.List()
+		kept := slices.Clone(before)
+		if err := fs.Add(NewFile(name, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before, kept) {
+			t.Fatalf("adding %q rewrote an earlier List: %q", name, fsNames(&FS{files: before}))
+		}
+	}
+	if got := fsNames(fs); !slices.IsSorted(got) || len(got) != len(fs.files) {
+		t.Fatalf("List = %q, want every file in name order", got)
+	}
+	addLast()
+	mine := append(fs.List(), NewFile("mine", 1))
+	addLast()
+	if mine[len(mine)-1].Name != "mine" {
+		t.Fatalf("an Add overwrote a caller's append to List with %q", mine[len(mine)-1].Name)
 	}
 }
 

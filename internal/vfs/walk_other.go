@@ -10,8 +10,8 @@ import (
 // walkFiles lists each directory with os.ReadDir and builds each name and
 // path by appending the entry to its directory's as it descends, instead
 // of recovering the name from the path with filepath.Rel per entry.
-func walkFiles(dir string) ([]dirEntry, error) {
-	var entries []dirEntry
+func walkFiles(dir string, emit func([]dirEntry) error) error {
+	var chunk []dirEntry
 	var walk func(path, prefix string) error
 	walk = func(path, prefix string) error {
 		list, err := os.ReadDir(path)
@@ -20,9 +20,12 @@ func walkFiles(dir string) ([]dirEntry, error) {
 		}
 		for _, d := range list {
 			name, sub := prefix+d.Name(), path+d.Name()
-			if !d.IsDir() {
-				entries = append(entries, dirEntry{name, sub})
-			} else if err := walk(sub+string(filepath.Separator), name+"/"); err != nil {
+			if d.IsDir() {
+				err = walk(sub+string(filepath.Separator), name+"/")
+			} else if chunk = append(chunk, dirEntry{name: name, path: sub}); len(chunk) == importChunkFiles {
+				err, chunk = emit(chunk), nil
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -31,5 +34,8 @@ func walkFiles(dir string) ([]dirEntry, error) {
 	if dir != "" && !os.IsPathSeparator(dir[len(dir)-1]) {
 		dir += string(filepath.Separator)
 	}
-	return entries, walk(dir, "")
+	if err := walk(dir, ""); err != nil || len(chunk) == 0 {
+		return err
+	}
+	return emit(chunk)
 }

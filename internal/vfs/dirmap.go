@@ -29,7 +29,10 @@ const importChunkFiles = 256
 // entry under dir, by slash-separated name relative to dir and by path,
 // handed to emit importChunkFiles at a time as each directory returns
 // them (emit keeps the chunk; its error ends the walk). Symlinks are
-// listed, not followed; an unreadable directory is an error.
+// listed, not followed; an unreadable directory is an error. On linux it
+// reads the directories itself (walk_linux.go); elsewhere, and behind
+// packstore_nommap so that the portable walk has a linux build to test
+// it, it lists them with os.ReadDir (walk_other.go).
 type dirEntry struct {
 	name, path string
 	size       int64
@@ -48,13 +51,10 @@ func walkBefore(a, b string) bool {
 }
 
 // walkLoad walks dir on a goroutine of its own, which puts the entries in
-// name order once the walk has ended, while loaders run on them from the
-// first chunk on, each with the load loader gives it: twice GOMAXPROCS, so
-// a loader in a slow system call leaves its core to another. On one core,
-// with nothing to overlap, one loader waits for the name order, which the
-// kernel serves faster than directory order. walkLoad returns the
-// entries; else the walk's error; else the failed load first in walk
-// order at any loader count (none after it is loaded); else the
+// name order once the walk has ended, while GOMAXPROCS loaders run on them
+// from the first chunk on, each with the load loader gives it. walkLoad
+// returns the entries; else the walk's error; else the failed load first
+// in walk order at any loader count (none after it is loaded); else the
 // cancellation, checked before every chunk and file.
 func walkLoad(ctx context.Context, dir string, loader func() func(*dirEntry) error) ([]*dirEntry, error) {
 	workers := par.Default().Workers()
@@ -69,9 +69,8 @@ func walkLoad(ctx context.Context, dir string, loader func() func(*dirEntry) err
 			if cerr := errs.FromContext(ctx); cerr != nil {
 				return cerr
 			}
-			if listed = append(listed, chunk); workers > 1 {
-				chunks <- chunk
-			}
+			listed = append(listed, chunk)
+			chunks <- chunk
 			return nil
 		})
 		close(chunks)
@@ -80,32 +79,21 @@ func walkLoad(ctx context.Context, dir string, loader func() func(*dirEntry) err
 		}
 	}()
 	var first firstFailure
-	try := func(load func(*dirEntry) error, e *dirEntry) {
-		if ctx.Err() == nil && first.before(e.name) {
-			if err := load(e); err != nil {
-				first.record(e.name, err)
-			}
-		}
-	}
-	n := 2 * workers
-	if workers == 1 {
-		n = 1
-	}
 	var loaders sync.WaitGroup
-	for range n {
+	for range workers {
 		loaders.Add(1)
 		go func() {
 			defer loaders.Done()
 			load := loader()
-			if workers == 1 {
-				<-walked
-				for _, e := range entries {
-					try(load, e)
-				}
-			}
 			for chunk := range chunks {
 				for i := range chunk {
-					try(load, &chunk[i])
+					e := &chunk[i]
+					if ctx.Err() != nil || !first.before(e.name) {
+						continue
+					}
+					if err := load(e); err != nil {
+						first.record(e.name, err)
+					}
 				}
 			}
 		}()
@@ -162,27 +150,45 @@ func byName(chunks [][]dirEntry) []*dirEntry {
 }
 
 // ImportDirMappedCtx loads every regular file under dir — the same corpus
-// ImportDir builds — with a zero-copy raw view on every file, which its
-// streaming source reads too, so scans take the engine's borrowed-window
-// path: no per-file opens, no block-buffer copies.
+// ImportDir builds — with a zero-copy raw view on every file alongside
+// its streaming content source. Scans over the returned FS take the
+// engine's borrowed-window path: no per-file opens during the scan, no
+// block-buffer copies.
 //
-// Delivery is chosen per file, by its size (packstore.LoadFile): a file
-// at or under packstore.SmallFileLimit is read once into a heap slab it
-// shares with its neighbours (a mapping's fixed cost is several times the
-// copy of a few pages), to EOF against its fstat size, so one that changed
-// in between fails with errs.ErrCorrupt and an imported one cannot change
-// under the scan; a larger file is memory-mapped (heap buffers on builds
-// without mmap), where a concurrent truncation is still a SIGBUS.
+// Delivery is chosen per file, by its size (packstore.LoadFile). A file
+// at or under packstore.SmallFileLimit is read once, at import, into a
+// heap slab it shares with its neighbours: a mapping costs an mmap, a
+// munmap, a VMA and a page fault whatever the file's size, the two calls
+// serialise on the process's address-space lock, and for a file of a few
+// pages that fixed cost is several times the copy. A larger file is
+// memory-mapped, so the kernels read it straight out of the page cache.
+// A corpus of many small files — the paper's unreshaped "before" state —
+// therefore imports with one open, fstat, read and close per file and one
+// recycled slab per megabyte, in parallel, and its closer has nothing to
+// unmap; a corpus of unit files imports as mappings, as before.
 //
-// The loads run beside the walk (walkLoad): the FS is in name order and
-// the error is the first in walk order at any worker count. Cancellation
-// is checked between files; on abort, and on any failure, every mapping
-// and slab taken is released before the error is returned. The returned
-// closer unmaps the mapped files and hands the slabs back to packstore's
-// pool: every raw view and streaming reader from the FS is invalid after
-// it (streaming reads fail loudly; a raw view of a small file reads
-// another import's bytes, 0xDB under scandebug). Closing twice releases
-// once.
+// Sizes come from each file's fstat, and the streaming source reads
+// through the same view as the raw path, so both are one consistent
+// snapshot. A small file is read to EOF against that size: one that was
+// truncated or appended to between the fstat and the read fails the
+// import with errs.ErrCorrupt, and once imported it cannot change under
+// the scan — unlike a mapped file, which a concurrent truncation still
+// turns into a SIGBUS. On platforms (or builds) without mmap the mappings
+// degrade to heap buffers with identical behavior, exactly like the pack
+// Reader's packstore_nommap fallback.
+//
+// The loads run beside the walk (walkLoad), so the FS is in name order
+// and the error is the first in walk order at any worker count.
+//
+// The returned closer unmaps the mapped files and hands the slabs back to
+// packstore's pool, where the next import refills them; all raw views and
+// streaming readers obtained from the FS are invalid after it runs, for
+// slab-backed files too (their streaming readers fail as loudly as the
+// mapped ones, and their raw views read another import's bytes — 0xDB
+// under the scandebug tag). Callers that need bytes past that point must
+// copy them first. Closing twice releases once. Cancellation is checked
+// between files; on abort, and on any failure, every mapping and slab
+// taken so far is released before the error is returned.
 func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error) {
 	imp := &dirImport{}
 	entries, err := walkLoad(ctx, dir, imp.loader)
@@ -230,7 +236,9 @@ func (imp *dirImport) loader() func(*dirEntry) error {
 			imp.mu.Lock()
 			imp.maps = append(imp.maps, m)
 			imp.mu.Unlock()
-			_ = m.AdviseSequential() // best effort: scans read front to back
+			// Scans walk each file front to back; tell the OS so
+			// readahead stays aggressive. Best effort by contract.
+			_ = m.AdviseSequential()
 		}
 		e.data = data
 		return nil
@@ -248,7 +256,8 @@ func (imp *dirImport) open(f *File) (io.Reader, error) {
 }
 
 // Close unmaps every mapped file, keeping the first error, and releases
-// every slab — on the first call only, so no slab reaches the pool twice.
+// every slab. Only the first call does anything, so a second Close cannot
+// hand a slab to the pool twice — that is, to two later imports at once.
 func (imp *dirImport) Close() error {
 	if imp.closed.Swap(true) {
 		return nil

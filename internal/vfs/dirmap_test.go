@@ -261,11 +261,10 @@ func TestImportsListNameOrder(t *testing.T) {
 // the walk is still listing — loaders have mapped files and filled slabs,
 // the walker has chunks left — hands back every mapping, slab and
 // descriptor and leaves no goroutine behind. At GOMAXPROCS 2 each of the
-// four loaders holds a chunk (the first starts with the large files: the
-// root's files come before its subdirectory's) and two more wait, so the
-// walk is at most six chunks ahead of the first chunk finished, and a
-// cancellation before any loader has loaded a chunk's worth of files
-// lands before the walk's eighth chunk, of nine.
+// two loaders holds a chunk (the first starts with the large files: the
+// root's files come before its subdirectory's), two more wait and the
+// walker holds a fifth, so a cancellation before any loader has loaded a
+// chunk's worth of files lands before the walk's sixth chunk, of nine.
 func TestImportDirMappedCancelMidWalkReleasesAll(t *testing.T) {
 	dir := t.TempDir()
 	big := bytes.Repeat([]byte("x"), packstore.SmallFileLimit+1)

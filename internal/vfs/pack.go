@@ -13,9 +13,10 @@ import (
 	"repro/internal/par"
 )
 
-// Pack round-trips: a reshaped corpus exported as pack shards keeps the
-// paper's gains on disk — a handful of opens to re-import, every member
-// checksummed and randomly accessible.
+// Pack round-trips: a reshaped corpus exported as pack shards instead of
+// one plain file per unit keeps the paper's gains on disk — re-importing
+// costs a handful of opens however many members there are, and every
+// member stays individually checksummed and randomly accessible.
 
 // PackOptions configures ExportPackCtx.
 type PackOptions struct {
@@ -41,8 +42,9 @@ func (o *PackOptions) fillDefaults() {
 	}
 }
 
-// maxPrefetch is the largest file the export's loaders materialise; the
-// writer streams a larger one. Read-ahead is 2 × workers × maxPrefetch.
+// maxPrefetch is the largest file the export's loaders materialise; a
+// larger one is streamed by the writing goroutine when its turn comes.
+// Read-ahead memory is bounded at 2 × workers × maxPrefetch.
 const maxPrefetch = 4 << 20
 
 // packUnit is one slot of the export pipeline: the file a loader was
@@ -57,7 +59,8 @@ type packUnit struct {
 }
 
 // load materialises the slot's file on a loader goroutine and folds its
-// pack checksum while the bytes are in cache; past maxPrefetch it does not.
+// pack checksum while the bytes are still in cache. Files above
+// maxPrefetch are left for the writer to stream.
 func (u *packUnit) load(bufCap int64) {
 	u.data, u.err = nil, nil
 	if u.file.Size > maxPrefetch {
@@ -73,15 +76,21 @@ func (u *packUnit) load(bufCap int64) {
 
 // ExportPackCtx writes every content-backed file into pack shards under
 // dir, in List order, and returns the shard paths. It is an ordered
-// two-stage pipeline (DESIGN §7): opts.Workers loaders read the next files
-// into slot buffers and fold their pack checksums, up to 2 × workers + 4
-// slots ahead and within 2 × workers × maxPrefetch bytes; the caller's
-// goroutine appends each unit in List order and hands its slot straight
-// out again. Only it touches the shards, so they are byte-reproducible at
-// any worker count. The error reported is the first in List order. The
-// context is checked before each load and each append, so an abort lands
-// within one unit, the partial shards stay well-formed up to the last
-// append, and every loader has exited before the call returns.
+// two-stage pipeline. Stage one, opts.Workers loaders: each takes the next
+// file in List order, reads it into a slot's buffer (sized once to the
+// largest file at or under maxPrefetch, so a reused buffer always fits;
+// up to 2 × workers + 4 slots, as many as 2 × workers × maxPrefetch
+// bytes hold) and folds its pack checksum. Stage two, the caller's
+// goroutine: it waits for the next unit, appends it — payload and sum —
+// and hands its slot straight out again for the unit that many places
+// later, so loading runs ahead of writing and syncing and never stops for
+// them. Only stage two touches the shards, strictly in List order, so
+// they are byte-reproducible: the same FS always produces the same pack
+// files at any worker count. The error reported is the first in List
+// order. The context is checked before each load and before each append,
+// so an abort lands within one unit of work, the partial shards on disk
+// remain well-formed up to the last completed append, and every loader
+// has exited before the call returns.
 func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (paths []string, err error) {
 	opts.fillDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -190,11 +199,15 @@ func ImportPackCtx(ctx context.Context, sources ...string) (*FS, io.Closer, erro
 }
 
 // ImportPackVerifiedCtx is ImportPackCtx with end-to-end read
-// verification (`-verify-reads`): every member reader folds the payload
-// through packstore.Checksum as it streams and fails the read with
+// verification: every member reader folds the payload through
+// packstore.Checksum (CRC-32C) as it streams and fails the read with
 // ErrCorrupt — stage "verify", file = member name — if the bytes do not
-// match the checksum the pack index recorded, so on-disk corruption fails
-// the first scan that touches it. Unread members cost nothing.
+// match the checksum the pack index recorded at export. The cost is one
+// extra hash pass, at memory speed, over whatever is actually read;
+// unread members cost nothing. This is the
+// `-verify-reads` mode: on-disk corruption (a flipped bit, a torn write)
+// surfaces as a loud typed failure at the first scan that touches it,
+// instead of silently skewing results.
 func ImportPackVerifiedCtx(ctx context.Context, sources ...string) (*FS, io.Closer, error) {
 	return importPacks(ctx, packVerified, sources)
 }

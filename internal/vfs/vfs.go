@@ -1,10 +1,13 @@
 // Package vfs provides a lightweight virtual file system used to model
 // corpora of millions of small files without holding their bytes in memory.
 //
-// A File is (name, size, optional content source): the packing and
-// provisioning layers consume only metadata, the kernels stream bytes.
-// Concatenation — the paper's reshaping operation — is a zero-copy view
-// over member files, exactly their bytes in order.
+// A File is (name, size, content source). The content source is optional:
+// the packing and provisioning layers consume only metadata, while the real
+// text-processing kernels (grep, POS tagging) open files and stream bytes
+// that are materialised deterministically on demand. Concatenation — the
+// paper's reshaping operation — is a zero-copy view over member files, so a
+// merged unit file always contains exactly the bytes of its members in
+// order.
 //
 // Delivery contract (DESIGN.md §7): an Opener returns a fresh reader or an
 // error, never a reader that fails later in the error's place; whoever
@@ -54,10 +57,12 @@ type File struct {
 	shard    string // container (pack shard) path, "" for standalone files
 	shardOff int64  // byte offset of the content within the container
 
-	// raw, when hasRaw, is the file's complete content as a borrowed view
-	// (a window of a mapped shard, a slab), valid while its import is
-	// open: the zero-copy path. BytesFile sets none — in-memory bytes are
-	// not bytes an owner guarantees stable for a whole scan.
+	// raw, when hasRaw, is the file's complete content as a borrowed view —
+	// typically a window into a memory-mapped pack shard. Scans use it for
+	// the zero-copy path; the view is only valid while its owner (the pack
+	// reader) stays open. Deliberately separate from BytesFile content: a
+	// file having in-memory bytes is not the same as a file whose owner
+	// guarantees them stable for a whole scan.
 	raw    []byte
 	hasRaw bool
 }
@@ -80,7 +85,11 @@ func NewContentFile(name string, size int64, open Opener) File {
 // BytesFile creates a file backed by an in-memory byte slice. The slice is
 // not copied; callers must not mutate it afterwards.
 func BytesFile(name string, data []byte) File {
-	return NewContentFile(name, int64(len(data)), func() (io.Reader, error) { return bytes.NewReader(data), nil })
+	return File{
+		Name:    name,
+		Size:    int64(len(data)),
+		content: Opener(func() (io.Reader, error) { return bytes.NewReader(data), nil }),
+	}
 }
 
 // WithLocality returns a copy of the file annotated with its physical
@@ -136,15 +145,20 @@ func (f File) Open() (io.Reader, error) {
 	return r, nil
 }
 
-// ReadAll materialises the full content of the file, in one buffer of the
-// declared size, and validates that its length matches that size.
+// ReadAll materialises the full content of the file and validates that its
+// length matches the declared size. The size is known up front, so the
+// buffer is allocated once at exactly that size and filled with ReadFull —
+// no io.ReadAll growth-and-copy doubling, which matters when concatenated
+// unit files run to hundreds of megabytes.
 func (f File) ReadAll() ([]byte, error) {
 	return f.ReadInto(nil)
 }
 
 // closeReader closes r when it holds an OS resource, keeping err if one is
 // already set. For an ImportDir file this is the only release its raw
-// descriptor gets (packstore.OpenFile has no finalizer).
+// descriptor gets (packstore.OpenFile: no finalizer stands behind it), so
+// every path that opens a File ends here. Content sources that are plain
+// in-memory readers are unaffected.
 func closeReader(r io.Reader, err error) error {
 	if c, ok := r.(io.Closer); ok {
 		if cerr := c.Close(); cerr != nil && err == nil {
@@ -155,8 +169,11 @@ func closeReader(r io.Reader, err error) error {
 }
 
 // ReadInto is ReadAll with buffer reuse: when cap(buf) >= f.Size the content
-// is read into buf's backing array, valid until its next reuse, and
-// nothing is allocated. The reader is closed after draining.
+// is read into buf's backing array and no allocation happens. The returned
+// slice always has length f.Size and is only valid until the buffer's next
+// reuse. Pass nil to allocate fresh. The reader is closed after draining
+// when the content source hands out closable readers (real files), so
+// reading at manifest scale does not exhaust descriptors.
 func (f File) ReadInto(buf []byte) ([]byte, error) {
 	r, err := f.Open()
 	if err != nil {
@@ -263,13 +280,20 @@ func (c *concatReader) Close() error {
 // errors.Is.
 var ErrNotFound = fmt.Errorf("vfs: file not found: %w", errs.ErrNotFound)
 
-// FS is a collection of Files in name order: one slice, sorted, which
-// List hands out as it is. A slice List returned is never written again:
-// an Add that sorts last appends past its end, and one that sorts
-// earlier inserts into a copy.
+// FS is a collection of Files in name order, kept as one slice that List
+// hands out as it is. A file that sorts after every other, as every
+// import's and most generators' next file does, is appended; one added
+// out of order waits past the sorted files, in a tail that Get searches
+// through an index and the next List sorts and merges in, so an FS built
+// in any order costs O(n log n). A slice List returned is never written
+// again: appends land past its end and the merge makes a new slice. Reads
+// may run concurrently, but a List after an out-of-order Add writes the
+// FS, so it must not run beside another call.
 type FS struct {
-	files []File // sorted by name, no name twice
-	total int64
+	files  []File         // files[:sorted] in name order; the rest is the tail
+	sorted int            // how many of files are in name order
+	tail   map[string]int // each tail file's index in files
+	total  int64
 }
 
 // NewFS returns an empty file system.
@@ -279,7 +303,7 @@ func NewFS() *FS { return &FS{} }
 // already in name order costs one pass; any other is sorted once and
 // checked for a name listed twice. It refuses what Add refuses.
 func newFS(files []File) (*FS, error) {
-	fs := &FS{files: files}
+	fs := &FS{files: files, sorted: len(files)}
 	sorted := true
 	for i, f := range files {
 		if err := checkFile(f); err != nil {
@@ -289,7 +313,7 @@ func newFS(files []File) (*FS, error) {
 		sorted = sorted && (i == 0 || files[i-1].Name < f.Name)
 	}
 	if !sorted {
-		slices.SortFunc(files, func(a, b File) int { return strings.Compare(a.Name, b.Name) })
+		slices.SortFunc(files, byFileName)
 		for i := 1; i < len(files); i++ {
 			if files[i].Name == files[i-1].Name {
 				return nil, fmt.Errorf("vfs: file %q already exists", files[i].Name)
@@ -298,6 +322,8 @@ func newFS(files []File) (*FS, error) {
 	}
 	return fs, nil
 }
+
+func byFileName(a, b File) int { return strings.Compare(a.Name, b.Name) }
 
 // checkFile refuses a file no FS holds: no name, or a negative size.
 func checkFile(f File) error {
@@ -310,25 +336,33 @@ func checkFile(f File) error {
 	return nil
 }
 
-// find returns where name is in the FS, or where it would go.
+// find returns where name is in fs.files.
 func (fs *FS) find(name string) (int, bool) {
-	return slices.BinarySearchFunc(fs.files, name, func(f File, name string) int { return strings.Compare(f.Name, name) })
+	i, found := slices.BinarySearchFunc(fs.files[:fs.sorted], name, func(f File, name string) int { return strings.Compare(f.Name, name) })
+	if !found {
+		i, found = fs.tail[name]
+	}
+	return i, found
 }
 
 // Add inserts a file, rejecting duplicates and negative sizes. A file
-// whose name sorts after every other is appended; any other is inserted
-// into a copy of the slice, in time linear in the file count.
+// whose name sorts after every other is appended to the sorted files; any
+// other joins the tail that the next List merges in.
 func (fs *FS) Add(f File) error {
 	if err := checkFile(f); err != nil {
 		return err
 	}
-	if n := len(fs.files); n == 0 || fs.files[n-1].Name < f.Name {
-		fs.files = append(fs.files, f)
-	} else if i, found := fs.find(f.Name); found {
+	if n := len(fs.files); fs.sorted == n && (n == 0 || fs.files[n-1].Name < f.Name) {
+		fs.sorted++
+	} else if _, found := fs.find(f.Name); found {
 		return fmt.Errorf("vfs: file %q already exists", f.Name)
 	} else {
-		fs.files = slices.Insert(slices.Clip(fs.files), i, f)
+		if fs.tail == nil {
+			fs.tail = make(map[string]int)
+		}
+		fs.tail[f.Name] = n
 	}
+	fs.files = append(fs.files, f)
 	fs.total += f.Size
 	return nil
 }
@@ -351,23 +385,45 @@ func (fs *FS) TotalSize() int64 { return fs.total }
 // List returns all files sorted by name, for deterministic iteration: the
 // FS's own slice, shared between calls and never written again, so
 // callers must not modify it (its capacity ends at its length, so an
-// append copies).
-func (fs *FS) List() []File { return slices.Clip(fs.files) }
+// append copies). Files added out of order are merged in first, into a
+// new slice.
+func (fs *FS) List() []File {
+	if fs.sorted < len(fs.files) {
+		tail := fs.files[fs.sorted:]
+		slices.SortFunc(tail, byFileName)
+		head := fs.files[:fs.sorted]
+		merged := make([]File, 0, len(fs.files))
+		for len(head) > 0 && len(tail) > 0 {
+			if head[0].Name < tail[0].Name {
+				merged, head = append(merged, head[0]), head[1:]
+			} else {
+				merged, tail = append(merged, tail[0]), tail[1:]
+			}
+		}
+		merged = append(append(merged, head...), tail...)
+		fs.files, fs.sorted, fs.tail = merged, len(merged), nil
+	}
+	return slices.Clip(fs.files)
+}
 
 // Sizes returns the sizes of all files in List order, in a new slice.
 func (fs *FS) Sizes() []int64 {
-	sizes := make([]int64, len(fs.files))
-	for i, f := range fs.files {
+	files := fs.List()
+	sizes := make([]int64, len(files))
+	for i, f := range files {
 		sizes[i] = f.Size
 	}
 	return sizes
 }
 
 // ExportCtx writes every content-backed file under dir on the real file
-// system, creating parent directories as needed; a metadata-only file is
-// an error. Files are written concurrently, the error reported is the
-// first in List order, and once ctx is done no new file is started and the
-// call returns a typed cancellation error.
+// system, creating parent directories as needed. Metadata-only files cause
+// an error: exporting would silently lose data otherwise. Files are
+// materialised and written concurrently (content sources are independent by
+// the Opener contract); on failure the reported error is the one from the
+// first file in List order, matching the serial behaviour. No new files
+// are written once ctx is done (files already being written complete),
+// and the call returns a typed cancellation error.
 func (fs *FS) ExportCtx(ctx context.Context, dir string) error {
 	files := fs.List()
 	return par.Default().ForEachCtx(ctx, len(files), func(i int) error {
@@ -408,9 +464,10 @@ func exportPath(dir, name string) (string, error) {
 // read: each file is opened when a reader asks for its content, through
 // packstore.OpenFile — a raw descriptor that only the reader's Close
 // releases, which is what makes the delivery contract's "whoever calls
-// Open closes" mandatory here. A file's one lstat runs beside the walk
-// (walkLoad); the FS, and the error if a file vanished, are the serial
-// walk's.
+// Open closes" mandatory here. The walk lists the corpus; the one lstat a
+// file gets (the walk's directory entries carry none) runs on every core
+// beside it (walkLoad), so the FS — and the error, if a file vanished in
+// between — is the serial walk's.
 func ImportDir(dir string) (*FS, error) {
 	// ImportDir's signature is the harness's and carries no context; a stat
 	// is not worth cancelling.

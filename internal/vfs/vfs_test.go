@@ -9,10 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMetadataOnlyFile(t *testing.T) {
@@ -129,19 +131,24 @@ func TestFSAddGetRemove(t *testing.T) {
 	}
 }
 
-// fsNames lists the FS's names in List order.
-func fsNames(fs *FS) []string {
+// fileNames lists the files' names.
+func fileNames(files []File) []string {
 	var names []string
-	for _, f := range fs.List() {
+	for _, f := range files {
 		names = append(names, f.Name)
 	}
 	return names
 }
 
+// fsNames lists the FS's names in List order.
+func fsNames(fs *FS) []string { return fileNames(fs.List()) }
+
 // TestFSAddKeepsNameOrder: Adds in any order leave the FS sorted by name;
-// a name it holds is refused whether the new file would append (it sorts
-// last) or insert (it sorts earlier); and Get finds every file and
-// misses names before, between and after them.
+// a name it holds is refused whether it sits among the sorted files or
+// among those added out of order and not yet merged, and whether the new
+// file would append (it sorts last) or not; and Get finds every file and
+// misses names before, between and after them, before the merge and
+// after it.
 func TestFSAddKeepsNameOrder(t *testing.T) {
 	fs := NewFS()
 	added := []string{"m", "c", "x", "a", "k", "z", "b"}
@@ -150,37 +157,42 @@ func TestFSAddKeepsNameOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	check := func(when string, dups ...string) {
+		t.Helper()
+		for _, dup := range dups {
+			if err := fs.Add(NewFile(dup, 100)); err == nil || !strings.Contains(err.Error(), "already exists") {
+				t.Errorf("%s: Add of a second %q: %v, want an already-exists error", when, dup, err)
+			}
+		}
+		if fs.Len() != len(added) || fs.TotalSize() != 21 {
+			t.Fatalf("%s, after refused duplicates: %d files, %d bytes, want 7 and 21", when, fs.Len(), fs.TotalSize())
+		}
+		for i, name := range added {
+			if f, err := fs.Get(name); err != nil || f.Size != int64(i) {
+				t.Errorf("%s: Get(%q) = %+v, %v, want size %d", when, name, f, err, i)
+			}
+		}
+		for _, miss := range []string{"", "0", "aa", "l", "y", "zz"} {
+			if _, err := fs.Get(miss); !errors.Is(err, ErrNotFound) {
+				t.Errorf("%s: Get(%q) = %v, want ErrNotFound", when, miss, err)
+			}
+		}
+	}
+	check("before List", "m", "c", "b")
 	if got, want := fsNames(fs), []string{"a", "b", "c", "k", "m", "x", "z"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("List = %q, want %q", got, want)
 	}
-	for _, dup := range []string{"z", "a", "k"} {
-		if err := fs.Add(NewFile(dup, 100)); err == nil || !strings.Contains(err.Error(), "already exists") {
-			t.Errorf("Add of a second %q: %v, want an already-exists error", dup, err)
-		}
-	}
-	if fs.Len() != len(added) || fs.TotalSize() != 21 {
-		t.Fatalf("after refused duplicates: %d files, %d bytes, want 7 and 21", fs.Len(), fs.TotalSize())
-	}
-	for i, name := range added {
-		if f, err := fs.Get(name); err != nil || f.Size != int64(i) {
-			t.Errorf("Get(%q) = %+v, %v, want size %d", name, f, err, i)
-		}
-	}
-	for _, miss := range []string{"", "0", "aa", "l", "y", "zz"} {
-		if _, err := fs.Get(miss); !errors.Is(err, ErrNotFound) {
-			t.Errorf("Get(%q) = %v, want ErrNotFound", miss, err)
-		}
-	}
+	check("after List", "z", "a", "k")
 }
 
 // TestFSListKeepsItsContents: a List taken before later Adds keeps its
 // contents — files that sort last are appended past its end, the others
-// inserted into a copy even where the slice has room — and a caller's
-// append to a List does not share the FS's spare room.
+// merged into a new slice by the next List even where the slice has room
+// — and a caller's append to a List does not share the FS's spare room.
 func TestFSListKeepsItsContents(t *testing.T) {
 	fs := NewFS()
 	// addLast adds files that sort last until the FS's slice has room for
-	// another, so an insert could be made in place.
+	// another, so a file could be put in place.
 	last := "m"
 	addLast := func() {
 		for first := true; first || cap(fs.files) == len(fs.files); first = false {
@@ -196,8 +208,8 @@ func TestFSListKeepsItsContents(t *testing.T) {
 		if err := fs.Add(NewFile(name, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(before, kept) {
-			t.Fatalf("adding %q rewrote an earlier List: %q", name, fsNames(&FS{files: before}))
+		if got := fsNames(fs); !slices.Contains(got, name) || !reflect.DeepEqual(before, kept) {
+			t.Fatalf("adding %q and listing %q rewrote an earlier List: %q", name, got, fileNames(before))
 		}
 	}
 	if got := fsNames(fs); !slices.IsSorted(got) || len(got) != len(fs.files) {
@@ -208,6 +220,38 @@ func TestFSListKeepsItsContents(t *testing.T) {
 	addLast()
 	if mine[len(mine)-1].Name != "mine" {
 		t.Fatalf("an Add overwrote a caller's append to List with %q", mine[len(mine)-1].Name)
+	}
+}
+
+// TestFSAddOutOfOrderScales: a long run of Adds out of name order — as a
+// generator makes once its numbers outgrow their zero padding
+// ("d/10000000" sorts before "d/9999999") — costs a sort and a merge, not
+// a copy of the FS per file: 20 000 files added in reverse, then listed,
+// allocate a few times their own slice (a copy per file would be ≈ 20 GB).
+func TestFSAddOutOfOrderScales(t *testing.T) {
+	const n = 20000
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("d/%07d", n-1-i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fs := NewFS()
+	for _, name := range names {
+		if err := fs.Add(NewFile(name, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := fs.List()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*n*unsafe.Sizeof(File{})); got > limit {
+		t.Errorf("%d out-of-order Adds and a List allocated %d bytes, want at most %d", n, got, limit)
+	}
+	if len(list) != n || !slices.IsSortedFunc(list, byFileName) || list[0].Name != names[n-1] {
+		t.Fatalf("List holds %d files, sorted %v, want the %d added in name order", len(list), slices.IsSortedFunc(list, byFileName), n)
+	}
+	if f, err := fs.Get(names[n/2]); err != nil || f.Name != names[n/2] {
+		t.Fatalf("Get(%q) = %q, %v", names[n/2], f.Name, err)
 	}
 }
 

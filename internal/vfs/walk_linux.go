@@ -11,12 +11,16 @@ import (
 )
 
 // walkFiles reads each directory with getdents64 and takes every entry's
-// type from its d_type (DT_UNKNOWN gets an lstat, as in os.ReadDir), so
-// listing a file allocates nothing of its own: its path is appended to an
-// arena of 64 KiB blocks that are only ever appended to, and its entry's
-// path and name are substrings of it, so a chunk can go to the loaders
-// while the directory is still being read. Subdirectories are walked
-// after the directory that lists them.
+// type from its d_type, so listing a file allocates nothing of its own:
+// os.ReadDir would allocate a DirEntry and a name string per entry, and
+// the walk two more strings for the name and path built from them. Its
+// path is appended to an arena of 64 KiB blocks that are only ever
+// appended to, and its entry's path and name are substrings of it, so a
+// chunk can go to the loaders while the directory is still being read;
+// entries come in the order getdents64 returns them, and subdirectories
+// are walked after the directory that lists them. A filesystem that
+// reports DT_UNKNOWN gets an lstat for that entry, as os.ReadDir does; a
+// symlink (DT_LNK) is listed, never followed.
 func walkFiles(dir string, emit func([]dirEntry) error) error {
 	if dir != "" && dir[len(dir)-1] != '/' {
 		dir += "/"
@@ -79,8 +83,10 @@ func (w *dirWalker) read(dir string, dirs *[]string) error {
 			if i := bytes.IndexByte(name, 0); i >= 0 {
 				name = name[:i]
 			}
-			typ, ino := rec[direntType], binary.NativeEndian.Uint64(rec)
-			if rec = rec[reclen:]; ino == 0 || string(name) == "." || string(name) == ".." {
+			typ := rec[direntType]
+			ino := binary.NativeEndian.Uint64(rec)
+			rec = rec[reclen:]
+			if ino == 0 || string(name) == "." || string(name) == ".." {
 				continue
 			}
 			if len(name) > 255 {

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nommap test-scandebug verify verify-quick fuzz-smoke bench-smoke bench-kernels bench-pack bench-import bench-serve bench-dist bench-repo-test chaos-smoke clean
+.PHONY: all build test test-nommap test-scandebug verify verify-quick size fuzz-smoke bench-smoke bench-kernels bench-pack bench-import bench-serve bench-dist bench-repo-test chaos-smoke clean
 
 all: build
 
@@ -30,7 +30,7 @@ test-scandebug:
 
 # verify is the tier-1 gate: gofmt and vet clean, and the full suite
 # race-clean. The ./... wildcard covers every package, including
-# internal/packstore's shared-handle concurrency and recovery tests and
+# internal/packstore's shared-handle concurrency and torn-pack tests and
 # the root package's TestCommandsEndToEnd and TestChaosEndToEnd, which
 # build the commands (with -race, because the test binary has it) and
 # drive serve, pipeline and worker daemons as child processes.
@@ -45,6 +45,14 @@ verify-quick:
 	$(GO) build ./...
 	$(GO) test ./...
 
+# size prints the counts ROADMAP.md's Size section tracks: non-test Go
+# lines under internal/ and cmd/, test lines outside benchmark/, and the
+# entries of the API guard's allowlist (api_guard_test.go).
+size:
+	@echo "non-test Go lines under internal/ + cmd/: $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test lines outside benchmark/: $$(find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "apiAllowlist entries: $$(awk '/^var apiAllowlist = /{on=1; next} on && /^}/{on=0} on && /^\t"/{n++} END{print n+0}' api_guard_test.go)"
+
 # fuzz-smoke gives each fuzz target that decodes or scans outside bytes a
 # short budget of fresh inputs: the analyzer against Analyze, Tokenize
 # and TagText at window-straddling block sizes, the lexicon key set
@@ -54,7 +62,7 @@ verify-quick:
 # land on both sides of the bitap stride budget, every production
 # kernel's Restore against arbitrary states,
 # the record codec's two readers (a worker's answer, journal replay)
-# against hostile frames, the pack readers (Open, OpenReader, RecoverCtx)
+# against hostile frames, the pack readers (Open, OpenReader)
 # against arbitrary files (typed refusals, typed verify failures), the
 # fault spec parser against arbitrary specs (ErrInvalid or a config New
 # accepts), and the serve request decoders (any body to grep, measure and

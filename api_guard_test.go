@@ -27,17 +27,13 @@ var productionModules = []string{".", "benchmark"}
 // that no production code sets, one reason each. Keys are "pkg.Name",
 // "pkg.Type.Method" or "pkg.Type.Field".
 var apiAllowlist = map[string]string{
-	"errs.StageError.Unwrap":           "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
-	"errs.categorized.Unwrap":          "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
-	"errs.retryAfterError.Unwrap":      "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
-	"par.CancelledError.Unwrap":        "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
-	"packstore.RecoverCtx":             "recovery code: rebuilds the index of a pack whose footer never landed; what the 'try Recover' errors point at",
-	"packstore.Pack.Truncated":         "recovery code: tells a RecoverCtx caller the scan stopped at a torn record",
-	"packstore.Pack.Lookup":            "library surface: O(1) member access by name, the property the format's sorted index exists for; packstore's tests read members through it",
-	"packstore.MmapSupported":          "build fact other packages' tests branch on: cli and vfs tests expect mappings only where the build makes them",
-	"workload.ComplexityOf":            "oracle: scan's and core's tests hold the analyzer kernel's complexity factor to it, from other packages",
-	"cloudsim.Instance.BilledDuration": "the §3.1 billing rule on the instance lifecycle (pending is free, billing stops at terminate), pinned by the billing tests",
-	"probe.SampleWithoutReplacement":   "the paper's §5.1 random-sampling procedure: complexity_test.go's random-sample leg refits the model with it, and four TestSample* tests pin it",
+	"errs.StageError.Unwrap":         "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
+	"errs.categorized.Unwrap":        "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
+	"errs.retryAfterError.Unwrap":    "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
+	"par.CancelledError.Unwrap":      "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
+	"packstore.MmapSupported":        "build fact other packages' tests branch on: cli and vfs tests expect mappings only where the build makes them",
+	"workload.ComplexityOf":          "oracle: scan's and core's tests hold the analyzer kernel's complexity factor to it, from other packages",
+	"probe.SampleWithoutReplacement": "the paper's §5.1 random-sampling procedure: complexity_test.go's random-sample leg refits the model with it, and four TestSample* tests pin it",
 
 	"scan.Options.BlockSize":     "test seam: block-split tests run every kernel across block boundaries at sizes production never picks",
 	"scan.PlanOptions.TaskBytes": "test seam: task-granularity tests split a plan into more tasks than the default size would",

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -97,13 +98,14 @@ func main() {
 		fmt.Printf("wrote %d unit files into %d pack shard(s) in %s\n", merged.Len(), len(paths), *outDir)
 		if *verify {
 			// The manifest of what was meant to be written, checked against
-			// what a fresh import reads back: one parallel checksum scan
+			// what a fresh mapped import — the open `pipeline -packs` and
+			// `serve` read through — reads back: one parallel checksum scan
 			// each, and a mismatch names the corrupt member.
 			want, err := vfs.BuildManifestCtx(ctx, merged)
 			if err != nil {
 				fatal(err)
 			}
-			imported, closer, err := vfs.ImportPackCtx(ctx, *outDir)
+			imported, closer, err := vfs.ImportPackMappedCtx(ctx, *outDir)
 			if err != nil {
 				fatal(err)
 			}
@@ -122,21 +124,38 @@ func main() {
 	// directory, not into it: a directory of unit files is a corpus, and a
 	// later `pipeline -dir` would scan a manifest inside it as text.
 	path := filepath.Clean(*outDir) + ".manifest.txt"
-	manifest, err := os.Create(path)
-	if err != nil {
+	if err := writeManifest(path, *prefix, bins); err != nil {
 		fatal(err)
-	}
-	defer manifest.Close()
-	for i, b := range bins {
-		fmt.Fprintf(manifest, "%s-%06d (%d bytes):\n", *prefix, i, b.Used)
-		for _, it := range b.Items {
-			fmt.Fprintf(manifest, "  %s %d\n", it.ID, it.Size)
-		}
 	}
 	if !*pack {
 		fmt.Printf("wrote %d unit files to %s\n", merged.Len(), *outDir)
 	}
 	fmt.Printf("wrote the manifest to %s\n", path)
+}
+
+// writeManifest writes which inputs each unit holds to path through one
+// buffer. A write error sticks in the buffer, so Flush reports the first
+// one; Close's error counts too, and either names the file.
+func writeManifest(path, prefix string, bins []*binpack.Bin) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	for i, b := range bins {
+		fmt.Fprintf(w, "%s-%06d (%d bytes):\n", prefix, i, b.Used)
+		for _, it := range b.Items {
+			fmt.Fprintf(w, "  %s %d\n", it.ID, it.Size)
+		}
+	}
+	err = w.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("manifest: %w", err)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -318,6 +318,27 @@ func TestReshapeOutputIsACorpus(t *testing.T) {
 	}
 }
 
+// TestReshapeReportsManifestWriteFailure: a manifest that cannot be written
+// — here every write to it fails with ENOSPC — fails the command with an
+// error naming the manifest, instead of reporting it written.
+func TestReshapeReportsManifestWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	bin := commandBins(t)
+	work := t.TempDir()
+	corpusDir, units := filepath.Join(work, "corpus"), filepath.Join(work, "units")
+	runCommand(t, bin+"corpusgen", "-spec", "text", "-scale", "0.0001", "-out", corpusDir)
+	manifest := units + ".manifest.txt"
+	if err := os.Symlink("/dev/full", manifest); err != nil {
+		t.Skip("cannot make a symlink here:", err)
+	}
+	out, err := exec.Command(bin+"reshape", "-in", corpusDir, "-out", units, "-unit", "200000").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), manifest) || strings.Contains(string(out), "wrote the manifest") {
+		t.Fatalf("reshape over an unwritable manifest: %v, want a failure naming %s\n%s", err, manifest, out)
+	}
+}
+
 // TestProvisionCommand runs cmd/provision's plan modes and requires their
 // plan lines, and refuses the numeric inputs it cannot plan for as usage
 // errors (exit 2 naming the flag, no panic).
@@ -525,7 +546,21 @@ func TestCommandsEndToEnd(t *testing.T) {
 	corpusDir, packs := filepath.Join(work, "corpus"), filepath.Join(work, "packs")
 	runCommand(t, bin+"corpusgen", "-spec", "text", "-scale", "0.0005", "-out", corpusDir)
 	// Small units and shards, so the plan has several tasks to hand out.
-	runCommand(t, bin+"reshape", "-in", corpusDir, "-pack", "-out", packs, "-unit", "16384", "-shard", "32768")
+	// -verify reads the shards back through the mapped import the commands
+	// below open them with, against the manifest of what was written.
+	out, err := exec.Command(bin+"reshape", "-in", corpusDir, "-pack", "-verify", "-out", packs, "-unit", "16384", "-shard", "32768").CombinedOutput()
+	if err != nil {
+		t.Fatalf("reshape -pack -verify: %v\n%s", err, out)
+	}
+	var units int
+	wrote := strings.Index(string(out), "wrote ")
+	if wrote < 0 {
+		t.Fatalf("reshape -pack -verify printed no wrote line:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(string(out[wrote:]), "wrote %d unit files into", &units); err != nil ||
+		!strings.Contains(string(out), fmt.Sprintf("verified: %d members round-trip bit-identically\n", units)) {
+		t.Fatalf("reshape -pack -verify printed no verified line for its %d unit files (%v):\n%s", units, err, out)
+	}
 
 	flags := []string{"-packs", packs, "-measure", "-measure-only", "-grep", "the,and"}
 	local := runPipeline(t, bin+"pipeline", flags...)

@@ -41,19 +41,6 @@ func (in *Instance) State() State {
 	return Running
 }
 
-// BilledDuration returns the running-state time that accrues charges so
-// far (or in total, once terminated).
-func (in *Instance) BilledDuration() time.Duration {
-	end := in.cloud.clock.Now()
-	if in.terminated && in.stoppedAt < end {
-		end = in.stoppedAt
-	}
-	if end <= in.runningAt {
-		return 0
-	}
-	return end - in.runningAt
-}
-
 // BillHours converts a running duration to billable hours: every started
 // hour counts in full. Zero duration bills zero.
 func BillHours(d time.Duration) float64 {

@@ -90,7 +90,7 @@ func TestBillingPartialHourRoundsUp(t *testing.T) {
 		t.Errorf("cost = %v, want one full hour %v", got, Small.HourlyRate)
 	}
 	// Pending time is free: billed duration is exactly 10 minutes.
-	if got := in.BilledDuration(); got != 10*time.Minute {
+	if got := billedDuration(in); got != 10*time.Minute {
 		t.Errorf("billed = %v, want 10m", got)
 	}
 }
@@ -182,17 +182,32 @@ func TestQualityMixMatchesDistribution(t *testing.T) {
 	}
 }
 
+// billedDuration is the oracle for the §3.1 billing rule on the instance
+// lifecycle: the running-state time that accrues charges so far (or in
+// total, once terminated). Pending is free, and billing stops at
+// terminate.
+func billedDuration(in *Instance) time.Duration {
+	end := in.cloud.clock.Now()
+	if in.terminated && in.stoppedAt < end {
+		end = in.stoppedAt
+	}
+	if end <= in.runningAt {
+		return 0
+	}
+	return end - in.runningAt
+}
+
 // cost is an instance's accrued charge: the hourly rate times the number of
 // full or partial running hours (§1.1: "$0.1 × ⌈h⌉").
 func cost(in *Instance) float64 {
-	return BillHours(in.BilledDuration()) * in.Type.HourlyRate
+	return BillHours(billedDuration(in)) * in.Type.HourlyRate
 }
 
 // instanceHours sums billable hours across all on-demand instances.
 func instanceHours(c *Cloud) float64 {
 	var total float64
 	for _, in := range c.Instances() {
-		total += BillHours(in.BilledDuration())
+		total += BillHours(billedDuration(in))
 	}
 	return total
 }

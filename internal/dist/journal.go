@@ -31,10 +31,12 @@ import (
 //
 // The header pins the journal to one (plan, spec): resuming against a
 // different corpus or kernel set refuses with ErrInvalid instead of
-// folding foreign states. Like packstore's Recover, loading tolerates a
-// torn tail — a record cut short by the crash that made the journal
-// useful is dropped and the file truncated to the last complete record —
-// but corruption *before* the tail is a loud ErrCorrupt. A journal is a
+// folding foreign states. Unlike a pack shard, which is re-exported from
+// its input, a journal is the only record of the work it holds, so
+// loading tolerates a torn tail — a record cut short by the crash that
+// made the journal useful is dropped and the file truncated to the last
+// complete record — but corruption *before* the tail is a loud
+// ErrCorrupt. A journal is a
 // per-run checkpoint, so the format carries no compatibility: a file of
 // an older version is refused, not migrated.
 type Journal struct {

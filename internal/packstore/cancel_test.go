@@ -60,33 +60,6 @@ func TestSetVerifyCtxCancellation(t *testing.T) {
 	}
 }
 
-func TestRecoverCtxCancellation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.pack")
-	writePack(t, path, testMembers(12))
-	// Chop the footer so RecoverCtx has to take the salvage path (which
-	// runs the cancellable verify pass).
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-footerLen], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RecoverCtx(cancelled, path); !errs.IsCancellation(err) {
-		t.Fatalf("cancelled recover returned %v", err)
-	}
-	p, err := RecoverCtx(context.Background(), path)
-	if err != nil {
-		t.Fatalf("recover after cancelled attempt: %v", err)
-	}
-	defer p.Close()
-	if p.Len() != 12 {
-		t.Fatalf("salvaged %d members, want 12", p.Len())
-	}
-}
-
 func TestShardWriterAppendCtx(t *testing.T) {
 	dir := t.TempDir()
 	sw := NewShardWriter(dir, "c", 0)

@@ -10,11 +10,11 @@ import (
 	"repro/internal/errs"
 )
 
-// FuzzPackOpen feeds arbitrary bytes as a pack file to every reader: Open,
-// OpenReader with each member's MemberBytes, and RecoverCtx. None may
-// panic; each refusal wraps ErrCorrupt or ErrInvalid; a pack any of them
-// accepts verifies clean or fails with ErrCorrupt. Seeds: a valid pack,
-// the v1 fixture and a pack with a torn tail.
+// FuzzPackOpen feeds arbitrary bytes as a pack file to both readers: Open,
+// and OpenReader with each member's MemberBytes. Neither may panic; each
+// refusal wraps ErrCorrupt or ErrInvalid; a pack either accepts verifies
+// clean or fails with ErrCorrupt. Seeds: a valid pack, the v1 fixture and
+// a pack with a torn tail.
 func FuzzPackOpen(f *testing.F) {
 	valid := filepath.Join(f.TempDir(), "seed.pack")
 	w, err := Create(valid)
@@ -72,12 +72,6 @@ func FuzzPackOpen(f *testing.F) {
 			}
 			verified("OpenReader", r.Pack())
 			r.Close()
-		}
-		if p, err := RecoverCtx(context.Background(), path); err != nil {
-			refused("RecoverCtx", err)
-		} else {
-			verified("RecoverCtx", p)
-			p.Close()
 		}
 	})
 }

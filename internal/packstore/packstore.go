@@ -27,13 +27,13 @@
 //
 // Every stored checksum is CRC-32C (Castagnoli), zero-extended into its
 // 8-byte slot (see Checksum). Format v1 ("RPACKv1\n") had the same layout
-// with FNV-64a sums; Open, OpenReader and RecoverCtx refuse it with
-// errs.ErrInvalid, naming the format. The payload checksum trails the
-// payload so writing streams in one pass; the index repeats it so strict
-// readers never touch record headers. Because records are strictly
-// sequential, a crash while appending can only damage the tail: Recover
-// rescans the records of a pack with a missing or corrupt footer and
-// salvages every complete member (see reader.go).
+// with FNV-64a sums; Open and OpenReader refuse it with errs.ErrInvalid,
+// naming the format. The payload checksum trails the payload so writing
+// streams in one pass; the index repeats it so readers never touch record
+// headers. A pack is staged data, a deterministic function of the corpus
+// it was exported from: one whose footer or index did not land (a crash,
+// a failed append) is refused with errs.ErrCorrupt naming the file, and is
+// re-created by exporting its input again, never patched up.
 package packstore
 
 import (
@@ -62,7 +62,7 @@ const (
 	footerLen       = 8 + 8 + 8 + 8 + len(footerMagic)
 
 	// MaxNameLen bounds member names; it doubles as a sanity check when
-	// scanning possibly-damaged packs.
+	// decoding an index read from disk.
 	MaxNameLen = 1 << 16
 )
 
@@ -77,7 +77,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // hash/crc32 runs on the CPU's CRC instructions at memory speed, widened
 // to the 8-byte slots the format stores. Every site that writes or checks
 // a stored sum — Writer.Append, an exporter feeding AppendSummed,
-// verification, recovery and vfs's verified import — calls this name.
+// verification and vfs's verified import — calls this name.
 func Checksum(sum uint64, p []byte) uint64 {
 	return uint64(crc32.Update(uint32(sum), castagnoli, p))
 }
@@ -97,8 +97,8 @@ type Member struct {
 // Writer appends members to a single pack file. Append streams payloads
 // straight to disk (one pass, checksummed on the fly); Close writes the
 // sorted index and footer and syncs. A Writer whose Append failed is
-// poisoned: Close then leaves the truncated, Recover-able file in place
-// and reports the original error.
+// poisoned: Close then leaves a torn file, with no index or footer, that
+// Open refuses, and reports the original error.
 //
 // Append-path allocation discipline: the record-prefix scratch, the
 // streaming copy window and the checksum state all live on the Writer and
@@ -272,7 +272,7 @@ func (w *Writer) Append(name string, size int64, r io.Reader) error {
 // whose pack checksum — Checksum(0, data) — the caller has already
 // folded, so a pipelined exporter hashes on the goroutine that loaded the
 // bytes and this one only writes. The sum is recorded as given: every
-// reader checks it against the payload (Pack.VerifyCtx,
+// reader checks it against the payload (Set.VerifyCtx,
 // vfs.ImportPackVerifiedCtx), so a wrong one is found at the first
 // verified read, naming the member, exactly as damage on disk
 // would be.
@@ -298,7 +298,7 @@ func (w *Writer) fail(err error) error {
 
 // Close writes the sorted index and footer, flushes, syncs and closes
 // the file. On a poisoned writer it closes the file without finalising
-// (leaving a Recover-able truncated pack) and returns the append error.
+// (leaving a torn pack that Open refuses) and returns the append error.
 func (w *Writer) Close() (err error) {
 	if w.closed {
 		return fmt.Errorf("packstore: writer %s already closed", w.path)
@@ -335,8 +335,7 @@ func (w *Writer) Close() (err error) {
 	if err := w.bw.Flush(); err != nil {
 		return fmt.Errorf("packstore: finalize %s: %w", w.path, err)
 	}
-	// Durable store: the pack must survive the crash it is the recovery
-	// artefact for.
+	// Durable store: a pack that Close reported written survives a crash.
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("packstore: sync %s: %w", w.path, err)
 	}

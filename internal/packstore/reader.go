@@ -18,18 +18,18 @@ import (
 // can stream concurrently from a single descriptor — opening a member is
 // free and reading one costs O(member), not O(pack).
 type Pack struct {
-	path      string
-	ra        io.ReaderAt
-	closer    io.Closer
-	size      int64
-	members   []Member // sorted by name
-	byName    map[string]int
-	truncated bool
+	path    string
+	ra      io.ReaderAt
+	closer  io.Closer
+	size    int64
+	members []Member // sorted by name
+	byName  map[string]int
 }
 
-// Open opens a finalised pack strictly: the footer must be intact and
-// the index must match its checksum. Use Recover for packs that may
-// have lost their tail to a crash.
+// Open opens a finalised pack: the footer must be intact and the index
+// must match its checksum. A pack that lost its tail — a crash or a failed
+// append before Writer.Close — is refused with ErrCorrupt naming the file;
+// a pack is staged data, re-created by exporting its input again.
 func Open(path string) (*Pack, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -60,8 +60,11 @@ func checkHeader(f *os.File, path string) error {
 	return errs.Corrupt("packstore: %s: bad header magic (not a pack)", path)
 }
 
-// openStrict reads header, footer and index from an open file. A refusal
-// of the file's bytes wraps errs.ErrCorrupt, or ErrInvalid for a v1 pack.
+// openStrict reads header, footer and index from an open file and
+// assembles the Pack, its members sorted by name so lookups and iteration
+// order are deterministic. A refusal of the file's bytes — a duplicate
+// member name included — wraps errs.ErrCorrupt, or ErrInvalid for a v1
+// pack.
 func openStrict(f *os.File, path string) (*Pack, error) {
 	info, err := f.Stat()
 	if err != nil {
@@ -79,7 +82,7 @@ func openStrict(f *os.File, path string) (*Pack, error) {
 		return nil, fmt.Errorf("packstore: %s: reading footer: %w", path, err)
 	}
 	if string(footer[32:]) != footerMagic {
-		return nil, errs.Corrupt("packstore: %s: bad footer magic (truncated or unfinalised pack; try Recover)", path)
+		return nil, errs.Corrupt("packstore: %s: bad footer magic (truncated or unfinalised pack)", path)
 	}
 	indexOff := int64(binary.LittleEndian.Uint64(footer[0:]))
 	indexLen := int64(binary.LittleEndian.Uint64(footer[8:]))
@@ -94,14 +97,22 @@ func openStrict(f *os.File, path string) (*Pack, error) {
 		return nil, fmt.Errorf("packstore: %s: reading index: %w", path, err)
 	}
 	if sum := Checksum(0, index); sum != indexSum {
-		return nil, errs.Corrupt("packstore: %s: index checksum %x != footer %x (corrupt index; try Recover)",
+		return nil, errs.Corrupt("packstore: %s: index checksum %x != footer %x (corrupt index)",
 			path, sum, indexSum)
 	}
 	members, err := decodeIndex(index, count, indexOff)
 	if err != nil {
 		return nil, errs.Corrupt("packstore: %s: %v", path, err)
 	}
-	return newPack(path, f, f, size, members, false)
+	sort.Slice(members, func(i, j int) bool { return members[i].Name < members[j].Name })
+	byName := make(map[string]int, len(members))
+	for i, m := range members {
+		if _, dup := byName[m.Name]; dup {
+			return nil, errs.Corrupt("packstore: %s: duplicate member %q", path, m.Name)
+		}
+		byName[m.Name] = i
+	}
+	return &Pack{path: path, ra: f, closer: f, size: size, members: members, byName: byName}, nil
 }
 
 // decodeIndex parses index bytes, validating every entry's bounds
@@ -142,154 +153,11 @@ func decodeIndex(index []byte, count uint64, indexOff int64) ([]Member, error) {
 	return members, nil
 }
 
-// newPack assembles a Pack, sorting members by name and rejecting
-// duplicates so lookups and iteration order are deterministic.
-func newPack(path string, ra io.ReaderAt, closer io.Closer, size int64, members []Member, truncated bool) (*Pack, error) {
-	sort.Slice(members, func(i, j int) bool { return members[i].Name < members[j].Name })
-	byName := make(map[string]int, len(members))
-	for i, m := range members {
-		if _, dup := byName[m.Name]; dup {
-			return nil, errs.Corrupt("packstore: %s: duplicate member %q", path, m.Name)
-		}
-		byName[m.Name] = i
-	}
-	return &Pack{
-		path:      path,
-		ra:        ra,
-		closer:    closer,
-		size:      size,
-		members:   members,
-		byName:    byName,
-		truncated: truncated,
-	}, nil
-}
-
-// RecoverCtx opens a pack leniently: if the footer and index are intact
-// it behaves exactly like Open; otherwise it rescans the record region and
-// salvages every complete member, checksums included — the durable-store
-// guarantee that a crash mid-append loses at most the member being
-// written. A pack recovered from a damaged tail reports Truncated(). ctx
-// is threaded through the salvage verification passes (the expensive part
-// of recovery on a large pack).
-func RecoverCtx(ctx context.Context, path string) (_ *Pack, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("packstore: recover: %w", err)
-	}
-	if p, err := openStrict(f, path); err == nil {
-		return p, nil
-	}
-	// The salvaged pack owns f; every failure below gives it back.
-	defer func() {
-		if err != nil {
-			f.Close()
-		}
-	}()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("packstore: recover %s: %w", path, err)
-	}
-	size := info.Size()
-	if size < int64(headerLen) {
-		return nil, errs.Corrupt("packstore: recover %s: shorter than the pack header", path)
-	}
-	if err := checkHeader(f, path); err != nil {
-		return nil, err
-	}
-	members := scanRecords(f, size)
-	p, err := newPack(path, f, f, size, members, true)
-	if err != nil {
-		return nil, err
-	}
-	// Salvage means intact: verify every salvaged payload. A bad final
-	// member is the crash tail — drop it; a bad earlier member is
-	// corruption, not truncation — surface it.
-	verr := p.VerifyCtx(ctx, 0)
-	if verr == nil {
-		return p, nil
-	}
-	if errs.IsCancellation(verr) || len(members) == 0 {
-		return nil, verr
-	}
-	last := members[0] // highest offset = last appended
-	for _, m := range members {
-		if m.Offset > last.Offset {
-			last = m
-		}
-	}
-	if verifyMembers([]packMember{{p, last}}) == nil {
-		return nil, fmt.Errorf("packstore: recover %s: corruption beyond the tail: %w", path, verr)
-	}
-	trimmed := make([]Member, 0, len(members)-1)
-	for _, m := range members {
-		if m.Name != last.Name {
-			trimmed = append(trimmed, m)
-		}
-	}
-	if p, err = newPack(path, f, f, size, trimmed, true); err != nil {
-		return nil, err
-	}
-	if err := p.VerifyCtx(ctx, 0); err != nil {
-		return nil, fmt.Errorf("packstore: recover %s: corruption beyond the tail: %w", path, err)
-	}
-	return p, nil
-}
-
-// scanRecords walks the record region sequentially and returns every
-// member whose record is complete (prefix, name, payload and trailing
-// checksum all present). The first malformed or cut record ends the
-// scan: records are written strictly sequentially, so nothing beyond a
-// damaged record can be a record.
-func scanRecords(ra io.ReaderAt, size int64) []Member {
-	var members []Member
-	off := int64(headerLen)
-	prefix := make([]byte, recordPrefixLen)
-	for {
-		if off+int64(recordPrefixLen) > size {
-			return members
-		}
-		if _, err := ra.ReadAt(prefix, off); err != nil {
-			return members
-		}
-		if string(prefix[:4]) != recordMagic {
-			return members
-		}
-		nameLen := int64(binary.LittleEndian.Uint32(prefix[4:]))
-		msize := int64(binary.LittleEndian.Uint64(prefix[8:]))
-		nameOff := off + int64(recordPrefixLen)
-		payloadOff := nameOff + nameLen
-		// msize is untrusted: compared, never summed, until it fits.
-		if nameLen <= 0 || nameLen >= MaxNameLen || msize < 0 || msize > size-checksumLen-payloadOff {
-			return members
-		}
-		end := payloadOff + msize + checksumLen
-		name := make([]byte, nameLen)
-		if _, err := ra.ReadAt(name, nameOff); err != nil {
-			return members
-		}
-		var sum [checksumLen]byte
-		if _, err := ra.ReadAt(sum[:], payloadOff+msize); err != nil {
-			return members
-		}
-		members = append(members, Member{
-			Name:     string(name),
-			Size:     msize,
-			Checksum: binary.LittleEndian.Uint64(sum[:]),
-			Offset:   payloadOff,
-		})
-		off = end
-	}
-}
-
 // Path returns the pack's file path.
 func (p *Pack) Path() string { return p.path }
 
 // Len returns the number of members.
 func (p *Pack) Len() int { return len(p.members) }
-
-// Truncated reports whether the pack was salvaged from a damaged tail
-// (only ever true for packs opened via Recover).
-func (p *Pack) Truncated() bool { return p.truncated }
 
 // Members returns all members sorted by name. Callers must not modify
 // the returned slice.
@@ -372,20 +240,6 @@ func verifyAll(ctx context.Context, workers int, members []packMember) error {
 		lo := b * verifyBatch
 		return verifyMembers(members[lo:min(lo+verifyBatch, len(members))])
 	})
-}
-
-// VerifyCtx checksums every member's payload against the index, four
-// consecutive members per task on the pool (workers <= 0 means
-// GOMAXPROCS). The reported error is the one from the first bad member in
-// name order, so the outcome is identical at any worker count. Batch
-// dispatch stops once ctx is done and the call returns a typed
-// cancellation error; a corruption found before the abort still wins.
-func (p *Pack) VerifyCtx(ctx context.Context, workers int) error {
-	members := make([]packMember, len(p.members))
-	for i, m := range p.members {
-		members[i] = packMember{p, m}
-	}
-	return verifyAll(ctx, workers, members)
 }
 
 // Close releases the pack's shared file handle. Member readers obtained

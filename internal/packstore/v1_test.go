@@ -13,8 +13,8 @@ import (
 )
 
 // TestPackV1IsRefused: testdata/v1.pack is a two-member pack written by
-// the FNV-64a format's Writer. Every way in — strict open, the mapped
-// reader, recovery and the vfs import of its directory — refuses it with
+// the FNV-64a format's Writer. Every way in — Open, the mapped reader and
+// the vfs import of its directory — refuses it with
 // ErrInvalid naming the format, not with a checksum mismatch that would
 // read as damage.
 func TestPackV1IsRefused(t *testing.T) {
@@ -38,13 +38,6 @@ func TestPackV1IsRefused(t *testing.T) {
 			r, err := packstore.OpenReader(path)
 			if err == nil {
 				r.Close()
-			}
-			return err
-		},
-		"RecoverCtx": func() error {
-			p, err := packstore.RecoverCtx(context.Background(), path)
-			if err == nil {
-				p.Close()
 			}
 			return err
 		},

@@ -271,17 +271,12 @@ func importPacks(ctx context.Context, mode packMode, sources []string) (*FS, io.
 			}
 			opened = append(opened, p)
 		}
+		src := &packSource{p: p, verified: mode == packVerified}
 		files = slices.Grow(files, len(p.Members()))
 		for i, m := range p.Members() {
-			open := func() (io.Reader, error) { return p.SectionReader(m), nil }
-			if mode == packVerified {
-				open = func() (io.Reader, error) {
-					return &verifyReader{r: p.SectionReader(m), name: m.Name, size: m.Size, want: m.Checksum}, nil
-				}
-			}
 			// Locality (shard path + member offset) lets fused scans read
 			// each pack front to back instead of seeking per member.
-			f := NewContentFile(m.Name, m.Size, open).WithLocality(p.Path(), m.Offset)
+			f := File{Name: m.Name, Size: m.Size, content: src, shard: p.Path(), shardOff: m.Offset}
 			if mapped != nil {
 				f = f.WithRawBytes(mapped.MemberBytes(i))
 			}
@@ -293,6 +288,25 @@ func importPacks(ctx context.Context, mode packMode, sources []string) (*FS, io.
 		return fail(fmt.Errorf("vfs: import pack: %w", err))
 	}
 	return fs, opened, nil
+}
+
+// packSource is every member file's content source for one shard: a
+// section of the shard at the member's offset and size, which the File
+// already carries, so no member needs a closure of its own. A verified
+// source streams the section through a verifyReader against the
+// checksum the shard's index holds for the member.
+type packSource struct {
+	p        *packstore.Pack
+	verified bool
+}
+
+func (s *packSource) open(f *File) (io.Reader, error) {
+	r := s.p.SectionReader(packstore.Member{Offset: f.shardOff, Size: f.Size})
+	if !s.verified {
+		return r, nil
+	}
+	m, _ := s.p.Lookup(f.Name)
+	return &verifyReader{r: r, name: f.Name, size: f.Size, want: m.Checksum}, nil
 }
 
 // closers closes a group of open shards as one unit, keeping the first

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-nommap test-scandebug verify verify-quick size fuzz-smoke bench-smoke bench-kernels bench-pack bench-import bench-serve bench-dist bench-repo-test chaos-smoke clean
+.PHONY: all build test test-nommap test-scandebug verify verify-quick size fuzz-smoke bench-smoke bench-kernels bench-pack bench-import bench-serve bench-dist bench-repo-test chaos-smoke resilience-matrix clean
 
 all: build
 
@@ -149,6 +149,16 @@ bench-repo-test:
 # same test without the detector; `make verify` runs it with.
 chaos-smoke:
 	$(GO) test -race -count=1 -run TestChaosEndToEnd .
+
+# resilience-matrix is dist:TestRecoveryMatrix at 20 seeds a cell: each
+# fault schedule (chaos, read errors, transport faults, a dead peer,
+# every read failing, every attempt killed) on 1, 2 and 4 in-process
+# workers and 2 HTTP workers, with every recovery mechanism on and then
+# each of retry in place, quarantine and re-admission switched off. It
+# prints success, bit-identity, makespan p50/IQR and attempts a cell
+# (≈ 5 minutes on two cores); DESIGN.md §11.1 carries its table.
+resilience-matrix:
+	$(GO) test -count=1 -timeout 30m -run TestRecoveryMatrix -v ./internal/dist -matrix.seeds=20
 
 clean:
 	$(GO) clean ./...

@@ -20,9 +20,10 @@ var (
 // fault schedules through the built commands (race-enabled when this test
 // binary is): retries absorbing injected read faults, kills and latency
 // bit-identically at any worker count, the schedule replaying from its
-// seed, an HTTP fleet outliving a dead peer, crash → resume from the
-// checkpoint journal, and a corrupted shard failing strict reads but
-// degrading deterministically under -allow-partial.
+// seed, a systemic fault failing the run with its cause, an HTTP fleet
+// outliving a dead peer, crash → resume from the checkpoint journal, and
+// a corrupted shard failing strict reads but degrading deterministically
+// under -allow-partial.
 func TestChaosEndToEnd(t *testing.T) {
 	bin := commandBins(t)
 	work := t.TempDir()
@@ -87,6 +88,15 @@ func TestChaosEndToEnd(t *testing.T) {
 		replay, _ := faultSummary(t, runPipelineEnv(t, []string{"GOMAXPROCS=1"}, pipeline, args...))
 		if first != replay {
 			t.Errorf("fault schedule not replayable:\n  first:  %s\n  replay: %s", first, replay)
+		}
+	})
+
+	// A systemic fault (every read fails) ends the run as soon as one task
+	// has used its attempts, and the error names the fault that did it.
+	t.Run("a systemic fault fails fast and names its cause", func(t *testing.T) {
+		out := failCommand(t, pipeline, 1, measure("-workers", "2", "-fault", "seed=1,readerr=1")...)
+		if !strings.Contains(out, "injected read error") {
+			t.Errorf("the failure does not name the injected fault:\n%s", out)
 		}
 	})
 

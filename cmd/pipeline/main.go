@@ -38,7 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dist"
-	"repro/internal/retry"
 	"repro/internal/scan"
 	"repro/internal/vfs"
 	"repro/internal/workload"
@@ -132,7 +131,6 @@ func main() {
 		opts := dist.Options{
 			MaxAttempts:  *maxAtt,
 			AllowPartial: *allowPart,
-			Retry:        retry.Policy{Seed: src.Seed()},
 		}
 		if *checkpoint != "" {
 			var j *dist.Journal

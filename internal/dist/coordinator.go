@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -10,7 +11,6 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/fnv64"
-	"repro/internal/retry"
 	"repro/internal/scan"
 )
 
@@ -18,17 +18,11 @@ import (
 type Options struct {
 	// MaxAttempts caps how many coordinator-level attempts one task may
 	// consume — the first dispatch plus steals and re-dispatches
-	// (0 = DefaultMaxAttempts). Per-attempt transient retries (Retry)
-	// are separate: one attempt may retry the same worker several times.
-	// A task that exhausts its attempts fails the run rather than loop.
+	// (0 = DefaultMaxAttempts). Each attempt first retries a retryable
+	// failure in place on its worker, with backoff. A task whose last
+	// attempt fails retryably fails the run at once, with that failure
+	// as the cause.
 	MaxAttempts int
-	// Retry shapes the per-attempt transient-failure loop: a worker
-	// whose Scan fails retryably (errs.IsRetryable — ErrUnavailable,
-	// refused connections, timeouts) is retried in place with
-	// exponential backoff + full jitter before the coordinator gives the
-	// task away. The zero value uses retry's defaults; Seed is mixed
-	// with the worker name so fleets do not back off in lockstep.
-	Retry retry.Policy
 	// AllowPartial degrades instead of aborting when a task fails
 	// deterministically with ErrCorrupt: the task is skipped, the rest
 	// of the plan completes, and the Report carries an explicit manifest
@@ -40,22 +34,15 @@ type Options struct {
 	// the journaled states fold through the same frontier.
 	Journal *Journal
 
-	// Test seams, set only by this package's tests. retryBudget caps
-	// total transient retries across the whole run (0 =
-	// DefaultRetryBudget), so a systemic fault fails loudly instead of
-	// stalling exponentially; health tunes worker health gating: trip,
-	// quarantine, probe, re-admission.
-	retryBudget int
-	health      healthOptions
+	// Test seams, set only by this package's tests: retry shapes each
+	// attempt's in-place retry loop, health tunes worker health gating
+	// (trip, quarantine, probe, re-admission).
+	retry  retryPolicy
+	health healthOptions
 }
 
-// Defaults for Options' zero fields.
-const (
-	// DefaultMaxAttempts allows the initial dispatch plus two recoveries.
-	DefaultMaxAttempts = 3
-	// DefaultRetryBudget bounds total transient retries per run.
-	DefaultRetryBudget = 64
-)
+// DefaultMaxAttempts allows the initial dispatch plus two recoveries.
+const DefaultMaxAttempts = 3
 
 // healthOptions tunes the consecutive-failure trip and the
 // quarantine/probe/re-admission loop that replaced the engine's old
@@ -95,9 +82,8 @@ func (h healthOptions) withDefaults() healthOptions {
 
 // HealthChecker is the optional probe surface of a Worker: Probe
 // reports nil when the worker can take work again. HTTPWorker probes
-// GET /healthz; Local consults its test hook (healthy by default).
-// Workers without the interface are assumed healthy — their quarantine
-// ends at the first probe tick.
+// GET /healthz. Workers without the interface, Local among them, are
+// assumed healthy — their quarantine ends at the first probe tick.
 type HealthChecker interface {
 	Probe(ctx context.Context) error
 }
@@ -276,16 +262,6 @@ func (c *coordinator) pick(now time.Time) (task int, steal, ok bool, wait time.D
 	return 0, false, false, wait
 }
 
-// anyRunning reports whether some attempt is still in flight.
-func (c *coordinator) anyRunning() bool {
-	for i := range c.tasks {
-		if c.tasks[i].running > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // advanceFrontier folds every contiguously-completed task's states into
 // the prototypes, in task order: restore the portable state into the
 // prototype's fold fork, merge — the exact in-process fold with a Restore
@@ -376,13 +352,12 @@ func (c *coordinator) sleep(wait time.Duration) {
 	c.cond.Wait()
 }
 
-// mixSeed decorrelates the per-worker jitter streams from one base seed.
-func mixSeed(base int64, name string) int64 {
-	h := fnv64.FoldString(fnv64.FoldU64(fnv64.Offset, uint64(base)), name)
-	if h == 0 {
-		h = 1
-	}
-	return int64(h)
+// mixSeed seeds an attempt's backoff jitter from the plan, the worker's
+// name and the task: the same run draws the same waits, a fleet does not
+// back off in lockstep, and a worker's retries of different tasks draw
+// different waits.
+func mixSeed(planFP uint64, name string, task int) int64 {
+	return int64(fnv64.FoldU64(fnv64.FoldString(fnv64.FoldU64(fnv64.Offset, planFP), name), uint64(task)))
 }
 
 // probe runs one quarantine's probe loop outside mu: up to MaxProbes
@@ -428,7 +403,8 @@ func (c *coordinator) probe(ctx context.Context, w Worker, h healthOptions) bool
 // not when the slowest copy of it is.
 //
 // Resilience: a retryably-failing Scan (errs.IsRetryable) is retried on
-// the same worker under Options.Retry and the shared budget; a worker
+// the same worker with jittered backoff, then requeued; a task whose
+// MaxAttempts-th attempt fails that way fails the run; a worker
 // whose failures trip the health gate is quarantined, probed, and
 // re-admitted or declared dead; ErrCorrupt under AllowPartial skips the
 // task; completed tasks are journaled (Options.Journal) and journaled
@@ -450,10 +426,6 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 		maxAttempts = DefaultMaxAttempts
 	}
 	health := opts.health.withDefaults()
-	if opts.retryBudget <= 0 {
-		opts.retryBudget = DefaultRetryBudget
-	}
-	budget := retry.NewBudget(opts.retryBudget)
 
 	c := &coordinator{
 		tasks:       make([]taskState, len(plan.Tasks)),
@@ -512,8 +484,6 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 		go func(wi int, w Worker) {
 			defer wg.Done()
 			st := &rep.Workers[wi]
-			policy := opts.Retry
-			policy.Seed = mixSeed(opts.Retry.Seed, w.Name())
 			consecFails := 0
 			for {
 				c.mu.Lock()
@@ -529,20 +499,11 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 					if task, steal, ok, wait = c.pick(time.Now()); ok {
 						break
 					}
-					if !c.anyRunning() {
-						// Every unfinished task has exhausted its attempt
-						// budget and nobody is still trying: the run cannot
-						// make progress.
-						for i := range c.tasks {
-							if !c.tasks[i].done {
-								c.fail(i, errs.Unavailable("dist: task %d failed %d attempts", i, c.tasks[i].attempts))
-								break
-							}
-						}
-						c.cond.Broadcast()
-						c.mu.Unlock()
-						return
-					}
+					// Nothing to claim, so some attempt is in flight: every
+					// attempt ends by leaving its task claimable, marking it
+					// done or ending the run (a task whose last attempt
+					// failed retryably fails it below), and each of those
+					// broadcasts.
 					c.sleep(wait)
 				}
 				t := &c.tasks[task]
@@ -563,7 +524,7 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 				req := &ScanRequest{PlanFP: planFP, Spec: spec, Task: task}
 				var resp *ScanResponse
 				var busy time.Duration
-				retries, err := retry.Do(actx, policy, budget, func(ctx context.Context) error {
+				retries, err := retryDo(actx, opts.retry, mixSeed(planFP, w.Name(), task), func(ctx context.Context) error {
 					var serr error
 					t0 := time.Now()
 					resp, serr = w.Scan(ctx, req)
@@ -600,6 +561,10 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 						st.Won++
 						st.Bytes += plan.Tasks[task].Bytes
 					}
+				case errs.IsRetryable(err) && !t.done && t.running == 0 && t.attempts >= c.maxAttempts:
+					// The task's last attempt failed and no other copy of it
+					// is still trying: fail the run now, naming the cause.
+					c.fail(task, fmt.Errorf("dist: task %d failed %d attempts: %w", task, t.attempts, err))
 				case errs.IsRetryable(err):
 					// Transient even after in-place retries. The decrement
 					// above requeues the task; the health gate decides

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/errs"
-	"repro/internal/retry"
 	"repro/internal/scan"
 	"repro/internal/vfs"
 )
@@ -25,13 +24,16 @@ import (
 // default.
 func fastFailOpts() Options {
 	return Options{
-		Retry:  retry.Policy{MaxAttempts: 1},
+		retry:  retryPolicy{MaxAttempts: 1},
 		health: healthOptions{TripAfter: 1, ProbeInterval: time.Millisecond, MaxProbes: 1},
 	}
 }
 
-// alwaysDown is the health hook of a worker that never comes back.
-func alwaysDown(ctx context.Context) error {
+// downWorker is a worker that never comes back: its health probe always
+// fails, so a quarantine ends in death.
+type downWorker struct{ Worker }
+
+func (downWorker) Probe(ctx context.Context) error {
 	return errs.Unavailable("induced death")
 }
 
@@ -194,14 +196,13 @@ func TestWorkerDiesMidRun(t *testing.T) {
 		}
 		return nil
 	}
-	dying.SetHealth(alwaysDown)
 	survivorLocal, err := NewLocal("survivor", p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	survivor := &gatedWorker{Local: survivorLocal, gate: died}
 
-	m, rep, err := Measure(context.Background(), p, spec, []Worker{dying, survivor}, fastFailOpts())
+	m, rep, err := Measure(context.Background(), p, spec, []Worker{downWorker{dying}, survivor}, fastFailOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +243,11 @@ func TestAllWorkersDie(t *testing.T) {
 	spec := Spec{}
 	p := testPlan(t, 12)
 	ws := localWorkers(t, p, spec, 2)
-	for _, w := range ws {
+	for i, w := range ws {
 		w.(*Local).fault = func(ctx context.Context, task int) error {
 			return errs.Unavailable("induced death")
 		}
-		w.(*Local).SetHealth(alwaysDown)
+		ws[i] = downWorker{w}
 	}
 	_, rep, err := Measure(context.Background(), p, spec, ws, fastFailOpts())
 	if !errors.Is(err, errs.ErrUnavailable) {

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"fmt"
 	"os"
 )
@@ -26,8 +25,3 @@ func (j *Journal) Len() int {
 	}
 	return len(tasks)
 }
-
-// SetHealth installs the probe hook consulted by Probe (nil: always
-// healthy). Only the quarantine and probe tests flip an in-process
-// worker's health, so it lives here rather than on the shipped type.
-func (l *Local) SetHealth(h func(ctx context.Context) error) { l.health = h }

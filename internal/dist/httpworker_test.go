@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/errs"
-	"repro/internal/retry"
 )
 
 // TestHTTPWorkersBitIdentical runs the distributed measurement over real
@@ -85,7 +84,7 @@ func TestHTTPWorkerKilledMidFlight(t *testing.T) {
 	flaky := NewHTTPWorker("flaky", flakySrv.URL)
 	steady := &gatedHTTPWorker{HTTPWorker: NewHTTPWorker("steady", steadySrv.URL), gate: died}
 
-	opts := Options{Retry: retry.Policy{BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}}
+	opts := Options{retry: retryPolicy{BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}}
 	m, rep, err := Measure(context.Background(), p, spec, []Worker{flaky, steady}, opts)
 	if err != nil {
 		t.Fatal(err)

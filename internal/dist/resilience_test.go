@@ -5,20 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/errs"
-	"repro/internal/retry"
 	"repro/internal/scan"
 )
 
 // fastRetryOpts keeps the in-place retry loop but with millisecond
 // backoff, so recovery tests run fast.
 func fastRetryOpts() Options {
-	return Options{Retry: retry.Policy{BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}}
+	return Options{retry: retryPolicy{BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}}
 }
 
 // TestRetryRecoversTransientFaults gives a single worker a fault hook
@@ -60,10 +60,12 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetExhaustionFailsLoudly pins the budget backstop: a
-// systemic fault that would retry forever instead burns the shared
-// budget and fails the run with the retryable error, not a hang.
-func TestRetryBudgetExhaustionFailsLoudly(t *testing.T) {
+// TestExhaustedTaskFailsRunAtOnce pins what a systemic fault does: a
+// worker whose every scan fails retryably (and whose probe passes, so
+// quarantine re-admits it) fails the run as soon as the first task has
+// used its attempts — not after every task has used its own — and the
+// error names the failure that exhausted it.
+func TestExhaustedTaskFailsRunAtOnce(t *testing.T) {
 	spec := Spec{}
 	p := testPlan(t, 12)
 	w, err := NewLocal("doomed", p, spec)
@@ -71,19 +73,21 @@ func TestRetryBudgetExhaustionFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.SetFault(func(ctx context.Context, task int) error {
-		return errs.Unavailable("systemic fault")
+		return errs.Unavailable("reading %q: injected read error", p.Sources[p.Tasks[task].Lo].Name)
 	})
-	w.SetHealth(alwaysDown)
 
 	opts := fastRetryOpts()
-	opts.retryBudget = 2
-	opts.health = healthOptions{TripAfter: 1, ProbeInterval: time.Millisecond, MaxProbes: 1}
+	opts.health = healthOptions{ProbeInterval: time.Millisecond}
 	_, rep, err := Measure(context.Background(), p, spec, []Worker{w}, opts)
 	if !errors.Is(err, errs.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
-	if rep.Retries > 2 {
-		t.Errorf("Retries = %d, want <= budget of 2", rep.Retries)
+	cause := fmt.Sprintf("task 0 failed %d attempts: reading %q: injected read error", DefaultMaxAttempts, p.Sources[p.Tasks[0].Lo].Name)
+	if !strings.Contains(err.Error(), cause) {
+		t.Errorf("err = %v, want it to contain %q", err, cause)
+	}
+	if s := rep.Workers[0]; s.Started != DefaultMaxAttempts || s.Dead {
+		t.Errorf("worker stats = %+v, want %d attempts started and no death", s, DefaultMaxAttempts)
 	}
 }
 
@@ -111,11 +115,11 @@ func TestQuarantineAndReadmission(t *testing.T) {
 		}
 		return nil
 	})
-	// Health hook unset: Probe answers healthy, so quarantine ends in
+	// A Local has no probe and counts as healthy, so quarantine ends in
 	// re-admission at the first probe tick.
 
 	opts := Options{
-		Retry:  retry.Policy{MaxAttempts: 1},
+		retry:  retryPolicy{MaxAttempts: 1},
 		health: healthOptions{TripAfter: 1, ProbeInterval: time.Millisecond, MaxProbes: 3},
 	}
 	m, rep, err := Measure(context.Background(), p, spec, []Worker{w}, opts)

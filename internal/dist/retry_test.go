@@ -1,4 +1,4 @@
-package retry
+package dist
 
 import (
 	"context"
@@ -21,10 +21,10 @@ func recordingSleep(waits *[]time.Duration) func(context.Context, time.Duration)
 func TestDoSucceedsAfterTransientFailures(t *testing.T) {
 	var waits []time.Duration
 	calls := 0
-	retries, err := Do(context.Background(), Policy{
+	retries, err := retryDo(context.Background(), retryPolicy{
 		MaxAttempts: 5,
 		Sleep:       recordingSleep(&waits),
-	}, nil, func(context.Context) error {
+	}, 1, func(context.Context) error {
 		calls++
 		if calls < 3 {
 			return errs.Unavailable("attempt %d", calls)
@@ -32,7 +32,7 @@ func TestDoSucceedsAfterTransientFailures(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Do: %v", err)
+		t.Fatalf("retryDo: %v", err)
 	}
 	if calls != 3 || retries != 2 || len(waits) != 2 {
 		t.Fatalf("calls=%d retries=%d waits=%d, want 3/2/2", calls, retries, len(waits))
@@ -41,7 +41,7 @@ func TestDoSucceedsAfterTransientFailures(t *testing.T) {
 
 func TestDoStopsOnNonRetryable(t *testing.T) {
 	calls := 0
-	retries, err := Do(context.Background(), Policy{MaxAttempts: 5}, nil, func(context.Context) error {
+	retries, err := retryDo(context.Background(), retryPolicy{MaxAttempts: 5}, 1, func(context.Context) error {
 		calls++
 		return errs.Corrupt("shard-000")
 	})
@@ -56,10 +56,10 @@ func TestDoStopsOnNonRetryable(t *testing.T) {
 func TestDoExhaustsAttempts(t *testing.T) {
 	var waits []time.Duration
 	calls := 0
-	retries, err := Do(context.Background(), Policy{
+	retries, err := retryDo(context.Background(), retryPolicy{
 		MaxAttempts: 3,
 		Sleep:       recordingSleep(&waits),
-	}, nil, func(context.Context) error {
+	}, 1, func(context.Context) error {
 		calls++
 		return errs.Unavailable("always down")
 	})
@@ -71,47 +71,16 @@ func TestDoExhaustsAttempts(t *testing.T) {
 	}
 }
 
-// used reports how many of the n retries b was created with have been
-// taken; a nil budget grants without counting.
-func used(b *Budget, n int) int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return n - b.remaining
-}
-
-func TestDoHonoursSharedBudget(t *testing.T) {
-	b := NewBudget(3)
-	var waits []time.Duration
-	p := Policy{MaxAttempts: 10, Sleep: recordingSleep(&waits)}
-	fail := func(context.Context) error { return errs.Unavailable("down") }
-
-	// First loop spends the whole budget.
-	if retries, _ := Do(context.Background(), p, b, fail); retries != 3 {
-		t.Fatalf("first loop performed %d retries, want 3 (budget-capped)", retries)
-	}
-	// Second loop finds it empty: one attempt, no retries.
-	retries, err := Do(context.Background(), p, b, fail)
-	if retries != 0 || !errors.Is(err, errs.ErrUnavailable) {
-		t.Fatalf("retries=%d err=%v, want 0 retries with the last error surfaced", retries, err)
-	}
-	if got := used(b, 3); got != 3 {
-		t.Fatalf("budget used = %d, want 3", got)
-	}
-}
-
 func TestDoHonoursRetryAfterHint(t *testing.T) {
 	var waits []time.Duration
 	hint := 40 * time.Millisecond
 	calls := 0
-	_, err := Do(context.Background(), Policy{
+	_, err := retryDo(context.Background(), retryPolicy{
 		MaxAttempts: 2,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    2 * time.Millisecond, // jitter window far below the hint
 		Sleep:       recordingSleep(&waits),
-	}, nil, func(context.Context) error {
+	}, 1, func(context.Context) error {
 		calls++
 		if calls == 1 {
 			return errs.RetryAfter(errs.Unavailable("429 too many requests"), hint)
@@ -119,7 +88,7 @@ func TestDoHonoursRetryAfterHint(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Do: %v", err)
+		t.Fatalf("retryDo: %v", err)
 	}
 	if len(waits) != 1 || waits[0] < hint {
 		t.Fatalf("waits = %v, want one wait >= the server's %v hint", waits, hint)
@@ -129,11 +98,10 @@ func TestDoHonoursRetryAfterHint(t *testing.T) {
 func TestDoDeterministicJitterSchedule(t *testing.T) {
 	schedule := func(seed int64) []time.Duration {
 		var waits []time.Duration
-		Do(context.Background(), Policy{
+		retryDo(context.Background(), retryPolicy{
 			MaxAttempts: 6,
-			Seed:        seed,
 			Sleep:       recordingSleep(&waits),
-		}, nil, func(context.Context) error { return errs.Unavailable("down") })
+		}, seed, func(context.Context) error { return errs.Unavailable("down") })
 		return waits
 	}
 	a, b := schedule(7), schedule(7)
@@ -156,7 +124,7 @@ func TestDoDeterministicJitterSchedule(t *testing.T) {
 		t.Fatal("different seeds drew identical jitter schedules")
 	}
 	// Full jitter stays inside the growing window.
-	p := Policy{}.withDefaults()
+	p := retryPolicy{}.withDefaults()
 	for i, d := range a {
 		window := p.BaseDelay << uint(i)
 		if window > p.MaxDelay {
@@ -172,7 +140,7 @@ func TestDoRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	_, err := Do(ctx, Policy{}, nil, func(context.Context) error {
+	_, err := retryDo(ctx, retryPolicy{}, 1, func(context.Context) error {
 		calls++
 		return nil
 	})
@@ -185,23 +153,21 @@ func TestDoRespectsContext(t *testing.T) {
 
 	// Cancellation during the backoff sleep surfaces as ErrCancelled too.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	_, err = Do(ctx2, Policy{MaxAttempts: 3, Sleep: func(ctx context.Context, d time.Duration) error {
+	_, err = retryDo(ctx2, retryPolicy{MaxAttempts: 3, Sleep: func(ctx context.Context, d time.Duration) error {
 		cancel2()
 		return errs.FromContext(ctx)
-	}}, nil, func(context.Context) error { return errs.Unavailable("down") })
+	}}, 1, func(context.Context) error { return errs.Unavailable("down") })
 	if !errors.Is(err, errs.ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled from mid-backoff cancellation", err)
 	}
 }
 
-func TestNilBudgetUnlimited(t *testing.T) {
-	var b *Budget
-	for i := 0; i < 100; i++ {
-		if !b.Take() {
-			t.Fatal("nil budget must always grant")
-		}
-	}
-	if used(b, 0) != 0 {
-		t.Fatal("nil budget reports nonzero use")
+// TestDoCleanAttemptAllocatesNothing pins that an attempt which succeeds
+// first time makes no jitter stream: only a retry draws a wait.
+func TestDoCleanAttemptAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	ok := func(context.Context) error { return nil }
+	if n := testing.AllocsPerRun(100, func() { retryDo(ctx, retryPolicy{}, 1, ok) }); n != 0 {
+		t.Errorf("a clean attempt allocates %v times, want 0", n)
 	}
 }

@@ -61,26 +61,12 @@ type Local struct {
 	// seam (fault.Injector.TaskKill) and the test seam for worker death
 	// and slow-worker scenarios. A non-nil error aborts the task with it.
 	fault func(ctx context.Context, task int) error
-
-	// health, when set, answers Probe — the seam for simulating workers
-	// that stay down (probes fail → dead) versus workers that recover
-	// (probe succeeds → re-admitted). nil means always healthy.
-	health func(ctx context.Context) error
 }
 
 // SetFault installs a per-task fault hook: it runs before each task
 // scan, and a non-nil error aborts the attempt with it. The chaos
 // harness installs fault.Injector.TaskKill here.
 func (l *Local) SetFault(f func(ctx context.Context, task int) error) { l.fault = f }
-
-// Probe implements HealthChecker: healthy unless a SetHealth hook says
-// otherwise.
-func (l *Local) Probe(ctx context.Context) error {
-	if l.health != nil {
-		return l.health(ctx)
-	}
-	return nil
-}
 
 // NewLocal builds an in-process worker over the plan, with kernels
 // assembled from the spec.

@@ -24,9 +24,12 @@ test-nommap:
 # (0xDB) so a kernel that retains a borrowed Block slice fails loudly.
 # internal/packstore and internal/vfs ride along: the same tag poisons the
 # small-file slabs a mapped -dir import releases at close, and the mapped
-# imports (packs and -dir) are exercised under the poison build.
+# imports (packs and -dir) are exercised under the poison build. So does
+# internal/dist: the tag poisons each receive buffer the coordinator
+# releases after restoring its states, so a Restore that keeps a slice of
+# the state bytes instead of copying them breaks the bit-identity tests.
 test-scandebug:
-	$(GO) test -tags scandebug ./internal/scan ./internal/packstore ./internal/vfs
+	$(GO) test -tags scandebug ./internal/scan ./internal/packstore ./internal/vfs ./internal/dist
 
 # verify is the tier-1 gate: gofmt and vet clean, and the full suite
 # race-clean. The ./... wildcard covers every package, including

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -22,31 +25,8 @@ import (
 // distribution's allocation. Run it with `make bench-dist`.
 func BenchmarkDistMeasure(b *testing.B) {
 	ctx := context.Background()
-	cs := corpus.Text400K(1)
-	cs.NumFiles = 2000
-	genFS, err := corpus.GenerateWithContentEagerCtx(ctx, cs, 1, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir := b.TempDir()
-	if _, err := genFS.ExportPackCtx(ctx, dir, vfs.PackOptions{Prefix: "m", ShardSize: 256 << 10}); err != nil {
-		b.Fatal(err)
-	}
-	mfs, closer, err := vfs.ImportPackMappedCtx(ctx, dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer closer.Close()
-	plan := scan.NewPlan(vfs.Sources(mfs.List()), scan.PlanOptions{})
-	spec := Spec{Patterns: []string{"the", "and", "president", "market", "city", "nation", "report", "error"}, Complexity: true}
-	fleet := make([]Worker, 2)
-	for i := range fleet {
-		name := fmt.Sprintf("w%d", i)
-		ts := httptest.NewServer(NewWorkerServer(name, plan).Handler())
-		defer ts.Close()
-		fleet[i] = NewHTTPWorker(name, ts.URL)
-	}
-	want, err := core.MeasurePlanCtx(ctx, plan, spec.MeasureOptions())
+	plan, fleet := httpFleet(b, 2000, 256<<10)
+	want, err := core.MeasurePlanCtx(ctx, plan, benchSpec.MeasureOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,7 +34,7 @@ func BenchmarkDistMeasure(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := Measure(ctx, plan, spec, fleet, Options{})
+		m, _, err := Measure(ctx, plan, benchSpec, fleet, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,4 +43,130 @@ func BenchmarkDistMeasure(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(plan.Tasks)), "tasks")
+}
+
+// benchSpec is dist-packed's kernel set: the eight patterns with
+// complexity.
+var benchSpec = Spec{Patterns: []string{"the", "and", "president", "market", "city", "nation", "report", "error"}, Complexity: true}
+
+// httpFleet exports n corpus.Text400K files one member per entry into
+// pack shards of shardSize bytes (one plan task each), maps them, and
+// starts two WorkerServers behind httptest servers over the plan.
+func httpFleet(tb testing.TB, n int, shardSize int64) (*scan.Plan, []Worker) {
+	ctx := context.Background()
+	cs := corpus.Text400K(1)
+	cs.NumFiles = n
+	genFS, err := corpus.GenerateWithContentEagerCtx(ctx, cs, 1, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	if _, err := genFS.ExportPackCtx(ctx, dir, vfs.PackOptions{Prefix: "m", ShardSize: shardSize}); err != nil {
+		tb.Fatal(err)
+	}
+	mfs, closer, err := vfs.ImportPackMappedCtx(ctx, dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { closer.Close() })
+	plan := scan.NewPlan(vfs.Sources(mfs.List()), scan.PlanOptions{})
+	fleet := make([]Worker, 2)
+	for i := range fleet {
+		name := fmt.Sprintf("w%d", i)
+		ts := httptest.NewServer(NewWorkerServer(name, plan).Handler())
+		tb.Cleanup(ts.Close)
+		fleet[i] = NewHTTPWorker(name, ts.URL)
+	}
+	return plan, fleet
+}
+
+// TestDistMeasureAllocsPerTask bounds what a warm run over two HTTP
+// workers allocates against the same coordinator over two in-process
+// workers that do the same scans but answer with states snapshotted once
+// up front: the difference is what the answers cost. Over HTTP each
+// state is encoded once, straight into the worker's pooled answer
+// buffer, and read once, into a receive buffer the coordinator hands
+// back after the fold, so what remains is the round trips, well under
+// the kernel-state bytes the plan's tasks carry (S). A snapshot buffer
+// per kernel, or a body buffer per task, would each add S.
+func TestDistMeasureAllocsPerTask(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 1 200-file pack fleet")
+	}
+	if raceEnabled {
+		t.Skip("the race build's sync.Pool drops buffers at random")
+	}
+	ctx := context.Background()
+	plan, fleet := httpFleet(t, 1200, 512<<10)
+	prepaid := make([]Worker, len(fleet))
+	state := 0
+	for i := range prepaid {
+		l, err := NewLocal(fmt.Sprintf("l%d", i), plan, benchSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &prepaidWorker{Local: l, answers: make([]*ScanResponse, len(plan.Tasks))}
+		for task := range plan.Tasks {
+			if w.answers[task], err = l.Scan(ctx, &ScanRequest{PlanFP: plan.Fingerprint(), Spec: benchSpec, Task: task}); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range w.answers[task].States {
+				if i == 0 {
+					state += len(s)
+				}
+			}
+		}
+		prepaid[i] = w
+	}
+
+	// The collector stays off while the runs are measured, so no pooled
+	// buffer is dropped between them (≈ 40 MB), and the figure is the
+	// median over runs that started each task once: a steal scans a task
+	// twice.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	bytesPerRun := func(fleet []Worker) float64 {
+		var runs []float64
+		for i := 0; i < 16; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, rep, err := Measure(ctx, plan, benchSpec, fleet, Options{})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			started := 0
+			for _, s := range rep.Workers {
+				started += s.Started
+			}
+			if i > 0 && started == len(plan.Tasks) { // the first run builds and grows
+				runs = append(runs, float64(after.TotalAlloc-before.TotalAlloc))
+			}
+		}
+		if len(runs) < 5 {
+			t.Skipf("machine too noisy to tell: %d of 15 runs started no task twice", len(runs))
+		}
+		slices.Sort(runs)
+		return runs[len(runs)/2]
+	}
+	httpBytes, prepaidBytes := bytesPerRun(fleet), bytesPerRun(prepaid)
+	extra := (httpBytes - prepaidBytes) / float64(state)
+	t.Logf("%d tasks, %d state bytes: HTTP fleet %.0f B/run, prepaid in-process fleet %.0f B/run: answers cost %.2f S",
+		len(plan.Tasks), state, httpBytes, prepaidBytes, extra)
+	if extra > 0.5 {
+		t.Errorf("the answers of a warm HTTP run allocate %.2f × the state bytes they carry, want ≤ 0.5: is a state encoded or read into a buffer of its own again?", extra)
+	}
+}
+
+// prepaidWorker scans each task the way its Local does, then answers
+// with the states snapshotted for it before the measurement.
+type prepaidWorker struct {
+	*Local
+	answers []*ScanResponse
+}
+
+func (w *prepaidWorker) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse, error) {
+	if _, err := w.scanTask(ctx, req); err != nil {
+		return nil, err
+	}
+	return w.answers[req.Task], nil
 }

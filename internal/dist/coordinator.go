@@ -105,9 +105,9 @@ type WorkerStats struct {
 	// Quarantined counts how many times the worker tripped the health
 	// gate and was benched for probing.
 	Quarantined int
-	// Dead reports the worker failed its quarantine probes (or the run
-	// ended while it was benched) and left the run for good; any task it
-	// was running was re-dispatched.
+	// Dead reports the worker failed every probe of a quarantine and
+	// left the run for good; any task it was running was re-dispatched.
+	// A worker still benched when the run ends is not dead.
 	Dead bool
 	// Busy is the time the worker spent inside Scan, winning attempts
 	// and losing ones alike.
@@ -204,6 +204,7 @@ type taskState struct {
 	done     bool
 	skipped  bool     // done by abandonment (AllowPartial), nothing to fold
 	states   [][]byte // winning result, nil once folded
+	release  func()   // hands states' buffer back once folded (ScanResponse.release)
 
 	started time.Time            // when the task last went from idle to running
 	cancels []context.CancelFunc // stop its attempts; finish calls them
@@ -277,7 +278,7 @@ func (c *coordinator) advanceFrontier() {
 			continue
 		}
 		if len(t.states) != len(c.protos) {
-			c.fail(c.frontier, errs.Invalid("dist: task %d returned %d kernel states, want %d",
+			c.fail(c.frontier, errs.Invalid("task %d returned %d kernel states, want %d",
 				c.frontier, len(t.states), len(c.protos)))
 			return
 		}
@@ -288,7 +289,10 @@ func (c *coordinator) advanceFrontier() {
 			}
 			proto.Merge(c.folds[j])
 		}
-		t.states = nil
+		if t.release != nil {
+			t.release()
+		}
+		t.states, t.release = nil, nil
 		c.frontier++
 	}
 }
@@ -306,18 +310,19 @@ func (c *coordinator) finish(t *taskState) {
 }
 
 // complete records a winning result for task under mu: journal first
-// (durability before visibility), then fold. Late duplicate wins (a
-// steal losing the race) are discarded by the caller's done check.
-func (c *coordinator) complete(task int, states [][]byte) {
+// (durability before visibility), then fold, which releases the
+// answer's buffer. Late duplicate wins (a steal losing the race) are
+// discarded by the caller's done check.
+func (c *coordinator) complete(task int, resp *ScanResponse) {
 	t := &c.tasks[task]
 	if c.journal != nil {
-		if err := c.journal.Append(task, states); err != nil {
+		if err := c.journal.Append(task, resp.States); err != nil {
 			c.fail(task, err)
 			return
 		}
 	}
 	c.finish(t)
-	t.states = states
+	t.states, t.release = resp.States, resp.release
 	c.advanceFrontier()
 }
 
@@ -362,28 +367,30 @@ func mixSeed(planFP uint64, name string, task int) int64 {
 
 // probe runs one quarantine's probe loop outside mu: up to MaxProbes
 // probes, ProbeInterval apart, ending early when the run finishes or
-// the context dies. It reports whether the worker may rejoin.
-func (c *coordinator) probe(ctx context.Context, w Worker, h healthOptions) bool {
+// the context dies. It reports whether the worker may rejoin and, when
+// it may not, whether that is because every probe failed — the one way
+// a worker dies — rather than the run ending around it.
+func (c *coordinator) probe(ctx context.Context, w Worker, h healthOptions) (rejoin, dead bool) {
 	hc, probeable := w.(HealthChecker)
 	for i := 0; i < h.MaxProbes; i++ {
 		t := time.NewTimer(h.ProbeInterval)
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return false
+			return false, false
 		case <-t.C:
 		}
 		c.mu.Lock()
 		over := c.finished()
 		c.mu.Unlock()
 		if over {
-			return false
+			return false, false
 		}
 		if !probeable || hc.Probe(ctx) == nil {
-			return true
+			return true, false
 		}
 	}
-	return false
+	return false, true
 }
 
 // Run distributes the plan's tasks across the workers and folds their
@@ -409,6 +416,8 @@ func (c *coordinator) probe(ctx context.Context, w Worker, h healthOptions) bool
 // re-admitted or declared dead; ErrCorrupt under AllowPartial skips the
 // task; completed tasks are journaled (Options.Journal) and journaled
 // tasks are folded without rescanning.
+//
+// Run's errors do not name the stage; Measure wraps them in it.
 func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts Options, protos ...scan.Kernel) (*Report, error) {
 	begin := time.Now()
 	rep := &Report{Workers: make([]WorkerStats, len(workers))}
@@ -416,10 +425,10 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 		rep.Workers[i] = WorkerStats{Name: w.Name()}
 	}
 	if len(workers) == 0 {
-		return rep, errs.Invalid("dist: no workers")
+		return rep, errs.Invalid("no workers")
 	}
 	if len(protos) == 0 {
-		return rep, errs.Invalid("dist: no kernels registered")
+		return rep, errs.Invalid("no kernels registered")
 	}
 	maxAttempts := opts.MaxAttempts
 	if maxAttempts <= 0 {
@@ -453,7 +462,7 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 	if opts.Journal != nil {
 		for task, states := range opts.Journal.States() {
 			if task < 0 || task >= len(c.tasks) {
-				return rep, errs.Invalid("dist: journal task %d out of range (plan has %d)", task, len(c.tasks))
+				return rep, errs.Invalid("journal task %d out of range (plan has %d)", task, len(c.tasks))
 			}
 			t := &c.tasks[task]
 			t.done = true
@@ -557,14 +566,16 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 					at, _ := slices.BinarySearch(c.took, took)
 					c.took = slices.Insert(c.took, at, took)
 					if !t.done {
-						c.complete(task, resp.States)
+						c.complete(task, resp)
 						st.Won++
 						st.Bytes += plan.Tasks[task].Bytes
+					} else if resp.release != nil {
+						resp.release() // a duplicate: the task is already folded or waiting
 					}
 				case errs.IsRetryable(err) && !t.done && t.running == 0 && t.attempts >= c.maxAttempts:
 					// The task's last attempt failed and no other copy of it
 					// is still trying: fail the run now, naming the cause.
-					c.fail(task, fmt.Errorf("dist: task %d failed %d attempts: %w", task, t.attempts, err))
+					c.fail(task, fmt.Errorf("task %d failed %d attempts: %w", task, t.attempts, err))
 				case errs.IsRetryable(err):
 					// Transient even after in-place retries. The decrement
 					// above requeues the task; the health gate decides
@@ -590,12 +601,13 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 				c.mu.Unlock()
 
 				if quarantine {
-					if c.probe(ctx, w, health) {
+					rejoin, dead := c.probe(ctx, w, health)
+					if rejoin {
 						consecFails = 0
 						continue
 					}
 					c.mu.Lock()
-					st.Dead = true
+					st.Dead = dead
 					c.cond.Broadcast()
 					c.mu.Unlock()
 					return
@@ -619,7 +631,7 @@ func Run(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts
 		return rep, errs.FromContext(ctx)
 	case c.done < len(c.tasks):
 		// Every worker loop exited (all dead) with work outstanding.
-		return rep, errs.Unavailable("dist: all %d workers unavailable with %d of %d tasks unfinished",
+		return rep, errs.Unavailable("all %d workers unavailable with %d of %d tasks unfinished",
 			len(workers), len(c.tasks)-c.done, len(c.tasks))
 	}
 	return rep, nil

@@ -37,6 +37,28 @@ func (downWorker) Probe(ctx context.Context) error {
 	return errs.Unavailable("induced death")
 }
 
+// probeGate closes down at the wrapped worker's first failed health
+// probe — its own Probe when it has one, else an induced death. Under a
+// one-probe quarantine that is the moment the worker dies, so a peer
+// gated on down cannot finish the run while it is still benched (a
+// worker the run ends around is not dead).
+type probeGate struct {
+	Worker
+	down chan struct{}
+	once sync.Once
+}
+
+func (w *probeGate) Probe(ctx context.Context) error {
+	err := errs.Unavailable("induced death")
+	if hc, ok := w.Worker.(HealthChecker); ok {
+		err = hc.Probe(ctx)
+	}
+	if err != nil {
+		w.once.Do(func() { close(w.down) })
+	}
+	return err
+}
+
 // testPlan builds a small in-memory corpus and a plan chopped into many
 // tasks (tiny TaskBytes), so even four workers have work to contend
 // over.
@@ -170,8 +192,9 @@ func TestMeasureBitIdentical(t *testing.T) {
 // its first task, then reports ErrUnavailable on its second, and its
 // health probe confirms it is gone — and checks the survivor picks up
 // the re-dispatched task and the output stays bit-identical. The
-// survivor is gated on the death event, so the dying worker
-// deterministically gets both attempts in first.
+// survivor is gated on the failed probe, so the dying worker
+// deterministically gets both attempts in first and dies before the run
+// can end.
 func TestWorkerDiesMidRun(t *testing.T) {
 	spec := Spec{Patterns: []string{"error"}, Complexity: true}
 	p := testPlan(t, 24)
@@ -189,9 +212,6 @@ func TestWorkerDiesMidRun(t *testing.T) {
 		defer mu.Unlock()
 		calls++
 		if calls >= 2 {
-			if calls == 2 {
-				close(died)
-			}
 			return errs.Unavailable("induced death")
 		}
 		return nil
@@ -202,7 +222,7 @@ func TestWorkerDiesMidRun(t *testing.T) {
 	}
 	survivor := &gatedWorker{Local: survivorLocal, gate: died}
 
-	m, rep, err := Measure(context.Background(), p, spec, []Worker{downWorker{dying}, survivor}, fastFailOpts())
+	m, rep, err := Measure(context.Background(), p, spec, []Worker{&probeGate{Worker: dying, down: died}, survivor}, fastFailOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,16 +50,16 @@ func (w *HTTPWorker) Name() string { return w.name }
 func (w *HTTPWorker) Probe(ctx context.Context) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/healthz", nil)
 	if err != nil {
-		return errs.Invalid("dist: worker %q probe: %v", w.name, err)
+		return errs.Invalid("worker %q probe: %v", w.name, err)
 	}
 	resp, err := w.hc.Do(hreq)
 	if err != nil {
-		return errs.Unavailable("dist: worker %q probe: %v", w.name, err)
+		return errs.Unavailable("worker %q probe: %v", w.name, err)
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 	if resp.StatusCode != http.StatusOK {
-		return errs.Unavailable("dist: worker %q probe: status %d", w.name, resp.StatusCode)
+		return errs.Unavailable("worker %q probe: status %d", w.name, resp.StatusCode)
 	}
 	return nil
 }
@@ -68,11 +68,11 @@ func (w *HTTPWorker) Probe(ctx context.Context) error {
 func (w *HTTPWorker) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, errs.Invalid("dist: encoding scan request: %v", err)
+		return nil, errs.Invalid("encoding scan request: %v", err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/scan", bytes.NewReader(body))
 	if err != nil {
-		return nil, errs.Invalid("dist: worker %q request: %v", w.name, err)
+		return nil, errs.Invalid("worker %q request: %v", w.name, err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := w.hc.Do(hreq)
@@ -80,15 +80,18 @@ func (w *HTTPWorker) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse,
 		if ctx.Err() != nil {
 			return nil, errs.FromContext(ctx)
 		}
-		return nil, errs.Unavailable("dist: worker %q: %v", w.name, err)
+		return nil, errs.Unavailable("worker %q: %v", w.name, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("dist: worker %q: %w", w.name, errs.FromHTTPResponse(resp))
+		return nil, fmt.Errorf("worker %q: %w", w.name, errs.FromHTTPResponse(resp))
 	}
-	// One buffer, which the returned states alias. A declared length
-	// reserves at most firstChunk; past that it grows as bytes arrive.
-	var buf bytes.Buffer
+	// One pooled buffer, which the returned states alias until the
+	// coordinator, done restoring them, calls the response's release. A
+	// declared length reserves at most firstChunk; past that it grows as
+	// bytes arrive.
+	buf := recvBufs.Get().(*bytes.Buffer)
+	buf.Reset()
 	buf.Grow(int(min(max(resp.ContentLength, 0), firstChunk)) + bytes.MinRead)
 	// A response that dies mid-body or fails its frame checks is the
 	// worker dying mid-answer — a re-dispatch; none of it reaches Restore.
@@ -96,24 +99,35 @@ func (w *HTTPWorker) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse,
 		if ctx.Err() != nil {
 			return nil, errs.FromContext(ctx)
 		}
-		return nil, errs.Unavailable("dist: worker %q: truncated response: %v", w.name, err)
+		return nil, errs.Unavailable("worker %q: truncated response: %v", w.name, err)
 	}
 	task, states, n, err := parseRecord(buf.Bytes())
 	switch {
 	case err != nil:
-		return nil, errs.Unavailable("dist: worker %q: bad response: %v", w.name, err)
+		return nil, errs.Unavailable("worker %q: bad response: %v", w.name, err)
 	case n != buf.Len():
-		return nil, errs.Unavailable("dist: worker %q: bad response: %d bytes after the record", w.name, buf.Len()-n)
+		return nil, errs.Unavailable("worker %q: bad response: %d bytes after the record", w.name, buf.Len()-n)
 	case task != req.Task:
-		return nil, errs.Unavailable("dist: worker %q: answered task %d, asked for %d", w.name, task, req.Task)
+		return nil, errs.Unavailable("worker %q: answered task %d, asked for %d", w.name, task, req.Task)
 	}
-	return &ScanResponse{Task: task, States: states}, nil
+	return &ScanResponse{Task: task, States: states, release: func() {
+		poison(buf.Bytes())
+		recvBufs.Put(buf)
+	}}, nil
 }
+
+// recvBufs recycles the coordinator's receive buffers across answers: a
+// buffer comes back when the states read into it have been restored and
+// merged, so in steady state an answer lands in capacity an earlier one
+// grew. A buffer dropped on an error path is left to the GC.
+var recvBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // firstChunk caps what a declared Content-Length may reserve before any
 // of it has arrived. dist-packed's record is 213 KB per task (2 772 155
-// state bytes over 13 tasks): 1 MiB takes one 4× that in a single exact
-// allocation, and a hostile "Content-Length: 4 GB" costs 1 MiB.
+// state bytes over 13 tasks), and a pooled receive buffer has that room
+// from its first answer on, so the reservation is paid once per buffer:
+// 1 MiB takes a record 4× that in a single exact allocation, and a
+// hostile "Content-Length: 4 GB" costs 1 MiB.
 const firstChunk = 1 << 20
 
 // WorkerServer is the daemon half: it owns a plan over its local corpus
@@ -169,7 +183,7 @@ func (s *WorkerServer) Handler() http.Handler {
 func (s *WorkerServer) localFor(spec Spec) (*Local, error) {
 	key, err := json.Marshal(spec)
 	if err != nil {
-		return nil, errs.Invalid("dist: encoding spec: %v", err)
+		return nil, errs.Invalid("encoding spec: %v", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -195,20 +209,20 @@ func (s *WorkerServer) handleScan(w http.ResponseWriter, r *http.Request) {
 		errs.WriteError(w, err)
 		return
 	}
-	resp, err := l.Scan(r.Context(), &req)
+	// The record is framed into a pooled buffer, each kernel's state
+	// encoded straight into it, and the buffer goes back once Write has
+	// returned: an io.Writer must not retain what it is given.
+	bp := recordBufs.Get().(*[]byte)
+	defer recordBufs.Put(bp)
+	body, err := l.appendScan(r.Context(), &req, (*bp)[:0])
 	if err != nil {
 		errs.WriteError(w, errs.Categorize(err))
 		return
 	}
-	// The record is framed into a pooled buffer, which goes back once
-	// Write has returned: an io.Writer must not retain what it is given.
-	bp := recordBufs.Get().(*[]byte)
-	body := appendRecord((*bp)[:0], resp.Task, resp.States)
+	*bp = body
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body) // the coordinator is the only victim of a failed write
-	*bp = body
-	recordBufs.Put(bp)
 }
 
 // recordBufs recycles the worker's answer buffers across requests, so a

@@ -69,20 +69,23 @@ func (a *abortOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the middle of its first task; the coordinator must map the transport
 // failure onto ErrUnavailable and — since the daemon itself survives —
 // retry the task in place rather than writing the worker off. The run
-// stays bit-identical and nobody dies.
+// stays bit-identical and nobody dies. The steady worker starts once the
+// flaky daemon hears from the coordinator again: were it let loose at
+// the abort, it could run the whole plan and steal the aborted task
+// inside the retry's backoff, which cancels the retry before it counts.
 func TestHTTPWorkerKilledMidFlight(t *testing.T) {
 	spec := Spec{Patterns: []string{"error"}}
 	p := testPlan(t, 24)
 	want := singleNode(t, p, spec)
 
-	died := make(chan struct{})
-	flakySrv := httptest.NewServer(&notifyAbort{abort: &abortOnce{inner: NewWorkerServer("flaky", p).Handler()}, died: died})
+	back := make(chan struct{})
+	flakySrv := httptest.NewServer(&notifyAbort{abort: &abortOnce{inner: NewWorkerServer("flaky", p).Handler()}, back: back})
 	defer flakySrv.Close()
 	steadySrv := httptest.NewServer(NewWorkerServer("steady", p).Handler())
 	defer steadySrv.Close()
 
 	flaky := NewHTTPWorker("flaky", flakySrv.URL)
-	steady := &gatedHTTPWorker{HTTPWorker: NewHTTPWorker("steady", steadySrv.URL), gate: died}
+	steady := &gatedHTTPWorker{HTTPWorker: NewHTTPWorker("steady", steadySrv.URL), gate: back}
 
 	opts := Options{retry: retryPolicy{BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}}
 	m, rep, err := Measure(context.Background(), p, spec, []Worker{flaky, steady}, opts)
@@ -103,15 +106,22 @@ func TestHTTPWorkerKilledMidFlight(t *testing.T) {
 	}
 }
 
-// notifyAbort closes died once the wrapped abortOnce has fired.
+// notifyAbort closes back at the first request to arrive after the
+// wrapped abortOnce has fired: an in-place retry, a re-dispatch or a
+// health probe — whichever way the coordinator comes back.
 type notifyAbort struct {
 	abort *abortOnce
-	died  chan struct{}
+	back  chan struct{}
 	once  sync.Once
 }
 
 func (n *notifyAbort) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	defer n.once.Do(func() { close(n.died) })
+	n.abort.mu.Lock()
+	fired := n.abort.done
+	n.abort.mu.Unlock()
+	if fired {
+		n.once.Do(func() { close(n.back) })
+	}
 	n.abort.ServeHTTP(w, r)
 }
 
@@ -128,7 +138,9 @@ func (w *gatedHTTPWorker) Scan(ctx context.Context, req *ScanRequest) (*ScanResp
 
 // TestHTTPWorkerConnectionRefused checks a worker that never existed
 // (nothing listening) maps onto ErrUnavailable, so a fleet with one dead
-// address still completes on the survivors.
+// address still completes on the survivors. The live worker waits for
+// the ghost's health check — which must reach the dead address too — to
+// fail, so the ghost dies before the run can end.
 func TestHTTPWorkerConnectionRefused(t *testing.T) {
 	spec := Spec{}
 	p := testPlan(t, 12)
@@ -138,7 +150,7 @@ func TestHTTPWorkerConnectionRefused(t *testing.T) {
 	defer ts.Close()
 
 	failed := make(chan struct{})
-	ghost := &failNotifyWorker{HTTPWorker: NewHTTPWorker("ghost", "http://127.0.0.1:1"), failed: failed}
+	ghost := &probeGate{Worker: NewHTTPWorker("ghost", "http://127.0.0.1:1"), down: failed}
 	live := &gatedHTTPWorker{HTTPWorker: NewHTTPWorker("live", ts.URL), gate: failed}
 
 	// The ghost's health probe refuses too, so quarantine cannot
@@ -151,23 +163,6 @@ func TestHTTPWorkerConnectionRefused(t *testing.T) {
 	if !rep.Workers[0].Dead {
 		t.Errorf("ghost worker not marked dead: %+v", rep.Workers[0])
 	}
-}
-
-// failNotifyWorker closes failed once the wrapped worker errors. It
-// embeds the concrete HTTPWorker so Probe stays visible: the
-// coordinator's health check must reach the (dead) address too.
-type failNotifyWorker struct {
-	*HTTPWorker
-	failed chan struct{}
-	once   sync.Once
-}
-
-func (w *failNotifyWorker) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse, error) {
-	resp, err := w.HTTPWorker.Scan(ctx, req)
-	if err != nil {
-		w.once.Do(func() { close(w.failed) })
-	}
-	return resp, err
 }
 
 // TestHTTPWorkerRetryAfter pins the back-pressure contract: 429 and

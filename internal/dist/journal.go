@@ -201,20 +201,20 @@ func (j *Journal) States() map[int][][]byte {
 // is synced before returning, so a journal entry implies the states
 // survive a crash. Called by the coordinator the moment a task wins;
 // a failed append fails the run (a checkpoint that silently loses
-// entries is worse than none).
+// entries is worse than none), and Measure names the stage.
 func (j *Journal) Append(task int, states [][]byte) error {
 	buf := appendRecord(nil, task, states)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return errs.Invalid("dist: journal %s: append after close", j.path)
+		return errs.Invalid("journal %s: append after close", j.path)
 	}
 	if _, err := j.f.Write(buf); err != nil {
-		return fmt.Errorf("dist: journal %s: appending task %d: %w", j.path, task, err)
+		return fmt.Errorf("journal %s: appending task %d: %w", j.path, task, err)
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("dist: journal %s: syncing task %d: %w", j.path, task, err)
+		return fmt.Errorf("journal %s: syncing task %d: %w", j.path, task, err)
 	}
 	return nil
 }

@@ -19,7 +19,8 @@ import (
 // degraded run (Options.AllowPartial with Report.Degraded() true): the
 // measurement then covers exactly the non-skipped tasks, and the
 // Report's Skipped manifest says what is missing. Errors carry the
-// "dist" stage.
+// "dist" stage, which says dist once: nothing below Measure — Run, the
+// workers, the journal's Append — puts it in its own messages.
 func Measure(ctx context.Context, plan *scan.Plan, spec Spec, workers []Worker, opts Options) (*core.Measurement, *Report, error) {
 	mk, err := spec.Kernels()
 	if err != nil {

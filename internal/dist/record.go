@@ -37,15 +37,30 @@ func appendRecord(dst []byte, task int, states [][]byte) []byte {
 	for _, s := range states {
 		size += 4 + len(s)
 	}
-	dst = append(slices.Grow(dst, size), recordMagic...)
+	dst, _ = frameRecord(slices.Grow(dst, size), task, len(states), func(dst []byte, i int) ([]byte, error) {
+		return append(dst, states[i]...), nil
+	})
+	return dst
+}
+
+// frameRecord appends the record for task's count states to dst, with
+// state i appended by put straight behind its length field, which is
+// filled in once put has returned: a state encoded in place, with no
+// buffer of its own. The one writer of the record layout.
+func frameRecord(dst []byte, task, count int, put func(dst []byte, i int) ([]byte, error)) ([]byte, error) {
+	dst = append(dst, recordMagic...)
 	body := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(task))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(states)))
-	for _, s := range states {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
-		dst = append(dst, s...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
+	for i := 0; i < count; i++ {
+		at := len(dst)
+		var err error
+		if dst, err = put(append(dst, 0, 0, 0, 0), i); err != nil {
+			return nil, err
+		}
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[body:], castagnoli))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[body:], castagnoli)), nil
 }
 
 // parseRecord decodes the record at the head of raw and reports how

@@ -19,6 +19,7 @@ import (
 	"testing/iotest"
 
 	"repro/internal/errs"
+	"repro/internal/scan"
 )
 
 // TestScanAnswerIsOneRecord pins the wire form of a successful answer:
@@ -68,8 +69,15 @@ func TestScanAnswerIsOneRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	// The answers are compared field by field: the HTTP one also carries
+	// the hook that hands its receive buffer back, which Local's does not.
+	if got.Task != want.Task || !reflect.DeepEqual(got.States, want.States) {
 		t.Error("HTTPWorker.Scan differs from Local.Scan on the same task")
+	}
+	if got.release == nil {
+		t.Error("HTTPWorker.Scan's answer has no release hook for its receive buffer")
+	} else {
+		got.release()
 	}
 }
 
@@ -109,6 +117,44 @@ func TestPooledAnswersAreWhole(t *testing.T) {
 		}
 		if !bytes.Equal(body, appendRecord(nil, want.Task, want.States)) {
 			t.Errorf("task %d: the answer is not the record of its own states (%d bytes)", task, len(body))
+		}
+	}
+}
+
+// TestRecordFramedInPlace holds the worker's one encode path to the
+// record of independently snapshotted states: each kernel's state
+// encoded straight into its place, behind whatever the buffer already
+// held, is byte for byte appendRecord over SnapshotKernel of each kernel
+// — with or without room for it in the buffer.
+func TestRecordFramedInPlace(t *testing.T) {
+	spec := Spec{Patterns: []string{"error", "the"}, Complexity: true}
+	p := testPlan(t, 12)
+	local, err := NewLocal("ref", p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for task := range p.Tasks {
+		req := &ScanRequest{PlanFP: p.Fingerprint(), Spec: spec, Task: task}
+		kernels, err := local.scanTask(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states := make([][]byte, len(kernels))
+		for i, k := range kernels {
+			if states[i], err = scan.SnapshotKernel(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prefix := []byte("earlier answer")
+		want := appendRecord(bytes.Clone(prefix), task, states)
+		for _, room := range []int{0, len(want)} {
+			got, err := local.appendScan(context.Background(), req, append(make([]byte, 0, len(prefix)+room), prefix...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("task %d: the record framed in place behind a prefix with %d bytes of room differs from appendRecord of its snapshots", task, room)
+			}
 		}
 	}
 }

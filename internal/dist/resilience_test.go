@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -90,6 +91,94 @@ func TestExhaustedTaskFailsRunAtOnce(t *testing.T) {
 		t.Errorf("worker stats = %+v, want %d attempts started and no death", s, DefaultMaxAttempts)
 	}
 }
+
+// TestDistErrorsSayDistOnce: a failure leaving Measure names the dist
+// stage once, whether the coordinator phrased it (a task out of
+// attempts) or a worker did on either side of the wire (a plan mismatch
+// in process and over HTTP).
+func TestDistErrorsSayDistOnce(t *testing.T) {
+	spec := Spec{}
+	p := testPlan(t, 12)
+	doomed, err := NewLocal("doomed", p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed.SetFault(func(ctx context.Context, task int) error { return errs.Unavailable("injected read error") })
+	stale, err := NewLocal("stale", testPlan(t, 13), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewWorkerServer("stale", testPlan(t, 13)).Handler())
+	defer ts.Close()
+
+	opts := fastRetryOpts()
+	opts.health = healthOptions{ProbeInterval: time.Millisecond}
+	for name, c := range map[string]struct {
+		w      Worker
+		prefix string
+	}{
+		"out-of-attempts":    {doomed, "dist: task 0 failed 3 attempts: "},
+		"plan-mismatch":      {stale, "dist: plan fingerprint "},
+		"plan-mismatch-http": {NewHTTPWorker("stale", ts.URL), `dist: worker "stale": plan fingerprint `},
+	} {
+		_, _, err := Measure(context.Background(), p, spec, []Worker{c.w}, opts)
+		if err == nil || !strings.HasPrefix(err.Error(), c.prefix) || strings.Count(err.Error(), "dist") != 1 {
+			t.Errorf("%s: err = %v, want it to start %q and say dist once", name, err, c.prefix)
+		}
+		if got := errs.StageOf(err); got != "dist" {
+			t.Errorf("%s: stage %q, want dist", name, got)
+		}
+	}
+}
+
+// TestBenchedWorkerIsNotDead: a run that fails while a worker sits in
+// quarantine ends that worker's probing, but does not make it dead — it
+// neither failed its probes nor had a task re-dispatched for dying.
+func TestBenchedWorkerIsNotDead(t *testing.T) {
+	spec := Spec{}
+	p := testPlan(t, 12)
+	benched := make(chan struct{})
+	var once sync.Once
+	flaky, err := NewLocal("flaky", p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky.SetFault(func(ctx context.Context, task int) error { return errs.Unavailable("brownout") })
+	// The failing worker's first probe reports it still down and lets
+	// the other worker fail the run; the next probe finds the run over.
+	prober := &probedWorker{Worker: flaky, probe: func() error {
+		once.Do(func() { close(benched) })
+		return errs.Unavailable("still down")
+	}}
+	broken, err := NewLocal("broken", p, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken.SetFault(func(ctx context.Context, task int) error {
+		<-benched
+		return errors.New("deterministic scan failure")
+	})
+
+	opts := Options{
+		retry:  retryPolicy{MaxAttempts: 1},
+		health: healthOptions{TripAfter: 2, ProbeInterval: 5 * time.Millisecond, MaxProbes: 1000},
+	}
+	_, rep, err := Measure(context.Background(), p, spec, []Worker{prober, broken}, opts)
+	if err == nil || !strings.Contains(err.Error(), "deterministic scan failure") {
+		t.Fatalf("err = %v, want the broken worker's failure", err)
+	}
+	if s := rep.Workers[0]; s.Quarantined != 1 || s.Dead {
+		t.Errorf("benched worker stats = %+v, want one quarantine and no death", s)
+	}
+}
+
+// probedWorker gives a worker a health probe.
+type probedWorker struct {
+	Worker
+	probe func() error
+}
+
+func (w *probedWorker) Probe(context.Context) error { return w.probe() }
 
 // TestQuarantineAndReadmission trips a worker's health gate with a
 // burst of failures, then lets its probe succeed: the worker must be

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"context"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/errs"
@@ -22,11 +24,18 @@ type ScanRequest struct {
 
 // ScanResponse carries one completed task's kernel states: one snapshot
 // per kernel, in registration (spec) order. It crosses the wire as one
-// record (record.go); States from an HTTPWorker alias the response
-// buffer.
+// record (record.go); States alias the buffer the record was framed in
+// (Local) or read into (HTTPWorker).
 type ScanResponse struct {
 	Task   int
 	States [][]byte
+
+	// release, when set, hands the buffer States alias back for reuse.
+	// The coordinator calls it exactly once, after the states are
+	// restored and merged or when it drops the answer as a duplicate;
+	// States must not be read after it. Every other path leaves the
+	// buffer to the GC.
+	release func()
 }
 
 // Worker executes plan tasks. Scan is synchronous — one task in, its
@@ -56,6 +65,9 @@ type Local struct {
 	plan   *scan.Plan
 	planFP uint64
 	protos *core.MeasureKernels
+	// recordSize is the largest record appendScan has framed: how much
+	// room it reserves before encoding the next one.
+	recordSize atomic.Int64
 
 	// fault, when set, runs before each task scan — the chaos-injection
 	// seam (fault.Injector.TaskKill) and the test seam for worker death
@@ -82,14 +94,52 @@ func NewLocal(name string, plan *scan.Plan, spec Spec) (*Local, error) {
 func (l *Local) Name() string { return l.name }
 
 // Scan implements Worker: it executes the task's slice of the plan
-// through fresh forks of the prototypes and snapshots each kernel's
-// accumulation.
+// through fresh forks of the prototypes and frames their states into one
+// record buffer of the task's own, which the returned states alias.
 func (l *Local) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse, error) {
+	rec, err := l.appendScan(ctx, req, nil)
+	if err != nil {
+		return nil, err
+	}
+	task, states, _, err := parseRecord(rec)
+	if err != nil {
+		return nil, err
+	}
+	return &ScanResponse{Task: task, States: states}, nil
+}
+
+// appendScan executes the task and appends its record to dst, each
+// kernel's snapshot encoded straight into its place: the one encode path
+// of the in-process answer and the daemon's, which passes a pooled
+// buffer. dst is first grown to the largest record this worker has
+// framed, so a buffer of its own costs a task one allocation, and a
+// reused one none.
+func (l *Local) appendScan(ctx context.Context, req *ScanRequest, dst []byte) ([]byte, error) {
+	kernels, err := l.scanTask(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	start := len(dst)
+	dst, err = frameRecord(slices.Grow(dst, int(l.recordSize.Load())), req.Task, len(kernels), func(dst []byte, i int) ([]byte, error) {
+		return scan.AppendKernelSnapshot(dst, kernels[i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	if n := int64(len(dst) - start); n > l.recordSize.Load() {
+		l.recordSize.Store(n)
+	}
+	return dst, nil
+}
+
+// scanTask checks the request against the worker's plan and executes
+// the task through fresh forks of the prototypes, which it returns.
+func (l *Local) scanTask(ctx context.Context, req *ScanRequest) ([]scan.Kernel, error) {
 	if req.PlanFP != l.planFP {
-		return nil, errs.Invalid("dist: plan fingerprint %016x, worker has %016x", req.PlanFP, l.planFP)
+		return nil, errs.Invalid("plan fingerprint %016x, worker has %016x", req.PlanFP, l.planFP)
 	}
 	if req.Task < 0 || req.Task >= len(l.plan.Tasks) {
-		return nil, errs.Invalid("dist: task %d out of range (plan has %d)", req.Task, len(l.plan.Tasks))
+		return nil, errs.Invalid("task %d out of range (plan has %d)", req.Task, len(l.plan.Tasks))
 	}
 	if l.fault != nil {
 		if err := l.fault(ctx, req.Task); err != nil {
@@ -103,13 +153,5 @@ func (l *Local) Scan(ctx context.Context, req *ScanRequest) (*ScanResponse, erro
 	if err := scan.Execute(ctx, l.plan, l.plan.Tasks[req.Task:req.Task+1], scan.Options{}, kernels...); err != nil {
 		return nil, err
 	}
-	states := make([][]byte, len(kernels))
-	for i, k := range kernels {
-		st, err := scan.SnapshotKernel(k)
-		if err != nil {
-			return nil, err
-		}
-		states[i] = st
-	}
-	return &ScanResponse{Task: req.Task, States: states}, nil
+	return kernels, nil
 }

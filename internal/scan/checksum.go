@@ -84,14 +84,14 @@ func (c *Checksum) Sums() []FileSum { return c.sums }
 
 const checksumTag = 'C'
 
-// Snapshot implements StateCodec: the accumulated per-file sums.
-func (c *Checksum) Snapshot() ([]byte, error) {
+// AppendSnapshot implements StateCodec: the accumulated per-file sums.
+func (c *Checksum) AppendSnapshot(dst []byte) ([]byte, error) {
 	// tag, count, then per file: name length + name, size, sum.
 	size := 1 + 8 + 24*len(c.sums)
 	for i := range c.sums {
 		size += len(c.sums[i].Name)
 	}
-	var e StateEncoder
+	e := AppendStateEncoder(dst)
 	e.Grow(size)
 	e.Tag(checksumTag)
 	e.Int(len(c.sums))

@@ -7,9 +7,11 @@ import (
 	"repro/internal/errs"
 )
 
-// StateCodec is the portable-state half of a kernel: Snapshot serialises
-// the kernel's completed accumulation into a self-contained byte string
-// and Restore loads one into a fresh instance (normally a Fork of an
+// StateCodec is the portable-state half of a kernel: AppendSnapshot
+// serialises the kernel's completed accumulation into a self-contained
+// byte string, appended to a caller's buffer so a state can be framed in
+// place (a worker's answer record), and Restore loads one into a fresh
+// instance (normally a Fork of an
 // identically-configured prototype). Together with the Merge contract —
 // Merge folds another kernel's entire accumulation and drains it — a
 // kernel that has scanned one shard's files can cross a process boundary
@@ -19,14 +21,17 @@ import (
 //
 // Contract:
 //
-//   - Snapshot is only defined between files (never mid-Begin/Block/End);
+//   - AppendSnapshot is only defined between files (never mid-Begin/Block/End);
 //     the engine's run functions always leave kernels in that state.
 //   - Restore replaces the receiver's accumulation wholesale, reusing its
 //     row capacity, so one drained fork can take state after state;
 //     restoring into a non-empty kernel is a caller bug with undefined
 //     results.
-//   - Snapshot(Restore(b)) must be byte-identical to b — the conformance
-//     helper in scan/kerneltest pins this for every production kernel.
+//   - AppendSnapshot(dst) returns dst unchanged followed by the state,
+//     whatever dst holds; SnapshotKernel is AppendSnapshot(nil).
+//   - SnapshotKernel(Restore(b)) must be byte-identical to b — the
+//     conformance helper in scan/kerneltest pins this and the line above
+//     for every production kernel.
 //   - The encoding carries no read-only configuration (automata,
 //     lexicons); both sides must construct kernels from the same spec.
 //
@@ -34,18 +39,22 @@ import (
 // or trailing-garbage payload is ErrCorrupt, a payload for a different
 // kernel type (wrong tag) or mismatched configuration is ErrInvalid.
 type StateCodec interface {
-	Snapshot() ([]byte, error)
+	AppendSnapshot(dst []byte) ([]byte, error)
 	Restore([]byte) error
 }
 
-// SnapshotKernel snapshots k's state, or reports ErrInvalid when the
-// kernel does not implement StateCodec.
-func SnapshotKernel(k Kernel) ([]byte, error) {
+// SnapshotKernel snapshots k's state into a buffer of its own, or
+// reports ErrInvalid when the kernel does not implement StateCodec.
+func SnapshotKernel(k Kernel) ([]byte, error) { return AppendKernelSnapshot(nil, k) }
+
+// AppendKernelSnapshot appends k's snapshot to dst, or reports
+// ErrInvalid when the kernel does not implement StateCodec.
+func AppendKernelSnapshot(dst []byte, k Kernel) ([]byte, error) {
 	c, ok := k.(StateCodec)
 	if !ok {
 		return nil, errs.Invalid("scan: kernel %T has no portable state (StateCodec)", k)
 	}
-	return c.Snapshot()
+	return c.AppendSnapshot(dst)
 }
 
 // RestoreKernel restores state into k, or reports ErrInvalid when the
@@ -67,10 +76,15 @@ type StateEncoder struct {
 	buf []byte
 }
 
-// Grow reserves room for n more bytes, so a Snapshot that knows its
-// size up front (a fixed width per file plus the names) encodes into one
-// allocation instead of append-doubling its way there. Purely a capacity
-// hint: the encoded bytes are the same with or without it.
+// AppendStateEncoder returns an encoder that appends to dst: Bytes is dst
+// followed by what was encoded. An AppendSnapshot starts with it.
+func AppendStateEncoder(dst []byte) StateEncoder { return StateEncoder{buf: dst} }
+
+// Grow reserves room for n more bytes, so a snapshot that knows its size
+// up front (a fixed width per file plus the names) encodes into at most
+// one allocation — none when dst has the room — instead of
+// append-doubling its way there. Purely a capacity hint: the encoded
+// bytes are the same with or without it.
 func (e *StateEncoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Tag writes the kernel's one-byte type tag; by convention the first
@@ -99,7 +113,8 @@ func (e *StateEncoder) Str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Bytes returns the encoded snapshot.
+// Bytes returns the encoded snapshot, after whatever the encoder was
+// started on.
 func (e *StateEncoder) Bytes() []byte { return e.buf }
 
 // StateDecoder reads a kernel snapshot produced by StateEncoder. Errors

@@ -1,7 +1,8 @@
 // Package kerneltest is the conformance harness for scan kernels with
 // portable state: one entry point pins, for any kernel, every contract
 // the distributed scan engine leans on — Fork/Begin/Block/End/Merge
-// semantics, block-size independence, Snapshot→Restore bit-identity, the
+// semantics, block-size independence, snapshot→Restore bit-identity,
+// AppendSnapshot appending exactly the snapshot behind any prefix, the
 // Merge-drains rule, and the fold-across-a-process-boundary equivalence.
 // Each production kernel gets one conformance test in its own package;
 // a new kernel earns distribution by passing here, not by review.
@@ -171,6 +172,8 @@ func snapshot(t *testing.T, k scan.Kernel) []byte {
 //   - a scan.SumCarrier fed through BlockSum instead of Block snapshots
 //     the same bytes at every BlockSizes entry, and the sum it returns is
 //     each file's fnv64.MemberChecksum;
+//   - AppendSnapshot(prefix) is the prefix unchanged followed by exactly
+//     SnapshotKernel's bytes, and reserves nothing when the room is there;
 //   - Snapshot→Restore→Snapshot is bit-identical;
 //   - an element count the payload cannot hold is ErrCorrupt, and Restore
 //     allocates less than twice the payload finding that out;
@@ -220,6 +223,30 @@ func Conformance(t *testing.T, proto scan.Kernel, contents [][]byte) {
 	if allocsMany > allocsOne {
 		t.Errorf("%T: Snapshot allocations grow with the file count (%.0f for %d files, %.0f for %d): reserve the encoded size up front",
 			proto, allocsOne, len(contents), allocsMany, 16*len(contents))
+	}
+
+	// AppendSnapshot appends: the prefix comes back as it was, followed by
+	// exactly SnapshotKernel's bytes, whether the state fits behind the
+	// prefix or has to move it — so a state framed in place into a record
+	// is the state a buffer of its own holds. Into a buffer with the room
+	// it reserves nothing (fewer allocations than into nil; a ratio again,
+	// for the race build).
+	prefix := []byte("record header")
+	for _, room := range []int{0, len(want)} {
+		dst := append(make([]byte, 0, len(prefix)+room), prefix...)
+		got, err := one.(scan.StateCodec).AppendSnapshot(dst)
+		if err != nil {
+			t.Fatalf("%T: AppendSnapshot: %v", proto, err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Errorf("%T: AppendSnapshot onto a %d-byte prefix with %d bytes of room is not the prefix followed by the snapshot", proto, len(prefix), room)
+		}
+	}
+	roomy := make([]byte, 0, 2*len(want))
+	allocsRoom := testing.AllocsPerRun(10, func() { one.(scan.StateCodec).AppendSnapshot(roomy) })
+	if allocsRoom >= allocsOne {
+		t.Errorf("%T: AppendSnapshot into a buffer with room allocates %.0f times, as many as into nil (%.0f): grow the buffer it is given",
+			proto, allocsRoom, allocsOne)
 	}
 
 	// Round trip: Restore must rebuild the exact accumulation.

@@ -27,11 +27,11 @@ func TestStatsKernelConformance(t *testing.T) {
 // must never be parsed as if the layouts agreed.
 func TestStatsKernelRejectsForeignStates(t *testing.T) {
 	plain, lexicon := textproc.NewStatsKernel(), textproc.NewAnalyzerKernel(textproc.NewTagger())
-	plainState, err := plain.Snapshot()
+	plainState, err := plain.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lexiconState, err := lexicon.Snapshot()
+	lexiconState, err := lexicon.AppendSnapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -502,18 +502,18 @@ func (k *StatsKernel) lexiconFlag() int {
 	return 0
 }
 
-// Snapshot implements scan.StateCodec: the accumulated per-file records,
-// totals and line count. The lexicon itself is configuration, not state —
-// both sides of a transfer must build their kernels from the same spec,
-// and Restore rejects a payload whose lexicon flag disagrees.
-func (k *StatsKernel) Snapshot() ([]byte, error) {
+// AppendSnapshot implements scan.StateCodec: the accumulated per-file
+// records, totals and line count. The lexicon itself is configuration,
+// not state — both sides of a transfer must build their kernels from the
+// same spec, and Restore rejects a payload whose lexicon flag disagrees.
+func (k *StatsKernel) AppendSnapshot(dst []byte) ([]byte, error) {
 	// tag, lexicon flag, count, per file: name length + name, five stats,
 	// lines, unknown; then the totals' five stats and lines.
 	size := 1 + 8 + 8 + fileStatsMinBytes*len(k.files) + 48
 	for i := range k.files {
 		size += len(k.files[i].Name)
 	}
-	var e scan.StateEncoder
+	e := scan.AppendStateEncoder(dst)
 	e.Grow(size)
 	e.Tag(analyzerKernelTag)
 	e.Int(k.lexiconFlag())
@@ -676,11 +676,11 @@ func (k *MatchKernel) TotalMatches() int64 {
 
 const matchKernelTag = 'M'
 
-// Snapshot implements scan.StateCodec: the accumulated per-file rows and
-// totals. The pattern set itself is configuration, not state — both sides
-// of a transfer must build their kernels over the same patterns, and
-// Restore rejects a payload whose pattern count disagrees.
-func (k *MatchKernel) Snapshot() ([]byte, error) {
+// AppendSnapshot implements scan.StateCodec: the accumulated per-file
+// rows and totals. The pattern set itself is configuration, not state —
+// both sides of a transfer must build their kernels over the same
+// patterns, and Restore rejects a payload whose pattern count disagrees.
+func (k *MatchKernel) AppendSnapshot(dst []byte) ([]byte, error) {
 	np := k.ms.NumPatterns()
 	// tag, pattern count, file count, per file: name length + name,
 	// bytes, one count per pattern; then the per-pattern totals.
@@ -688,7 +688,7 @@ func (k *MatchKernel) Snapshot() ([]byte, error) {
 	for i := range k.files {
 		size += len(k.files[i].Name)
 	}
-	var e scan.StateEncoder
+	e := scan.AppendStateEncoder(dst)
 	e.Grow(size)
 	e.Tag(matchKernelTag)
 	e.Int(np)

@@ -16,9 +16,11 @@ test:
 	$(GO) test ./...
 
 # test-nommap exercises the portable packstore fallback (pread into a
-# private buffer instead of mmap) that non-unix builds get unconditionally.
+# private buffer instead of mmap) that non-unix builds get unconditionally,
+# and the portable directory walk (walk_other.go) the same tag selects:
+# internal/cli's Open table runs every corpus source and use over it.
 test-nommap:
-	$(GO) test -tags packstore_nommap ./internal/packstore ./internal/vfs
+	$(GO) test -tags packstore_nommap ./internal/packstore ./internal/vfs ./internal/cli
 
 # test-scandebug runs the scan suite with recycled block buffers poisoned
 # (0xDB) so a kernel that retains a borrowed Block slice fails loudly.

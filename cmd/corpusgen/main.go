@@ -61,7 +61,7 @@ func main() {
 		return
 	}
 
-	fs, err := corpus.GenerateWithContentEagerCtx(ctx, spec, *seed, 0)
+	fs, err := corpus.GenerateWithContent(spec, *seed)
 	if err != nil {
 		fatal(cli.Refused("scale", err))
 	}

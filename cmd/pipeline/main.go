@@ -99,15 +99,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// A one-shot run generates synthetic bytes on demand, so the corpus
-	// never resides in memory at once, and only when the fused scan will
-	// read them.
-	fs, closer, inj, err := src.Open(ctx, func(_ context.Context, spec corpus.Spec, seed int64) (*vfs.FS, error) {
-		if *grepPats != "" || *measure {
-			return corpus.GenerateWithContent(spec, seed)
-		}
-		return corpus.Generate(spec, seed)
-	})
+	use := cli.SizesOnly
+	if *grepPats != "" || *measure {
+		use = cli.ScanOnce
+	}
+	fs, closer, inj, err := src.Open(ctx, use)
 	if err != nil {
 		fatal(err)
 	}

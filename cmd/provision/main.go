@@ -23,7 +23,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/errs"
 	"repro/internal/perfmodel"
 	"repro/internal/provision"
 	"repro/internal/vfs"
@@ -59,7 +58,7 @@ func main() {
 	var items []binpack.Item
 	switch {
 	case *dir != "":
-		fs, err := vfs.ImportDir(*dir)
+		fs, err := vfs.ImportDirCtx(ctx, *dir)
 		if err != nil {
 			fatal(err)
 		}
@@ -81,13 +80,6 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "provision: provide -volume or -dir")
 		os.Exit(2)
-	}
-
-	// Planning itself is fast; the cancellable part is the workload import
-	// above. One check here keeps a Ctrl-C during a large -dir walk from
-	// silently producing a plan for a half-read corpus.
-	if cerr := errs.FromContext(ctx); cerr != nil {
-		fatal(errs.Stage("planning", cerr))
 	}
 
 	model := affine(*slope, *intercept)

@@ -67,7 +67,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	fs, err := vfs.ImportDir(*inDir)
+	fs, err := vfs.ImportDirCtx(ctx, *inDir)
 	if err != nil {
 		fatal(err)
 	}

@@ -72,7 +72,7 @@ func main() {
 	}
 
 	// The mappings (or slabs) stay open for the server's lifetime.
-	fs, closer, _, err := corpus.Open(ctx, cli.Eager)
+	fs, closer, _, err := corpus.Open(ctx, cli.Resident)
 	if err != nil {
 		fatal(err)
 	}

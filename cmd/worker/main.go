@@ -54,7 +54,7 @@ func main() {
 	// names, sizes and locality are preserved, so the fingerprint handshake
 	// with the coordinator still passes and only the bytes (and task
 	// execution, via the kill hook below) misbehave.
-	fs, closer, inj, err := corpus.Open(ctx, cli.Eager)
+	fs, closer, inj, err := corpus.Open(ctx, cli.Resident)
 	if err != nil {
 		fatal(err)
 	}

@@ -47,31 +47,36 @@ func (c *Corpus) FaultFlags(fs *flag.FlagSet) {
 func (c *Corpus) Seed() int64       { return c.seed }
 func (c *Corpus) FaultSpec() string { return c.faultSpec }
 
-// Synthetic builds a -spec corpus. It is Open's parameter because it is
-// the one thing the commands rightly differ in: a resident daemon reads
-// the bytes many times (Eager), a one-shot run must not hold them all.
-type Synthetic func(ctx context.Context, spec corpus.Spec, seed int64) (*vfs.FS, error)
+// Use is how a command reads its corpus's bytes, and so how Open holds
+// them: a Resident daemon (serve, worker) scans them many times and has
+// them loaded up front; a ScanOnce run (pipeline -measure or -grep) reads
+// each file once, when the scan reaches it; a SizesOnly run (pipeline
+// without either) plans from sizes and reads no bytes.
+type Use int
 
-// Eager materialises every file's bytes up front, on all CPUs.
-func Eager(ctx context.Context, spec corpus.Spec, seed int64) (*vfs.FS, error) {
-	return corpus.GenerateWithContentEagerCtx(ctx, spec, seed, 0)
-}
+const (
+	Resident Use = iota
+	ScanOnce
+	SizesOnly
+)
 
 // usageError is a flag combination Open refuses; Fatal exits 2 on it.
 type usageError string
 
 func (e usageError) Error() string { return string(e) }
 
-// Open opens the corpus: -packs as mapped shards (with -verify-reads,
-// checksummed section readers, which rules out the zero-copy windows),
-// -dir as raw views (slabs for small files, mappings for large ones),
-// else -spec through synthetic. An enabled -fault spec wraps the result —
-// names, sizes and locality are kept, so plan fingerprints match a clean
-// run — and its injector is returned; nil means no faults. A -scale that
-// is not a positive finite number is refused whichever source is named,
-// and one past corpus.MaxFiles files when -spec is.
+// Open opens the corpus for use: -packs as mapped shards (with
+// -verify-reads, checksummed section readers, which rules out the
+// zero-copy windows); -dir loaded into raw views when Resident, else
+// stat'd and streamed; else -spec, generated eagerly when Resident, on
+// demand when ScanOnce and without content when SizesOnly. An enabled
+// -fault spec wraps the result — names, sizes and locality are kept, so
+// plan fingerprints match a clean run — and its injector is returned; nil
+// means no faults. A -scale that is not a positive finite number is
+// refused whichever source is named, and one past corpus.MaxFiles files
+// when -spec is.
 // The closer must outlive every read; on failure nothing is left open.
-func (c *Corpus) Open(ctx context.Context, synthetic Synthetic) (*vfs.FS, io.Closer, *fault.Injector, error) {
+func (c *Corpus) Open(ctx context.Context, use Use) (*vfs.FS, io.Closer, *fault.Injector, error) {
 	if c.verifyReads && c.packs == "" {
 		return nil, nil, nil, usageError("-verify-reads needs a packed corpus (-packs)")
 	}
@@ -89,16 +94,26 @@ func (c *Corpus) Open(ctx context.Context, synthetic Synthetic) (*vfs.FS, io.Clo
 		fs, closer, err = vfs.ImportPackVerifiedCtx(ctx, strings.Split(c.packs, ",")...)
 	case c.packs != "":
 		fs, closer, err = vfs.ImportPackMappedCtx(ctx, strings.Split(c.packs, ",")...)
-	case c.dir != "":
+	case c.dir != "" && use == Resident:
 		fs, closer, err = vfs.ImportDirMappedCtx(ctx, c.dir)
-	case c.spec == "html":
-		fs, err = synthetic(ctx, corpus.HTML18Mil(c.scale), c.seed)
-		err = Refused("scale", err)
-	case c.spec == "text":
-		fs, err = synthetic(ctx, corpus.Text400K(c.scale), c.seed)
-		err = Refused("scale", err)
-	default:
+	case c.dir != "":
+		fs, err = vfs.ImportDirCtx(ctx, c.dir)
+	case c.spec != "html" && c.spec != "text":
 		err = usageError(fmt.Sprintf("unknown spec %q (html or text)", c.spec))
+	default:
+		spec := corpus.Text400K(c.scale)
+		if c.spec == "html" {
+			spec = corpus.HTML18Mil(c.scale)
+		}
+		switch use {
+		case Resident:
+			fs, err = corpus.GenerateWithContentEagerCtx(ctx, spec, c.seed, 0)
+		case ScanOnce:
+			fs, err = corpus.GenerateWithContent(spec, c.seed)
+		default:
+			fs, err = corpus.Generate(spec, c.seed)
+		}
+		err = Refused("scale", err)
 	}
 	if err != nil {
 		return nil, nil, nil, err

@@ -35,8 +35,9 @@ func packedCorpus(t *testing.T) (plain, packed string) {
 	return plain, packed
 }
 
-// openWith parses args the way a command would and opens the corpus.
-func openWith(t *testing.T, synthetic Synthetic, args ...string) (*vfs.FS, io.Closer, bool, error) {
+// openWith parses args the way a command would and opens the corpus for
+// use.
+func openWith(t *testing.T, ctx context.Context, use Use, args ...string) (*vfs.FS, io.Closer, bool, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c := CorpusFlags(fs, 0.0001)
@@ -44,13 +45,13 @@ func openWith(t *testing.T, synthetic Synthetic, args ...string) (*vfs.FS, io.Cl
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	got, closer, inj, err := c.Open(context.Background(), synthetic)
+	got, closer, inj, err := c.Open(ctx, use)
 	return got, closer, inj != nil, err
 }
 
 // TestCorpusOpen is the table for the one opener: which import each flag
-// combination selects, which combinations are refused, and when a fault
-// spec wraps the result.
+// combination and use select, which combinations are refused, and when a
+// fault spec wraps the result.
 func TestCorpusOpen(t *testing.T) {
 	plain, packed := packedCorpus(t)
 	ref, err := vfs.ImportDir(plain)
@@ -61,38 +62,46 @@ func TestCorpusOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, tc := range []struct {
 		name    string
 		args    []string
-		raw     bool // files carry zero-copy views
-		shards  bool // files carry pack locality
+		use     Use
+		raw     bool   // files carry zero-copy views
+		bytes   bool   // files carry a content source
+		shards  bool   // files carry pack locality
+		lazy    bool   // generated without the context: a done one does not refuse it
+		synth   string // spec name the files are generated under
 		armed   bool
-		synth   string // spec name the synthetic builder must see
 		usage   bool
 		invalid bool
 	}{
-		{name: "packs", args: []string{"-packs", packed}, raw: true, shards: true},
-		{name: "packs-beat-dir", args: []string{"-packs", packed, "-dir", plain}, raw: true, shards: true},
-		{name: "packs-verified", args: []string{"-packs", packed, "-verify-reads"}, shards: true},
-		{name: "dir", args: []string{"-dir", plain}, raw: true},
-		{name: "dir-beats-spec", args: []string{"-dir", plain, "-spec", "nope"}, raw: true},
-		{name: "spec-text", args: []string{"-spec", "text"}, synth: "Text_400K"},
-		{name: "spec-default", synth: "Text_400K"},
-		{name: "spec-html", args: []string{"-spec", "html", "-scale", "0.000001"}, synth: "HTML_18mil"},
+		{name: "packs", args: []string{"-packs", packed}, raw: true, bytes: true, shards: true},
+		{name: "packs-scan-once", args: []string{"-packs", packed}, use: ScanOnce, raw: true, bytes: true, shards: true},
+		{name: "packs-sizes-only", args: []string{"-packs", packed}, use: SizesOnly, raw: true, bytes: true, shards: true},
+		{name: "packs-beat-dir", args: []string{"-packs", packed, "-dir", plain}, raw: true, bytes: true, shards: true},
+		{name: "packs-verified", args: []string{"-packs", packed, "-verify-reads"}, bytes: true, shards: true},
+		{name: "dir", args: []string{"-dir", plain}, raw: true, bytes: true},
+		{name: "dir-scan-once", args: []string{"-dir", plain}, use: ScanOnce, bytes: true},
+		{name: "dir-sizes-only", args: []string{"-dir", plain}, use: SizesOnly, bytes: true},
+		{name: "dir-beats-spec", args: []string{"-dir", plain, "-spec", "nope"}, raw: true, bytes: true},
+		{name: "spec-text", args: []string{"-spec", "text"}, bytes: true, synth: "Text_400K"},
+		{name: "spec-text-scan-once", args: []string{"-spec", "text"}, use: ScanOnce, bytes: true, lazy: true, synth: "Text_400K"},
+		{name: "spec-text-sizes-only", args: []string{"-spec", "text"}, use: SizesOnly, lazy: true, synth: "Text_400K"},
+		{name: "spec-default", bytes: true, synth: "Text_400K"},
+		{name: "spec-html", args: []string{"-spec", "html", "-scale", "0.000001"}, bytes: true, synth: "HTML_18mil"},
 		{name: "spec-unknown", args: []string{"-spec", "pdf"}, usage: true},
 		{name: "scale-nan", args: []string{"-spec", "text", "-scale", "NaN"}, usage: true},
 		{name: "scale-zero", args: []string{"-spec", "text", "-scale", "0"}, usage: true},
+		{name: "scale-past-max-files", args: []string{"-spec", "text", "-scale", "1e9"}, use: SizesOnly, usage: true},
 		{name: "verify-reads-without-packs", args: []string{"-dir", plain, "-verify-reads"}, usage: true},
-		{name: "fault-armed", args: []string{"-packs", packed, "-fault", "seed=7,readerr=0.5"}, shards: true, armed: true},
-		{name: "fault-disabled", args: []string{"-packs", packed, "-fault", "seed=7,latency=2ms"}, raw: true, shards: true},
+		{name: "fault-armed", args: []string{"-packs", packed, "-fault", "seed=7,readerr=0.5"}, bytes: true, shards: true, armed: true},
+		{name: "fault-disabled", args: []string{"-packs", packed, "-fault", "seed=7,latency=2ms"}, raw: true, bytes: true, shards: true},
 		{name: "fault-bad-spec", args: []string{"-packs", packed, "-fault", "readerr=2"}, invalid: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sawSpec := ""
-			fs, closer, armed, err := openWith(t, func(ctx context.Context, spec corpus.Spec, seed int64) (*vfs.FS, error) {
-				sawSpec = spec.Name
-				return Eager(ctx, spec, seed)
-			}, tc.args...)
+			fs, closer, armed, err := openWith(t, context.Background(), tc.use, tc.args...)
 			if tc.usage || tc.invalid {
 				var ue usageError
 				if err == nil || errors.As(err, &ue) != tc.usage || errors.Is(err, errs.ErrInvalid) != tc.invalid {
@@ -107,18 +116,31 @@ func TestCorpusOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer closer.Close()
-			if sawSpec != tc.synth || armed != tc.armed {
-				t.Errorf("synthetic saw %q (want %q), armed %v (want %v)", sawSpec, tc.synth, armed, tc.armed)
+			if armed != tc.armed {
+				t.Errorf("armed %v, want %v", armed, tc.armed)
 			}
 			f := fs.List()[0]
 			_, rawErr := f.Bytes() // errors exactly when the file carries no zero-copy view
-			if shard, _ := f.Locality(); (rawErr == nil) != tc.raw || (shard != "") != tc.shards {
-				t.Errorf("first file: raw %v (want %v), shard %q (want one: %v)", rawErr == nil, tc.raw, shard, tc.shards)
+			if shard, _ := f.Locality(); (rawErr == nil) != tc.raw || f.HasContent() != tc.bytes || (shard != "") != tc.shards {
+				t.Errorf("first file: raw %v (want %v), content %v (want %v), shard %q (want one: %v)",
+					rawErr == nil, tc.raw, f.HasContent(), tc.bytes, shard, tc.shards)
+			}
+			if tc.synth != "" && !strings.HasPrefix(f.Name, tc.synth+"/") {
+				t.Errorf("first file %q, want one generated under %s", f.Name, tc.synth)
 			}
 			if tc.synth == "" && !tc.armed {
 				if err := want.VerifyCtx(context.Background(), fs); err != nil {
 					t.Errorf("opened corpus differs from the source: %v", err)
 				}
+			}
+			fs, closer, _, err = openWith(t, done, tc.use, tc.args...)
+			if tc.lazy {
+				if err != nil {
+					t.Fatalf("a lazy generator refused a done context: %v", err)
+				}
+				closer.Close()
+			} else if !errors.Is(err, errs.ErrCancelled) || fs != nil || closer != nil {
+				t.Errorf("open under a done context: fs %v, closer %v, err %v; want ErrCancelled alone", fs, closer, err)
 			}
 		})
 	}
@@ -140,7 +162,7 @@ func TestCorpusOpenFailureLeavesNothingMapped(t *testing.T) {
 		}
 		return strings.Count(string(maps), packed)
 	}
-	_, closer, _, err := openWith(t, Eager, "-packs", packed)
+	_, closer, _, err := openWith(t, context.Background(), Resident, "-packs", packed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +178,7 @@ func TestCorpusOpenFailureLeavesNothingMapped(t *testing.T) {
 	if err := os.Truncate(last, 10); err != nil {
 		t.Fatal(err)
 	}
-	fs, closer, _, err := openWith(t, Eager, "-packs", packed)
+	fs, closer, _, err := openWith(t, context.Background(), Resident, "-packs", packed)
 	if err == nil || fs != nil || closer != nil {
 		t.Fatalf("open over a truncated last shard: fs %v, closer %v, err %v", fs, closer, err)
 	}

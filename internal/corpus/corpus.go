@@ -156,14 +156,7 @@ func content(spec Spec, seed int64, name string, size int64) []byte {
 // content. This is the cheap form used for packing and provisioning
 // experiments over millions of files.
 func Generate(spec Spec, seed int64) (*vfs.FS, error) {
-	fs := vfs.NewFS()
-	err := forEachFile(spec, seed, func(name string, size int64) error {
-		return fs.Add(vfs.NewFile(name, size))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fs, nil
+	return generate(spec, seed, vfs.NewFile)
 }
 
 // GenerateWithContent builds a corpus whose files materialise real text (or
@@ -172,13 +165,17 @@ func Generate(spec Spec, seed int64) (*vfs.FS, error) {
 // would. Intended for small-to-medium corpora feeding the real grep and
 // POS kernels.
 func GenerateWithContent(spec Spec, seed int64) (*vfs.FS, error) {
-	fs := vfs.NewFS()
-	err := forEachFile(spec, seed, func(name string, size int64) error {
-		return fs.Add(vfs.NewContentFile(name, size, func() (io.Reader, error) {
+	return generate(spec, seed, func(name string, size int64) vfs.File {
+		return vfs.NewContentFile(name, size, func() (io.Reader, error) {
 			return bytes.NewReader(content(spec, seed, name, size)), nil
-		}))
+		})
 	})
-	if err != nil {
+}
+
+// generate builds an FS of file(name, size) for each file the spec draws.
+func generate(spec Spec, seed int64, file func(name string, size int64) vfs.File) (*vfs.FS, error) {
+	fs := vfs.NewFS()
+	if err := forEachFile(spec, seed, func(name string, size int64) error { return fs.Add(file(name, size)) }); err != nil {
 		return nil, err
 	}
 	return fs, nil

@@ -122,8 +122,13 @@ func TestDistMeasureAllocsPerTask(t *testing.T) {
 	// The collector stays off while the runs are measured, so no pooled
 	// buffer is dropped between them (≈ 40 MB), and the figure is the
 	// median over runs that started each task once: a steal scans a task
-	// twice.
+	// twice. One P holds every pooled buffer: sync.Pool caches per P, and
+	// with more than one a goroutine that the scheduler moves to another P
+	// misses the buffers the last run left on the first, so on two loaded
+	// cores a fleet's per-run figure spread 1.26–2.0 MB against a 139 KB
+	// bound on the difference of two of them.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	bytesPerRun := func(fleet []Worker) float64 {
 		var runs []float64
 		for i := 0; i < 16; i++ {

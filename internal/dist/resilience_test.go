@@ -113,6 +113,7 @@ func TestDistErrorsSayDistOnce(t *testing.T) {
 
 	opts := fastRetryOpts()
 	opts.health = healthOptions{ProbeInterval: time.Millisecond}
+	said := map[string]string{}
 	for name, c := range map[string]struct {
 		w      Worker
 		prefix string
@@ -128,6 +129,12 @@ func TestDistErrorsSayDistOnce(t *testing.T) {
 		if got := errs.StageOf(err); got != "dist" {
 			t.Errorf("%s: stage %q, want dist", name, got)
 		}
+		said[name] = fmt.Sprint(err)
+	}
+	// The HTTP hop keeps the in-process message whole, apart from naming
+	// the worker: the refusal names its sentinel once, not once per side.
+	if local, remote := said["plan-mismatch"], strings.Replace(said["plan-mismatch-http"], `worker "stale": `, "", 1); remote != local || strings.Count(local, errs.ErrInvalid.Error()) != 1 {
+		t.Errorf("a plan mismatch reads %q in process and %q over HTTP, want one message naming %q once", local, said["plan-mismatch-http"], errs.ErrInvalid)
 	}
 }
 

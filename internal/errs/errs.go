@@ -150,11 +150,6 @@ func Corrupt(format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, ErrCorrupt)...)
 }
 
-// NotFound builds an ErrNotFound-tagged error.
-func NotFound(format string, args ...any) error {
-	return fmt.Errorf(format+": %w", append(args, ErrNotFound)...)
-}
-
 // Invalid builds an ErrInvalid-tagged error.
 func Invalid(format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, ErrInvalid)...)

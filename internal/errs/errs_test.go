@@ -97,6 +97,11 @@ func TestStageErrorThroughFmtWrap(t *testing.T) {
 	}
 }
 
+// NotFound builds an ErrNotFound-tagged error, as a peer's 404 reads.
+func NotFound(format string, args ...any) error {
+	return fmt.Errorf(format+": %w", append(args, ErrNotFound)...)
+}
+
 func TestConstructors(t *testing.T) {
 	cases := []struct {
 		err  error

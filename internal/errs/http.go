@@ -26,84 +26,83 @@ const StatusClientClosedRequest = 499
 // scan request is ~150 bytes plus its patterns.
 const MaxRequestBytes = 1 << 20
 
-// HTTPStatus maps an error onto the HTTP status a server should answer
-// with, using the taxonomy's sentinels. Raw context errors are run through
-// Categorize first, so context.DeadlineExceeded lands on 504 and
-// context.Canceled on 499 without the caller wrapping them. The mapping is
-// the single shared table — CLI exit codes and server status codes both
-// derive from the same sentinels:
-//
-//	nil            → 200
-//	ErrInvalid     → 400 (bad request: caller-supplied parameter)
-//	ErrNotFound    → 404
-//	ErrCancelled   → 499 (client closed request)
-//	ErrUnavailable → 503 (service unavailable: retry elsewhere or later)
-//	ErrDeadline    → 504 (gateway timeout: the work ran out of wall clock)
-//	ErrCorrupt     → 500
-//	anything else  → 500
+// statuses is the one table between the taxonomy and HTTP: HTTPStatus
+// writes the first status listed for the first sentinel an error matches,
+// and FromHTTPResponse reads each status back as its sentinel. Anything
+// uncategorised is a 500 too, so a 500 reads back as ErrCorrupt only when
+// its message ends in that sentinel's text.
+var statuses = [...]struct {
+	sentinel error
+	status   int
+}{
+	{ErrInvalid, http.StatusBadRequest},
+	{ErrNotFound, http.StatusNotFound},
+	{ErrUnavailable, http.StatusServiceUnavailable}, // retry elsewhere or later
+	{ErrUnavailable, http.StatusTooManyRequests},
+	{ErrDeadline, http.StatusGatewayTimeout}, // the work ran out of wall clock
+	{ErrCancelled, StatusClientClosedRequest},
+	{ErrCorrupt, http.StatusInternalServerError},
+}
+
+// HTTPStatus maps an error onto the status a server should answer with,
+// through statuses: 200 for nil, 500 for an error no sentinel matches.
+// Raw context errors are run through Categorize first, so
+// context.DeadlineExceeded lands on 504 and context.Canceled on 499.
 func HTTPStatus(err error) int {
 	err = Categorize(err)
-	switch {
-	case err == nil:
+	if err == nil {
 		return http.StatusOK
-	case errors.Is(err, ErrInvalid):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, ErrUnavailable):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrDeadline):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrCancelled):
-		return StatusClientClosedRequest
-	default:
-		return http.StatusInternalServerError
 	}
+	for _, s := range statuses {
+		if errors.Is(err, s.sentinel) {
+			return s.status
+		}
+	}
+	return http.StatusInternalServerError
 }
 
 // FromHTTPResponse maps a non-200 answer back onto the taxonomy — the
-// inverse of HTTPStatus, so a sentinel crossing the wire comes back as
-// itself: 503 re-dispatches, 400 is a protocol bug, and a 500-class
-// failure stays fatal exactly as it would be in-process. 429 and 503 are
-// both "come back later" (ErrUnavailable), and the Retry-After header
-// (delta-seconds) rides along as a RetryAfter hint so a retry loop does
-// not hammer an overloaded or draining peer. 500 is shared by ErrCorrupt
-// and everything uncategorised: the envelope's error text is the rendered
-// chain, which the taxonomy's builders end with their sentinel, so a 500
-// ending in ErrCorrupt's text comes back as ErrCorrupt. The message is
-// the envelope's error field, or the trimmed body when it is not an
-// envelope; at most 64 KiB of the body is read, and it is not closed.
+// inverse of WriteError, so an error crossing the wire comes back as
+// itself: the same sentinel, named once, and the envelope's stage when the
+// text starts with it. Only a 429 or 503 carries a Retry-After header
+// (delta-seconds), which rides along as a RetryAfter hint so a retry loop
+// does not hammer an overloaded or draining peer. The message is the
+// envelope's error field, or the trimmed body when it is not an envelope;
+// at most 64 KiB of the body is read, and it is not closed.
 func FromHTTPResponse(resp *http.Response) error {
-	msg := "(no body)"
+	msg, stage := "(no body)", ""
 	if b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<10)); err == nil && len(b) > 0 {
 		var eb ErrorBody
 		if json.Unmarshal(b, &eb) == nil && eb.Error != "" {
 			msg = eb.Error
+			if rest, ok := strings.CutPrefix(msg, eb.Stage+": "); ok && eb.Stage != "" {
+				msg, stage = rest, eb.Stage
+			}
 		} else {
 			msg = string(bytes.TrimSpace(b))
 		}
 	}
-	code := resp.StatusCode
-	switch code {
-	case http.StatusBadRequest:
-		return Invalid("%s", msg)
-	case http.StatusNotFound:
-		return NotFound("%s", msg)
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		var after time.Duration
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			after = time.Duration(secs) * time.Second
+	code, hint := resp.StatusCode, time.Duration(0)
+	err := fmt.Errorf("status %d: %s", code, msg)
+	for _, s := range statuses {
+		// rest is "", or ": " and what the message says before the sentinel.
+		rest, named := strings.CutSuffix(": "+msg, ": "+s.sentinel.Error())
+		if s.status != code || (s.sentinel == ErrCorrupt && !named) {
+			continue
 		}
-		return RetryAfter(Unavailable("status %d: %s", code, msg), after)
-	case StatusClientClosedRequest:
-		return fmt.Errorf("%s: %w", msg, ErrCancelled)
-	case http.StatusGatewayTimeout:
-		return fmt.Errorf("%s: %w", msg, ErrDeadline)
+		if s.sentinel == ErrUnavailable { // the text keeps which status it was
+			rest = fmt.Sprintf(": status %d%s", code, rest)
+			if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && secs > 0 {
+				hint = time.Duration(secs) * time.Second
+			}
+		}
+		err = fmt.Errorf("%s%w", strings.TrimPrefix(rest+": ", ": "), s.sentinel)
+		break
 	}
-	if tail := ": " + ErrCorrupt.Error(); code == http.StatusInternalServerError && strings.HasSuffix(msg, tail) {
-		return Corrupt("%s", strings.TrimSuffix(msg, tail))
+	if stage != "" {
+		err = Stage(stage, err)
 	}
-	return fmt.Errorf("status %d: %s", code, msg)
+	return RetryAfter(err, hint)
 }
 
 // ErrorBody is the JSON error envelope every service in the repository
@@ -125,9 +124,13 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // WriteError writes err as an ErrorBody, with the status HTTPStatus
-// assigns its taxonomy category.
+// assigns its taxonomy category and, when err carries a RetryAfter hint,
+// a Retry-After header of whole seconds, rounded up.
 func WriteError(w http.ResponseWriter, err error) {
 	status := HTTPStatus(err)
+	if d, ok := RetryAfterHint(err); ok {
+		w.Header().Set("Retry-After", strconv.FormatInt(int64((d+time.Second-1)/time.Second), 10))
+	}
 	WriteJSON(w, status, ErrorBody{Error: err.Error(), Stage: StageOf(err), Status: status})
 }
 

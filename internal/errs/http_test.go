@@ -69,34 +69,62 @@ func TestHTTPStatusCategorizedContext(t *testing.T) {
 	}
 }
 
-// TestHTTPRoundTrip pins the table to its inverse: every sentinel written
-// by WriteError and read back by FromHTTPResponse is the same sentinel,
-// with its stage in the envelope and its message in the error.
+// TestHTTPRoundTrip pins the table to its inverse: every sentinel, bare
+// and wrapped in Stage, StageFile and RetryAfter, written by WriteError
+// and read back by FromHTTPResponse comes back as the same sentinel and
+// no other, named once, with the same stage, the same text (a 503 adds
+// its status) and — on the one status that carries a hint — the same
+// RetryAfter hint.
 func TestHTTPRoundTrip(t *testing.T) {
-	for _, sentinel := range []error{ErrInvalid, ErrNotFound, ErrUnavailable, ErrDeadline, ErrCancelled, ErrCorrupt} {
-		sent := StageFile("scan", "f01", fmt.Errorf("member 7: %w", sentinel))
-		rec := httptest.NewRecorder()
-		WriteError(rec, sent)
-		resp := rec.Result()
-		if resp.StatusCode != HTTPStatus(sentinel) {
-			t.Fatalf("%v: wrote status %d, table says %d", sentinel, resp.StatusCode, HTTPStatus(sentinel))
-		}
-		body := rec.Body.Bytes()
-		var eb ErrorBody
-		if err := json.Unmarshal(body, &eb); err != nil || eb != (ErrorBody{Error: sent.Error(), Stage: "scan", Status: resp.StatusCode}) {
-			t.Errorf("%v: envelope %+v (decode: %v)", sentinel, eb, err)
-		}
-		got := FromHTTPResponse(resp)
-		if !errors.Is(got, sentinel) || !strings.Contains(got.Error(), "member 7") {
-			t.Errorf("%v: came back as %v", sentinel, got)
-		}
-		for _, other := range []error{ErrInvalid, ErrNotFound, ErrUnavailable, ErrDeadline, ErrCancelled, ErrCorrupt} {
-			if other != sentinel && errors.Is(got, other) {
-				t.Errorf("%v: came back as %v too", sentinel, other)
-			}
-		}
-		if IsRetryable(got) != IsRetryable(sentinel) {
-			t.Errorf("%v: retryable %v on the far side", sentinel, IsRetryable(got))
+	sentinels := []error{ErrInvalid, ErrNotFound, ErrUnavailable, ErrDeadline, ErrCancelled, ErrCorrupt}
+	for _, sentinel := range sentinels {
+		for _, tc := range []struct {
+			name string
+			sent error
+		}{
+			{"bare", sentinel},
+			{"built", fmt.Errorf("member 7: %w", sentinel)},
+			{"staged", Stage("scan", sentinel)},
+			{"staged-file", StageFile("scan", "f01", fmt.Errorf("member 7: %w", sentinel))},
+			{"retry-after", RetryAfter(StageFile("dist", "task 3", sentinel), 2*time.Second)},
+		} {
+			t.Run(sentinel.Error()+"/"+tc.name, func(t *testing.T) {
+				rec := httptest.NewRecorder()
+				WriteError(rec, tc.sent)
+				resp := rec.Result()
+				if resp.StatusCode != HTTPStatus(sentinel) {
+					t.Fatalf("wrote status %d, table says %d", resp.StatusCode, HTTPStatus(sentinel))
+				}
+				var eb ErrorBody
+				if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb != (ErrorBody{Error: tc.sent.Error(), Stage: StageOf(tc.sent), Status: resp.StatusCode}) {
+					t.Errorf("envelope %+v (decode: %v)", eb, err)
+				}
+				got := FromHTTPResponse(resp)
+				for _, s := range sentinels {
+					if errors.Is(got, s) != (s == sentinel) {
+						t.Errorf("%q: errors.Is(%v) = %v", got, s, s != sentinel)
+					}
+				}
+				if n := strings.Count(got.Error(), sentinel.Error()); n != 1 {
+					t.Errorf("%q names %q %d times, want once", got, sentinel, n)
+				}
+				if text := strings.Replace(got.Error(), "status 503: ", "", 1); text != tc.sent.Error() {
+					t.Errorf("came back as %q, sent %q", got, tc.sent)
+				}
+				if StageOf(got) != StageOf(tc.sent) {
+					t.Errorf("stage %q, sent %q", StageOf(got), StageOf(tc.sent))
+				}
+				wantHint, wantOK := RetryAfterHint(tc.sent)
+				if sentinel != ErrUnavailable {
+					wantHint, wantOK = 0, false // only 429 and 503 carry Retry-After
+				}
+				if d, ok := RetryAfterHint(got); d != wantHint || ok != wantOK {
+					t.Errorf("hint %v, %v; want %v, %v", d, ok, wantHint, wantOK)
+				}
+				if IsRetryable(got) != IsRetryable(tc.sent) {
+					t.Errorf("retryable %v on the far side", IsRetryable(got))
+				}
+			})
 		}
 	}
 }

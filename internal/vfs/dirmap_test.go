@@ -451,6 +451,33 @@ func TestImportDirMappedCancelled(t *testing.T) {
 	}
 }
 
+// TestImportDirCtxCancelMidWalk: the streaming import stops on a context
+// cancelled while the walk is still listing, with the typed error, and
+// leaves no goroutine behind. The walker checks the context before each
+// of its three chunks and the loaders before each stat, so a context that
+// reports cancellation from its second check on ends the walk before its
+// last chunk.
+func TestImportDirCtxCancelMidWalk(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 3*importChunkFiles; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("f%04d", i)), []byte("small"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := runtime.NumGoroutine()
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(1)
+	if fs, err := ImportDirCtx(ctx, dir); !errors.Is(err, errs.ErrCancelled) || fs != nil {
+		t.Fatalf("mid-walk cancellation returned (%v, %v), want ErrCancelled", fs, err)
+	}
+	if got := settledGoroutines(base); got != base {
+		t.Fatalf("%d goroutines before the import, %d after", base, got)
+	}
+	if fs, err := ImportDirCtx(context.Background(), dir); err != nil || fs.Len() != 3*importChunkFiles {
+		t.Fatalf("import after a cancelled one: %v", err)
+	}
+}
+
 // countdownCtx reports cancellation from its n-th Err call on: a
 // deterministic way to cancel an import between two particular files.
 type countdownCtx struct {

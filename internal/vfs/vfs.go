@@ -459,19 +459,21 @@ func exportPath(dir, name string) (string, error) {
 	return filepath.Join(dir, clean), nil
 }
 
-// ImportDir loads every regular file under dir on the real file system into
-// a new FS, with names relative to dir (slash-separated). Only metadata is
-// read: each file is opened when a reader asks for its content, through
-// packstore.OpenFile — a raw descriptor that only the reader's Close
-// releases, which is what makes the delivery contract's "whoever calls
-// Open closes" mandatory here. The walk lists the corpus; the one lstat a
-// file gets (the walk's directory entries carry none) runs on every core
-// beside it (walkLoad), so the FS — and the error, if a file vanished in
-// between — is the serial walk's.
-func ImportDir(dir string) (*FS, error) {
-	// ImportDir's signature is the harness's and carries no context; a stat
-	// is not worth cancelling.
-	entries, err := walkLoad(context.Background(), dir, func() func(*dirEntry) error { return statEntry })
+// ImportDir is ImportDirCtx without a context.
+func ImportDir(dir string) (*FS, error) { return ImportDirCtx(context.Background(), dir) }
+
+// ImportDirCtx loads every regular file under dir on the real file system
+// into a new FS, with names relative to dir (slash-separated). Only
+// metadata is read: each file is opened when a reader asks for its
+// content, through packstore.OpenFile — a raw descriptor that only the
+// reader's Close releases, which is what makes the delivery contract's
+// "whoever calls Open closes" mandatory here. The walk lists the corpus;
+// the one lstat a file gets (the walk's directory entries carry none) runs
+// on every core beside it (walkLoad), so the FS — and the error, if a file
+// vanished in between — is the serial walk's. Once ctx is done the walk
+// stops before its next chunk or stat, with errs.ErrCancelled.
+func ImportDirCtx(ctx context.Context, dir string) (*FS, error) {
+	entries, err := walkLoad(ctx, dir, func() func(*dirEntry) error { return statEntry })
 	if err != nil {
 		return nil, fmt.Errorf("vfs: import %s: %w", dir, err)
 	}

@@ -59,9 +59,10 @@ size:
 	@echo "apiAllowlist entries: $$(awk '/^var apiAllowlist = /{on=1; next} on && /^}/{on=0} on && /^\t"/{n++} END{print n+0}' api_guard_test.go)"
 
 # fuzz-smoke gives each fuzz target that decodes or scans outside bytes a
-# short budget of fresh inputs: the analyzer against Analyze, Tokenize
-# and TagText at window-straddling block sizes, the lexicon key set
-# against the map, both searcher engines (and the checksum their FeedSum
+# short budget of fresh inputs: the analyzer against the whole-document
+# oracle in textproc/tokentest (statistics, word tokens, out-of-vocabulary
+# count) at window-straddling block sizes, the lexicon key set against the
+# oracle's lexicon lookup, both searcher engines (and the checksum their FeedSum
 # carries) against the reference walk in multisearch_ref_test.go and
 # hash/fnv, on fixed pattern sets and on sets drawn from the input that
 # land on both sides of the bitap stride budget, every production

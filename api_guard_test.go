@@ -32,7 +32,6 @@ var apiAllowlist = map[string]string{
 	"errs.retryAfterError.Unwrap":    "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
 	"par.CancelledError.Unwrap":      "interface satisfaction: errors.Is / errors.As walk it through an interface the errors package does not name",
 	"packstore.MmapSupported":        "build fact other packages' tests branch on: cli and vfs tests expect mappings only where the build makes them",
-	"workload.ComplexityOf":          "oracle: scan's and core's tests hold the analyzer kernel's complexity factor to it, from other packages",
 	"probe.SampleWithoutReplacement": "the paper's §5.1 random-sampling procedure: complexity_test.go's random-sample leg refits the model with it, and four TestSample* tests pin it",
 
 	"scan.Options.BlockSize":     "test seam: block-split tests run every kernel across block boundaries at sizes production never picks",
@@ -40,8 +39,9 @@ var apiAllowlist = map[string]string{
 }
 
 // TestExportedAPIHasProductionCallers keeps the internal packages' exported
-// API equal to what production calls, and every module package free of
-// unexported functions nothing calls (checkUnexportedFuncs). It type-checks every non-test
+// API equal to what production calls, every module package free of
+// unexported functions nothing calls (checkUnexportedFuncs), and test
+// support out of production (checkTestSupportImports). It type-checks every non-test
 // package of the two modules (the file sets come from `go list`, so they
 // are the default build's) and resolves each identifier to the object it
 // denotes: an exported func, method, constant or package-level variable of
@@ -153,6 +153,7 @@ func TestExportedAPIHasProductionCallers(t *testing.T) {
 		}
 	}
 	checkUnexportedFuncs(t, prog)
+	checkTestSupportImports(t, prog)
 }
 
 // checkUnexportedFuncs closes the hole the exported-API walk leaves: an
@@ -207,6 +208,28 @@ func checkUnexportedFuncs(t *testing.T, prog *production) {
 		}
 	}
 	t.Logf("checked %d unexported package-level functions", checked)
+}
+
+// checkTestSupportImports keeps the oracles in tests: no non-test package
+// of either module may import a test-support package, one whose last path
+// element ends in "test" (scan/kerneltest, textproc/bmhtest,
+// textproc/tokentest, corpus/corpustest). Those hold the reference
+// implementations the kernels are pinned to; a reference production can
+// call is a second implementation. They may import each other.
+func checkTestSupportImports(t *testing.T, prog *production) {
+	testSupport := func(path string) bool {
+		return strings.HasSuffix(path[strings.LastIndex(path, "/")+1:], "test")
+	}
+	for path, pkg := range prog.pkgs {
+		if testSupport(path) {
+			continue
+		}
+		for _, imp := range pkg.Imports() {
+			if prog.pkgs[imp.Path()] != nil && testSupport(imp.Path()) {
+				t.Errorf("%s imports the test-support package %s: an oracle belongs to tests", path, imp.Path())
+			}
+		}
+	}
 }
 
 // fieldsSet returns every struct field that a non-test file sets: names as

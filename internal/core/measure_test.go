@@ -10,6 +10,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/textproc"
 	"repro/internal/textproc/bmhtest"
+	"repro/internal/textproc/tokentest"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -61,7 +62,6 @@ func TestMeasureMatchesSeparatePasses(t *testing.T) {
 	}
 
 	// Stats, matches and complexity equal the per-file references.
-	tagger := textproc.NewTagger()
 	var wantTokens, wantWords int
 	var wantBytes int64
 	for _, f := range fs.List() {
@@ -70,10 +70,10 @@ func TestMeasureMatchesSeparatePasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantBytes += f.Size
-		st := textproc.Analyze(data)
+		st := textproc.TextStats(tokentest.Analyze(data))
 		wantTokens += st.Tokens
 		wantWords += st.Words
-		if want := workload.ComplexityOf(data, tagger); m.Complexity[f.Name] != want {
+		if want := workload.ComplexityFromStats(st, tokentest.OOVRate(data)); m.Complexity[f.Name] != want {
 			t.Fatalf("complexity[%s] = %v, want %v", f.Name, m.Complexity[f.Name], want)
 		}
 	}

@@ -21,8 +21,8 @@ type Style struct {
 	// (each clause adds words and a comma).
 	ClauseProb float64
 	// RareWordProb is the probability a content word is replaced by an
-	// out-of-lexicon token, forcing the tagger onto its suffix-guessing
-	// path.
+	// out-of-lexicon token, which the analyzer counts as out of
+	// vocabulary.
 	RareWordProb float64
 	// ZipfS is the Zipf exponent for word choice within an inventory
 	// (higher = more repetitive, easier text).
@@ -52,9 +52,6 @@ type Generator struct {
 	style Style
 	r     *rand.Rand
 	zipfs map[int]*rand.Zipf // one Zipf sampler per inventory length
-	// tagTrace accumulates the ground-truth tag of each generated token
-	// for TaggedSentence.
-	tagTrace []lexicon.Tag
 }
 
 // NewGenerator creates a generator with its own PRNG stream.
@@ -82,59 +79,51 @@ func (g *Generator) pick(words []string) string {
 	return words[z.Uint64()]
 }
 
-// rareWord fabricates an out-of-lexicon token with a recognisable suffix so
-// the tagger's guesser has something to work with.
+// rareWord fabricates an out-of-lexicon token: a stem and an English
+// derivational suffix.
 func (g *Generator) rareWord() string {
 	stems := []string{"quil", "brav", "morn", "vastel", "grend", "polt", "harve", "dulce", "ferv", "lumin"}
 	suffixes := []string{"ness", "tion", "ment", "ing", "ed", "ly", "ous", "ful", "er", "ism"}
 	return stems[g.r.Intn(len(stems))] + suffixes[g.r.Intn(len(suffixes))]
 }
 
-// contentWord draws from an open-class inventory, tracing either the
-// inventory's tag or Unknown when a fabricated rare word is substituted.
-func (g *Generator) contentWord(words []string, tag lexicon.Tag) string {
+// contentWord draws from an open-class inventory, or, with the style's
+// RareWordProb, fabricates a rare word instead.
+func (g *Generator) contentWord(words []string) string {
 	if g.r.Float64() < g.style.RareWordProb {
-		g.trace(lexicon.Unknown)
 		return g.rareWord()
 	}
-	g.trace(tag)
-	return g.pick(words)
-}
-
-// closedWord draws from a closed-class inventory and traces its tag.
-func (g *Generator) closedWord(words []string, tag lexicon.Tag) string {
-	g.trace(tag)
 	return g.pick(words)
 }
 
 // nounPhrase appends a determiner + optional adjective(s) + noun.
 func (g *Generator) nounPhrase(out []string) []string {
-	out = append(out, g.closedWord(lexicon.Determiners, lexicon.Det))
+	out = append(out, g.pick(lexicon.Determiners))
 	nAdj := 0
 	for g.r.Float64() < 0.35 && nAdj < 2 {
-		out = append(out, g.contentWord(lexicon.Adjectives, lexicon.Adjective))
+		out = append(out, g.contentWord(lexicon.Adjectives))
 		nAdj++
 	}
-	return append(out, g.contentWord(lexicon.Nouns, lexicon.Noun))
+	return append(out, g.contentWord(lexicon.Nouns))
 }
 
 // clause appends subject-verb-object words.
 func (g *Generator) clause(out []string) []string {
 	if g.r.Float64() < 0.3 {
-		out = append(out, g.closedWord(lexicon.Pronouns, lexicon.Pronoun))
+		out = append(out, g.pick(lexicon.Pronouns))
 	} else {
 		out = g.nounPhrase(out)
 	}
 	if g.r.Float64() < 0.2 {
-		out = append(out, g.closedWord(lexicon.Modals, lexicon.Modal))
+		out = append(out, g.pick(lexicon.Modals))
 	}
-	out = append(out, g.contentWord(lexicon.Verbs, lexicon.Verb))
+	out = append(out, g.contentWord(lexicon.Verbs))
 	if g.r.Float64() < 0.4 {
-		out = append(out, g.closedWord(lexicon.Adverbs, lexicon.Adverb))
+		out = append(out, g.pick(lexicon.Adverbs))
 	}
 	out = g.nounPhrase(out)
 	if g.r.Float64() < 0.5 {
-		out = append(out, g.closedWord(lexicon.Prepositions, lexicon.Prep))
+		out = append(out, g.pick(lexicon.Prepositions))
 		out = g.nounPhrase(out)
 	}
 	return out
@@ -143,17 +132,6 @@ func (g *Generator) clause(out []string) []string {
 // Sentence generates one sentence as a word slice (punctuation included as
 // separate trailing token ".").
 func (g *Generator) Sentence() []string {
-	words, _ := g.TaggedSentence()
-	return words
-}
-
-// TaggedSentence generates one sentence along with the ground-truth tag of
-// each token: the inventory each word was drawn from (rare fabricated
-// words are Unknown; ambiguous words carry the tag of the role they were
-// generated in). This is the gold standard the tagger is evaluated
-// against.
-func (g *Generator) TaggedSentence() ([]string, []lexicon.Tag) {
-	prev := len(g.tagTrace)
 	words := g.clause(nil)
 	// Grow subordinate clauses until the target length is reached or the
 	// clause lottery fails.
@@ -161,24 +139,14 @@ func (g *Generator) TaggedSentence() ([]string, []lexicon.Tag) {
 		if len(words) > 4*g.style.MeanSentenceLen {
 			break
 		}
-		words = append(words, ",")
-		g.trace(lexicon.Punct)
-		words = append(words, g.pick(lexicon.Conjunctions))
-		g.trace(lexicon.Conj)
+		words = append(words, ",", g.pick(lexicon.Conjunctions))
 		words = g.clause(words)
 		if g.r.Float64() > g.style.ClauseProb {
 			break
 		}
 	}
-	words = append(words, ".")
-	g.trace(lexicon.Punct)
-	tags := append([]lexicon.Tag(nil), g.tagTrace[prev:]...)
-	g.tagTrace = g.tagTrace[:0]
-	return words, tags
+	return append(words, ".")
 }
-
-// trace records the ground-truth tag of the token just generated.
-func (g *Generator) trace(t lexicon.Tag) { g.tagTrace = append(g.tagTrace, t) }
 
 // Text renders whole sentences until at least size bytes are produced, then
 // truncates to exactly size bytes (padding with spaces in the corner case of

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"repro/internal/cloudsim"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/provision"
+	"repro/internal/scan"
 	"repro/internal/textproc"
 	"repro/internal/workload"
 )
@@ -16,41 +18,35 @@ import (
 // nearly equal word count (Dubliners 67,496 words vs Agnes Grey 67,755 —
 // within 300) whose POS analysis differs by almost 2x (6m32s vs 3m48s)
 // because of sentence complexity. The books are generated synthetically in
-// matching styles, analysed by the real tagger, and priced by the POS cost
+// matching styles, measured in one pass of the analyzer kernel (sentence
+// statistics and out-of-vocabulary share), and priced by the POS cost
 // model.
 func Complexity(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := newReport("complexity", "Dubliners vs Agnes Grey: POS cost of text complexity")
-	tagger := textproc.NewTagger()
+	analyzer := textproc.NewAnalyzerKernel(textproc.NewTagger())
 	pos := workload.NewPOS()
 	_, in, err := qualifiedSetup(ctx, cfg.Seed, "complexity")
 	if err != nil {
 		return nil, err
 	}
-	type book struct {
-		spec corpus.BookSpec
-		text []byte
-	}
-	books := []book{
-		{spec: corpus.Dubliners()},
-		{spec: corpus.AgnesGrey()},
-	}
 	rep.Header = []string{"book", "words", "bytes", "mean sentence", "OOV rate", "complexity", "sim time"}
 	simMinutes := map[string]float64{}
-	for i := range books {
-		b := &books[i]
-		b.text = corpus.GenerateBook(b.spec, cfg.Seed)
-		st := textproc.Analyze(b.text)
-		_, res := tagger.TagText(b.text)
-		oov := float64(res.Unknown) / float64(res.Words)
-		complexity := workload.ComplexityFromStats(st, oov)
-		item := workload.Item{Size: int64(len(b.text)), Complexity: complexity}
+	for i, spec := range []corpus.BookSpec{corpus.Dubliners(), corpus.AgnesGrey()} {
+		text := corpus.GenerateBook(spec, cfg.Seed)
+		analyzer.Begin(scan.Source{Name: spec.Title, Size: int64(len(text))})
+		analyzer.Block(text)
+		analyzer.End()
+		f := analyzer.Files()[i]
+		oov := float64(f.Unknown) / float64(f.Stats.Words)
+		complexity := core.FileComplexity(f)
+		item := workload.Item{Size: int64(len(text)), Complexity: complexity}
 		simT := pos.Process(item, 80, in) + pos.PerFile(in) + pos.Startup(in)
-		simMinutes[b.spec.Title] = simT.Minutes()
-		rep.addRow(b.spec.Title,
-			fmt.Sprintf("%d", corpus.CountWords(b.text)),
-			fmtBytes(int64(len(b.text))),
-			fmt.Sprintf("%.1f", st.MeanSentence),
+		simMinutes[spec.Title] = simT.Minutes()
+		rep.addRow(spec.Title,
+			fmt.Sprintf("%d", corpus.CountWords(text)),
+			fmtBytes(int64(len(text))),
+			fmt.Sprintf("%.1f", f.Stats.MeanSentence),
 			fmt.Sprintf("%.3f", oov),
 			fmt.Sprintf("%.2f", complexity),
 			fmt.Sprintf("%.1f min", simT.Minutes()))

@@ -1,36 +1,13 @@
 // Package lexicon holds the embedded English word inventory shared by the
-// synthetic text generator (internal/corpus) and the part-of-speech tagger
-// (internal/textproc). Keeping one inventory in one place guarantees the
-// generator emits text the tagger genuinely understands, while the
-// deliberately ambiguous entries and the open-class gaps exercise the
-// tagger's disambiguation and suffix-guessing paths.
+// synthetic text generator (internal/corpus) and the text analyzer
+// (internal/textproc). Keeping one inventory in one place means every word
+// the generator draws from it is in vocabulary to the analyzer; the rare
+// words the generator fabricates are the ones the analyzer counts as out
+// of vocabulary, a share the paper's POS cost grows with.
 package lexicon
 
-// Tag is a coarse part-of-speech tag (a compact Penn-Treebank-like set).
-type Tag string
-
-// The tag inventory.
-const (
-	Noun      Tag = "NN"
-	PluralN   Tag = "NNS"
-	ProperN   Tag = "NNP"
-	Verb      Tag = "VB"
-	VerbPast  Tag = "VBD"
-	VerbGer   Tag = "VBG"
-	Adjective Tag = "JJ"
-	Adverb    Tag = "RB"
-	Det       Tag = "DT"
-	Prep      Tag = "IN"
-	Pronoun   Tag = "PRP"
-	Conj      Tag = "CC"
-	Modal     Tag = "MD"
-	Number    Tag = "CD"
-	Punct     Tag = "PUNCT"
-	Unknown   Tag = "UNK"
-)
-
 // Determiners, prepositions, pronouns, conjunctions and modals are closed
-// classes: the tagger knows all of them.
+// classes: the lexicon holds all of them.
 var (
 	Determiners  = []string{"the", "a", "an", "this", "that", "these", "those", "each", "every", "some", "any", "no"}
 	Prepositions = []string{"of", "in", "on", "at", "by", "for", "with", "from", "into", "through", "over", "under", "between", "against", "during", "without", "within", "toward", "upon", "about"}
@@ -40,7 +17,7 @@ var (
 )
 
 // Open-class inventories. These drive both generation (picked by Zipf rank)
-// and tagging (lexicon lookup).
+// and the analyzer's out-of-vocabulary test (lexicon lookup).
 var (
 	Nouns = []string{
 		"time", "year", "people", "way", "day", "man", "thing", "woman", "life", "child",
@@ -81,56 +58,15 @@ var (
 	}
 )
 
-// Ambiguous words carry more than one plausible tag; the first entry is the
-// most frequent reading. They force the tagger's transition model to do real
-// work (e.g. "work" as noun vs. verb).
-var Ambiguous = map[string][]Tag{
-	"work":  {Noun, Verb},
-	"play":  {Verb, Noun},
-	"run":   {Verb, Noun},
-	"open":  {Adjective, Verb},
-	"right": {Adjective, Noun, Adverb},
-	"set":   {Verb, Noun},
-	"watch": {Verb, Noun},
-	"back":  {Adverb, Noun, Verb},
-	"study": {Noun, Verb},
-	"call":  {Verb, Noun},
-	"show":  {Verb, Noun},
-	"move":  {Verb, Noun},
-	"turn":  {Verb, Noun},
-	"walk":  {Verb, Noun},
-	"that":  {Det, Conj},
-	"so":    {Adverb, Conj},
-	"down":  {Adverb, Prep},
-	"up":    {Adverb, Prep},
-	"out":   {Adverb, Prep},
-	"in":    {Prep, Adverb},
-}
-
-// Entries returns the full word → candidate-tags lexicon. The map is built
-// fresh on each call so callers may mutate their copy.
-func Entries() map[string][]Tag {
-	lex := make(map[string][]Tag, 512)
-	add := func(words []string, tag Tag) {
+// Entries returns the lexicon: the set of every inventory's words. The
+// map is built fresh on each call so callers may mutate their copy.
+func Entries() map[string]struct{} {
+	lex := make(map[string]struct{}, 512)
+	for _, words := range [][]string{Determiners, Prepositions, Pronouns, Conjunctions, Modals,
+		Nouns, Verbs, Adjectives, Adverbs, ProperNouns} {
 		for _, w := range words {
-			if _, ok := lex[w]; !ok {
-				lex[w] = []Tag{tag}
-			}
+			lex[w] = struct{}{}
 		}
 	}
-	// Ambiguous entries take priority: install them first.
-	for w, tags := range Ambiguous {
-		lex[w] = append([]Tag(nil), tags...)
-	}
-	add(Determiners, Det)
-	add(Prepositions, Prep)
-	add(Pronouns, Pronoun)
-	add(Conjunctions, Conj)
-	add(Modals, Modal)
-	add(Nouns, Noun)
-	add(Verbs, Verb)
-	add(Adjectives, Adjective)
-	add(Adverbs, Adverb)
-	add(ProperNouns, ProperN)
 	return lex
 }

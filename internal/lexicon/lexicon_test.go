@@ -1,60 +1,55 @@
 package lexicon
 
-import "testing"
+import (
+	"hash/fnv"
+	"sort"
+	"testing"
+)
+
+// inventories lists every word list the lexicon is built from.
+func inventories() map[string][]string {
+	return map[string][]string{
+		"det": Determiners, "prep": Prepositions, "pron": Pronouns, "conj": Conjunctions, "mod": Modals,
+		"noun": Nouns, "verb": Verbs, "adj": Adjectives, "adv": Adverbs, "proper": ProperNouns,
+	}
+}
 
 func TestEntriesCoverAllInventories(t *testing.T) {
 	lex := Entries()
-	check := func(words []string, want Tag) {
-		t.Helper()
+	for class, words := range inventories() {
 		for _, w := range words {
-			tags, ok := lex[w]
-			if !ok {
-				t.Errorf("word %q missing from lexicon", w)
-				continue
-			}
-			// Either the inventory tag is the primary reading or the word
-			// is deliberately ambiguous and carries it somewhere.
-			found := false
-			for _, tag := range tags {
-				if tag == want {
-					found = true
-				}
-			}
-			if _, ambiguous := Ambiguous[w]; !found && !ambiguous {
-				t.Errorf("word %q tags %v lack %v", w, tags, want)
+			if _, ok := lex[w]; !ok {
+				t.Errorf("%s word %q missing from lexicon", class, w)
 			}
 		}
 	}
-	check(Determiners, Det)
-	check(Prepositions, Prep)
-	check(Pronouns, Pronoun)
-	check(Conjunctions, Conj)
-	check(Modals, Modal)
-	check(Nouns, Noun)
-	check(Verbs, Verb)
-	check(Adjectives, Adjective)
-	check(Adverbs, Adverb)
-	check(ProperNouns, ProperN)
 }
 
-func TestAmbiguousEntriesHaveMultipleTags(t *testing.T) {
+// TestEntriesKeySetIsPinned holds the lexicon to its recorded key set:
+// every out-of-vocabulary count the repository reports — the complexity
+// experiment's, the measured profiles', every golden — is a membership
+// test against these keys, so any change to them changes those numbers.
+func TestEntriesKeySetIsPinned(t *testing.T) {
 	lex := Entries()
-	for w, tags := range Ambiguous {
-		if len(tags) < 2 {
-			t.Errorf("ambiguous word %q has %d tags", w, len(tags))
-		}
-		got := lex[w]
-		if len(got) != len(tags) {
-			t.Errorf("lexicon lost ambiguity for %q: %v", w, got)
-		}
+	keys := make([]string, 0, len(lex))
+	for k := range lex {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	h := fnv.New64a()
+	for _, k := range keys {
+		h.Write([]byte(k))
+		h.Write([]byte{0})
+	}
+	if len(keys) != 336 || h.Sum64() != 0x45476f142f029876 {
+		t.Errorf("lexicon has %d keys, digest %#x; recorded: 336, 0x45476f142f029876", len(keys), h.Sum64())
 	}
 }
 
 func TestEntriesFreshCopy(t *testing.T) {
 	a := Entries()
-	a["the"] = []Tag{Unknown}
-	b := Entries()
-	if b["the"][0] != Det {
+	delete(a, "the")
+	if _, ok := Entries()["the"]; !ok {
 		t.Error("Entries returns shared state")
 	}
 }
@@ -67,19 +62,10 @@ func TestSize(t *testing.T) {
 
 func TestNoDuplicateWordsAcrossClosedClasses(t *testing.T) {
 	seen := map[string]string{}
-	classes := map[string][]string{
-		"det":  Determiners,
-		"prep": Prepositions,
-		"pron": Pronouns,
-		"conj": Conjunctions,
-		"mod":  Modals,
-	}
-	for class, words := range classes {
-		for _, w := range words {
+	for _, class := range []string{"det", "prep", "pron", "conj", "mod"} {
+		for _, w := range inventories()[class] {
 			if prev, dup := seen[w]; dup {
-				if _, ok := Ambiguous[w]; !ok {
-					t.Errorf("word %q in both %s and %s without an Ambiguous entry", w, prev, class)
-				}
+				t.Errorf("word %q in both %s and %s", w, prev, class)
 			}
 			seen[w] = class
 		}

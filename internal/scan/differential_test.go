@@ -15,6 +15,7 @@ import (
 	"repro/internal/scan/kerneltest"
 	"repro/internal/textproc"
 	"repro/internal/textproc/bmhtest"
+	"repro/internal/textproc/tokentest"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -59,8 +60,9 @@ func diffCorpus(t *testing.T, n int) *vfs.FS {
 // TestFusedScanMatchesReferenceImplementations is the acceptance
 // differential: one fused run of the measurement's kernel assembly must
 // be bit-identical to the per-kernel reference implementations
-// (vfs.Checksum, textproc.Analyze, per-pattern Searcher counts,
-// workload.ComplexityOf) at workers 1, 2 and 8 and every conformance
+// (vfs.Checksum, tokentest.Analyze, per-pattern bmhtest counts, the
+// complexity factor of tokentest's statistics and out-of-vocabulary rate)
+// at workers 1, 2 and 8 and every conformance
 // block size — down to one byte, where every token, match and rune
 // straddles a block boundary. A statistics-only analyzer kernel rides
 // along: without a lexicon it must report the same statistics and no
@@ -113,10 +115,10 @@ func TestFusedScanMatchesReferenceImplementations(t *testing.T) {
 		}
 		refs[i] = ref{
 			sum:        sum,
-			stats:      textproc.Analyze(data),
+			stats:      textproc.TextStats(tokentest.Analyze(data)),
 			lines:      int64(bytes.Count(data, []byte("\n"))),
 			counts:     counts,
-			complexity: workload.ComplexityOf(data, tagger),
+			complexity: workload.ComplexityFromStats(textproc.TextStats(tokentest.Analyze(data)), tokentest.OOVRate(data)),
 		}
 	}
 

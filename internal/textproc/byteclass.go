@@ -1,13 +1,11 @@
 package textproc
 
 // Byte classification is centralised in two 256-entry tables shared by
-// every byte-at-a-time scanner in the pipeline — the tokenizer, the
-// streaming stats analyzer, the multi-searcher's folded tables and the
-// tagger's lexicon fold. One table means one definition of "word byte"
-// and one fold rule: the reshaping experiments
-// depend on the tokenizer and the stream analyzer agreeing bit-for-bit,
-// and a single lookup per byte is also the cheapest classification the
-// hot loops can do (no multi-compare chains, no branch mispredicts on
+// every byte-at-a-time scanner in the pipeline — the streaming stats
+// analyzer, the multi-searcher's folded tables and the lexicon fold. One
+// table means one definition of "word byte" and one fold rule, and a
+// single lookup per byte is also the cheapest classification the hot
+// loops can do (no multi-compare chains, no branch mispredicts on
 // mixed-case text).
 //
 // Class semantics are frozen by the differential tests: words are
@@ -93,9 +91,6 @@ func buildStreamClass() (t [256]uint8) {
 
 // isWordByte reports whether c continues a word token: [a-zA-Z0-9'].
 func isWordByte(c byte) bool { return classTable[c]&ClassWord != 0 }
-
-// isSpaceByte reports whether c is tokenizer whitespace.
-func isSpaceByte(c byte) bool { return classTable[c]&ClassSpace != 0 }
 
 // isUpperByte reports whether c is an ASCII uppercase letter.
 func isUpperByte(c byte) bool { return classTable[c]&ClassUpper != 0 }

@@ -7,7 +7,7 @@ import (
 
 // TestClassTableMatchesPredicates pins the shared tables to the original
 // predicate definitions, byte by byte over the full 256-entry range —
-// the tokenizer, stream analyzer, searchers and lexicon fold all read
+// the stream analyzer, searchers and lexicon fold all read
 // these tables, so a drifted entry would silently change every scanner
 // at once.
 func TestClassTableMatchesPredicates(t *testing.T) {
@@ -18,8 +18,8 @@ func TestClassTableMatchesPredicates(t *testing.T) {
 		wantLetter := b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z'
 		wantDigit := b >= '0' && b <= '9'
 		wantUpper := b >= 'A' && b <= 'Z'
-		if got := isSpaceByte(b); got != wantSpace {
-			t.Errorf("isSpaceByte(%#x) = %v, want %v", b, got, wantSpace)
+		if got := classTable[b]&ClassSpace != 0; got != wantSpace {
+			t.Errorf("ClassSpace(%#x) = %v, want %v", b, got, wantSpace)
 		}
 		if got := isWordByte(b); got != wantWord {
 			t.Errorf("isWordByte(%#x) = %v, want %v", b, got, wantWord)
@@ -85,7 +85,7 @@ func TestSWARMasksMatchClassTable(t *testing.T) {
 					if isWordByte(c) {
 						wantWord |= 1 << k
 					}
-					if isSpaceByte(c) {
+					if classTable[c]&ClassSpace != 0 {
 						wantSpace |= 1 << k
 					}
 				}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fnv64"
 	"repro/internal/scan"
 	"repro/internal/scan/kerneltest"
+	"repro/internal/textproc/tokentest"
 )
 
 // fuzzSearcherSets covers both engines, both bitap loops and both folding
@@ -257,23 +258,22 @@ func windowSeed(off int) []byte {
 	return fill(seed, len(seed)+windowBytes+lexKeyMax)
 }
 
-// analyzerOracleDiff holds the analyzer to its oracles over data fed in
-// blocks of each given size: statistics equal Analyze, lines equal the
-// newline count, the emitted words equal Tokenize's non-punctuation
-// tokens, and the kernel's lexicon count equals TagText's Unknown. It
-// returns the first difference, or "".
+// analyzerOracleDiff holds the analyzer to the tokentest oracle over data
+// fed in blocks of each given size: statistics equal tokentest.Analyze,
+// lines equal the newline count, the emitted words equal
+// tokentest.Tokenize's non-punctuation tokens, and the kernel's lexicon
+// count equals tokentest.Unknown. It returns the first difference, or "".
 func analyzerOracleDiff(tagger *Tagger, data []byte, blockSizes ...int) string {
-	want := Analyze(data)
+	want := TextStats(tokentest.Analyze(data))
 	wantLines := int64(bytes.Count(data, []byte("\n")))
 	var wantWords bytes.Buffer
-	for _, tok := range Tokenize(data) {
+	for _, tok := range tokentest.Tokenize(data) {
 		if !tok.Punct {
 			wantWords.WriteString(tok.Text)
 			wantWords.WriteByte(0)
 		}
 	}
-	_, tagged := tagger.TagText(data)
-	wantFile := FileStats{Name: "fuzz", Stats: want, Lines: wantLines, Unknown: tagged.Unknown}
+	wantFile := FileStats{Name: "fuzz", Stats: want, Lines: wantLines, Unknown: tokentest.Unknown(data)}
 	for _, bs := range blockSizes {
 		var words bytes.Buffer
 		a := &StreamAnalyzer{onWord: func(w []byte) {
@@ -288,10 +288,10 @@ func analyzerOracleDiff(tagger *Tagger, data []byte, blockSizes ...int) string {
 		}
 		k.End()
 		if st, lines := a.Finish(); st != want || lines != wantLines {
-			return fmt.Sprintf("block size %d: callback analyzer has %+v and %d lines, Analyze %+v and %d", bs, st, lines, want, wantLines)
+			return fmt.Sprintf("block size %d: callback analyzer has %+v and %d lines, the oracle %+v and %d", bs, st, lines, want, wantLines)
 		}
 		if words.String() != wantWords.String() {
-			return fmt.Sprintf("block size %d: words %q, Tokenize %q", bs, words.String(), wantWords.String())
+			return fmt.Sprintf("block size %d: words %q, the oracle %q", bs, words.String(), wantWords.String())
 		}
 		if got := k.Files()[0]; got != wantFile {
 			return fmt.Sprintf("block size %d: lexicon kernel has %+v, want %+v", bs, got, wantFile)
@@ -399,17 +399,17 @@ func FuzzKernelRestore(f *testing.F) {
 	})
 }
 
-// FuzzKnownWord pins the frozen key set to the lexicon map on arbitrary
-// bytes: NULs, non-ASCII, over-long words and all.
+// FuzzKnownWord pins the frozen key set, and the map lookup beside it, to
+// the oracle's lexicon membership on arbitrary bytes: NULs, non-ASCII,
+// over-long words and all.
 func FuzzKnownWord(f *testing.F) {
 	for _, w := range []string{"the", "The", "london", "London", "international", "internationally", "\u212aNOW" /* Kelvin sign: ToLower gives "know" */, "the\x00", "", "don't", "é", "Él"} {
 		f.Add([]byte(w))
 	}
 	tagger := NewTagger()
 	f.Fuzz(func(t *testing.T, word []byte) {
-		_, want := tagger.lex[lowerWord(string(word))]
-		if got := tagger.KnownWord(word); got != want {
-			t.Fatalf("KnownWord(%q) = %v, the map says %v", word, got, want)
+		if got, want := tagger.KnownWord(word), tokentest.Known(string(word)); got != want {
+			t.Fatalf("KnownWord(%q) = %v, the oracle says %v", word, got, want)
 		}
 	})
 }

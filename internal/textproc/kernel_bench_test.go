@@ -122,14 +122,3 @@ func BenchmarkKernelComplexityPerMB(b *testing.B) {
 	tagger := textproc.NewTagger()
 	benchKernelPerMB(b, func() scan.Kernel { return textproc.NewAnalyzerKernel(tagger) })
 }
-
-func BenchmarkPOSTagger100kB(b *testing.B) {
-	g := corpus.NewGenerator(corpus.NewsStyle(), 4)
-	text := g.Text(100_000)
-	tagger := textproc.NewTagger()
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tagger.TagText(text)
-	}
-}

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-
-	"repro/internal/lexicon"
 )
 
 // lexKeyMax is the longest key a lexSet can hold: two little-endian
@@ -27,7 +25,7 @@ type lexSet struct {
 	shift uint        // 64 - log2(len(slots))
 }
 
-func newLexSet(lex map[string][]lexicon.Tag) *lexSet {
+func newLexSet(lex map[string]struct{}) *lexSet {
 	s := &lexSet{slots: make([][2]uint64, 1), shift: 64}
 	for len(s.slots) < 4*len(lex) {
 		s.slots, s.shift = make([][2]uint64, 2*len(s.slots)), s.shift-1

@@ -3,8 +3,6 @@ package textproc
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/lexicon"
 )
 
 // TestLexSetHoldsExactlyItsKeys builds sets three times the embedded
@@ -13,10 +11,10 @@ import (
 // key's prefix, its extension nor its neighbour may be.
 func TestLexSetHoldsExactlyItsKeys(t *testing.T) {
 	for seed := 0; seed < 8; seed++ {
-		lex := make(map[string][]lexicon.Tag)
+		lex := make(map[string]struct{})
 		for i := 0; len(lex) < 1000; i++ {
 			key := fmt.Sprintf("%d'%x%o", seed, i*7919, i)
-			lex[key[:1+(i+len(key))%min(len(key), lexKeyMax)]] = nil
+			lex[key[:1+(i+len(key))%min(len(key), lexKeyMax)]] = struct{}{}
 		}
 		set := newLexSet(lex)
 		for key := range lex {

@@ -1,3 +1,11 @@
+// Package textproc implements the two real text-processing applications the
+// paper evaluates, as scan kernels over real bytes: a streaming
+// multi-pattern search (the grep stand-in, MatchKernel) and a streaming
+// text analyzer (the Stanford-tagger stand-in, StatsKernel), which measures
+// what the paper's POS cost depends on — volume, sentence length and the
+// share of out-of-vocabulary words — in one pass. Because both read real
+// bytes, reshaping experiments can verify end to end that merging files
+// never changes application output.
 package textproc
 
 import (
@@ -12,15 +20,31 @@ import (
 	"repro/internal/scan"
 )
 
+// TextStats summarises the linguistic shape of a text; the workload cost
+// model uses it to price POS tagging (sentence length is the paper's
+// "important parameter for POS tagging", §5.2). Words are maximal
+// [a-zA-Z0-9'] runs and the single letter or digit runes; every other
+// non-space byte, with the UTF-8 continuation bytes after it, is a
+// punctuation token; a lone '.', '!' or '?' ends a sentence, and a
+// trailing fragment counts as one.
+type TextStats struct {
+	Tokens       int
+	Words        int // non-punctuation tokens
+	Sentences    int
+	MeanSentence float64 // mean words per sentence
+	MaxSentence  int
+}
+
 // StreamAnalyzer computes TextStats incrementally over a byte stream fed
-// in arbitrary blocks, producing exactly what Analyze returns on the
-// concatenated bytes — the differential tests pin this bit-for-bit. The
-// cross-block carry is bounded: the in-flight token only (an open word's
-// first lexKeyMax+1 bytes when a lexicon is set, or at most the first four
-// bytes of an open rune chunk); completed bytes are never re-buffered.
+// in arbitrary blocks, producing exactly what the whole-document oracle
+// (textproc/tokentest) computes on the concatenated bytes — the
+// differential tests pin this bit-for-bit. The cross-block carry is
+// bounded: the in-flight token only (an open word's first lexKeyMax+1
+// bytes when a lexicon is set, or at most the first four bytes of an open
+// rune chunk); completed bytes are never re-buffered.
 //
 // With a lexicon set the analyzer also counts the words that are not in
-// it — every non-punctuation token, exactly TagText's Unknown — in the
+// it — every non-punctuation token that Tagger.KnownWord rejects — in the
 // same pass. The word callback is the tests' view of the same tokens
 // (word bytes are valid only during the call); it alone carries an open
 // word's bytes without bound.
@@ -58,8 +82,8 @@ func (a *StreamAnalyzer) Reset() {
 	a.chunkLen = 0
 }
 
-// Block feeds the next window of the stream. Token boundaries are the
-// tokenizer's: words are maximal [a-zA-Z0-9'] runs, whitespace separates,
+// Block feeds the next window of the stream. Token boundaries are
+// TextStats': words are maximal [a-zA-Z0-9'] runs, whitespace separates,
 // and any other byte starts a chunk that absorbs following UTF-8
 // continuation bytes.
 //
@@ -71,7 +95,7 @@ func (a *StreamAnalyzer) Reset() {
 // per-byte streamClass loop, which takes the rest — a carried word's
 // continuation, a stretch with a byte >= 0x80 (only it knows rune chunks),
 // the block's tail. The differential, conformance and fuzz tests pin the
-// result bit-identical to Analyze at every block split.
+// result bit-identical to the tokentest oracle at every block split.
 func (a *StreamAnalyzer) Block(p []byte) {
 	i, n := 0, len(p)
 	if a.inChunk {
@@ -316,10 +340,9 @@ func (a *StreamAnalyzer) endWord(tail []byte) {
 	a.wordBuf = a.wordBuf[:0]
 }
 
-// finishChunk classifies the completed rune chunk exactly as Tokenize
-// does: it is a word token iff its bytes decode to a single letter or
-// digit rune spanning the whole chunk; a lone '.', '!' or '?' ends the
-// sentence.
+// finishChunk classifies the completed rune chunk: it is a word token iff
+// its bytes decode to a single letter or digit rune spanning the whole
+// chunk; a lone '.', '!' or '?' ends the sentence.
 func (a *StreamAnalyzer) finishChunk() {
 	a.st.Tokens++
 	a.tokensInSent++
@@ -366,10 +389,8 @@ type FileStats struct {
 // StreamAnalyzer under the scan engine: token/sentence/line statistics
 // per file and corpus-wide, and — when it carries a tagger — each file's
 // out-of-vocabulary word count from the same pass, by the tagger's
-// lexicon-membership test. TagText's Unknown/Words ratio is exactly
-// lexicon membership counted over non-punctuation tokens, so no tagging is
-// needed; callers derive the POS complexity from (Stats, Unknown) when
-// they assemble results.
+// lexicon-membership test. Callers derive the POS complexity from
+// (Stats, Unknown) when they assemble results (core.FileComplexity).
 //
 // Block-retention contract: the kernel never keeps a reference into the
 // delivered block — the analyzer carries only its bounded in-flight token

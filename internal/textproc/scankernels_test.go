@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/lexicon"
 	"repro/internal/scan"
+	"repro/internal/textproc/tokentest"
 )
 
 // analyzerTexts exercise every tokenizer edge: sentence enders, trailing
@@ -29,7 +30,7 @@ var analyzerTexts = []string{
 func TestStreamAnalyzerMatchesAnalyzeAtAnySplit(t *testing.T) {
 	for ti, text := range analyzerTexts {
 		data := []byte(text)
-		want := Analyze(data)
+		want := TextStats(tokentest.Analyze(data))
 		wantLines := int64(bytes.Count(data, []byte("\n")))
 		for _, block := range []int{1, 2, 3, 5, 7, 64, len(data) + 1} {
 			a := new(StreamAnalyzer)
@@ -55,7 +56,7 @@ func TestStreamAnalyzerWordCallbackSeesEveryWordToken(t *testing.T) {
 	for ti, text := range analyzerTexts {
 		data := []byte(text)
 		var want []string
-		for _, tok := range Tokenize(data) {
+		for _, tok := range tokentest.Tokenize(data) {
 			if !tok.Punct {
 				want = append(want, tok.Text)
 			}
@@ -90,7 +91,7 @@ func TestStreamAnalyzerResetClearsState(t *testing.T) {
 	a.Reset()
 	a.Block([]byte("two words."))
 	st, _ := a.Finish()
-	want := Analyze([]byte("two words."))
+	want := TextStats(tokentest.Analyze([]byte("two words.")))
 	if st != want {
 		t.Fatalf("after Reset: %+v, want %+v", st, want)
 	}
@@ -104,11 +105,7 @@ func TestTaggerKnownWordMatchesLexiconMembership(t *testing.T) {
 		strings.Repeat("Long", 40), // > 64 bytes with uppercase
 	}
 	for _, w := range words {
-		want := func() bool {
-			_, ok := tagger.lex[lowerWord(w)]
-			return ok
-		}()
-		if got := tagger.KnownWord([]byte(w)); got != want {
+		if got, want := tagger.KnownWord([]byte(w)), tokentest.Known(w); got != want {
 			t.Errorf("KnownWord(%q) = %v, want %v", w, got, want)
 		}
 	}
@@ -141,12 +138,13 @@ func kernelUnknown(t *testing.T, tagger *Tagger, text []byte) FileStats {
 // TestLexiconSetMatchesMap is the set-vs-map differential: for every
 // lexicon key in three casings and for words on every side of the packed
 // key's 8- and 16-byte edges, Tagger.KnownWord and the window loop's
-// lookup both answer exactly what the map answers for the folded word.
+// lookup both answer exactly what the oracle's map lookup answers for the
+// folded word.
 //
 // That includes the proper-noun quirk. The lexicon stores "London"
 // verbatim, every lookup folds the query to "london", so the proper-noun
 // keys are unreachable: "London" and "london" are both unknown words, in
-// TagText and here alike. The set must keep it that way — storing keys
+// the oracle and here alike. The set must keep it that way — storing keys
 // folded would change every Unknown count the repository has recorded.
 // Whether the tagger should know its proper nouns is not a question for a
 // change to how membership is computed.
@@ -162,22 +160,21 @@ func TestLexiconSetMatchesMap(t *testing.T) {
 	words = append(words, "the1", "1the", "42", "don't", "the'", "'the", "é", "Él", "ÉL", "thé")
 	pad := strings.Repeat(" ", windowBytes+lexKeyMax)
 	for _, w := range words {
-		_, want := tagger.lex[lowerWord(w)]
+		want := tokentest.Known(w)
 		if got := tagger.KnownWord([]byte(w)); got != want {
-			t.Errorf("KnownWord(%q) = %v, the map says %v", w, got, want)
+			t.Errorf("KnownWord(%q) = %v, the oracle says %v", w, got, want)
 		}
 		// The same word at the window loop's first byte, across its lane
 		// edge and against its last byte.
 		for _, lead := range []int{0, 5, windowBytes - len(w)%windowBytes} {
 			text := []byte(strings.Repeat(" ", lead) + w + pad)
-			_, tagged := tagger.TagText(text)
 			got := kernelUnknown(t, tagger, text)
-			if got.Unknown != tagged.Unknown || got.Stats.Words != tagged.Words {
-				t.Errorf("kernel over %q at offset %d: %d unknown of %d words, TagText %d of %d",
-					w, lead, got.Unknown, got.Stats.Words, tagged.Unknown, tagged.Words)
+			if wantUnknown, wantWords := tokentest.Unknown(text), tokentest.Analyze(text).Words; got.Unknown != wantUnknown || got.Stats.Words != wantWords {
+				t.Errorf("kernel over %q at offset %d: %d unknown of %d words, the oracle %d of %d",
+					w, lead, got.Unknown, got.Stats.Words, wantUnknown, wantWords)
 			}
 			if isWordRun(w) && (got.Unknown == 0) != want {
-				t.Errorf("kernel over %q at offset %d: unknown %d, the map says known=%v", w, lead, got.Unknown, want)
+				t.Errorf("kernel over %q at offset %d: unknown %d, the oracle says known=%v", w, lead, got.Unknown, want)
 			}
 		}
 	}

@@ -33,7 +33,7 @@ func wordMask8(x uint64) uint64 {
 		(x+(swarGE-'\''*swarOnes))&^(x+(swarGE-('\''+1)*swarOnes))) & swarHigh
 }
 
-// spaceMask8 is wordMask8 for the tokenizer's whitespace: '\t' and '\n'
+// spaceMask8 is wordMask8 for the analyzer's whitespace: '\t' and '\n'
 // (adjacent), '\r' and ' '. ASCII lanes only.
 func spaceMask8(x uint64) uint64 {
 	return ((x+(swarGE-'\t'*swarOnes))&^(x+(swarGE-('\n'+1)*swarOnes)) |

@@ -241,18 +241,6 @@ func ComplexityFromStats(st textproc.TextStats, oovRate float64) float64 {
 	return c
 }
 
-// ComplexityOf analyses real text with the real tagger and returns its
-// complexity factor.
-func ComplexityOf(text []byte, tagger *textproc.Tagger) float64 {
-	st := textproc.Analyze(text)
-	oov := 0.0
-	if tagger != nil && st.Words > 0 {
-		_, res := tagger.TagText(text)
-		oov = float64(res.Unknown) / float64(res.Words)
-	}
-	return ComplexityFromStats(st, oov)
-}
-
 // NewStatsComplexityKernel returns the analyzer kernel over the tagger's
 // lexicon. It exists for benchmark/probes.go, which names it; everything
 // else calls textproc.NewAnalyzerKernel.

@@ -51,12 +51,14 @@ verify-quick:
 	$(GO) test ./...
 
 # size prints the counts ROADMAP.md's Size section tracks: non-test Go
-# lines under internal/ and cmd/, test lines outside benchmark/, and the
-# entries of the API guard's allowlist (api_guard_test.go).
+# lines under internal/ and cmd/, test lines outside benchmark/, the
+# entries of the API guard's allowlist (api_guard_test.go), and the
+# command-line flags the commands register (flag.X / fs.XVar calls).
 size:
 	@echo "non-test Go lines under internal/ + cmd/: $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test lines outside benchmark/: $$(find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 	@echo "apiAllowlist entries: $$(awk '/^var apiAllowlist = /{on=1; next} on && /^}/{on=0} on && /^\t"/{n++} END{print n+0}' api_guard_test.go)"
+	@echo "command-line flags under cmd/ + internal/cli: $$(grep -rhoE '\b(flag|fs)\.((Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?|Var|TextVar|Func|BoolFunc)\(' --include='*.go' --exclude='*_test.go' cmd internal/cli | wc -l)"
 
 # fuzz-smoke gives each fuzz target that decodes or scans outside bytes a
 # short budget of fresh inputs: the analyzer against the whole-document

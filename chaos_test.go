@@ -21,9 +21,10 @@ var (
 // binary is): retries absorbing injected read faults, kills and latency
 // bit-identically at any worker count, the schedule replaying from its
 // seed, a systemic fault failing the run with its cause, an HTTP fleet
-// outliving a dead peer, crash → resume from the checkpoint journal, and
-// a corrupted shard failing strict reads but degrading deterministically
-// under -allow-partial.
+// outliving a dead peer, crash → resume from the checkpoint journal, an
+// injected bit flip failing the run as corruption, and a corrupted shard
+// failing strict reads but degrading deterministically under
+// -allow-partial.
 func TestChaosEndToEnd(t *testing.T) {
 	bin := commandBins(t)
 	work := t.TempDir()
@@ -148,6 +149,14 @@ func TestChaosEndToEnd(t *testing.T) {
 		}
 	})
 
+	// A flipped bit is data that no longer matches its stored sum: the
+	// read that meets it fails the run instead of skewing the result.
+	t.Run("an injected bit flip fails the run as corruption", func(t *testing.T) {
+		if out := failCommand(t, pipeline, 1, measure("-fault", "seed=1,bitflip=1")...); !strings.Contains(out, "corrupt") {
+			t.Errorf("the failure does not mention corruption:\n%s", out)
+		}
+	})
+
 	// Last, because it damages the shards: flip one payload byte on disk
 	// (offset 200 sits inside the first member's payload: 8 B pack header
 	// + 16 B record prefix + name, then ~4000 B of unit content).
@@ -159,12 +168,12 @@ func TestChaosEndToEnd(t *testing.T) {
 		sort.Strings(shards)
 		flipByte(t, shards[len(shards)-1], 200)
 
-		if out := failCommand(t, pipeline, 1, measure("-verify-reads")...); !strings.Contains(out, "corrupt") {
+		if out := failCommand(t, pipeline, 1, measure()...); !strings.Contains(out, "corrupt") {
 			t.Errorf("strict failure does not mention corruption:\n%s", out)
 		}
 		var degraded string
 		for _, w := range []string{"1", "2"} {
-			m := runPipeline(t, pipeline, measure("-verify-reads", "-allow-partial", "-workers", w)...)
+			m := runPipeline(t, pipeline, measure("-allow-partial", "-workers", w)...)
 			if !strings.Contains(m.out, "DEGRADED RESULT") {
 				t.Errorf("degraded -workers %s run printed no manifest:\n%s", w, m.out)
 			}

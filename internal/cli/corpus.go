@@ -20,7 +20,6 @@ type Corpus struct {
 	scale            float64
 	seed             int64
 	faultSpec        string
-	verifyReads      bool
 }
 
 // CorpusFlags registers -packs, -dir, -spec, -scale and -seed on fs;
@@ -35,11 +34,9 @@ func CorpusFlags(fs *flag.FlagSet, scale float64) *Corpus {
 	return c
 }
 
-// FaultFlags registers -fault and -verify-reads, for the commands that
-// take them.
+// FaultFlags registers -fault, for the commands that take it.
 func (c *Corpus) FaultFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.faultSpec, "fault", "", "seeded fault-injection spec, comma-separated key=value (e.g. seed=7,readerr=0.05,kill=0.1); see internal/fault")
-	fs.BoolVar(&c.verifyReads, "verify-reads", false, "verify pack member checksums on every read (requires -packs); on-disk corruption fails loudly instead of skewing results")
 }
 
 // Seed returns -seed, which commands also feed to whatever else they
@@ -65,21 +62,18 @@ type usageError string
 
 func (e usageError) Error() string { return string(e) }
 
-// Open opens the corpus for use: -packs as mapped shards (with
-// -verify-reads, checksummed section readers, which rules out the
-// zero-copy windows); -dir loaded into raw views when Resident, else
-// stat'd and streamed; else -spec, generated eagerly when Resident, on
-// demand when ScanOnce and without content when SizesOnly. An enabled
-// -fault spec wraps the result — names, sizes and locality are kept, so
-// plan fingerprints match a clean run — and its injector is returned; nil
-// means no faults. A -scale that is not a positive finite number is
-// refused whichever source is named, and one past corpus.MaxFiles files
-// when -spec is.
+// Open opens the corpus for use: -packs as mapped shards, every member
+// read held to its stored CRC-32C; -dir loaded into raw views when
+// Resident, else stat'd and streamed; else -spec, generated eagerly when
+// Resident, on demand when ScanOnce and without content when SizesOnly.
+// An enabled -fault spec wraps the result — names, sizes, locality and
+// stored sums are kept, so plan fingerprints match a clean run and a
+// flipped pack member still fails its read — and its injector is
+// returned; nil means no faults. A -scale that is not a positive finite
+// number is refused whichever source is named, and one past
+// corpus.MaxFiles files when -spec is.
 // The closer must outlive every read; on failure nothing is left open.
 func (c *Corpus) Open(ctx context.Context, use Use) (*vfs.FS, io.Closer, *fault.Injector, error) {
-	if c.verifyReads && c.packs == "" {
-		return nil, nil, nil, usageError("-verify-reads needs a packed corpus (-packs)")
-	}
 	if err := Positive("scale", c.scale); err != nil {
 		return nil, nil, nil, err
 	}
@@ -90,8 +84,6 @@ func (c *Corpus) Open(ctx context.Context, use Use) (*vfs.FS, io.Closer, *fault.
 	var fs *vfs.FS
 	var closer io.Closer = io.NopCloser(nil)
 	switch {
-	case c.packs != "" && c.verifyReads:
-		fs, closer, err = vfs.ImportPackVerifiedCtx(ctx, strings.Split(c.packs, ",")...)
 	case c.packs != "":
 		fs, closer, err = vfs.ImportPackMappedCtx(ctx, strings.Split(c.packs, ",")...)
 	case c.dir != "" && use == Resident:

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,7 +82,6 @@ func TestCorpusOpen(t *testing.T) {
 		{name: "packs-scan-once", args: []string{"-packs", packed}, use: ScanOnce, raw: true, bytes: true, shards: true},
 		{name: "packs-sizes-only", args: []string{"-packs", packed}, use: SizesOnly, raw: true, bytes: true, shards: true},
 		{name: "packs-beat-dir", args: []string{"-packs", packed, "-dir", plain}, raw: true, bytes: true, shards: true},
-		{name: "packs-verified", args: []string{"-packs", packed, "-verify-reads"}, bytes: true, shards: true},
 		{name: "dir", args: []string{"-dir", plain}, raw: true, bytes: true},
 		{name: "dir-scan-once", args: []string{"-dir", plain}, use: ScanOnce, bytes: true},
 		{name: "dir-sizes-only", args: []string{"-dir", plain}, use: SizesOnly, bytes: true},
@@ -95,7 +95,6 @@ func TestCorpusOpen(t *testing.T) {
 		{name: "scale-nan", args: []string{"-spec", "text", "-scale", "NaN"}, usage: true},
 		{name: "scale-zero", args: []string{"-spec", "text", "-scale", "0"}, usage: true},
 		{name: "scale-past-max-files", args: []string{"-spec", "text", "-scale", "1e9"}, use: SizesOnly, usage: true},
-		{name: "verify-reads-without-packs", args: []string{"-dir", plain, "-verify-reads"}, usage: true},
 		{name: "fault-armed", args: []string{"-packs", packed, "-fault", "seed=7,readerr=0.5"}, bytes: true, shards: true, armed: true},
 		{name: "fault-disabled", args: []string{"-packs", packed, "-fault", "seed=7,latency=2ms"}, raw: true, bytes: true, shards: true},
 		{name: "fault-bad-spec", args: []string{"-packs", packed, "-fault", "readerr=2"}, invalid: true},
@@ -121,7 +120,7 @@ func TestCorpusOpen(t *testing.T) {
 			}
 			f := fs.List()[0]
 			_, rawErr := f.Bytes() // errors exactly when the file carries no zero-copy view
-			if shard, _ := f.Locality(); (rawErr == nil) != tc.raw || f.HasContent() != tc.bytes || (shard != "") != tc.shards {
+			if shard := vfs.Sources(fs.List()[:1])[0].Shard; (rawErr == nil) != tc.raw || f.HasContent() != tc.bytes || (shard != "") != tc.shards {
 				t.Errorf("first file: raw %v (want %v), content %v (want %v), shard %q (want one: %v)",
 					rawErr == nil, tc.raw, f.HasContent(), tc.bytes, shard, tc.shards)
 			}
@@ -133,6 +132,9 @@ func TestCorpusOpen(t *testing.T) {
 					t.Errorf("opened corpus differs from the source: %v", err)
 				}
 			}
+			if strings.HasPrefix(tc.name, "packs") {
+				flippedMemberFails(t, tc.use, tc.args, packed)
+			}
 			fs, closer, _, err = openWith(t, done, tc.use, tc.args...)
 			if tc.lazy {
 				if err != nil {
@@ -143,6 +145,71 @@ func TestCorpusOpen(t *testing.T) {
 				t.Errorf("open under a done context: fs %v, closer %v, err %v; want ErrCancelled alone", fs, closer, err)
 			}
 		})
+	}
+}
+
+// flippedMemberFails opens args with the pack directory packed replaced
+// by a copy in which one payload byte of the first member is flipped, and
+// requires that member, and no other, to fail both its raw view and its
+// stream with ErrCorrupt at stage verify naming it.
+func flippedMemberFails(t *testing.T, use Use, args []string, packed string) {
+	t.Helper()
+	flipped := t.TempDir()
+	shards, err := filepath.Glob(filepath.Join(packed, "*.pack"))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("no shards under %s (%v)", packed, err)
+	}
+	for _, shard := range shards {
+		data, err := os.ReadFile(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(flipped, filepath.Base(shard)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	args = slices.Clone(args)
+	args[slices.Index(args, packed)] = flipped
+	open := func() (*vfs.FS, io.Closer) {
+		fs, closer, _, err := openWith(t, context.Background(), use, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs, closer
+	}
+	// The flip goes in before the import that reads it: a build without
+	// mmap copies each shard at import.
+	fs, closer := open()
+	victim := vfs.Sources(fs.List()[:1])[0]
+	closer.Close()
+	f, err := os.OpenFile(victim.Shard, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	off := victim.Offset + victim.Size/2
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	fs, closer = open()
+	defer closer.Close()
+	for _, f := range fs.List() {
+		_, rawErr := f.Bytes()
+		_, readErr := f.ReadAll()
+		for via, err := range map[string]error{"raw view": rawErr, "stream": readErr} {
+			var se *errs.StageError
+			switch {
+			case f.Name != victim.Name && err != nil:
+				t.Errorf("%s of undamaged member %q: %v", via, f.Name, err)
+			case f.Name == victim.Name && !(errors.Is(err, errs.ErrCorrupt) && errors.As(err, &se) && se.Stage == "verify" && se.File == f.Name):
+				t.Errorf("%s of flipped member %q: err = %v, want ErrCorrupt at stage verify naming it", via, f.Name, err)
+			}
+		}
 	}
 }
 

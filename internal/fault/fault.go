@@ -8,20 +8,17 @@
 // run's fault schedule is replayable from its seed regardless of
 // goroutine interleaving.
 //
-// The injector never fabricates *wrong data that passes validation*:
-// injected read errors surface as errs.ErrUnavailable (retryable), torn
-// reads violate declared sizes (the scan's ErrCorrupt), and bit flips
-// are only detectable under checksum-verified imports
-// (vfs.ImportPackVerifiedCtx) — which is exactly the point: the chaos
-// suite proves the resilience layer retries what is transient, refuses
-// what is corrupt, and never silently returns different bytes.
+// Injected read errors surface as errs.ErrUnavailable (retryable), torn
+// reads violate declared sizes (ErrCorrupt), and a bit flip in a pack
+// member fails its read with ErrCorrupt, checked against the member's
+// stored CRC-32C above the injector. A flip in a -dir or -spec file has no
+// stored sum to fail against and changes the bytes silently.
 package fault
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -259,33 +256,15 @@ func (i *Injector) Summary() string {
 // --- read layer ----------------------------------------------------------
 
 // WrapFS returns a copy of fs whose content-backed files stream through
-// the injector's read layer. Names, sizes and shard locality are
-// preserved — a plan derived from the wrapped FS fingerprints
-// identically to one from the original — but zero-copy raw views are
-// dropped, forcing every read through the (faultable) streaming path.
+// the injector's read layer (vfs.File.WithStream). Names, sizes, shard
+// locality and stored sums are preserved — a plan derived from the
+// wrapped FS fingerprints identically to one from the original — but
+// zero-copy raw views are dropped, forcing every read through the
+// (faultable) streaming path.
 func (i *Injector) WrapFS(fs *vfs.FS) (*vfs.FS, error) {
 	out := vfs.NewFS()
 	for _, f := range fs.List() {
-		nf := f
-		if f.HasContent() {
-			src := f
-			nf = vfs.NewContentFile(f.Name, f.Size, func() (io.Reader, error) {
-				base, err := src.Open()
-				if err != nil {
-					// src.Open already named the file, and the wrapped
-					// file has the same name: pass on the cause alone.
-					if cause := errors.Unwrap(err); cause != nil {
-						err = cause
-					}
-					return nil, err
-				}
-				return i.newReader(src.Name, src.Size, base), nil
-			})
-			if shard, off := f.Locality(); shard != "" {
-				nf = nf.WithLocality(shard, off)
-			}
-		}
-		if err := out.Add(nf); err != nil {
+		if err := out.Add(f.WithStream(i.newReader)); err != nil {
 			return nil, err
 		}
 	}

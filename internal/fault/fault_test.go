@@ -109,34 +109,61 @@ func testFS(t *testing.T, n int) *vfs.FS {
 	return fs
 }
 
+// packedFS exports fs as pack shards under a temporary directory and
+// returns their mapped import, closed when the test ends.
+func packedFS(t *testing.T, fs *vfs.FS) *vfs.FS {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := fs.ExportPackCtx(context.Background(), dir, vfs.PackOptions{ShardSize: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	packed, closer, err := vfs.ImportPackMappedCtx(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closer.Close() })
+	return packed
+}
+
 // TestWrapFSPreservesShape pins that wrapping changes no metadata: same
 // names, sizes, locality — so plan fingerprints match the clean corpus —
 // and raw views are stripped.
 func TestWrapFSPreservesShape(t *testing.T) {
-	fs := vfs.NewFS()
-	raw := []byte("hello raw world")
-	f := vfs.BytesFile("a.txt", raw).WithLocality("shard-000", 64).WithRawBytes(raw)
-	if err := fs.Add(f); err != nil {
-		t.Fatal(err)
-	}
+	fs := packedFS(t, testFS(t, 12))
 	inj := mustNew(t, Config{Seed: 1, ReadErr: 1})
 	wrapped, err := inj.WrapFS(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := wrapped.Get("a.txt")
+	want, got := vfs.Sources(fs.List()), vfs.Sources(wrapped.List())
+	if len(got) != len(want) {
+		t.Fatalf("%d files wrapped, %d given", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.Name != w.Name || g.Size != w.Size || g.Shard != w.Shard || g.Offset != w.Offset || w.Shard == "" {
+			t.Fatalf("file %d: wrapped (%s, %d B, %s@%d), given (%s, %d B, %s@%d)", i, g.Name, g.Size, g.Shard, g.Offset, w.Name, w.Size, w.Shard, w.Offset)
+		}
+		if w.Raw == nil || g.Raw != nil {
+			t.Fatalf("file %q: raw view given %v, wrapped %v — faults would be bypassed", g.Name, w.Raw != nil, g.Raw != nil)
+		}
+	}
+}
+
+// TestBitFlipInPackMemberFailsItsRead: WrapFS keeps a pack member's stored
+// sum, so the flip it injects fails the read above it with ErrCorrupt
+// naming the member.
+func TestBitFlipInPackMemberFailsItsRead(t *testing.T) {
+	inj := mustNew(t, Config{Seed: 5, BitFlip: 1})
+	wrapped, err := inj.WrapFS(packedFS(t, testFS(t, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Size != f.Size {
-		t.Fatalf("size changed: %d -> %d", f.Size, g.Size)
-	}
-	shard, off := g.Locality()
-	if shard != "shard-000" || off != 64 {
-		t.Fatalf("locality changed: %q %d", shard, off)
-	}
-	if _, err := g.Bytes(); err == nil {
-		t.Fatal("wrapped file kept its raw view — faults would be bypassed")
+	f, _ := wrapped.Get("doc-000.txt")
+	_, err = f.ReadAll()
+	var se *errs.StageError
+	if !errors.Is(err, errs.ErrCorrupt) || !errors.As(err, &se) || se.Stage != "verify" || se.File != f.Name {
+		t.Fatalf("flipped read: err = %v, want ErrCorrupt at stage verify naming %q", err, f.Name)
 	}
 }
 
@@ -200,8 +227,10 @@ func TestShortReadViolatesDeclaredSize(t *testing.T) {
 }
 
 // TestBitFlipChangesExactlyOneByte: the flip is silent at the byte level
-// (same length, one bit differs) — detecting it is the checksum
-// layer's job, which is why -verify-reads exists.
+// (same length, one bit differs). A file with no stored sum, like this
+// in-memory one or a -dir or -spec file, reads the flipped bytes without
+// an error; a pack member's read fails instead
+// (TestBitFlipInPackMemberFailsItsRead).
 func TestBitFlipChangesExactlyOneByte(t *testing.T) {
 	fs := testFS(t, 1)
 	orig, _ := fs.Get("doc-000.txt")

@@ -60,7 +60,7 @@ func OpenReader(path string) (*Reader, error) {
 	return r, nil
 }
 
-// Pack returns the underlying pack (members, lookups). Its
+// Pack returns the underlying pack (its members). Its
 // SectionReaders read from the mapping and share the Reader's lifetime.
 func (r *Reader) Pack() *Pack { return r.pack }
 

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -43,14 +44,27 @@ func mappedFixture(t *testing.T) (string, map[string][]byte) {
 	return path, payloads
 }
 
-// lookup returns the named member's borrowed payload through the pack's
-// name index.
+// lookup returns the named member's borrowed payload.
 func lookup(r *Reader, name string) ([]byte, bool) {
-	i, ok := r.pack.byName[name]
+	i, ok := memberIndex(r.pack, name)
 	if !ok {
 		return nil, false
 	}
 	return r.MemberBytes(i), true
+}
+
+// memberIndex finds the named member in the pack's name-sorted list.
+func memberIndex(p *Pack, name string) (int, bool) {
+	return slices.BinarySearchFunc(p.members, name, func(m Member, name string) int { return strings.Compare(m.Name, name) })
+}
+
+// memberNamed returns the named member.
+func memberNamed(p *Pack, name string) (Member, bool) {
+	i, ok := memberIndex(p, name)
+	if !ok {
+		return Member{}, false
+	}
+	return p.members[i], true
 }
 
 func TestReaderMemberBytesMatchPayloads(t *testing.T) {

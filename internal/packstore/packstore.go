@@ -77,7 +77,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // hash/crc32 runs on the CPU's CRC instructions at memory speed, widened
 // to the 8-byte slots the format stores. Every site that writes or checks
 // a stored sum — Writer.Append, an exporter feeding AppendSummed,
-// verification and vfs's verified import — calls this name.
+// verification and every read of a vfs pack import — calls this name.
 func Checksum(sum uint64, p []byte) uint64 {
 	return uint64(crc32.Update(uint32(sum), castagnoli, p))
 }
@@ -272,10 +272,9 @@ func (w *Writer) Append(name string, size int64, r io.Reader) error {
 // whose pack checksum — Checksum(0, data) — the caller has already
 // folded, so a pipelined exporter hashes on the goroutine that loaded the
 // bytes and this one only writes. The sum is recorded as given: every
-// reader checks it against the payload (Set.VerifyCtx,
-// vfs.ImportPackVerifiedCtx), so a wrong one is found at the first
-// verified read, naming the member, exactly as damage on disk
-// would be.
+// reader checks it against the payload (Set.VerifyCtx, every read of a
+// vfs pack import), so a wrong one is found at the first read, naming
+// the member, exactly as damage on disk would be.
 func (w *Writer) AppendSummed(name string, data []byte, sum uint64) error {
 	payloadOff, err := w.beginRecord(name, int64(len(data)))
 	if err != nil {

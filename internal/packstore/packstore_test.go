@@ -98,7 +98,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", p.Len(), len(members))
 	}
 	for _, m := range members {
-		got, ok := p.Lookup(m.name)
+		got, ok := memberNamed(p, m.name)
 		if !ok {
 			t.Fatalf("member %q missing", m.name)
 		}
@@ -291,6 +291,31 @@ func TestWrongSumIsFoundByVerify(t *testing.T) {
 	}
 }
 
+// TestWideSumIsRefusedAtOpen: a stored sum is a CRC-32C widened to eight
+// bytes, and readers keep its 32 bits, so a sum with any upper bit set is
+// a malformed index, refused by every open with ErrCorrupt naming the
+// member and the file.
+func TestWideSumIsRefusedAtOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wide.pack")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("payload")
+	if err := w.AppendSummed("wide", data, crc32c(data)|1<<40); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); !errors.Is(err, errs.ErrCorrupt) || !strings.Contains(err.Error(), `"wide"`) || !strings.Contains(err.Error(), path) {
+		t.Errorf("Open = %v, want ErrCorrupt naming the member and the file", err)
+	}
+	if _, err := OpenReader(path); !errors.Is(err, errs.ErrCorrupt) {
+		t.Errorf("OpenReader = %v, want ErrCorrupt", err)
+	}
+}
+
 // TestSetVerifyBlamesFirstBadMemberOfItsBatch: Set.VerifyCtx checks four
 // consecutive members per task, each a 64 KiB window at a time, and the
 // pool finishes batches in any order. Whichever batch position, window or
@@ -342,7 +367,7 @@ func TestSetVerifyBlamesFirstBadMemberOfItsBatch(t *testing.T) {
 			}
 			offs := map[int]int64{}
 			for i, at := range bad {
-				if m, ok := p.Lookup(names[i]); ok {
+				if m, ok := memberNamed(p, names[i]); ok {
 					if at < 0 {
 						at += int(m.Size)
 					}
@@ -641,7 +666,7 @@ func TestSectionReadersShareOneHandle(t *testing.T) {
 	for _, m := range members {
 		m := m
 		go func() {
-			got, ok := p.Lookup(m.name)
+			got, ok := memberNamed(p, m.name)
 			if !ok {
 				errc <- fmt.Errorf("member %q missing", m.name)
 				return

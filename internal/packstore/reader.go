@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -23,7 +24,6 @@ type Pack struct {
 	closer  io.Closer
 	size    int64
 	members []Member // sorted by name
-	byName  map[string]int
 }
 
 // Open opens a finalised pack: the footer must be intact and the index
@@ -105,14 +105,12 @@ func openStrict(f *os.File, path string) (*Pack, error) {
 		return nil, errs.Corrupt("packstore: %s: %v", path, err)
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].Name < members[j].Name })
-	byName := make(map[string]int, len(members))
-	for i, m := range members {
-		if _, dup := byName[m.Name]; dup {
-			return nil, errs.Corrupt("packstore: %s: duplicate member %q", path, m.Name)
+	for i := 1; i < len(members); i++ {
+		if members[i].Name == members[i-1].Name {
+			return nil, errs.Corrupt("packstore: %s: duplicate member %q", path, members[i].Name)
 		}
-		byName[m.Name] = i
 	}
-	return &Pack{path: path, ra: f, closer: f, size: size, members: members, byName: byName}, nil
+	return &Pack{path: path, ra: f, closer: f, size: size, members: members}, nil
 }
 
 // decodeIndex parses index bytes, validating every entry's bounds
@@ -145,6 +143,9 @@ func decodeIndex(index []byte, count uint64, indexOff int64) ([]Member, error) {
 		if m.Offset < int64(headerLen) || m.Size < 0 || m.Offset > indexOff-checksumLen-m.Size {
 			return nil, fmt.Errorf("index entry %q payload [%d,+%d) outside record region", m.Name, m.Offset, m.Size)
 		}
+		if m.Checksum > math.MaxUint32 {
+			return nil, fmt.Errorf("index entry %q checksum %x is wider than a CRC-32C", m.Name, m.Checksum)
+		}
 		members = append(members, m)
 	}
 	if off != len(index) {
@@ -162,15 +163,6 @@ func (p *Pack) Len() int { return len(p.members) }
 // Members returns all members sorted by name. Callers must not modify
 // the returned slice.
 func (p *Pack) Members() []Member { return p.members }
-
-// Lookup finds a member by name.
-func (p *Pack) Lookup(name string) (Member, bool) {
-	i, ok := p.byName[name]
-	if !ok {
-		return Member{}, false
-	}
-	return p.members[i], true
-}
 
 // SectionReader returns an independent reader over a member's payload.
 // It never opens a file descriptor: all sections share the pack's

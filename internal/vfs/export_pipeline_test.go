@@ -294,12 +294,12 @@ func TestImportDirFileVanishesBetweenWalkAndStat(t *testing.T) {
 	}
 }
 
-// TestImportPackVerifiedNamesWrongSum: the writer records the member
-// checksum its caller folded, so a caller that folds it wrong produces a
-// pack whose index and bytes disagree — which the verifying import reports
-// exactly as it reports damage on disk, naming the member, while the
-// members around it read clean.
-func TestImportPackVerifiedNamesWrongSum(t *testing.T) {
+// TestImportPackNamesWrongSum: the writer records the member checksum its
+// caller folded, so a caller that folds it wrong produces a pack whose
+// index and bytes disagree — which every read through the plain and the
+// mapped import reports exactly as it reports damage on disk, naming the
+// member, while the members around it read clean.
+func TestImportPackNamesWrongSum(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wrong.pack")
 	w, err := packstore.Create(path)
 	if err != nil {
@@ -318,22 +318,24 @@ func TestImportPackVerifiedNamesWrongSum(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fs, closer, err := ImportPackVerifiedCtx(context.Background(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	for _, f := range fs.List() {
-		_, err := f.ReadAll()
-		if f.Name != "bad" {
-			if err != nil {
-				t.Errorf("member %q beside the wrong sum: %v", f.Name, err)
+	for _, imp := range []func(context.Context, ...string) (*FS, io.Closer, error){ImportPackCtx, ImportPackMappedCtx} {
+		fs, closer, err := imp(context.Background(), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fs.List() {
+			_, err := f.ReadAll()
+			if f.Name != "bad" {
+				if err != nil {
+					t.Errorf("member %q beside the wrong sum: %v", f.Name, err)
+				}
+				continue
 			}
-			continue
+			var se *errs.StageError
+			if !errors.Is(err, errs.ErrCorrupt) || !errors.As(err, &se) || se.File != "bad" {
+				t.Errorf("read of the wrongly summed member: %v, want ErrCorrupt naming it", err)
+			}
 		}
-		var se *errs.StageError
-		if !errors.Is(err, errs.ErrCorrupt) || !errors.As(err, &se) || se.File != "bad" {
-			t.Errorf("verified read of the wrongly summed member: %v, want ErrCorrupt naming it", err)
-		}
+		closer.Close()
 	}
 }

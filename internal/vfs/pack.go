@@ -7,6 +7,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/errs"
 	"repro/internal/packstore"
@@ -194,22 +195,10 @@ func (fs *FS) ExportPackCtx(ctx context.Context, dir string, opts PackOptions) (
 // closed. Cancellation is checked between pack discovery and between
 // pack opens; on abort any packs opened so far are closed before the
 // typed cancellation error is returned.
+// Every read of a member, here and through ImportPackMappedCtx, is held
+// to its stored CRC-32C: a mismatch fails as ErrCorrupt, never as data.
 func ImportPackCtx(ctx context.Context, sources ...string) (*FS, io.Closer, error) {
-	return importPacks(ctx, packPlain, sources)
-}
-
-// ImportPackVerifiedCtx is ImportPackCtx with end-to-end read
-// verification: every member reader folds the payload through
-// packstore.Checksum (CRC-32C) as it streams and fails the read with
-// ErrCorrupt — stage "verify", file = member name — if the bytes do not
-// match the checksum the pack index recorded at export. The cost is one
-// extra hash pass, at memory speed, over whatever is actually read;
-// unread members cost nothing. This is the
-// `-verify-reads` mode: on-disk corruption (a flipped bit, a torn write)
-// surfaces as a loud typed failure at the first scan that touches it,
-// instead of silently skewing results.
-func ImportPackVerifiedCtx(ctx context.Context, sources ...string) (*FS, io.Closer, error) {
-	return importPacks(ctx, packVerified, sources)
+	return importPacks(ctx, false, sources)
 }
 
 // ImportPackMappedCtx is ImportPackCtx through memory-mapped readers, so
@@ -219,34 +208,25 @@ func ImportPackVerifiedCtx(ctx context.Context, sources ...string) (*FS, io.Clos
 // copies, the kernels read straight out of the page cache.
 //
 // The returned closer unmaps every shard; all raw views (and streaming
-// readers) obtained from the FS are invalid after it runs. Callers that
-// need bytes past that point must copy them first.
+// readers) obtained from the FS are invalid after it runs, and a File's
+// Bytes or Open then fails. Callers that need bytes past that point must
+// copy them first.
 func ImportPackMappedCtx(ctx context.Context, sources ...string) (*FS, io.Closer, error) {
-	return importPacks(ctx, packMapped, sources)
+	return importPacks(ctx, true, sources)
 }
 
-// packMode is how importPacks opens a shard and what each member's File
-// is given to read through.
-type packMode int
-
-const (
-	packPlain    packMode = iota // shared handle, section readers
-	packVerified                 // section readers behind a verifyReader
-	packMapped                   // mapping, raw member windows
-)
-
 // importPacks is the one pack import: resolve the sources, open each
-// shard the way mode says, list its members in index order, and hand the
-// list to the FS in one piece. On any failure every shard opened so far
-// is closed again.
-func importPacks(ctx context.Context, mode packMode, sources []string) (*FS, io.Closer, error) {
+// shard (mapped, or through a shared handle), list its members in index
+// order with their stored sums, and hand the list to the FS in one piece.
+// On any failure every shard opened so far is closed again.
+func importPacks(ctx context.Context, mapped bool, sources []string) (*FS, io.Closer, error) {
 	paths, err := resolvePackPaths(ctx, sources...)
 	if err != nil {
 		return nil, nil, err
 	}
-	var opened closers
+	imp := &packImport{}
 	fail := func(err error) (*FS, io.Closer, error) {
-		opened.Close()
+		imp.Close()
 		return nil, nil, err
 	}
 	var files []File
@@ -255,30 +235,31 @@ func importPacks(ctx context.Context, mode packMode, sources []string) (*FS, io.
 			return fail(cerr)
 		}
 		var p *packstore.Pack
-		var mapped *packstore.Reader
-		if mode == packMapped {
-			if mapped, err = packstore.OpenReader(path); err != nil {
+		var r *packstore.Reader
+		if mapped {
+			if r, err = packstore.OpenReader(path); err != nil {
 				return fail(err)
 			}
-			opened = append(opened, mapped)
+			imp.shards = append(imp.shards, r)
 			// Scans walk each shard front to back; tell the OS so readahead
 			// stays aggressive. Best effort by contract.
-			_ = mapped.AdviseSequential()
-			p = mapped.Pack()
+			_ = r.AdviseSequential()
+			p = r.Pack()
 		} else {
 			if p, err = packstore.Open(path); err != nil {
 				return fail(err)
 			}
-			opened = append(opened, p)
+			imp.shards = append(imp.shards, p)
 		}
-		src := &packSource{p: p, verified: mode == packVerified}
+		src := &packSource{p: p, r: r, imp: imp}
 		files = slices.Grow(files, len(p.Members()))
 		for i, m := range p.Members() {
 			// Locality (shard path + member offset) lets fused scans read
 			// each pack front to back instead of seeking per member.
-			f := File{Name: m.Name, Size: m.Size, content: src, shard: p.Path(), shardOff: m.Offset}
-			if mapped != nil {
-				f = f.WithRawBytes(mapped.MemberBytes(i))
+			f := File{Name: m.Name, Size: m.Size, content: src, shard: p.Path(), shardOff: m.Offset,
+				hasSum: true, sum: uint32(m.Checksum)}
+			if r != nil {
+				f = f.WithRawBytes(r.MemberBytes(i))
 			}
 			files = append(files, f)
 		}
@@ -287,35 +268,24 @@ func importPacks(ctx context.Context, mode packMode, sources []string) (*FS, io.
 	if err != nil {
 		return fail(fmt.Errorf("vfs: import pack: %w", err))
 	}
-	return fs, opened, nil
+	return fs, imp, nil
 }
 
-// packSource is every member file's content source for one shard: a
-// section of the shard at the member's offset and size, which the File
-// already carries, so no member needs a closure of its own. A verified
-// source streams the section through a verifyReader against the
-// checksum the shard's index holds for the member.
-type packSource struct {
-	p        *packstore.Pack
-	verified bool
+// packImport is what one pack import must release: the shards it opened.
+// Once closed, its raw views are refused (checkRaw). Closing twice
+// releases once.
+type packImport struct {
+	shards []io.Closer
+	closed atomic.Bool
 }
 
-func (s *packSource) open(f *File) (io.Reader, error) {
-	r := s.p.SectionReader(packstore.Member{Offset: f.shardOff, Size: f.Size})
-	if !s.verified {
-		return r, nil
+// Close closes every shard, keeping the first error.
+func (imp *packImport) Close() error {
+	if imp.closed.Swap(true) {
+		return nil
 	}
-	m, _ := s.p.Lookup(f.Name)
-	return &verifyReader{r: r, name: f.Name, size: f.Size, want: m.Checksum}, nil
-}
-
-// closers closes a group of open shards as one unit, keeping the first
-// error.
-type closers []io.Closer
-
-func (cs closers) Close() error {
 	var first error
-	for _, c := range cs {
+	for _, c := range imp.shards {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -323,21 +293,67 @@ func (cs closers) Close() error {
 	return first
 }
 
+// packSource is every member file's content source for one shard: a
+// section of the shard at the member's offset and size, which the File
+// already carries, so no member needs a closure of its own.
+type packSource struct {
+	p   *packstore.Pack
+	r   *packstore.Reader // the shard's mapping; nil for a plain import
+	imp *packImport
+
+	once sync.Once
+	bad  []int64 // offsets of the members whose raw view fails its sum
+}
+
+func (s *packSource) open(f *File) (io.Reader, error) {
+	return s.p.SectionReader(packstore.Member{Offset: f.shardOff, Size: f.Size}), nil
+}
+
+// checkRaw holds a mapped member's raw view to its stored sum, and
+// refuses it once the import is closed. The first raw read of any member
+// hashes the whole shard and remembers which members failed, so a daemon
+// that rescans its corpus per request hashes it once per import; the
+// mapping is read-only, so a view keeps the bytes that were checked.
+func (s *packSource) checkRaw(f *File) error {
+	if s.imp.closed.Load() {
+		return fmt.Errorf("vfs: raw read of %q after its pack import was closed", f.Name)
+	}
+	s.once.Do(func() {
+		for i, m := range s.p.Members() {
+			if packstore.Checksum(0, s.r.MemberBytes(i)) != m.Checksum {
+				s.bad = append(s.bad, m.Offset)
+			}
+		}
+	})
+	if slices.Contains(s.bad, f.shardOff) {
+		return checkSum(f.Name, packstore.Checksum(0, f.raw), f.sum)
+	}
+	return nil
+}
+
+// checkSum is the one comparison of a member's bytes with its stored sum:
+// a mismatch is ErrCorrupt, stage "verify", file = member name.
+func checkSum(name string, got uint64, want uint32) error {
+	if got == uint64(want) {
+		return nil
+	}
+	return errs.StageFile("verify", name,
+		errs.Corrupt("vfs: member %q checksum %08x != indexed %08x", name, got, want))
+}
+
 // verifyReader streams a pack member while folding its pack checksum,
 // checking it against the indexed checksum the moment the payload is
-// fully delivered. The check fires exactly once, on whichever Read
-// completes the payload (or hits EOF), so a scanner that consumes the
-// member sees either fully-verified bytes followed by EOF, or a typed
-// ErrCorrupt naming the member.
+// fully delivered: on whichever Read completes the payload, and again at
+// EOF, so a scanner that consumes the member sees either fully-verified
+// bytes followed by EOF, or a typed ErrCorrupt naming the member.
 type verifyReader struct {
-	r       io.Reader
-	name    string
-	want    uint64
-	sum     uint64
-	n       int64
-	size    int64
-	checked bool
-	err     error // sticky verification failure
+	r    io.Reader
+	name string
+	want uint32
+	sum  uint64
+	n    int64
+	size int64
+	err  error // sticky verification failure
 }
 
 func (v *verifyReader) Read(p []byte) (int, error) {
@@ -362,19 +378,11 @@ func (v *verifyReader) Read(p []byte) (int, error) {
 }
 
 func (v *verifyReader) check() error {
-	if v.checked {
-		return nil
-	}
-	v.checked = true
 	if v.n != v.size {
 		return errs.StageFile("verify", v.name,
 			errs.Corrupt("vfs: member %q delivered %d bytes, index says %d", v.name, v.n, v.size))
 	}
-	if v.sum != v.want {
-		return errs.StageFile("verify", v.name,
-			errs.Corrupt("vfs: member %q checksum %016x != indexed %016x", v.name, v.sum, v.want))
-	}
-	return nil
+	return checkSum(v.name, v.sum, v.want)
 }
 
 // resolvePackPaths expands pack sources — explicit files or directories

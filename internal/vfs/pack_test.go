@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/errs"
+	"repro/internal/scan"
 )
 
 // packTestFS builds an in-memory FS with deterministic content: varied
@@ -77,114 +80,108 @@ func TestExportImportPackRoundTrip(t *testing.T) {
 	}
 }
 
-// TestImportPackVerified pins the -verify-reads contract: a clean pack
-// reads identically through the verifying import, and a single flipped
-// payload bit on disk turns the damaged member's read into a typed
-// ErrCorrupt naming the member — while every other member still reads
-// clean. The plain import, by contrast, returns the flipped bytes
-// silently; that difference is the whole point of the mode, and why
-// `reshape -pack -verify` checks its plain re-import against a manifest.
-func TestImportPackVerified(t *testing.T) {
+// TestImportPackReadsAreVerified pins that every read of a pack member is
+// held to its stored sum: a clean pack reads identically through the plain
+// and the mapped import, and a single flipped payload bit on disk turns
+// the damaged member's every read — ReadAll on either import, the raw
+// view of the mapped one, a scan over either — into a typed ErrCorrupt
+// naming the member,
+// while every other member still reads clean.
+func TestImportPackReadsAreVerified(t *testing.T) {
 	fs := packTestFS(t, 40)
 	dir := t.TempDir()
 	if _, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{Prefix: "v", ShardSize: 16 * 1024}); err != nil {
 		t.Fatal(err)
 	}
-
-	in, closer, err := ImportPackVerifiedCtx(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
+	imports := map[string]func(context.Context, ...string) (*FS, io.Closer, error){
+		"plain": ImportPackCtx, "mapped": ImportPackMappedCtx,
 	}
-	for _, f := range fs.List() {
-		imp, err := in.Get(f.Name)
+	for name, imp := range imports {
+		in, closer, err := imp(context.Background(), dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := f.ReadAll()
-		got, err := imp.ReadAll()
-		if err != nil {
-			t.Fatalf("verified read of clean member %q: %v", f.Name, err)
+		for _, f := range fs.List() {
+			got, err := in.Get(f.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := f.ReadAll()
+			if data, err := got.ReadAll(); err != nil || !bytes.Equal(data, want) {
+				t.Fatalf("%s: clean member %q: err %v, equal %v", name, f.Name, err, bytes.Equal(data, want))
+			}
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("file %q differs through verified import", f.Name)
-		}
+		closer.Close()
 	}
-	closer.Close()
 
-	// Flip one payload bit on disk. Locate the victim through the
-	// member locality the import recorded (shard path + offset).
-	victim := ""
-	var shard string
-	var off int64
+	// Flip one payload bit on disk, at the member locality the import
+	// recorded (shard path + offset).
+	in, closer, err := ImportPackCtx(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	var victim File
 	for _, f := range in.List() {
 		if f.Size > 2 {
-			victim = f.Name
-			shard, off = f.Locality()
+			victim = f
 			break
 		}
 	}
-	if victim == "" {
+	if victim.Name == "" {
 		t.Fatal("no member large enough to corrupt")
 	}
-	data, err := os.ReadFile(shard)
+	data, err := os.ReadFile(victim.shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[off+1] ^= 0x01
-	if err := os.WriteFile(shard, data, 0o644); err != nil {
+	data[victim.shardOff+1] ^= 0x01
+	if err := os.WriteFile(victim.shard, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	in2, closer2, err := ImportPackVerifiedCtx(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err) // index untouched: the import itself still succeeds
+	isCorruptMember := func(err error) bool {
+		var se *errs.StageError
+		return errors.Is(err, errs.ErrCorrupt) && errs.StageOf(err) == "verify" && errors.As(err, &se) && se.File == victim.Name
 	}
-	defer closer2.Close()
-	bad, err := in2.Get(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = bad.ReadAll()
-	if !errors.Is(err, errs.ErrCorrupt) {
-		t.Fatalf("read of corrupted member: err = %v, want ErrCorrupt", err)
-	}
-	var se *errs.StageError
-	if !errors.As(err, &se) || se.File != victim {
-		t.Errorf("corruption blamed %v, want member %q", err, victim)
-	}
-	for _, f := range in2.List() {
-		if f.Name == victim {
-			continue
+	for name, imp := range imports {
+		in, closer, err := imp(context.Background(), dir)
+		if err != nil {
+			t.Fatal(err) // index untouched: the import itself still succeeds
 		}
-		if _, err := f.ReadAll(); err != nil {
-			t.Errorf("undamaged member %q fails verified read: %v", f.Name, err)
+		defer closer.Close()
+		bad, err := in.Get(victim.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bad.ReadAll(); !isCorruptMember(err) {
+			t.Errorf("%s: read of the corrupted member: err = %v, want ErrCorrupt at stage verify naming %q", name, err, victim.Name)
+		}
+		if _, err := bad.Bytes(); bad.hasRaw && !isCorruptMember(err) {
+			t.Errorf("%s: raw view of the corrupted member: err = %v, want ErrCorrupt at stage verify naming %q", name, err, victim.Name)
+		}
+		if err := scan.Run(context.Background(), Sources(in.List()), scan.Options{}, scan.NewChecksum()); !isCorruptMember(err) {
+			t.Errorf("%s: scan over the corrupted member: err = %v, want ErrCorrupt at stage verify naming %q", name, err, victim.Name)
+		}
+		for _, f := range in.List() {
+			if f.Name == victim.Name {
+				continue
+			}
+			if _, err := f.ReadAll(); err != nil {
+				t.Errorf("%s: undamaged member %q fails its read: %v", name, f.Name, err)
+			}
 		}
 	}
 
-	// The unverified import streams the damage through without complaint.
-	in3, closer3, err := ImportPackCtx(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer3.Close()
-	f3, err := in3.Get(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f3.ReadAll(); err != nil {
-		t.Errorf("plain import surfaced the corruption: %v (verified import exists for this)", err)
-	}
-
-	// What `reshape -pack -verify` runs does catch it: the manifest of
-	// what was exported, checked against that plain re-import, fails
-	// naming the member.
+	// What `reshape -pack -verify` runs catches it too: the manifest of
+	// what was exported, checked against a re-import, fails naming the
+	// member.
 	manifest, err := BuildManifestCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = manifest.VerifyCtx(context.Background(), in3)
-	if !errors.Is(err, errs.ErrCorrupt) || !errors.As(err, &se) || se.File != victim {
-		t.Errorf("manifest verify over the damaged pack: %v, want ErrCorrupt naming %q", err, victim)
+	if err := manifest.VerifyCtx(context.Background(), in); !errors.Is(err, errs.ErrCorrupt) || !strings.Contains(err.Error(), victim.Name) {
+		t.Errorf("manifest verify over the damaged pack: %v, want ErrCorrupt naming %q", err, victim.Name)
 	}
 }
 

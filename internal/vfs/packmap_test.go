@@ -5,6 +5,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/scan"
 )
@@ -44,10 +45,8 @@ func TestImportPackMappedMatchesImportPack(t *testing.T) {
 		if pf.hasRaw {
 			t.Fatalf("plain import file %q unexpectedly has a raw view", pf.Name)
 		}
-		pShard, pOff := pf.Locality()
-		mShard, mOff := mf.Locality()
-		if pShard != mShard || pOff != mOff {
-			t.Fatalf("file %q locality differs: plain (%s,%d) mapped (%s,%d)", pf.Name, pShard, pOff, mShard, mOff)
+		if pf.shard != mf.shard || pf.shardOff != mf.shardOff {
+			t.Fatalf("file %q locality differs: plain (%s,%d) mapped (%s,%d)", pf.Name, pf.shard, pf.shardOff, mf.shard, mf.shardOff)
 		}
 		want, err := pf.ReadAll()
 		if err != nil {
@@ -132,9 +131,10 @@ func TestImportPackMappedCancelled(t *testing.T) {
 }
 
 // TestImportPackMappedCloseInvalidatesStreaming: after the closer runs,
-// streaming reads fail loudly instead of touching a dead mapping — on
-// both the mmap and fallback builds, since Close detaches the pack's
-// reader either way.
+// streaming reads and raw views fail loudly instead of touching (or
+// hashing) a dead mapping — on both the mmap and fallback builds, since
+// Close detaches the pack's reader and marks the import closed either
+// way.
 func TestImportPackMappedCloseInvalidatesStreaming(t *testing.T) {
 	fs := packTestFS(t, 6)
 	dir := t.TempDir()
@@ -161,5 +161,46 @@ func TestImportPackMappedCloseInvalidatesStreaming(t *testing.T) {
 	}
 	if _, err := nonEmpty.ReadAll(); err == nil || !strings.Contains(err.Error(), "after Reader.Close") {
 		t.Fatalf("read after close returned %v, want loud close error", err)
+	}
+	if _, err := nonEmpty.Bytes(); err == nil || !strings.Contains(err.Error(), "after its pack import was closed") {
+		t.Fatalf("raw view after close returned %v, want loud close error", err)
+	}
+}
+
+// TestFileStaysNinetySixBytes pins the per-file budget: an FS holds one
+// File per corpus file, so the stored sum must live in the padding beside
+// hasRaw rather than grow the struct.
+func TestFileStaysNinetySixBytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the budget is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(File{}); got != 96 {
+		t.Fatalf("unsafe.Sizeof(File{}) = %d, want 96", got)
+	}
+}
+
+// TestRawViewCheckAllocatesNothing: holding a mapped member's raw view to
+// its stored sum costs a hash pass and no allocation.
+func TestRawViewCheckAllocatesNothing(t *testing.T) {
+	fs := packTestFS(t, 6)
+	dir := t.TempDir()
+	if _, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{Prefix: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	mapped, closer, err := ImportPackMappedCtx(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	f := mapped.List()[len(mapped.List())-1]
+	if !f.hasSum || f.Size == 0 {
+		t.Fatalf("member %q carries no stored sum or no bytes", f.Name)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := f.Bytes(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("checking a raw view allocated %.1f times, want 0", allocs)
 	}
 }

@@ -48,7 +48,8 @@ type source interface {
 // File is a named, sized blob with optional lazily-materialised content.
 // Pack-backed files additionally carry locality — which shard container
 // holds their bytes and at what offset — so scans can order reads
-// sequentially on disk.
+// sequentially on disk, and the checksum their pack stores, which every
+// read of them is held to.
 type File struct {
 	Name    string
 	Size    int64
@@ -65,6 +66,12 @@ type File struct {
 	// guarantees them stable for a whole scan.
 	raw    []byte
 	hasRaw bool
+
+	// sum, when hasSum, is the CRC-32C its pack's index stores for the
+	// file's bytes, which every read is held to. It sits in the padding
+	// after hasRaw, so a File stays 96 bytes.
+	hasSum bool
+	sum    uint32
 }
 
 // NewFile creates a metadata-only file (no content source).
@@ -92,20 +99,6 @@ func BytesFile(name string, data []byte) File {
 	}
 }
 
-// WithLocality returns a copy of the file annotated with its physical
-// location: the shard container path holding its bytes and the offset
-// within it. ImportPack sets this so SequentialOrder can walk each pack
-// front to back.
-func (f File) WithLocality(shard string, offset int64) File {
-	f.shard = shard
-	f.shardOff = offset
-	return f
-}
-
-// Locality returns the file's shard container path and byte offset
-// within it; shard is "" for files that are not pack-backed.
-func (f File) Locality() (shard string, offset int64) { return f.shard, f.shardOff }
-
 // WithRawBytes returns a copy of the file annotated with a borrowed
 // zero-copy view of its complete content. data must hold exactly Size
 // bytes and must stay valid and immutable for as long as the file is
@@ -118,12 +111,40 @@ func (f File) WithRawBytes(data []byte) File {
 	return f
 }
 
+// WithStream returns a copy of the file whose reads pass through wrap:
+// each Open opens the file's own content and hands it to wrap with the
+// file's name and size. Name, size, locality and stored sum are kept, so
+// a stored sum is checked above wrap; the raw view is dropped, so no scan
+// goes around it. A metadata-only file is returned as it is.
+func (f File) WithStream(wrap func(name string, size int64, r io.Reader) io.Reader) File {
+	if f.content == nil {
+		return f
+	}
+	base := f
+	f.content = Opener(func() (io.Reader, error) {
+		r, err := base.content.open(&base)
+		if err != nil {
+			return nil, err
+		}
+		return wrap(base.Name, base.Size, r), nil
+	})
+	f.raw, f.hasRaw = nil, false
+	return f
+}
+
 // Bytes returns the file's zero-copy content view. It implements
 // scan.BytesSource for raw-backed files; calling it on a file without a
-// raw view is an error (scans route those through Open instead).
+// raw view is an error (scans route those through Open instead). A
+// mapped pack member's view is first held to its stored sum, and refused
+// once its import has been closed.
 func (f *File) Bytes() ([]byte, error) {
 	if !f.hasRaw {
 		return nil, fmt.Errorf("vfs: file %q has no raw content view", f.Name)
+	}
+	if s, ok := f.content.(*packSource); ok && s.r != nil {
+		if err := s.checkRaw(f); err != nil {
+			return nil, err
+		}
 	}
 	return f.raw, nil
 }
@@ -133,7 +154,8 @@ func (f File) HasContent() bool { return f.content != nil }
 
 // Open returns a new reader over the file's content. It returns an error
 // for metadata-only files, and the content source's own error — wrapped
-// with the file name — when the source cannot be opened.
+// with the file name — when the source cannot be opened. A pack member's
+// stream fails with ErrCorrupt if its bytes do not match its stored sum.
 func (f File) Open() (io.Reader, error) {
 	if f.content == nil {
 		return nil, fmt.Errorf("vfs: file %q is metadata-only", f.Name)
@@ -141,6 +163,9 @@ func (f File) Open() (io.Reader, error) {
 	r, err := f.content.open(&f)
 	if err != nil {
 		return nil, fmt.Errorf("vfs: open %q: %w", f.Name, err)
+	}
+	if f.hasSum {
+		r = &verifyReader{r: r, name: f.Name, size: f.Size, want: f.sum}
 	}
 	return r, nil
 }
@@ -200,8 +225,8 @@ func readFull(f File, r io.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("vfs: reading %q: %w", f.Name, err)
 	}
 	// The source must be exhausted: extra bytes are as corrupt as missing
-	// ones. A non-EOF error here is the source's own verdict (verified
-	// pack readers report checksum mismatches on the drain read) and
+	// ones. A non-EOF error here is the source's own verdict (a pack
+	// member's stream reports a checksum mismatch on the drain read) and
 	// outranks the byte count.
 	var probe [1]byte
 	if m, perr := r.Read(probe[:]); m > 0 {

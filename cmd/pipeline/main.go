@@ -99,11 +99,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	use := cli.SizesOnly
-	if *grepPats != "" || *measure {
-		use = cli.ScanOnce
-	}
-	fs, closer, inj, err := src.Open(ctx, use)
+	fs, closer, inj, err := src.Open(ctx, cli.ScanOnce)
 	if err != nil {
 		fatal(err)
 	}

@@ -42,7 +42,7 @@ func main() {
 		dry     = flag.Bool("dry", false, "plan only; do not write output")
 		pack    = flag.Bool("pack", false, "write pack shards instead of plain unit files")
 		shard   = flag.Int64("shard", 256<<20, "target pack shard size in bytes (with -pack; 0 = 256 MiB)")
-		verify  = flag.Bool("verify", false, "re-import the packs and verify checksums (with -pack)")
+		verify  = flag.Bool("verify", false, "re-import the packs and verify checksums (needs -pack, refused with -dry)")
 		workers = flag.Int("workers", 0, "content read-ahead workers for -pack (0 = all CPUs)")
 	)
 	flag.Parse()
@@ -64,6 +64,10 @@ func main() {
 	}
 	if !*dry && *outDir == "" {
 		fmt.Fprintln(os.Stderr, "reshape: -out is required unless -dry")
+		os.Exit(2)
+	}
+	if *verify && (!*pack || *dry) {
+		fmt.Fprintln(os.Stderr, "reshape: -verify checks written pack shards: it needs -pack, and no -dry")
 		os.Exit(2)
 	}
 

@@ -449,9 +449,10 @@ func TestExperimentsCommand(t *testing.T) {
 // past corpus.MaxFiles files to the cap. A NaN, negative, infinite or
 // overflowing value — and a zero deadline or unit — exits 2 naming the
 // flag, before any corpus is generated or imported and before any
-// listener opens. A daemon that took the value would serve until
-// killed, so each run has a deadline, and the daemons get an ephemeral
-// port.
+// listener opens. So does a flag that would check nothing: reshape
+// -verify without -pack (the value slot turns it off), or with -dry. A
+// daemon that took the value would serve until killed, so each run has a
+// deadline, and the daemons get an ephemeral port.
 func TestCommandsRefuseHostileNumbers(t *testing.T) {
 	bin := commandBins(t)
 	inDir, outDir := t.TempDir(), t.TempDir()
@@ -490,6 +491,8 @@ func TestCommandsRefuseHostileNumbers(t *testing.T) {
 		{"reshape", "-unit", "0"},
 		{"reshape", "-shard", "-1"},
 		{"reshape", "-workers", "-3"},
+		{"reshape", "-verify", "-pack=false"},
+		{"reshape", "-verify", "-dry"},
 	} {
 		args := []string{tc.flag, tc.value}
 		switch tc.cmd {

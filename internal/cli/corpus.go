@@ -46,15 +46,13 @@ func (c *Corpus) FaultSpec() string { return c.faultSpec }
 
 // Use is how a command reads its corpus's bytes, and so how Open holds
 // them: a Resident daemon (serve, worker) scans them many times and has
-// them loaded up front; a ScanOnce run (pipeline -measure or -grep) reads
-// each file once, when the scan reaches it; a SizesOnly run (pipeline
-// without either) plans from sizes and reads no bytes.
+// them loaded up front; a ScanOnce run (pipeline) reads each file at most
+// once, when a scan reaches it, so a run that only plans costs no more.
 type Use int
 
 const (
 	Resident Use = iota
 	ScanOnce
-	SizesOnly
 )
 
 // usageError is a flag combination Open refuses; Fatal exits 2 on it.
@@ -65,7 +63,7 @@ func (e usageError) Error() string { return string(e) }
 // Open opens the corpus for use: -packs as mapped shards, every member
 // read held to its stored CRC-32C; -dir loaded into raw views when
 // Resident, else stat'd and streamed; else -spec, generated eagerly when
-// Resident, on demand when ScanOnce and without content when SizesOnly.
+// Resident, else on demand.
 // An enabled -fault spec wraps the result — names, sizes, locality and
 // stored sums are kept, so plan fingerprints match a clean run and a
 // flipped pack member still fails its read — and its injector is
@@ -97,13 +95,10 @@ func (c *Corpus) Open(ctx context.Context, use Use) (*vfs.FS, io.Closer, *fault.
 		if c.spec == "html" {
 			spec = corpus.HTML18Mil(c.scale)
 		}
-		switch use {
-		case Resident:
+		if use == Resident {
 			fs, err = corpus.GenerateWithContentEagerCtx(ctx, spec, c.seed, 0)
-		case ScanOnce:
+		} else {
 			fs, err = corpus.GenerateWithContent(spec, c.seed)
-		default:
-			fs, err = corpus.Generate(spec, c.seed)
 		}
 		err = Refused("scale", err)
 	}

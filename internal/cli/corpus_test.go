@@ -80,21 +80,18 @@ func TestCorpusOpen(t *testing.T) {
 	}{
 		{name: "packs", args: []string{"-packs", packed}, raw: true, bytes: true, shards: true},
 		{name: "packs-scan-once", args: []string{"-packs", packed}, use: ScanOnce, raw: true, bytes: true, shards: true},
-		{name: "packs-sizes-only", args: []string{"-packs", packed}, use: SizesOnly, raw: true, bytes: true, shards: true},
 		{name: "packs-beat-dir", args: []string{"-packs", packed, "-dir", plain}, raw: true, bytes: true, shards: true},
 		{name: "dir", args: []string{"-dir", plain}, raw: true, bytes: true},
 		{name: "dir-scan-once", args: []string{"-dir", plain}, use: ScanOnce, bytes: true},
-		{name: "dir-sizes-only", args: []string{"-dir", plain}, use: SizesOnly, bytes: true},
 		{name: "dir-beats-spec", args: []string{"-dir", plain, "-spec", "nope"}, raw: true, bytes: true},
 		{name: "spec-text", args: []string{"-spec", "text"}, bytes: true, synth: "Text_400K"},
 		{name: "spec-text-scan-once", args: []string{"-spec", "text"}, use: ScanOnce, bytes: true, lazy: true, synth: "Text_400K"},
-		{name: "spec-text-sizes-only", args: []string{"-spec", "text"}, use: SizesOnly, lazy: true, synth: "Text_400K"},
 		{name: "spec-default", bytes: true, synth: "Text_400K"},
 		{name: "spec-html", args: []string{"-spec", "html", "-scale", "0.000001"}, bytes: true, synth: "HTML_18mil"},
 		{name: "spec-unknown", args: []string{"-spec", "pdf"}, usage: true},
 		{name: "scale-nan", args: []string{"-spec", "text", "-scale", "NaN"}, usage: true},
 		{name: "scale-zero", args: []string{"-spec", "text", "-scale", "0"}, usage: true},
-		{name: "scale-past-max-files", args: []string{"-spec", "text", "-scale", "1e9"}, use: SizesOnly, usage: true},
+		{name: "scale-past-max-files", args: []string{"-spec", "text", "-scale", "1e9"}, use: ScanOnce, usage: true},
 		{name: "fault-armed", args: []string{"-packs", packed, "-fault", "seed=7,readerr=0.5"}, bytes: true, shards: true, armed: true},
 		{name: "fault-disabled", args: []string{"-packs", packed, "-fault", "seed=7,latency=2ms"}, raw: true, bytes: true, shards: true},
 		{name: "fault-bad-spec", args: []string{"-packs", packed, "-fault", "readerr=2"}, invalid: true},

@@ -73,7 +73,7 @@ type MeasureOptions struct {
 // automatically take the zero-copy scan path: their sources carry raw
 // views, so the kernels read borrowed windows of the mapping.
 func MeasureCtx(ctx context.Context, corpusFS *vfs.FS, opts MeasureOptions) (*Measurement, error) {
-	return MeasureSourcesCtx(ctx, scan.SequentialOrder(vfs.Sources(corpusFS.List())), opts)
+	return measureSources(ctx, scan.SequentialOrder(vfs.Sources(corpusFS.List())), opts)
 }
 
 // MeasureKernels is the assembled kernel set of one fused measurement:
@@ -167,12 +167,10 @@ func FileComplexity(f textproc.FileStats) float64 {
 	return workload.ComplexityFromStats(f.Stats, oov)
 }
 
-// MeasureSourcesCtx runs the fused measurement over an explicit,
-// already-ordered source list: one kernel assembly, one scan.Run. Every
-// other Measure form is a thin wrapper; callers that build sources
-// themselves (the resident server, pre-sliced corpora, hand-picked shard
-// subsets) use this directly rather than materialising a throwaway FS.
-func MeasureSourcesCtx(ctx context.Context, srcs []scan.Source, opts MeasureOptions) (*Measurement, error) {
+// measureSources runs the fused measurement over an explicit,
+// already-ordered source list: one kernel assembly, one scan.Run. Both
+// Measure forms are thin wrappers over it.
+func measureSources(ctx context.Context, srcs []scan.Source, opts MeasureOptions) (*Measurement, error) {
 	mk, err := NewMeasureKernels(opts)
 	if err != nil {
 		return nil, errs.Stage("measure", err)
@@ -188,5 +186,5 @@ func MeasureSourcesCtx(ctx context.Context, srcs []scan.Source, opts MeasureOpti
 // is the single-node twin of the distributed engine's Measure: same plan
 // type, same kernel assembly, bit-identical results.
 func MeasurePlanCtx(ctx context.Context, p *scan.Plan, opts MeasureOptions) (*Measurement, error) {
-	return MeasureSourcesCtx(ctx, p.Sources, opts)
+	return measureSources(ctx, p.Sources, opts)
 }

@@ -162,14 +162,23 @@ func Generate(spec Spec, seed int64) (*vfs.FS, error) {
 // GenerateWithContent builds a corpus whose files materialise real text (or
 // HTML) deterministically on demand, caching nothing: every open
 // regenerates, trading CPU for memory exactly like re-reading from disk
-// would. Intended for small-to-medium corpora feeding the real grep and
-// POS kernels.
+// would. Its files share one content source, which holds the spec and
+// seed, so the corpus costs what Generate's metadata-only one costs.
 func GenerateWithContent(spec Spec, seed int64) (*vfs.FS, error) {
+	src := &generated{spec: spec, seed: seed}
 	return generate(spec, seed, func(name string, size int64) vfs.File {
-		return vfs.NewContentFile(name, size, func() (io.Reader, error) {
-			return bytes.NewReader(content(spec, seed, name, size)), nil
-		})
+		return vfs.NewContentFile(name, size, src)
 	})
+}
+
+// generated is every GenerateWithContent file's content source.
+type generated struct {
+	spec Spec
+	seed int64
+}
+
+func (g *generated) Open(f *vfs.File) (io.Reader, error) {
+	return bytes.NewReader(content(g.spec, g.seed, f.Name, f.Size)), nil
 }
 
 // generate builds an FS of file(name, size) for each file the spec draws.

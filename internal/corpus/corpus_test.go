@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/stats"
+	"repro/internal/vfs"
 )
 
 func TestHTML18MilDistributionShape(t *testing.T) {
@@ -144,6 +145,27 @@ func TestGenerateWithContentDeterministicAcrossOpens(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("two opens of the same file differ")
 	}
+}
+
+// TestGenerateWithContentCostsWhatGenerateCosts: the lazy generator's
+// files share one content source, so a content-backed corpus allocates
+// what the metadata-only one of the same spec does, give or take per
+// corpus; a closure a file would add one allocation a file.
+func TestGenerateWithContentCostsWhatGenerateCosts(t *testing.T) {
+	spec := HTML18Mil(0.0002) // 3 600 files
+	allocs := func(gen func(Spec, int64) (*vfs.FS, error)) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := gen(spec, 42); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain, lazy := allocs(Generate), allocs(GenerateWithContent)
+	if extra := (lazy - plain) / float64(spec.NumFiles); extra > 0.05 {
+		t.Fatalf("%d files: GenerateWithContent allocated %.0f times, Generate %.0f: %.3f more a file, want at most 0.05",
+			spec.NumFiles, lazy, plain, extra)
+	}
+	t.Logf("%d files: GenerateWithContent %.0f allocations, Generate %.0f", spec.NumFiles, lazy, plain)
 }
 
 func TestHTMLWrapping(t *testing.T) {

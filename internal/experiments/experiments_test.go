@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -410,10 +411,11 @@ func TestAblationPOSWrapperSlowdown(t *testing.T) {
 }
 
 // TestAblationTableIsPinned holds EXPERIMENTS.md's tables to the output
-// they cite: every row of the "Ablations" table names at least one
-// registered experiment ID in backticks, and in any table, every number
-// in the last cell of a row that names IDs is printed, as is, in those
-// experiments' sections of testdata/all.golden.
+// they cite: every row of every table names at least one registered
+// experiment ID in backticks, and every number in its last cell is one
+// those experiments' sections of testdata/all.golden print — as is, or
+// rounded to the decimals the cell gives it, a percentage from the
+// fraction printed (72.8% from 0.727833).
 func TestAblationTableIsPinned(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -432,46 +434,75 @@ func TestAblationTableIsPinned(t *testing.T) {
 		t.Fatal("EXPERIMENTS.md has no Ablations section")
 	}
 	code, number := regexp.MustCompile("`[^`]*`"), regexp.MustCompile(`[0-9]+(\.[0-9]+)?`)
-	ablations, pinned := 0, 0
-	for _, part := range strings.Split(string(doc), "\n## ") {
-		inAblations := strings.HasPrefix(part, "Ablations")
-		for _, line := range strings.Split(part, "\n") {
-			cells := strings.Split(strings.Trim(line, "| "), "|")
-			if !strings.HasPrefix(line, "|") || len(cells) < 2 || strings.HasPrefix(cells[1], "---") || strings.TrimSpace(cells[0]) == "ablation" {
-				continue
-			}
-			printed := map[string]bool{}
-			var ids []string
-			for _, span := range code.FindAllString(line, -1) {
-				if id := strings.Trim(span, "`"); sections[id] != "" {
-					ids = append(ids, id)
-					for _, n := range number.FindAllString(sections[id], -1) {
-						printed[n] = true
+	value := regexp.MustCompile(`[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?`)
+	lines := strings.Split(string(doc), "\n")
+	rows, ablations, inAblations := 0, 0, false
+	for i, line := range lines {
+		if strings.HasPrefix(line, "## ") {
+			inAblations = strings.HasPrefix(line, "## Ablations")
+		}
+		cells := strings.Split(strings.Trim(line, "| "), "|")
+		header := i+1 < len(lines) && strings.HasPrefix(lines[i+1], "|---")
+		if !strings.HasPrefix(line, "|") || len(cells) < 2 || strings.HasPrefix(cells[1], "---") || header {
+			continue
+		}
+		rows++
+		if inAblations {
+			ablations++
+		}
+		printed := map[string]bool{}
+		var values []float64
+		var ids []string
+		for _, span := range code.FindAllString(line, -1) {
+			if id := strings.Trim(span, "`"); sections[id] != "" {
+				ids = append(ids, id)
+				for _, n := range number.FindAllString(sections[id], -1) {
+					printed[n] = true
+				}
+				for _, v := range value.FindAllString(sections[id], -1) {
+					f, err := strconv.ParseFloat(v, 64)
+					if err != nil {
+						t.Fatal(err)
 					}
+					values = append(values, f)
 				}
 			}
-			if inAblations {
-				ablations++
-				if len(ids) == 0 {
-					t.Errorf("row cites no registered experiment ID in backticks: %s", line)
-				}
-			}
-			if len(ids) == 0 {
+		}
+		if len(ids) == 0 {
+			t.Errorf("row cites no registered experiment ID in backticks: %s", line)
+			continue
+		}
+		finding := code.ReplaceAllString(cells[len(cells)-1], "")
+		for _, at := range number.FindAllStringIndex(finding, -1) {
+			n := finding[at[0]:at[1]]
+			if printed[n] || roundsTo(values, n, strings.HasPrefix(finding[at[1]:], "%")) {
 				continue
 			}
-			pinned++
-			finding := code.ReplaceAllString(cells[len(cells)-1], "")
-			for _, n := range number.FindAllString(finding, -1) {
-				if !printed[n] {
-					t.Errorf("row %v: %s is not printed in their all.golden sections", ids, n)
-				}
-			}
+			t.Errorf("row %v: %s is not printed in their all.golden sections", ids, n)
 		}
 	}
 	if ablations == 0 {
 		t.Error("EXPERIMENTS.md's Ablations table has no rows")
 	}
-	t.Logf("%d rows pinned, %d of them ablations", pinned, ablations)
+	t.Logf("%d rows pinned, %d of them ablations", rows, ablations)
+}
+
+// roundsTo reports whether one of values, as a percentage when percent,
+// rounded to n's decimals reads n.
+func roundsTo(values []float64, n string, percent bool) bool {
+	decimals := 0
+	if _, frac, ok := strings.Cut(n, "."); ok {
+		decimals = len(frac)
+	}
+	for _, v := range values {
+		if percent {
+			v *= 100
+		}
+		if strconv.FormatFloat(v, 'f', decimals, 64) == n {
+			return true
+		}
+	}
+	return false
 }
 
 func TestRunAllProducesEveryReport(t *testing.T) {

@@ -2,6 +2,8 @@
 
 package packstore
 
+import "syscall"
+
 // dirCache holds nothing here: the syscall package has no openat, so
 // every file is opened by its whole path.
 type dirCache struct{}
@@ -9,3 +11,8 @@ type dirCache struct{}
 func (*dirCache) open(path string) (int, error) { return openFD(path) }
 
 func (*dirCache) close() {}
+
+// openJoined and lstat pass the path as a string: no fstatat either.
+func openJoined(dir, name string) (int, error) { return openFD(dir + name) }
+
+func lstat(path string, st *syscall.Stat_t) error { return syscall.Lstat(path, st) }

@@ -39,16 +39,7 @@ func (c *dirCache) open(path string) (int, error) {
 		c.path, c.fd = dir, fd
 	}
 	c.name[copy(c.name[:], name)] = 0
-	var fd int
-	err := ignoringEINTR(func() error {
-		r, _, errno := syscall.Syscall6(syscall.SYS_OPENAT, uintptr(c.fd), uintptr(unsafe.Pointer(&c.name[0])),
-			syscall.O_RDONLY|syscall.O_CLOEXEC, 0, 0, 0)
-		if errno != 0 {
-			return errno
-		}
-		fd = int(r)
-		return nil
-	})
+	fd, err := openat(uintptr(c.fd), &c.name[0])
 	if err != nil {
 		return -1, &os.PathError{Op: "open", Path: path, Err: err}
 	}
@@ -61,4 +52,71 @@ func (c *dirCache) close() {
 		syscall.Close(c.fd)
 		c.path = ""
 	}
+}
+
+// These system calls take their path NUL-terminated from a stack buffer,
+// where the syscall package's string forms copy it to the heap: one
+// allocation per open and per lstat of an import's every file.
+const (
+	atFDCWD           = ^uintptr(99) // AT_FDCWD, -100: paths resolve as in open(2)
+	atSymlinkNoFollow = 0x100        // makes fstatat an lstat
+	pathMax           = 4096         // PATH_MAX, with the NUL
+)
+
+// joinNUL writes dir+name and a NUL into buf, and reports whether they
+// fit and held no NUL of their own; a path that does not goes to the
+// syscall package, whose error the caller then sees.
+func joinNUL(buf *[pathMax]byte, dir, name string) bool {
+	n := len(dir) + len(name)
+	if n >= len(buf) || strings.IndexByte(dir, 0) >= 0 || strings.IndexByte(name, 0) >= 0 {
+		return false
+	}
+	copy(buf[copy(buf[:], dir):], name)
+	buf[n] = 0
+	return true
+}
+
+// openJoined opens dir+name read-only on a raw descriptor, as openFD
+// opens a path.
+func openJoined(dir, name string) (int, error) {
+	var buf [pathMax]byte
+	if !joinNUL(&buf, dir, name) {
+		return openFD(dir + name)
+	}
+	fd, err := openat(atFDCWD, &buf[0])
+	if err != nil {
+		return -1, &os.PathError{Op: "open", Path: dir + name, Err: err}
+	}
+	return fd, nil
+}
+
+// openat opens the NUL-terminated path at p, relative to the directory
+// dirfd, read-only on a raw descriptor.
+func openat(dirfd uintptr, p *byte) (int, error) {
+	var fd int
+	err := ignoringEINTR(func() error {
+		r, _, errno := syscall.Syscall6(syscall.SYS_OPENAT, dirfd, uintptr(unsafe.Pointer(p)),
+			syscall.O_RDONLY|syscall.O_CLOEXEC, 0, 0, 0)
+		if errno != 0 {
+			return errno
+		}
+		fd = int(r)
+		return nil
+	})
+	return fd, err
+}
+
+// lstat is syscall.Lstat through fstatat, where the architecture's
+// fstatat fills syscall.Stat_t as it is (fstatatTrap is not 0).
+func lstat(path string, st *syscall.Stat_t) error {
+	var buf [pathMax]byte
+	if fstatatTrap == 0 || !joinNUL(&buf, path, "") {
+		return syscall.Lstat(path, st)
+	}
+	_, _, errno := syscall.Syscall6(fstatatTrap, atFDCWD, uintptr(unsafe.Pointer(&buf[0])),
+		uintptr(unsafe.Pointer(st)), atSymlinkNoFollow, 0, 0)
+	if errno != 0 {
+		return errno
+	}
+	return nil
 }

@@ -175,16 +175,16 @@ func LoadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
 	return loadFile(path, slab)
 }
 
-// OpenFile opens the regular file at path for one sequential read, at the
-// lowest per-open cost the platform offers: on unix a raw descriptor with
-// no *os.File around it — no finalizer, no poller registration, no
-// descriptor-flag queries — and *os.File elsewhere and behind
-// packstore_nommap. The reader holds a descriptor that only its Close
-// releases; dropping it unclosed leaks the descriptor for the life of the
-// process. A failed open is an *os.PathError, so errors.Is finds
-// os.ErrNotExist and friends as it does behind os.Open.
-func OpenFile(path string) (io.ReadCloser, error) {
-	return openFile(path)
+// OpenFile opens the regular file dir+name (name slash-separated) for one
+// sequential read, at the lowest per-open cost the platform offers: on
+// unix a raw descriptor with no *os.File around it — no finalizer, no
+// poller registration, no descriptor-flag queries — and *os.File
+// elsewhere and behind packstore_nommap. The reader holds a descriptor
+// that only its Close releases; dropping it unclosed leaks the descriptor
+// for the life of the process. A failed open is an *os.PathError, so
+// errors.Is finds os.ErrNotExist and friends as it does behind os.Open.
+func OpenFile(dir, name string) (io.ReadCloser, error) {
+	return openFile(dir, name)
 }
 
 // LstatSize is the size os.Lstat reports for path (a symlink's own), and

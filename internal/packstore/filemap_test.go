@@ -201,11 +201,12 @@ func TestOpenFileReadsAndReleases(t *testing.T) {
 	dir := t.TempDir()
 	for _, size := range []int{0, 1, 5000, 300 << 10} {
 		want := patterned(size, byte(size))
-		path := filepath.Join(dir, fmt.Sprintf("f%d", size))
+		name := fmt.Sprintf("f%d", size)
+		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, want, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r, err := OpenFile(path)
+		r, err := OpenFile(dir+string(filepath.Separator), name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +234,7 @@ func TestOpenFileReadsAndReleases(t *testing.T) {
 		}
 		other.Close()
 	}
-	if _, err := OpenFile(filepath.Join(dir, "absent")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := OpenFile(dir+string(filepath.Separator), "absent"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing file: err = %v, want os.ErrNotExist", err)
 	}
 }

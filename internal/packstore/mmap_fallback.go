@@ -5,6 +5,7 @@ package packstore
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
 const mmapSupported = false
@@ -58,8 +59,8 @@ func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
 }
 
 // openFile is OpenFile through *os.File, which is what the platform has.
-func openFile(path string) (io.ReadCloser, error) {
-	return os.Open(path)
+func openFile(dir, name string) (io.ReadCloser, error) {
+	return os.Open(dir + filepath.FromSlash(name))
 }
 
 // lstatSize is LstatSize through os.Lstat.

@@ -89,37 +89,37 @@ func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
 
 // openFile is OpenFile over a raw descriptor: a sequential read of one
 // member costs open, read, read-EOF, close and nothing else.
-func openFile(path string) (io.ReadCloser, error) {
-	fd, err := openFD(path)
+func openFile(dir, name string) (io.ReadCloser, error) {
+	fd, err := openJoined(dir, name)
 	if err != nil {
 		return nil, err
 	}
-	return &fdFile{fd: fd, path: path}, nil
+	return &fdFile{fd: fd, dir: dir, name: name}, nil
 }
 
 // lstatSize is LstatSize over the system call itself.
 func lstatSize(path string) (int64, error) {
 	var st syscall.Stat_t
-	if err := ignoringEINTR(func() error { return syscall.Lstat(path, &st) }); err != nil {
+	if err := ignoringEINTR(func() error { return lstat(path, &st) }); err != nil {
 		return 0, &os.PathError{Op: "lstat", Path: path, Err: err}
 	}
 	return st.Size, nil
 }
 
 // fdFile owns a raw descriptor until Close. Nothing else will release it:
-// there is no finalizer behind it.
+// there is no finalizer behind it. Its path is joined only for an error.
 type fdFile struct {
-	fd   int // -1 once closed
-	path string
+	fd        int // -1 once closed
+	dir, name string
 }
 
 func (f *fdFile) Read(p []byte) (int, error) {
 	if f.fd < 0 {
-		return 0, &os.PathError{Op: "read", Path: f.path, Err: os.ErrClosed}
+		return 0, &os.PathError{Op: "read", Path: f.dir + f.name, Err: os.ErrClosed}
 	}
 	n, err := fdReader(f.fd).Read(p)
 	if err != nil && err != io.EOF {
-		err = &os.PathError{Op: "read", Path: f.path, Err: err}
+		err = &os.PathError{Op: "read", Path: f.dir + f.name, Err: err}
 	}
 	return n, err
 }
@@ -129,12 +129,12 @@ func (f *fdFile) Read(p []byte) (int, error) {
 // have reused since.
 func (f *fdFile) Close() error {
 	if f.fd < 0 {
-		return &os.PathError{Op: "close", Path: f.path, Err: os.ErrClosed}
+		return &os.PathError{Op: "close", Path: f.dir + f.name, Err: os.ErrClosed}
 	}
 	fd := f.fd
 	f.fd = -1
 	if err := syscall.Close(fd); err != nil {
-		return &os.PathError{Op: "close", Path: f.path, Err: err}
+		return &os.PathError{Op: "close", Path: f.dir + f.name, Err: err}
 	}
 	return nil
 }

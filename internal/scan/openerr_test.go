@@ -52,7 +52,7 @@ func TestOpenFailureIsReportedAsItself(t *testing.T) {
 		}},
 		{"fault.WrapFS over a failing base", "base.txt", errBase, func(t *testing.T) *vfs.FS {
 			base := vfs.NewFS()
-			if err := base.Add(vfs.NewContentFile("base.txt", 11, func() (io.Reader, error) { return nil, errBase })); err != nil {
+			if err := base.Add(vfs.NewContentFile("base.txt", 11, vfs.Opener(func() (io.Reader, error) { return nil, errBase }))); err != nil {
 				t.Fatal(err)
 			}
 			inj, err := fault.New(fault.Config{Seed: 1})

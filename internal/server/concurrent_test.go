@@ -59,12 +59,12 @@ func TestConcurrentRequestsBitIdentical(t *testing.T) {
 	_, ts, srcs := mappedPackServer(t, Config{MaxInFlight: 4, QueueDepth: 64})
 
 	patterns := []string{"the", "and", "president", "error"}
-	wantGrep, err := core.MeasureSourcesCtx(context.Background(), srcs,
+	wantGrep, err := core.MeasurePlanCtx(context.Background(), scan.NewPlan(srcs, scan.PlanOptions{}),
 		core.MeasureOptions{Patterns: patterns})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMeasure, err := core.MeasureSourcesCtx(context.Background(), srcs,
+	wantMeasure, err := core.MeasurePlanCtx(context.Background(), scan.NewPlan(srcs, scan.PlanOptions{}),
 		core.MeasureOptions{Complexity: true})
 	if err != nil {
 		t.Fatal(err)

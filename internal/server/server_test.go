@@ -153,7 +153,7 @@ func encodeIndented(t *testing.T, v any) []byte {
 }
 
 // TestMeasureMatchesLibrary pins the measure endpoint to
-// core.MeasureSourcesCtx — the exact call the one-shot CLI makes — with
+// core.MeasurePlanCtx — the exact call the one-shot CLI makes — with
 // and without patterns, folded or not, with and without complexity: every
 // response field but elapsed_ms equals the library's, and the body is the
 // bytes the library's answer encodes to.
@@ -173,7 +173,7 @@ func TestMeasureMatchesLibrary(t *testing.T) {
 	} {
 		for _, complexity := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/complexity=%v", pc.name, complexity), func(t *testing.T) {
-				m, err := core.MeasureSourcesCtx(context.Background(), srcs,
+				m, err := core.MeasurePlanCtx(context.Background(), scan.NewPlan(srcs, scan.PlanOptions{}),
 					core.MeasureOptions{Patterns: pc.patterns, FoldCase: pc.fold, Complexity: complexity})
 				if err != nil {
 					t.Fatal(err)

@@ -37,12 +37,12 @@ func TestBuildManifestCtxCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 2, 8} {
-		if _, err := BuildManifestWorkersCtx(cancelled, fs, workers); !errors.Is(err, errs.ErrCancelled) {
+		if _, err := buildManifest(cancelled, fs, workers); !errors.Is(err, errs.ErrCancelled) {
 			t.Fatalf("workers=%d: cancelled build returned %v, want ErrCancelled", workers, err)
 		}
 		// The cancelled attempt must not poison the corpus: a completed
 		// run afterwards reproduces the reference manifest exactly.
-		got, err := BuildManifestWorkersCtx(context.Background(), fs, workers)
+		got, err := buildManifest(context.Background(), fs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -46,13 +46,12 @@ func checksumScan(ctx context.Context, files []File, workers int) ([]scan.FileSu
 // returns a typed cancellation error (errors.Is against errs.ErrCancelled
 // / errs.ErrDeadline).
 func BuildManifestCtx(ctx context.Context, fs *FS) (Manifest, error) {
-	return BuildManifestWorkersCtx(ctx, fs, 0)
+	return buildManifest(ctx, fs, 0)
 }
 
-// BuildManifestWorkersCtx is BuildManifestCtx with an explicit worker
-// count (0 or negative means GOMAXPROCS); workers=1 is the serial
-// reference.
-func BuildManifestWorkersCtx(ctx context.Context, fs *FS, workers int) (Manifest, error) {
+// buildManifest is BuildManifestCtx with an explicit worker count (0 or
+// negative means GOMAXPROCS); workers=1 is the serial reference.
+func buildManifest(ctx context.Context, fs *FS, workers int) (Manifest, error) {
 	files := fs.List()
 	sums, err := checksumScan(ctx, files, workers)
 	if err != nil {

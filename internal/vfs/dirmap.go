@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -37,6 +39,15 @@ type dirEntry struct {
 	name, path string
 	size       int64
 	data       []byte
+}
+
+// walkRoot is dir as the walk joins names onto it: with a trailing
+// separator, unless it is "".
+func walkRoot(dir string) string {
+	if dir != "" && !os.IsPathSeparator(dir[len(dir)-1]) {
+		dir += string(filepath.Separator)
+	}
+	return dir
 }
 
 // walkBefore reports whether filepath.WalkDir, depth-first in lexical
@@ -245,10 +256,10 @@ func (imp *dirImport) loader() func(*dirEntry) error {
 	}
 }
 
-// open is every imported file's content source: a reader over its raw
+// Open is every imported file's content source: a reader over its raw
 // view, or, once the import's closer has run, a loud failure, matching
 // the pack reader's read-after-close contract.
-func (imp *dirImport) open(f *File) (io.Reader, error) {
+func (imp *dirImport) Open(f *File) (io.Reader, error) {
 	if imp.closed.Load() {
 		return nil, errors.New("read after mapped dir import close")
 	}

@@ -2,6 +2,7 @@ package vfs_test
 
 import (
 	"context"
+	"io"
 	"runtime"
 	"testing"
 
@@ -70,6 +71,47 @@ func TestImportDirMappedAllocsPerFile(t *testing.T) {
 		t.Fatalf("importing %d small files allocated %.0f times, %.3f per file, want at most 0.05", files, allocs, perFile)
 	}
 	t.Logf("%d files: %.0f allocations, %.3f per file", files, allocs, allocs/float64(files))
+}
+
+// TestImportDirAllocsPerFile pins what the streaming import of many small
+// files allocates: the walk lists and the loaders lstat each file without
+// allocating, and every file shares the import's one content source, so
+// all that is left is per chunk and per import. Opening a file then costs
+// its reader and the File the source is handed, and nothing for the path,
+// which is joined in a stack buffer. The pins hold the raw-descriptor
+// build on linux.
+func TestImportDirAllocsPerFile(t *testing.T) {
+	if runtime.GOOS != "linux" || !packstore.MmapSupported {
+		t.Skip("the portable walk and opener allocate per file: os.ReadDir's entries, os.Open's File")
+	}
+	dir := smallFileTree(t)
+	fs, err := vfs.ImportDirCtx(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := vfs.ImportDirCtx(context.Background(), dir); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perFile := allocs / float64(fs.Len()); perFile > 0.05 {
+		t.Fatalf("importing %d small files allocated %.0f times, %.3f per file, want at most 0.05", fs.Len(), allocs, perFile)
+	}
+	t.Logf("%d files: %.0f allocations, %.3f per file", fs.Len(), allocs, allocs/float64(fs.Len()))
+	f := fs.List()[0]
+	opens := testing.AllocsPerRun(100, func() {
+		r, err := f.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.(io.Closer).Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if opens > 3 {
+		t.Errorf("Open+Close of %q allocated %.2f times, want at most 3", f.Name, opens)
+	}
+	t.Logf("Open+Close: %.2f allocations", opens)
 }
 
 // TestImportPackMappedAllocsPerMember pins what a mapped import of a pack

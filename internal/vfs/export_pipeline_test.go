@@ -92,10 +92,10 @@ func TestExportPackLeavesNoDescriptorsOrLoaders(t *testing.T) {
 			// moment a loader opens it, with disk members open around it.
 			ctx, cancel := context.WithCancel(context.Background())
 			t.Cleanup(cancel)
-			trip := NewContentFile("m0050-trip", 4, func() (io.Reader, error) {
+			trip := NewContentFile("m0050-trip", 4, Opener(func() (io.Reader, error) {
 				cancel()
 				return strings.NewReader("trip"), nil
-			})
+			}))
 			if err := in.Add(trip); err != nil {
 				t.Fatal(err)
 			}
@@ -182,17 +182,17 @@ func TestExportPackReportsFirstErrorInListOrder(t *testing.T) {
 		f := BytesFile(fmt.Sprintf("u%d", i), bytes.Repeat([]byte{byte(i)}, 100))
 		switch i {
 		case 1:
-			f = NewContentFile(f.Name, f.Size, func() (io.Reader, error) {
+			f = NewContentFile(f.Name, f.Size, Opener(func() (io.Reader, error) {
 				<-lateFailed
 				return nil, errEarly
-			})
+			}))
 		case 3:
-			f = NewContentFile(f.Name, f.Size, func() (io.Reader, error) {
+			f = NewContentFile(f.Name, f.Size, Opener(func() (io.Reader, error) {
 				if lateOpens.Add(1) == 1 {
 					close(lateFailed)
 				}
 				return nil, errLate
-			})
+			}))
 		}
 		if err := fs.Add(f); err != nil {
 			t.Fatal(err)

@@ -305,7 +305,7 @@ type packSource struct {
 	bad  []int64 // offsets of the members whose raw view fails its sum
 }
 
-func (s *packSource) open(f *File) (io.Reader, error) {
+func (s *packSource) Open(f *File) (io.Reader, error) {
 	return s.p.SectionReader(packstore.Member{Offset: f.shardOff, Size: f.Size}), nil
 }
 

@@ -35,12 +35,12 @@ func contentFS(t *testing.T, n int) *FS {
 
 func TestBuildManifestWorkerCountInvariant(t *testing.T) {
 	fs := contentFS(t, 120)
-	serial, err := BuildManifestWorkersCtx(context.Background(), fs, 1)
+	serial, err := buildManifest(context.Background(), fs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 16} {
-		m, err := BuildManifestWorkersCtx(context.Background(), fs, workers)
+		m, err := buildManifest(context.Background(), fs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -9,8 +9,8 @@
 // merged unit file always contains exactly the bytes of its members in
 // order.
 //
-// Delivery contract (DESIGN.md §7): an Opener returns a fresh reader or an
-// error, never a reader that fails later in the error's place; whoever
+// Delivery contract (DESIGN.md §7): a ContentSource returns a fresh reader
+// or an error, never a reader that fails later in the error's place; whoever
 // calls Open closes the reader if it is an io.Closer; a raw view, where a
 // file has one, is valid until the closer of the import that made it runs.
 package vfs
@@ -30,20 +30,19 @@ import (
 	"repro/internal/par"
 )
 
-// Opener produces a fresh reader over a file's content, or the reason it
-// cannot. Implementations must return independent readers on each call so
-// files can be read concurrently and repeatedly. A reader that holds a
-// resource implements io.Closer; whoever called Open closes it.
+// ContentSource serves the content of every file of an import or a
+// generator, keyed by the File it is handed, so no file carries a closure
+// of its own. Open returns an independent reader on each call, or the
+// reason it cannot. A reader that holds a resource implements io.Closer;
+// whoever called File.Open closes it.
+type ContentSource interface {
+	Open(f *File) (io.Reader, error)
+}
+
+// Opener is the content source of one file, by closure (Concat, WithStream).
 type Opener func() (io.Reader, error)
 
-func (o Opener) open(*File) (io.Reader, error) { return o() }
-
-// source is where a File's content comes from: an Opener, or an import
-// that serves each of its files from the file's raw view, so that no
-// file needs a closure of its own.
-type source interface {
-	open(f *File) (io.Reader, error)
-}
+func (o Opener) Open(*File) (io.Reader, error) { return o() }
 
 // File is a named, sized blob with optional lazily-materialised content.
 // Pack-backed files additionally carry locality — which shard container
@@ -53,7 +52,7 @@ type source interface {
 type File struct {
 	Name    string
 	Size    int64
-	content source
+	content ContentSource
 
 	shard    string // container (pack shard) path, "" for standalone files
 	shardOff int64  // byte offset of the content within the container
@@ -61,9 +60,9 @@ type File struct {
 	// raw, when hasRaw, is the file's complete content as a borrowed view —
 	// typically a window into a memory-mapped pack shard. Scans use it for
 	// the zero-copy path; the view is only valid while its owner (the pack
-	// reader) stays open. Deliberately separate from BytesFile content: a
-	// file having in-memory bytes is not the same as a file whose owner
-	// guarantees them stable for a whole scan.
+	// reader) stays open. A BytesFile keeps its bytes here too, with
+	// hasRaw unset: a file having in-memory bytes is not the same as a
+	// file whose owner guarantees them stable for a whole scan.
 	raw    []byte
 	hasRaw bool
 
@@ -79,25 +78,23 @@ func NewFile(name string, size int64) File {
 	return File{Name: name, Size: size}
 }
 
-// NewContentFile creates a file whose bytes come from open. The declared
+// NewContentFile creates a file whose bytes come from src. The declared
 // size must match the content length; ReadAll validates this.
-func NewContentFile(name string, size int64, open Opener) File {
-	f := File{Name: name, Size: size}
-	if open != nil {
-		f.content = open
-	}
-	return f
+func NewContentFile(name string, size int64, src ContentSource) File {
+	return File{Name: name, Size: size, content: src}
 }
 
 // BytesFile creates a file backed by an in-memory byte slice. The slice is
 // not copied; callers must not mutate it afterwards.
 func BytesFile(name string, data []byte) File {
-	return File{
-		Name:    name,
-		Size:    int64(len(data)),
-		content: Opener(func() (io.Reader, error) { return bytes.NewReader(data), nil }),
-	}
+	return File{Name: name, Size: int64(len(data)), content: inMemory{}, raw: data}
 }
+
+// inMemory is every BytesFile's content source: a reader over the bytes
+// the file keeps in raw.
+type inMemory struct{}
+
+func (inMemory) Open(f *File) (io.Reader, error) { return bytes.NewReader(f.raw), nil }
 
 // WithRawBytes returns a copy of the file annotated with a borrowed
 // zero-copy view of its complete content. data must hold exactly Size
@@ -122,7 +119,7 @@ func (f File) WithStream(wrap func(name string, size int64, r io.Reader) io.Read
 	}
 	base := f
 	f.content = Opener(func() (io.Reader, error) {
-		r, err := base.content.open(&base)
+		r, err := base.content.Open(&base)
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +157,7 @@ func (f File) Open() (io.Reader, error) {
 	if f.content == nil {
 		return nil, fmt.Errorf("vfs: file %q is metadata-only", f.Name)
 	}
-	r, err := f.content.open(&f)
+	r, err := f.content.Open(&f)
 	if err != nil {
 		return nil, fmt.Errorf("vfs: open %q: %w", f.Name, err)
 	}
@@ -502,13 +499,18 @@ func ImportDirCtx(ctx context.Context, dir string) (*FS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vfs: import %s: %w", dir, err)
 	}
+	src := &dirSource{root: walkRoot(dir)}
 	files := make([]File, len(entries))
 	for i, e := range entries {
-		path := e.path
-		files[i] = NewContentFile(e.name, e.size, func() (io.Reader, error) { return packstore.OpenFile(path) })
+		files[i] = File{Name: e.name, Size: e.size, content: src}
 	}
 	return newFS(files)
 }
+
+// dirSource is every ImportDir file's content source: the walked root.
+type dirSource struct{ root string }
+
+func (s *dirSource) Open(f *File) (io.Reader, error) { return packstore.OpenFile(s.root, f.Name) }
 
 // statEntry is ImportDir's load: the entry's size, from an lstat.
 func statEntry(e *dirEntry) (err error) {

@@ -50,7 +50,7 @@ func TestBytesFile(t *testing.T) {
 }
 
 func TestContentFileSizeMismatch(t *testing.T) {
-	f := NewContentFile("c.txt", 5, func() (io.Reader, error) { return strings.NewReader("too long"), nil })
+	f := NewContentFile("c.txt", 5, Opener(func() (io.Reader, error) { return strings.NewReader("too long"), nil }))
 	if _, err := f.ReadAll(); err == nil {
 		t.Error("expected size-mismatch error")
 	}

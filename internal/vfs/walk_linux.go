@@ -22,9 +22,7 @@ import (
 // reports DT_UNKNOWN gets an lstat for that entry, as os.ReadDir does; a
 // symlink (DT_LNK) is listed, never followed.
 func walkFiles(dir string, emit func([]dirEntry) error) error {
-	if dir != "" && dir[len(dir)-1] != '/' {
-		dir += "/"
-	}
+	dir = walkRoot(dir)
 	w := dirWalker{root: len(dir), buf: make([]byte, 32<<10), emit: emit}
 	for dirs := []string{dir}; len(dirs) > 0; {
 		path := dirs[len(dirs)-1]

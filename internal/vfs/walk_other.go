@@ -31,10 +31,7 @@ func walkFiles(dir string, emit func([]dirEntry) error) error {
 		}
 		return nil
 	}
-	if dir != "" && !os.IsPathSeparator(dir[len(dir)-1]) {
-		dir += string(filepath.Separator)
-	}
-	if err := walk(dir, ""); err != nil || len(chunk) == 0 {
+	if err := walk(walkRoot(dir), ""); err != nil || len(chunk) == 0 {
 		return err
 	}
 	return emit(chunk)

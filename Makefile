@@ -18,9 +18,11 @@ test:
 # test-nommap exercises the portable packstore fallback (pread into a
 # private buffer instead of mmap) that non-unix builds get unconditionally,
 # and the portable directory walk (walk_other.go) the same tag selects:
-# internal/cli's Open table runs every corpus source and use over it.
+# internal/cli's Open table runs every corpus source and use over it. The
+# engine (internal/scan, internal/core) scans vfs files, so its raw-view
+# tests run here over the fallback's heap copies too.
 test-nommap:
-	$(GO) test -tags packstore_nommap ./internal/packstore ./internal/vfs ./internal/cli
+	$(GO) test -tags packstore_nommap ./internal/packstore ./internal/vfs ./internal/cli ./internal/scan ./internal/core
 
 # test-scandebug runs the scan suite with recycled block buffers poisoned
 # (0xDB) so a kernel that retains a borrowed Block slice fails loudly.

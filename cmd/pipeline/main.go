@@ -118,7 +118,7 @@ func main() {
 		if *grepPats != "" {
 			spec.Patterns = strings.Split(*grepPats, ",")
 		}
-		plan := scan.NewPlan(vfs.Sources(fs.List()), scan.PlanOptions{})
+		plan := scan.NewPlan(fs.List(), scan.PlanOptions{})
 
 		opts := dist.Options{
 			MaxAttempts:  *maxAtt,
@@ -214,7 +214,8 @@ func main() {
 	if initial < 100_000 {
 		initial = 100_000
 	}
-	if s0 := pickS0(fs); s0*5 > fs.TotalSize() {
+	s0 := pickS0(fs.List())
+	if s0*5 > fs.TotalSize() {
 		fmt.Printf("note: base unit %d bytes is large relative to the corpus; the unit-size sweep will be coarse\n", s0)
 	}
 	p, err := core.New(core.Config{
@@ -223,7 +224,7 @@ func main() {
 		DeadlineSeconds: *deadline,
 		InitialVolume:   initial,
 		MaxVolume:       fs.TotalSize(),
-		S0:              pickS0(fs),
+		S0:              s0,
 		Multiples:       []int{10, 100},
 	})
 	if err != nil {
@@ -313,12 +314,10 @@ func distMeasure(ctx context.Context, plan *scan.Plan, spec dist.Spec, fleet []d
 
 // pickS0 chooses a base probe unit comfortably above the largest file, as
 // §4 prescribes, rounded to a power of ten.
-func pickS0(fs *vfs.FS) int64 {
+func pickS0(files []vfs.File) int64 {
 	var maxSize int64
-	for _, s := range fs.Sizes() {
-		if s > maxSize {
-			maxSize = s
-		}
+	for i := range files {
+		maxSize = max(maxSize, files[i].Size)
 	}
 	s0 := int64(10)
 	for s0 <= maxSize {

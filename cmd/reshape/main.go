@@ -28,6 +28,7 @@ import (
 	"repro/internal/binpack"
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/scan"
 	"repro/internal/vfs"
 )
 
@@ -105,7 +106,7 @@ func main() {
 			// what a fresh mapped import — the open `pipeline -packs` and
 			// `serve` read through — reads back: one parallel checksum scan
 			// each, and a mismatch names the corrupt member.
-			want, err := vfs.BuildManifestCtx(ctx, merged)
+			want, err := scan.BuildManifestCtx(ctx, merged)
 			if err != nil {
 				fatal(err)
 			}

@@ -30,7 +30,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/scan"
 	"repro/internal/server"
-	"repro/internal/vfs"
 )
 
 // defaultInflight is how many scan requests run at once unless -inflight
@@ -78,7 +77,7 @@ func main() {
 	}
 	defer closer.Close()
 
-	srv, err := server.New(ctx, scan.SequentialOrder(vfs.Sources(fs.List())), server.Config{
+	srv, err := server.New(ctx, scan.SequentialOrder(fs.List()), server.Config{
 		MaxInFlight:    maxInFlight,
 		QueueDepth:     queueDepth,
 		ScanWorkers:    scanWorkers,

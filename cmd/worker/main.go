@@ -31,7 +31,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/dist"
 	"repro/internal/scan"
-	"repro/internal/vfs"
 )
 
 func main() {
@@ -59,7 +58,7 @@ func main() {
 		fatal(err)
 	}
 	defer closer.Close()
-	plan := scan.NewPlan(vfs.Sources(fs.List()), scan.PlanOptions{})
+	plan := scan.NewPlan(fs.List(), scan.PlanOptions{})
 
 	d, err := cli.Listen(*addr)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/errs"
 	"repro/internal/packstore"
+	"repro/internal/scan"
 	"repro/internal/vfs"
 )
 
@@ -59,7 +60,7 @@ func TestCorpusOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := vfs.BuildManifestCtx(context.Background(), ref)
+	want, err := scan.BuildManifestCtx(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestCorpusOpen(t *testing.T) {
 			}
 			f := fs.List()[0]
 			_, rawErr := f.Bytes() // errors exactly when the file carries no zero-copy view
-			if shard := vfs.Sources(fs.List()[:1])[0].Shard; (rawErr == nil) != tc.raw || f.HasContent() != tc.bytes || (shard != "") != tc.shards {
+			if shard, _ := f.Locality(); (rawErr == nil) != tc.raw || f.HasContent() != tc.bytes || (shard != "") != tc.shards {
 				t.Errorf("first file: raw %v (want %v), content %v (want %v), shard %q (want one: %v)",
 					rawErr == nil, tc.raw, f.HasContent(), tc.bytes, shard, tc.shards)
 			}
@@ -177,14 +178,15 @@ func flippedMemberFails(t *testing.T, use Use, args []string, packed string) {
 	// The flip goes in before the import that reads it: a build without
 	// mmap copies each shard at import.
 	fs, closer := open()
-	victim := vfs.Sources(fs.List()[:1])[0]
+	victim := fs.List()[0]
 	closer.Close()
-	f, err := os.OpenFile(victim.Shard, os.O_RDWR, 0)
+	shard, off := victim.Locality()
+	f, err := os.OpenFile(shard, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b [1]byte
-	off := victim.Offset + victim.Size/2
+	off += victim.Size / 2
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}

@@ -168,11 +168,11 @@ func TestSilentPeerIsDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	files := fs.List()
-	srv, err := server.New(context.Background(), scan.SequentialOrder(vfs.Sources(files)), server.Config{})
+	srv, err := server.New(context.Background(), scan.SequentialOrder(files), server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker := dist.NewWorkerServer("w", scan.NewPlan(vfs.Sources(files), scan.PlanOptions{}))
+	worker := dist.NewWorkerServer("w", scan.NewPlan(files, scan.PlanOptions{}))
 	for name, h := range map[string]http.Handler{"serve": srv.Handler(), "worker": worker.Handler()} {
 		t.Run(name, func(t *testing.T) {
 			d, err := Listen("127.0.0.1:0")

@@ -26,7 +26,7 @@ func measurementDigest(t *testing.T, files []vfs.File, workers, block int) strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := scan.Run(context.Background(), vfs.Sources(files), scan.Options{Workers: workers, BlockSize: block}, mk.List...); err != nil {
+	if err := scan.Run(context.Background(), files, scan.Options{Workers: workers, BlockSize: block}, mk.List...); err != nil {
 		t.Fatal(err)
 	}
 	h := sha256.New()

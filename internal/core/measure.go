@@ -73,7 +73,7 @@ type MeasureOptions struct {
 // automatically take the zero-copy scan path: their sources carry raw
 // views, so the kernels read borrowed windows of the mapping.
 func MeasureCtx(ctx context.Context, corpusFS *vfs.FS, opts MeasureOptions) (*Measurement, error) {
-	return measureSources(ctx, scan.SequentialOrder(vfs.Sources(corpusFS.List())), opts)
+	return measureSources(ctx, scan.SequentialOrder(corpusFS.List()), opts)
 }
 
 // MeasureKernels is the assembled kernel set of one fused measurement:

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/corpus"
 	"repro/internal/errs"
+	"repro/internal/scan"
 	"repro/internal/textproc"
 	"repro/internal/textproc/bmhtest"
 	"repro/internal/textproc/tokentest"
@@ -41,13 +45,13 @@ func TestMeasureMatchesSeparatePasses(t *testing.T) {
 	}
 
 	// Manifest equals the dedicated builder's.
-	wantManifest, err := vfs.BuildManifestCtx(context.Background(), fs)
+	wantManifest, err := scan.BuildManifestCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest := make(vfs.Manifest, len(m.Sums))
+	manifest := make(scan.Manifest, len(m.Sums))
 	for _, s := range m.Sums {
-		manifest[s.Name] = vfs.ManifestEntry{Size: s.Size, Checksum: s.Sum}
+		manifest[s.Name] = scan.ManifestEntry{Size: s.Size, Checksum: s.Sum}
 	}
 	if len(manifest) != len(wantManifest) {
 		t.Fatalf("manifest has %d entries, want %d", len(manifest), len(wantManifest))
@@ -207,5 +211,53 @@ func TestMeasurementRowsSizedOnce(t *testing.T) {
 				t.Errorf("workers %d: %s has len %d, cap %d; want both %d", workers, name, lc[0], lc[1], n)
 			}
 		}
+	}
+}
+
+// TestScanReadsTheFileList pins that a scan over an unsharded corpus reads
+// the FS's own file list, with no per-file record of its own: the plan
+// NewPlan builds over it and the slice MeasureCtx scans share the list's
+// backing array, and MeasureCtx allocates nothing a file beyond what
+// MeasurePlanCtx allocates over that plan. The files carry raw views, so
+// no pooled block buffer (which -race drops at random) is allocated.
+func TestScanReadsTheFileList(t *testing.T) {
+	const n = 4000
+	ctx := context.Background()
+	fs := vfs.NewFS()
+	for i := 0; i < n; i++ {
+		text := []byte(fmt.Sprintf("File %d says the error count is %d.", i, i*3))
+		if err := fs.Add(vfs.BytesFile(fmt.Sprintf("doc-%04d.txt", i), text).WithRawBytes(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := fs.List()
+	list := unsafe.Pointer(unsafe.SliceData(files))
+	plan := scan.NewPlan(vfs.Sources(files), scan.PlanOptions{})
+	if unsafe.Pointer(unsafe.SliceData(plan.Sources)) != list {
+		t.Error("NewPlan copied the file list of an unsharded corpus")
+	}
+	if unsafe.Pointer(unsafe.SliceData(scan.SequentialOrder(vfs.Sources(files)))) != list {
+		t.Error("the source list MeasureCtx scans is a copy of the file list")
+	}
+
+	allocated := func(measure func() error) uint64 {
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := measure(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	opts := MeasureOptions{Workers: 1}
+	byFS := allocated(func() error { _, err := MeasureCtx(ctx, fs, opts); return err })
+	byPlan := allocated(func() error { _, err := MeasurePlanCtx(ctx, plan, opts); return err })
+	if byFS > byPlan+n*8 {
+		t.Errorf("MeasureCtx allocated %d B, MeasurePlanCtx over its plan %d B: %.1f B a file more, want < 8",
+			byFS, byPlan, float64(byFS-byPlan)/n)
 	}
 }

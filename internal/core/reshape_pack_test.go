@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/scan"
 	"repro/internal/vfs"
 )
 
@@ -32,7 +33,7 @@ func TestReshapePackRoundTrip(t *testing.T) {
 	if merged.TotalSize() != fs.TotalSize() {
 		t.Fatalf("reshape changed total volume: %d != %d", merged.TotalSize(), fs.TotalSize())
 	}
-	manifest, err := vfs.BuildManifestCtx(context.Background(), merged)
+	manifest, err := scan.BuildManifestCtx(context.Background(), merged)
 	if err != nil {
 		t.Fatal(err)
 	}

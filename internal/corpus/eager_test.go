@@ -5,7 +5,7 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/vfs"
+	"repro/internal/scan"
 )
 
 // TestEagerMatchesLazy pins the tentpole determinism guarantee: the
@@ -57,7 +57,7 @@ func TestEagerHTMLChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := vfs.BuildManifestCtx(context.Background(), lazy)
+	want, err := scan.BuildManifestCtx(context.Background(), lazy)
 	if err != nil {
 		t.Fatal(err)
 	}

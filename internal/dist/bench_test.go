@@ -69,7 +69,7 @@ func httpFleet(tb testing.TB, n int, shardSize int64) (*scan.Plan, []Worker) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { closer.Close() })
-	plan := scan.NewPlan(vfs.Sources(mfs.List()), scan.PlanOptions{})
+	plan := scan.NewPlan(mfs.List(), scan.PlanOptions{})
 	fleet := make([]Worker, 2)
 	for i := range fleet {
 		name := fmt.Sprintf("w%d", i)

@@ -74,7 +74,7 @@ func testPlan(t *testing.T, n int) *scan.Plan {
 			t.Fatal(err)
 		}
 	}
-	p := scan.NewPlan(vfs.Sources(fs.List()), scan.PlanOptions{TaskBytes: 300})
+	p := scan.NewPlan(fs.List(), scan.PlanOptions{TaskBytes: 300})
 	if len(p.Tasks) < 3 {
 		t.Fatalf("want ≥3 tasks for contention, got %d", len(p.Tasks))
 	}

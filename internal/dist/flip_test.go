@@ -79,7 +79,7 @@ func TestBitFlipFailsEveryReadPath(t *testing.T) {
 	}
 	files := fs.List()
 	spec := Spec{Patterns: []string{"the"}}
-	p := scan.NewPlan(vfs.Sources(files), scan.PlanOptions{})
+	p := scan.NewPlan(files, scan.PlanOptions{})
 	if len(p.Tasks) < 4 {
 		t.Fatalf("want several tasks, plan has %d", len(p.Tasks))
 	}
@@ -142,23 +142,24 @@ func TestFlippedMemberOnDiskSkipsItsTask(t *testing.T) {
 	dir, clean := smallPacks(t)
 	spec := Spec{Patterns: []string{"the"}}
 	plan := func(fs *vfs.FS) *scan.Plan {
-		return scan.NewPlan(vfs.Sources(fs.List()), scan.PlanOptions{})
+		return scan.NewPlan(fs.List(), scan.PlanOptions{})
 	}
 	cp := plan(clean)
 	bad := len(cp.Tasks) / 2
 	victim := cp.Sources[cp.Tasks[bad].Lo]
 	want := partialWant(t, cp, spec, map[int]bool{bad: true})
 
-	f, err := os.OpenFile(victim.Shard, os.O_RDWR, 0)
+	shard, off := victim.Locality()
+	f, err := os.OpenFile(shard, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b [1]byte
-	if _, err := f.ReadAt(b[:], victim.Offset); err != nil {
+	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
 	b[0] ^= 0x01
-	if _, err := f.WriteAt(b[:], victim.Offset); err != nil {
+	if _, err := f.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

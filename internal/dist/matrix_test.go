@@ -159,7 +159,7 @@ func matrixCell(t *testing.T, base *vfs.FS, want *core.Measurement, spec Spec, s
 
 // matrixPlan splits the corpus into 32 KiB tasks: 61 for the matrix's.
 func matrixPlan(fs *vfs.FS) *scan.Plan {
-	return scan.NewPlan(vfs.Sources(fs.List()), scan.PlanOptions{TaskBytes: 32 << 10})
+	return scan.NewPlan(fs.List(), scan.PlanOptions{TaskBytes: 32 << 10})
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

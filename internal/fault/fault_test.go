@@ -135,17 +135,19 @@ func TestWrapFSPreservesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := vfs.Sources(fs.List()), vfs.Sources(wrapped.List())
+	want, got := fs.List(), wrapped.List()
 	if len(got) != len(want) {
 		t.Fatalf("%d files wrapped, %d given", len(got), len(want))
 	}
 	for i, g := range got {
 		w := want[i]
-		if g.Name != w.Name || g.Size != w.Size || g.Shard != w.Shard || g.Offset != w.Offset || w.Shard == "" {
-			t.Fatalf("file %d: wrapped (%s, %d B, %s@%d), given (%s, %d B, %s@%d)", i, g.Name, g.Size, g.Shard, g.Offset, w.Name, w.Size, w.Shard, w.Offset)
+		gs, goff := g.Locality()
+		ws, woff := w.Locality()
+		if g.Name != w.Name || g.Size != w.Size || gs != ws || goff != woff || ws == "" {
+			t.Fatalf("file %d: wrapped (%s, %d B, %s@%d), given (%s, %d B, %s@%d)", i, g.Name, g.Size, gs, goff, w.Name, w.Size, ws, woff)
 		}
-		if w.Raw == nil || g.Raw != nil {
-			t.Fatalf("file %q: raw view given %v, wrapped %v — faults would be bypassed", g.Name, w.Raw != nil, g.Raw != nil)
+		if !w.HasRaw() || g.HasRaw() {
+			t.Fatalf("file %q: raw view given %v, wrapped %v — faults would be bypassed", g.Name, w.HasRaw(), g.HasRaw())
 		}
 	}
 }

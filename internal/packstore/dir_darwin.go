@@ -8,11 +8,11 @@ import "syscall"
 // every file is opened by its whole path.
 type dirCache struct{}
 
-func (*dirCache) open(path string) (int, error) { return openFD(path) }
+func (*dirCache) open(dir, name string) (int, error) { return openFD(dir + name) }
 
 func (*dirCache) close() {}
 
 // openJoined and lstat pass the path as a string: no fstatat either.
 func openJoined(dir, name string) (int, error) { return openFD(dir + name) }
 
-func lstat(path string, st *syscall.Stat_t) error { return syscall.Lstat(path, st) }
+func lstat(dir, name string, st *syscall.Stat_t) error { return syscall.Lstat(dir+name, st) }

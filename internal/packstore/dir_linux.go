@@ -13,44 +13,46 @@ import (
 // open so that the next file there is opened by its name alone: openat(2)
 // against the directory's descriptor, the name copied into a buffer the
 // cache owns. open(2) on the whole path costs a fresh NUL-terminated copy
-// of the path per file, and a lookup of every directory on it.
+// of the path per file, and a lookup of every directory on it. The
+// directory is keyed by the root a file was named under and the name's
+// directory part, so no path is joined to find it.
 type dirCache struct {
-	path string // the open directory with its trailing '/', "" for none
-	fd   int
-	name [256]byte // one name and its NUL: NAME_MAX is 255
+	root, sub string // the open directory is root+sub; both "" for none
+	fd        int
+	name      [256]byte // one name and its NUL: NAME_MAX is 255
 }
 
-// open opens the file at path read-only on a raw descriptor, as openFD
-// does. A path without a directory or a name, or with a name no buffer
-// of NAME_MAX holds, and a directory that cannot be opened for reading,
-// go to openFD, so its error is the one the caller sees.
-func (c *dirCache) open(path string) (int, error) {
-	i := strings.LastIndexByte(path, '/')
-	dir, name := path[:i+1], path[i+1:]
-	if dir == "" || name == "" || len(name) >= len(c.name) || strings.IndexByte(name, 0) >= 0 {
-		return openFD(path)
+// open opens the file root+name read-only on a raw descriptor, as
+// openJoined does. A name without a base, a path without a directory, a
+// base no buffer of NAME_MAX holds, and a directory that cannot be opened
+// for reading go to openJoined, so its error is the one the caller sees.
+func (c *dirCache) open(root, name string) (int, error) {
+	i := strings.LastIndexByte(name, '/')
+	sub, base := name[:i+1], name[i+1:]
+	if len(root)+len(sub) == 0 || base == "" || len(base) >= len(c.name) || strings.IndexByte(base, 0) >= 0 {
+		return openJoined(root, name)
 	}
-	if dir != c.path {
+	if root != c.root || sub != c.sub { // an empty cache matches no root+sub but ""
 		c.close()
-		fd, err := openFD(dir)
+		fd, err := openJoined(root, sub)
 		if err != nil {
-			return openFD(path)
+			return openJoined(root, name)
 		}
-		c.path, c.fd = dir, fd
+		c.root, c.sub, c.fd = root, sub, fd
 	}
-	c.name[copy(c.name[:], name)] = 0
+	c.name[copy(c.name[:], base)] = 0
 	fd, err := openat(uintptr(c.fd), &c.name[0])
 	if err != nil {
-		return -1, &os.PathError{Op: "open", Path: path, Err: err}
+		return -1, &os.PathError{Op: "open", Path: root + name, Err: err}
 	}
 	return fd, nil
 }
 
 // close releases the open directory, if any.
 func (c *dirCache) close() {
-	if c.path != "" {
+	if len(c.root)+len(c.sub) > 0 {
 		syscall.Close(c.fd)
-		c.path = ""
+		c.root, c.sub = "", ""
 	}
 }
 
@@ -106,12 +108,13 @@ func openat(dirfd uintptr, p *byte) (int, error) {
 	return fd, err
 }
 
-// lstat is syscall.Lstat through fstatat, where the architecture's
-// fstatat fills syscall.Stat_t as it is (fstatatTrap is not 0).
-func lstat(path string, st *syscall.Stat_t) error {
+// lstat is syscall.Lstat of dir+name through fstatat, where the
+// architecture's fstatat fills syscall.Stat_t as it is (fstatatTrap is
+// not 0).
+func lstat(dir, name string, st *syscall.Stat_t) error {
 	var buf [pathMax]byte
-	if fstatatTrap == 0 || !joinNUL(&buf, path, "") {
-		return syscall.Lstat(path, st)
+	if fstatatTrap == 0 || !joinNUL(&buf, dir, name) {
+		return syscall.Lstat(dir+name, st)
 	}
 	_, _, errno := syscall.Syscall6(fstatatTrap, atFDCWD, uintptr(unsafe.Pointer(&buf[0])),
 		uintptr(unsafe.Pointer(st)), atSymlinkNoFollow, 0, 0)

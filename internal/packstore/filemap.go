@@ -113,13 +113,14 @@ type FileSlab struct {
 	dir   dirCache
 }
 
-// read appends exactly size bytes of r to the slab and returns them as a
-// capacity-clamped view. size, at most SmallFileLimit, is what the file's
-// stat reported; the read runs to EOF with room for one byte more, so
-// content that is shorter or longer than its stat — a file truncated or
-// appended to in between — is ErrCorrupt, never a silently short or stale
-// view.
-func (s *FileSlab) read(r io.Reader, size int64, path string) ([]byte, error) {
+// read appends exactly size bytes of r, the file dir+name, to the slab
+// and returns them as a capacity-clamped view. size, at most
+// SmallFileLimit, is what the file's stat reported; the read runs to EOF
+// with room for one byte more, so content that is shorter or longer than
+// its stat — a file truncated or appended to in between — is ErrCorrupt,
+// never a silently short or stale view. The path is joined only for an
+// error.
+func (s *FileSlab) read(r io.Reader, size int64, dir, name string) ([]byte, error) {
 	need := int(size) + 1 // the EOF probe's byte
 	if cap(s.buf)-len(s.buf) < need {
 		p := slabPool.Get().(*slab)
@@ -136,14 +137,14 @@ func (s *FileSlab) read(r io.Reader, size int64, path string) ([]byte, error) {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("packstore: read %s: %w", path, err)
+			return nil, fmt.Errorf("packstore: read %s%s: %w", dir, name, err)
 		}
 	}
 	switch {
 	case int64(n) > size:
-		return nil, errs.Corrupt("packstore: %s grew past the %d bytes its stat reported while being read", path, size)
+		return nil, errs.Corrupt("packstore: %s%s grew past the %d bytes its stat reported while being read", dir, name, size)
 	case int64(n) < size:
-		return nil, errs.Corrupt("packstore: %s has %d bytes, its stat reported %d", path, n, size)
+		return nil, errs.Corrupt("packstore: %s%s has %d bytes, its stat reported %d", dir, name, n, size)
 	}
 	s.buf = s.buf[:off+n]
 	return dst[:n:n], nil
@@ -164,15 +165,16 @@ func (s *FileSlab) Release() {
 	*s = FileSlab{}
 }
 
-// LoadFile opens the regular file at path once and delivers its complete
-// content by the cheaper of two routes, chosen from the size its stat
-// reports: at or under SmallFileLimit it is read to EOF into slab (the
-// returned mapping is nil and the view is valid until slab.Release),
-// above it the file is mapped (the view is the mapping's bytes, valid
-// until the caller closes the mapping). Either way the file's descriptor
-// is released before LoadFile returns.
-func LoadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
-	return loadFile(path, slab)
+// LoadFile opens the regular file dir+name (name slash-separated, as
+// OpenFile takes it) once and delivers its complete content by the
+// cheaper of two routes, chosen from the size its stat reports: at or
+// under SmallFileLimit it is read to EOF into slab (the returned mapping
+// is nil and the view is valid until slab.Release), above it the file is
+// mapped (the view is the mapping's bytes, valid until the caller closes
+// the mapping). Either way the file's descriptor is released before
+// LoadFile returns.
+func LoadFile(dir, name string, slab *FileSlab) ([]byte, *FileMapping, error) {
+	return loadFile(dir, name, slab)
 }
 
 // OpenFile opens the regular file dir+name (name slash-separated) for one
@@ -187,11 +189,11 @@ func OpenFile(dir, name string) (io.ReadCloser, error) {
 	return openFile(dir, name)
 }
 
-// LstatSize is the size os.Lstat reports for path (a symlink's own), and
-// the same *os.PathError when it fails, without the FileInfo: on unix one
-// lstat into a stack buffer, so an import that sizes thousands of files
-// allocates nothing per file for it; os.Lstat elsewhere and behind
-// packstore_nommap.
-func LstatSize(path string) (int64, error) {
-	return lstatSize(path)
+// LstatSize is the size os.Lstat reports for dir+name (a symlink's own),
+// and the same *os.PathError when it fails, without the FileInfo: on unix
+// one lstat of the path joined in a stack buffer, so an import that sizes
+// thousands of files allocates nothing per file for it; os.Lstat
+// elsewhere and behind packstore_nommap.
+func LstatSize(dir, name string) (int64, error) {
+	return lstatSize(dir, name)
 }

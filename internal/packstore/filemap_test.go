@@ -35,11 +35,11 @@ func TestLoadFileSplitsBySize(t *testing.T) {
 	defer slab.Release()
 	for i, size := range []int{0, 1, 1300, SmallFileLimit - 1, SmallFileLimit, SmallFileLimit + 1, 3 * SmallFileLimit} {
 		want := patterned(size, byte(i))
-		path := filepath.Join(dir, fmt.Sprintf("f%d", i))
-		if err := os.WriteFile(path, want, 0o644); err != nil {
+		name := fmt.Sprintf("f%d", i)
+		if err := os.WriteFile(filepath.Join(dir, name), want, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		data, m, err := LoadFile(path, &slab)
+		data, m, err := LoadFile(dir+"/", name, &slab)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
@@ -65,10 +65,10 @@ func TestLoadFileSplitsBySize(t *testing.T) {
 			t.Fatalf("size %d: closed mapping still hands out data", size)
 		}
 	}
-	if _, _, err := LoadFile(dir, &slab); err == nil {
+	if _, _, err := LoadFile(filepath.Dir(dir)+"/", filepath.Base(dir), &slab); err == nil {
 		t.Fatal("loading a directory succeeded")
 	}
-	if _, _, err := LoadFile(filepath.Join(dir, "absent"), &slab); !errors.Is(err, os.ErrNotExist) {
+	if _, _, err := LoadFile(dir+"/", "absent", &slab); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("loading a missing file returned %v, want os.ErrNotExist", err)
 	}
 }
@@ -79,18 +79,18 @@ func TestLoadFileSplitsBySize(t *testing.T) {
 func TestFileSlabSharesSlabsWithoutAliasing(t *testing.T) {
 	dir := t.TempDir()
 	const files, size = 900, 1300 // 1.17 MB: crosses into a second slab
-	paths := make([]string, files)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("f%04d", i))
-		if err := os.WriteFile(paths[i], patterned(size, byte(i)), 0o644); err != nil {
+	root, names := dir+"/", make([]string, files)
+	for i := range names {
+		names[i] = fmt.Sprintf("f%04d", i)
+		if err := os.WriteFile(root+names[i], patterned(size, byte(i)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var slab FileSlab
 	defer slab.Release()
 	views := make([][]byte, files)
-	for i, p := range paths {
-		data, _, err := LoadFile(p, &slab)
+	for i, name := range names {
+		data, _, err := LoadFile(root, name, &slab)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,8 +105,8 @@ func TestFileSlabSharesSlabsWithoutAliasing(t *testing.T) {
 	var sink []byte
 	allocs := testing.AllocsPerRun(3, func() {
 		var slab FileSlab
-		for _, p := range paths[:batch] {
-			sink, _, _ = LoadFile(p, &slab)
+		for _, name := range names[:batch] {
+			sink, _, _ = LoadFile(root, name, &slab)
 		}
 		slab.Release()
 	})
@@ -123,42 +123,47 @@ func TestFileSlabSharesSlabsWithoutAliasing(t *testing.T) {
 }
 
 // TestLoadFileFollowsItsDirectory: a slab keeps the directory of the last
-// file it loaded open and opens the next file there by name; loads that
-// alternate between directories, a name in a directory that is not there
-// and a path with a trailing slash each get what open(2) on the whole path
-// would give.
+// file it loaded open, keyed by the root and the name's directory, and
+// opens the next file there by name; loads that alternate between
+// directories, and between two roots that hold the same names, a name in
+// a directory that is not there and a name with a trailing slash each get
+// what open(2) on the whole path would give.
 func TestLoadFileFollowsItsDirectory(t *testing.T) {
-	root := t.TempDir()
-	var paths []string
-	for i, rel := range []string{"a/x", "b/x", "a/y", "a/z", "b/deep/x"} {
-		path := filepath.Join(root, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
+	roots := []string{t.TempDir() + "/", t.TempDir() + "/"}
+	rels := []string{"a/x", "b/x", "a/y", "a/z", "b/deep/x", "top"}
+	content := func(r, i int) []byte { return patterned(100+i, byte(10*r+i)) }
+	for r, root := range roots {
+		for i, rel := range rels {
+			path := root + rel
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, content(r, i), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.WriteFile(path, patterned(100+i, byte(i)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, path)
 	}
 	var slab FileSlab
 	defer slab.Release()
 	for round := 0; round < 2; round++ {
-		for i, p := range paths {
-			data, _, err := LoadFile(p, &slab)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(data, patterned(100+i, byte(i))) {
-				t.Fatalf("round %d: %s loaded another file's bytes", round, p)
+		for i, rel := range rels {
+			for r, root := range roots {
+				data, _, err := LoadFile(root, rel, &slab)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(data, content(r, i)) {
+					t.Fatalf("round %d: %s%s loaded another file's bytes", round, root, rel)
+				}
 			}
 		}
 	}
-	for _, p := range []string{filepath.Join(root, "a", "absent"), filepath.Join(root, "nowhere", "x")} {
-		if _, _, err := LoadFile(p, &slab); !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), p) {
-			t.Fatalf("missing %s: %v, want os.ErrNotExist naming the path", p, err)
+	for _, rel := range []string{"a/absent", "nowhere/x"} {
+		if _, _, err := LoadFile(roots[0], rel, &slab); !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), roots[0]+rel) {
+			t.Fatalf("missing %s: %v, want os.ErrNotExist naming the path", rel, err)
 		}
 	}
-	if _, _, err := LoadFile(paths[0]+"/", &slab); err == nil {
+	if _, _, err := LoadFile(roots[0], rels[0]+"/", &slab); err == nil {
 		t.Fatal("a file path with a trailing slash loaded")
 	}
 }
@@ -169,12 +174,12 @@ func TestLoadFileFollowsItsDirectory(t *testing.T) {
 func TestFileSlabDetectsSizeDrift(t *testing.T) {
 	content := patterned(1000, 3)
 	var slab FileSlab
-	if _, err := slab.read(bytes.NewReader(content), 1000, "steady"); err != nil {
+	if _, err := slab.read(bytes.NewReader(content), 1000, "", "steady"); err != nil {
 		t.Fatalf("steady file: %v", err)
 	}
 	used := len(slab.buf)
 	for _, stat := range []int64{0, 999, 1001, 5000} {
-		_, err := slab.read(bytes.NewReader(content), stat, "drifting")
+		_, err := slab.read(bytes.NewReader(content), stat, "", "drifting")
 		if !errors.Is(err, errs.ErrCorrupt) {
 			t.Fatalf("stat said %d bytes, content has 1000: got %v, want ErrCorrupt", stat, err)
 		}
@@ -183,7 +188,7 @@ func TestFileSlabDetectsSizeDrift(t *testing.T) {
 		}
 	}
 	boom := errors.New("disk on fire")
-	if _, err := slab.read(failingReader{boom}, 10, "failing"); !errors.Is(err, boom) {
+	if _, err := slab.read(failingReader{boom}, 10, "", "failing"); !errors.Is(err, boom) {
 		t.Fatalf("read error came back as %v", err)
 	}
 }
@@ -251,11 +256,11 @@ func TestFileSlabReleasesOnce(t *testing.T) {
 	dir := t.TempDir()
 	var fs FileSlab
 	for i := 0; i < 3*16; i++ { // three slabs of limit-sized files
-		path := filepath.Join(dir, fmt.Sprintf("f%02d", i))
-		if err := os.WriteFile(path, patterned(SmallFileLimit-100, byte(i)), 0o644); err != nil {
+		name := fmt.Sprintf("f%02d", i)
+		if err := os.WriteFile(filepath.Join(dir, name), patterned(SmallFileLimit-100, byte(i)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := LoadFile(path, &fs); err != nil {
+		if _, _, err := LoadFile(dir+"/", name, &fs); err != nil {
 			t.Fatal(err)
 		}
 	}

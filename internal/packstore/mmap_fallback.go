@@ -34,7 +34,8 @@ func (*dirCache) close() {}
 // loadFile is LoadFile through *os.File: the same open, stat, read to
 // EOF, close sequence and the same slab, without the raw descriptor
 // calls only unix has. Large files take mapFile's heap fallback.
-func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
+func loadFile(dir, name string, slab *FileSlab) ([]byte, *FileMapping, error) {
+	path := dir + filepath.FromSlash(name)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -54,7 +55,7 @@ func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
 		}
 		return m.data, m, nil
 	}
-	data, err := slab.read(f, info.Size(), path)
+	data, err := slab.read(f, info.Size(), dir, name)
 	return data, nil, err
 }
 
@@ -64,8 +65,8 @@ func openFile(dir, name string) (io.ReadCloser, error) {
 }
 
 // lstatSize is LstatSize through os.Lstat.
-func lstatSize(path string) (int64, error) {
-	info, err := os.Lstat(path)
+func lstatSize(dir, name string) (int64, error) {
+	info, err := os.Lstat(dir + filepath.FromSlash(name))
 	if err != nil {
 		return 0, err
 	}

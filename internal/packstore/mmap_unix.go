@@ -59,21 +59,22 @@ func openFD(path string) (int, error) {
 // keeps the per-file fixed cost of a many-small-files import down to the
 // system calls it cannot avoid. Only a file large enough to map is
 // wrapped in an *os.File, for mapFile.
-func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
-	fd, err := slab.dir.open(path)
+func loadFile(dir, name string, slab *FileSlab) ([]byte, *FileMapping, error) {
+	fd, err := slab.dir.open(dir, name)
 	if err != nil {
 		return nil, nil, err
 	}
 	var st syscall.Stat_t
 	if err := ignoringEINTR(func() error { return syscall.Fstat(fd, &st) }); err != nil {
 		syscall.Close(fd)
-		return nil, nil, &os.PathError{Op: "stat", Path: path, Err: err}
+		return nil, nil, &os.PathError{Op: "stat", Path: dir + name, Err: err}
 	}
 	if uint32(st.Mode)&syscall.S_IFMT != syscall.S_IFREG {
 		syscall.Close(fd)
-		return nil, nil, errNotRegular(path)
+		return nil, nil, errNotRegular(dir + name)
 	}
 	if st.Size > SmallFileLimit {
+		path := dir + name
 		f := os.NewFile(uintptr(fd), path)
 		defer f.Close()
 		m, err := mapOpened(f, path, st.Size)
@@ -82,7 +83,7 @@ func loadFile(path string, slab *FileSlab) ([]byte, *FileMapping, error) {
 		}
 		return m.data, m, nil
 	}
-	data, err := slab.read(fdReader(fd), st.Size, path)
+	data, err := slab.read(fdReader(fd), st.Size, dir, name)
 	syscall.Close(fd)
 	return data, nil, err
 }
@@ -98,10 +99,10 @@ func openFile(dir, name string) (io.ReadCloser, error) {
 }
 
 // lstatSize is LstatSize over the system call itself.
-func lstatSize(path string) (int64, error) {
+func lstatSize(dir, name string) (int64, error) {
 	var st syscall.Stat_t
-	if err := ignoringEINTR(func() error { return lstat(path, &st) }); err != nil {
-		return 0, &os.PathError{Op: "lstat", Path: path, Err: err}
+	if err := ignoringEINTR(func() error { return lstat(dir, name, &st) }); err != nil {
+		return 0, &os.PathError{Op: "lstat", Path: dir + name, Err: err}
 	}
 	return st.Size, nil
 }

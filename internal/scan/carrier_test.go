@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/scan"
 	"repro/internal/textproc"
+	"repro/internal/vfs"
 )
 
 // countingCarrier is a MatchKernel that counts its BlockSum calls, so the
@@ -58,10 +59,9 @@ func TestCarriedChecksumEqualsChecksumAlone(t *testing.T) {
 	raw := make([]scan.Source, len(contents))
 	for i, c := range contents {
 		name := fmt.Sprintf("file-%03d", i)
-		streaming[i] = scan.Source{Name: name, Size: int64(len(c)),
-			Content: scan.OpenFunc(func() (io.Reader, error) { return bytes.NewReader(c), nil })}
-		raw[i] = scan.Source{Name: name, Size: int64(len(c)),
-			Raw: scan.BytesFunc(func() ([]byte, error) { return c, nil })}
+		streaming[i] = vfs.NewContentFile(name, int64(len(c)),
+			vfs.Opener(func() (io.Reader, error) { return bytes.NewReader(c), nil }))
+		raw[i] = vfs.BytesFile(name, c).WithRawBytes(c)
 	}
 	bitap, err := textproc.NewMultiSearcher([]string{"the", "and", "president", "market", "city", "nation", "report", "error"})
 	if err != nil {

@@ -1,12 +1,16 @@
 package scan
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/vfs"
 )
 
 // TestChunkBounds pins how Run groups sources: contiguous, covering,
@@ -92,24 +96,25 @@ func TestRunForksPerChunkNotPerFile(t *testing.T) {
 	var once sync.Once
 	srcs := make([]Source, n)
 	for i := range srcs {
-		raw := BytesFunc(func() ([]byte, error) { return payload, nil })
+		name := fmt.Sprintf("f%05d", i)
 		switch i {
 		case 0:
-			raw = func() ([]byte, error) {
+			srcs[i] = vfs.NewContentFile(name, int64(len(payload)), vfs.Opener(func() (io.Reader, error) {
 				select {
 				case <-release:
 				case <-time.After(30 * time.Second):
 					t.Error("stalled source was never released: the last source did not run")
 				}
-				return payload, nil
-			}
+				return bytes.NewReader(payload), nil
+			}))
 		case n - 1:
-			raw = func() ([]byte, error) {
+			srcs[i] = vfs.NewContentFile(name, int64(len(payload)), vfs.Opener(func() (io.Reader, error) {
 				once.Do(func() { close(release) })
-				return payload, nil
-			}
+				return bytes.NewReader(payload), nil
+			}))
+		default:
+			srcs[i] = vfs.BytesFile(name, payload).WithRawBytes(payload)
 		}
-		srcs[i] = Source{Name: fmt.Sprintf("f%05d", i), Size: int64(len(payload)), Raw: raw}
 	}
 	chunks := len(chunkBounds(srcs, 2)) - 1
 	if chunks < 2 || chunks > n/100 {

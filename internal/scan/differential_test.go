@@ -129,7 +129,7 @@ func TestFusedScanMatchesReferenceImplementations(t *testing.T) {
 				t.Fatal(err)
 			}
 			plain := textproc.NewStatsKernel()
-			err = scan.Run(context.Background(), vfs.Sources(files),
+			err = scan.Run(context.Background(), files,
 				scan.Options{Workers: workers, BlockSize: block}, append(mk.List, plain)...)
 			if err != nil {
 				t.Fatalf("workers=%d block=%d: %v", workers, block, err)
@@ -270,7 +270,7 @@ func TestChunkedMergeBitIdenticalAtAnyWorkerCount(t *testing.T) {
 		{"single-source", chunkCorpus(t, 3, 1, 70_000)},
 	}
 	for _, c := range corpora {
-		srcs := vfs.Sources(c.files)
+		srcs := c.files
 		// The corpus must exercise what its name says at some worker
 		// count: multi-source chunks, and a multi-source corpus's
 		// oversized source alone in its chunk.

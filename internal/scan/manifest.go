@@ -1,4 +1,4 @@
-package vfs
+package scan
 
 import (
 	"context"
@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/errs"
-	"repro/internal/scan"
+	"repro/internal/vfs"
 )
 
 // Content integrity: reshaping must never corrupt data, and exported unit
@@ -16,7 +16,7 @@ import (
 //
 // The corpus-wide operations here are thin wrappers over the fused scan
 // engine: BuildManifestCtx and Manifest.VerifyCtx run a checksum-only
-// scan.Run, each file opened and streamed exactly once.
+// Run, each file opened and streamed exactly once.
 
 // Manifest maps file names to (size, checksum).
 type Manifest map[string]ManifestEntry
@@ -30,10 +30,9 @@ type ManifestEntry struct {
 // checksumScan runs a checksum-only fused scan over the files — each file
 // opened and streamed exactly once, shard-sequentially for pack-backed
 // corpora — and returns the per-file sums.
-func checksumScan(ctx context.Context, files []File, workers int) ([]scan.FileSum, error) {
-	ck := scan.NewChecksum()
-	srcs := scan.SequentialOrder(Sources(files))
-	if err := scan.Run(ctx, srcs, scan.Options{Workers: workers}, ck); err != nil {
+func checksumScan(ctx context.Context, files []Source, workers int) ([]FileSum, error) {
+	ck := NewChecksum()
+	if err := Run(ctx, SequentialOrder(files), Options{Workers: workers}, ck); err != nil {
 		return nil, err
 	}
 	return ck.Sums(), nil
@@ -45,13 +44,13 @@ func checksumScan(ctx context.Context, files []File, workers int) ([]scan.FileSu
 // worker count. Checksum dispatch stops once ctx is done and the call
 // returns a typed cancellation error (errors.Is against errs.ErrCancelled
 // / errs.ErrDeadline).
-func BuildManifestCtx(ctx context.Context, fs *FS) (Manifest, error) {
+func BuildManifestCtx(ctx context.Context, fs *vfs.FS) (Manifest, error) {
 	return buildManifest(ctx, fs, 0)
 }
 
 // buildManifest is BuildManifestCtx with an explicit worker count (0 or
 // negative means GOMAXPROCS); workers=1 is the serial reference.
-func buildManifest(ctx context.Context, fs *FS, workers int) (Manifest, error) {
+func buildManifest(ctx context.Context, fs *vfs.FS, workers int) (Manifest, error) {
 	files := fs.List()
 	sums, err := checksumScan(ctx, files, workers)
 	if err != nil {
@@ -70,9 +69,9 @@ func buildManifest(ctx context.Context, fs *FS, workers int) (Manifest, error) {
 // returned as an error. Content is checksummed by a fused scan — one open
 // and one streaming read per file, shard-sequential for packed corpora.
 // Cancellation follows the usual typed-error contract.
-func (m Manifest) VerifyCtx(ctx context.Context, fs *FS) error {
+func (m Manifest) VerifyCtx(ctx context.Context, fs *vfs.FS) error {
 	if fs.Len() != len(m) {
-		return errs.Corrupt("vfs: manifest has %d entries, file system %d files", len(m), fs.Len())
+		return errs.Corrupt("scan: manifest has %d entries, file system %d files", len(m), fs.Len())
 	}
 	// Deterministic iteration for stable error messages: cheap metadata
 	// checks first, in name order.
@@ -81,16 +80,16 @@ func (m Manifest) VerifyCtx(ctx context.Context, fs *FS) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	files := make([]File, 0, len(m))
+	files := make([]Source, 0, len(m))
 	for _, name := range names {
 		want := m[name]
 		f, err := fs.Get(name)
 		if err != nil {
-			return fmt.Errorf("vfs: manifest entry %q missing: %w", name, err)
+			return fmt.Errorf("scan: manifest entry %q missing: %w", name, err)
 		}
 		if f.Size != want.Size {
 			return errs.StageFile("manifest-verify", name,
-				errs.Corrupt("vfs: size %d != manifest %d", f.Size, want.Size))
+				errs.Corrupt("scan: size %d != manifest %d", f.Size, want.Size))
 		}
 		files = append(files, f)
 	}
@@ -105,7 +104,7 @@ func (m Manifest) VerifyCtx(ctx context.Context, fs *FS) error {
 	for _, name := range names {
 		if sum := byName[name]; sum != m[name].Checksum {
 			return errs.StageFile("manifest-verify", name,
-				errs.Corrupt("vfs: checksum %x != manifest %x", sum, m[name].Checksum))
+				errs.Corrupt("scan: checksum %x != manifest %x", sum, m[name].Checksum))
 		}
 	}
 	return nil

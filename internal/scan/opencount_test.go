@@ -11,25 +11,22 @@ import (
 	"repro/internal/vfs"
 )
 
-// countingSources wraps each source's Open so the test can prove the
+// countingSources wraps each source's stream so the test can prove the
 // engine's core economy claim: a fused run with all four kernels costs
-// exactly one open (and one streaming read) per file.
+// exactly one open (and one streaming read) per file. WithStream keeps
+// each file's name, size and pack locality.
 func countingSources(srcs []scan.Source) ([]scan.Source, map[string]*int) {
 	var mu sync.Mutex
 	counts := make(map[string]*int, len(srcs))
 	out := make([]scan.Source, len(srcs))
 	for i, src := range srcs {
-		src := src
-		c := new(int)
-		counts[src.Name] = c
-		wrapped := src
-		wrapped.Content = scan.OpenFunc(func() (io.Reader, error) {
+		counts[src.Name] = new(int)
+		out[i] = src.WithStream(func(name string, _ int64, r io.Reader) io.Reader {
 			mu.Lock()
-			*c++
+			*counts[name]++
 			mu.Unlock()
-			return src.Content.Open()
+			return r
 		})
-		out[i] = wrapped
 	}
 	return out, counts
 }
@@ -51,7 +48,7 @@ func fourKernels(t *testing.T) []scan.Kernel {
 func TestFusedRunOpensEachFileExactlyOnce(t *testing.T) {
 	fs := diffCorpus(t, 24)
 	for _, workers := range []int{1, 2, 8} {
-		srcs, counts := countingSources(vfs.Sources(fs.List()))
+		srcs, counts := countingSources(fs.List())
 		if err := scan.Run(context.Background(), srcs, scan.Options{Workers: workers}, fourKernels(t)...); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -85,7 +82,7 @@ func TestFusedRunOverPackedCorpusOpensEachMemberOnce(t *testing.T) {
 		// shard *handles* were opened once for the whole FS at import (the
 		// section readers share them), which is what keeps a packed scan at
 		// O(shards) descriptors however many members there are.
-		srcs, counts := countingSources(scan.SequentialOrder(vfs.Sources(packed.List())))
+		srcs, counts := countingSources(scan.SequentialOrder(packed.List()))
 		if err := scan.Run(context.Background(), srcs, scan.Options{Workers: workers}, fourKernels(t)...); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -98,13 +95,14 @@ func TestFusedRunOverPackedCorpusOpensEachMemberOnce(t *testing.T) {
 		var prevShard string
 		var prevOff int64
 		for _, s := range srcs {
-			if s.Shard == prevShard && s.Offset < prevOff {
-				t.Fatalf("workers=%d: offsets not ascending within shard %s", workers, s.Shard)
+			shard, off := s.Locality()
+			if shard == "" {
+				t.Fatalf("workers=%d: %s lost its pack locality", workers, s.Name)
 			}
-			if s.Shard != prevShard {
-				prevShard = s.Shard
+			if shard == prevShard && off < prevOff {
+				t.Fatalf("workers=%d: offsets not ascending within shard %s", workers, shard)
 			}
-			prevOff = s.Offset
+			prevShard, prevOff = shard, off
 		}
 	}
 }

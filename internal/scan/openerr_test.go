@@ -75,7 +75,7 @@ func TestOpenFailureIsReportedAsItself(t *testing.T) {
 			}
 			_, openErr := f.Open()
 			_, readErr := f.ReadAll()
-			scanErr := scan.Run(context.Background(), vfs.Sources(fs.List()), scan.Options{Workers: 1}, scan.NewChecksum())
+			scanErr := scan.Run(context.Background(), fs.List(), scan.Options{Workers: 1}, scan.NewChecksum())
 			for via, err := range map[string]error{"Open": openErr, "ReadAll": readErr, "scan.Run": scanErr} {
 				switch {
 				case !errors.Is(err, tc.cause):

@@ -14,7 +14,7 @@ import "sort"
 func SequentialOrder(srcs []Source) []Source {
 	sharded := false
 	for i := range srcs {
-		if srcs[i].Shard != "" {
+		if shard, _ := srcs[i].Locality(); shard != "" {
 			sharded = true
 			break
 		}
@@ -24,10 +24,12 @@ func SequentialOrder(srcs []Source) []Source {
 	}
 	out := append([]Source(nil), srcs...)
 	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Shard != out[j].Shard {
-			return out[i].Shard < out[j].Shard
+		si, oi := out[i].Locality()
+		sj, oj := out[j].Locality()
+		if si != sj {
+			return si < sj
 		}
-		return out[i].Offset < out[j].Offset
+		return oi < oj
 	})
 	return out
 }

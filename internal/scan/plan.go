@@ -64,16 +64,20 @@ func NewPlan(srcs []Source, opts PlanOptions) *Plan {
 	ordered := SequentialOrder(srcs)
 	p := &Plan{Sources: ordered}
 	i := 0
+	shardOf := func(j int) string {
+		shard, _ := ordered[j].Locality()
+		return shard
+	}
 	for i < len(ordered) {
-		shard := ordered[i].Shard
+		shard := shardOf(i)
 		t := Task{Shard: shard, Lo: i}
 		if shard != "" {
-			for i < len(ordered) && ordered[i].Shard == shard {
+			for i < len(ordered) && shardOf(i) == shard {
 				t.Bytes += ordered[i].Size
 				i++
 			}
 		} else {
-			for i < len(ordered) && ordered[i].Shard == "" {
+			for i < len(ordered) && shardOf(i) == "" {
 				if i > t.Lo && t.Bytes+ordered[i].Size > taskBytes {
 					break
 				}
@@ -99,10 +103,11 @@ func (p *Plan) Fingerprint() uint64 {
 	h := fnv64.FoldU64(fnv64.Offset, uint64(len(p.Sources)))
 	for i := range p.Sources {
 		s := &p.Sources[i]
+		shard, off := s.Locality()
 		h = fnv64.FoldString(h, s.Name)
-		h = fnv64.FoldString(h, s.Shard)
+		h = fnv64.FoldString(h, shard)
 		h = fnv64.FoldU64(h, uint64(s.Size))
-		h = fnv64.FoldU64(h, uint64(s.Offset))
+		h = fnv64.FoldU64(h, uint64(off))
 	}
 	h = fnv64.FoldU64(h, uint64(len(p.Tasks)))
 	for _, t := range p.Tasks {

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
-// shardedSource builds a metadata-only Source with shard locality.
+// shardedSource builds a metadata-only Source with shard locality, as a
+// pack import lists its members.
 func shardedSource(name, shard string, off, size int64) Source {
-	return Source{Name: name, Shard: shard, Offset: off, Size: size}
+	return vfs.NewMemberFile(name, size, shard, off)
 }
 
 func taskRanges(p *Plan) [][2]int {
@@ -119,8 +122,8 @@ func TestPlanFingerprint(t *testing.T) {
 	mutations := map[string]func([]Source) []Source{
 		"rename":    func(s []Source) []Source { s[2].Name = "loose2"; return s },
 		"resize":    func(s []Source) []Source { s[1].Size++; return s },
-		"relocate":  func(s []Source) []Source { s[1].Offset++; return s },
-		"reshard":   func(s []Source) []Source { s[0].Shard = "packs/c.pack"; return s },
+		"relocate":  func(s []Source) []Source { s[1] = shardedSource("a1", "packs/a.pack", 513, 300); return s },
+		"reshard":   func(s []Source) []Source { s[0] = shardedSource("a0", "packs/c.pack", 0, 200); return s },
 		"drop-file": func(s []Source) []Source { return s[:2] },
 	}
 	for name, mut := range mutations {

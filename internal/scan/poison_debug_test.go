@@ -7,6 +7,8 @@ import (
 	"context"
 	"io"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 // retainingKernel deliberately violates the Block contract: it keeps the
@@ -28,10 +30,8 @@ func (k *retainingKernel) Merge(other Kernel) {}
 // poison after the run, never the original bytes.
 func TestPoisonClobbersRetainedBuffers(t *testing.T) {
 	content := bytes.Repeat([]byte("retain-me "), 20)
-	srcs := []Source{{
-		Name: "a.txt", Size: int64(len(content)),
-		Content: OpenFunc(func() (io.Reader, error) { return bytes.NewReader(content), nil }),
-	}}
+	srcs := []Source{vfs.NewContentFile("a.txt", int64(len(content)),
+		vfs.Opener(func() (io.Reader, error) { return bytes.NewReader(content), nil }))}
 	bad := &retainingKernel{}
 	if err := Run(context.Background(), srcs, Options{Workers: 1}, bad); err != nil {
 		t.Fatal(err)

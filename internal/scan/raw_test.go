@@ -6,14 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/errs"
+	"repro/internal/vfs"
 )
 
 // rawCorpus builds a deterministic mixed corpus twice over: one source
-// slice using the streaming Content path and one using the zero-copy Raw
-// path, backed by the same bytes.
+// slice using the streaming path and one using the zero-copy raw path,
+// backed by the same bytes.
 func rawCorpus(n int) (streaming, raw []Source) {
 	for i := 0; i < n; i++ {
 		var buf bytes.Buffer
@@ -25,14 +27,9 @@ func rawCorpus(n int) (streaming, raw []Source) {
 		}
 		data := buf.Bytes()
 		name := fmt.Sprintf("file-%03d.txt", i)
-		streaming = append(streaming, Source{
-			Name: name, Size: int64(len(data)),
-			Content: OpenFunc(func() (io.Reader, error) { return bytes.NewReader(data), nil }),
-		})
-		raw = append(raw, Source{
-			Name: name, Size: int64(len(data)),
-			Raw: BytesFunc(func() ([]byte, error) { return data, nil }),
-		})
+		streaming = append(streaming, vfs.NewContentFile(name, int64(len(data)),
+			vfs.Opener(func() (io.Reader, error) { return bytes.NewReader(data), nil })))
+		raw = append(raw, vfs.BytesFile(name, data).WithRawBytes(data))
 	}
 	return streaming, raw
 }
@@ -108,31 +105,44 @@ func TestRawMatchesStreaming(t *testing.T) {
 	}
 }
 
-// TestRawSizeMismatchIsCorrupt: a Raw source whose bytes disagree with
+// TestRawSizeMismatchIsCorrupt: a raw view whose bytes disagree with
 // the declared size is reported as corruption, same as the streaming
 // path.
 func TestRawSizeMismatchIsCorrupt(t *testing.T) {
-	srcs := []Source{{
-		Name: "liar.txt", Size: 10,
-		Raw: BytesFunc(func() ([]byte, error) { return []byte("short"), nil }),
-	}}
+	srcs := []Source{vfs.BytesFile("liar.txt", make([]byte, 10)).WithRawBytes([]byte("short"))}
 	err := Run(context.Background(), srcs, Options{Workers: 1}, NewChecksum())
 	if !errors.Is(err, errs.ErrCorrupt) {
 		t.Fatalf("size-lying raw source returned %v, want ErrCorrupt", err)
 	}
 }
 
-// TestRawErrorPropagates: a Raw source that fails to produce bytes
-// surfaces its error with the source name attached.
+// TestRawErrorPropagates: a raw view that fails to produce bytes — a
+// mapped pack member read after its import was closed — surfaces its
+// error with the source name attached.
 func TestRawErrorPropagates(t *testing.T) {
-	boom := errors.New("mapping gone")
-	srcs := []Source{{
-		Name: "gone.txt", Size: 3,
-		Raw: BytesFunc(func() ([]byte, error) { return nil, boom }),
-	}}
-	err := Run(context.Background(), srcs, Options{Workers: 1}, NewChecksum())
-	if !errors.Is(err, boom) {
-		t.Fatalf("raw open failure returned %v, want wrapped %v", err, boom)
+	ctx := context.Background()
+	fs := vfs.NewFS()
+	if err := fs.Add(vfs.BytesFile("gone.txt", []byte("abc"))); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := fs.ExportPackCtx(ctx, dir, vfs.PackOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	mapped, closer, err := vfs.ImportPackMappedCtx(ctx, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := mapped.List()
+	if !srcs[0].HasRaw() {
+		t.Fatal("mapped member carries no raw view")
+	}
+	if err := closer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = Run(ctx, srcs, Options{Workers: 1}, NewChecksum())
+	if err == nil || !strings.Contains(err.Error(), `scan: raw open "gone.txt"`) || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("raw open failure returned %v, want the closed view's error naming gone.txt", err)
 	}
 }
 

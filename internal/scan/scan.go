@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/par"
+	"repro/internal/vfs"
 )
 
 // DefaultBlockSize is the streaming window used when Options.BlockSize is
@@ -45,53 +46,15 @@ import (
 // that a worker set's resident buffer stays cache-friendly.
 const DefaultBlockSize = 128 * 1024
 
-// Opener provides a Source's bytes. Open must return an independent
-// reader per call; the engine calls it exactly once per file per run and
-// closes the reader when it implements io.Closer. It is an interface
-// rather than a func field so adapters holding a pointer (vfs files, pack
-// members) cost no per-source closure allocation.
-type Opener interface {
-	Open() (io.Reader, error)
-}
-
-// OpenFunc adapts a plain function to an Opener (handy for tests and
-// ad-hoc sources).
-type OpenFunc func() (io.Reader, error)
-
-// Open implements Opener.
-func (f OpenFunc) Open() (io.Reader, error) { return f() }
-
-// BytesSource provides a source's complete content as a borrowed byte
-// slice — the zero-copy path for memory-mapped pack members. The slice
-// must stay valid and immutable for the duration of the scan; the engine
-// never writes through it and never frees it. Kernels still receive the
-// bytes in BlockSize windows (subslices, no copying), so the block-carry
-// contract and block-split determinism are identical to the streaming
-// path.
-type BytesSource interface {
-	Bytes() ([]byte, error)
-}
-
-// BytesFunc adapts a plain function to a BytesSource.
-type BytesFunc func() ([]byte, error)
-
-// Bytes implements BytesSource.
-func (f BytesFunc) Bytes() ([]byte, error) { return f() }
-
-// Source is one scannable input: a named, sized byte stream. Shard and
-// Offset optionally record the file's physical location inside a shared
-// container (a packstore shard): SequentialOrder uses them to keep reads
-// sequential on disk. A non-nil Raw switches the engine to the zero-copy
-// path: kernels are fed borrowed windows of Raw's slice and Content is
-// never opened — no block-buffer pool traffic at all.
-type Source struct {
-	Name    string
-	Size    int64
-	Shard   string
-	Offset  int64
-	Content Opener
-	Raw     BytesSource
-}
+// Source is one scannable input: a vfs.File, so a scan reads the file
+// list an import or a generator returns as it is, with no record of its
+// own per file. The engine reads a file with a raw view (HasRaw) through
+// Bytes — kernels are fed borrowed windows of that slice and the file is
+// never opened, so no block buffer is used at all — and any other file
+// through one Open and a streaming read into a pooled buffer. A file's
+// pack locality (Locality) lets SequentialOrder keep reads sequential on
+// disk.
+type Source = vfs.File
 
 // Kernel is a streaming computation fed one file at a time. The engine
 // drives the cycle Begin(file) → Block(bytes)* → End() on a forked
@@ -337,7 +300,7 @@ func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) er
 			if err := errs.FromContext(ctx); err != nil {
 				return err
 			}
-			if err := scanFile(srcs[i], set, blockSize, &bufs); err != nil {
+			if err := scanFile(&srcs[i], set, blockSize, &bufs); err != nil {
 				// The set holds the chunk's earlier files; it is dropped,
 				// not recycled, and the run's results are void anyway.
 				return err
@@ -366,16 +329,17 @@ func Run(ctx context.Context, srcs []Source, opts Options, kernels ...Kernel) er
 // every kernel, the source's bytes in windows, the count of what arrived
 // held against the declared size — short or over-long content is as
 // corrupt here as it is in vfs.ReadInto — and End on every kernel. A
-// source with a raw view is delivered from it and its Content is never
-// opened; any other streams through a pooled buffer. Both loops hand each
-// window to the set's one feed, so a carried checksum rides either.
-func scanFile(src Source, set *kernelSet, blockSize int, bufs *sync.Pool) error {
+// source with a raw view is delivered from it and never opened; any other
+// streams through a pooled buffer. Both loops hand each window to the
+// set's one feed, so a carried checksum rides either. src points into the
+// run's own slice, so no file is copied to reach its bytes.
+func scanFile(src *Source, set *kernelSet, blockSize int, bufs *sync.Pool) error {
 	for _, k := range set.all {
-		k.Begin(src)
+		k.Begin(*src)
 	}
 	var n int64
 	var err error
-	if src.Raw != nil {
+	if src.HasRaw() {
 		n, err = deliverRaw(src, set, blockSize)
 	} else {
 		bp := bufs.Get().(*[]byte)
@@ -399,8 +363,8 @@ func scanFile(src Source, set *kernelSet, blockSize int, bufs *sync.Pool) error 
 // content comes back as one borrowed slice and kernels see it in
 // blockSize windows — subslices of the original, nothing copied, no
 // buffer recycled. It returns the bytes delivered.
-func deliverRaw(src Source, set *kernelSet, blockSize int) (int64, error) {
-	data, err := src.Raw.Bytes()
+func deliverRaw(src *Source, set *kernelSet, blockSize int) (int64, error) {
+	data, err := src.Bytes()
 	if err != nil {
 		return 0, fmt.Errorf("scan: raw open %q: %w", src.Name, err)
 	}
@@ -413,11 +377,11 @@ func deliverRaw(src Source, set *kernelSet, blockSize int) (int64, error) {
 // deliverStream streams a source through the kernel set: exactly one
 // Open, one pass of reads into buf, one Close. It returns the bytes
 // delivered.
-func deliverStream(src Source, set *kernelSet, buf []byte) (int64, error) {
-	if src.Content == nil {
+func deliverStream(src *Source, set *kernelSet, buf []byte) (int64, error) {
+	if !src.HasContent() {
 		return 0, errs.Invalid("scan: source %q has no content", src.Name)
 	}
-	r, err := src.Content.Open()
+	r, err := src.Open()
 	if err != nil {
 		return 0, fmt.Errorf("scan: open %q: %w", src.Name, err)
 	}

@@ -10,16 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/errs"
+	"repro/internal/vfs"
 )
-
-// bytesSource builds a Source over an in-memory payload.
-func bytesSource(name string, data []byte) Source {
-	return Source{
-		Name:    name,
-		Size:    int64(len(data)),
-		Content: OpenFunc(func() (io.Reader, error) { return bytes.NewReader(data), nil }),
-	}
-}
 
 // testCorpus is a deterministic set of sources with varied sizes,
 // including empty files.
@@ -36,7 +28,7 @@ func testCorpus(n int) ([]Source, [][]byte) {
 			data[j] = byte((i*31 + j*7) % 251)
 		}
 		payloads[i] = data
-		srcs[i] = bytesSource(fmt.Sprintf("file-%04d", i), data)
+		srcs[i] = vfs.BytesFile(fmt.Sprintf("file-%04d", i), data)
 	}
 	return srcs, payloads
 }
@@ -75,16 +67,8 @@ func TestRunChecksumMatchesReferenceAtAnyWorkerCount(t *testing.T) {
 }
 
 func TestRunValidatesDeclaredSize(t *testing.T) {
-	short := Source{
-		Name:    "short",
-		Size:    10,
-		Content: OpenFunc(func() (io.Reader, error) { return bytes.NewReader([]byte("abc")), nil }),
-	}
-	long := Source{
-		Name:    "long",
-		Size:    2,
-		Content: OpenFunc(func() (io.Reader, error) { return bytes.NewReader([]byte("abcdef")), nil }),
-	}
+	short := vfs.NewContentFile("short", 10, vfs.Opener(func() (io.Reader, error) { return bytes.NewReader([]byte("abc")), nil }))
+	long := vfs.NewContentFile("long", 2, vfs.Opener(func() (io.Reader, error) { return bytes.NewReader([]byte("abcdef")), nil }))
 	for _, src := range []Source{short, long} {
 		err := Run(context.Background(), []Source{src}, Options{}, NewChecksum())
 		if !errors.Is(err, errs.ErrCorrupt) {
@@ -119,8 +103,8 @@ func TestRunCancellation(t *testing.T) {
 func TestRunReportsLowestFailingIndex(t *testing.T) {
 	srcs, _ := testCorpus(12)
 	boom := errors.New("boom")
-	srcs[3].Content = OpenFunc(func() (io.Reader, error) { return nil, fmt.Errorf("three: %w", boom) })
-	srcs[9].Content = OpenFunc(func() (io.Reader, error) { return nil, errors.New("nine") })
+	srcs[3] = vfs.NewContentFile(srcs[3].Name, srcs[3].Size, vfs.Opener(func() (io.Reader, error) { return nil, fmt.Errorf("three: %w", boom) }))
+	srcs[9] = vfs.NewContentFile(srcs[9].Name, srcs[9].Size, vfs.Opener(func() (io.Reader, error) { return nil, errors.New("nine") }))
 	err := Run(context.Background(), srcs, Options{Workers: 4}, NewChecksum())
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run returned %v, want the lowest failing index's error (index 3)", err)
@@ -129,11 +113,11 @@ func TestRunReportsLowestFailingIndex(t *testing.T) {
 
 func TestSequentialOrder(t *testing.T) {
 	srcs := []Source{
-		{Name: "c", Shard: "s2.pack", Offset: 10},
-		{Name: "a", Shard: "s1.pack", Offset: 500},
+		vfs.NewMemberFile("c", 0, "s2.pack", 10),
+		vfs.NewMemberFile("a", 0, "s1.pack", 500),
 		{Name: "plain"},
-		{Name: "b", Shard: "s1.pack", Offset: 20},
-		{Name: "d", Shard: "s2.pack", Offset: 5},
+		vfs.NewMemberFile("b", 0, "s1.pack", 20),
+		vfs.NewMemberFile("d", 0, "s2.pack", 5),
 	}
 	got := SequentialOrder(srcs)
 	want := []string{"plain", "b", "a", "d", "c"}
@@ -183,11 +167,7 @@ func (r *shortReader) Read(p []byte) (int, error) {
 
 func TestRunHandlesShortReads(t *testing.T) {
 	data := []byte("the quick brown fox jumps over the lazy dog")
-	src := Source{
-		Name:    "short-reads",
-		Size:    int64(len(data)),
-		Content: OpenFunc(func() (io.Reader, error) { return &shortReader{data: data}, nil }),
-	}
+	src := vfs.NewContentFile("short-reads", int64(len(data)), vfs.Opener(func() (io.Reader, error) { return &shortReader{data: data}, nil }))
 	ck := NewChecksum()
 	if err := Run(context.Background(), []Source{src}, Options{}, ck); err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func BenchmarkServeRequest(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer closer.Close()
-	srv, err := New(ctx, scan.SequentialOrder(vfs.Sources(mappedFS.List())), Config{MaxInFlight: 1, QueueDepth: 1})
+	srv, err := New(ctx, scan.SequentialOrder(mappedFS.List()), Config{MaxInFlight: 1, QueueDepth: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

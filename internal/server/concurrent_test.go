@@ -40,7 +40,7 @@ func mappedPackServer(t *testing.T, cfg Config) (*Server, *httptest.Server, []sc
 	}
 	t.Cleanup(func() { closer.Close() })
 	files := mappedFS.List()
-	srcs := scan.SequentialOrder(vfs.Sources(files))
+	srcs := scan.SequentialOrder(files)
 	srv, err := New(context.Background(), srcs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func gatedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan stru
 		t.Fatal(err)
 	}
 	files := fs.List()
-	srv, err := New(context.Background(), scan.SequentialOrder(vfs.Sources(files)), cfg)
+	srv, err := New(context.Background(), scan.SequentialOrder(files), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/scan"
-	"repro/internal/vfs"
 )
 
 // FuzzServeRequest posts arbitrary bytes as the body of every scan
@@ -43,7 +42,7 @@ func FuzzServeRequest(f *testing.F) {
 		}
 	}
 
-	srv, err := New(context.Background(), scan.SequentialOrder(vfs.Sources(testFS(f).List())), Config{MaxInFlight: 1, QueueDepth: 4})
+	srv, err := New(context.Background(), scan.SequentialOrder(testFS(f).List()), Config{MaxInFlight: 1, QueueDepth: 4})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -121,10 +121,10 @@ func New(ctx context.Context, srcs []scan.Source, cfg Config) (*Server, error) {
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
 
 	shards := make(map[string]struct{})
-	for _, src := range srcs {
-		s.bytes += src.Size
-		if src.Shard != "" {
-			shards[src.Shard] = struct{}{}
+	for i := range srcs {
+		s.bytes += srcs[i].Size
+		if shard, _ := srcs[i].Locality(); shard != "" {
+			shards[shard] = struct{}{}
 		}
 	}
 	s.shards = len(shards)

@@ -44,7 +44,7 @@ func testFS(t testing.TB) *vfs.FS {
 func newTestServer(t *testing.T, fs *vfs.FS, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	files := fs.List()
-	srcs := scan.SequentialOrder(vfs.Sources(files))
+	srcs := scan.SequentialOrder(files)
 	srv, err := New(context.Background(), srcs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestGrepMatchesLibrary(t *testing.T) {
 	}
 	mk := textproc.NewMatchKernel(ms)
 	files := fs.List()
-	if err := scan.Run(context.Background(), scan.SequentialOrder(vfs.Sources(files)), scan.Options{}, mk); err != nil {
+	if err := scan.Run(context.Background(), scan.SequentialOrder(files), scan.Options{}, mk); err != nil {
 		t.Fatal(err)
 	}
 
@@ -160,7 +160,7 @@ func encodeIndented(t *testing.T, v any) []byte {
 func TestMeasureMatchesLibrary(t *testing.T) {
 	fs := testFS(t)
 	_, ts := newTestServer(t, fs, Config{MaxInFlight: 2, QueueDepth: 8})
-	srcs := scan.SequentialOrder(vfs.Sources(fs.List()))
+	srcs := scan.SequentialOrder(fs.List())
 
 	for _, pc := range []struct {
 		name     string
@@ -270,7 +270,7 @@ func TestManifestStatsVerifyHealthz(t *testing.T) {
 		t.Errorf("manifest = %d files %d bytes %d entries, corpus has %d/%d",
 			man.Files, man.TotalBytes, len(man.Entries), fs.Len(), fs.TotalSize())
 	}
-	wantMan, err := vfs.BuildManifestCtx(context.Background(), fs)
+	wantMan, err := scan.BuildManifestCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +521,7 @@ func TestWarmupCancelled(t *testing.T) {
 	fs := testFS(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := New(ctx, scan.SequentialOrder(vfs.Sources(fs.List())), Config{})
+	_, err := New(ctx, scan.SequentialOrder(fs.List()), Config{})
 	if err == nil || !errs.IsCancellation(err) {
 		t.Fatalf("New on dead context = %v, want cancellation", err)
 	}

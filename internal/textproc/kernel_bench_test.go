@@ -8,6 +8,7 @@ import (
 	"repro/internal/scan"
 	"repro/internal/scan/kerneltest"
 	"repro/internal/textproc"
+	"repro/internal/vfs"
 )
 
 // Per-kernel compute: one kernel, one 1 MB block, no engine.
@@ -96,10 +97,7 @@ func BenchmarkKernelChecksumMatchPerMB(b *testing.B) {
 		for _, shape := range kernelShapes() {
 			b.Run(shape.name, func(b *testing.B) {
 				text := shape.text
-				srcs := []scan.Source{{
-					Name: "kernel-1mb", Size: int64(len(text)),
-					Raw: scan.BytesFunc(func() ([]byte, error) { return text, nil }),
-				}}
+				srcs := []scan.Source{vfs.BytesFile("kernel-1mb", text).WithRawBytes(text)}
 				b.SetBytes(int64(len(text)))
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -37,7 +37,7 @@ func TestAnalyzerKernelEmpty(t *testing.T) {
 // every file) under the scan engine, and returns the merged totals.
 func tagFiles(tg *Tagger, files []vfs.File) (FileStats, error) {
 	k := NewAnalyzerKernel(tg)
-	if err := scan.Run(context.Background(), vfs.Sources(files), scan.Options{Workers: 2}, k); err != nil {
+	if err := scan.Run(context.Background(), files, scan.Options{Workers: 2}, k); err != nil {
 		return FileStats{}, err
 	}
 	total := FileStats{Stats: k.Total(), Lines: k.Lines()}

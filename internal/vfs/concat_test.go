@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"hash/fnv"
 	"io"
 	"testing"
 )
@@ -140,5 +141,68 @@ func TestConcatShortReadMembers(t *testing.T) {
 	}
 	if sum != want {
 		t.Fatal("short reads changed the concat byte stream")
+	}
+}
+
+// checksumOracle streams a file's content through the standard library's
+// FNV-64a — the reference the engine's member checksum must equal.
+func checksumOracle(f File) (uint64, error) {
+	r, err := f.Open()
+	if err != nil {
+		return 0, err
+	}
+	h := fnv.New64a()
+	_, err = io.Copy(h, r)
+	if err := closeReader(r, err); err != nil {
+		return 0, err
+	}
+	return h.Sum64(), nil
+}
+
+// concatHash is FNV-64a over the concatenation of the files in List
+// order: the corpus's byte stream, whatever its file boundaries.
+func concatHash(t *testing.T, fs *FS) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	for _, f := range fs.List() {
+		r, err := f.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(h, r)
+		if err := closeReader(r, err); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h.Sum64()
+}
+
+func TestConcatHashReshapingInvariant(t *testing.T) {
+	// The byte stream is identical whether the corpus is one file or many:
+	// merging moves boundaries, never bytes.
+	parts := NewFS()
+	_ = parts.Add(BytesFile("a", []byte("abc")))
+	_ = parts.Add(BytesFile("b", []byte("defg")))
+	_ = parts.Add(BytesFile("c", []byte("hi")))
+
+	merged := NewFS()
+	_ = merged.Add(Concat("unit-0", []File{
+		BytesFile("a", []byte("abc")),
+		BytesFile("b", []byte("defg")),
+		BytesFile("c", []byte("hi")),
+	}))
+
+	sumParts := concatHash(t, parts)
+	if concatHash(t, merged) != sumParts {
+		t.Error("reshaping changed the combined byte stream")
+	}
+
+	// But different bytes change it.
+	other := NewFS()
+	_ = other.Add(BytesFile("a", []byte("abX")))
+	_ = other.Add(BytesFile("b", []byte("defg")))
+	_ = other.Add(BytesFile("c", []byte("hi")))
+	if concatHash(t, other) == sumParts {
+		t.Error("different corpus, same combined checksum")
 	}
 }

@@ -23,22 +23,22 @@ import (
 // first directory is read and a few thousand files spread over every core.
 const importChunkFiles = 256
 
-// dirEntry is one file the walk found — its corpus name and its path on
-// disk — and what its load made of it: ImportDir's size, or the mapped
-// import's view.
+// dirEntry is one file the walk found — its corpus name, which is its
+// path below the walked root (walkRoot) — and what its load made of it:
+// ImportDir's size, or the mapped import's view.
 //
 // walkFiles(dir, emit) is the one directory walk: every non-directory
-// entry under dir, by slash-separated name relative to dir and by path,
-// handed to emit importChunkFiles at a time as each directory returns
+// entry under dir, by slash-separated name relative to dir, handed to
+// emit importChunkFiles at a time as each directory returns
 // them (emit keeps the chunk; its error ends the walk). Symlinks are
 // listed, not followed; an unreadable directory is an error. On linux it
 // reads the directories itself (walk_linux.go); elsewhere, and behind
 // packstore_nommap so that the portable walk has a linux build to test
 // it, it lists them with os.ReadDir (walk_other.go).
 type dirEntry struct {
-	name, path string
-	size       int64
-	data       []byte
+	name string
+	size int64
+	data []byte
 }
 
 // walkRoot is dir as the walk joins names onto it: with a trailing
@@ -201,7 +201,7 @@ func byName(chunks [][]dirEntry) []*dirEntry {
 // between files; on abort, and on any failure, every mapping and slab
 // taken so far is released before the error is returned.
 func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error) {
-	imp := &dirImport{}
+	imp := &dirImport{root: walkRoot(dir)}
 	entries, err := walkLoad(ctx, dir, imp.loader)
 	var fs *FS
 	if err == nil {
@@ -225,6 +225,7 @@ func ImportDirMappedCtx(ctx context.Context, dir string) (*FS, io.Closer, error)
 // mappings of its large files and the slabs its loaders filled with the
 // small ones, which go back to packstore's pool for the next import.
 type dirImport struct {
+	root   string // the walked root, which every file's name is below
 	mu     sync.Mutex
 	maps   []*packstore.FileMapping
 	slabs  []*packstore.FileSlab // one per loader goroutine
@@ -239,7 +240,7 @@ func (imp *dirImport) loader() func(*dirEntry) error {
 	imp.slabs = append(imp.slabs, slab)
 	imp.mu.Unlock()
 	return func(e *dirEntry) error {
-		data, m, err := packstore.LoadFile(e.path, slab)
+		data, m, err := packstore.LoadFile(imp.root, e.name, slab)
 		if err != nil {
 			return err
 		}

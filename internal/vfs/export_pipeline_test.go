@@ -227,20 +227,21 @@ func TestImportDirFileVanishesBetweenWalkAndStat(t *testing.T) {
 			break
 		}
 	}
+	root := walkRoot(dir)
 	contents := map[string][]byte{}
 	for _, e := range []dirEntry{first, second} {
-		data, err := os.ReadFile(e.path)
+		data, err := os.ReadFile(root + e.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		contents[e.path] = data
+		contents[root+e.name] = data
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		imp := &dirImport{}
+		imp, src := &dirImport{root: root}, &dirSource{root: root}
 		for name, load := range map[string]func() func(*dirEntry) error{
-			"ImportDir":          func() func(*dirEntry) error { return statEntry },
+			"ImportDir":          func() func(*dirEntry) error { return src.stat },
 			"ImportDirMappedCtx": imp.loader,
 		} {
 			// vanishing removes a victim's file just before it is loaded; the
@@ -259,7 +260,7 @@ func TestImportDirFileVanishesBetweenWalkAndStat(t *testing.T) {
 					default:
 						return load(e)
 					}
-					os.Remove(e.path)
+					os.Remove(root + e.name)
 					return load(e)
 				}
 			}
@@ -267,8 +268,8 @@ func TestImportDirFileVanishesBetweenWalkAndStat(t *testing.T) {
 			if entries != nil {
 				t.Errorf("%s at GOMAXPROCS %d: a failed import listed %d files", name, procs, len(entries))
 			}
-			if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), first.path) {
-				t.Fatalf("%s at GOMAXPROCS %d: err = %v, want os.ErrNotExist naming %s", name, procs, err, first.path)
+			if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), root+first.name) {
+				t.Fatalf("%s at GOMAXPROCS %d: err = %v, want os.ErrNotExist naming %s", name, procs, err, root+first.name)
 			}
 			for path, data := range contents {
 				if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -256,8 +256,8 @@ func importPacks(ctx context.Context, mapped bool, sources []string) (*FS, io.Cl
 		for i, m := range p.Members() {
 			// Locality (shard path + member offset) lets fused scans read
 			// each pack front to back instead of seeking per member.
-			f := File{Name: m.Name, Size: m.Size, content: src, shard: p.Path(), shardOff: m.Offset,
-				hasSum: true, sum: uint32(m.Checksum)}
+			f := NewMemberFile(m.Name, m.Size, p.Path(), m.Offset)
+			f.content, f.hasSum, f.sum = src, true, uint32(m.Checksum)
 			if r != nil {
 				f = f.WithRawBytes(r.MemberBytes(i))
 			}

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
-
-	"repro/internal/scan"
 )
 
 // TestImportPackMappedMatchesImportPack: the mapped import exposes the
@@ -67,48 +65,6 @@ func TestImportPackMappedMatchesImportPack(t *testing.T) {
 		}
 		if !bytes.Equal(want, streamed) {
 			t.Fatalf("file %q streamed content differs under mapped import", pf.Name)
-		}
-	}
-}
-
-// TestMappedScanBitIdenticalToCopyingScan is the acceptance differential:
-// a fused scan over the mapped import is bit-identical to the same scan
-// over the copying import, at workers 1, 2 and 8.
-func TestMappedScanBitIdenticalToCopyingScan(t *testing.T) {
-	fs := packTestFS(t, 80)
-	dir := t.TempDir()
-	if _, err := fs.ExportPackCtx(context.Background(), dir, PackOptions{Prefix: "t", ShardSize: 32 * 1024}); err != nil {
-		t.Fatal(err)
-	}
-	plain, plainCloser, err := ImportPackCtx(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plainCloser.Close()
-	mapped, mappedCloser, err := ImportPackMappedCtx(context.Background(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mappedCloser.Close()
-
-	for _, workers := range []int{1, 2, 8} {
-		opts := scan.Options{Workers: workers, BlockSize: 4096}
-		ck := scan.NewChecksum()
-		if err := scan.Run(context.Background(), scan.SequentialOrder(Sources(plain.List())), opts, ck); err != nil {
-			t.Fatalf("workers=%d copying scan: %v", workers, err)
-		}
-		mk := scan.NewChecksum()
-		if err := scan.Run(context.Background(), scan.SequentialOrder(Sources(mapped.List())), opts, mk); err != nil {
-			t.Fatalf("workers=%d mapped scan: %v", workers, err)
-		}
-		a, b := ck.Sums(), mk.Sums()
-		if len(a) != len(b) {
-			t.Fatalf("workers=%d: %d sums vs %d", workers, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers=%d file %d: copying %+v != mapped %+v", workers, i, a[i], b[i])
-			}
 		}
 	}
 }

@@ -1,57 +1,8 @@
 package vfs
 
 import (
-	"context"
-	"fmt"
-	"math/rand"
-	"reflect"
 	"testing"
 )
-
-// contentFS builds a file system of deterministic pseudo-random content
-// files, including empty files and one several scan blocks long.
-func contentFS(t *testing.T, n int) *FS {
-	t.Helper()
-	fs := NewFS()
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < n; i++ {
-		size := r.Intn(8000)
-		if i%17 == 0 {
-			size = 0
-		}
-		data := make([]byte, size)
-		r.Read(data)
-		if err := fs.Add(BytesFile(fmt.Sprintf("f/%04d.bin", i), data)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	big := make([]byte, 5<<20)
-	r.Read(big)
-	if err := fs.Add(BytesFile("f/big.bin", big)); err != nil {
-		t.Fatal(err)
-	}
-	return fs
-}
-
-func TestBuildManifestWorkerCountInvariant(t *testing.T) {
-	fs := contentFS(t, 120)
-	serial, err := buildManifest(context.Background(), fs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 16} {
-		m, err := buildManifest(context.Background(), fs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(m, serial) {
-			t.Errorf("workers=%d: manifest differs from serial", workers)
-		}
-	}
-	if err := serial.VerifyCtx(context.Background(), fs); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestListAndSizesCacheInvalidation(t *testing.T) {
 	fs := NewFS()

@@ -1,4 +1,4 @@
-package vfs
+package vfs_test
 
 import (
 	"bytes"
@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/scan"
+	"repro/internal/vfs"
 )
 
 // On-disk round-trips: the in-memory FS paths have always been
@@ -41,14 +44,14 @@ func TestImportExportImportRoundTrip(t *testing.T) {
 	src := t.TempDir()
 	files := writeTree(t, src)
 
-	fs1, err := ImportDir(src)
+	fs1, err := vfs.ImportDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fs1.Len() != len(files) {
 		t.Fatalf("imported %d files, want %d", fs1.Len(), len(files))
 	}
-	manifest, err := BuildManifestCtx(context.Background(), fs1)
+	manifest, err := scan.BuildManifestCtx(context.Background(), fs1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +60,7 @@ func TestImportExportImportRoundTrip(t *testing.T) {
 	if err := fs1.ExportCtx(context.Background(), out); err != nil {
 		t.Fatal(err)
 	}
-	fs2, err := ImportDir(out)
+	fs2, err := vfs.ImportDir(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +89,11 @@ func TestImportExportImportRoundTrip(t *testing.T) {
 func TestManifestVerifyDetectsOnDiskCorruption(t *testing.T) {
 	src := t.TempDir()
 	writeTree(t, src)
-	fs1, err := ImportDir(src)
+	fs1, err := vfs.ImportDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifest, err := BuildManifestCtx(context.Background(), fs1)
+	manifest, err := scan.BuildManifestCtx(context.Background(), fs1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestManifestVerifyDetectsOnDiskCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs2, err := ImportDir(src)
+	fs2, err := vfs.ImportDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +119,8 @@ func TestManifestVerifyDetectsOnDiskCorruption(t *testing.T) {
 func TestExportRejectsPathTraversal(t *testing.T) {
 	for _, name := range []string{"../escape.txt", "a/../../escape.txt", "/abs.txt"} {
 		t.Run(name, func(t *testing.T) {
-			fs := NewFS()
-			if err := fs.Add(BytesFile(name, []byte("x"))); err != nil {
+			fs := vfs.NewFS()
+			if err := fs.Add(vfs.BytesFile(name, []byte("x"))); err != nil {
 				t.Fatal(err)
 			}
 			parent := t.TempDir()
@@ -135,24 +138,13 @@ func TestExportRejectsPathTraversal(t *testing.T) {
 
 func TestExportAllowsDotDotInFileName(t *testing.T) {
 	// ".." as a name substring (not a path element) is legitimate.
-	fs := NewFS()
-	if err := fs.Add(BytesFile("notes..old.txt", []byte("x"))); err != nil {
+	fs := vfs.NewFS()
+	if err := fs.Add(vfs.BytesFile("notes..old.txt", []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.ExportCtx(context.Background(), t.TempDir()); err != nil {
 		t.Fatalf("Export rejected a benign name: %v", err)
 	}
-}
-
-// openFDs counts this process's open descriptors via /proc (linux); the
-// fd-leak regression tests skip elsewhere.
-func openFDs(t *testing.T) int {
-	t.Helper()
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Skipf("cannot count fds: %v", err)
-	}
-	return len(ents)
 }
 
 func TestReadPathsDoNotLeakDescriptors(t *testing.T) {
@@ -164,11 +156,11 @@ func TestReadPathsDoNotLeakDescriptors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fs, err := ImportDir(src)
+	fs, err := vfs.ImportDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := openFDs(t)
+	before := vfs.OpenFDs(t)
 
 	// Every disk-touching read path: ReadAll, Checksum, BuildManifestCtx,
 	// Concat streaming.
@@ -176,22 +168,22 @@ func TestReadPathsDoNotLeakDescriptors(t *testing.T) {
 		if _, err := f.ReadAll(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := checksumOracle(f); err != nil {
+		if _, err := vfs.ChecksumOracle(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := BuildManifestCtx(context.Background(), fs); err != nil {
+	if _, err := scan.BuildManifestCtx(context.Background(), fs); err != nil {
 		t.Fatal(err)
 	}
-	merged := Concat("unit", fs.List())
+	merged := vfs.Concat("unit", fs.List())
 	if _, err := merged.ReadAll(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := checksumOracle(merged); err != nil {
+	if _, err := vfs.ChecksumOracle(merged); err != nil {
 		t.Fatal(err)
 	}
 
-	after := openFDs(t)
+	after := vfs.OpenFDs(t)
 	if after > before {
 		t.Fatalf("descriptor leak: %d open before reads, %d after", before, after)
 	}

@@ -84,6 +84,13 @@ func NewContentFile(name string, size int64, src ContentSource) File {
 	return File{Name: name, Size: size, content: src}
 }
 
+// NewMemberFile creates a metadata-only file that a pack shard holds at
+// offset: the locality every pack import gives its members, so that scans
+// can read each shard front to back.
+func NewMemberFile(name string, size int64, shard string, offset int64) File {
+	return File{Name: name, Size: size, shard: shard, shardOff: offset}
+}
+
 // BytesFile creates a file backed by an in-memory byte slice. The slice is
 // not copied; callers must not mutate it afterwards.
 func BytesFile(name string, data []byte) File {
@@ -129,9 +136,8 @@ func (f File) WithStream(wrap func(name string, size int64, r io.Reader) io.Read
 	return f
 }
 
-// Bytes returns the file's zero-copy content view. It implements
-// scan.BytesSource for raw-backed files; calling it on a file without a
-// raw view is an error (scans route those through Open instead). A
+// Bytes returns the file's zero-copy content view. Calling it on a file
+// without a raw view is an error (scans route those through Open). A
 // mapped pack member's view is first held to its stored sum, and refused
 // once its import has been closed.
 func (f *File) Bytes() ([]byte, error) {
@@ -148,6 +154,14 @@ func (f *File) Bytes() ([]byte, error) {
 
 // HasContent reports whether the file carries a content source.
 func (f File) HasContent() bool { return f.content != nil }
+
+// HasRaw reports whether the file carries a zero-copy raw view, which
+// scans read through Bytes instead of opening the file.
+func (f File) HasRaw() bool { return f.hasRaw }
+
+// Locality is where a pack member's bytes sit: its shard's path and its
+// offset in it; "" and 0 for a file no shard holds.
+func (f File) Locality() (shard string, offset int64) { return f.shard, f.shardOff }
 
 // Open returns a new reader over the file's content. It returns an error
 // for metadata-only files, and the content source's own error — wrapped
@@ -428,6 +442,11 @@ func (fs *FS) List() []File {
 	return slices.Clip(fs.files)
 }
 
+// Sources returns files as they are. A scan reads vfs files themselves
+// (scan.Source is File), so a file list is already the engine's input;
+// Sources stays for callers written against the name.
+func Sources(files []File) []File { return files }
+
 // Sizes returns the sizes of all files in List order, in a new slice.
 func (fs *FS) Sizes() []int64 {
 	files := fs.List()
@@ -495,11 +514,11 @@ func ImportDir(dir string) (*FS, error) { return ImportDirCtx(context.Background
 // vanished in between — is the serial walk's. Once ctx is done the walk
 // stops before its next chunk or stat, with errs.ErrCancelled.
 func ImportDirCtx(ctx context.Context, dir string) (*FS, error) {
-	entries, err := walkLoad(ctx, dir, func() func(*dirEntry) error { return statEntry })
+	src := &dirSource{root: walkRoot(dir)}
+	entries, err := walkLoad(ctx, dir, func() func(*dirEntry) error { return src.stat })
 	if err != nil {
 		return nil, fmt.Errorf("vfs: import %s: %w", dir, err)
 	}
-	src := &dirSource{root: walkRoot(dir)}
 	files := make([]File, len(entries))
 	for i, e := range entries {
 		files[i] = File{Name: e.name, Size: e.size, content: src}
@@ -512,8 +531,8 @@ type dirSource struct{ root string }
 
 func (s *dirSource) Open(f *File) (io.Reader, error) { return packstore.OpenFile(s.root, f.Name) }
 
-// statEntry is ImportDir's load: the entry's size, from an lstat.
-func statEntry(e *dirEntry) (err error) {
-	e.size, err = packstore.LstatSize(e.path)
+// stat is ImportDir's load: the entry's size, from an lstat.
+func (s *dirSource) stat(e *dirEntry) (err error) {
+	e.size, err = packstore.LstatSize(s.root, e.name)
 	return err
 }

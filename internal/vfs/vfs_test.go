@@ -15,6 +15,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"repro/internal/errs"
 )
 
 func TestMetadataOnlyFile(t *testing.T) {
@@ -384,5 +386,16 @@ func TestConcatProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestVfsErrNotFoundIsTyped(t *testing.T) {
+	fs := NewFS()
+	_, err := fs.Get("missing")
+	if !errors.Is(err, ErrNotFound) {
+		t.Fatalf("errors.Is(%v, vfs.ErrNotFound) = false", err)
+	}
+	if !errors.Is(err, errs.ErrNotFound) {
+		t.Fatalf("errors.Is(%v, errs.ErrNotFound) = false", err)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // walkFiles reads each directory with getdents64 and takes every entry's
 // type from its d_type, so listing a file allocates nothing of its own:
 // os.ReadDir would allocate a DirEntry and a name string per entry, and
-// the walk two more strings for the name and path built from them. Its
-// path is appended to an arena of 64 KiB blocks that are only ever
-// appended to, and its entry's path and name are substrings of it, so a
+// the walk another for the name built from it. Its name — the path below
+// the walked root — is appended to an arena of 64 KiB blocks that are
+// only ever appended to, and its entry's name is a substring of it, so a
 // chunk can go to the loaders while the directory is still being read;
 // entries come in the order getdents64 returns them, and subdirectories
 // are walked after the directory that lists them. A filesystem that
@@ -41,7 +41,7 @@ func walkFiles(dir string, emit func([]dirEntry) error) error {
 type dirWalker struct {
 	root  int        // the length of the walked root's path, with its '/'
 	buf   []byte     // getdents64 records
-	arena []byte     // the current block of listed paths
+	arena []byte     // the current block of listed names
 	chunk []dirEntry // the entries listed since the last emit
 	emit  func([]dirEntry) error
 }
@@ -111,21 +111,22 @@ func (w *dirWalker) read(dir string, dirs *[]string) error {
 	}
 }
 
-// add lists the file dir+name, and emits the chunk once it is full.
+// add lists the file dir+name by its name below the root, and emits the
+// chunk once it is full.
 func (w *dirWalker) add(dir string, name []byte) error {
-	n := len(dir) + len(name)
+	sub := dir[w.root:]
+	n := len(sub) + len(name)
 	if cap(w.arena)-len(w.arena) < n {
 		w.arena = make([]byte, 0, max(64<<10, n))
 	}
 	start := len(w.arena)
-	w.arena = append(append(w.arena, dir...), name...)
+	w.arena = append(append(w.arena, sub...), name...)
 	// Bytes once appended are never written again, so they can be the
-	// entry's strings without a copy.
-	path := unsafe.String(&w.arena[start], n)
+	// entry's name without a copy.
 	if w.chunk == nil {
 		w.chunk = make([]dirEntry, 0, importChunkFiles)
 	}
-	w.chunk = append(w.chunk, dirEntry{name: path[w.root:], path: path})
+	w.chunk = append(w.chunk, dirEntry{name: unsafe.String(&w.arena[start], n)})
 	if len(w.chunk) < importChunkFiles {
 		return nil
 	}

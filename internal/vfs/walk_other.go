@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 )
 
-// walkFiles lists each directory with os.ReadDir and builds each name and
-// path by appending the entry to its directory's as it descends, instead
-// of recovering the name from the path with filepath.Rel per entry.
+// walkFiles lists each directory with os.ReadDir and builds each name by
+// appending the entry to its directory's as it descends, instead of
+// recovering the name from a path with filepath.Rel per entry.
 func walkFiles(dir string, emit func([]dirEntry) error) error {
 	var chunk []dirEntry
 	var walk func(path, prefix string) error
@@ -19,10 +19,10 @@ func walkFiles(dir string, emit func([]dirEntry) error) error {
 			return err
 		}
 		for _, d := range list {
-			name, sub := prefix+d.Name(), path+d.Name()
+			name := prefix + d.Name()
 			if d.IsDir() {
-				err = walk(sub+string(filepath.Separator), name+"/")
-			} else if chunk = append(chunk, dirEntry{name: name, path: sub}); len(chunk) == importChunkFiles {
+				err = walk(path+d.Name()+string(filepath.Separator), name+"/")
+			} else if chunk = append(chunk, dirEntry{name: name}); len(chunk) == importChunkFiles {
 				err, chunk = emit(chunk), nil
 			}
 			if err != nil {
